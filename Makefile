@@ -15,8 +15,9 @@ test:
 	$(GO) test ./...
 
 # race runs once per GOMAXPROCS value: one core catches lost wakeups
-# the scheduler hides, several catch real races in the parallel pass
-# scheduler.
+# the scheduler hides, several catch real races in the concurrency that
+# remains: the speculative probe engine, the fuzz pool, service jobs
+# and batches, and the irinterp rank goroutines.
 race:
 	GOMAXPROCS=1 $(GO) test -race ./...
 	GOMAXPROCS=4 $(GO) test -race ./...
@@ -26,11 +27,10 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench 'Probe_(Sequential|Parallel)' -benchtime=1x .
 
-# bench-compile smoke-runs the compile benchmarks (analysis cache and
-# the 1/2/4/8-worker parallel scheduler); use scripts/bench_compile.sh
-# to record a BENCH_compile.json baseline.
+# bench-compile smoke-runs the analysis-cache compile benchmark; use
+# scripts/bench_compile.sh to record a BENCH_compile.json baseline.
 bench-compile:
-	$(GO) test -run '^$$' -bench 'Compile_AnalysisCache|Compile_Workers' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'Compile_AnalysisCache' -benchtime=1x .
 
 # bench-serve smoke-runs the oraql-serve latency benchmark; use
 # scripts/bench_serve.sh to record a BENCH_serve.json baseline.

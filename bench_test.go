@@ -437,40 +437,6 @@ func BenchmarkCompile_AnalysisCache(b *testing.B) {
 	}
 }
 
-// BenchmarkCompile_Workers measures the per-function parallel pass
-// scheduler: every configuration compiled at 1, 2, 4, and 8 workers,
-// cold (force-invalidated analyses) and warm (cached). The output is
-// byte-identical at every width (see TestCompileDeterministicAcrossWorkers);
-// this benchmark records what the width buys in wall time, which
-// scripts/bench_compile.sh lifts into BENCH_compile.json. Speedup is
-// bounded by GOMAXPROCS — on a single-core host all widths tie.
-func BenchmarkCompile_Workers(b *testing.B) {
-	modes := []struct {
-		name    string
-		disable bool
-	}{{"warm", false}, {"cold", true}}
-	for _, c := range apps.All() {
-		c := c
-		for _, workers := range []int{1, 2, 4, 8} {
-			workers := workers
-			for _, mode := range modes {
-				mode := mode
-				b.Run(fmt.Sprintf("%s/w%d/%s", c.ID, workers, mode.name), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						cc := c.Spec().Compile
-						cc.Name = c.ID
-						cc.CompileWorkers = workers
-						cc.DisableAnalysisCache = mode.disable
-						if _, err := CompileSource(cc); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-			}
-		}
-	}
-}
-
 // BenchmarkAblation_BlockingChain is the Section VIII dual experiment:
 // block the entire conservative analysis chain (ModeBlocking, empty
 // sequence) and measure what the existing analyses were buying.

@@ -60,7 +60,6 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	stats := fs.Bool("stats", false, "print pass statistics (-mllvm -stats analogue)")
 	timePasses := fs.Bool("time-passes", false, "print per-pass wall time, run counts, and analysis cache counters")
 	noAnalysisCache := fs.Bool("disable-analysis-cache", false, "recompute every analysis on every pass run (force-invalidate mode)")
-	compileWorkers := fs.Int("compile-workers", 0, "per-function pass parallelism (0 = GOMAXPROCS, 1 = sequential; output is identical for every value)")
 	cacheDir := fs.String("cache-dir", "", "persistent compile cache directory shared across processes (empty = no persistence; output is byte-identical warm or cold)")
 	cacheMaxMB := fs.Int("cache-max-mb", 0, "size cap for -cache-dir in MiB before GC evicts cold entries (0 = 512)")
 	printIR := fs.Bool("print-ir", false, "print optimized IR")
@@ -105,7 +104,6 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		AAChain:              *aaChain,
 		DebugPassExec:        *debugPass,
 		DisableAnalysisCache: *noAnalysisCache,
-		CompileWorkers:       *compileWorkers,
 	}
 	if strings.HasSuffix(file, ".ir") {
 		// Textual-IR input: bypass the frontend.

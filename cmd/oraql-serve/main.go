@@ -14,7 +14,7 @@
 //
 // Usage:
 //
-//	oraql-serve [-addr :8347] [-workers N] [-compile-workers N]
+//	oraql-serve [-addr :8347] [-workers N]
 //	            [-queue N] [-cache-entries N] [-request-timeout 60s]
 //	            [-cache-dir DIR] [-cache-max-mb N] [-quiet]
 //	            [-campaign-max-steps N] [-campaign-timeout 10m]
@@ -69,7 +69,6 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	workers := fs.Int("workers", 0, "job worker pool size (0 = NumCPU)")
 	queue := fs.Int("queue", 64, "bounded job queue size")
 	cacheEntries := fs.Int("cache-entries", 128, "compile result cache capacity")
-	compileWorkers := fs.Int("compile-workers", 0, "per-function parallelism inside each compilation (0 = GOMAXPROCS split over the job workers)")
 	reqTimeout := fs.Duration("request-timeout", 60*time.Second, "synchronous request deadline")
 	cacheDir := fs.String("cache-dir", "", "persistent cache directory shared across instances and restarts (empty = memory-only)")
 	cacheMaxMB := fs.Int("cache-max-mb", 0, "size cap for -cache-dir in MiB before GC evicts cold entries (0 = 512)")
@@ -111,7 +110,6 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		Workers:        *workers,
 		QueueSize:      *queue,
 		CacheEntries:   *cacheEntries,
-		CompileWorkers: *compileWorkers,
 		RequestTimeout: *reqTimeout,
 		Cache:          cache,
 		Log:            logW,
@@ -132,8 +130,8 @@ func run(argv []string, stdout, stderr io.Writer) error {
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
-	fmt.Fprintf(stderr, "oraql-serve: listening on %s (workers=%d compile-workers=%d queue=%d cache=%d)\n",
-		*addr, svc.Workers(), svc.CompileWorkers(), *queue, *cacheEntries)
+	fmt.Fprintf(stderr, "oraql-serve: listening on %s (workers=%d queue=%d cache=%d)\n",
+		*addr, svc.Workers(), *queue, *cacheEntries)
 	if len(peerList) > 0 {
 		fmt.Fprintf(stderr, "oraql-serve: cluster mode self=%s peers=%s\n", *self, strings.Join(peerList, ","))
 	}

@@ -88,7 +88,7 @@ func usage(w io.Writer) {
   oraql sweep [config-id ...] [-cache-dir DIR] [-json]
   oraql warehouse stats|query|export|ingest -cache-dir DIR [...]
   oraql warehouse query -cache-dir DIR [-by pass|shape|func|grammar] [-kind K] [-app A]
-  oraql warehouse export <config-id>|-file prog.mc [-cache-dir DIR] [-compile-j N]
+  oraql warehouse export <config-id>|-file prog.mc [-cache-dir DIR]
   oraql warehouse ingest -cache-dir DIR [-grammar G] report.json...`)
 }
 

@@ -51,7 +51,6 @@ func cmdSweep(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(io.Discard)
 	cacheDir := fs.String("cache-dir", "", "persistent compile cache directory (empty = cold every time)")
 	cacheMaxMB := fs.Int("cache-max-mb", 0, "size cap for -cache-dir in MiB (0 = 512)")
-	workers := fs.Int("compile-workers", 0, "per-function parallelism per compilation (0 = GOMAXPROCS)")
 	server := fs.String("server", "", "sweep against this oraql-serve instance in one POST /v1/compile/batch instead of compiling locally")
 	jsonOut := fs.Bool("json", false, "print the sweep result as JSON")
 	if err := fs.Parse(args); err != nil {
@@ -91,7 +90,7 @@ func cmdSweep(args []string, stdout, stderr io.Writer) error {
 	for _, app := range configs {
 		cfg := pipeline.Config{
 			Name: app.ID, Source: app.Source, SourceFile: app.SourceName,
-			Frontend: app.Frontend, CompileWorkers: *workers, DiskCache: cache,
+			Frontend: app.Frontend, DiskCache: cache,
 		}
 		t0 := time.Now()
 		cr, err := pipeline.Compile(cfg)

@@ -140,21 +140,20 @@ func cmdWarehouseQuery(args []string, stdout io.Writer) error {
 
 // cmdWarehouseExport compiles a configuration (or a standalone file)
 // and prints its code property graph, annotated with the corpus's
-// per-shape verdict history. The export is byte-identical for every
-// -compile-j value and across processes.
+// per-shape verdict history. The export is byte-identical across runs
+// and processes.
 func cmdWarehouseExport(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("warehouse export", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	cacheDir := fs.String("cache-dir", "", "warehouse directory supplying verdict history (optional)")
 	cacheMaxMB := fs.Int("cache-max-mb", 0, "size cap in MiB (0 = 512)")
 	file := fs.String("file", "", "standalone minic source file instead of a config id")
-	compileJ := fs.Int("compile-j", 0, "per-function compile parallelism (0 = GOMAXPROCS); the graph is identical for every value")
 	aliasPairs := fs.Int("alias-pairs", 0, "per-function access cap for ALIAS edges (0 = default, -1 = none)")
 	fs.Bool("json", false, "emit failures as the shared JSON error envelope (output is always JSON)")
 	if err := fs.Parse(args); err != nil {
 		return cliutil.WrapUsage(err)
 	}
-	cfg := pipeline.Config{CompileWorkers: *compileJ}
+	var cfg pipeline.Config
 	switch {
 	case *file != "":
 		src, err := os.ReadFile(*file)

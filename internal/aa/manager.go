@@ -14,9 +14,10 @@ import (
 // ("# No-Alias Results", original vs ORAQL).
 //
 // A Stats value is an immutable snapshot: Manager.Stats returns a deep
-// copy of the accumulator it guards internally, so snapshots taken from
-// concurrent compilations can be read and Merge'd freely without
-// additional locking.
+// copy of the accumulator it guards internally, so snapshots of
+// compilations on different goroutines (service jobs, speculative
+// probe tests) can be read and Merge'd freely without additional
+// locking.
 type Stats struct {
 	Queries      int64 `json:"queries"`
 	NoAlias      int64 `json:"no_alias"`
@@ -219,10 +220,9 @@ type cacheEntry struct {
 //
 // State is sharded by that same bucketing: each function owns a shard
 // holding its cache bucket and its statistics, guarded by its own
-// mutex. Concurrent queries from different functions — the parallel
-// pass manager runs one worker per function — touch disjoint shards
-// and never contend; Stats() merges the shard snapshots. All counters
-// of one query are booked in a single critical section, so a snapshot
+// mutex, so a scoped flush touches one shard and Stats() merges the
+// shard snapshots. All counters of one query are booked in a single
+// critical section, so a snapshot taken while queries are in flight
 // can never observe a query whose outcome is missing (no torn reads).
 type Manager struct {
 	Module *ir.Module
@@ -383,8 +383,7 @@ func (mgr *Manager) Invalidate() {
 // leaving every other function's entries hot. The shared nil bucket
 // (queries without a function context) is dropped too, since those
 // cannot be attributed. The flush counter reflects only the function's
-// own bucket, which keeps it deterministic when scoped flushes of
-// different functions run concurrently.
+// own bucket.
 func (mgr *Manager) InvalidateFunc(fn *ir.Func) {
 	s := mgr.shardFor(fn)
 	s.mu.Lock()
@@ -412,20 +411,6 @@ func (mgr *Manager) cachePrefixLen() int {
 		}
 	}
 	return len(mgr.chain)
-}
-
-// OrderDependent reports whether query answers can depend on the
-// cross-function order in which queries are issued: true when a
-// Blocker is installed or an Uncacheable analysis (the ORAQL
-// responder, whose replies consume a response sequence in query order)
-// sits in the chain. The pass manager falls back to sequential
-// function scheduling for order-dependent managers, since reordering
-// their query stream would change compilation results.
-func (mgr *Manager) OrderDependent() bool {
-	if mgr.Blocker != nil {
-		return true
-	}
-	return mgr.cachePrefixLen() < len(mgr.chain)
 }
 
 // cacheTraffic tags how a query interacted with the memoized cache.

@@ -13,7 +13,7 @@ type SteensgaardAA struct {
 	// computed once after the fixpoint. The union-find itself (lazy
 	// deref materialization, path compression) mutates on access, so it
 	// is frozen into this map at construction and Alias is a pure map
-	// read — safe for concurrent queries from parallel pass workers.
+	// read — safe for concurrent queries.
 	derefRep map[ir.Value]int
 }
 

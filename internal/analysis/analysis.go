@@ -136,12 +136,10 @@ func (c *counters) snapshot(k Key) Stats {
 		Invalidations: c.invalidations.Load()}
 }
 
-// funcEntries is one function's cached results. Each function has its
-// own lock: the parallel pass manager runs at most one worker per
-// function, so entries of different functions are accessed without
-// contention, while Invalidate of one function cannot block queries of
-// another. The lock is never held across a Build call, because builds
-// re-enter Get for their dependencies (MemorySSA fetches the CFG).
+// funcEntries is one function's cached results, so Invalidate of one
+// function touches only that function's map. The lock is never held
+// across a Build call, because builds re-enter Get for their
+// dependencies (MemorySSA fetches the CFG).
 type funcEntries struct {
 	mu   sync.Mutex
 	vals map[Key]any
@@ -151,10 +149,8 @@ type funcEntries struct {
 //
 // Registration (Register, SetCaching) is setup-time configuration and
 // must happen before analyses are queried. Get and Invalidate are safe
-// for concurrent use across functions; per function they assume the
-// single-writer discipline of the pass manager (one worker owns a
-// function at a time, pass barriers establish happens-before between
-// owners).
+// for concurrent use; the pass manager itself drives one function at a
+// time, since the IR it transforms is not synchronized.
 type Manager struct {
 	regs     []*Registration
 	byKey    map[Key]*Registration

@@ -274,7 +274,6 @@ func compileConfigFromOpts(in *interp, o *opts, what string) (cfg pipeline.Confi
 	if err := o.finish(what); err != nil {
 		return cfg, false, err
 	}
-	cfg.CompileWorkers = in.opts.CompileWorkers
 	if cfg.ORAQL == nil {
 		cfg.DiskCache = in.opts.Cache
 	}
@@ -415,7 +414,6 @@ func probeSpecFromOpts(in *interp, o *opts, configOverride string, what string) 
 	if target != "" {
 		spec.ORAQL.Target = target
 	}
-	spec.Compile.CompileWorkers = in.opts.CompileWorkers
 	spec.Cache = in.opts.Cache
 	spec.Log = in.opts.Log
 	return spec, nil
@@ -483,10 +481,9 @@ func bindFuzz(in *interp, line int, args []any) (any, error) {
 		return nil, err
 	}
 	fo := difftest.FuzzOptions{
-		Ctx:            in.ctx,
-		Cache:          in.opts.Cache,
-		Log:            in.opts.Log,
-		CompileWorkers: in.opts.CompileWorkers,
+		Ctx:   in.ctx,
+		Cache: in.opts.Cache,
+		Log:   in.opts.Log,
 	}
 	if fo.N, err = o.integer("n"); err != nil {
 		return nil, err

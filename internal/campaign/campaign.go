@@ -49,9 +49,6 @@ type Options struct {
 	// Workers is the default worker budget for probe/sweep/fuzz calls
 	// that do not set their own (0 = the packages' own defaults).
 	Workers int
-	// CompileWorkers is the per-function pass parallelism threaded
-	// into every compilation (0 = GOMAXPROCS).
-	CompileWorkers int
 	// Cache, when non-nil, backs all compilations, probes, and fuzz
 	// oracles with the shared persistent store.
 	Cache *diskcache.Store

@@ -133,11 +133,6 @@ func (d *Divergence) String() string {
 type CheckOptions struct {
 	Run      irinterp.Options
 	Variants []Variant
-	// CompileWorkers is the per-function parallelism of every
-	// compilation the oracle runs (0 = GOMAXPROCS, 1 = sequential).
-	// The oracle's verdict is identical for every value — the fuzz
-	// target draws random worker counts to enforce exactly that.
-	CompileWorkers int
 	// Cache, when non-nil, backs every oracle compilation with the
 	// persistent store: re-checking a seed already compiled by a prior
 	// campaign (or another process) reuses its artifacts. Compilations
@@ -152,7 +147,7 @@ func reference(name, file, src string, model minic.Model, opts CheckOptions) (st
 	cr, err := pipeline.Compile(pipeline.Config{
 		Name: name, Source: src, SourceFile: file,
 		Frontend: minic.Options{Model: model}, OptLevel: -1,
-		CompileWorkers: opts.CompileWorkers, DiskCache: opts.Cache,
+		DiskCache: opts.Cache,
 	})
 	if err != nil {
 		return "", fmt.Errorf("reference compile: %w", err)
@@ -189,7 +184,6 @@ func Check(p *progen.Program, opts CheckOptions) (*Divergence, error) {
 			refs[v.Model] = spec
 		}
 		vcfg := v.config(fmt.Sprintf("seed%d-%s", p.Seed, v.Name), p.FileName, p.Source, 0)
-		vcfg.CompileWorkers = opts.CompileWorkers
 		vcfg.DiskCache = opts.Cache
 		cr, err := pipeline.Compile(vcfg)
 		if err != nil {

@@ -29,10 +29,6 @@ type FuzzOptions struct {
 	Seed int64
 	// Workers bounds the worker pool (0 = GOMAXPROCS).
 	Workers int
-	// CompileWorkers is the per-function parallelism inside each
-	// compilation (0 = one global budget: GOMAXPROCS split over the
-	// campaign workers, so outer x inner stays within the machine).
-	CompileWorkers int
 	// Cache, when non-nil, is threaded into every oracle compilation
 	// (see CheckOptions.Cache): re-fuzzing a seed range warm-starts
 	// from artifacts persisted by earlier campaigns or other processes.
@@ -100,14 +96,6 @@ func Fuzz(opts FuzzOptions) (*FuzzResult, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.NumCPU()
 	}
-	if opts.CompileWorkers <= 0 {
-		// Split one machine budget between campaign and intra-compile
-		// parallelism instead of multiplying them.
-		opts.CompileWorkers = runtime.GOMAXPROCS(0) / opts.Workers
-		if opts.CompileWorkers < 1 {
-			opts.CompileWorkers = 1
-		}
-	}
 	if opts.MaxDivergences <= 0 {
 		opts.MaxDivergences = 3
 	}
@@ -137,7 +125,7 @@ func Fuzz(opts FuzzOptions) (*FuzzResult, error) {
 				}
 				p := progen.Generate(seed, opts.Gen)
 				div, err := Check(p, CheckOptions{Run: opts.Run, Variants: variants,
-					CompileWorkers: opts.CompileWorkers, Cache: opts.Cache})
+					Cache: opts.Cache})
 				mu.Lock()
 				res.Programs++
 				mu.Unlock()

@@ -7,21 +7,20 @@ import (
 )
 
 // FuzzDifferential is the native fuzz entry to the differential
-// oracle: the fuzzer explores generator seeds, statement budgets, and
-// compile-worker counts, and every generated program must agree
-// between the unoptimized reference and the full sound variant matrix
-// — at any intra-compile parallelism. Any reported failure is a real
-// miscompile at head (run oraql-fuzz on the seed to triage it).
+// oracle: the fuzzer explores generator seeds and statement budgets,
+// and every generated program must agree between the unoptimized
+// reference and the full sound variant matrix. Any reported failure is
+// a real miscompile at head (run oraql-fuzz on the seed to triage it).
 func FuzzDifferential(f *testing.F) {
-	f.Add(int64(1), uint8(0), uint8(1))
-	f.Add(int64(14), uint8(12), uint8(2))
-	f.Add(int64(500), uint8(30), uint8(8))
-	f.Fuzz(func(t *testing.T, seed int64, stmts uint8, workers uint8) {
+	f.Add(int64(1), uint8(0))
+	f.Add(int64(14), uint8(12))
+	f.Add(int64(500), uint8(30))
+	f.Fuzz(func(t *testing.T, seed int64, stmts uint8) {
 		// Keep each exec fast: one exec compiles the program under
 		// nine configurations, and the per-input watchdog of the fuzz
 		// worker flags multi-second execs as hangs.
 		p := progen.Generate(seed, progen.Options{Stmts: int(stmts) % 40})
-		div, err := Check(p, CheckOptions{CompileWorkers: int(workers)%8 + 1})
+		div, err := Check(p, CheckOptions{})
 		if err != nil {
 			t.Fatalf("harness error on seed %d: %v", seed, err)
 		}

@@ -96,19 +96,6 @@ type engine struct {
 	specActive atomic.Int64
 }
 
-// innerWorkers splits the machine between outer (probe) and inner
-// (intra-compile) parallelism: with outer workers already saturating
-// cores, each compilation gets GOMAXPROCS/outer workers, at least one.
-func innerWorkers(outer int) int {
-	if outer <= 0 {
-		outer = 1
-	}
-	if w := runtime.GOMAXPROCS(0) / outer; w > 1 {
-		return w
-	}
-	return 1
-}
-
 func newEngine(ctx context.Context, spec *BenchSpec, campID string) *engine {
 	w := spec.Workers
 	if w <= 0 {
@@ -342,13 +329,6 @@ func (e *engine) run(ctx context.Context, seq oraql.Seq) testOutcome {
 	cfg := e.spec.Compile
 	cfg.Name = e.spec.Name
 	cfg.ORAQL = &opts
-	if cfg.CompileWorkers == 0 {
-		// One global budget: outer probe workers x inner compile
-		// workers should not exceed the machine. ORAQL compiles run
-		// sequentially regardless (the responder is order-dependent);
-		// the split covers blocking-mode and future non-ORAQL tests.
-		cfg.CompileWorkers = innerWorkers(e.workers)
-	}
 	cr, err := pipeline.CompileContext(ctx, cfg)
 	if err != nil {
 		return testOutcome{err: err}

@@ -17,10 +17,7 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/oraql/go-oraql/internal/aa"
@@ -62,11 +59,10 @@ func (s *StatsRegistry) Get(pass, stat string) int64 {
 }
 
 // Merge adds other's counters into s, preserving other's insertion
-// order for keys s has not seen. The parallel pass manager books each
-// function's counters into a private registry and merges them at the
-// pass barrier in module function order, which reproduces the exact
-// key order (and therefore byte-identical -stats output) of the
-// sequential pipeline.
+// order for keys s has not seen. The pass manager books each captured
+// (pass, function) run into a private registry for the disk plan and
+// merges it back, which keeps the key order (and therefore the -stats
+// output) of an uncaptured compilation.
 func (s *StatsRegistry) Merge(other *StatsRegistry) {
 	if other == nil {
 		return
@@ -87,7 +83,7 @@ type Entry struct {
 }
 
 // Ordered returns all counters in insertion order — the order Merge
-// reproduces, which the disk cache persists so replayed counters enter
+// preserves, which the disk cache persists so replayed counters enter
 // a warm registry exactly as the cold pipeline inserted them.
 func (s *StatsRegistry) Ordered() []Entry {
 	out := make([]Entry, len(s.order))
@@ -160,15 +156,6 @@ type Context struct {
 	// of executed; miss functions run normally with their accounting
 	// captured for persisting. See diskplan.go.
 	Disk *DiskPlan
-
-	// Workers bounds the per-function parallelism of Pipeline.Run:
-	// each function pass fans out over Module.Funcs on a pool of this
-	// many workers, with a barrier between passes (0 = GOMAXPROCS,
-	// 1 = the strictly sequential pipeline). Compilation output is
-	// byte-identical for every value; Run falls back to sequential
-	// execution when the AA manager is order-dependent (ORAQL or a
-	// Blocker installed) or when DebugPassExec traces executions.
-	Workers int
 
 	// curPass is the pass currently executing; queries carry it.
 	curPass string
@@ -306,51 +293,13 @@ func O1Pipeline() *Pipeline {
 	}}
 }
 
-// Run executes the pipeline over every function in ctx.Module. After
-// each pass run it applies the pass's preservation set to the analysis
-// manager — the invalidation boundary that used to be a module-wide
-// AA cache flush and is now scoped to the function that changed.
-//
-// With an effective worker count above one, each function pass fans
-// out over the module's functions on a bounded worker pool; passes
-// remain sequential barriers (pass i+1 starts only after pass i
-// finished on every function). Per-function statistics and timing are
-// accumulated privately and merged at the barrier in module function
-// order, so -stats and -time-passes output cannot depend on worker
-// scheduling.
+// Run executes the pipeline over every function in ctx.Module, one
+// pass at a time and, within a pass, one function at a time in module
+// order — the order of LLVM's function pass manager. After each pass
+// run it applies the pass's preservation set to the analysis manager —
+// the invalidation boundary that used to be a module-wide AA cache
+// flush and is now scoped to the function that changed.
 func (p *Pipeline) Run(ctx *Context) {
-	if w := ctx.effectiveWorkers(); w > 1 {
-		p.runParallel(ctx, w)
-		return
-	}
-	p.runSequential(ctx)
-}
-
-// effectiveWorkers resolves Context.Workers against the configurations
-// that require sequential execution: an order-dependent AA manager
-// (the ORAQL responder consumes its response sequence in global query
-// order) and -debug-pass tracing (the execution log is defined in
-// sequential order).
-func (c *Context) effectiveWorkers() int {
-	w := c.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w <= 1 {
-		return 1
-	}
-	if c.DebugPassExec {
-		return 1
-	}
-	if c.AA != nil && c.AA.OrderDependent() {
-		return 1
-	}
-	return w
-}
-
-// runSequential is the worker-count-one pipeline, byte-for-byte the
-// pre-parallel behaviour.
-func (p *Pipeline) runSequential(ctx *Context) {
 	am := ctx.Analyses()
 	dp := ctx.Disk
 	for pi, pass := range p.Passes {
@@ -397,101 +346,4 @@ func (p *Pipeline) runSequential(ctx *Context) {
 		}
 	}
 	ctx.curPass = ""
-}
-
-// fnRun is one function's accounting of one pass execution, collected
-// by a worker and merged at the pass barrier.
-type fnRun struct {
-	stats   *StatsRegistry
-	wall    time.Duration
-	changed bool
-	done    bool
-}
-
-// runParallel schedules each pass over the module's functions on
-// workers goroutines. Functions are the unit of parallelism: one
-// worker owns a function for the duration of a pass execution, and
-// the pass barrier (WaitGroup) establishes happens-before between
-// owners across passes, so per-function IR mutation needs no locks.
-// The AA manager and analysis manager are sharded per function and
-// safe for this access pattern.
-func (p *Pipeline) runParallel(ctx *Context, workers int) {
-	am := ctx.Analyses()
-	funcs := ctx.Module.Funcs
-	if workers > len(funcs) {
-		workers = len(funcs)
-	}
-	if workers <= 1 {
-		p.runSequential(ctx)
-		return
-	}
-	dp := ctx.Disk
-	runs := make([]fnRun, len(funcs))
-	for pi, pass := range p.Passes {
-		if ctx.Ctx != nil && ctx.Ctx.Err() != nil {
-			return
-		}
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				// Each worker gets its own Context view: curPass for
-				// query attribution and a per-function Stats registry,
-				// sharing the module, AA manager, and analysis manager.
-				wctx := *ctx
-				wctx.curPass = pass.Name()
-				wctx.Timing = nil
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(funcs) {
-						return
-					}
-					if ctx.Ctx != nil && ctx.Ctx.Err() != nil {
-						return
-					}
-					fn := funcs[i]
-					runs[i] = fnRun{}
-					if dp != nil && dp.isHit(i) {
-						continue // replayed at the barrier, in function order
-					}
-					if len(fn.Blocks) == 0 {
-						continue
-					}
-					local := NewStats()
-					wctx.Stats = local
-					start := time.Now()
-					pa := pass.Run(fn, &wctx)
-					elapsed := time.Since(start)
-					fn.Compact()
-					am.Invalidate(fn, pa)
-					runs[i] = fnRun{stats: local, wall: elapsed,
-						changed: !pa.PreservesAll(), done: true}
-				}
-			}()
-		}
-		wg.Wait()
-		// Barrier merge in module function order: counter keys enter
-		// the shared registry exactly as the sequential pipeline would
-		// have inserted them, and timing rows accumulate per pass in
-		// pipeline order.
-		for i := range runs {
-			if dp != nil && dp.isHit(i) {
-				dp.replayRun(ctx, pi, i, pass.Name())
-				continue
-			}
-			r := &runs[i]
-			if !r.done {
-				continue
-			}
-			ctx.Stats.Merge(r.stats)
-			if ctx.Timing != nil {
-				ctx.Timing.Record(pass.Name(), r.wall, r.changed)
-			}
-			if dp != nil && dp.capturing(i) {
-				dp.recordRun(i, pi, r.stats, r.changed)
-			}
-		}
-	}
 }

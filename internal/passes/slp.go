@@ -24,9 +24,8 @@ func (p *SLPVectorize) Run(fn *ir.Func, ctx *Context) analysis.PreservedAnalyses
 	changed := false
 	// attempted remembers store groups that failed legality within this
 	// Run invocation, so the group finder can skip them. It must be
-	// local: Run executes concurrently for different functions (and
-	// different compilations), and sharing it would both race and leak
-	// verdicts across functions.
+	// local: sharing it would leak verdicts across functions, and race
+	// between concurrent compilations that share a pipeline.
 	attempted := map[*ir.Instr]bool{}
 	for _, b := range fn.Blocks {
 		for {

@@ -92,14 +92,6 @@ func (t *Timing) Merge(other *Timing) {
 	}
 }
 
-// Passes returns the pass names in insertion (first-execution) order —
-// the deterministic part of the table ordering, which the determinism
-// tests compare across worker counts (Entries sorts by wall time,
-// which is nondeterministic by nature).
-func (t *Timing) Passes() []string {
-	return append([]string(nil), t.order...)
-}
-
 // Get returns one pass's accounting (zero value if it never ran).
 func (t *Timing) Get(pass string) PassTime {
 	if pt, ok := t.byPass[pass]; ok {

@@ -3,10 +3,10 @@ package pipeline_test
 // Determinism contract of the persistent compile cache: a warm
 // compilation served from disk — by a different logical "process"
 // than the one that populated the store, across every benchmark
-// configuration and worker count — must be byte-identical to a cold
-// one on everything the byte-identity contract covers: executable
-// hash, optimized IR text, -stats counters, timing-row order, and
-// runtime behavior of the re-materialized program.
+// configuration — must be byte-identical to a cold one on everything
+// the byte-identity contract covers: executable hash, optimized IR
+// text, -stats counters, timing-row order, and runtime behavior of the
+// re-materialized program.
 
 import (
 	"fmt"
@@ -42,64 +42,59 @@ func snapshot(t *testing.T, cr *pipeline.CompileResult) string {
 }
 
 func TestWarmFromDiskIsByteIdentical(t *testing.T) {
-	for _, workers := range []int{1, 8} {
-		workers := workers
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			dir := t.TempDir()
-			for _, app := range apps.All() {
-				app := app
-				t.Run(app.ID, func(t *testing.T) {
-					cfg := pipeline.Config{
-						Name: app.ID, Source: app.Source, SourceFile: app.SourceName,
-						Frontend: app.Frontend, CompileWorkers: workers,
-					}
-					cold, err := pipeline.Compile(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					coldSnap := snapshot(t, cold)
-					coldRun, err := irinterp.Run(cold.Program, app.Run)
-					if err != nil {
-						t.Fatal(err)
-					}
+	dir := t.TempDir()
+	for _, app := range apps.All() {
+		app := app
+		t.Run(app.ID, func(t *testing.T) {
+			cfg := pipeline.Config{
+				Name: app.ID, Source: app.Source, SourceFile: app.SourceName,
+				Frontend: app.Frontend,
+			}
+			cold, err := pipeline.Compile(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			coldSnap := snapshot(t, cold)
+			coldRun, err := irinterp.Run(cold.Program, app.Run)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-					// Populate and warm-load through separate store handles,
-					// as two processes sharing the directory would.
-					populate, err := diskcache.Open(dir)
-					if err != nil {
-						t.Fatal(err)
-					}
-					cfg.DiskCache = populate
-					if _, err := pipeline.Compile(cfg); err != nil {
-						t.Fatal(err)
-					}
+			// Populate and warm-load through separate store handles,
+			// as two processes sharing the directory would.
+			populate, err := diskcache.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.DiskCache = populate
+			if _, err := pipeline.Compile(cfg); err != nil {
+				t.Fatal(err)
+			}
 
-					warmStore, err := diskcache.Open(dir)
-					if err != nil {
-						t.Fatal(err)
-					}
-					cfg.DiskCache = warmStore
-					warm, err := pipeline.Compile(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if warm.DiskHits() == 0 {
-						t.Fatalf("warm compile hit nothing on disk")
-					}
-					if warmSnap := snapshot(t, warm); warmSnap != coldSnap {
-						t.Errorf("warm snapshot differs from cold:\n--- cold ---\n%s\n--- warm ---\n%s", coldSnap, warmSnap)
-					}
-					warmRun, err := irinterp.Run(warm.Program, app.Run)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if warmRun.Stdout != coldRun.Stdout {
-						t.Errorf("warm program output differs:\n cold: %q\n warm: %q", coldRun.Stdout, warmRun.Stdout)
-					}
-					if warmRun.Instrs != coldRun.Instrs {
-						t.Errorf("warm program instruction count differs: %d vs %d", coldRun.Instrs, warmRun.Instrs)
-					}
-				})
+			warmStore, err := diskcache.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.DiskCache = warmStore
+			warm, err := pipeline.Compile(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if warm.DiskHits() == 0 {
+				t.Fatalf("warm compile hit nothing on disk")
+			}
+			if warmSnap := snapshot(t, warm); warmSnap != coldSnap {
+				t.Errorf("warm snapshot differs from cold:\n--- cold ---\n%s\n--- warm ---\n%s", coldSnap, warmSnap)
+			}
+			warmRun, err := irinterp.Run(warm.Program, app.Run)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if warmRun.Stdout != coldRun.Stdout {
+				t.Errorf("warm program output differs:\n cold: %q\n warm: %q", coldRun.Stdout, warmRun.Stdout)
+			}
+			if warmRun.Instrs != coldRun.Instrs {
+				t.Errorf("warm program instruction count differs: %d vs %d", coldRun.Instrs, warmRun.Instrs)
 			}
 		})
 	}

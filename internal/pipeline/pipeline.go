@@ -63,13 +63,6 @@ type Config struct {
 	DisableAnalysisCache bool
 	// ORAQL, when non-nil, appends the ORAQL pass to the AA chain.
 	ORAQL *oraql.Options
-	// CompileWorkers bounds the per-function parallelism of the pass
-	// pipeline (0 = GOMAXPROCS, 1 = strictly sequential). Compilation
-	// output — exe hash, IR text, -stats, timing-table rows — is
-	// byte-identical for every value. ORAQL-active and -debug-pass
-	// compilations always execute sequentially: the responder consumes
-	// its sequence in global query order.
-	CompileWorkers int
 	// DebugPassExec and DumpOut mirror -debug-pass=Executions.
 	DebugPassExec bool
 	DumpOut       *bytes.Buffer
@@ -115,10 +108,9 @@ func (c Config) AAChainCanonical() string {
 }
 
 // diskConfigKey folds every output-affecting configuration knob into
-// the per-function cache key. Transparent knobs (worker counts, the
-// AA query and analysis caches, which the transparency tests prove
-// output-neutral) are deliberately excluded so their ablation modes
-// share entries.
+// the per-function cache key. Transparent knobs (the AA query and
+// analysis caches, which the transparency tests prove output-neutral)
+// are deliberately excluded so their ablation modes share entries.
 func (c Config) diskConfigKey() string {
 	return fmt.Sprintf("opt=%d|stop=%d|chain=%s", c.OptLevel, c.StopAfter, c.AAChainCanonical())
 }
@@ -408,7 +400,6 @@ func compileModule(cctx context.Context, cfg Config, m *ir.Module) (*TargetStats
 		Timing:               passes.NewTiming(),
 		DisableAnalysisCache: cfg.DisableAnalysisCache,
 		DebugPassExec:        cfg.DebugPassExec,
-		Workers:              cfg.CompileWorkers,
 		Disk:                 plan}
 	if cfg.DumpOut != nil {
 		ctx.Out = cfg.DumpOut

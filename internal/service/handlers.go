@@ -158,9 +158,8 @@ func (s *Server) compileOne(ctx context.Context, req *CompileRequest) (*CompileR
 		return nil, err
 	}
 	// Server-level tuning, deliberately not part of the wire format (or
-	// the cache key): output is byte-identical for every worker count,
-	// and the disk cache only shortcuts work without changing output.
-	cfg.CompileWorkers = s.cfg.CompileWorkers
+	// the cache key): the disk cache only shortcuts work without
+	// changing output.
 	cfg.DiskCache = s.cfg.Cache
 	cctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
 	defer cancel()
@@ -393,7 +392,6 @@ func (s *Server) handleProbe(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	spec.Compile.CompileWorkers = s.cfg.CompileWorkers
 	spec.Cache = s.cfg.Cache
 	j, err := s.submit("probe", "", func(ctx context.Context, j *job) (any, error) {
 		spec.Log = j // driver progress lines become job events
@@ -423,7 +421,6 @@ func (s *Server) handleFuzz(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	opts.CompileWorkers = s.cfg.CompileWorkers
 	j, err := s.submit("fuzz", "", func(ctx context.Context, j *job) (any, error) {
 		opts.Ctx = ctx
 		opts.Log = j // campaign progress lines become job events
@@ -467,14 +464,13 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	}
 	j, err := s.submit("campaign", sha, func(ctx context.Context, j *job) (any, error) {
 		res, cerr := campaign.Run(req.Script, campaign.Options{
-			Ctx:            ctx,
-			Out:            j, // print() lines become streamed job events
-			Log:            j, // probe/fuzz progress too
-			Workers:        req.Workers,
-			CompileWorkers: s.cfg.CompileWorkers,
-			Cache:          s.cfg.Cache,
-			MaxSteps:       maxSteps,
-			Timeout:        s.cfg.CampaignTimeout,
+			Ctx:      ctx,
+			Out:      j, // print() lines become streamed job events
+			Log:      j, // probe/fuzz progress too
+			Workers:  req.Workers,
+			Cache:    s.cfg.Cache,
+			MaxSteps: maxSteps,
+			Timeout:  s.cfg.CampaignTimeout,
 		})
 		if cerr != nil {
 			return nil, cerr
@@ -596,7 +592,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		warehouseRecords = wh.Load().Len()
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	fmt.Fprint(w, s.met.render(s.cache, s.cfg.Cache, len(s.queue), cap(s.queue), s.inflight.Load(), s.cfg.Workers, s.cfg.CompileWorkers, tripped, warehouseRecords))
+	fmt.Fprint(w, s.met.render(s.cache, s.cfg.Cache, len(s.queue), cap(s.queue), s.inflight.Load(), s.cfg.Workers, tripped, warehouseRecords))
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

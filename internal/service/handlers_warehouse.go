@@ -82,7 +82,6 @@ func (s *Server) warehouseExport(ctx context.Context, req *WarehouseRequest, man
 	if err != nil {
 		return nil, err
 	}
-	cfg.CompileWorkers = s.cfg.CompileWorkers
 	cfg.DiskCache = s.cfg.Cache
 	cctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
 	defer cancel()

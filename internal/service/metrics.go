@@ -204,7 +204,7 @@ func (m *metrics) observeCompile(aaHits, aaLookups, anHits, anMisses int64) {
 // (nil when the instance is not in a cluster).
 // warehouseRecords is the live corpus size (-1 when no persistent
 // store is configured, which suppresses the gauge).
-func (m *metrics) render(cache *resultCache, disk *diskcache.Store, queueDepth, queueCap int, inflight int64, workers, compileWorkers int, peerTripped map[string]bool, warehouseRecords int) string {
+func (m *metrics) render(cache *resultCache, disk *diskcache.Store, queueDepth, queueCap int, inflight int64, workers int, peerTripped map[string]bool, warehouseRecords int) string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var b strings.Builder
@@ -260,9 +260,6 @@ func (m *metrics) render(cache *resultCache, disk *diskcache.Store, queueDepth, 
 	b.WriteString("# HELP oraql_workers Job worker pool size.\n")
 	b.WriteString("# TYPE oraql_workers gauge\n")
 	fmt.Fprintf(&b, "oraql_workers %d\n", workers)
-	b.WriteString("# HELP oraql_compile_workers Per-function parallelism inside each compilation.\n")
-	b.WriteString("# TYPE oraql_compile_workers gauge\n")
-	fmt.Fprintf(&b, "oraql_compile_workers %d\n", compileWorkers)
 
 	hits, misses, entries := cache.counters()
 	b.WriteString("# HELP oraql_result_cache_hits_total Compile requests served from the cross-request result cache.\n")

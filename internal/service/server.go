@@ -24,12 +24,6 @@ type Config struct {
 	// CacheEntries bounds the cross-request compile-result cache
 	// (default 128).
 	CacheEntries int
-	// CompileWorkers bounds the per-function parallelism inside each
-	// compilation. The default splits one machine budget over the job
-	// workers (GOMAXPROCS/Workers, at least 1), so outer x inner never
-	// oversubscribes the host. Compilation output is byte-identical for
-	// every value.
-	CompileWorkers int
 	// RequestTimeout caps synchronous work per request; it composes
 	// with client disconnection, whichever fires first cancels the
 	// compilation mid-pipeline (default 60s).
@@ -84,12 +78,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheEntries <= 0 {
 		c.CacheEntries = 128
-	}
-	if c.CompileWorkers <= 0 {
-		c.CompileWorkers = runtime.GOMAXPROCS(0) / c.Workers
-		if c.CompileWorkers < 1 {
-			c.CompileWorkers = 1
-		}
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 60 * time.Second
@@ -342,9 +330,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // Workers returns the resolved worker pool size.
 func (s *Server) Workers() int { return s.cfg.Workers }
-
-// CompileWorkers returns the resolved per-compilation parallelism.
-func (s *Server) CompileWorkers() int { return s.cfg.CompileWorkers }
 
 // Draining reports whether Shutdown has begun.
 func (s *Server) Draining() bool {

@@ -33,8 +33,7 @@ const (
 )
 
 // Node is one typed CPG vertex. IDs are positional ("f1.b2.i3"), so
-// the same module exports the same graph in every process and for any
-// compile worker count.
+// the same module exports the same graph in every process.
 type Node struct {
 	ID    string            `json:"id"`
 	Kind  string            `json:"kind"`

@@ -15,8 +15,8 @@ import (
 
 // TestCPGExportByteIdentical is the acceptance property of the graph
 // layer: the exported CPG of a module is byte-identical across
-// compile worker counts and across independent compilations (the
-// in-process stand-in for separate processes).
+// independent compilations (the in-process stand-in for separate
+// processes).
 func TestCPGExportByteIdentical(t *testing.T) {
 	app := apps.ByID("testsnap-seq")
 	if app == nil {
@@ -25,10 +25,10 @@ func TestCPGExportByteIdentical(t *testing.T) {
 	history := map[string]diskcache.VerdictCounts{
 		"Early CSE|gep|gep": {Optimistic: 10, Pessimistic: 2},
 	}
-	export := func(workers int) []byte {
+	export := func() []byte {
 		cfg := pipeline.Config{
 			Name: app.ID, Source: app.Source, SourceFile: app.SourceName,
-			Frontend: app.Frontend, CompileWorkers: workers,
+			Frontend: app.Frontend,
 		}
 		cr, err := pipeline.Compile(cfg)
 		if err != nil {
@@ -43,16 +43,14 @@ func TestCPGExportByteIdentical(t *testing.T) {
 		}
 		return data
 	}
-	base := export(1)
+	base := export()
 	if len(base) == 0 {
 		t.Fatal("empty graph export")
 	}
-	for _, workers := range []int{1, 8} {
-		for round := 0; round < 2; round++ {
-			if got := export(workers); !bytes.Equal(base, got) {
-				t.Fatalf("CPG export differs at workers=%d round=%d (%d vs %d bytes)",
-					workers, round, len(base), len(got))
-			}
+	for round := 0; round < 2; round++ {
+		if got := export(); !bytes.Equal(base, got) {
+			t.Fatalf("CPG export differs at round=%d (%d vs %d bytes)",
+				round, len(base), len(got))
 		}
 	}
 }

@@ -1,13 +1,8 @@
 #!/bin/sh
-# Records the compile benchmarks into BENCH_compile.json:
-#
-#   - per-configuration compile wall time with the analysis cache
-#     enabled ("cached") and with force-invalidation ("forced"), plus
-#     the cache hit rate;
-#   - the per-function parallel pass scheduler at 1/2/4/8 workers,
-#     warm (cached analyses) and cold (force-invalidated), with the
-#     w1/w4 warm speedup. Speedup is bounded by the recorded
-#     gomaxprocs — on a single-core host every width ties at ~1.0.
+# Records the compile benchmark into BENCH_compile.json: per
+# configuration, the compile wall time with the analysis cache enabled
+# ("cached") and with force-invalidation ("forced"), plus the cache hit
+# rate.
 #
 # Run from the repo root:
 #
@@ -19,9 +14,10 @@
 set -eu
 count="${1:-3}"
 out="BENCH_compile.json"
+raw="${TMPDIR:-/tmp}/bench_compile.txt"
 
-go test -run '^$' -bench 'Compile_AnalysisCache|Compile_Workers' -benchtime=1x \
-	-count="$count" . | tee /tmp/bench_compile.txt
+go test -run '^$' -bench 'Compile_AnalysisCache' -benchtime=1x \
+	-count="$count" . | tee "$raw"
 
 gomaxprocs="$(go run ./scripts/gomaxprocs 2>/dev/null || nproc)"
 
@@ -39,19 +35,6 @@ awk -v gomaxprocs="$gomaxprocs" '
 		if ($(i+1) == "analysis-misses") miss[key] = $i
 	}
 }
-/^BenchmarkCompile_Workers\// {
-	split($1, parts, "/")
-	cfg = parts[2]
-	w = parts[3]
-	mode = parts[4]; sub(/-[0-9]+$/, "", mode)
-	key = cfg SUBSEP w SUBSEP mode
-	wns[key] += $3; wn[key]++
-	if (!(cfg in wseen)) { worder[++nwcfg] = cfg; wseen[cfg] = 1 }
-}
-function wms(cfg, w, mode,    k) {
-	k = cfg SUBSEP w SUBSEP mode
-	return wns[k] / wn[k] / 1e6
-}
 END {
 	printf "{\n  \"gomaxprocs\": %d,\n", gomaxprocs
 	printf "  \"configs\": {\n"
@@ -68,21 +51,6 @@ END {
 		printf "      \"analysis_hit_pct\": %.2f\n", hit[ck]
 		printf "    }%s\n", (j < ncfg) ? "," : ""
 	}
-	printf "  },\n  \"workers\": {\n"
-	for (j = 1; j <= nwcfg; j++) {
-		cfg = worder[j]
-		printf "    \"%s\": {\n", cfg
-		printf "      \"w1_warm_ms\": %.2f,\n", wms(cfg, "w1", "warm")
-		printf "      \"w2_warm_ms\": %.2f,\n", wms(cfg, "w2", "warm")
-		printf "      \"w4_warm_ms\": %.2f,\n", wms(cfg, "w4", "warm")
-		printf "      \"w8_warm_ms\": %.2f,\n", wms(cfg, "w8", "warm")
-		printf "      \"w1_cold_ms\": %.2f,\n", wms(cfg, "w1", "cold")
-		printf "      \"w2_cold_ms\": %.2f,\n", wms(cfg, "w2", "cold")
-		printf "      \"w4_cold_ms\": %.2f,\n", wms(cfg, "w4", "cold")
-		printf "      \"w8_cold_ms\": %.2f,\n", wms(cfg, "w8", "cold")
-		printf "      \"speedup_w4\": %.2f\n", wms(cfg, "w1", "warm") / wms(cfg, "w4", "warm")
-		printf "    }%s\n", (j < nwcfg) ? "," : ""
-	}
 	printf "  }\n}\n"
-}' /tmp/bench_compile.txt > "$out"
+}' "$raw" > "$out"
 echo "wrote $out"

@@ -1,6 +1,6 @@
-// Command gomaxprocs prints the runtime's GOMAXPROCS — the bound on
-// any wall-clock speedup the parallel pass scheduler can show, which
-// scripts/bench_compile.sh records beside the benchmark numbers.
+// Command gomaxprocs prints the runtime's GOMAXPROCS, the host
+// parallelism that scripts/bench_compile.sh records beside the
+// benchmark numbers.
 package main
 
 import (
