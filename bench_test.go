@@ -146,6 +146,7 @@ func BenchmarkFig7_KernelStats(b *testing.B) {
 // runtimeBench reports original-vs-ORAQL dynamic instruction deltas
 // (the perf numbers quoted in Section V's text).
 func runtimeBench(b *testing.B, id string) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e := probeOnce(b, id)
 		orig := e.Probe.Baseline.Run.Instrs
@@ -236,6 +237,7 @@ func BenchmarkProbing_Strategies(b *testing.B) {
 // scripts/bench_probe.sh records both into BENCH_probe.json.
 func probeWorkers(b *testing.B, workers int) {
 	ids := []string{"lulesh-seq", "testsnap-openmp", "minigmg-sse", "quicksilver-openmp"}
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		var compiles, spec, wasted, hits, misses int64
 		for _, id := range ids {
@@ -383,6 +385,7 @@ func BenchmarkAblation_ChainPosition(b *testing.B) {
 // pipeline over the whole suite (no probing).
 func BenchmarkCompileOnly(b *testing.B) {
 	cfgs := apps.All()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, c := range cfgs {

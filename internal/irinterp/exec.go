@@ -6,264 +6,348 @@ import (
 	"github.com/oraql/go-oraql/internal/ir"
 )
 
-// exec executes one non-terminator, non-phi instruction.
-func (m *machine) exec(fr *frame, in *ir.Instr) {
-	switch in.Op {
-	case ir.OpAlloca:
-		size := (in.Size + 15) &^ 15
-		addr := m.stackPtr
-		m.checkAddr(addr, size)
-		// Zero the slot: allocas start deterministic (the frontend
-		// always initializes, but optimized code must not observe
-		// garbage either).
-		for i := int64(0); i < size; i++ {
-			m.mem[addr+i] = 0
-		}
-		m.stackPtr += size
-		fr.vals[in] = iv(addr)
+// callFunc runs fn with args and returns its return value.
+func (m *machine) callFunc(fn *ir.Func, args ...value) value {
+	fr := m.decoded(fn).acquire()
+	fr.args = append(fr.args[:0], args...)
+	return m.invoke(fr)
+}
 
-	case ir.OpLoad:
-		addr := m.eval(fr, in.Operands[0]).i
-		var out value
-		switch in.Ty.Kind {
-		case ir.KVec:
-			for l := 0; l < in.Ty.Lanes; l++ {
-				bits := m.load64(addr + int64(8*l))
-				out.vi[l] = int64(bits)
-				out.vf[l] = math.Float64frombits(bits)
-			}
-		case ir.KF64:
-			out = fv(math.Float64frombits(m.load64(addr)))
-		default:
-			out = iv(int64(m.load64(addr)))
-		}
-		fr.vals[in] = out
+// invoke runs a frame whose arguments are set, then unwinds its
+// allocas and returns the frame for reuse.
+func (m *machine) invoke(fr *frame) value {
+	fr.stackTop = m.stackPtr
+	out := m.exec(fr)
+	m.stackPtr = fr.stackTop
+	fr.fn.release(fr)
+	return out
+}
 
-	case ir.OpStore:
-		val := m.eval(fr, in.Operands[0])
-		addr := m.eval(fr, in.Operands[1]).i
-		ty := in.Operands[0].Type()
-		switch ty.Kind {
-		case ir.KVec:
-			for l := 0; l < ty.Lanes; l++ {
-				if ty.Elem.Kind == ir.KF64 {
-					m.store64(addr+int64(8*l), math.Float64bits(val.vf[l]))
-				} else {
-					m.store64(addr+int64(8*l), uint64(val.vi[l]))
+// exec runs the function body from its entry block.
+func (m *machine) exec(fr *frame) value {
+	df := fr.fn
+	blk, moves := &df.blocks[0], df.entry
+outer:
+	for {
+		if len(blk.phis) > 0 {
+			m.phis(fr, blk, moves)
+		}
+		for i := range blk.body {
+			in := &blk.body[i]
+			m.tick(in.cost)
+			switch in.op {
+			case xBr:
+				k := 0
+				if len(in.succs) == 2 && m.evalI(fr, in.ops[0]) == 0 {
+					k = 1
 				}
+				blk, moves = &df.blocks[in.succs[k]], in.moves[k]
+				continue outer
+			case xRet:
+				if len(in.ops) > 0 {
+					return *m.ref(fr, in.ops[0])
+				}
+				return value{}
+
+			case xAlloca:
+				addr := m.stackPtr
+				m.checkAddr(addr, in.imm)
+				// Zero the slot: allocas start deterministic (the
+				// frontend always initializes, but optimized code must
+				// not observe garbage either).
+				m.memset(addr, in.imm, 0)
+				m.stackPtr += in.imm
+				fr.set(in.dst, iv(addr))
+			case xLoad:
+				fr.set(in.dst, iv(int64(m.load64(m.evalI(fr, in.ops[0])))))
+			case xLoadF:
+				fr.set(in.dst, fv(math.Float64frombits(m.load64(m.evalI(fr, in.ops[0])))))
+			case xLoadV:
+				addr := m.evalI(fr, in.ops[0])
+				var out value
+				for l := 0; l < in.lanes; l++ {
+					bits := m.load64(addr + int64(8*l))
+					out.vi[l] = int64(bits)
+					out.vf[l] = math.Float64frombits(bits)
+				}
+				fr.set(in.dst, out)
+			case xStore:
+				val := m.evalI(fr, in.ops[0])
+				m.store64(m.evalI(fr, in.ops[1]), uint64(val))
+			case xStoreF:
+				val := m.evalF(fr, in.ops[0])
+				m.store64(m.evalI(fr, in.ops[1]), math.Float64bits(val))
+			case xStoreV:
+				val := *m.ref(fr, in.ops[0])
+				addr := m.evalI(fr, in.ops[1])
+				for l := 0; l < in.lanes; l++ {
+					if in.flt {
+						m.store64(addr+int64(8*l), math.Float64bits(val.vf[l]))
+					} else {
+						m.store64(addr+int64(8*l), uint64(val.vi[l]))
+					}
+				}
+			case xGEP:
+				addr := m.evalI(fr, in.ops[0]) + in.imm
+				if len(in.ops) > 1 {
+					addr += m.evalI(fr, in.ops[1]) * in.scale
+				}
+				fr.set(in.dst, iv(addr))
+			case xMemCpy:
+				dst := m.evalI(fr, in.ops[0])
+				src := m.evalI(fr, in.ops[1])
+				n := m.evalI(fr, in.ops[2])
+				if n < 0 {
+					m.trap("memcpy with negative length %d", n)
+				}
+				m.checkAddr(dst, n)
+				m.checkAddr(src, n)
+				m.memmove(dst, src, n)
+			case xMemSet:
+				dst := m.evalI(fr, in.ops[0])
+				b := byte(m.evalI(fr, in.ops[1]))
+				n := m.evalI(fr, in.ops[2])
+				if n < 0 {
+					m.trap("memset with negative length %d", n)
+				}
+				m.checkAddr(dst, n)
+				m.memset(dst, n, b)
+
+			case xAdd:
+				fr.set(in.dst, iv(m.evalI(fr, in.ops[0])+m.evalI(fr, in.ops[1])))
+			case xSub:
+				fr.set(in.dst, iv(m.evalI(fr, in.ops[0])-m.evalI(fr, in.ops[1])))
+			case xMul:
+				fr.set(in.dst, iv(m.evalI(fr, in.ops[0])*m.evalI(fr, in.ops[1])))
+			case xSDiv, xSRem, xAnd, xOr, xXor, xShl, xAShr:
+				x, y := m.evalI(fr, in.ops[0]), m.evalI(fr, in.ops[1])
+				fr.set(in.dst, iv(m.intOp(in.sub, x, y)))
+			case xIntV:
+				x, y := m.ref(fr, in.ops[0]).vi, m.ref(fr, in.ops[1]).vi
+				var out value
+				for l := 0; l < in.lanes; l++ {
+					out.vi[l] = m.intOp(in.sub, x[l], y[l])
+				}
+				fr.set(in.dst, out)
+			case xFAdd:
+				fr.set(in.dst, fv(m.evalF(fr, in.ops[0])+m.evalF(fr, in.ops[1])))
+			case xFSub:
+				fr.set(in.dst, fv(m.evalF(fr, in.ops[0])-m.evalF(fr, in.ops[1])))
+			case xFMul:
+				fr.set(in.dst, fv(m.evalF(fr, in.ops[0])*m.evalF(fr, in.ops[1])))
+			case xFDiv:
+				fr.set(in.dst, fv(m.evalF(fr, in.ops[0])/m.evalF(fr, in.ops[1])))
+			case xFloatV:
+				x, y := m.ref(fr, in.ops[0]).vf, m.ref(fr, in.ops[1]).vf
+				var out value
+				for l := 0; l < in.lanes; l++ {
+					out.vf[l] = floatOp(in.sub, x[l], y[l])
+				}
+				fr.set(in.dst, out)
+
+			case xSIToFP:
+				fr.set(in.dst, fv(float64(m.evalI(fr, in.ops[0]))))
+			case xSIToFPV:
+				x := m.ref(fr, in.ops[0]).vi
+				var out value
+				for l := 0; l < in.lanes; l++ {
+					out.vf[l] = float64(x[l])
+				}
+				fr.set(in.dst, out)
+			case xFPToSI:
+				fr.set(in.dst, iv(int64(m.evalF(fr, in.ops[0]))))
+			case xFPToSIV:
+				x := m.ref(fr, in.ops[0]).vf
+				var out value
+				for l := 0; l < in.lanes; l++ {
+					out.vi[l] = int64(x[l])
+				}
+				fr.set(in.dst, out)
+
+			case xICmp:
+				x, y := m.evalI(fr, in.ops[0]), m.evalI(fr, in.ops[1])
+				fr.set(in.dst, iv(b2i(cmpInt(in.pred, x, y))))
+			case xFCmp:
+				x, y := m.evalF(fr, in.ops[0]), m.evalF(fr, in.ops[1])
+				fr.set(in.dst, iv(b2i(cmpFloat(in.pred, x, y))))
+			case xSelect:
+				pick := 2
+				if m.evalI(fr, in.ops[0]) != 0 {
+					pick = 1
+				}
+				fr.set(in.dst, *m.ref(fr, in.ops[pick]))
+
+			case xVSplat:
+				x := m.ref(fr, in.ops[0])
+				var out value
+				for l := 0; l < in.lanes; l++ {
+					out.vi[l] = x.i
+					out.vf[l] = x.f
+				}
+				fr.set(in.dst, out)
+			case xVExtract:
+				x := m.ref(fr, in.ops[0])
+				lane := m.evalI(fr, in.ops[1])
+				if lane < 0 || int(lane) >= in.lanes {
+					m.trap("vector lane %d out of range", lane)
+				}
+				if in.flt {
+					fr.set(in.dst, fv(x.vf[lane]))
+				} else {
+					fr.set(in.dst, iv(x.vi[lane]))
+				}
+			case xVInsert:
+				x := *m.ref(fr, in.ops[0])
+				s := m.ref(fr, in.ops[1])
+				lane := m.evalI(fr, in.ops[2])
+				if lane < 0 || int(lane) >= in.lanes {
+					m.trap("vector lane %d out of range", lane)
+				}
+				x.vi[lane] = s.i
+				x.vf[lane] = s.f
+				fr.set(in.dst, x)
+			case xVReduce:
+				x := m.ref(fr, in.ops[0])
+				if in.flt {
+					var sum float64
+					for l := 0; l < in.lanes; l++ {
+						sum += x.vf[l]
+					}
+					fr.set(in.dst, fv(sum))
+				} else {
+					var sum int64
+					for l := 0; l < in.lanes; l++ {
+						sum += x.vi[l]
+					}
+					fr.set(in.dst, iv(sum))
+				}
+
+			case xCall:
+				cf := m.callee(in).acquire()
+				cf.args = cf.args[:0]
+				for _, o := range in.ops {
+					cf.args = append(cf.args, *m.ref(fr, o))
+				}
+				fr.set(in.dst, m.invoke(cf))
+			case xIntrinsic:
+				fr.set(in.dst, m.intrinsic(fr, in))
+
+			default:
+				m.trap("unhandled opcode %s", in.in.Op)
 			}
-		case ir.KF64:
-			m.store64(addr, math.Float64bits(val.f))
-		default:
-			m.store64(addr, uint64(val.i))
 		}
-
-	case ir.OpGEP:
-		addr := m.eval(fr, in.Operands[0]).i + in.Off
-		if len(in.Operands) > 1 {
-			addr += m.eval(fr, in.Operands[1]).i * in.Scale
-		}
-		fr.vals[in] = iv(addr)
-
-	case ir.OpMemCpy:
-		dst := m.eval(fr, in.Operands[0]).i
-		src := m.eval(fr, in.Operands[1]).i
-		n := m.eval(fr, in.Operands[2]).i
-		if n < 0 {
-			m.trap("memcpy with negative length %d", n)
-		}
-		m.checkAddr(dst, n)
-		m.checkAddr(src, n)
-		copy(m.mem[dst:dst+n], m.mem[src:src+n])
-
-	case ir.OpMemSet:
-		dst := m.eval(fr, in.Operands[0]).i
-		b := byte(m.eval(fr, in.Operands[1]).i)
-		n := m.eval(fr, in.Operands[2]).i
-		if n < 0 {
-			m.trap("memset with negative length %d", n)
-		}
-		m.checkAddr(dst, n)
-		for i := int64(0); i < n; i++ {
-			m.mem[dst+i] = b
-		}
-
-	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpSDiv, ir.OpSRem,
-		ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpAShr:
-		fr.vals[in] = m.intBin(fr, in)
-
-	case ir.OpFAdd, ir.OpFSub, ir.OpFMul, ir.OpFDiv:
-		fr.vals[in] = m.floatBin(fr, in)
-
-	case ir.OpSIToFP:
-		x := m.eval(fr, in.Operands[0])
-		if in.Ty.Kind == ir.KVec {
-			var out value
-			for l := 0; l < in.Ty.Lanes; l++ {
-				out.vf[l] = float64(x.vi[l])
-			}
-			fr.vals[in] = out
-		} else {
-			fr.vals[in] = fv(float64(x.i))
-		}
-
-	case ir.OpFPToSI:
-		x := m.eval(fr, in.Operands[0])
-		if in.Ty.Kind == ir.KVec {
-			var out value
-			for l := 0; l < in.Ty.Lanes; l++ {
-				out.vi[l] = int64(x.vf[l])
-			}
-			fr.vals[in] = out
-		} else {
-			fr.vals[in] = iv(int64(x.f))
-		}
-
-	case ir.OpICmp:
-		x := m.eval(fr, in.Operands[0]).i
-		y := m.eval(fr, in.Operands[1]).i
-		fr.vals[in] = iv(b2i(cmpInt(in.Pred, x, y)))
-
-	case ir.OpFCmp:
-		x := m.eval(fr, in.Operands[0]).f
-		y := m.eval(fr, in.Operands[1]).f
-		fr.vals[in] = iv(b2i(cmpFloat(in.Pred, x, y)))
-
-	case ir.OpSelect:
-		if m.eval(fr, in.Operands[0]).i != 0 {
-			fr.vals[in] = m.eval(fr, in.Operands[1])
-		} else {
-			fr.vals[in] = m.eval(fr, in.Operands[2])
-		}
-
-	case ir.OpVSplat:
-		x := m.eval(fr, in.Operands[0])
-		var out value
-		for l := 0; l < in.Ty.Lanes; l++ {
-			out.vi[l] = x.i
-			out.vf[l] = x.f
-		}
-		fr.vals[in] = out
-
-	case ir.OpVExtract:
-		x := m.eval(fr, in.Operands[0])
-		lane := m.eval(fr, in.Operands[1]).i
-		vt := in.Operands[0].Type()
-		if lane < 0 || int(lane) >= vt.Lanes {
-			m.trap("vector lane %d out of range", lane)
-		}
-		if vt.Elem.Kind == ir.KF64 {
-			fr.vals[in] = fv(x.vf[lane])
-		} else {
-			fr.vals[in] = iv(x.vi[lane])
-		}
-
-	case ir.OpVInsert:
-		x := m.eval(fr, in.Operands[0])
-		s := m.eval(fr, in.Operands[1])
-		lane := m.eval(fr, in.Operands[2]).i
-		if lane < 0 || int(lane) >= in.Ty.Lanes {
-			m.trap("vector lane %d out of range", lane)
-		}
-		x.vi[lane] = s.i
-		x.vf[lane] = s.f
-		fr.vals[in] = x
-
-	case ir.OpVReduce:
-		x := m.eval(fr, in.Operands[0])
-		vt := in.Operands[0].Type()
-		if vt.Elem.Kind == ir.KF64 {
-			var sum float64
-			for l := 0; l < vt.Lanes; l++ {
-				sum += x.vf[l]
-			}
-			fr.vals[in] = fv(sum)
-		} else {
-			var sum int64
-			for l := 0; l < vt.Lanes; l++ {
-				sum += x.vi[l]
-			}
-			fr.vals[in] = iv(sum)
-		}
-
-	case ir.OpCall:
-		fr.vals[in] = m.execCall(fr, in)
-
-	default:
-		m.trap("unhandled opcode %s", in.Op)
+		// Every terminator leaves the loop above.
+		m.trap("block %s/%s fell through without terminator", df.fn.Name, blk.name)
 	}
 }
 
-func (m *machine) intBin(fr *frame, in *ir.Instr) value {
-	x := m.eval(fr, in.Operands[0])
-	y := m.eval(fr, in.Operands[1])
-	one := func(a, b int64) int64 {
-		switch in.Op {
-		case ir.OpAdd:
-			return a + b
-		case ir.OpSub:
-			return a - b
-		case ir.OpMul:
-			return a * b
-		case ir.OpSDiv:
-			if b == 0 {
-				m.trap("integer division by zero")
-			}
-			return a / b
-		case ir.OpSRem:
-			if b == 0 {
-				m.trap("integer remainder by zero")
-			}
-			return a % b
-		case ir.OpAnd:
-			return a & b
-		case ir.OpOr:
-			return a | b
-		case ir.OpXor:
-			return a ^ b
-		case ir.OpShl:
-			return a << uint(b&63)
-		case ir.OpAShr:
-			return a >> uint(b&63)
+// phis assigns the block's phis in parallel from the incoming edge.
+func (m *machine) phis(fr *frame, blk *dblock, moves []opnd) {
+	tmp := m.phiTmp[:0]
+	for _, src := range moves {
+		if src.kind == oNoPhi {
+			m.trap("phi in %s/%s has no incoming for predecessor", fr.fn.fn.Name, blk.name)
 		}
-		m.trap("bad int op")
-		return 0
+		tmp = append(tmp, *m.ref(fr, src))
 	}
-	if in.Ty.Kind == ir.KVec {
-		var out value
-		for l := 0; l < in.Ty.Lanes; l++ {
-			out.vi[l] = one(x.vi[l], y.vi[l])
-		}
-		return out
+	m.phiTmp = tmp
+	for j, s := range blk.phis {
+		fr.set(s, tmp[j])
+		m.tick(0)
 	}
-	return iv(one(x.i, y.i))
 }
 
-func (m *machine) floatBin(fr *frame, in *ir.Instr) value {
-	x := m.eval(fr, in.Operands[0])
-	y := m.eval(fr, in.Operands[1])
-	one := func(a, b float64) float64 {
-		switch in.Op {
-		case ir.OpFAdd:
-			return a + b
-		case ir.OpFSub:
-			return a - b
-		case ir.OpFMul:
-			return a * b
-		case ir.OpFDiv:
-			return a / b
+// ref resolves an operand to its runtime value; the result must not be
+// written through.
+func (m *machine) ref(fr *frame, o opnd) *value {
+	df := fr.fn
+	switch o.kind {
+	case oSlot:
+		if !fr.defined(o.idx) {
+			m.trap("use of undefined value %s in %s", df.slots[o.idx].Ident(), df.fn.Name)
 		}
-		m.trap("bad float op")
-		return 0
-	}
-	if in.Ty.Kind == ir.KVec {
-		var out value
-		for l := 0; l < in.Ty.Lanes; l++ {
-			out.vf[l] = one(x.vf[l], y.vf[l])
+		return &fr.vals[o.idx]
+	case oConst:
+		return &df.consts[o.idx]
+	case oArg:
+		if int(o.idx) >= len(fr.args) {
+			m.trap("missing argument %d of %s", o.idx, df.fn.Name)
 		}
-		return out
+		return &fr.args[o.idx]
+	case oUndef:
+		m.trap("use of undefined value %s in %s", df.refs[o.idx].Ident(), df.fn.Name)
+	case oUnknownGlobal:
+		m.trap("unknown global %s", df.refs[o.idx].(*ir.Global).Name)
 	}
-	return fv(one(x.f, y.f))
+	m.trap("unknown value kind %T", df.refs[o.idx])
+	return nil
+}
+
+// evalI is ref(...).i with the common cases inline.
+func (m *machine) evalI(fr *frame, o opnd) int64 {
+	switch {
+	case o.kind == oSlot && fr.defined(o.idx):
+		return fr.vals[o.idx].i
+	case o.kind == oConst:
+		return fr.fn.consts[o.idx].i
+	}
+	return m.ref(fr, o).i
+}
+
+// evalF is ref(...).f with the common cases inline.
+func (m *machine) evalF(fr *frame, o opnd) float64 {
+	switch {
+	case o.kind == oSlot && fr.defined(o.idx):
+		return fr.vals[o.idx].f
+	case o.kind == oConst:
+		return fr.fn.consts[o.idx].f
+	}
+	return m.ref(fr, o).f
+}
+
+func (m *machine) intOp(op ir.Opcode, a, b int64) int64 {
+	switch op {
+	case ir.OpAdd:
+		return a + b
+	case ir.OpSub:
+		return a - b
+	case ir.OpMul:
+		return a * b
+	case ir.OpSDiv:
+		if b == 0 {
+			m.trap("integer division by zero")
+		}
+		return a / b
+	case ir.OpSRem:
+		if b == 0 {
+			m.trap("integer remainder by zero")
+		}
+		return a % b
+	case ir.OpAnd:
+		return a & b
+	case ir.OpOr:
+		return a | b
+	case ir.OpXor:
+		return a ^ b
+	case ir.OpShl:
+		return a << uint(b&63)
+	case ir.OpAShr:
+		return a >> uint(b&63)
+	}
+	m.trap("bad int op")
+	return 0
+}
+
+func floatOp(op ir.Opcode, a, b float64) float64 {
+	switch op {
+	case ir.OpFAdd:
+		return a + b
+	case ir.OpFSub:
+		return a - b
+	case ir.OpFMul:
+		return a * b
+	}
+	return a / b
 }
 
 func b2i(b bool) int64 {

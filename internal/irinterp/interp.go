@@ -5,6 +5,11 @@
 // and wall-clock measurements. Deterministic simulated runtimes provide
 // OpenMP (fork/join and tasks), MPI (rank goroutines with synchronous
 // exchanges), and GPU kernel launches for offload modules.
+//
+// Each rank decodes a function the first time it calls it (decode.go):
+// operands become dense frame slots, constants, argument indices or
+// global addresses, and cycle costs are precomputed. Simulated memory
+// is a lazily allocated page table (memory.go).
 package irinterp
 
 import (
@@ -13,6 +18,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync"
 
 	"github.com/oraql/go-oraql/internal/ir"
 )
@@ -84,7 +90,9 @@ func (r *Result) KernelNames() []string {
 // the combined result. Any simulated trap (out-of-bounds access,
 // division by zero, step limit) is returned as an error; the
 // verification layer treats those as failures, exactly like a crashed
-// benchmark binary.
+// benchmark binary. When ranks trap, the lowest-ranked trap is
+// reported; a rank stuck in an exchange with a rank that has exited
+// stops instead of waiting forever.
 func Run(p *Program, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	res := &Result{KernelCycles: map[string]int64{}, KernelLaunches: map[string]int64{}}
@@ -93,30 +101,19 @@ func Run(p *Program, opts Options) (*Result, error) {
 	}
 	ranks := make([]*machine, opts.NumRanks)
 	boxes := newMailboxes(opts.NumRanks)
-	for r := 0; r < opts.NumRanks; r++ {
-		ranks[r] = newMachine(p, opts, r, boxes)
+	for r := range ranks {
+		m, err := newMachine(p, opts, r, boxes)
+		if err != nil {
+			return nil, err
+		}
+		ranks[r] = m
 	}
 	if opts.NumRanks == 1 {
 		if err := ranks[0].callMain(); err != nil {
 			return nil, err
 		}
-	} else {
-		errs := make([]error, opts.NumRanks)
-		done := make(chan int, opts.NumRanks)
-		for r := 0; r < opts.NumRanks; r++ {
-			go func(r int) {
-				errs[r] = ranks[r].callMain()
-				done <- r
-			}(r)
-		}
-		for i := 0; i < opts.NumRanks; i++ {
-			<-done
-		}
-		for r, err := range errs {
-			if err != nil {
-				return nil, fmt.Errorf("rank %d: %w", r, err)
-			}
-		}
+	} else if err := runRanks(ranks, boxes); err != nil {
+		return nil, err
 	}
 	var sb strings.Builder
 	for _, m := range ranks {
@@ -125,8 +122,8 @@ func Run(p *Program, opts Options) (*Result, error) {
 		res.Cycles += m.cycles
 		res.DeviceInstrs += m.devInstrs
 		res.DeviceCycles += m.devCycles
-		for k, v := range m.kernelCycles {
-			res.KernelCycles[k] += v
+		for k, v := range m.kernels {
+			res.KernelCycles[k] += *v
 		}
 		for k, v := range m.kernelLaunches {
 			res.KernelLaunches[k] += v
@@ -134,6 +131,33 @@ func Run(p *Program, opts Options) (*Result, error) {
 	}
 	res.Stdout = sb.String()
 	return res, nil
+}
+
+// runRanks runs every rank on its own goroutine and waits for all of
+// them. A rank that exits, normally or by a trap, closes its done
+// channel, which releases any peer blocked on an exchange with it.
+func runRanks(ranks []*machine, boxes *mailboxes) error {
+	errs := make([]error, len(ranks))
+	var wg sync.WaitGroup
+	for r, m := range ranks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer close(boxes.done[r])
+			errs[r] = m.callMain()
+		}()
+	}
+	wg.Wait()
+	// A stalled rank only reports when no rank trapped on its own: its
+	// error is a consequence of the trap, not a cause.
+	for pass := 0; pass < 2; pass++ {
+		for r, err := range errs {
+			if err != nil && (pass == 1 || !ranks[r].stalled) {
+				return fmt.Errorf("rank %d: %w", r, err)
+			}
+		}
+	}
+	return nil
 }
 
 // value is a runtime scalar or vector.
@@ -155,18 +179,27 @@ type machine struct {
 	rank int
 	box  *mailboxes
 
-	mem      []byte
+	pages    []*page
 	heapPtr  int64
 	stackPtr int64
 	globals  map[*ir.Global]int64
-	devGlob  bool // device globals materialized
+
+	// hostFuncs / devFuncs resolve call targets by name (the first
+	// function of a name wins, as in ir.Module.FuncByName); funcs
+	// memoizes decoded functions.
+	hostFuncs, devFuncs map[string]*ir.Func
+	funcs               map[*ir.Func]*dfunc
+	phiTmp              []value
 
 	out strings.Builder
 
 	instrs, cycles       int64
 	devInstrs, devCycles int64
-	kernelCycles         map[string]int64
-	kernelLaunches       map[string]int64
+	// kernels holds each kernel's cycle counter; kernelCycles points
+	// at the running kernel's, nil until its first instruction.
+	kernels        map[string]*int64
+	kernelCycles   *int64
+	kernelLaunches map[string]int64
 
 	// runtime state
 	ompTID   int
@@ -174,6 +207,9 @@ type machine struct {
 	gpuTID   int64
 	gpuNtid  int64
 	tasks    []pendingTask
+	// stalled marks a rank stopped because a peer it exchanges with
+	// exited.
+	stalled bool
 }
 
 type pendingTask struct {
@@ -188,14 +224,23 @@ const (
 	stackBase  = 48 << 20
 )
 
-func newMachine(p *Program, opts Options, rank int, boxes *mailboxes) *machine {
+// layoutMin is the lowest bound the global layout is checked against:
+// globals that end within the first MiB always lay out, even under a
+// smaller MemLimit (accesses past MemLimit still trap).
+const layoutMin = 1 << 20
+
+func newMachine(p *Program, opts Options, rank int, boxes *mailboxes) (*machine, error) {
 	m := &machine{
 		prog: p, opts: opts, rank: rank, box: boxes,
-		mem:     make([]byte, 1<<20),
 		heapPtr: heapBase, stackPtr: stackBase,
 		globals:        map[*ir.Global]int64{},
-		kernelCycles:   map[string]int64{},
+		hostFuncs:      funcsByName(p.Host),
+		funcs:          map[*ir.Func]*dfunc{},
+		kernels:        map[string]*int64{},
 		kernelLaunches: map[string]int64{},
+	}
+	if p.Device != nil {
+		m.devFuncs = funcsByName(p.Device)
 	}
 	addr := int64(globalBase)
 	layout := func(mod *ir.Module) {
@@ -211,34 +256,37 @@ func newMachine(p *Program, opts Options, rank int, boxes *mailboxes) *machine {
 			for i, v := range g.InitF64 {
 				m.store64(addr+int64(8*i), math.Float64bits(v))
 			}
-			if len(g.InitI64) == 0 && len(g.InitF64) == 0 {
-				m.ensure(addr + g.Size)
+			if end := addr + g.Size; len(g.InitI64) == 0 && len(g.InitF64) == 0 &&
+				end > m.opts.MemLimit && end > layoutMin {
+				m.trap("memory limit exceeded at address %#x", end)
 			}
 			addr += g.Size
 		}
 	}
-	layout(p.Host)
-	if p.Device != nil {
-		layout(p.Device)
+	err := catchTrap(func() {
+		layout(p.Host)
+		if p.Device != nil {
+			layout(p.Device)
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	return m
+	return m, nil
 }
 
-func (m *machine) callMain() (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if te, ok := r.(trapError); ok {
-				err = errors.New(string(te))
-				return
-			}
-			panic(r)
+func funcsByName(mod *ir.Module) map[string]*ir.Func {
+	out := make(map[string]*ir.Func, len(mod.Funcs))
+	for _, f := range mod.Funcs {
+		if _, dup := out[f.Name]; !dup {
+			out[f.Name] = f
 		}
-	}()
-	_, err2 := m.call(m.prog.Host.FuncByName("main"), nil)
-	if err2 != nil {
-		return err2
 	}
-	return nil
+	return out
+}
+
+func (m *machine) callMain() error {
+	return catchTrap(func() { m.callFunc(m.hostFuncs["main"]) })
 }
 
 type trapError string
@@ -247,55 +295,20 @@ func (m *machine) trap(format string, args ...any) {
 	panic(trapError(fmt.Sprintf("simulated trap: "+format, args...)))
 }
 
-// ensure grows memory to cover addr (exclusive bound).
-func (m *machine) ensure(addr int64) {
-	if addr <= int64(len(m.mem)) {
-		return
-	}
-	if addr > m.opts.MemLimit {
-		m.trap("memory limit exceeded at address %#x", addr)
-	}
-	n := int64(len(m.mem))
-	for n < addr {
-		n *= 2
-	}
-	if n > m.opts.MemLimit {
-		n = m.opts.MemLimit
-	}
-	grown := make([]byte, n)
-	copy(grown, m.mem)
-	m.mem = grown
-}
-
-func (m *machine) checkAddr(addr, size int64) {
-	if addr < globalBase || addr+size > m.opts.MemLimit {
-		m.trap("out-of-bounds access at %#x (size %d)", addr, size)
-	}
-	m.ensure(addr + size)
-}
-
-func (m *machine) store64(addr int64, bits uint64) {
-	m.checkAddr(addr, 8)
-	for i := 0; i < 8; i++ {
-		m.mem[addr+int64(i)] = byte(bits >> (8 * i))
-	}
-}
-
-func (m *machine) load64(addr int64) uint64 {
-	m.checkAddr(addr, 8)
-	var bits uint64
-	for i := 0; i < 8; i++ {
-		bits |= uint64(m.mem[addr+int64(i)]) << (8 * i)
-	}
-	return bits
-}
-
-// frame is one function activation.
-type frame struct {
-	fn       *ir.Func
-	args     []value
-	vals     map[*ir.Instr]value
-	stackTop int64 // saved stack pointer for alloca unwinding
+// catchTrap runs f and returns a simulated trap raised inside it as an
+// error; any other panic is a bug and propagates.
+func catchTrap(f func()) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			te, ok := r.(trapError)
+			if !ok {
+				panic(r)
+			}
+			err = errors.New(string(te))
+		}
+	}()
+	f()
+	return nil
 }
 
 // cost is the cycle cost model (the "wall time" stand-in).
@@ -322,112 +335,29 @@ func cost(in *ir.Instr) int64 {
 	}
 }
 
-func (m *machine) tick(in *ir.Instr) {
-	c := cost(in)
-	if m.inKernel != "" {
-		m.devInstrs++
-		m.devCycles += c
-		m.kernelCycles[m.inKernel] += c
-	} else {
+// tick charges one executed instruction of cost c and enforces the
+// step limit.
+func (m *machine) tick(c int64) {
+	if m.inKernel == "" {
 		m.instrs++
 		m.cycles += c
+	} else {
+		m.devTick(c)
 	}
 	if m.instrs+m.devInstrs > m.opts.StepLimit {
 		m.trap("step limit exceeded (%d instructions): possible non-termination", m.opts.StepLimit)
 	}
 }
 
-// call runs fn with args and returns its return value.
-func (m *machine) call(fn *ir.Func, args []value) (value, error) {
-	fr := &frame{fn: fn, args: args, vals: map[*ir.Instr]value{}, stackTop: m.stackPtr}
-	defer func() { m.stackPtr = fr.stackTop }()
-
-	block := fn.Entry()
-	var prev *ir.Block
-	for {
-		// Phi nodes evaluate in parallel against the incoming edge.
-		var phiVals []value
-		var phis []*ir.Instr
-		for _, in := range block.Instrs {
-			if in.Dead() || in.Op != ir.OpPhi {
-				continue
-			}
-			found := false
-			for i, from := range in.Incoming {
-				if from == prev {
-					phiVals = append(phiVals, m.eval(fr, in.Operands[i]))
-					phis = append(phis, in)
-					found = true
-					break
-				}
-			}
-			if !found {
-				m.trap("phi in %s/%s has no incoming for predecessor", fn.Name, block.Name)
-			}
-		}
-		for i, phi := range phis {
-			fr.vals[phi] = phiVals[i]
-			m.tick(phi)
-		}
-
-		redirect := false
-		for _, in := range block.Instrs {
-			if in.Dead() || in.Op == ir.OpPhi {
-				continue
-			}
-			m.tick(in)
-			switch in.Op {
-			case ir.OpBr:
-				next := in.Succs[0]
-				if len(in.Succs) == 2 && m.eval(fr, in.Operands[0]).i == 0 {
-					next = in.Succs[1]
-				}
-				prev, block = block, next
-				redirect = true
-			case ir.OpRet:
-				if len(in.Operands) > 0 {
-					return m.eval(fr, in.Operands[0]), nil
-				}
-				return value{}, nil
-			default:
-				m.exec(fr, in)
-			}
-			if redirect {
-				break
-			}
-		}
-		if !redirect {
-			m.trap("block %s/%s fell through without terminator", fn.Name, block.Name)
+func (m *machine) devTick(c int64) {
+	m.devInstrs++
+	m.devCycles += c
+	if m.kernelCycles == nil {
+		m.kernelCycles = m.kernels[m.inKernel]
+		if m.kernelCycles == nil {
+			m.kernelCycles = new(int64)
+			m.kernels[m.inKernel] = m.kernelCycles
 		}
 	}
-}
-
-// eval resolves an operand to its runtime value.
-func (m *machine) eval(fr *frame, v ir.Value) value {
-	switch x := v.(type) {
-	case *ir.Const:
-		if x.Ty == ir.F64 {
-			return fv(x.F)
-		}
-		return iv(x.I)
-	case *ir.Global:
-		a, ok := m.globals[x]
-		if !ok {
-			m.trap("unknown global %s", x.Name)
-		}
-		return iv(a)
-	case *ir.Arg:
-		if x.ID >= len(fr.args) {
-			m.trap("missing argument %d of %s", x.ID, fr.fn.Name)
-		}
-		return fr.args[x.ID]
-	case *ir.Instr:
-		val, ok := fr.vals[x]
-		if !ok {
-			m.trap("use of undefined value %s in %s", x.Ident(), fr.fn.Name)
-		}
-		return val
-	}
-	m.trap("unknown value kind %T", v)
-	return value{}
+	*m.kernelCycles += c
 }
