@@ -102,6 +102,14 @@ type Result struct {
 	// consumed by the decision loop (cancelled losers included).
 	TestsSpeculated int
 	TestsWasted     int
+	// StepsRun and StepsReplayed count the (pass, function) steps of the
+	// test compiles that executed and that the compile session replayed
+	// from an earlier compile's ORAQL transcript (pipeline.Session).
+	// ColdFallbacks counts test compiles redone cold because a replayed
+	// history did not re-execute as recorded.
+	StepsRun      int
+	StepsReplayed int
+	ColdFallbacks int
 }
 
 // GuiltyQueries returns the alias queries the probe had to answer
@@ -316,6 +324,12 @@ func (st *state) probe() (*Result, error) {
 
 // finalize recompiles with the final sequence and records results.
 func (st *state) finalize(seq oraql.Seq) (*Result, error) {
+	// Testing is over: wait out cancelled speculation, then drop the
+	// compile session so its memo is garbage during the cold final
+	// compile.
+	st.eng.shutdown()
+	st.res.ColdFallbacks = st.eng.sess.Fallbacks()
+	st.eng.sess = nil
 	opts := st.spec.ORAQL
 	opts.Seq = seq
 	fin, err := st.execute(&opts)
@@ -331,12 +345,15 @@ func (st *state) finalize(seq oraql.Seq) (*Result, error) {
 	st.res.TestsSpeculated = int(st.eng.specLaunched.Load())
 	st.res.TestsWasted = st.res.TestsSpeculated - int(st.eng.specConsumed.Load())
 	st.res.TestsDisk = int(st.eng.diskTests.Load())
+	st.res.StepsRun = int(st.eng.stepsRun.Load())
+	st.res.StepsReplayed = int(st.eng.stepsReplayed.Load())
 	st.persistVerdicts(fin.Compile)
 	st.ingestWarehouse()
 	s := fin.Compile.ORAQLStats()
-	st.logf("%s: done: %d opt (%d cached), %d pess (%d cached); %d compiles, %d tests (+%d cached, %d from disk, %d speculated, %d wasted)",
+	st.logf("%s: done: %d opt (%d cached), %d pess (%d cached); %d compiles, %d tests (+%d cached, %d from disk, %d speculated, %d wasted); test steps %d run, %d replayed, %d cold fallbacks",
 		st.spec.Name, s.UniqueOptimistic, s.CachedOptimistic, s.UniquePessimistic, s.CachedPessimistic,
-		st.res.Compiles, st.res.TestsRun, st.res.TestsCached, st.res.TestsDisk, st.res.TestsSpeculated, st.res.TestsWasted)
+		st.res.Compiles, st.res.TestsRun, st.res.TestsCached, st.res.TestsDisk, st.res.TestsSpeculated, st.res.TestsWasted,
+		st.res.StepsRun, st.res.StepsReplayed, st.res.ColdFallbacks)
 	// -time-passes style summary of the final compilation.
 	tm := fin.Compile.Timing()
 	var runs int64

@@ -42,10 +42,14 @@ type testCall struct {
 
 // exeEntry single-flights verification by executable hash: a test whose
 // binary hash matches an in-flight run waits for that run's verdict
-// instead of executing the bit-identical binary again.
+// instead of executing the bit-identical binary again. It keeps the run
+// itself too, so finalize need not re-run the binary the final-round
+// test already ran.
 type exeEntry struct {
 	done     chan struct{}
 	v        verify.Result
+	run      *irinterp.Result
+	runErr   error
 	canceled bool
 }
 
@@ -72,15 +76,21 @@ type engine struct {
 	sem     chan struct{}
 	wg      sync.WaitGroup
 
+	// sess compiles every test: the frontend runs once per campaign and
+	// pass steps whose ORAQL transcripts still fit are replayed.
+	sess *pipeline.Session
+
 	mu         sync.Mutex
 	calls      map[string]*testCall
 	exe        map[string]*exeEntry
 	optRecords []*oraql.QueryRecord // query stream of the empty-seq compile
 
-	compiles     atomic.Int64
-	specLaunched atomic.Int64
-	specConsumed atomic.Int64
-	diskTests    atomic.Int64
+	compiles      atomic.Int64
+	stepsRun      atomic.Int64
+	stepsReplayed atomic.Int64
+	specLaunched  atomic.Int64
+	specConsumed  atomic.Int64
+	diskTests     atomic.Int64
 
 	// specDepth bounds in-flight *compile* speculation, adapting to the
 	// observed hit/waste rate: it starts at min(workers-1, cores-1) —
@@ -104,12 +114,17 @@ func newEngine(ctx context.Context, spec *BenchSpec, campID string) *engine {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	cfg := spec.Compile
+	cfg.Name = spec.Name
+	opts := spec.ORAQL
+	cfg.ORAQL = &opts
 	e := &engine{
 		ctx:     ctx,
 		spec:    spec,
 		workers: w,
 		campID:  campID,
 		sem:     make(chan struct{}, w),
+		sess:    pipeline.NewSession(cfg),
 		calls:   map[string]*testCall{},
 		exe:     map[string]*exeEntry{},
 	}
@@ -324,20 +339,20 @@ func (e *engine) run(ctx context.Context, seq oraql.Seq) testOutcome {
 	if ctx.Err() != nil {
 		return testOutcome{err: ctx.Err()}
 	}
-	opts := e.spec.ORAQL
-	opts.Seq = seq
-	cfg := e.spec.Compile
-	cfg.Name = e.spec.Name
-	cfg.ORAQL = &opts
-	cr, err := pipeline.CompileContext(ctx, cfg)
+	cr, err := e.sess.Compile(ctx, seq)
 	if err != nil {
 		return testOutcome{err: err}
 	}
 	e.compiles.Add(1)
-	if len(seq) == 0 {
+	run, replayed := cr.Steps()
+	e.stepsRun.Add(int64(run))
+	e.stepsReplayed.Add(int64(replayed))
+	if len(seq) == 0 && replayed == 0 {
 		// The fully-optimistic compile's query stream feeds both the
 		// persisted-verdict seeding and the IR feature extraction, so it
-		// is captured with or without a persistent campaign.
+		// is captured with or without a persistent campaign. It is the
+		// session's first compile, so nothing was replayed and its
+		// records are exact.
 		e.mu.Lock()
 		if e.optRecords == nil {
 			e.optRecords = cr.Records()
@@ -349,7 +364,7 @@ func (e *engine) run(ctx context.Context, seq oraql.Seq) testOutcome {
 		if ctx.Err() != nil {
 			return testOutcome{err: ctx.Err()}
 		}
-		out.ok = e.verifyRun(cr)
+		out.ok, _, _ = e.verifyRun(cr)
 		out.didRun = true
 		e.storeOutcome(dkey, out)
 		return out
@@ -385,7 +400,9 @@ func (e *engine) run(ctx context.Context, seq oraql.Seq) testOutcome {
 			close(ent.done)
 			return testOutcome{err: ctx.Err()}
 		}
-		ent.v = verify.Result{OK: e.verifyRun(cr)}
+		var pass bool
+		pass, ent.run, ent.runErr = e.verifyRun(cr)
+		ent.v = verify.Result{OK: pass}
 		close(ent.done)
 		out.ok = ent.v.OK
 		out.didRun = true
@@ -403,11 +420,27 @@ func (e *engine) storeOutcome(dkey string, out testOutcome) {
 }
 
 // verifyRun executes the compiled program and checks its output.
-func (e *engine) verifyRun(cr *pipeline.CompileResult) bool {
+func (e *engine) verifyRun(cr *pipeline.CompileResult) (bool, *irinterp.Result, error) {
 	rr, runErr := irinterp.Run(cr.Program, e.spec.Run)
 	var stdout string
 	if rr != nil {
 		stdout = rr.Stdout
 	}
-	return e.spec.Verify.Check(stdout, runErr).OK
+	return e.spec.Verify.Check(stdout, runErr).OK, rr, runErr
+}
+
+// ranExe returns the exe-hash entry of a test that already ran the
+// binary with this hash, or nil.
+func (e *engine) ranExe(hash string) *exeEntry {
+	e.mu.Lock()
+	ent := e.exe[hash]
+	e.mu.Unlock()
+	if ent == nil {
+		return nil
+	}
+	<-ent.done
+	if ent.canceled {
+		return nil
+	}
+	return ent
 }

@@ -36,7 +36,7 @@ func runKey(exeHash string, opts irinterp.Options) string {
 // artifact degrades to a fresh run.
 func (st *state) run(cr *pipeline.CompileResult) (*irinterp.Result, error) {
 	if st.spec.Cache == nil {
-		return irinterp.Run(cr.Program, st.spec.Run)
+		return st.runFresh(cr)
 	}
 	key := runKey(cr.ExeHash(), st.spec.Run)
 	if data, ok := st.spec.Cache.Get(key); ok {
@@ -46,11 +46,23 @@ func (st *state) run(cr *pipeline.CompileResult) (*irinterp.Result, error) {
 			return rr, nil
 		}
 	}
-	rr, err := irinterp.Run(cr.Program, st.spec.Run)
+	rr, err := st.runFresh(cr)
 	if err == nil && rr != nil {
 		if data, jerr := json.Marshal(rr); jerr == nil {
 			st.spec.Cache.Put(key, data)
 		}
 	}
 	return rr, err
+}
+
+// runFresh executes a compiled program, unless a test of this campaign
+// already ran the bit-identical binary: the final compile's binary is
+// usually the one the final-round test verified.
+func (st *state) runFresh(cr *pipeline.CompileResult) (*irinterp.Result, error) {
+	if st.eng != nil {
+		if ent := st.eng.ranExe(cr.ExeHash()); ent != nil {
+			return ent.run, ent.runErr
+		}
+	}
+	return irinterp.Run(cr.Program, st.spec.Run)
 }

@@ -96,6 +96,13 @@ func (f *Func) AllocID() int {
 	return id
 }
 
+// NextInstrID and NextBlockID are the IDs the next AllocID / NewBlock
+// will hand out.
+func (f *Func) NextInstrID() int { return f.nextInstrID }
+
+// NextBlockID: see NextInstrID.
+func (f *Func) NextBlockID() int { return f.nextBlockID }
+
 // Compact erases dead instructions from every block.
 func (f *Func) Compact() {
 	for _, b := range f.Blocks {

@@ -193,6 +193,34 @@ type Pass struct {
 	cache   map[[2]int64]*QueryRecord
 	records []*QueryRecord
 	stats   Stats
+
+	// recording collects the current step's transcript (BeginStep);
+	// script, when non-nil, answers queries from a recorded transcript
+	// instead (Script).
+	recording bool
+	step      Transcript
+	script    *script
+}
+
+// TranscriptEntry is one answered query of a pass step: the pair key,
+// the answer, and whether it was a first issue (it consumed a sequence
+// position) or a pair-cache hit. Fits and Replay work First out from
+// the responder's state, so it only documents the recording.
+type TranscriptEntry struct {
+	Key    [2]int64
+	Answer bool
+	First  bool
+}
+
+// Transcript is the ordered query stream one (pass, function) step
+// put to the responder. It holds no IR pointers.
+type Transcript []TranscriptEntry
+
+// script is a transcript being answered from during re-execution.
+type script struct {
+	t   Transcript
+	pos int
+	bad bool
 }
 
 // New creates a pass instance for one compilation of m.
@@ -228,7 +256,7 @@ func (p *Pass) Alias(a, b aa.MemLoc, q *aa.QueryCtx) aa.Result {
 	if p.opts.Mode == ModeBlocking || !p.active || !p.inScope(a, b, q) {
 		return aa.MayAlias
 	}
-	if !p.decide(a, b, q, true) {
+	if !p.decide(a, b, q) {
 		return aa.MayAlias
 	}
 	if p.opts.Mode == ModeOptimisticMust {
@@ -246,13 +274,16 @@ func (p *Pass) Block(a, b aa.MemLoc, q *aa.QueryCtx) bool {
 		return false
 	}
 	// Record semantics: Optimistic == "chain allowed".
-	return !p.decide(a, b, q, false)
+	return !p.decide(a, b, q)
 }
 
 // decide serves the query from the pair cache or consumes the next
-// sequence element; pastEnd is the answer once the sequence runs out.
-func (p *Pass) decide(a, b aa.MemLoc, q *aa.QueryCtx, pastEnd bool) bool {
+// sequence element (the mode's past-end answer once it runs out).
+func (p *Pass) decide(a, b aa.MemLoc, q *aa.QueryCtx) bool {
 	key := pairKey(a.Ptr, b.Ptr)
+	if p.script != nil {
+		return p.script.answer(key)
+	}
 	if rec, ok := p.cache[key]; ok {
 		rec.CacheHits++
 		if rec.Optimistic {
@@ -260,12 +291,15 @@ func (p *Pass) decide(a, b aa.MemLoc, q *aa.QueryCtx, pastEnd bool) bool {
 		} else {
 			p.stats.CachedPessimistic++
 		}
+		if p.recording {
+			p.step = append(p.step, TranscriptEntry{Key: key, Answer: rec.Optimistic})
+		}
 		p.dump(rec, true)
 		return rec.Optimistic
 	}
-	optimistic := pastEnd
-	if p.cursor < len(p.opts.Seq) {
-		optimistic = p.opts.Seq[p.cursor]
+	optimistic := p.seqAt(p.cursor)
+	if p.recording {
+		p.step = append(p.step, TranscriptEntry{Key: key, Answer: optimistic, First: true})
 	}
 	rec := &QueryRecord{
 		Index:      p.cursor,
@@ -289,6 +323,123 @@ func (p *Pass) decide(a, b aa.MemLoc, q *aa.QueryCtx, pastEnd bool) bool {
 	}
 	p.dump(rec, false)
 	return optimistic
+}
+
+// pastEnd is the answer to first issues beyond the sequence end:
+// optimistic in the optimistic modes, "block" in blocking mode.
+func (p *Pass) pastEnd() bool { return p.opts.Mode != ModeBlocking }
+
+// seqAt is the answer of sequence position i.
+func (p *Pass) seqAt(i int) bool {
+	if i < len(p.opts.Seq) {
+		return p.opts.Seq[i]
+	}
+	return p.pastEnd()
+}
+
+// BeginStep starts recording the transcript of one pass step.
+func (p *Pass) BeginStep() {
+	p.recording = true
+	p.step = p.step[:0]
+}
+
+// EndStep stops recording and returns a copy of the step's transcript
+// (nil when the step put no query to the responder).
+func (p *Pass) EndStep() Transcript {
+	p.recording = false
+	if len(p.step) == 0 {
+		return nil
+	}
+	return append(Transcript(nil), p.step...)
+}
+
+// Fits reports whether replaying t now would give every one of its
+// queries the answer recorded in it: pair-cache entries (including
+// keys first issued earlier in t) must hold the recorded answer, and
+// each first issue must meet the recorded answer at the next sequence
+// position. The responder's state is not changed.
+func (p *Pass) Fits(t Transcript) bool {
+	cursor := p.cursor
+	for i, e := range t {
+		if rec, ok := p.cache[e.Key]; ok {
+			if rec.Optimistic != e.Answer {
+				return false
+			}
+			continue
+		}
+		if j := t.firstIssue(i); j >= 0 {
+			if t[j].Answer != e.Answer {
+				return false
+			}
+			continue
+		}
+		if p.seqAt(cursor) != e.Answer {
+			return false
+		}
+		cursor++
+	}
+	return true
+}
+
+// firstIssue returns the index of the first entry before i that shares
+// entry i's key, or -1. Transcripts are short, so a scan beats a map.
+func (t Transcript) firstIssue(i int) int {
+	for j := 0; j < i; j++ {
+		if t[j].Key == t[i].Key {
+			return j
+		}
+	}
+	return -1
+}
+
+// Replay applies a fitting transcript's effects without running the
+// step: first issues advance the cursor and enter the pair cache,
+// repeats count as cache hits. Records of replayed first issues carry
+// no locations and are not listed by Records, so a compilation's
+// records are exact only while nothing was replayed.
+func (p *Pass) Replay(t Transcript) {
+	for _, e := range t {
+		if rec, ok := p.cache[e.Key]; ok {
+			rec.CacheHits++
+			if rec.Optimistic {
+				p.stats.CachedOptimistic++
+			} else {
+				p.stats.CachedPessimistic++
+			}
+			continue
+		}
+		p.cache[e.Key] = &QueryRecord{Index: p.cursor, Optimistic: e.Answer}
+		p.cursor++
+		if e.Answer {
+			p.stats.UniqueOptimistic++
+		} else {
+			p.stats.UniquePessimistic++
+		}
+	}
+}
+
+// Script makes the responder answer the next step from t, in order,
+// without touching its cursor, pair cache or counters — re-executing a
+// step whose answers are known. A query whose pair key differs from
+// the recorded one (or one past the transcript's end) marks the script
+// broken and is answered pessimistically. EndScript reports the verdict.
+func (p *Pass) Script(t Transcript) { p.script = &script{t: t} }
+
+// EndScript leaves script mode and reports whether the step asked
+// exactly the recorded queries.
+func (p *Pass) EndScript() bool {
+	s := p.script
+	p.script = nil
+	return s != nil && !s.bad && s.pos == len(s.t)
+}
+
+func (s *script) answer(key [2]int64) bool {
+	if s.bad || s.pos >= len(s.t) || s.t[s.pos].Key != key {
+		s.bad = true
+		return false
+	}
+	s.pos++
+	return s.t[s.pos-1].Answer
 }
 
 // inScope applies the function/file filters from the configuration.

@@ -295,3 +295,71 @@ func TestBlockingModeSuppressesChain(t *testing.T) {
 		t.Error("a blocking-mode pass must not answer Alias queries")
 	}
 }
+
+// TestTranscriptFitReplayScript pins the step-reuse primitives: a
+// recorded transcript fits exactly the responder states that would
+// answer its queries the same way, replaying it has the live step's
+// effects, and a script catches a query other than the recorded one.
+func TestTranscriptFitReplayScript(t *testing.T) {
+	env := newQueryEnv(t, 4)
+	q := &aa.QueryCtx{Pass: "GVN", Func: env.fn}
+	step := func(p *Pass) {
+		p.Alias(env.loc(0), env.loc(1), q) // first issue
+		p.Alias(env.loc(1), env.loc(0), q) // the same pair again
+		p.Alias(env.loc(2), env.loc(3), q) // first issue
+	}
+	live := New(env.m, Options{Seq: Seq{false, true}})
+	live.BeginStep()
+	step(live)
+	tr := live.EndStep()
+	if len(tr) != 3 || !tr[0].First || tr[1].First || !tr[2].First || tr[0].Answer || !tr[2].Answer {
+		t.Fatalf("transcript %+v", tr)
+	}
+
+	for _, c := range []struct {
+		name string
+		opts Options
+		fits bool
+	}{
+		{"same sequence", Options{Seq: Seq{false, true}}, true},
+		{"optimistic past the end", Options{Seq: Seq{false}}, true},
+		{"blocking past the end", Options{Mode: ModeBlocking, Seq: Seq{false}}, false},
+		{"first answer differs", Options{Seq: Seq{true, true}}, false},
+		{"second answer differs", Options{Seq: Seq{false, false}}, false},
+	} {
+		if got := New(env.m, c.opts).Fits(tr); got != c.fits {
+			t.Errorf("%s: Fits = %v, want %v", c.name, got, c.fits)
+		}
+	}
+	// A pair already cached with the other answer decides, even when
+	// the sequence positions would fit.
+	cached := New(env.m, Options{Seq: Seq{true, true}})
+	cached.Alias(env.loc(0), env.loc(1), q)
+	if cached.Fits(tr) {
+		t.Error("a cached answer contradicting the transcript must not fit")
+	}
+
+	re := New(env.m, Options{Seq: Seq{false, true}})
+	re.Replay(tr)
+	if re.Stats() != live.Stats() {
+		t.Errorf("replayed stats %+v, live %+v", re.Stats(), live.Stats())
+	}
+	if r := re.Alias(env.loc(1), env.loc(0), q); r != aa.MayAlias {
+		t.Error("a replayed first issue must serve later queries from the pair cache")
+	}
+
+	sc := New(env.m, Options{})
+	sc.Script(tr)
+	step(sc)
+	if !sc.EndScript() {
+		t.Error("re-executing the recorded queries must keep the script intact")
+	}
+	if sc.Stats() != (Stats{}) {
+		t.Errorf("scripted answers touched the counters: %+v", sc.Stats())
+	}
+	sc.Script(tr)
+	sc.Alias(env.loc(0), env.loc(2), q)
+	if sc.EndScript() {
+		t.Error("a different pair key must break the script")
+	}
+}

@@ -157,6 +157,16 @@ type Context struct {
 	// captured for persisting. See diskplan.go.
 	Disk *DiskPlan
 
+	// Steps, when non-nil, is a compile session's step-reuse plan: a
+	// step whose recorded ORAQL transcript still fits is replayed
+	// instead of executed. See steps.go.
+	Steps *StepPlan
+
+	// StepsRun counts executed (pass, function) steps, re-executions
+	// included; StepsReplayed counts steps replayed from Steps.
+	StepsRun      int
+	StepsReplayed int
+
 	// curPass is the pass currently executing; queries carry it.
 	curPass string
 
@@ -299,9 +309,12 @@ func O1Pipeline() *Pipeline {
 // run it applies the pass's preservation set to the analysis manager —
 // the invalidation boundary that used to be a module-wide AA cache
 // flush and is now scoped to the function that changed.
+//
+// A step-reuse plan (ctx.Steps) stops the run early when it fails;
+// the caller checks StepPlan.Failed.
 func (p *Pipeline) Run(ctx *Context) {
-	am := ctx.Analyses()
 	dp := ctx.Disk
+	sp := ctx.Steps
 	for pi, pass := range p.Passes {
 		for fi, fn := range ctx.Module.Funcs {
 			if ctx.Ctx != nil && ctx.Ctx.Err() != nil {
@@ -317,11 +330,16 @@ func (p *Pipeline) Run(ctx *Context) {
 			if len(fn.Blocks) == 0 {
 				continue
 			}
-			ctx.curPass = pass.Name()
-			if ctx.DebugPassExec && ctx.Out != nil {
-				fmt.Fprintf(ctx.Out, "Executing Pass '%s' on Function '%s'...\n", pass.Name(), fn.Name)
+			if sp != nil {
+				if sp.replay(ctx, p, pi, fi) {
+					continue
+				}
+				if sp.Failed() {
+					ctx.curPass = ""
+					return
+				}
 			}
-			capture := dp != nil && dp.capturing(fi)
+			capture := sp != nil || dp != nil && dp.capturing(fi)
 			shared := ctx.Stats
 			if capture {
 				// Book this run privately so the captured artifact holds
@@ -329,21 +347,41 @@ func (p *Pipeline) Run(ctx *Context) {
 				// the shared registry preserves key insertion order.
 				ctx.Stats = NewStats()
 			}
-			start := time.Now()
-			pa := pass.Run(fn, ctx)
-			elapsed := time.Since(start)
-			fn.Compact()
-			am.Invalidate(fn, pa)
+			pa, elapsed := ctx.runStep(pass, fn)
 			if capture {
 				local := ctx.Stats
 				ctx.Stats = shared
 				shared.Merge(local)
-				dp.recordRun(fi, pi, local, !pa.PreservesAll())
+				if dp != nil {
+					dp.recordRun(fi, pi, local, !pa.PreservesAll())
+				}
+				if sp != nil {
+					sp.endLive(fi, local, !pa.PreservesAll())
+				}
 			}
 			if ctx.Timing != nil {
 				ctx.Timing.Record(pass.Name(), elapsed, !pa.PreservesAll())
 			}
 		}
 	}
+	if sp != nil {
+		sp.finish(ctx, p)
+	}
 	ctx.curPass = ""
+}
+
+// runStep executes one (pass, function) step and applies its
+// preservation set; elapsed times the pass alone.
+func (ctx *Context) runStep(pass Pass, fn *ir.Func) (pa analysis.PreservedAnalyses, elapsed time.Duration) {
+	ctx.curPass = pass.Name()
+	if ctx.DebugPassExec && ctx.Out != nil {
+		fmt.Fprintf(ctx.Out, "Executing Pass '%s' on Function '%s'...\n", pass.Name(), fn.Name)
+	}
+	start := time.Now()
+	pa = pass.Run(fn, ctx)
+	elapsed = time.Since(start)
+	fn.Compact()
+	ctx.Analyses().Invalidate(fn, pa)
+	ctx.StepsRun++
+	return pa, elapsed
 }

@@ -1,0 +1,252 @@
+package passes
+
+import (
+	"sync"
+
+	"github.com/oraql/go-oraql/internal/diskcache"
+	"github.com/oraql/go-oraql/internal/ir"
+	"github.com/oraql/go-oraql/internal/oraql"
+)
+
+// Step reuse serves the compilations of one probe campaign, which
+// differ only in their ORAQL response sequence. Each live (pass,
+// function) step records the ORAQL transcript it produced; a later
+// compilation skips a step whose transcript still fits its own
+// sequence and pair cache, because of the lineage invariant:
+//
+//	A step's output depends only on its function's body, the AA chain
+//	built from the pristine module, and the answers the step got.
+//
+// It holds because passes read only the function they run on, callee
+// effects are looked up by name (ir.CalleeEffects), and the chain's
+// module-level analyses are built per compilation from an identical
+// pristine clone. So the body a step sees is fixed by the transcripts
+// of the function's earlier steps: per function the memo is a tree
+// rooted at the pristine body whose edges are recorded steps.
+//
+// A compilation walks each function down the tree while transcripts
+// fit, applying each replayed step's effects to the responder (cursor,
+// pair cache, counters) and to the statistics. At the first step no
+// recorded transcript fits, it re-executes the function's replayed
+// steps on the untouched pristine body, answering from the transcripts
+// (oraql.Pass.Script), then runs that step and every later one live,
+// recording new edges. A function replayed to the end takes the stored
+// final body. A re-executed step that asks a different pair key than
+// its transcript breaks the invariant: the plan fails and the caller
+// compiles cold instead.
+
+// StepMemo is the step tree of one compile session, shared by its
+// concurrent compilations. Edges and final bodies are published under
+// mu and immutable afterwards.
+type StepMemo struct {
+	home *ir.Module // pristine module; stored final bodies belong to it
+
+	mu     sync.Mutex
+	roots  []*stepNode         // per function index: the pristine body
+	bodies map[string]*ir.Func // distinct final bodies by text hash
+}
+
+// stepNode is one function state: the body after a fixed history.
+// final is set on leaves once some compilation finished there.
+type stepNode struct {
+	edges []*stepEdge
+	final *ir.Func
+}
+
+// stepEdge is one recorded step: the transcript it got, its
+// statistics delta and changed flag, and the state it led to.
+type stepEdge struct {
+	tr      oraql.Transcript
+	stats   []Entry
+	changed bool
+	child   *stepNode
+}
+
+// testHookPublish, when non-nil, sees every transcript as it is
+// published; the fallback test corrupts one through it.
+var testHookPublish func(oraql.Transcript)
+
+// NewStepMemo returns an empty memo for compilations of clones of
+// pristine, which must stay unmodified while the memo is in use.
+func NewStepMemo(pristine *ir.Module) *StepMemo {
+	sm := &StepMemo{home: pristine, roots: make([]*stepNode, len(pristine.Funcs)), bodies: map[string]*ir.Func{}}
+	for i := range sm.roots {
+		sm.roots[i] = &stepNode{}
+	}
+	return sm
+}
+
+// edgesOf snapshots n's edges; published edges never change.
+func (sm *StepMemo) edgesOf(n *stepNode) []*stepEdge {
+	sm.mu.Lock()
+	defer sm.mu.Unlock()
+	return n.edges
+}
+
+// finalOf returns n's stored final body, or nil.
+func (sm *StepMemo) finalOf(n *stepNode) *ir.Func {
+	sm.mu.Lock()
+	defer sm.mu.Unlock()
+	return n.final
+}
+
+// publish adds a live step from n and returns the state it led to. A
+// concurrent compilation may have published the same step first; its
+// edge is reused so the tree never holds two copies of one history.
+func (sm *StepMemo) publish(n *stepNode, tr oraql.Transcript, stats []Entry, changed bool) *stepNode {
+	sm.mu.Lock()
+	defer sm.mu.Unlock()
+	for _, e := range n.edges {
+		if sameTranscript(e.tr, tr) {
+			return e.child
+		}
+	}
+	if testHookPublish != nil {
+		testHookPublish(tr)
+	}
+	e := &stepEdge{tr: tr, stats: stats, changed: changed, child: &stepNode{}}
+	n.edges = append(n.edges, e)
+	return e.child
+}
+
+// keepFinal stores fn's body as n's final body, one copy per distinct
+// body text, detached from the compilation's module.
+func (sm *StepMemo) keepFinal(n *stepNode, fn *ir.Func) {
+	if sm.finalOf(n) != nil {
+		return
+	}
+	key := diskcache.HashText(fn.String())
+	sm.mu.Lock()
+	defer sm.mu.Unlock()
+	if n.final != nil {
+		return
+	}
+	body := sm.bodies[key]
+	if body == nil {
+		body = fn.CloneInto(sm.home)
+		sm.bodies[key] = body
+	}
+	n.final = body
+}
+
+func sameTranscript(a, b oraql.Transcript) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Key != b[i].Key || a[i].Answer != b[i].Answer {
+			return false
+		}
+	}
+	return true
+}
+
+// StepPlan is one compilation's walk through a StepMemo. Install it as
+// Context.Steps with the compilation's ORAQL responder; Pipeline.Run
+// consults it at every (pass, function) step.
+type StepPlan struct {
+	memo *StepMemo
+	oq   *oraql.Pass
+	at   []*stepNode   // per function: current state
+	path [][]*stepEdge // per function: steps replayed since pristine
+	live []bool        // per function: the body is current; run every step
+	bad  bool
+}
+
+// Plan starts a compilation of a clone of the memo's pristine module
+// whose responder is oq.
+func (sm *StepMemo) Plan(oq *oraql.Pass) *StepPlan {
+	return &StepPlan{
+		memo: sm,
+		oq:   oq,
+		at:   append([]*stepNode(nil), sm.roots...),
+		path: make([][]*stepEdge, len(sm.roots)),
+		live: make([]bool, len(sm.roots)),
+	}
+}
+
+// Failed reports whether a re-executed step asked a different query
+// than its transcript; the compilation's result must then be discarded.
+func (sp *StepPlan) Failed() bool { return sp.bad }
+
+// replay serves step (pi, fi) from the memo when a recorded transcript
+// fits and reports whether it did. Otherwise it prepares the live run:
+// it brings the function's body up to date (re-executing its replayed
+// steps; a transcript mismatch sets Failed) and starts recording the
+// step's transcript.
+func (sp *StepPlan) replay(ctx *Context, p *Pipeline, pi, fi int) bool {
+	if sp.live[fi] {
+		sp.oq.BeginStep()
+		return false
+	}
+	for _, e := range sp.memo.edgesOf(sp.at[fi]) {
+		if !sp.oq.Fits(e.tr) {
+			continue
+		}
+		sp.oq.Replay(e.tr)
+		for _, s := range e.stats {
+			ctx.Stats.Add(s.Pass, s.Stat, s.Value)
+		}
+		if ctx.Timing != nil {
+			ctx.Timing.Record(p.Passes[pi].Name(), 0, e.changed)
+		}
+		sp.at[fi] = e.child
+		sp.path[fi] = append(sp.path[fi], e)
+		ctx.StepsReplayed++
+		return true
+	}
+	sp.bad = !sp.reexecute(ctx, p, fi)
+	sp.live[fi] = true
+	sp.path[fi] = nil
+	sp.oq.BeginStep()
+	return false
+}
+
+// reexecute runs function fi's replayed steps on its body — still the
+// pristine one, since replayed steps do not touch it — answering every
+// query from the steps' transcripts. Their accounting was replayed
+// already, so it goes to a scratch registry. It reports whether every
+// step asked exactly its recorded queries.
+func (sp *StepPlan) reexecute(ctx *Context, p *Pipeline, fi int) bool {
+	fn := ctx.Module.Funcs[fi]
+	shared := ctx.Stats
+	ctx.Stats = NewStats()
+	defer func() { ctx.Stats = shared }()
+	for pi, e := range sp.path[fi] {
+		sp.oq.Script(e.tr)
+		ctx.runStep(p.Passes[pi], fn)
+		if !sp.oq.EndScript() {
+			return false
+		}
+	}
+	return true
+}
+
+// endLive publishes the live step just run on function fi.
+func (sp *StepPlan) endLive(fi int, stats *StatsRegistry, changed bool) {
+	sp.at[fi] = sp.memo.publish(sp.at[fi], sp.oq.EndStep(), stats.Ordered(), changed)
+}
+
+// finish completes the compilation's module after the last step:
+// functions replayed to the end take the stored final body (rebuilt by
+// re-execution when no compilation stored one yet); live functions
+// offer theirs to the memo.
+func (sp *StepPlan) finish(ctx *Context, p *Pipeline) {
+	m := ctx.Module
+	for fi, fn := range m.Funcs {
+		if len(fn.Blocks) == 0 {
+			continue
+		}
+		if !sp.live[fi] {
+			if body := sp.memo.finalOf(sp.at[fi]); body != nil {
+				m.Funcs[fi] = body.CloneInto(m)
+				continue
+			}
+			if !sp.reexecute(ctx, p, fi) {
+				sp.bad = true
+				return
+			}
+		}
+		sp.memo.keepFinal(sp.at[fi], fn)
+	}
+}

@@ -1,7 +1,8 @@
 package passes
 
 import (
-	"fmt"
+	"math"
+	"strconv"
 
 	"github.com/oraql/go-oraql/internal/ir"
 )
@@ -69,13 +70,41 @@ func useCounts(fn *ir.Func) map[*ir.Instr]int {
 
 // exprKey builds a structural hash key of a pure instruction for CSE
 // and value numbering: opcode, predicate, gep constants, callee, and
-// operand identities (by VID).
+// operand identities. Non-constant operands are keyed by VID; constants
+// by type and full payload, because a constant's VID keeps only the low
+// 32 bits of its value (x+1 and x+4294967297 must not merge).
 func exprKey(in *ir.Instr) string {
-	key := fmt.Sprintf("%d|%d|%d|%d|%s", in.Op, in.Pred, in.Scale, in.Off, in.Callee)
+	b := make([]byte, 0, 48)
+	b = strconv.AppendInt(b, int64(in.Op), 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(in.Pred), 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, in.Scale, 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, in.Off, 10)
+	b = append(b, '|')
+	b = append(b, in.Callee...)
 	for _, op := range in.Operands {
-		key += fmt.Sprintf("|%d", op.VID())
+		b = append(b, '|')
+		c, ok := op.(*ir.Const)
+		if !ok {
+			b = strconv.AppendInt(b, op.VID(), 10)
+			continue
+		}
+		// The 'c' prefix keeps constant keys disjoint from VIDs.
+		b = append(b, 'c')
+		b = strconv.AppendInt(b, int64(c.Ty.Kind), 10)
+		b = append(b, ':')
+		switch {
+		case c.Str != "":
+			b = strconv.AppendQuote(b, c.Str)
+		case c.Ty == ir.F64:
+			b = strconv.AppendUint(b, math.Float64bits(c.F), 16)
+		default:
+			b = strconv.AppendInt(b, c.I, 10)
+		}
 	}
-	return key
+	return string(b)
 }
 
 // constOf returns the constant value of v if it is an integer constant.

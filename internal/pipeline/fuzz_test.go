@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -196,4 +197,56 @@ func TestDifferentialAnalysisCache(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzSessionMatchesCold compiles a progen program on one compile
+// session with the empty sequence, a fuzzed sequence and a one-answer
+// variant of it, in a fuzzed ORAQL mode; every session compile must
+// give the executable hash and ORAQL counters of a cold compile.
+func FuzzSessionMatchesCold(f *testing.F) {
+	f.Add(int64(0), []byte{0xff, 0x0f})
+	f.Add(int64(7), []byte{0x00, 0x00, 0x00})
+	f.Add(int64(42), []byte{0xaa, 0x55, 0x01})
+	f.Add(int64(123), []byte{0x3c, 0xc3})
+	f.Fuzz(func(t *testing.T, seed int64, bits []byte) {
+		if len(bits) > 64 {
+			bits = bits[:64]
+		}
+		var seq oraql.Seq
+		for i := 0; i < 8*len(bits); i++ {
+			seq = append(seq, bits[i/8]&(1<<(i%8)) != 0)
+		}
+		variant := seq.Clone()
+		if len(variant) > 0 {
+			variant[len(variant)/2] = !variant[len(variant)/2]
+		}
+		mode := oraql.ModeOptimistic
+		if len(bits) > 0 {
+			mode = oraql.Mode(bits[0] % 3)
+		}
+		p := progen.Generate(seed, progen.Options{})
+		cfg := Config{Name: "fuzz", Source: p.Source, SourceFile: p.FileName, ORAQL: &oraql.Options{Mode: mode}}
+		sess := NewSession(cfg)
+		for _, s := range []oraql.Seq{nil, seq, variant} {
+			got, err := sess.Compile(context.Background(), s)
+			if err != nil {
+				t.Fatalf("session: %v", err)
+			}
+			cold := cfg
+			opts := *cfg.ORAQL
+			opts.Seq = s
+			cold.ORAQL = &opts
+			want, err := Compile(cold)
+			if err != nil {
+				t.Fatalf("cold: %v", err)
+			}
+			if got.ExeHash() != want.ExeHash() || got.ORAQLStats() != want.ORAQLStats() {
+				t.Fatalf("seed %d mode %d seq [%s]: session %s %+v, cold %s %+v\nsource:\n%s", seed, mode, s,
+					got.ExeHash(), got.ORAQLStats(), want.ExeHash(), want.ORAQLStats(), p.Source)
+			}
+		}
+		if n := sess.Fallbacks(); n != 0 {
+			t.Fatalf("%d cold fallbacks", n)
+		}
+	})
 }

@@ -82,6 +82,14 @@ type Config struct {
 	WantContentHashes bool
 }
 
+// sourceName is the file name the frontend reports for the source.
+func (c Config) sourceName() string {
+	if c.SourceFile != "" {
+		return c.SourceFile
+	}
+	return c.Name + ".mc"
+}
+
 // aaChainSpec is the effective chain specifier: AAChain when set,
 // otherwise the legacy FullAAChain boolean mapped to its chain name.
 func (c Config) aaChainSpec() string {
@@ -133,6 +141,10 @@ type TargetStats struct {
 	// DiskHits counts functions whose optimized bodies came from the
 	// persistent cache (0 when Config.DiskCache is nil or bypassed).
 	DiskHits int
+	// StepsRun counts executed (pass, function) steps; StepsReplayed
+	// counts steps a compile session replayed from its memo instead.
+	StepsRun      int
+	StepsReplayed int
 }
 
 // CompileResult is the outcome of compiling a benchmark configuration.
@@ -158,6 +170,18 @@ func (r *CompileResult) DiskHits() int {
 		n += r.Device.DiskHits
 	}
 	return n
+}
+
+// Steps sums the executed and the replayed (pass, function) steps
+// over all targets.
+func (r *CompileResult) Steps() (run, replayed int) {
+	for _, t := range []*TargetStats{r.Host, r.Device} {
+		if t != nil {
+			run += t.StepsRun
+			replayed += t.StepsReplayed
+		}
+	}
+	return run, replayed
 }
 
 // ContentFuncHashes merges the pristine per-function content hashes of
@@ -254,7 +278,8 @@ func (r *CompileResult) AnalysisStats() []analysis.Stats {
 }
 
 // Records returns the ORAQL query records of all targets in
-// compilation order.
+// compilation order. They are complete only when no step was replayed
+// (see Steps): replayed queries keep no locations and are not listed.
 func (r *CompileResult) Records() []*oraql.QueryRecord {
 	var out []*oraql.QueryRecord
 	for _, t := range []*TargetStats{r.Host, r.Device} {
@@ -283,10 +308,7 @@ func CompileContext(ctx context.Context, cfg Config) (*CompileResult, error) {
 	if _, err := aa.ResolveChainNames(cfg.aaChainSpec()); err != nil {
 		return nil, fmt.Errorf("%s: %w", cfg.Name, err)
 	}
-	srcName := cfg.SourceFile
-	if srcName == "" {
-		srcName = cfg.Name + ".mc"
-	}
+	srcName := cfg.sourceName()
 	// Translation-unit layer: a whole-compilation hit skips the
 	// frontend, the AA chain, the pipeline, and codegen.
 	var tuKey string
@@ -306,22 +328,9 @@ func CompileContext(ctx context.Context, cfg Config) (*CompileResult, error) {
 			return nil, fmt.Errorf("%s: frontend: %w", cfg.Name, err)
 		}
 	}
-	res := &CompileResult{Program: &irinterp.Program{Host: host, Device: device}}
-
-	// The paper's multi-target behaviour: one ORAQL option set is
-	// shared by the per-target compilations, in a fixed order (host
-	// first, then device), each with its own pass instance but the
-	// same sequence.
-	var err error
-	res.Host, err = compileModule(ctx, cfg, host)
+	res, err := compileProgram(ctx, cfg, host, device, nil, nil)
 	if err != nil {
 		return nil, err
-	}
-	if device != nil {
-		res.Device, err = compileModule(ctx, cfg, device)
-		if err != nil {
-			return nil, err
-		}
 	}
 	if tuKey != "" {
 		storeTU(cfg, tuKey, res)
@@ -329,7 +338,30 @@ func CompileContext(ctx context.Context, cfg Config) (*CompileResult, error) {
 	return res, nil
 }
 
-func compileModule(cctx context.Context, cfg Config, m *ir.Module) (*TargetStats, error) {
+// compileProgram optimizes and lowers the frontend's modules; the step
+// memos are non-nil only for compile-session compilations.
+func compileProgram(ctx context.Context, cfg Config, host, device *ir.Module, hostMemo, deviceMemo *passes.StepMemo) (*CompileResult, error) {
+	res := &CompileResult{Program: &irinterp.Program{Host: host, Device: device}}
+
+	// The paper's multi-target behaviour: one ORAQL option set is
+	// shared by the per-target compilations, in a fixed order (host
+	// first, then device), each with its own pass instance but the
+	// same sequence.
+	var err error
+	res.Host, err = compileModule(ctx, cfg, host, hostMemo)
+	if err != nil {
+		return nil, err
+	}
+	if device != nil {
+		res.Device, err = compileModule(ctx, cfg, device, deviceMemo)
+		if err != nil {
+			return nil, err
+		}
+	}
+	return res, nil
+}
+
+func compileModule(cctx context.Context, cfg Config, m *ir.Module, memo *passes.StepMemo) (*TargetStats, error) {
 	pipe := passes.O3Pipeline()
 	switch cfg.OptLevel {
 	case 1:
@@ -404,11 +436,17 @@ func compileModule(cctx context.Context, cfg Config, m *ir.Module) (*TargetStats
 	if cfg.DumpOut != nil {
 		ctx.Out = cfg.DumpOut
 	}
+	if memo != nil && op != nil {
+		ctx.Steps = memo.Plan(op)
+	}
 	pipe.Run(ctx)
 	if err := cctx.Err(); err != nil {
 		// The pipeline stopped early: surface the cancellation instead
 		// of verifying (and hashing) a half-optimized module.
 		return nil, fmt.Errorf("%s: %s: %w", cfg.Name, m.Name, err)
+	}
+	if ctx.Steps != nil && ctx.Steps.Failed() {
+		return nil, errLineage
 	}
 	if err := ir.Verify(m); err != nil {
 		return nil, fmt.Errorf("%s: post-optimization verification of %s: %w", cfg.Name, m.Name, err)
@@ -418,7 +456,8 @@ func compileModule(cctx context.Context, cfg Config, m *ir.Module) (*TargetStats
 	stats.Add("register allocation", "# register spills inserted", int64(code.Spills))
 	ts := &TargetStats{Module: m, AA: mgr.Stats(), Pass: stats, ORAQL: op, Code: code,
 		Timing: ctx.Timing, Analysis: ctx.Analyses().Snapshot(),
-		ModuleHash: moduleHash, FuncHashes: funcHashes}
+		ModuleHash: moduleHash, FuncHashes: funcHashes,
+		StepsRun: ctx.StepsRun, StepsReplayed: ctx.StepsReplayed}
 	if plan != nil {
 		// Persist only now — after the pipeline ran to completion and
 		// the module verified — so partial or unverified captures are

@@ -143,3 +143,16 @@ int main() {
 		t.Logf("must-alias optimism broke the program as expected (err=%v)", gerr)
 	}
 }
+
+// TestWideConstantsStayDistinct pins the CSE keying of constants: a
+// constant's VID keeps only the low 32 bits of its value, so keying
+// expressions by operand VID alone merged x+1 with x+4294967297.
+func TestWideConstantsStayDistinct(t *testing.T) {
+	const src = `int G = 7; int main() { int x = G; int a = x + 1; int b = x + 4294967297; print(a); print(b); return 0; }`
+	for _, lvl := range []int{-1, 3} {
+		_, rr := run(t, Config{Name: "wide", Source: src, OptLevel: lvl})
+		if want := "84294967304"; rr.Stdout != want {
+			t.Errorf("OptLevel %d: stdout = %q, want %q", lvl, rr.Stdout, want)
+		}
+	}
+}

@@ -1,0 +1,134 @@
+package pipeline
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
+
+	"github.com/oraql/go-oraql/internal/aa"
+	"github.com/oraql/go-oraql/internal/ir"
+	"github.com/oraql/go-oraql/internal/minic"
+	"github.com/oraql/go-oraql/internal/oraql"
+	"github.com/oraql/go-oraql/internal/passes"
+)
+
+// errLineage reports that a re-executed step asked a different query
+// than its recorded transcript: the session's reuse is unsound for
+// this program and the compilation must be redone cold.
+var errLineage = errors.New("pipeline: step transcript mismatch")
+
+// Session compiles one configuration many times with different ORAQL
+// response sequences — the test compilations of a probe campaign. It
+// runs the frontend once and compiles each sequence from a clone of
+// the pristine modules, replaying every (pass, function) step whose
+// recorded ORAQL transcript still fits the sequence (passes/steps.go).
+// A session compilation gives the same executable hash, ORAQL counters
+// and pass statistics (-stats) as CompileContext. Its AA-query,
+// analysis-cache and timing counters cover only the steps it ran, and
+// its query records are complete only when it replayed no step, which
+// always holds for a session's first compilation.
+//
+// Compilations that dump anything (ORAQL Dump, DebugPassExec, DumpOut)
+// are compiled cold, as are configurations without ORAQL. When a
+// re-executed step breaks the lineage invariant the compilation is
+// redone cold and counted (Fallbacks), and the session compiles cold
+// from then on.
+//
+// A Session is safe for concurrent use; its pristine modules are
+// read-only and its step memos publish under their own lock.
+type Session struct {
+	cfg Config
+
+	once       sync.Once
+	err        error
+	host       *ir.Module // pristine; cloned per compilation
+	device     *ir.Module
+	hostMemo   *passes.StepMemo
+	deviceMemo *passes.StepMemo
+
+	fallbacks atomic.Int64
+	broken    atomic.Bool
+}
+
+// NewSession returns a session for cfg, whose ORAQL options (less the
+// sequence, which each compilation supplies) stay fixed. The frontend
+// runs on the first compilation.
+func NewSession(cfg Config) *Session { return &Session{cfg: cfg} }
+
+// Fallbacks counts compilations redone cold after a transcript
+// mismatch.
+func (s *Session) Fallbacks() int { return int(s.fallbacks.Load()) }
+
+// reusable reports whether the configuration may reuse steps at all.
+func (s *Session) reusable() bool {
+	c := s.cfg
+	return c.ORAQL != nil && !c.ORAQL.Dump.Any() && !c.DebugPassExec && c.DumpOut == nil
+}
+
+// Compile compiles the session's configuration with response sequence
+// seq.
+func (s *Session) Compile(ctx context.Context, seq oraql.Seq) (*CompileResult, error) {
+	cfg := s.cfg
+	if cfg.ORAQL != nil {
+		opts := *cfg.ORAQL
+		opts.Seq = seq
+		cfg.ORAQL = &opts
+	}
+	if !s.reusable() {
+		return CompileContext(ctx, cfg)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	s.once.Do(s.start)
+	if s.err != nil {
+		return nil, s.err
+	}
+	if !s.broken.Load() {
+		host, device := s.clone()
+		res, err := compileProgram(ctx, cfg, host, device, s.hostMemo, s.deviceMemo)
+		if !errors.Is(err, errLineage) {
+			return res, err
+		}
+		s.broken.Store(true)
+		s.fallbacks.Add(1)
+	}
+	return CompileContext(ctx, cfg)
+}
+
+// start runs the frontend (or copies the pre-built module) and sets up
+// one step memo per target.
+func (s *Session) start() {
+	cfg := s.cfg
+	if _, err := aa.ResolveChainNames(cfg.aaChainSpec()); err != nil {
+		s.err = fmt.Errorf("%s: %w", cfg.Name, err)
+		return
+	}
+	if cfg.Module != nil {
+		// The caller owns the module; keep a pristine copy of our own.
+		s.host = cfg.Module.Clone()
+	} else {
+		var err error
+		s.host, s.device, err = minic.Compile(cfg.sourceName(), cfg.Source, cfg.Frontend)
+		if err != nil {
+			s.err = fmt.Errorf("%s: frontend: %w", cfg.Name, err)
+			return
+		}
+	}
+	s.hostMemo = passes.NewStepMemo(s.host)
+	if s.device != nil {
+		s.deviceMemo = passes.NewStepMemo(s.device)
+	}
+}
+
+// clone copies the pristine program; the device half keeps sharing
+// the host half's globals, as the frontend's output does.
+func (s *Session) clone() (host, device *ir.Module) {
+	host = s.host.Clone()
+	if s.device != nil {
+		device = s.device.CloneSharing(host)
+	}
+	return host, device
+}

@@ -1,0 +1,325 @@
+package pipeline_test
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"strings"
+	"sync"
+	"testing"
+
+	"github.com/oraql/go-oraql/internal/apps"
+	"github.com/oraql/go-oraql/internal/driver"
+	"github.com/oraql/go-oraql/internal/ir"
+	"github.com/oraql/go-oraql/internal/irinterp"
+	"github.com/oraql/go-oraql/internal/minic"
+	"github.com/oraql/go-oraql/internal/oraql"
+	"github.com/oraql/go-oraql/internal/pipeline"
+	"github.com/oraql/go-oraql/internal/progen"
+)
+
+// seqRecorder is a chunked strategy that records every sequence the
+// decision loop consumes.
+type seqRecorder struct{ seqs []oraql.Seq }
+
+func (r *seqRecorder) Name() string { return driver.Chunked.Name() }
+
+func (r *seqRecorder) Solve(p driver.Prober, n int) (oraql.Seq, error) {
+	return driver.Chunked.Solve(recordingProber{p, r}, n)
+}
+
+type recordingProber struct {
+	driver.Prober
+	rec *seqRecorder
+}
+
+func (p recordingProber) Test(seq oraql.Seq, specs ...oraql.Seq) (bool, error) {
+	p.rec.seqs = append(p.rec.seqs, seq.Clone())
+	return p.Prober.Test(seq, specs...)
+}
+
+// campaignSeqs returns the sequences a sequential chunked campaign of
+// the configuration consumes, the empty sequence first.
+func campaignSeqs(t *testing.T, c *apps.Config) []oraql.Seq {
+	t.Helper()
+	rec := &seqRecorder{}
+	spec := c.Spec()
+	spec.Strategy = rec
+	spec.Workers = 1
+	res, err := driver.Probe(spec)
+	if err != nil {
+		t.Fatalf("%s: probe: %v", c.ID, err)
+	}
+	return append([]oraql.Seq{nil}, append(rec.seqs, res.FinalSeq)...)
+}
+
+// randomSeqs draws n sequences: half mutate a campaign sequence in a
+// few positions (so histories diverge mid-pipeline), half are fresh.
+func randomSeqs(rng *rand.Rand, base []oraql.Seq, n int) []oraql.Seq {
+	maxLen := 8
+	for _, s := range base {
+		maxLen = max(maxLen, len(s)+8)
+	}
+	out := make([]oraql.Seq, n)
+	for i := range out {
+		if i%2 == 0 && len(base) > 1 {
+			s := base[1+rng.Intn(len(base)-1)].Clone()
+			for k := 0; k < 1+rng.Intn(3) && len(s) > 0; k++ {
+				j := rng.Intn(len(s))
+				s[j] = !s[j]
+			}
+			out[i] = s
+			continue
+		}
+		s := make(oraql.Seq, rng.Intn(maxLen))
+		for j := range s {
+			s[j] = rng.Intn(10) < 7
+		}
+		out[i] = s
+	}
+	return out
+}
+
+// checkSession compiles every sequence cold and, from workers
+// concurrent callers, on one shared session, and compares the
+// executable hashes, ORAQL counters and pass statistics.
+func checkSession(t *testing.T, name string, cfg pipeline.Config, seqs []oraql.Seq, workers int) (replayed int) {
+	t.Helper()
+	type outcome struct {
+		hash  string
+		stats oraql.Stats
+		pass  string // -stats counters, in insertion order
+		err   error
+	}
+	compile := func(seq oraql.Seq, sess *pipeline.Session) (o outcome, replayed int) {
+		var cr *pipeline.CompileResult
+		if sess != nil {
+			cr, o.err = sess.Compile(context.Background(), seq)
+		} else {
+			c := cfg
+			opts := *c.ORAQL
+			opts.Seq = seq
+			c.ORAQL = &opts
+			cr, o.err = pipeline.CompileContext(context.Background(), c)
+		}
+		if o.err == nil {
+			o.hash, o.stats = cr.ExeHash(), cr.ORAQLStats()
+			for _, ts := range []*pipeline.TargetStats{cr.Host, cr.Device} {
+				if ts != nil {
+					o.pass += fmt.Sprint(ts.Pass.Ordered())
+				}
+			}
+			_, replayed = cr.Steps()
+		}
+		return o, replayed
+	}
+	want := make([]outcome, len(seqs))
+	for i, s := range seqs {
+		want[i], _ = compile(s, nil)
+	}
+	sess := pipeline.NewSession(cfg)
+	got := make([]outcome, len(seqs))
+	// The first compilation runs alone: it is the fully live one.
+	got[0], _ = compile(seqs[0], sess)
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	next := 1
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				mu.Lock()
+				i := next
+				next++
+				mu.Unlock()
+				if i >= len(seqs) {
+					return
+				}
+				o, r := compile(seqs[i], sess)
+				mu.Lock()
+				got[i] = o
+				replayed += r
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range seqs {
+		if (got[i].err != nil) != (want[i].err != nil) {
+			t.Errorf("%s seq %d [%s]: session err %v, cold err %v", name, i, seqs[i], got[i].err, want[i].err)
+			continue
+		}
+		if got[i].hash != want[i].hash || got[i].stats != want[i].stats {
+			t.Errorf("%s seq %d [%s]: session %s %+v, cold %s %+v", name, i, seqs[i],
+				got[i].hash, got[i].stats, want[i].hash, want[i].stats)
+		}
+		if got[i].pass != want[i].pass {
+			t.Errorf("%s seq %d [%s]: pass statistics differ:\nsession %s\ncold    %s", name, i, seqs[i], got[i].pass, want[i].pass)
+		}
+	}
+	if n := sess.Fallbacks(); n != 0 {
+		t.Errorf("%s: %d cold fallbacks, want 0", name, n)
+	}
+	return replayed
+}
+
+// TestSessionMatchesCold: for every configuration, in every ORAQL
+// mode, the sequences a chunked campaign consumes plus 20 seeded
+// random ones compile on one shared session — from concurrent callers
+// — to the executable hash, ORAQL counters and pass statistics of a
+// cold compilation.
+func TestSessionMatchesCold(t *testing.T) {
+	modes := []oraql.Mode{oraql.ModeOptimistic, oraql.ModeBlocking, oraql.ModeOptimisticMust}
+	total := 0
+	for ci, c := range apps.All() {
+		c := c
+		seqs := campaignSeqs(t, c)
+		seqs = append(seqs, randomSeqs(rand.New(rand.NewSource(int64(ci))), seqs, 20)...)
+		for _, mode := range modes {
+			spec := c.Spec()
+			cfg := spec.Compile
+			cfg.Name = spec.Name
+			opts := spec.ORAQL
+			opts.Mode = mode
+			cfg.ORAQL = &opts
+			total += checkSession(t, fmt.Sprintf("%s/mode%d", c.ID, mode), cfg, seqs, 4)
+		}
+	}
+	if total == 0 {
+		t.Fatal("no step was replayed anywhere: the session never reused work")
+	}
+}
+
+// TestSessionRunsLikeCold runs what a session compiles — fully live,
+// then fully replayed from stored bodies — against the cold program
+// for every configuration: same stdout, same instruction count.
+func TestSessionRunsLikeCold(t *testing.T) {
+	for _, c := range apps.All() {
+		spec := c.Spec()
+		cfg := spec.Compile
+		cfg.Name = spec.Name
+		opts := spec.ORAQL
+		cfg.ORAQL = &opts
+		cold, err := pipeline.Compile(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.ID, err)
+		}
+		want, wantErr := irinterp.Run(cold.Program, spec.Run)
+		sess := pipeline.NewSession(cfg)
+		for i := 0; i < 2; i++ {
+			cr, err := sess.Compile(context.Background(), nil)
+			if err != nil {
+				t.Fatalf("%s: %v", c.ID, err)
+			}
+			got, gotErr := irinterp.Run(cr.Program, spec.Run)
+			if (gotErr != nil) != (wantErr != nil) || gotErr == nil && (got.Stdout != want.Stdout || got.Instrs != want.Instrs) {
+				t.Fatalf("%s compile %d: session run differs from cold (err %v vs %v)", c.ID, i, gotErr, wantErr)
+			}
+			if _, replayed := cr.Steps(); i == 1 && replayed == 0 {
+				t.Errorf("%s: the repeated compile replayed nothing", c.ID)
+			}
+		}
+	}
+}
+
+// cloneConfigs yields the programs the clone tests cover: every app
+// configuration and the first 100 progen programs.
+func cloneConfigs(t *testing.T) []pipeline.Config {
+	t.Helper()
+	var out []pipeline.Config
+	for _, c := range apps.All() {
+		spec := c.Spec()
+		cfg := spec.Compile
+		cfg.Name = spec.Name
+		out = append(out, cfg)
+	}
+	n := 100
+	if testing.Short() {
+		n = 25
+	}
+	for seed := 0; seed < n; seed++ {
+		p := progen.Generate(int64(seed), progen.Options{})
+		out = append(out, pipeline.Config{Name: fmt.Sprintf("progen%d", seed), Source: p.Source, SourceFile: p.FileName})
+	}
+	return out
+}
+
+// vids lists every value identity of a module in a fixed order, with
+// each function's next-ID counters.
+func vids(m *ir.Module) string {
+	var sb strings.Builder
+	for _, g := range m.Globals {
+		fmt.Fprintf(&sb, "g%d ", g.VID())
+	}
+	for _, f := range m.Funcs {
+		fmt.Fprintf(&sb, "\nf%d %s next=%d/%d:", f.ID, f.Name, f.NextInstrID(), f.NextBlockID())
+		for _, a := range f.Params {
+			fmt.Fprintf(&sb, " a%d", a.VID())
+		}
+		for _, b := range f.Blocks {
+			fmt.Fprintf(&sb, " b%d", b.ID)
+			for _, in := range b.Instrs {
+				fmt.Fprintf(&sb, " %d", in.VID())
+			}
+		}
+	}
+	return sb.String()
+}
+
+// TestModuleClone: a clone prints like the original, keeps every VID
+// and next-ID counter, compiles without touching the original, and
+// compiles to the executable of a fresh frontend run — host and device.
+func TestModuleClone(t *testing.T) {
+	for _, cfg := range cloneConfigs(t) {
+		host, device, err := minic.Compile(cfg.SourceFile, cfg.Source, cfg.Frontend)
+		if err != nil {
+			t.Fatalf("%s: frontend: %v", cfg.Name, err)
+		}
+		fresh, err := pipeline.Compile(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", cfg.Name, err)
+		}
+		targets := []*pipeline.TargetStats{fresh.Host, fresh.Device}
+		for i, m := range []*ir.Module{host, device} {
+			if m == nil {
+				continue
+			}
+			text := m.String()
+			cl := m.Clone()
+			if cl.String() != text {
+				t.Fatalf("%s/%s: clone prints differently", cfg.Name, m.Target)
+			}
+			if vids(cl) != vids(m) {
+				t.Fatalf("%s/%s: clone changed value identities", cfg.Name, m.Target)
+			}
+			if m == device {
+				// The device half shares the host half's globals by
+				// identity; a program clone must keep exactly that.
+				hostCl := host.Clone()
+				devCl := device.CloneSharing(hostCl)
+				for i, g := range device.Globals {
+					for j, h := range host.Globals {
+						if (g == h) != (devCl.Globals[i] == hostCl.Globals[j]) {
+							t.Fatalf("%s: device global %s: sharing with host global %s not preserved", cfg.Name, g.Name, h.Name)
+						}
+					}
+				}
+			}
+			// Optimize the clone in place; the original must not move,
+			// and the clone must lower to the fresh frontend's code.
+			c := cfg
+			c.Module = cl
+			cr, err := pipeline.Compile(c)
+			if err != nil {
+				t.Fatalf("%s/%s: compiling the clone: %v", cfg.Name, m.Target, err)
+			}
+			if m.String() != text {
+				t.Fatalf("%s/%s: compiling the clone changed the original", cfg.Name, m.Target)
+			}
+			if got, want := cr.Host.Code.HashString(), targets[i].Code.HashString(); got != want {
+				t.Errorf("%s/%s: the clone compiles to %s, a fresh frontend to %s", cfg.Name, m.Target, got, want)
+			}
+		}
+	}
+}
