@@ -169,6 +169,9 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	}
 	fmt.Fprintf(stderr, "exe hash: %s\n", cr.ExeHash())
 	if cache != nil {
+		// Function hits counts the functions a translation-unit
+		// artifact served: all of them on a warm run, none on a cold
+		// run or when ORAQL or -debug-pass bypasses the cache.
 		c := cache.Counters()
 		fmt.Fprintf(stderr, "disk cache: %d function hits, %d store hits / %d misses, %d puts\n",
 			cr.DiskHits(), c.Hits, c.Misses, c.Puts)

@@ -87,8 +87,8 @@ func TestWantsJSON(t *testing.T) {
 		{[]string{"--json"}, true},
 		{[]string{"-json=out.json"}, true},
 		{[]string{"--json=-"}, true},
-		{[]string{"json"}, false},             // bare positional, not a flag
-		{[]string{"-jsonish"}, false},         // prefix but not the flag
+		{[]string{"json"}, false},     // bare positional, not a flag
+		{[]string{"-jsonish"}, false}, // prefix but not the flag
 		{[]string{"-v", "-json", "x"}, true},
 	}
 	for _, tc := range cases {

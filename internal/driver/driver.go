@@ -56,7 +56,7 @@ type BenchSpec struct {
 	// function content hashes (a campaign on an edited program seeds
 	// its bisection from the unchanged functions' history — see
 	// persist.go). The store is also installed as the pipeline's
-	// compile cache for the non-ORAQL baseline/final compilations.
+	// compile cache for the non-ORAQL baseline compilation.
 	Cache *diskcache.Store
 	// Log receives progress lines when non-nil.
 	Log io.Writer
@@ -229,14 +229,12 @@ func (st *state) probe() (*Result, error) {
 	if err := spec.Verify.Compile(); err != nil {
 		return nil, fmt.Errorf("driver: verify spec: %w", err)
 	}
-	if spec.Cache != nil {
-		// The shared store serves the compile cache for the non-ORAQL
-		// baseline/final compilations; content hashes identify the
-		// campaign and key the per-function verdict history.
-		if spec.Compile.DiskCache == nil {
-			spec.Compile.DiskCache = spec.Cache
-		}
-		spec.Compile.WantContentHashes = true
+	// The shared store serves the compile cache for the non-ORAQL
+	// baseline compilation, which therefore carries the content hashes
+	// that identify the campaign and key the per-function verdict
+	// history.
+	if spec.Cache != nil && spec.Compile.DiskCache == nil {
+		spec.Compile.DiskCache = spec.Cache
 	}
 
 	// Step 1: baseline compile and run without ORAQL.
@@ -288,9 +286,9 @@ func (st *state) probe() (*Result, error) {
 		n := st.maxSeen
 		st.padLen = 2*n + 64
 		var decided oraql.Seq
-		// The disk-seeded round-0 path pins persisted verdicts and
-		// bisects only unknowns; it refines the chunked recursion, so it
-		// applies only when the chunked strategy is in charge.
+		// The disk-seeded round-0 path tests the candidate the persisted
+		// verdicts hint at before the chunked recursion, so it applies
+		// only when the chunked strategy is in charge.
 		if round == 0 && st.pins != nil && strat == Chunked {
 			decided, err = st.seededSolve(n)
 		} else {

@@ -23,11 +23,11 @@ import (
 //     occurrence index — deliberately not the sequence position, which
 //     shifts with edits). Functions untouched by an edit keep their
 //     hash, so their verdicts transfer and seed the next bisection:
-//     known-guilty queries are pinned pessimistic, known-safe ones
-//     optimistic, and only the genuinely unknown positions are
-//     bisected. Verdicts are hints — the final sequence is always
-//     re-verified — so a stale hint costs extra tests, never
-//     soundness.
+//     one test of the hinted candidate (known-guilty queries
+//     pessimistic, the rest optimistic) settles a small edit, and a
+//     failed hint falls back to the plain chunked recursion. Verdicts
+//     are hints — the final sequence is always re-verified — so a
+//     stale hint costs one extra test, never soundness.
 
 // campaignKeys derives the two persistence identities after the
 // baseline compilation (which carries the content hashes).
@@ -219,37 +219,18 @@ func (st *state) PFail(lo, hi int) float64 {
 	return 1 - allOK
 }
 
-// seededSolve is the chunked recursion with persisted verdicts applied: pinned
-// bits are fixed up front, the hinted candidate (pins applied, unknown
-// positions optimistic) is tested first — the common case for a small
-// edit, resolving the whole round in one test — and on failure only
-// the unknown positions are bisected. Wrong pins surface at the
-// round's final verification, which falls back to an unseeded round.
+// seededSolve is the chunked recursion with persisted verdicts as a
+// hint: the hinted candidate (known-guilty queries pessimistic, every
+// other position optimistic) is tested first — the common case for a
+// small edit, resolving the whole round in one test. The pins are
+// mapped onto the fully optimistic compile's query stream, whose
+// indices shift after the first pessimistic answer, so a failed hint
+// says nothing reliable about any single position: the round then
+// bisects all n positions with the plain chunked recursion.
 func (st *state) seededSolve(n int) (oraql.Seq, error) {
-	decided := make(oraql.Seq, n)
-	var unknown []int
-	pinned := 0
-	for i := 0; i < n; i++ {
-		var p int8
-		if i < len(st.pins) {
-			p = st.pins[i]
-		}
-		switch {
-		case p > 0:
-			decided[i] = true
-			pinned++
-		case p < 0:
-			pinned++
-		default:
-			unknown = append(unknown, i)
-		}
-	}
-	if pinned == 0 {
-		return Chunked.Solve(st, n)
-	}
-	cand := decided.Clone()
-	for _, i := range unknown {
-		cand[i] = true
+	cand := make(oraql.Seq, n)
+	for i := range cand {
+		cand[i] = i >= len(st.pins) || st.pins[i] >= 0
 	}
 	ok, err := st.test(st.pad(cand, st.padLen))
 	if err != nil {
@@ -258,77 +239,6 @@ func (st *state) seededSolve(n int) (oraql.Seq, error) {
 	if ok {
 		return cand, nil
 	}
-	st.logf("%s: hinted candidate failed; bisecting %d unknown queries", st.spec.Name, len(unknown))
-	if err := st.solveIndices(decided, unknown); err != nil {
-		return nil, err
-	}
-	return decided, nil
-}
-
-// solveIndices runs the chunked recursion over an arbitrary index
-// subset, holding every other decided bit fixed.
-func (st *state) solveIndices(decided oraql.Seq, idx []int) error {
-	var solve func(lo, hi int, knownBad bool) (bool, error)
-	solve = func(lo, hi int, knownBad bool) (bool, error) {
-		if lo >= hi {
-			return true, nil
-		}
-		if !knownBad {
-			cand := decided.Clone()
-			for _, i := range idx[lo:hi] {
-				cand[i] = true
-			}
-			ok, err := st.test(st.pad(cand, st.padLen), st.indexSpecs(decided, idx, lo, hi)...)
-			if err != nil {
-				return false, err
-			}
-			if ok {
-				for _, i := range idx[lo:hi] {
-					decided[i] = true
-				}
-				return true, nil
-			}
-		}
-		if hi-lo == 1 {
-			decided[idx[lo]] = false
-			st.logf("%s: query %d must stay pessimistic", st.spec.Name, idx[lo])
-			return false, nil
-		}
-		mid := (lo + hi) / 2
-		leftAll, err := solve(lo, mid, false)
-		if err != nil {
-			return false, err
-		}
-		if _, err := solve(mid, hi, leftAll); err != nil {
-			return false, err
-		}
-		return false, nil
-	}
-	_, err := solve(0, len(idx), true)
-	return err
-}
-
-// indexSpecs mirrors chunkSpecs for the subset recursion.
-func (st *state) indexSpecs(decided oraql.Seq, idx []int, lo, hi int) []oraql.Seq {
-	if st.eng.workers <= 1 || hi-lo <= 1 {
-		return nil
-	}
-	var specs []oraql.Seq
-	for l, h := lo, hi; h-l > 1 && len(specs) < st.eng.workers-1; {
-		m := (l + h) / 2
-		cand := decided.Clone()
-		for _, i := range idx[l:m] {
-			cand[i] = true
-		}
-		specs = append(specs, st.pad(cand, st.padLen))
-		h = m
-	}
-	if mid := (lo + hi) / 2; len(specs) < st.eng.workers-1 && hi-mid >= 1 {
-		cand := decided.Clone()
-		for _, i := range idx[mid:hi] {
-			cand[i] = true
-		}
-		specs = append(specs, st.pad(cand, st.padLen))
-	}
-	return specs
+	st.logf("%s: hinted candidate failed; bisecting all %d queries", st.spec.Name, n)
+	return Chunked.Solve(st, n)
 }

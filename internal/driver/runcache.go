@@ -6,9 +6,9 @@ package driver
 // baseline/final runs are therefore persisted in the campaign store
 // and replayed across processes, which completes the seeded fast path
 // for an unchanged program — test verdicts replay from the outcome
-// history (engine.go), compilations from the translation-unit and
-// per-function layers (pipeline), and the interpreter runs from here,
-// so a re-probe pays cache I/O instead of simulated execution.
+// history (engine.go), the baseline compilation from its
+// translation-unit artifact (pipeline), and the interpreter runs from
+// here, so a re-probe pays cache I/O instead of simulated execution.
 //
 // Failed runs are never persisted: their Go error values would not
 // round-trip through the artifact, and they are not on the seeded fast

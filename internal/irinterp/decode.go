@@ -95,7 +95,7 @@ type dinstr struct {
 
 type dblock struct {
 	name string
-	phis []int32 // slots of the live phis, in block order
+	phis []int32  // slots of the live phis, in block order
 	body []dinstr // up to and including the first terminator
 }
 

@@ -80,12 +80,12 @@ entry:
 // float (never mistakable for an integer token), always exact.
 func TestFormatF64(t *testing.T) {
 	cases := map[float64]string{
-		3:      "3.0",
-		-2:     "-2.0",
-		2.5:    "2.5",
-		1e21:   "1e+21",
-		0:      "0.0",
-		0.1:    "0.1",
+		3:       "3.0",
+		-2:      "-2.0",
+		2.5:     "2.5",
+		1e21:    "1e+21",
+		0:       "0.0",
+		0.1:     "0.1",
 		1 << 60: "1.152921504606847e+18",
 	}
 	for f, want := range cases {

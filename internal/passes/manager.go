@@ -60,7 +60,7 @@ func (s *StatsRegistry) Get(pass, stat string) int64 {
 
 // Merge adds other's counters into s, preserving other's insertion
 // order for keys s has not seen. The pass manager books each captured
-// (pass, function) run into a private registry for the disk plan and
+// (pass, function) run into a private registry for the step memo and
 // merges it back, which keeps the key order (and therefore the -stats
 // output) of an uncaptured compilation.
 func (s *StatsRegistry) Merge(other *StatsRegistry) {
@@ -149,13 +149,6 @@ type Context struct {
 	// paper uses to attribute queries to passes (Fig. 3).
 	DebugPassExec bool
 	Out           io.Writer
-
-	// Disk, when non-nil, is the per-function disk-cache plan: hit
-	// functions carry cached optimized bodies (already swapped in by
-	// DiskPlan.Apply) and have their pass accounting replayed instead
-	// of executed; miss functions run normally with their accounting
-	// captured for persisting. See diskplan.go.
-	Disk *DiskPlan
 
 	// Steps, when non-nil, is a compile session's step-reuse plan: a
 	// step whose recorded ORAQL transcript still fits is replayed
@@ -313,19 +306,12 @@ func O1Pipeline() *Pipeline {
 // A step-reuse plan (ctx.Steps) stops the run early when it fails;
 // the caller checks StepPlan.Failed.
 func (p *Pipeline) Run(ctx *Context) {
-	dp := ctx.Disk
 	sp := ctx.Steps
 	for pi, pass := range p.Passes {
 		for fi, fn := range ctx.Module.Funcs {
 			if ctx.Ctx != nil && ctx.Ctx.Err() != nil {
 				ctx.curPass = ""
 				return
-			}
-			if dp != nil && dp.isHit(fi) {
-				// Body already swapped in from disk: replay this visit's
-				// accounting instead of executing the pass.
-				dp.replayRun(ctx, pi, fi, pass.Name())
-				continue
 			}
 			if len(fn.Blocks) == 0 {
 				continue
@@ -339,25 +325,19 @@ func (p *Pipeline) Run(ctx *Context) {
 					return
 				}
 			}
-			capture := sp != nil || dp != nil && dp.capturing(fi)
 			shared := ctx.Stats
-			if capture {
-				// Book this run privately so the captured artifact holds
-				// exactly this (pass, function) delta; merging back into
-				// the shared registry preserves key insertion order.
+			if sp != nil {
+				// Book this run privately so the memo holds exactly this
+				// (pass, function) delta; merging back into the shared
+				// registry preserves key insertion order.
 				ctx.Stats = NewStats()
 			}
 			pa, elapsed := ctx.runStep(pass, fn)
-			if capture {
+			if sp != nil {
 				local := ctx.Stats
 				ctx.Stats = shared
 				shared.Merge(local)
-				if dp != nil {
-					dp.recordRun(fi, pi, local, !pa.PreservesAll())
-				}
-				if sp != nil {
-					sp.endLive(fi, local, !pa.PreservesAll())
-				}
+				sp.endLive(fi, local, !pa.PreservesAll())
 			}
 			if ctx.Timing != nil {
 				ctx.Timing.Record(pass.Name(), elapsed, !pa.PreservesAll())

@@ -12,18 +12,20 @@ import (
 	"github.com/oraql/go-oraql/internal/passes"
 )
 
-// Translation-unit artifacts: the whole-compilation layer of the disk
-// cache, keyed by the source text (pre-frontend) and every
-// output-affecting configuration knob. A hit skips the frontend, AA
-// chain, pass pipeline and codegen entirely — the optimized module is
-// re-materialized from its persisted text and the deterministic
+// Translation-unit artifacts: the pipeline's only disk-cache layer,
+// keyed by the input — the source text (pre-frontend) or, for a
+// pre-built module, its printed text, in a key domain of its own — and
+// every output-affecting configuration knob. A hit skips the frontend,
+// AA chain, pass pipeline and codegen entirely — the optimized module
+// is re-materialized from its persisted text and the deterministic
 // outputs (exe hash and machine statistics, -stats counters, timing
 // rows) are replayed, byte-identical to a cold compilation.
 //
-// The per-function layer (passes.DiskPlan) remains the fallback for
-// compilations this layer cannot serve: pre-built modules (no source)
-// and edited programs, where unchanged functions still hit even
-// though the unit key changed.
+// The key covers the whole module on purpose: the AA chain holds
+// module-level analyses (Globals, Andersen, Steensgaard) that read
+// every function and global, so an edit anywhere can change the
+// optimized code of an untouched function. An edited program is
+// therefore a miss as a whole.
 //
 // Not persisted, by design: AA query counters and analysis-manager
 // cache counters. A warm compilation runs no passes, so it issues no
@@ -56,11 +58,15 @@ type tuArtifact struct {
 // served from (and persisted to) the translation-unit layer.
 func (c Config) tuCacheable() bool {
 	return c.DiskCache != nil && c.ORAQL == nil && !c.DebugPassExec &&
-		c.Module == nil && c.Source != ""
+		(c.Module != nil || c.Source != "")
 }
 
-// tuKey derives the translation-unit artifact key.
+// tuKey derives the translation-unit artifact key. A pre-built module
+// is keyed by its printed text; the frontend options do not apply.
 func (c Config) tuKey(srcName string) string {
+	if c.Module != nil {
+		return diskcache.Key("tu-ir", c.Module.String(), c.diskConfigKey())
+	}
 	fe := fmt.Sprintf("dialect=%d|model=%d|views=%t",
 		c.Frontend.Dialect, c.Frontend.Model, c.Frontend.Views)
 	return diskcache.Key("tu", srcName, c.Source, fe, c.diskConfigKey())

@@ -16,6 +16,8 @@ import (
 	"github.com/oraql/go-oraql/internal/apps"
 	"github.com/oraql/go-oraql/internal/diskcache"
 	"github.com/oraql/go-oraql/internal/irinterp"
+	"github.com/oraql/go-oraql/internal/irtext"
+	"github.com/oraql/go-oraql/internal/minic"
 	"github.com/oraql/go-oraql/internal/pipeline"
 )
 
@@ -95,6 +97,35 @@ func TestWarmFromDiskIsByteIdentical(t *testing.T) {
 			}
 			if warmRun.Instrs != coldRun.Instrs {
 				t.Errorf("warm program instruction count differs: %d vs %d", coldRun.Instrs, warmRun.Instrs)
+			}
+
+			// A pre-built module (oraql-opt prog.ir) takes the same
+			// layer, keyed by its printed text.
+			host, _, err := minic.Compile(app.SourceName, app.Source, app.Frontend)
+			if err != nil {
+				t.Fatal(err)
+			}
+			text := host.String()
+			compileIR := func(store *diskcache.Store) *pipeline.CompileResult {
+				t.Helper()
+				m, err := irtext.Parse(text)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cr, err := pipeline.Compile(pipeline.Config{Name: app.ID, Module: m, DiskCache: store})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return cr
+			}
+			irColdSnap := snapshot(t, compileIR(nil))
+			compileIR(populate)
+			irWarm := compileIR(warmStore)
+			if irWarm.DiskHits() == 0 {
+				t.Fatalf("warm IR compile hit nothing on disk")
+			}
+			if irWarmSnap := snapshot(t, irWarm); irWarmSnap != irColdSnap {
+				t.Errorf("warm IR snapshot differs from cold:\n--- cold ---\n%s\n--- warm ---\n%s", irColdSnap, irWarmSnap)
 			}
 		})
 	}

@@ -66,20 +66,16 @@ type Config struct {
 	// DebugPassExec and DumpOut mirror -debug-pass=Executions.
 	DebugPassExec bool
 	DumpOut       *bytes.Buffer
-	// DiskCache, when non-nil, consults the persistent per-function
-	// artifact store before running function passes and persists the
-	// results afterwards, making repeat compilations warm-startable
-	// across processes. Output — exe hash, IR text, -stats, timing-row
-	// order — is byte-identical warm vs cold. ORAQL-active and
-	// -debug-pass compilations bypass the cache (the responder consumes
-	// its sequence in global query order); the probe driver layers its
-	// own campaign-state persistence on the same store instead.
+	// DiskCache, when non-nil, serves the whole compilation from a
+	// persisted translation-unit artifact when one exists and persists
+	// one afterwards, making repeat compilations warm-startable across
+	// processes (diskcache.go). Output — exe hash, IR text, -stats,
+	// timing-row order — is byte-identical warm vs cold. ORAQL-active
+	// and -debug-pass compilations bypass the cache (their output
+	// depends on the response sequence or is a trace); the probe driver
+	// layers its own campaign-state persistence on the same store
+	// instead.
 	DiskCache *diskcache.Store
-	// WantContentHashes asks for ModuleHash/FuncHashes on TargetStats:
-	// sha256 identities of the pristine (pre-optimization) module and
-	// each of its functions. The probe driver keys persisted per-query
-	// verdicts by these.
-	WantContentHashes bool
 }
 
 // sourceName is the file name the frontend reports for the source.
@@ -116,7 +112,7 @@ func (c Config) AAChainCanonical() string {
 }
 
 // diskConfigKey folds every output-affecting configuration knob into
-// the per-function cache key. Transparent knobs (the AA query and
+// the translation-unit key. Transparent knobs (the AA query and
 // analysis caches, which the transparency tests prove output-neutral)
 // are deliberately excluded so their ablation modes share entries.
 func (c Config) diskConfigKey() string {
@@ -134,12 +130,16 @@ type TargetStats struct {
 	Timing *passes.Timing
 	// Analysis is the analysis manager's cache-counter snapshot.
 	Analysis []analysis.Stats
-	// ModuleHash and FuncHashes are pristine-content identities
-	// (Config.WantContentHashes); empty/nil when not requested.
+	// ModuleHash and FuncHashes are sha256 identities of the pristine
+	// (pre-optimization) module and each of its functions. They are set
+	// exactly when the compilation can be cached as a translation unit,
+	// which a persisted artifact must carry; the probe driver keys its
+	// campaign state and per-query verdicts by them. Empty/nil
+	// otherwise.
 	ModuleHash string
 	FuncHashes map[string]string
-	// DiskHits counts functions whose optimized bodies came from the
-	// persistent cache (0 when Config.DiskCache is nil or bypassed).
+	// DiskHits counts functions served by a translation-unit artifact
+	// (0 when the compilation ran).
 	DiskHits int
 	// StepsRun counts executed (pass, function) steps; StepsReplayed
 	// counts steps a compile session replayed from its memo instead.
@@ -163,7 +163,7 @@ func (r *CompileResult) ExeHash() string {
 	return h
 }
 
-// DiskHits sums the per-function disk-cache hits over all targets.
+// DiskHits sums the functions served from disk over all targets.
 func (r *CompileResult) DiskHits() int {
 	n := r.Host.DiskHits
 	if r.Device != nil {
@@ -185,7 +185,7 @@ func (r *CompileResult) Steps() (run, replayed int) {
 }
 
 // ContentFuncHashes merges the pristine per-function content hashes of
-// all targets (Config.WantContentHashes); nil when not requested.
+// all targets (TargetStats.FuncHashes); nil when none were taken.
 func (r *CompileResult) ContentFuncHashes() map[string]string {
 	if r.Host.FuncHashes == nil {
 		return nil
@@ -373,37 +373,22 @@ func compileModule(cctx context.Context, cfg Config, m *ir.Module, memo *passes.
 		pipe = &passes.Pipeline{Passes: pipe.Passes[:cfg.StopAfter]}
 	}
 
-	// Pristine-content identities and the disk-cache plan must both be
-	// taken before any pass mutates the module.
-	// Hashes are computed whenever the cache is active, not just on
-	// request: a persisted translation unit must carry them, because a
+	// Pristine-content identities must be taken before any pass mutates
+	// the module. A persisted translation unit carries them, because a
 	// warm load never sees the pristine module to recompute them.
 	var moduleHash string
 	var funcHashes map[string]string
-	if cfg.WantContentHashes || (cfg.DiskCache != nil && cfg.ORAQL == nil && !cfg.DebugPassExec) {
+	if cfg.tuCacheable() {
 		moduleHash = diskcache.HashText(m.String())
 		funcHashes = make(map[string]string, len(m.Funcs))
 		for _, fn := range m.Funcs {
 			funcHashes[fn.Name] = diskcache.HashText(fn.String())
 		}
 	}
-	var plan *passes.DiskPlan
-	if cfg.DiskCache != nil && cfg.ORAQL == nil && !cfg.DebugPassExec && len(pipe.Passes) > 0 {
-		plan = passes.PlanDisk(cfg.DiskCache, m, pipe, cfg.diskConfigKey())
-	}
 
-	// A full hit means no pass will execute, so the (potentially
-	// expensive, module-level) AA chain is never queried: skip building
-	// it. Otherwise the chain is built from the pristine module —
-	// cached bodies are swapped in only afterwards (plan.Apply), so
-	// module-level analyses see exactly what a cold compilation sees.
-	var chain []aa.Analysis
-	if plan == nil || !plan.AllHit() {
-		var err error
-		chain, err = aa.ChainByName(m, cfg.aaChainSpec())
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", cfg.Name, err)
-		}
+	chain, err := aa.ChainByName(m, cfg.aaChainSpec())
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", cfg.Name, err)
 	}
 	mgr := aa.NewManager(m, chain...)
 	if cfg.DisableAAQueryCache {
@@ -424,15 +409,11 @@ func compileModule(cctx context.Context, cfg Config, m *ir.Module, memo *passes.
 			mgr.Append(op)
 		}
 	}
-	if plan != nil {
-		plan.Apply(m)
-	}
 	stats := passes.NewStats()
 	ctx := &passes.Context{Module: m, AA: mgr, Stats: stats, Ctx: cctx,
 		Timing:               passes.NewTiming(),
 		DisableAnalysisCache: cfg.DisableAnalysisCache,
-		DebugPassExec:        cfg.DebugPassExec,
-		Disk:                 plan}
+		DebugPassExec:        cfg.DebugPassExec}
 	if cfg.DumpOut != nil {
 		ctx.Out = cfg.DumpOut
 	}
@@ -454,16 +435,8 @@ func compileModule(cctx context.Context, cfg Config, m *ir.Module, memo *passes.
 	code := codegen.Compile(m)
 	stats.Add("asm printer", "# machine instructions generated", int64(code.MachineInstrs))
 	stats.Add("register allocation", "# register spills inserted", int64(code.Spills))
-	ts := &TargetStats{Module: m, AA: mgr.Stats(), Pass: stats, ORAQL: op, Code: code,
+	return &TargetStats{Module: m, AA: mgr.Stats(), Pass: stats, ORAQL: op, Code: code,
 		Timing: ctx.Timing, Analysis: ctx.Analyses().Snapshot(),
 		ModuleHash: moduleHash, FuncHashes: funcHashes,
-		StepsRun: ctx.StepsRun, StepsReplayed: ctx.StepsReplayed}
-	if plan != nil {
-		// Persist only now — after the pipeline ran to completion and
-		// the module verified — so partial or unverified captures are
-		// never published.
-		plan.Persist(m)
-		ts.DiskHits = plan.Hits()
-	}
-	return ts, nil
+		StepsRun: ctx.StepsRun, StepsReplayed: ctx.StepsReplayed}, nil
 }

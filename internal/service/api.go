@@ -227,8 +227,8 @@ type WarehouseResponse struct {
 
 // RegistryInfo is one entry of the /v1/registry reply.
 type RegistryInfo struct {
-	Kind        string `json:"kind"`
-	Description string `json:"description"`
+	Kind        string          `json:"kind"`
+	Description string          `json:"description"`
 	Entries     []RegistryEntry `json:"entries"`
 }
 
@@ -249,11 +249,11 @@ const (
 
 // JobInfo is the wire form of an asynchronous job.
 type JobInfo struct {
-	ID      string `json:"id"`
-	Kind    string `json:"kind"` // probe | fuzz | campaign
-	State   string `json:"state"`
-	Created time.Time `json:"created"`
-	Started time.Time `json:"started,omitempty"`
+	ID       string    `json:"id"`
+	Kind     string    `json:"kind"` // probe | fuzz | campaign
+	State    string    `json:"state"`
+	Created  time.Time `json:"created"`
+	Started  time.Time `json:"started,omitempty"`
 	Finished time.Time `json:"finished,omitempty"`
 	// Error is set for failed/canceled jobs.
 	Error string `json:"error,omitempty"`
