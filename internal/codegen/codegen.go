@@ -80,9 +80,30 @@ type Result struct {
 // HashString returns the hex executable hash.
 func (r *Result) HashString() string { return fmt.Sprintf("%x", r.Hash) }
 
+// Lowered is one function's machine code: its statistics and the
+// deterministic encoding the executable hash covers. It depends only
+// on the function and the target.
+type Lowered struct {
+	Stats FuncStats
+	Enc   []byte
+}
+
+// Lower lowers one function for target ti.
+func Lower(f *ir.Func, ti TargetInfo) *Lowered {
+	fs, enc := compileFunc(f, ti)
+	return &Lowered{Stats: fs, Enc: enc}
+}
+
 // Compile lowers the module and returns machine statistics plus the
 // executable hash.
 func Compile(m *ir.Module) *Result {
+	return Assemble(m, func(_ int, f *ir.Func, ti TargetInfo) *Lowered { return Lower(f, ti) })
+}
+
+// Assemble is Compile with the functions' lowerings supplied by lower,
+// which gets each defined function with its index in m.Funcs and must
+// return what Lower would.
+func Assemble(m *ir.Module, lower func(fi int, f *ir.Func, ti TargetInfo) *Lowered) *Result {
 	ti := TargetFor(m.Target)
 	res := &Result{Target: ti}
 	h := sha256.New()
@@ -97,16 +118,16 @@ func Compile(m *ir.Module) *Result {
 			writeInt(h, int64(f2bits(v)))
 		}
 	}
-	for _, f := range m.Funcs {
+	for fi, f := range m.Funcs {
 		if len(f.Blocks) == 0 {
 			continue
 		}
-		fs, enc := compileFunc(f, ti)
-		res.Funcs = append(res.Funcs, fs)
-		res.MachineInstrs += fs.MachineInstrs
-		res.Spills += fs.Spills
+		lo := lower(fi, f, ti)
+		res.Funcs = append(res.Funcs, lo.Stats)
+		res.MachineInstrs += lo.Stats.MachineInstrs
+		res.Spills += lo.Stats.Spills
 		h.Write([]byte(f.Name))
-		h.Write(enc)
+		h.Write(lo.Enc)
 	}
 	copy(res.Hash[:], h.Sum(nil))
 	return res

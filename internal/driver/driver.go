@@ -140,17 +140,20 @@ func Probe(spec *BenchSpec) (*Result, error) {
 // ProbeContext is Probe with cancellation: ctx covers the whole
 // workflow — the sequential decision loop checks it before every
 // consumed test, speculative workers inherit it, and it is threaded
-// into every compilation (pipeline.CompileContext), so cancelling it
-// stops probing mid-pipeline, not only between tests.
+// into every compilation of the campaign's pipeline.Session, so
+// cancelling it stops probing mid-pipeline, not only between tests.
 func ProbeContext(ctx context.Context, spec *BenchSpec) (*Result, error) {
 	st := &state{ctx: ctx, spec: spec}
 	return st.probe()
 }
 
 type state struct {
-	ctx     context.Context
-	spec    *BenchSpec
-	res     *Result
+	ctx  context.Context
+	spec *BenchSpec
+	res  *Result
+	// sess compiles the whole campaign from one frontend run: the
+	// baseline and final live, the tests through its step memos.
+	sess    *pipeline.Session
 	eng     *engine
 	padLen  int // generous pessimistic padding length
 	maxSeen int // highest unique-query count observed
@@ -168,13 +171,10 @@ func (st *state) logf(format string, args ...any) {
 	}
 }
 
-// execute compiles with the given ORAQL options (nil = pass disabled)
-// and runs the program.
+// execute compiles with the given ORAQL options (nil = pass disabled),
+// every step live, and runs the program.
 func (st *state) execute(opts *oraql.Options) (*Outcome, error) {
-	cfg := st.spec.Compile
-	cfg.Name = st.spec.Name
-	cfg.ORAQL = opts
-	cr, err := pipeline.CompileContext(st.ctx, cfg)
+	cr, err := st.sess.CompileLive(st.ctx, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -236,6 +236,11 @@ func (st *state) probe() (*Result, error) {
 	if spec.Cache != nil && spec.Compile.DiskCache == nil {
 		spec.Compile.DiskCache = spec.Cache
 	}
+	cfg := spec.Compile
+	cfg.Name = spec.Name
+	opts := spec.ORAQL
+	cfg.ORAQL = &opts
+	st.sess = pipeline.NewSession(cfg)
 
 	// Step 1: baseline compile and run without ORAQL.
 	base, err := st.execute(nil)
@@ -258,7 +263,7 @@ func (st *state) probe() (*Result, error) {
 
 	// The engine is created only after the verify references are
 	// recorded: workers verify concurrently against the frozen spec.
-	st.eng = newEngine(st.ctx, spec, st.campID)
+	st.eng = newEngine(st.ctx, spec, st.campID, st.sess)
 	defer st.eng.shutdown()
 
 	// Step 2: fully optimistic attempt (empty sequence).
@@ -322,12 +327,11 @@ func (st *state) probe() (*Result, error) {
 
 // finalize recompiles with the final sequence and records results.
 func (st *state) finalize(seq oraql.Seq) (*Result, error) {
-	// Testing is over: wait out cancelled speculation, then drop the
-	// compile session so its memo is garbage during the cold final
-	// compile.
+	// Testing is over: wait out cancelled speculation, then release
+	// the session's memos so they are garbage during the final compile.
 	st.eng.shutdown()
-	st.res.ColdFallbacks = st.eng.sess.Fallbacks()
-	st.eng.sess = nil
+	st.res.ColdFallbacks = st.sess.Fallbacks()
+	st.sess.Release()
 	opts := st.spec.ORAQL
 	opts.Seq = seq
 	fin, err := st.execute(&opts)

@@ -76,8 +76,8 @@ type engine struct {
 	sem     chan struct{}
 	wg      sync.WaitGroup
 
-	// sess compiles every test: the frontend runs once per campaign and
-	// pass steps whose ORAQL transcripts still fit are replayed.
+	// sess compiles every test: pass steps whose ORAQL transcripts
+	// still fit are replayed.
 	sess *pipeline.Session
 
 	mu         sync.Mutex
@@ -106,7 +106,7 @@ type engine struct {
 	specActive atomic.Int64
 }
 
-func newEngine(ctx context.Context, spec *BenchSpec, campID string) *engine {
+func newEngine(ctx context.Context, spec *BenchSpec, campID string, sess *pipeline.Session) *engine {
 	w := spec.Workers
 	if w <= 0 {
 		w = runtime.NumCPU()
@@ -114,17 +114,13 @@ func newEngine(ctx context.Context, spec *BenchSpec, campID string) *engine {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	cfg := spec.Compile
-	cfg.Name = spec.Name
-	opts := spec.ORAQL
-	cfg.ORAQL = &opts
 	e := &engine{
 		ctx:     ctx,
 		spec:    spec,
 		workers: w,
 		campID:  campID,
 		sem:     make(chan struct{}, w),
-		sess:    pipeline.NewSession(cfg),
+		sess:    sess,
 		calls:   map[string]*testCall{},
 		exe:     map[string]*exeEntry{},
 	}

@@ -10,6 +10,13 @@ package driver
 // translation-unit artifact (pipeline), and the interpreter runs from
 // here, so a re-probe pays cache I/O instead of simulated execution.
 //
+// The executable hash alone does not identify a program: the encoding
+// leaves out a constant whose only use is a phi, so two programs that
+// differ only there lower to one hash. Run artifacts are therefore also
+// keyed by the campaign's pristine content identity, the baseline
+// compile's module hashes; a campaign without one (a -debug-pass
+// baseline is not content-hashed) runs fresh and persists nothing.
+//
 // Failed runs are never persisted: their Go error values would not
 // round-trip through the artifact, and they are not on the seeded fast
 // path — a baseline or final run that fails aborts the campaign.
@@ -23,22 +30,42 @@ import (
 	"github.com/oraql/go-oraql/internal/pipeline"
 )
 
-// runKey derives the run-artifact key from the executable identity and
-// every output-affecting run option.
-func runKey(exeHash string, opts irinterp.Options) string {
-	return diskcache.Key("run", exeHash, fmt.Sprintf(
+// runKey derives the run-artifact key from the program's pristine
+// content identity, the executable identity and every output-affecting
+// run option.
+func runKey(content, exeHash string, opts irinterp.Options) string {
+	return diskcache.Key("run", content, exeHash, fmt.Sprintf(
 		"threads=%d|ranks=%d|steps=%d|mem=%d",
 		opts.NumThreads, opts.NumRanks, opts.StepLimit, opts.MemLimit))
 }
 
+// contentID is the pristine content identity of the campaign's program:
+// the baseline compile's host and device module hashes, "" when it was
+// not content-hashed. The baseline run passes its own compile, since
+// the campaign has no baseline yet.
+func (st *state) contentID(cr *pipeline.CompileResult) string {
+	if st.res.Baseline != nil {
+		cr = st.res.Baseline.Compile
+	}
+	if cr.Host.ModuleHash == "" {
+		return ""
+	}
+	id := cr.Host.ModuleHash
+	if cr.Device != nil {
+		id += ":" + cr.Device.ModuleHash
+	}
+	return id
+}
+
 // run executes a compiled program, replaying the persisted result when
-// the campaign store already holds one for this executable. A corrupt
-// artifact degrades to a fresh run.
+// the campaign store already holds one for this program and executable.
+// A corrupt artifact degrades to a fresh run.
 func (st *state) run(cr *pipeline.CompileResult) (*irinterp.Result, error) {
-	if st.spec.Cache == nil {
+	content := st.contentID(cr)
+	if st.spec.Cache == nil || content == "" {
 		return st.runFresh(cr)
 	}
-	key := runKey(cr.ExeHash(), st.spec.Run)
+	key := runKey(content, cr.ExeHash(), st.spec.Run)
 	if data, ok := st.spec.Cache.Get(key); ok {
 		rr := &irinterp.Result{}
 		if json.Unmarshal(data, rr) == nil {

@@ -1,6 +1,10 @@
 package irinterp
 
-import "github.com/oraql/go-oraql/internal/ir"
+import (
+	"slices"
+
+	"github.com/oraql/go-oraql/internal/ir"
+)
 
 // xop is a decoded operation. Scalar arithmetic, loads and stores get
 // an op each, so the execution loop never re-inspects IR types.
@@ -76,10 +80,12 @@ type dinstr struct {
 	sub   ir.Opcode // opcode of xIntV / xFloatV
 	pred  ir.Pred
 	flt   bool // vector lanes hold f64 (xStoreV, xVExtract, xVReduce)
+	vret  bool // xRet: the returned value carries lanes
 	lanes int  // vector lane count
 	intr  intrinsic
 	cost  int64
 	dst   int32
+	vdst  int32 // lane index of dst in frame.lanes, -1 for a scalar
 	ops   []opnd
 	imm   int64 // alloca size rounded to 16, or GEP offset
 	scale int64 // GEP index scale
@@ -94,9 +100,10 @@ type dinstr struct {
 }
 
 type dblock struct {
-	name string
-	phis []int32  // slots of the live phis, in block order
-	body []dinstr // up to and including the first terminator
+	name  string
+	phis  []int32  // slots of the live phis, in block order
+	vphis bool     // some phi carries lanes
+	body  []dinstr // up to and including the first terminator
 }
 
 // dfunc is a function decoded for one machine.
@@ -108,6 +115,12 @@ type dfunc struct {
 	slots  []*ir.Instr // instruction of each slot, for messages
 	refs   []ir.Value  // operands of the trapping kinds, for messages
 	free   []*frame    // frames of finished activations, for reuse
+	// Values that carry lanes get an index into frame.lanes: laneOf per
+	// slot, argLane per parameter position (nil when no parameter is a
+	// vector); -1 marks a scalar.
+	laneOf  []int32
+	argLane []int32
+	nlanes  int
 }
 
 // frame is one function activation.
@@ -116,7 +129,8 @@ type frame struct {
 	vals     []value
 	def      []uint64 // bit per slot: the slot's instruction has run
 	args     []value
-	stackTop int64 // saved stack pointer for alloca unwinding
+	lanes    []lanes // lanes of the vector slots and parameters
+	stackTop int64   // saved stack pointer for alloca unwinding
 }
 
 func (fr *frame) set(s int32, v value) {
@@ -125,6 +139,12 @@ func (fr *frame) set(s int32, v value) {
 }
 
 func (fr *frame) defined(s int32) bool { return fr.def[s>>6]&(1<<(s&63)) != 0 }
+
+// setVec defines in's slot as a vector: zero scalar words and lanes ln.
+func (fr *frame) setVec(in *dinstr, ln *lanes) {
+	fr.set(in.dst, value{})
+	fr.lanes[in.vdst] = *ln
+}
 
 // acquire returns a frame with no slot defined.
 func (df *dfunc) acquire() *frame {
@@ -135,9 +155,10 @@ func (df *dfunc) acquire() *frame {
 		return fr
 	}
 	return &frame{
-		fn:   df,
-		vals: make([]value, len(df.slots)),
-		def:  make([]uint64, (len(df.slots)+63)/64),
+		fn:    df,
+		vals:  make([]value, len(df.slots)),
+		def:   make([]uint64, (len(df.slots)+63)/64),
+		lanes: make([]lanes, df.nlanes),
 	}
 }
 
@@ -183,21 +204,31 @@ func (m *machine) decode(fn *ir.Func) *dfunc {
 			}
 		}
 	}
+	df := d.df
 	for _, b := range order {
 		for _, in := range b.Instrs {
 			if !in.Dead() {
-				d.slots[in] = int32(len(d.df.slots))
-				d.df.slots = append(d.df.slots, in)
+				d.slots[in] = int32(len(df.slots))
+				df.slots = append(df.slots, in)
+				df.laneOf = append(df.laneOf, df.newLane(carriesLanes(in)))
 			}
 		}
 	}
-	d.df.blocks = make([]dblock, len(order))
+	isVec := func(p *ir.Arg) bool { return p.Ty.Kind == ir.KVec }
+	if slices.ContainsFunc(fn.Params, isVec) {
+		df.argLane = make([]int32, len(fn.Params))
+		for k, p := range fn.Params {
+			df.argLane[k] = df.newLane(isVec(p))
+		}
+	}
+	df.blocks = make([]dblock, len(order))
 	for i, b := range order {
-		db := &d.df.blocks[i]
+		db := &df.blocks[i]
 		db.name = b.Name
 		for _, in := range b.Instrs {
 			if !in.Dead() && in.Op == ir.OpPhi {
 				db.phis = append(db.phis, d.slots[in])
+				db.vphis = db.vphis || df.laneOf[d.slots[in]] >= 0
 			}
 		}
 		for _, in := range b.Instrs {
@@ -232,6 +263,44 @@ func (d *decoder) moves(from, to *ir.Block) []opnd {
 		out = append(out, src)
 	}
 	return out
+}
+
+// carriesLanes reports whether in's value is a vector with lanes of its
+// own: the result of a vector operation, or a vector-typed phi, select
+// or user call. Any other value reads as zero lanes.
+func carriesLanes(in *ir.Instr) bool {
+	switch in.Op {
+	case ir.OpVSplat, ir.OpVInsert:
+		return true
+	case ir.OpLoad, ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpSDiv, ir.OpSRem,
+		ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpAShr,
+		ir.OpFAdd, ir.OpFSub, ir.OpFMul, ir.OpFDiv,
+		ir.OpSIToFP, ir.OpFPToSI, ir.OpPhi, ir.OpSelect:
+		return in.Ty.Kind == ir.KVec
+	case ir.OpCall:
+		return in.Ty.Kind == ir.KVec && !ir.IsIntrinsic(in.Callee)
+	}
+	return false
+}
+
+// newLane assigns the next lane index when vec holds, else -1.
+func (df *dfunc) newLane(vec bool) int32 {
+	if !vec {
+		return -1
+	}
+	df.nlanes++
+	return int32(df.nlanes - 1)
+}
+
+// operandLanes reports whether operand o carries lanes.
+func (df *dfunc) operandLanes(o opnd) bool {
+	switch o.kind {
+	case oSlot:
+		return df.laneOf[o.idx] >= 0
+	case oArg:
+		return int(o.idx) < len(df.argLane) && df.argLane[o.idx] >= 0
+	}
+	return false
 }
 
 func (d *decoder) ref(kind okind, v ir.Value) opnd {
@@ -285,7 +354,7 @@ func vecOp(ty *ir.Type, scalar, vector xop) (xop, int) {
 }
 
 func (d *decoder) instr(b *ir.Block, in *ir.Instr) dinstr {
-	x := dinstr{in: in, cost: cost(in), dst: d.slots[in], pred: in.Pred}
+	x := dinstr{in: in, cost: cost(in), dst: d.slots[in], vdst: d.df.laneOf[d.slots[in]], pred: in.Pred}
 	x.ops = make([]opnd, len(in.Operands))
 	for i, v := range in.Operands {
 		x.ops[i] = d.operand(v)
@@ -357,6 +426,7 @@ func (d *decoder) instr(b *ir.Block, in *ir.Instr) dinstr {
 		}
 	case ir.OpRet:
 		x.op = xRet
+		x.vret = len(x.ops) > 0 && d.df.operandLanes(x.ops[0])
 	}
 	return x
 }

@@ -6,10 +6,15 @@ import (
 	"github.com/oraql/go-oraql/internal/ir"
 )
 
-// callFunc runs fn with args and returns its return value.
+// callFunc runs fn with scalar args and returns its return value.
 func (m *machine) callFunc(fn *ir.Func, args ...value) value {
 	fr := m.decoded(fn).acquire()
 	fr.args = append(fr.args[:0], args...)
+	for _, l := range fr.fn.argLane {
+		if l >= 0 {
+			fr.lanes[l] = noLanes
+		}
+	}
 	return m.invoke(fr)
 }
 
@@ -44,8 +49,13 @@ outer:
 				blk, moves = &df.blocks[in.succs[k]], in.moves[k]
 				continue outer
 			case xRet:
+				m.retVec = in.vret
 				if len(in.ops) > 0 {
-					return *m.ref(fr, in.ops[0])
+					v := *m.ref(fr, in.ops[0])
+					if in.vret {
+						m.retLanes = *m.vec(fr, in.ops[0])
+					}
+					return v
 				}
 				return value{}
 
@@ -64,13 +74,13 @@ outer:
 				fr.set(in.dst, fv(math.Float64frombits(m.load64(m.evalI(fr, in.ops[0])))))
 			case xLoadV:
 				addr := m.evalI(fr, in.ops[0])
-				var out value
+				var out lanes
 				for l := 0; l < in.lanes; l++ {
 					bits := m.load64(addr + int64(8*l))
 					out.vi[l] = int64(bits)
 					out.vf[l] = math.Float64frombits(bits)
 				}
-				fr.set(in.dst, out)
+				fr.setVec(in, &out)
 			case xStore:
 				val := m.evalI(fr, in.ops[0])
 				m.store64(m.evalI(fr, in.ops[1]), uint64(val))
@@ -78,7 +88,7 @@ outer:
 				val := m.evalF(fr, in.ops[0])
 				m.store64(m.evalI(fr, in.ops[1]), math.Float64bits(val))
 			case xStoreV:
-				val := *m.ref(fr, in.ops[0])
+				val := *m.vec(fr, in.ops[0])
 				addr := m.evalI(fr, in.ops[1])
 				for l := 0; l < in.lanes; l++ {
 					if in.flt {
@@ -123,12 +133,12 @@ outer:
 				x, y := m.evalI(fr, in.ops[0]), m.evalI(fr, in.ops[1])
 				fr.set(in.dst, iv(m.intOp(in.sub, x, y)))
 			case xIntV:
-				x, y := m.ref(fr, in.ops[0]).vi, m.ref(fr, in.ops[1]).vi
-				var out value
+				x, y := m.vec(fr, in.ops[0]).vi, m.vec(fr, in.ops[1]).vi
+				var out lanes
 				for l := 0; l < in.lanes; l++ {
 					out.vi[l] = m.intOp(in.sub, x[l], y[l])
 				}
-				fr.set(in.dst, out)
+				fr.setVec(in, &out)
 			case xFAdd:
 				fr.set(in.dst, fv(m.evalF(fr, in.ops[0])+m.evalF(fr, in.ops[1])))
 			case xFSub:
@@ -138,31 +148,31 @@ outer:
 			case xFDiv:
 				fr.set(in.dst, fv(m.evalF(fr, in.ops[0])/m.evalF(fr, in.ops[1])))
 			case xFloatV:
-				x, y := m.ref(fr, in.ops[0]).vf, m.ref(fr, in.ops[1]).vf
-				var out value
+				x, y := m.vec(fr, in.ops[0]).vf, m.vec(fr, in.ops[1]).vf
+				var out lanes
 				for l := 0; l < in.lanes; l++ {
 					out.vf[l] = floatOp(in.sub, x[l], y[l])
 				}
-				fr.set(in.dst, out)
+				fr.setVec(in, &out)
 
 			case xSIToFP:
 				fr.set(in.dst, fv(float64(m.evalI(fr, in.ops[0]))))
 			case xSIToFPV:
-				x := m.ref(fr, in.ops[0]).vi
-				var out value
+				x := m.vec(fr, in.ops[0]).vi
+				var out lanes
 				for l := 0; l < in.lanes; l++ {
 					out.vf[l] = float64(x[l])
 				}
-				fr.set(in.dst, out)
+				fr.setVec(in, &out)
 			case xFPToSI:
 				fr.set(in.dst, iv(int64(m.evalF(fr, in.ops[0]))))
 			case xFPToSIV:
-				x := m.ref(fr, in.ops[0]).vf
-				var out value
+				x := m.vec(fr, in.ops[0]).vf
+				var out lanes
 				for l := 0; l < in.lanes; l++ {
 					out.vi[l] = int64(x[l])
 				}
-				fr.set(in.dst, out)
+				fr.setVec(in, &out)
 
 			case xICmp:
 				x, y := m.evalI(fr, in.ops[0]), m.evalI(fr, in.ops[1])
@@ -176,17 +186,20 @@ outer:
 					pick = 1
 				}
 				fr.set(in.dst, *m.ref(fr, in.ops[pick]))
+				if in.vdst >= 0 {
+					fr.lanes[in.vdst] = *m.vec(fr, in.ops[pick])
+				}
 
 			case xVSplat:
 				x := m.ref(fr, in.ops[0])
-				var out value
+				var out lanes
 				for l := 0; l < in.lanes; l++ {
 					out.vi[l] = x.i
 					out.vf[l] = x.f
 				}
-				fr.set(in.dst, out)
+				fr.setVec(in, &out)
 			case xVExtract:
-				x := m.ref(fr, in.ops[0])
+				x := m.vec(fr, in.ops[0])
 				lane := m.evalI(fr, in.ops[1])
 				if lane < 0 || int(lane) >= in.lanes {
 					m.trap("vector lane %d out of range", lane)
@@ -198,16 +211,18 @@ outer:
 				}
 			case xVInsert:
 				x := *m.ref(fr, in.ops[0])
+				out := *m.vec(fr, in.ops[0])
 				s := m.ref(fr, in.ops[1])
 				lane := m.evalI(fr, in.ops[2])
 				if lane < 0 || int(lane) >= in.lanes {
 					m.trap("vector lane %d out of range", lane)
 				}
-				x.vi[lane] = s.i
-				x.vf[lane] = s.f
+				out.vi[lane] = s.i
+				out.vf[lane] = s.f
 				fr.set(in.dst, x)
+				fr.lanes[in.vdst] = out
 			case xVReduce:
-				x := m.ref(fr, in.ops[0])
+				x := m.vec(fr, in.ops[0])
 				if in.flt {
 					var sum float64
 					for l := 0; l < in.lanes; l++ {
@@ -228,7 +243,19 @@ outer:
 				for _, o := range in.ops {
 					cf.args = append(cf.args, *m.ref(fr, o))
 				}
+				for k, l := range cf.fn.argLane {
+					if l >= 0 && k < len(in.ops) {
+						cf.lanes[l] = *m.vec(fr, in.ops[k])
+					}
+				}
 				fr.set(in.dst, m.invoke(cf))
+				if in.vdst >= 0 {
+					ret := &noLanes
+					if m.retVec {
+						ret = &m.retLanes
+					}
+					fr.lanes[in.vdst] = *ret
+				}
 			case xIntrinsic:
 				fr.set(in.dst, m.intrinsic(fr, in))
 
@@ -251,8 +278,33 @@ func (m *machine) phis(fr *frame, blk *dblock, moves []opnd) {
 		tmp = append(tmp, *m.ref(fr, src))
 	}
 	m.phiTmp = tmp
+	if blk.vphis {
+		m.vecPhis(fr, blk, moves)
+		return
+	}
 	for j, s := range blk.phis {
 		fr.set(s, tmp[j])
+		m.tick(0)
+	}
+}
+
+// vecPhis is the rest of phis for a block where some phi carries
+// lanes: those lanes are read, like the words, before any phi is set.
+func (m *machine) vecPhis(fr *frame, blk *dblock, moves []opnd) {
+	laneOf := fr.fn.laneOf
+	vtmp := m.phiLanes[:0]
+	for j, s := range blk.phis {
+		if laneOf[s] >= 0 {
+			vtmp = append(vtmp, *m.vec(fr, moves[j]))
+		}
+	}
+	m.phiLanes = vtmp
+	for j, s := range blk.phis {
+		fr.set(s, m.phiTmp[j])
+		if l := laneOf[s]; l >= 0 {
+			fr.lanes[l] = vtmp[0]
+			vtmp = vtmp[1:]
+		}
 		m.tick(0)
 	}
 }
@@ -281,6 +333,27 @@ func (m *machine) ref(fr *frame, o opnd) *value {
 	}
 	m.trap("unknown value kind %T", df.refs[o.idx])
 	return nil
+}
+
+// vec resolves an operand to its lanes for a vector read; a value that
+// carries none reads as zero lanes. The result must not be written
+// through.
+func (m *machine) vec(fr *frame, o opnd) *lanes {
+	df := fr.fn
+	switch o.kind {
+	case oSlot:
+		if l := df.laneOf[o.idx]; l >= 0 && fr.defined(o.idx) {
+			return &fr.lanes[l]
+		}
+	case oArg:
+		if int(o.idx) < len(df.argLane) && int(o.idx) < len(fr.args) {
+			if l := df.argLane[o.idx]; l >= 0 {
+				return &fr.lanes[l]
+			}
+		}
+	}
+	m.ref(fr, o) // traps where a scalar read would
+	return &noLanes
 }
 
 // evalI is ref(...).i with the common cases inline.

@@ -160,14 +160,24 @@ func runRanks(ranks []*machine, boxes *mailboxes) error {
 	return nil
 }
 
-// value is a runtime scalar or vector.
+// value is a runtime value's scalar word pair, 16 bytes. Both words
+// are kept, so a value reads the same as an integer or a float
+// whatever wrote it. A vector value also carries lanes, which live in
+// its frame's lane array (frame.lanes); its scalar words are zero
+// unless a copy carried them in.
 type value struct {
 	i int64
 	f float64
-	// vector lanes (valid when the static type is a vector).
+}
+
+// lanes are a vector value's lanes, read as integers or floats.
+type lanes struct {
 	vi [4]int64
 	vf [4]float64
 }
+
+// noLanes is what a value without lanes reads as a vector.
+var noLanes lanes
 
 func iv(x int64) value   { return value{i: x} }
 func fv(x float64) value { return value{f: x} }
@@ -190,6 +200,11 @@ type machine struct {
 	hostFuncs, devFuncs map[string]*ir.Func
 	funcs               map[*ir.Func]*dfunc
 	phiTmp              []value
+	phiLanes            []lanes
+	// retLanes are the lanes of the last returned value when retVec
+	// says it had any.
+	retLanes lanes
+	retVec   bool
 
 	out strings.Builder
 

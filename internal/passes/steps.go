@@ -3,7 +3,7 @@ package passes
 import (
 	"sync"
 
-	"github.com/oraql/go-oraql/internal/diskcache"
+	"github.com/oraql/go-oraql/internal/codegen"
 	"github.com/oraql/go-oraql/internal/ir"
 	"github.com/oraql/go-oraql/internal/oraql"
 )
@@ -34,23 +34,29 @@ import (
 // final body. A re-executed step that asks a different pair key than
 // its transcript breaks the invariant: the plan fails and the caller
 // compiles cold instead.
+//
+// By the same invariant a node is its body's identity, so a final
+// body is stored on its node without comparing it to other nodes'
+// bodies, and its lowering to machine code, which depends only on the
+// body and the target, is stored beside it (StepPlan.Lowered).
 
 // StepMemo is the step tree of one compile session, shared by its
-// concurrent compilations. Edges and final bodies are published under
-// mu and immutable afterwards.
+// concurrent compilations. Edges, final bodies and lowerings are
+// published under mu and immutable afterwards.
 type StepMemo struct {
 	home *ir.Module // pristine module; stored final bodies belong to it
 
-	mu     sync.Mutex
-	roots  []*stepNode         // per function index: the pristine body
-	bodies map[string]*ir.Func // distinct final bodies by text hash
+	mu    sync.Mutex
+	roots []*stepNode // per function index: the pristine body
 }
 
 // stepNode is one function state: the body after a fixed history.
-// final is set on leaves once some compilation finished there.
+// final and lowered are set on leaves once some compilation finished
+// there and lowered the body.
 type stepNode struct {
-	edges []*stepEdge
-	final *ir.Func
+	edges   []*stepEdge
+	final   *ir.Func
+	lowered *codegen.Lowered
 }
 
 // stepEdge is one recorded step: the transcript it got, its
@@ -69,7 +75,7 @@ var testHookPublish func(oraql.Transcript)
 // NewStepMemo returns an empty memo for compilations of clones of
 // pristine, which must stay unmodified while the memo is in use.
 func NewStepMemo(pristine *ir.Module) *StepMemo {
-	sm := &StepMemo{home: pristine, roots: make([]*stepNode, len(pristine.Funcs)), bodies: map[string]*ir.Func{}}
+	sm := &StepMemo{home: pristine, roots: make([]*stepNode, len(pristine.Funcs))}
 	for i := range sm.roots {
 		sm.roots[i] = &stepNode{}
 	}
@@ -109,24 +115,18 @@ func (sm *StepMemo) publish(n *stepNode, tr oraql.Transcript, stats []Entry, cha
 	return e.child
 }
 
-// keepFinal stores fn's body as n's final body, one copy per distinct
-// body text, detached from the compilation's module.
+// keepFinal stores a copy of fn's body, detached from the
+// compilation's module, as n's final body unless n has one.
 func (sm *StepMemo) keepFinal(n *stepNode, fn *ir.Func) {
 	if sm.finalOf(n) != nil {
 		return
 	}
-	key := diskcache.HashText(fn.String())
+	body := fn.CloneInto(sm.home)
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
-	if n.final != nil {
-		return
+	if n.final == nil {
+		n.final = body
 	}
-	body := sm.bodies[key]
-	if body == nil {
-		body = fn.CloneInto(sm.home)
-		sm.bodies[key] = body
-	}
-	n.final = body
 }
 
 func sameTranscript(a, b oraql.Transcript) bool {
@@ -249,4 +249,26 @@ func (sp *StepPlan) finish(ctx *Context, p *Pipeline) {
 		}
 		sp.memo.keepFinal(sp.at[fi], fn)
 	}
+}
+
+// Lowered returns the lowering of function fi's final body: the one
+// stored on the function's final node, or else lower's result, which
+// is stored there. Call it after the pipeline ran, on a plan that did
+// not fail.
+func (sp *StepPlan) Lowered(fi int, lower func() *codegen.Lowered) *codegen.Lowered {
+	n := sp.at[fi]
+	sm := sp.memo
+	sm.mu.Lock()
+	lo := n.lowered
+	sm.mu.Unlock()
+	if lo != nil {
+		return lo
+	}
+	lo = lower()
+	sm.mu.Lock()
+	defer sm.mu.Unlock()
+	if n.lowered == nil {
+		n.lowered = lo
+	}
+	return n.lowered
 }

@@ -303,30 +303,38 @@ func CompileContext(ctx context.Context, cfg Config) (*CompileResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	return compileTU(ctx, cfg, func() (host, device *ir.Module, err error) {
+		if cfg.Module != nil {
+			return cfg.Module, nil, nil
+		}
+		host, device, err = minic.Compile(cfg.sourceName(), cfg.Source, cfg.Frontend)
+		if err != nil {
+			return nil, nil, fmt.Errorf("%s: frontend: %w", cfg.Name, err)
+		}
+		return host, device, nil
+	})
+}
+
+// compileTU compiles the modules that program returns through the
+// translation-unit layer: a whole-compilation hit skips program, the
+// AA chain, the pipeline and codegen; a miss compiles every step live
+// and persists the result.
+func compileTU(ctx context.Context, cfg Config, program func() (host, device *ir.Module, err error)) (*CompileResult, error) {
 	// Fail unknown chain specs up front, before any cache is keyed on
 	// them.
 	if _, err := aa.ResolveChainNames(cfg.aaChainSpec()); err != nil {
 		return nil, fmt.Errorf("%s: %w", cfg.Name, err)
 	}
-	srcName := cfg.sourceName()
-	// Translation-unit layer: a whole-compilation hit skips the
-	// frontend, the AA chain, the pipeline, and codegen.
 	var tuKey string
 	if cfg.tuCacheable() {
-		tuKey = cfg.tuKey(srcName)
+		tuKey = cfg.tuKey(cfg.sourceName())
 		if res, ok := loadTU(cfg, tuKey); ok {
 			return res, nil
 		}
 	}
-	var host, device *ir.Module
-	if cfg.Module != nil {
-		host = cfg.Module
-	} else {
-		var err error
-		host, device, err = minic.Compile(srcName, cfg.Source, cfg.Frontend)
-		if err != nil {
-			return nil, fmt.Errorf("%s: frontend: %w", cfg.Name, err)
-		}
+	host, device, err := program()
+	if err != nil {
+		return nil, err
 	}
 	res, err := compileProgram(ctx, cfg, host, device, nil, nil)
 	if err != nil {
@@ -432,7 +440,16 @@ func compileModule(cctx context.Context, cfg Config, m *ir.Module, memo *passes.
 	if err := ir.Verify(m); err != nil {
 		return nil, fmt.Errorf("%s: post-optimization verification of %s: %w", cfg.Name, m.Name, err)
 	}
-	code := codegen.Compile(m)
+	var code *codegen.Result
+	if ctx.Steps != nil {
+		// A session compilation lowers only the functions whose final
+		// body no earlier compilation lowered.
+		code = codegen.Assemble(m, func(fi int, f *ir.Func, ti codegen.TargetInfo) *codegen.Lowered {
+			return ctx.Steps.Lowered(fi, func() *codegen.Lowered { return codegen.Lower(f, ti) })
+		})
+	} else {
+		code = codegen.Compile(m)
+	}
 	stats.Add("asm printer", "# machine instructions generated", int64(code.MachineInstrs))
 	stats.Add("register allocation", "# register spills inserted", int64(code.Spills))
 	return &TargetStats{Module: m, AA: mgr.Stats(), Pass: stats, ORAQL: op, Code: code,

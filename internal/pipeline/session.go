@@ -36,6 +36,10 @@ var errLineage = errors.New("pipeline: step transcript mismatch")
 // redone cold and counted (Fallbacks), and the session compiles cold
 // from then on.
 //
+// CompileLive compiles from the same pristine clone with every step
+// live and no memo — the probe driver's baseline and final compiles —
+// so a campaign runs the frontend once.
+//
 // A Session is safe for concurrent use; its pristine modules are
 // read-only and its step memos publish under their own lock.
 type Session struct {
@@ -96,6 +100,35 @@ func (s *Session) Compile(ctx context.Context, seq oraql.Seq) (*CompileResult, e
 		s.fallbacks.Add(1)
 	}
 	return CompileContext(ctx, cfg)
+}
+
+// CompileLive compiles the session's configuration with ORAQL options
+// opts (nil disables the pass) from a clone of the pristine modules,
+// running every step live and consulting no memo. Its result is
+// CompileContext's, query records and every counter included,
+// translation-unit artifact included: a hit serves it before the
+// frontend runs.
+func (s *Session) CompileLive(ctx context.Context, opts *oraql.Options) (*CompileResult, error) {
+	cfg := s.cfg
+	cfg.ORAQL = opts
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return compileTU(ctx, cfg, func() (host, device *ir.Module, err error) {
+		s.once.Do(s.start)
+		if s.err != nil {
+			return nil, nil, s.err
+		}
+		host, device = s.clone()
+		return host, device, nil
+	})
+}
+
+// Release drops the step memos, which hold every test compilation's
+// transcripts, final bodies and lowerings. Later compilations run
+// every step live. It must not run concurrently with another call.
+func (s *Session) Release() {
+	s.hostMemo, s.deviceMemo = nil, nil
 }
 
 // start runs the frontend (or copies the pre-built module) and sets up

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/oraql/go-oraql/internal/apps"
@@ -80,38 +81,70 @@ func randomSeqs(rng *rand.Rand, base []oraql.Seq, n int) []oraql.Seq {
 	return out
 }
 
+// outcome is what a session compilation must share with a cold one.
+type outcome struct {
+	hash  string
+	stats oraql.Stats
+	pass  string // -stats counters, in insertion order
+	code  string // per-function machine statistics (Fig. 7)
+	err   error
+}
+
+func outcomeOf(cr *pipeline.CompileResult, err error) outcome {
+	if err != nil {
+		return outcome{err: err}
+	}
+	o := outcome{hash: cr.ExeHash(), stats: cr.ORAQLStats()}
+	for _, ts := range []*pipeline.TargetStats{cr.Host, cr.Device} {
+		if ts != nil {
+			o.pass += fmt.Sprint(ts.Pass.Ordered())
+			o.code += fmt.Sprintf("%+v", ts.Code.Funcs)
+		}
+	}
+	return o
+}
+
+// diff describes how a session outcome differs from the cold one.
+func (o outcome) diff(cold outcome) string {
+	switch {
+	case (o.err != nil) != (cold.err != nil):
+		return fmt.Sprintf("session err %v, cold err %v", o.err, cold.err)
+	case o.hash != cold.hash || o.stats != cold.stats:
+		return fmt.Sprintf("session %s %+v, cold %s %+v", o.hash, o.stats, cold.hash, cold.stats)
+	case o.pass != cold.pass:
+		return fmt.Sprintf("pass statistics differ:\nsession %s\ncold    %s", o.pass, cold.pass)
+	case o.code != cold.code:
+		return fmt.Sprintf("machine statistics differ:\nsession %s\ncold    %s", o.code, cold.code)
+	}
+	return ""
+}
+
+// coldCompile compiles cfg with sequence seq from a fresh frontend run.
+func coldCompile(cfg pipeline.Config, seq oraql.Seq) (*pipeline.CompileResult, error) {
+	opts := *cfg.ORAQL
+	opts.Seq = seq
+	cfg.ORAQL = &opts
+	return pipeline.CompileContext(context.Background(), cfg)
+}
+
 // checkSession compiles every sequence cold and, from workers
 // concurrent callers, on one shared session, and compares the
-// executable hashes, ORAQL counters and pass statistics.
+// executable hashes, ORAQL counters, pass statistics and per-function
+// machine statistics.
 func checkSession(t *testing.T, name string, cfg pipeline.Config, seqs []oraql.Seq, workers int) (replayed int) {
 	t.Helper()
-	type outcome struct {
-		hash  string
-		stats oraql.Stats
-		pass  string // -stats counters, in insertion order
-		err   error
-	}
 	compile := func(seq oraql.Seq, sess *pipeline.Session) (o outcome, replayed int) {
 		var cr *pipeline.CompileResult
+		var err error
 		if sess != nil {
-			cr, o.err = sess.Compile(context.Background(), seq)
+			cr, err = sess.Compile(context.Background(), seq)
 		} else {
-			c := cfg
-			opts := *c.ORAQL
-			opts.Seq = seq
-			c.ORAQL = &opts
-			cr, o.err = pipeline.CompileContext(context.Background(), c)
+			cr, err = coldCompile(cfg, seq)
 		}
-		if o.err == nil {
-			o.hash, o.stats = cr.ExeHash(), cr.ORAQLStats()
-			for _, ts := range []*pipeline.TargetStats{cr.Host, cr.Device} {
-				if ts != nil {
-					o.pass += fmt.Sprint(ts.Pass.Ordered())
-				}
-			}
+		if err == nil {
 			_, replayed = cr.Steps()
 		}
-		return o, replayed
+		return outcomeOf(cr, err), replayed
 	}
 	want := make([]outcome, len(seqs))
 	for i, s := range seqs {
@@ -146,16 +179,8 @@ func checkSession(t *testing.T, name string, cfg pipeline.Config, seqs []oraql.S
 	}
 	wg.Wait()
 	for i := range seqs {
-		if (got[i].err != nil) != (want[i].err != nil) {
-			t.Errorf("%s seq %d [%s]: session err %v, cold err %v", name, i, seqs[i], got[i].err, want[i].err)
-			continue
-		}
-		if got[i].hash != want[i].hash || got[i].stats != want[i].stats {
-			t.Errorf("%s seq %d [%s]: session %s %+v, cold %s %+v", name, i, seqs[i],
-				got[i].hash, got[i].stats, want[i].hash, want[i].stats)
-		}
-		if got[i].pass != want[i].pass {
-			t.Errorf("%s seq %d [%s]: pass statistics differ:\nsession %s\ncold    %s", name, i, seqs[i], got[i].pass, want[i].pass)
+		if d := got[i].diff(want[i]); d != "" {
+			t.Errorf("%s seq %d [%s]: %s", name, i, seqs[i], d)
 		}
 	}
 	if n := sess.Fallbacks(); n != 0 {
@@ -164,17 +189,77 @@ func checkSession(t *testing.T, name string, cfg pipeline.Config, seqs []oraql.S
 	return replayed
 }
 
+// liveOutcome renders what the probe driver reads of a baseline or
+// final compile: exe hash, -stats, per-function machine statistics,
+// AA statistics and every query record with its locations.
+func liveOutcome(cr *pipeline.CompileResult) string {
+	var sb strings.Builder
+	o := outcomeOf(cr, nil)
+	fmt.Fprintf(&sb, "%s\n%+v\n%s\n%s\n%+v\n", o.hash, o.stats, o.pass, o.code, *cr.AAStats())
+	for _, rec := range cr.Records() {
+		a, b := rec.LocDescriptions()
+		sa, sb2 := rec.SrcLocs()
+		fmt.Fprintf(&sb, "%d %t %s %s %s %s %d %s %s\n", rec.Index, rec.Optimistic,
+			rec.Pass, rec.Func, a, b, rec.CacheHits, sa, sb2)
+	}
+	return sb.String()
+}
+
+// checkLive compiles cfg the way the probe driver uses a session — a
+// live compile without ORAQL, test compilations of seqs, Release, then
+// a live compile with the final sequence — and compares both live
+// compiles with CompileContext.
+func checkLive(t *testing.T, name string, cfg pipeline.Config, seqs []oraql.Seq, final oraql.Seq) {
+	t.Helper()
+	ctx := context.Background()
+	opts := *cfg.ORAQL
+	opts.Seq = final
+	sess := pipeline.NewSession(cfg)
+	base, err := sess.CompileLive(ctx, nil)
+	if err != nil {
+		t.Fatalf("%s: live baseline: %v", name, err)
+	}
+	for _, s := range seqs {
+		if _, err := sess.Compile(ctx, s); err != nil {
+			t.Fatalf("%s: session test compile: %v", name, err)
+		}
+	}
+	sess.Release()
+	fin, err := sess.CompileLive(ctx, &opts)
+	if err != nil {
+		t.Fatalf("%s: live final: %v", name, err)
+	}
+	for _, leg := range []struct {
+		name string
+		opts *oraql.Options
+		got  *pipeline.CompileResult
+	}{{"baseline", nil, base}, {"final", &opts, fin}} {
+		c := cfg
+		c.ORAQL = leg.opts
+		want, err := pipeline.CompileContext(ctx, c)
+		if err != nil {
+			t.Fatalf("%s/%s: cold: %v", name, leg.name, err)
+		}
+		if g, w := liveOutcome(leg.got), liveOutcome(want); g != w {
+			t.Errorf("%s/%s: live compile differs from CompileContext:\nlive\n%s\ncold\n%s", name, leg.name, g, w)
+		}
+	}
+}
+
 // TestSessionMatchesCold: for every configuration, in every ORAQL
 // mode, the sequences a chunked campaign consumes plus 20 seeded
 // random ones compile on one shared session — from concurrent callers
-// — to the executable hash, ORAQL counters and pass statistics of a
-// cold compilation.
+// — to the executable hash, ORAQL counters, pass statistics and
+// per-function machine statistics of a cold compilation. The session's
+// live compiles, without ORAQL and with the campaign's final sequence,
+// match CompileContext in everything the probe driver reads.
 func TestSessionMatchesCold(t *testing.T) {
 	modes := []oraql.Mode{oraql.ModeOptimistic, oraql.ModeBlocking, oraql.ModeOptimisticMust}
 	total := 0
 	for ci, c := range apps.All() {
 		c := c
 		seqs := campaignSeqs(t, c)
+		final := seqs[len(seqs)-1]
 		seqs = append(seqs, randomSeqs(rand.New(rand.NewSource(int64(ci))), seqs, 20)...)
 		for _, mode := range modes {
 			spec := c.Spec()
@@ -183,7 +268,9 @@ func TestSessionMatchesCold(t *testing.T) {
 			opts := spec.ORAQL
 			opts.Mode = mode
 			cfg.ORAQL = &opts
-			total += checkSession(t, fmt.Sprintf("%s/mode%d", c.ID, mode), cfg, seqs, 4)
+			name := fmt.Sprintf("%s/mode%d", c.ID, mode)
+			total += checkSession(t, name, cfg, seqs, 4)
+			checkLive(t, name, cfg, seqs[:min(len(seqs), 4)], final)
 		}
 	}
 	if total == 0 {
@@ -320,6 +407,55 @@ func TestModuleClone(t *testing.T) {
 			if got, want := cr.Host.Code.HashString(), targets[i].Code.HashString(); got != want {
 				t.Errorf("%s/%s: the clone compiles to %s, a fresh frontend to %s", cfg.Name, m.Target, got, want)
 			}
+		}
+	}
+}
+
+// TestSessionConcurrentCallers is small enough for -race -count=10: on
+// a few configurations, 8 callers compile overlapping sequences
+// through one session, each in its own order, so the same steps,
+// final bodies and lowerings are published concurrently. Every result
+// must match the cold compilation.
+func TestSessionConcurrentCallers(t *testing.T) {
+	const callers = 8
+	for ci, id := range []string{"lulesh-seq", "minigmg-sse", "xsbench-cuda"} {
+		spec := apps.ByID(id).Spec()
+		cfg := spec.Compile
+		cfg.Name = spec.Name
+		opts := spec.ORAQL
+		cfg.ORAQL = &opts
+		rng := rand.New(rand.NewSource(int64(ci)))
+		seqs := append([]oraql.Seq{nil, make(oraql.Seq, 8)}, randomSeqs(rng, nil, 4)...)
+		want := make([]outcome, len(seqs))
+		for i, s := range seqs {
+			want[i] = outcomeOf(coldCompile(cfg, s))
+		}
+		sess := pipeline.NewSession(cfg)
+		var replayed atomic.Int64
+		var wg sync.WaitGroup
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := range seqs {
+					i := (c + k) % len(seqs)
+					cr, err := sess.Compile(context.Background(), seqs[i])
+					if err == nil {
+						_, r := cr.Steps()
+						replayed.Add(int64(r))
+					}
+					if d := outcomeOf(cr, err).diff(want[i]); d != "" {
+						t.Errorf("%s caller %d seq %d [%s]: %s", id, c, i, seqs[i], d)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if n := sess.Fallbacks(); n != 0 {
+			t.Errorf("%s: %d cold fallbacks, want 0", id, n)
+		}
+		if replayed.Load() == 0 {
+			t.Errorf("%s: no step was replayed", id)
 		}
 	}
 }

@@ -3,11 +3,13 @@ package goraql
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/oraql/go-oraql/internal/apps"
 	"github.com/oraql/go-oraql/internal/diskcache"
 	"github.com/oraql/go-oraql/internal/driver"
+	"github.com/oraql/go-oraql/internal/pipeline"
 )
 
 // A seeded reprobe of an edited program costs at most one test more
@@ -69,4 +71,61 @@ func convictions(res *driver.Result) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// phiConstSource differs between its two variants only in a constant
+// whose sole use is a loop phi. The exe-hash encoding drops phi
+// constants, so both variants lower to the same executable hash.
+func phiConstSource(init int) string {
+	return fmt.Sprintf(`int main() {
+	int s = %d;
+	for (int i = 0; i < 10; i++) {
+		s = s + i;
+		print("i ", i, "\n");
+	}
+	print("s ", s, "\n");
+	return 0;
+}
+`, init)
+}
+
+// A persisted baseline run must never serve another program: probing
+// program A and then program B through one store, where B differs only
+// in a constant the exe hash does not see, must verify B against its
+// own output.
+func TestRunReplayServesOnlyItsOwnProgram(t *testing.T) {
+	probe := func(source string, store *diskcache.Store) (*driver.Result, error) {
+		return driver.Probe(&driver.BenchSpec{
+			Name:    "phi-const",
+			Compile: pipeline.Config{Source: source, SourceFile: "phi_const.mc"},
+			Workers: 1,
+			Cache:   store,
+		})
+	}
+	store, err := diskcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := probe(phiConstSource(0), store)
+	if err != nil {
+		t.Fatalf("program A: %v", err)
+	}
+	b, err := probe(phiConstSource(5), store)
+	if err != nil {
+		t.Fatalf("program B after A through one store: %v", err)
+	}
+	t.Logf("exe hashes equal: %v", a.Baseline.Compile.ExeHash() == b.Baseline.Compile.ExeHash())
+	if !strings.Contains(b.Baseline.Run.Stdout, "s 50\n") {
+		t.Errorf("program B's baseline printed %q, want its own \"s 50\"", b.Baseline.Run.Stdout)
+	}
+	if !b.FullyOptimistic {
+		t.Errorf("program B is not fully optimistic (final %s)", b.FinalSeq)
+	}
+	again, err := probe(phiConstSource(5), store)
+	if err != nil {
+		t.Fatalf("program B again: %v", err)
+	}
+	if again.RunsReplayed == 0 {
+		t.Error("reprobing unchanged program B replayed no run")
+	}
 }
