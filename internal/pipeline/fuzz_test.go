@@ -201,7 +201,8 @@ func TestDifferentialAnalysisCache(t *testing.T) {
 
 // FuzzSessionMatchesCold compiles a progen program on one compile
 // session with the empty sequence, a fuzzed sequence and a one-answer
-// variant of it, in a fuzzed ORAQL mode; every session compile must
+// variant of it, in a fuzzed ORAQL mode, with the default or the full
+// AA chain (the top bit of the first byte); every session compile must
 // give the executable hash and ORAQL counters of a cold compile.
 func FuzzSessionMatchesCold(f *testing.F) {
 	f.Add(int64(0), []byte{0xff, 0x0f})
@@ -221,11 +222,13 @@ func FuzzSessionMatchesCold(f *testing.F) {
 			variant[len(variant)/2] = !variant[len(variant)/2]
 		}
 		mode := oraql.ModeOptimistic
+		full := false
 		if len(bits) > 0 {
 			mode = oraql.Mode(bits[0] % 3)
+			full = bits[0]&0x80 != 0
 		}
 		p := progen.Generate(seed, progen.Options{})
-		cfg := Config{Name: "fuzz", Source: p.Source, SourceFile: p.FileName, ORAQL: &oraql.Options{Mode: mode}}
+		cfg := Config{Name: "fuzz", Source: p.Source, SourceFile: p.FileName, FullAAChain: full, ORAQL: &oraql.Options{Mode: mode}}
 		sess := NewSession(cfg)
 		for _, s := range []oraql.Seq{nil, seq, variant} {
 			got, err := sess.Compile(context.Background(), s)
@@ -241,7 +244,7 @@ func FuzzSessionMatchesCold(f *testing.F) {
 				t.Fatalf("cold: %v", err)
 			}
 			if got.ExeHash() != want.ExeHash() || got.ORAQLStats() != want.ORAQLStats() {
-				t.Fatalf("seed %d mode %d seq [%s]: session %s %+v, cold %s %+v\nsource:\n%s", seed, mode, s,
+				t.Fatalf("seed %d mode %d full chain %t seq [%s]: session %s %+v, cold %s %+v\nsource:\n%s", seed, mode, full, s,
 					got.ExeHash(), got.ORAQLStats(), want.ExeHash(), want.ORAQLStats(), p.Source)
 			}
 		}

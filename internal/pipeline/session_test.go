@@ -40,11 +40,13 @@ func (p recordingProber) Test(seq oraql.Seq, specs ...oraql.Seq) (bool, error) {
 }
 
 // campaignSeqs returns the sequences a sequential chunked campaign of
-// the configuration consumes, the empty sequence first.
-func campaignSeqs(t *testing.T, c *apps.Config) []oraql.Seq {
+// the configuration consumes, the empty sequence first; fullChain runs
+// the campaign with the full AA chain.
+func campaignSeqs(t *testing.T, c *apps.Config, fullChain bool) []oraql.Seq {
 	t.Helper()
 	rec := &seqRecorder{}
 	spec := c.Spec()
+	spec.Compile.FullAAChain = fullChain
 	spec.Strategy = rec
 	spec.Workers = 1
 	res, err := driver.Probe(spec)
@@ -252,13 +254,16 @@ func checkLive(t *testing.T, name string, cfg pipeline.Config, seqs []oraql.Seq,
 // — to the executable hash, ORAQL counters, pass statistics and
 // per-function machine statistics of a cold compilation. The session's
 // live compiles, without ORAQL and with the campaign's final sequence,
-// match CompileContext in everything the probe driver reads.
+// match CompileContext in everything the probe driver reads. The
+// FullAAChain leg does the same with the CFL points-to analyses in the
+// chain, as campaigns with the "full" chain run: the sequences of a
+// full-chain campaign plus 10 random ones, in the optimistic mode.
 func TestSessionMatchesCold(t *testing.T) {
 	modes := []oraql.Mode{oraql.ModeOptimistic, oraql.ModeBlocking, oraql.ModeOptimisticMust}
 	total := 0
 	for ci, c := range apps.All() {
 		c := c
-		seqs := campaignSeqs(t, c)
+		seqs := campaignSeqs(t, c, false)
 		final := seqs[len(seqs)-1]
 		seqs = append(seqs, randomSeqs(rand.New(rand.NewSource(int64(ci))), seqs, 20)...)
 		for _, mode := range modes {
@@ -276,6 +281,27 @@ func TestSessionMatchesCold(t *testing.T) {
 	if total == 0 {
 		t.Fatal("no step was replayed anywhere: the session never reused work")
 	}
+	t.Run("FullAAChain", func(t *testing.T) {
+		total := 0
+		for ci, c := range apps.All() {
+			seqs := campaignSeqs(t, c, true)
+			final := seqs[len(seqs)-1]
+			seqs = append(seqs, randomSeqs(rand.New(rand.NewSource(int64(100+ci))), seqs, 10)...)
+			spec := c.Spec()
+			cfg := spec.Compile
+			cfg.Name = spec.Name
+			cfg.FullAAChain = true
+			opts := spec.ORAQL
+			opts.Mode = oraql.ModeOptimistic
+			cfg.ORAQL = &opts
+			name := c.ID + "/full"
+			total += checkSession(t, name, cfg, seqs, 4)
+			checkLive(t, name, cfg, seqs[:min(len(seqs), 4)], final)
+		}
+		if total == 0 {
+			t.Fatal("no step was replayed anywhere: the session never reused work")
+		}
+	})
 }
 
 // TestSessionRunsLikeCold runs what a session compiles — fully live,
@@ -456,6 +482,113 @@ func TestSessionConcurrentCallers(t *testing.T) {
 		}
 		if replayed.Load() == 0 {
 			t.Errorf("%s: no step was replayed", id)
+		}
+	}
+}
+
+// programText prints a compilation's modules.
+func programText(cr *pipeline.CompileResult) string {
+	text := cr.Host.Module.String()
+	if cr.Device != nil {
+		text += cr.Device.Module.String()
+	}
+	return text
+}
+
+// TestSessionSharedIRIsReadOnly is small enough for -race -count=10:
+// a session's compilations share IR — the pristine modules they start
+// from and the final bodies they store — so no compilation may write
+// IR that another reads. On a few configurations, 8 callers compile
+// and run overlapping sequences through one session, each in its own
+// order; every caller must get the same program and run for a
+// sequence, and every returned module must still print as it did when
+// its compilation returned. Then the memos are released and one more
+// compilation runs, which must not write the pristine modules either:
+// the live baseline and final must match CompileContext, and compiling
+// every sequence again must give its first result.
+func TestSessionSharedIRIsReadOnly(t *testing.T) {
+	const callers = 8
+	ctx := context.Background()
+	for ci, id := range []string{"lulesh-seq", "minigmg-sse", "xsbench-cuda"} {
+		spec := apps.ByID(id).Spec()
+		cfg := spec.Compile
+		cfg.Name = spec.Name
+		opts := spec.ORAQL
+		cfg.ORAQL = &opts
+		rng := rand.New(rand.NewSource(int64(ci)))
+		seqs := append([]oraql.Seq{nil, make(oraql.Seq, 8)}, randomSeqs(rng, nil, 4)...)
+		type compiled struct {
+			out  outcome
+			text string // the modules as printed when Compile returned
+			run  string
+			cr   *pipeline.CompileResult
+		}
+		got := make([][]compiled, callers)
+		sess := pipeline.NewSession(cfg)
+		var wg sync.WaitGroup
+		for c := 0; c < callers; c++ {
+			got[c] = make([]compiled, len(seqs))
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := range seqs {
+					i := (c + k) % len(seqs)
+					cr, err := sess.Compile(ctx, seqs[i])
+					if err != nil {
+						t.Errorf("%s caller %d seq %d: %v", id, c, i, err)
+						return
+					}
+					rr, runErr := irinterp.Run(cr.Program, spec.Run)
+					got[c][i] = compiled{outcomeOf(cr, nil), programText(cr), fmt.Sprintf("%+v %v", rr, runErr), cr}
+				}
+			}()
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		for c := range got {
+			for i, g := range got[c] {
+				if d := g.out.diff(got[0][i].out); d != "" {
+					t.Errorf("%s caller %d seq %d: differs from caller 0: %s", id, c, i, d)
+				}
+				if g.run != got[0][i].run {
+					t.Errorf("%s caller %d seq %d: run differs from caller 0:\n%s\n%s", id, c, i, g.run, got[0][i].run)
+				}
+				if programText(g.cr) != g.text {
+					t.Errorf("%s caller %d seq %d: the returned modules changed after Compile returned", id, c, i)
+				}
+			}
+		}
+
+		sess.Release()
+		if _, err := sess.Compile(ctx, seqs[len(seqs)-1]); err != nil {
+			t.Fatalf("%s: compile after Release: %v", id, err)
+		}
+		final := opts
+		final.Seq = seqs[len(seqs)-1]
+		for _, leg := range []struct {
+			name string
+			opts *oraql.Options
+		}{{"baseline", nil}, {"final", &final}} {
+			live, err := sess.CompileLive(ctx, leg.opts)
+			if err != nil {
+				t.Fatalf("%s/%s: live: %v", id, leg.name, err)
+			}
+			c := cfg
+			c.ORAQL = leg.opts
+			want, err := pipeline.CompileContext(ctx, c)
+			if err != nil {
+				t.Fatalf("%s/%s: cold: %v", id, leg.name, err)
+			}
+			if g, w := liveOutcome(live), liveOutcome(want); g != w {
+				t.Errorf("%s/%s: live compile after Release differs from CompileContext:\nlive\n%s\ncold\n%s", id, leg.name, g, w)
+			}
+		}
+		for i, s := range seqs {
+			if d := outcomeOf(sess.Compile(ctx, s)).diff(got[0][i].out); d != "" {
+				t.Errorf("%s seq %d [%s]: compiling again after Release: %s", id, i, s, d)
+			}
 		}
 	}
 }
