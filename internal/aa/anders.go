@@ -8,9 +8,9 @@ import "github.com/oraql/go-oraql/internal/ir"
 // sites) it may point to; two pointers with disjoint non-empty sets
 // cannot alias.
 type AndersenAA struct {
-	// node indices: one per pointer value, plus one "contents" node per
-	// abstract object.
-	node map[ir.Value]int
+	// node indices: one per pointer value, by its clone-stable key,
+	// plus one "contents" node per abstract object.
+	node map[valueKey]int
 	pts  []map[int]bool // node -> object set (objects are node indices of their contents nodes' owners)
 	// copyEdges: src -> dst list (pts(dst) ⊇ pts(src)).
 	copyEdges [][]int
@@ -27,13 +27,17 @@ type pair struct{ a, b int }
 
 // NewAndersenAA runs the solver over m and returns the analysis.
 func NewAndersenAA(m *ir.Module) *AndersenAA {
-	an := &AndersenAA{node: map[ir.Value]int{}, contents: map[int]int{}}
+	an := &AndersenAA{node: map[valueKey]int{}, contents: map[int]int{}}
 	get := func(v ir.Value) int {
-		if n, ok := an.node[v]; ok {
+		k, ok := keyOf(v)
+		if !ok {
+			return an.newNode() // stays unknown to Alias
+		}
+		if n, ok := an.node[k]; ok {
 			return n
 		}
 		n := an.newNode()
-		an.node[v] = n
+		an.node[k] = n
 		return n
 	}
 	retNode := map[string]int{}
@@ -207,9 +211,11 @@ func (*AndersenAA) Name() string { return "cfl-anders-aa" }
 
 // Alias implements Analysis.
 func (an *AndersenAA) Alias(a, b MemLoc, _ *QueryCtx) Result {
-	na, ok1 := an.node[a.Ptr]
-	nb, ok2 := an.node[b.Ptr]
-	if !ok1 || !ok2 {
+	ka, ok1 := keyOf(a.Ptr)
+	kb, ok2 := keyOf(b.Ptr)
+	na, ok3 := an.node[ka]
+	nb, ok4 := an.node[kb]
+	if !ok1 || !ok2 || !ok3 || !ok4 {
 		return MayAlias
 	}
 	pa, pb := an.pts[na], an.pts[nb]

@@ -18,7 +18,46 @@ import (
 
 // Constructor builds one analysis instance over a module. Analyses
 // that need no module state ignore the argument.
+//
+// An analysis that keeps per-value state must key it clone-stably. A
+// compile session builds the chain of each test compilation from the
+// pristine function bodies it shares, while the passes query values
+// of their own copies of those bodies, so an instruction or argument
+// keyed by pointer would not be recognised. Key them by VID, which
+// ir.Func.CloneInto keeps; globals, the TBAA tree and constants are
+// shared by every copy, so their identity is stable too. valueKey
+// does this for the CFL analyses.
 type Constructor func(m *ir.Module) Analysis
+
+// valueKey identifies a value clone-stably, as module analyses must
+// (Constructor): an instruction, argument or global by its VID, which
+// ir.Module.Clone and ir.Func.CloneInto keep, and a constant, which
+// clones share, by identity.
+type valueKey struct {
+	vid int64
+	c   *ir.Const
+}
+
+// keyOf returns v's key. An instruction outside any function, or an
+// argument of none, has no VID of its own and no key: it stays
+// unknown, as a value the analysis never saw.
+func keyOf(v ir.Value) (valueKey, bool) {
+	switch x := v.(type) {
+	case *ir.Const:
+		return valueKey{c: x}, true
+	case *ir.Instr:
+		if x.Parent == nil || x.Parent.Parent == nil {
+			return valueKey{}, false
+		}
+	case *ir.Arg:
+		if x.Func == nil {
+			return valueKey{}, false
+		}
+	case nil:
+		return valueKey{}, false
+	}
+	return valueKey{vid: v.VID()}, true
+}
 
 // Analysis names use the Analysis.Name() spellings, so -stats
 // attribution, Fig. 4 columns, and registry lookups agree.

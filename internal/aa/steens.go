@@ -8,13 +8,13 @@ import "github.com/oraql/go-oraql/internal/ir"
 // points-to edge, and assignments unify. Two pointers cannot alias if
 // their points-to classes differ after the fixpoint.
 type SteensgaardAA struct {
-	// derefRep maps each value seen during constraint generation to the
-	// representative of the class its points-to edge resolves to,
-	// computed once after the fixpoint. The union-find itself (lazy
-	// deref materialization, path compression) mutates on access, so it
-	// is frozen into this map at construction and Alias is a pure map
-	// read — safe for concurrent queries.
-	derefRep map[ir.Value]int
+	// derefRep maps each value seen during constraint generation, by
+	// its clone-stable key, to the representative of the class its
+	// points-to edge resolves to, computed once after the fixpoint. The
+	// union-find itself (lazy deref materialization, path compression)
+	// mutates on access, so it is frozen into this map at construction
+	// and Alias is a pure map read — safe for concurrent queries.
+	derefRep map[valueKey]int
 }
 
 type unifier struct {
@@ -67,19 +67,23 @@ func (u *unifier) union(a, b int) {
 // read-only SteensgaardAA.
 type steensBuilder struct {
 	u *unifier
-	// node maps values to unifier node indices.
-	node map[ir.Value]int
+	// node maps value keys to unifier node indices.
+	node map[valueKey]int
 }
 
 // NewSteensgaardAA runs the unification over m and returns the analysis.
 func NewSteensgaardAA(m *ir.Module) *SteensgaardAA {
-	sb := &steensBuilder{u: &unifier{}, node: map[ir.Value]int{}}
+	sb := &steensBuilder{u: &unifier{}, node: map[valueKey]int{}}
 	get := func(v ir.Value) int {
-		if n, ok := sb.node[v]; ok {
+		k, ok := keyOf(v)
+		if !ok {
+			return sb.u.fresh() // stays unknown to Alias
+		}
+		if n, ok := sb.node[k]; ok {
 			return n
 		}
 		n := sb.u.fresh()
-		sb.node[v] = n
+		sb.node[k] = n
 		return n
 	}
 	retNode := map[string]int{}
@@ -100,9 +104,9 @@ func NewSteensgaardAA(m *ir.Module) *SteensgaardAA {
 	// Lazily created deref nodes are fresh singletons never unified
 	// afterwards, so the equality structure (all Alias ever compares)
 	// does not depend on the map iteration order here.
-	s := &SteensgaardAA{derefRep: make(map[ir.Value]int, len(sb.node))}
-	for v, n := range sb.node {
-		s.derefRep[v] = sb.u.find(sb.u.derefOf(n))
+	s := &SteensgaardAA{derefRep: make(map[valueKey]int, len(sb.node))}
+	for k, n := range sb.node {
+		s.derefRep[k] = sb.u.find(sb.u.derefOf(n))
 	}
 	return s
 }
@@ -212,9 +216,11 @@ func (*SteensgaardAA) Name() string { return "cfl-steens-aa" }
 
 // Alias implements Analysis.
 func (s *SteensgaardAA) Alias(a, b MemLoc, _ *QueryCtx) Result {
-	ra, ok1 := s.derefRep[a.Ptr]
-	rb, ok2 := s.derefRep[b.Ptr]
-	if !ok1 || !ok2 {
+	ka, ok1 := keyOf(a.Ptr)
+	kb, ok2 := keyOf(b.Ptr)
+	ra, ok3 := s.derefRep[ka]
+	rb, ok4 := s.derefRep[kb]
+	if !ok1 || !ok2 || !ok3 || !ok4 {
 		// Globals/args appear in the map only if an instruction used
 		// them; unseen values have no constraints, so stay safe.
 		return MayAlias

@@ -1,72 +1,39 @@
 package ir
 
-// Clone returns a deep copy of m that keeps every global, function,
+import "slices"
+
+// Clone returns a copy of m that keeps every global, function,
 // argument, block and instruction ID and both per-function next-ID
 // counters, so every VID — and with it every ORAQL pair key — is the
 // same in the copy. Compiling the copy leaves m untouched; a compile
-// session clones its pristine modules once per compilation instead of
-// re-running the frontend.
+// session clones its pristine modules instead of re-running the
+// frontend.
 //
-// Constants, types, metadata slices (alias scopes) and global
-// initializers are shared: nothing after the frontend writes them.
-func (m *Module) Clone() *Module { return m.CloneSharing(nil) }
-
-// CloneSharing is Clone for a module that shares globals with another
-// by identity, as the device half of an offload program shares the
-// host half's (minic keeps the host-assigned IDs). A global of m with
-// a same-named global of the same ID in shared — the already cloned
-// other half — resolves to that one instead of a new copy.
-func (m *Module) CloneSharing(shared *Module) *Module {
+// Only function bodies are copied. What nothing after the frontend
+// writes is shared: globals, the TBAA tree, constants, types, metadata
+// slices (alias scopes) and global initializers. A clone of the device
+// half of an offload program therefore keeps sharing the host half's
+// globals, as the frontend's output does.
+func (m *Module) Clone() *Module {
 	out := &Module{
 		Name:    m.Name,
 		Target:  m.Target,
-		Globals: make([]*Global, len(m.Globals)),
+		Globals: slices.Clone(m.Globals),
 		Funcs:   make([]*Func, len(m.Funcs)),
-		TBAA:    m.TBAA.clone(),
+		TBAA:    m.TBAA,
 	}
-	var sharedByID []*Global
-	if shared != nil {
-		sharedByID = globalsByID(shared)
-	}
-	globals := make([]Global, len(m.Globals))
-	for i, g := range m.Globals {
-		if g.ID < len(sharedByID) && sharedByID[g.ID] != nil && sharedByID[g.ID].Name == g.Name {
-			out.Globals[i] = sharedByID[g.ID]
-			continue
-		}
-		globals[i] = *g
-		out.Globals[i] = &globals[i]
-	}
-	byID := globalsByID(out)
 	for i, f := range m.Funcs {
-		out.Funcs[i] = f.cloneInto(out, byID)
+		out.Funcs[i] = f.CloneInto(out)
 	}
 	return out
 }
 
-// globalsByID indexes m's globals by ID, which need not be their
-// position: a device module lists host globals under host IDs.
-func globalsByID(m *Module) []*Global {
-	n := 0
-	for _, g := range m.Globals {
-		n = max(n, g.ID+1)
-	}
-	out := make([]*Global, n)
-	for _, g := range m.Globals {
-		out[g.ID] = g
-	}
-	return out
-}
-
-// CloneInto returns a deep copy of f that belongs to module m: its
-// global operands resolve to m's globals of the same ID, its parent is
-// m, and it keeps f's ID, every argument, block and instruction ID and
-// both next-ID counters. The copy is detached — the caller places it,
-// e.g. over the slot of the same ID. m must hold f's module's globals
-// under the same IDs (a clone of it, or the module itself).
-func (f *Func) CloneInto(m *Module) *Func { return f.cloneInto(m, globalsByID(m)) }
-
-func (f *Func) cloneInto(m *Module, globalByID []*Global) *Func {
+// CloneInto returns a deep copy of f whose parent is m. The copy keeps
+// f's ID, every argument, block and instruction ID and both next-ID
+// counters, and its global operands stay f's own, so m must list the
+// same globals (f's module, or a clone of it). The copy is detached —
+// the caller places it, e.g. over the slot of the same ID.
+func (f *Func) CloneInto(m *Module) *Func {
 	nf := &Func{
 		Name:        f.Name,
 		RetTy:       f.RetTy,
@@ -136,7 +103,7 @@ func (f *Func) cloneInto(m *Module, globalByID []*Global) *Func {
 			dst := ops[:n:n]
 			ops = ops[n:]
 			for k, v := range c.Operands {
-				dst[k] = remapValue(v, f, globalByID, argByID, instrByID)
+				dst[k] = remapValue(v, f, argByID, instrByID)
 			}
 			c.Operands = dst
 		}
@@ -147,9 +114,9 @@ func (f *Func) cloneInto(m *Module, globalByID []*Global) *Func {
 }
 
 // remapValue maps one operand of f into its clone. Values outside f's
-// own arguments and instructions — constants, and anything malformed —
-// are kept as they are.
-func remapValue(v Value, f *Func, globalByID []*Global, argByID []*Arg, instrByID []*Instr) Value {
+// own arguments and instructions — constants, globals, and anything
+// malformed — are kept as they are.
+func remapValue(v Value, f *Func, argByID []*Arg, instrByID []*Instr) Value {
 	switch x := v.(type) {
 	case *Instr:
 		if x.Parent != nil && x.Parent.Parent == f && x.ID < len(instrByID) && instrByID[x.ID] != nil {
@@ -158,10 +125,6 @@ func remapValue(v Value, f *Func, globalByID []*Global, argByID []*Arg, instrByI
 	case *Arg:
 		if x.Func == f && x.ID < len(argByID) && argByID[x.ID] != nil {
 			return argByID[x.ID]
-		}
-	case *Global:
-		if x.ID < len(globalByID) && globalByID[x.ID] != nil {
-			return globalByID[x.ID]
 		}
 	}
 	return v
@@ -183,16 +146,4 @@ func remapBlocks(in []*Block, refs []*Block, blockByID []*Block) ([]*Block, []*B
 		}
 	}
 	return dst, refs[n:]
-}
-
-// clone returns an independent copy of the tag tree.
-func (t *TBAATree) clone() *TBAATree {
-	if t == nil {
-		return nil
-	}
-	out := &TBAATree{parent: make(map[string]string, len(t.parent)), order: append([]string(nil), t.order...)}
-	for k, v := range t.parent {
-		out.parent[k] = v
-	}
-	return out
 }

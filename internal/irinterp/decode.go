@@ -1,7 +1,9 @@
 package irinterp
 
 import (
+	"maps"
 	"slices"
+	"sync"
 
 	"github.com/oraql/go-oraql/internal/ir"
 )
@@ -60,9 +62,9 @@ type okind uint8
 
 const (
 	oSlot  okind = iota // a frame slot, defined once its instruction ran
-	oConst              // dfunc.consts: constants and global addresses
+	oConst              // code.consts: constants and global addresses
 	oArg                // the frame's argument idx
-	// The remaining kinds trap when evaluated; idx indexes dfunc.refs.
+	// The remaining kinds trap when evaluated; idx indexes code.refs.
 	oUndef         // an instruction that never runs in this function
 	oUnknownGlobal // a global the machine did not lay out
 	oBadKind       // not a value kind the interpreter knows
@@ -94,9 +96,9 @@ type dinstr struct {
 	// succs[k] when entered from this block.
 	succs []int32
 	moves [][]opnd
-	// callee memoizes the resolved user function, by kernel mode
-	// (device copies take precedence inside a kernel).
-	callee [2]*dfunc
+	// call numbers a user call site within its function; a machine
+	// memoizes the site's resolved callee under it (dfunc.callees).
+	call int32
 }
 
 type dblock struct {
@@ -106,21 +108,80 @@ type dblock struct {
 	body  []dinstr // up to and including the first terminator
 }
 
-// dfunc is a function decoded for one machine.
-type dfunc struct {
+// code is a function body decoded against one global layout. It is
+// immutable once decoded, so the machines of many runs share it
+// (CodeCache).
+type code struct {
 	fn     *ir.Func
 	blocks []dblock // blocks[0] is the entry
 	entry  []opnd   // phi sources of the entry block on function entry
 	consts []value
 	slots  []*ir.Instr // instruction of each slot, for messages
 	refs   []ir.Value  // operands of the trapping kinds, for messages
-	free   []*frame    // frames of finished activations, for reuse
 	// Values that carry lanes get an index into frame.lanes: laneOf per
 	// slot, argLane per parameter position (nil when no parameter is a
 	// vector); -1 marks a scalar.
 	laneOf  []int32
 	argLane []int32
 	nlanes  int
+	ncalls  int // user call sites (dinstr.call)
+}
+
+// dfunc is a function as one machine runs it: a copy of its code's
+// header, so the execution loop reaches the shared slices in one hop,
+// and the machine's own state.
+type dfunc struct {
+	code
+	// callees memoizes each user call site's resolved function by
+	// kernel mode (device copies take precedence inside a kernel):
+	// entry 2*call, or 2*call+1 inside a kernel.
+	callees []*dfunc
+	free    []*frame // frames of finished activations, for reuse
+}
+
+// CodeCache shares decoded function bodies between runs: a body is
+// decoded once for every machine that uses the cache. Decoded code
+// holds global addresses, so the cache serves only machines whose
+// global layout equals that of the first machine that used it; any
+// other machine decodes its own. The zero value is an empty cache; it
+// is safe for concurrent use, and it keeps every body it decoded alive.
+type CodeCache struct {
+	mu     sync.Mutex
+	layout map[*ir.Global]int64
+	code   map[*ir.Func]*code
+}
+
+// fits reports whether the cache serves a machine with this global
+// layout, adopting the layout when the cache has none yet.
+func (c *CodeCache) fits(layout map[*ir.Global]int64) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.layout == nil {
+		c.layout = layout
+		return true
+	}
+	return maps.Equal(c.layout, layout)
+}
+
+// get returns fn's code, decoding it on first use.
+func (c *CodeCache) get(fn *ir.Func) *code {
+	c.mu.Lock()
+	cd, layout := c.code[fn], c.layout
+	c.mu.Unlock()
+	if cd != nil {
+		return cd
+	}
+	cd = decode(fn, layout)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if prev := c.code[fn]; prev != nil {
+		return prev
+	}
+	if c.code == nil {
+		c.code = map[*ir.Func]*code{}
+	}
+	c.code[fn] = cd
+	return cd
 }
 
 // frame is one function activation.
@@ -164,25 +225,30 @@ func (df *dfunc) acquire() *frame {
 
 func (df *dfunc) release(fr *frame) { df.free = append(df.free, fr) }
 
-// decoded returns fn decoded for this machine, decoding it on first use.
+// decoded returns fn as this machine runs it, taking its code from the
+// machine's code cache on first use.
 func (m *machine) decoded(fn *ir.Func) *dfunc {
 	if df := m.funcs[fn]; df != nil {
 		return df
 	}
-	df := m.decode(fn)
+	df := &dfunc{code: *m.code.get(fn)}
+	if df.ncalls > 0 {
+		df.callees = make([]*dfunc, 2*df.ncalls)
+	}
 	m.funcs[fn] = df
 	return df
 }
 
 type decoder struct {
-	m      *machine
-	df     *dfunc
-	blocks map[*ir.Block]int32
-	slots  map[*ir.Instr]int32
+	globals map[*ir.Global]int64
+	df      *code
+	blocks  map[*ir.Block]int32
+	slots   map[*ir.Instr]int32
 }
 
-func (m *machine) decode(fn *ir.Func) *dfunc {
-	d := &decoder{m: m, df: &dfunc{fn: fn}, blocks: map[*ir.Block]int32{}, slots: map[*ir.Instr]int32{}}
+// decode decodes fn against the global layout globals.
+func decode(fn *ir.Func, globals map[*ir.Global]int64) *code {
+	d := &decoder{globals: globals, df: &code{fn: fn}, blocks: map[*ir.Block]int32{}, slots: map[*ir.Instr]int32{}}
 	// Number the blocks: the function's own, then any branch target
 	// outside fn.Blocks, which still runs because the IR points at it.
 	var order []*ir.Block
@@ -284,7 +350,7 @@ func carriesLanes(in *ir.Instr) bool {
 }
 
 // newLane assigns the next lane index when vec holds, else -1.
-func (df *dfunc) newLane(vec bool) int32 {
+func (df *code) newLane(vec bool) int32 {
 	if !vec {
 		return -1
 	}
@@ -293,7 +359,7 @@ func (df *dfunc) newLane(vec bool) int32 {
 }
 
 // operandLanes reports whether operand o carries lanes.
-func (df *dfunc) operandLanes(o opnd) bool {
+func (df *code) operandLanes(o opnd) bool {
 	switch o.kind {
 	case oSlot:
 		return df.laneOf[o.idx] >= 0
@@ -321,7 +387,7 @@ func (d *decoder) operand(v ir.Value) opnd {
 		}
 		return d.constant(iv(x.I))
 	case *ir.Global:
-		if a, ok := d.m.globals[x]; ok {
+		if a, ok := d.globals[x]; ok {
 			return d.constant(iv(a))
 		}
 		return d.ref(oUnknownGlobal, x)
@@ -417,6 +483,9 @@ func (d *decoder) instr(b *ir.Block, in *ir.Instr) dinstr {
 		x.op = xCall
 		if ir.IsIntrinsic(in.Callee) {
 			x.op, x.intr = xIntrinsic, intrinsics[in.Callee]
+		} else {
+			x.call = int32(d.df.ncalls)
+			d.df.ncalls++
 		}
 	case ir.OpBr:
 		x.op = xBr

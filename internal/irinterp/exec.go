@@ -238,7 +238,7 @@ outer:
 				}
 
 			case xCall:
-				cf := m.callee(in).acquire()
+				cf := m.callee(df, in).acquire()
 				cf.args = cf.args[:0]
 				for _, o := range in.ops {
 					cf.args = append(cf.args, *m.ref(fr, o))

@@ -6,9 +6,11 @@
 // OpenMP (fork/join and tasks), MPI (rank goroutines with synchronous
 // exchanges), and GPU kernel launches for offload modules.
 //
-// Each rank decodes a function the first time it calls it (decode.go):
+// A function is decoded the first time a run calls it (decode.go):
 // operands become dense frame slots, constants, argument indices or
-// global addresses, and cycle costs are precomputed. Simulated memory
+// global addresses, and cycle costs are precomputed. The decoded code
+// is shared through a code cache by the ranks of a run, and by the
+// runs of programs that share a Program.Code cache. Simulated memory
 // is a lazily allocated page table (memory.go).
 package irinterp
 
@@ -58,6 +60,12 @@ func (o Options) withDefaults() Options {
 type Program struct {
 	Host   *ir.Module
 	Device *ir.Module
+	// Code, when non-nil, is a code cache shared with other programs
+	// whose function bodies and globals this one shares: a compile
+	// session's test programs. A run whose global layout the cache
+	// does not serve, and a run of a program without one, decodes
+	// into a cache of its own that its MPI ranks share.
+	Code *CodeCache
 }
 
 // Result reports a completed run.
@@ -107,6 +115,15 @@ func Run(p *Program, opts Options) (*Result, error) {
 			return nil, err
 		}
 		ranks[r] = m
+	}
+	// Every rank lays the globals out alike, so the ranks share one
+	// code cache: the program's when it fits, else the run's own.
+	code := p.Code
+	if code == nil || !code.fits(ranks[0].globals) {
+		code = &CodeCache{layout: ranks[0].globals}
+	}
+	for _, m := range ranks {
+		m.code = code
 	}
 	if opts.NumRanks == 1 {
 		if err := ranks[0].callMain(); err != nil {
@@ -196,9 +213,10 @@ type machine struct {
 
 	// hostFuncs / devFuncs resolve call targets by name (the first
 	// function of a name wins, as in ir.Module.FuncByName); funcs
-	// memoizes decoded functions.
+	// memoizes the machine's functions, whose code comes from code.
 	hostFuncs, devFuncs map[string]*ir.Func
 	funcs               map[*ir.Func]*dfunc
+	code                *CodeCache
 	phiTmp              []value
 	phiLanes            []lanes
 	// retLanes are the lanes of the last returned value when retVec

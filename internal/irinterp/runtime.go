@@ -228,18 +228,18 @@ func (m *machine) intrinsic(fr *frame, in *dinstr) value {
 	return value{}
 }
 
-// callee resolves a user call site, memoized per kernel mode.
-func (m *machine) callee(in *dinstr) *dfunc {
-	k := 0
+// callee resolves user call site in of df, memoized per kernel mode.
+func (m *machine) callee(df *dfunc, in *dinstr) *dfunc {
+	k := 2 * int(in.call)
 	if m.inKernel != "" {
-		k = 1
+		k++
 	}
-	if df := in.callee[k]; df != nil {
-		return df
+	if c := df.callees[k]; c != nil {
+		return c
 	}
-	df := m.decoded(m.lookupFunc(in.in.Callee))
-	in.callee[k] = df
-	return df
+	c := m.decoded(m.lookupFunc(in.in.Callee))
+	df.callees[k] = c
+	return c
 }
 
 func (m *machine) lookupFunc(name string) *ir.Func {

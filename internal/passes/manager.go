@@ -324,6 +324,8 @@ func (p *Pipeline) Run(ctx *Context) {
 					ctx.curPass = ""
 					return
 				}
+				// The plan may have swapped a shared body for a copy.
+				fn = ctx.Module.Funcs[fi]
 			}
 			shared := ctx.Stats
 			if sp != nil {

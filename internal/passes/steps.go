@@ -19,32 +19,44 @@ import (
 //
 // It holds because passes read only the function they run on, callee
 // effects are looked up by name (ir.CalleeEffects), and the chain's
-// module-level analyses are built per compilation from an identical
-// pristine clone. So the body a step sees is fixed by the transcripts
-// of the function's earlier steps: per function the memo is a tree
-// rooted at the pristine body whose edges are recorded steps.
+// module-level analyses are built per compilation from the pristine
+// bodies. So the body a step sees is fixed by the transcripts of the
+// function's earlier steps: per function the memo is a tree rooted at
+// the pristine body whose edges are recorded steps.
 //
-// A compilation walks each function down the tree while transcripts
-// fit, applying each replayed step's effects to the responder (cursor,
-// pair cache, counters) and to the statistics. At the first step no
-// recorded transcript fits, it re-executes the function's replayed
-// steps on the untouched pristine body, answering from the transcripts
-// (oraql.Pass.Script), then runs that step and every later one live,
-// recording new edges. A function replayed to the end takes the stored
-// final body. A re-executed step that asks a different pair key than
-// its transcript breaks the invariant: the plan fails and the caller
+// A compilation starts from a shell of the pristine module: its
+// function slots point at the pristine bodies, which it must not write.
+// It walks each function down the tree while transcripts fit, applying
+// each replayed step's effects to the responder (cursor, pair cache,
+// counters) and to the statistics. At the first step no recorded
+// transcript fits, it copies the pristine body into its slot,
+// re-executes the function's replayed steps on the copy, answering
+// from the transcripts (oraql.Pass.Script), then runs that step and
+// every later one live, recording new edges. A function replayed to
+// the end takes the stored final body by pointer and is never copied.
+// A re-executed step that asks a different pair key than its
+// transcript breaks the invariant: the plan fails and the caller
 // compiles cold instead.
 //
-// By the same invariant a node is its body's identity, so a final
-// body is stored on its node without comparing it to other nodes'
-// bodies, and its lowering to machine code, which depends only on the
-// body and the target, is stored beside it (StepPlan.Lowered).
+// By the same invariant a node is its body's identity, so a live
+// function's body becomes its node's final body without a copy and
+// without comparing it to other nodes' bodies, and its lowering to
+// machine code, which depends only on the body and the target, is
+// stored beside it (StepPlan.Lowered). Final bodies are frozen: every
+// later compilation that ends at the node shares the body, so nothing
+// may write it once the pipeline has finished.
+//
+// Sharing bodies makes the module-level analyses see different
+// objects than the passes query: a shell's chain is built from the
+// pristine bodies, and a live function runs on a copy. Such analyses
+// therefore key values clone-stably — instructions, arguments and
+// globals by VID — as aa.Constructor requires.
 
 // StepMemo is the step tree of one compile session, shared by its
 // concurrent compilations. Edges, final bodies and lowerings are
 // published under mu and immutable afterwards.
 type StepMemo struct {
-	home *ir.Module // pristine module; stored final bodies belong to it
+	home *ir.Module // pristine module; live copies and final bodies belong to it
 
 	mu    sync.Mutex
 	roots []*stepNode // per function index: the pristine body
@@ -72,7 +84,7 @@ type stepEdge struct {
 // published; the fallback test corrupts one through it.
 var testHookPublish func(oraql.Transcript)
 
-// NewStepMemo returns an empty memo for compilations of clones of
+// NewStepMemo returns an empty memo for compilations of shells of
 // pristine, which must stay unmodified while the memo is in use.
 func NewStepMemo(pristine *ir.Module) *StepMemo {
 	sm := &StepMemo{home: pristine, roots: make([]*stepNode, len(pristine.Funcs))}
@@ -115,17 +127,13 @@ func (sm *StepMemo) publish(n *stepNode, tr oraql.Transcript, stats []Entry, cha
 	return e.child
 }
 
-// keepFinal stores a copy of fn's body, detached from the
-// compilation's module, as n's final body unless n has one.
+// keepFinal stores fn's body as n's final body unless n has one. The
+// body is frozen from then on.
 func (sm *StepMemo) keepFinal(n *stepNode, fn *ir.Func) {
-	if sm.finalOf(n) != nil {
-		return
-	}
-	body := fn.CloneInto(sm.home)
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
 	if n.final == nil {
-		n.final = body
+		n.final = fn
 	}
 }
 
@@ -153,8 +161,10 @@ type StepPlan struct {
 	bad  bool
 }
 
-// Plan starts a compilation of a clone of the memo's pristine module
-// whose responder is oq.
+// Plan starts a compilation of a shell of the memo's pristine module —
+// a module whose function slots point at the pristine bodies — whose
+// responder is oq. The plan copies a body into its slot before any
+// step runs on it.
 func (sm *StepMemo) Plan(oq *oraql.Pass) *StepPlan {
 	return &StepPlan{
 		memo: sm,
@@ -171,9 +181,9 @@ func (sp *StepPlan) Failed() bool { return sp.bad }
 
 // replay serves step (pi, fi) from the memo when a recorded transcript
 // fits and reports whether it did. Otherwise it prepares the live run:
-// it brings the function's body up to date (re-executing its replayed
-// steps; a transcript mismatch sets Failed) and starts recording the
-// step's transcript.
+// it copies the pristine body into the function's slot, brings it up
+// to date (re-executing its replayed steps; a transcript mismatch sets
+// Failed) and starts recording the step's transcript.
 func (sp *StepPlan) replay(ctx *Context, p *Pipeline, pi, fi int) bool {
 	if sp.live[fi] {
 		sp.oq.BeginStep()
@@ -195,6 +205,7 @@ func (sp *StepPlan) replay(ctx *Context, p *Pipeline, pi, fi int) bool {
 		ctx.StepsReplayed++
 		return true
 	}
+	sp.own(ctx.Module, fi)
 	sp.bad = !sp.reexecute(ctx, p, fi)
 	sp.live[fi] = true
 	sp.path[fi] = nil
@@ -202,11 +213,21 @@ func (sp *StepPlan) replay(ctx *Context, p *Pipeline, pi, fi int) bool {
 	return false
 }
 
-// reexecute runs function fi's replayed steps on its body — still the
-// pristine one, since replayed steps do not touch it — answering every
-// query from the steps' transcripts. Their accounting was replayed
-// already, so it goes to a scratch registry. It reports whether every
-// step asked exactly its recorded queries.
+// own replaces function fi's slot, which points at the pristine body,
+// with a copy the compilation may write. The copy belongs to the
+// pristine module, so a body frozen as a final one keeps no test
+// module alive.
+func (sp *StepPlan) own(m *ir.Module, fi int) *ir.Func {
+	fn := m.Funcs[fi].CloneInto(sp.memo.home)
+	m.Funcs[fi] = fn
+	return fn
+}
+
+// reexecute runs function fi's replayed steps on its own copy of the
+// pristine body, answering every query from the steps' transcripts.
+// Their accounting was replayed already, so it goes to a scratch
+// registry. It reports whether every step asked exactly its recorded
+// queries.
 func (sp *StepPlan) reexecute(ctx *Context, p *Pipeline, fi int) bool {
 	fn := ctx.Module.Funcs[fi]
 	shared := ctx.Stats
@@ -228,9 +249,12 @@ func (sp *StepPlan) endLive(fi int, stats *StatsRegistry, changed bool) {
 }
 
 // finish completes the compilation's module after the last step:
-// functions replayed to the end take the stored final body (rebuilt by
-// re-execution when no compilation stored one yet); live functions
-// offer theirs to the memo.
+// functions replayed to the end take the stored final body by pointer,
+// and live functions offer theirs to the memo as they are. Only a
+// function whose final node has no stored body yet — its compilation
+// is still running, or stopped early — is rebuilt, by re-execution on
+// a copy as at a first live step. No body of the module may be written
+// afterwards.
 func (sp *StepPlan) finish(ctx *Context, p *Pipeline) {
 	m := ctx.Module
 	for fi, fn := range m.Funcs {
@@ -239,9 +263,10 @@ func (sp *StepPlan) finish(ctx *Context, p *Pipeline) {
 		}
 		if !sp.live[fi] {
 			if body := sp.memo.finalOf(sp.at[fi]); body != nil {
-				m.Funcs[fi] = body.CloneInto(m)
+				m.Funcs[fi] = body
 				continue
 			}
+			fn = sp.own(m, fi)
 			if !sp.reexecute(ctx, p, fi) {
 				sp.bad = true
 				return

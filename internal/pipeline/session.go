@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"github.com/oraql/go-oraql/internal/aa"
 	"github.com/oraql/go-oraql/internal/ir"
+	"github.com/oraql/go-oraql/internal/irinterp"
 	"github.com/oraql/go-oraql/internal/minic"
 	"github.com/oraql/go-oraql/internal/oraql"
 	"github.com/oraql/go-oraql/internal/passes"
@@ -21,9 +23,16 @@ var errLineage = errors.New("pipeline: step transcript mismatch")
 
 // Session compiles one configuration many times with different ORAQL
 // response sequences — the test compilations of a probe campaign. It
-// runs the frontend once and compiles each sequence from a clone of
-// the pristine modules, replaying every (pass, function) step whose
+// runs the frontend once and replays every (pass, function) step whose
 // recorded ORAQL transcript still fits the sequence (passes/steps.go).
+// Test compilations share IR instead of copying it: each starts from a
+// shell of the pristine modules, whose function slots point at the
+// pristine bodies, copies a function only at its first live step, and
+// takes a function replayed to the end as the final body a step node
+// stores. A live function's body becomes its node's final body, frozen
+// from then on. The test programs share one interpreter code cache
+// (irinterp.Program.Code), so a body is decoded once per campaign.
+//
 // A session compilation gives the same executable hash, ORAQL counters
 // and pass statistics (-stats) as CompileContext. Its AA-query,
 // analysis-cache and timing counters cover only the steps it ran, and
@@ -36,21 +45,23 @@ var errLineage = errors.New("pipeline: step transcript mismatch")
 // redone cold and counted (Fallbacks), and the session compiles cold
 // from then on.
 //
-// CompileLive compiles from the same pristine clone with every step
-// live and no memo — the probe driver's baseline and final compiles —
-// so a campaign runs the frontend once.
+// CompileLive compiles from a clone of the pristine modules with every
+// step live and no memo — the probe driver's baseline and final
+// compiles — so a campaign runs the frontend once.
 //
-// A Session is safe for concurrent use; its pristine modules are
-// read-only and its step memos publish under their own lock.
+// A Session is safe for concurrent use: its pristine modules and the
+// final bodies are read-only, and its step memos and code cache
+// publish under their own locks.
 type Session struct {
 	cfg Config
 
 	once       sync.Once
 	err        error
-	host       *ir.Module // pristine; cloned per compilation
+	host       *ir.Module // pristine; shared by every compilation
 	device     *ir.Module
 	hostMemo   *passes.StepMemo
 	deviceMemo *passes.StepMemo
+	code       *irinterp.CodeCache // decoded bodies of the test programs
 
 	fallbacks atomic.Int64
 	broken    atomic.Bool
@@ -72,7 +83,11 @@ func (s *Session) reusable() bool {
 }
 
 // Compile compiles the session's configuration with response sequence
-// seq.
+// seq. The result's modules share function bodies with the session and
+// with other results, so they are read-only once Compile returns.
+// Only the probe engine consumes them, through verify, codegen and the
+// interpreter, and all three only read. After Release, a compilation
+// runs every step live on a clone of its own.
 func (s *Session) Compile(ctx context.Context, seq oraql.Seq) (*CompileResult, error) {
 	cfg := s.cfg
 	if cfg.ORAQL != nil {
@@ -91,8 +106,19 @@ func (s *Session) Compile(ctx context.Context, seq oraql.Seq) (*CompileResult, e
 		return nil, s.err
 	}
 	if !s.broken.Load() {
-		host, device := s.clone()
-		res, err := compileProgram(ctx, cfg, host, device, s.hostMemo, s.deviceMemo)
+		hostMemo, deviceMemo, code := s.hostMemo, s.deviceMemo, s.code
+		var host, device *ir.Module
+		if hostMemo != nil {
+			host, device = shell(s.host), shell(s.device)
+		} else {
+			// Released: with no plan to copy bodies before passes
+			// write them, the compilation needs modules of its own.
+			host, device = s.clone()
+		}
+		res, err := compileProgram(ctx, cfg, host, device, hostMemo, deviceMemo)
+		if err == nil {
+			res.Program.Code = code
+		}
 		if !errors.Is(err, errLineage) {
 			return res, err
 		}
@@ -125,10 +151,11 @@ func (s *Session) CompileLive(ctx context.Context, opts *oraql.Options) (*Compil
 }
 
 // Release drops the step memos, which hold every test compilation's
-// transcripts, final bodies and lowerings. Later compilations run
-// every step live. It must not run concurrently with another call.
+// transcripts, final bodies and lowerings, and the test programs' code
+// cache. Later compilations run every step live on modules of their
+// own. It must not run concurrently with another call.
 func (s *Session) Release() {
-	s.hostMemo, s.deviceMemo = nil, nil
+	s.hostMemo, s.deviceMemo, s.code = nil, nil, nil
 }
 
 // start runs the frontend (or copies the pre-built module) and sets up
@@ -154,14 +181,32 @@ func (s *Session) start() {
 	if s.device != nil {
 		s.deviceMemo = passes.NewStepMemo(s.device)
 	}
+	s.code = &irinterp.CodeCache{}
 }
 
-// clone copies the pristine program; the device half keeps sharing
-// the host half's globals, as the frontend's output does.
+// clone copies the pristine program; clones share the pristine
+// globals, so the device half keeps sharing the host half's.
 func (s *Session) clone() (host, device *ir.Module) {
 	host = s.host.Clone()
 	if s.device != nil {
-		device = s.device.CloneSharing(host)
+		device = s.device.Clone()
 	}
 	return host, device
+}
+
+// shell returns a module that lists m's globals and TBAA tree and
+// whose function slots point at m's bodies: a test compilation's
+// starting point, whose step plan copies a body before any pass writes
+// it (passes.StepMemo.Plan). nil for nil.
+func shell(m *ir.Module) *ir.Module {
+	if m == nil {
+		return nil
+	}
+	return &ir.Module{
+		Name:    m.Name,
+		Target:  m.Target,
+		Globals: slices.Clone(m.Globals),
+		Funcs:   slices.Clone(m.Funcs),
+		TBAA:    m.TBAA,
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -304,9 +305,34 @@ func TestSessionMatchesCold(t *testing.T) {
 	})
 }
 
+// runOutcome renders everything a run reports: the whole result —
+// stdout, instruction and cycle counts, device counters, per-kernel
+// cycles and launches — or the trap.
+func runOutcome(p *irinterp.Program, opts irinterp.Options) string {
+	rr, err := irinterp.Run(p, opts)
+	if err != nil {
+		return "trap: " + err.Error()
+	}
+	return fmt.Sprintf("%+v", *rr)
+}
+
+// mallocs counts the heap objects f allocates.
+func mallocs(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
 // TestSessionRunsLikeCold runs what a session compiles — fully live,
 // then fully replayed from stored bodies — against the cold program
-// for every configuration: same stdout, same instruction count.
+// for every configuration, with its own run options (lulesh-mpi runs
+// two ranks) and with a step limit that traps partway: the whole
+// result, or the trap, must be the cold program's. Each program runs
+// twice; the second run must be served from the session's code cache,
+// so it allocates less than a run of the same program that decodes
+// its own code.
 func TestSessionRunsLikeCold(t *testing.T) {
 	for _, c := range apps.All() {
 		spec := c.Spec()
@@ -318,16 +344,38 @@ func TestSessionRunsLikeCold(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.ID, err)
 		}
-		want, wantErr := irinterp.Run(cold.Program, spec.Run)
+		trapping := spec.Run
+		trapping.StepLimit = 1000
+		if rr, err := irinterp.Run(cold.Program, spec.Run); err == nil {
+			trapping.StepLimit = max(1, (rr.Instrs+rr.DeviceInstrs)/4)
+		}
 		sess := pipeline.NewSession(cfg)
 		for i := 0; i < 2; i++ {
 			cr, err := sess.Compile(context.Background(), nil)
 			if err != nil {
 				t.Fatalf("%s: %v", c.ID, err)
 			}
-			got, gotErr := irinterp.Run(cr.Program, spec.Run)
-			if (gotErr != nil) != (wantErr != nil) || gotErr == nil && (got.Stdout != want.Stdout || got.Instrs != want.Instrs) {
-				t.Fatalf("%s compile %d: session run differs from cold (err %v vs %v)", c.ID, i, gotErr, wantErr)
+			if cr.Program.Code == nil {
+				t.Fatalf("%s compile %d: a session test program has no code cache", c.ID, i)
+			}
+			for _, ro := range []irinterp.Options{spec.Run, trapping} {
+				want := runOutcome(cold.Program, ro)
+				for run := 0; run < 2; run++ {
+					var got string
+					n := mallocs(func() { got = runOutcome(cr.Program, ro) })
+					if got != want {
+						t.Fatalf("%s compile %d run %d (step limit %d): session run differs from cold:\nsession %s\ncold    %s",
+							c.ID, i, run, ro.StepLimit, got, want)
+					}
+					if run == 1 {
+						own := *cr.Program
+						own.Code = nil
+						if nOwn := mallocs(func() { runOutcome(&own, ro) }); n >= nOwn {
+							t.Errorf("%s compile %d (step limit %d): the second run allocated %d objects, a run decoding its own code %d: not served from the code cache",
+								c.ID, i, ro.StepLimit, n, nOwn)
+						}
+					}
+				}
 			}
 			if _, replayed := cr.Steps(); i == 1 && replayed == 0 {
 				t.Errorf("%s: the repeated compile replayed nothing", c.ID)
@@ -382,7 +430,9 @@ func vids(m *ir.Module) string {
 
 // TestModuleClone: a clone prints like the original, keeps every VID
 // and next-ID counter, compiles without touching the original, and
-// compiles to the executable of a fresh frontend run — host and device.
+// compiles to the executable of a fresh frontend run — host and device;
+// a device clone shares the original's globals, and with them the host
+// half's.
 func TestModuleClone(t *testing.T) {
 	for _, cfg := range cloneConfigs(t) {
 		host, device, err := minic.Compile(cfg.SourceFile, cfg.Source, cfg.Frontend)
@@ -408,14 +458,11 @@ func TestModuleClone(t *testing.T) {
 			}
 			if m == device {
 				// The device half shares the host half's globals by
-				// identity; a program clone must keep exactly that.
-				hostCl := host.Clone()
-				devCl := device.CloneSharing(hostCl)
+				// identity. A clone shares its original's globals, so
+				// a device clone keeps sharing the host half's.
 				for i, g := range device.Globals {
-					for j, h := range host.Globals {
-						if (g == h) != (devCl.Globals[i] == hostCl.Globals[j]) {
-							t.Fatalf("%s: device global %s: sharing with host global %s not preserved", cfg.Name, g.Name, h.Name)
-						}
+					if cl.Globals[i] != g {
+						t.Fatalf("%s: device global %s: the clone does not share it", cfg.Name, g.Name)
 					}
 				}
 			}
