@@ -181,9 +181,10 @@ func (sp *StepPlan) Failed() bool { return sp.bad }
 
 // replay serves step (pi, fi) from the memo when a recorded transcript
 // fits and reports whether it did. Otherwise it prepares the live run:
-// it copies the pristine body into the function's slot, brings it up
-// to date (re-executing its replayed steps; a transcript mismatch sets
-// Failed) and starts recording the step's transcript.
+// it gives the function a body of its own, brought up to date by
+// re-executing its replayed steps on a copy of the pristine body (a
+// transcript mismatch sets Failed), and starts recording the step's
+// transcript.
 func (sp *StepPlan) replay(ctx *Context, p *Pipeline, pi, fi int) bool {
 	if sp.live[fi] {
 		sp.oq.BeginStep()
@@ -205,7 +206,6 @@ func (sp *StepPlan) replay(ctx *Context, p *Pipeline, pi, fi int) bool {
 		ctx.StepsReplayed++
 		return true
 	}
-	sp.own(ctx.Module, fi)
 	sp.bad = !sp.reexecute(ctx, p, fi)
 	sp.live[fi] = true
 	sp.path[fi] = nil
@@ -213,23 +213,16 @@ func (sp *StepPlan) replay(ctx *Context, p *Pipeline, pi, fi int) bool {
 	return false
 }
 
-// own replaces function fi's slot, which points at the pristine body,
-// with a copy the compilation may write. The copy belongs to the
-// pristine module, so a body frozen as a final one keeps no test
-// module alive.
-func (sp *StepPlan) own(m *ir.Module, fi int) *ir.Func {
-	fn := m.Funcs[fi].CloneInto(sp.memo.home)
-	m.Funcs[fi] = fn
-	return fn
-}
-
-// reexecute runs function fi's replayed steps on its own copy of the
-// pristine body, answering every query from the steps' transcripts.
-// Their accounting was replayed already, so it goes to a scratch
-// registry. It reports whether every step asked exactly its recorded
-// queries.
+// reexecute replaces function fi's slot, which still points at the
+// pristine body, with a copy the compilation may write, and runs the
+// function's replayed steps on it, answering every query from the
+// steps' transcripts. The copy belongs to the pristine module, so a
+// body frozen as a final one keeps no test module alive. The steps'
+// accounting was replayed already, so it goes to a scratch registry.
+// It reports whether every step asked exactly its recorded queries.
 func (sp *StepPlan) reexecute(ctx *Context, p *Pipeline, fi int) bool {
-	fn := ctx.Module.Funcs[fi]
+	fn := ctx.Module.Funcs[fi].CloneInto(sp.memo.home)
+	ctx.Module.Funcs[fi] = fn
 	shared := ctx.Stats
 	ctx.Stats = NewStats()
 	defer func() { ctx.Stats = shared }()
@@ -250,11 +243,11 @@ func (sp *StepPlan) endLive(fi int, stats *StatsRegistry, changed bool) {
 
 // finish completes the compilation's module after the last step:
 // functions replayed to the end take the stored final body by pointer,
-// and live functions offer theirs to the memo as they are. Only a
-// function whose final node has no stored body yet — its compilation
-// is still running, or stopped early — is rebuilt, by re-execution on
-// a copy as at a first live step. No body of the module may be written
-// afterwards.
+// and live functions offer theirs to the memo as they are; neither is
+// copied. Only a function whose final node has no stored body yet —
+// the compilation that reached it is still running, or stopped early —
+// is rebuilt by re-execution, as at a first live step. No body of the
+// module may be written afterwards.
 func (sp *StepPlan) finish(ctx *Context, p *Pipeline) {
 	m := ctx.Module
 	for fi, fn := range m.Funcs {
@@ -266,11 +259,11 @@ func (sp *StepPlan) finish(ctx *Context, p *Pipeline) {
 				m.Funcs[fi] = body
 				continue
 			}
-			fn = sp.own(m, fi)
 			if !sp.reexecute(ctx, p, fi) {
 				sp.bad = true
 				return
 			}
+			fn = m.Funcs[fi]
 		}
 		sp.memo.keepFinal(sp.at[fi], fn)
 	}
