@@ -218,7 +218,7 @@ func (sp *StepPlan) replay(ctx *Context, p *Pipeline, pi, fi int) bool {
 // function's replayed steps on it, answering every query from the
 // steps' transcripts. The copy belongs to the pristine module, so a
 // body frozen as a final one keeps no test module alive. The steps'
-// accounting was replayed already, so it goes to a scratch registry.
+// accounting was replayed already, so it goes to a throwaway registry.
 // It reports whether every step asked exactly its recorded queries.
 func (sp *StepPlan) reexecute(ctx *Context, p *Pipeline, fi int) bool {
 	fn := ctx.Module.Funcs[fi].CloneInto(sp.memo.home)
