@@ -161,7 +161,6 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		aas := cr.AAStats()
 		fmt.Fprintf(stdout, "%8d aa - Number of memoized query cache hits\n", aas.CacheHits)
 		fmt.Fprintf(stdout, "%8d aa - Number of memoized query cache misses\n", aas.CacheMisses)
-		fmt.Fprintf(stdout, "%8d aa - Number of query cache invalidations\n", aas.CacheFlushes)
 		fmt.Fprintf(stdout, "%8d aa - Number of scoped (per-function) cache flushes\n", aas.CacheScopedFlushes)
 	}
 	if *timePasses {

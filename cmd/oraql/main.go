@@ -328,8 +328,8 @@ func emitProbe(p *report.ProbeJSON, jsonOut bool, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "speculation:          %d tests prefetched, %d wasted\n",
 			p.TestsSpeculated, p.TestsWasted)
 	}
-	fmt.Fprintf(stdout, "aa query cache:       %d hits, %d misses (%.1f%% hit rate), %d flushes\n",
-		p.AA.CacheHits, p.AA.CacheMisses, 100*p.AA.CacheHitRate(), p.AA.CacheFlushes)
+	fmt.Fprintf(stdout, "aa query cache:       %d hits, %d misses (%.1f%% hit rate), %d scoped flushes\n",
+		p.AA.CacheHits, p.AA.CacheMisses, 100*p.AA.CacheHitRate(), p.AA.CacheScopedFlushes)
 	fmt.Fprintf(stdout, "instructions:         %d original -> %d ORAQL\n", p.InstrsOrig, p.InstrsORAQL)
 	if p.FinalSeq != "" {
 		fmt.Fprintf(stdout, "final -opt-aa-seq:    %s\n", p.FinalSeq)

@@ -78,29 +78,6 @@ func TestQueryCacheSymmetricKey(t *testing.T) {
 	}
 }
 
-func TestQueryCacheInvalidate(t *testing.T) {
-	f := newFixture(t)
-	mgr := NewManager(f.m, NewBasicAA())
-	l1, l2 := f.loc(f.a1, 8), f.loc(f.a2, 8)
-
-	mgr.Alias(l1, l2, nil)
-	mgr.Invalidate()
-	mgr.Alias(l1, l2, nil)
-	s := mgr.Stats()
-	if s.CacheFlushes != 1 {
-		t.Errorf("CacheFlushes = %d, want 1", s.CacheFlushes)
-	}
-	if s.CacheMisses != 2 || s.CacheHits != 0 {
-		t.Errorf("after flush: got %d misses / %d hits, want 2 / 0", s.CacheMisses, s.CacheHits)
-	}
-	// Invalidating an empty cache is not a flush.
-	mgr.Invalidate()
-	mgr.Invalidate()
-	if s := mgr.Stats(); s.CacheFlushes != 2 {
-		t.Errorf("CacheFlushes after empty invalidate = %d, want 2", s.CacheFlushes)
-	}
-}
-
 // TestQueryCacheScopedInvalidate: InvalidateFunc must drop only the
 // changed function's bucket, leaving other functions' verdicts hot.
 func TestQueryCacheScopedInvalidate(t *testing.T) {
@@ -123,24 +100,14 @@ func TestQueryCacheScopedInvalidate(t *testing.T) {
 	if s.CacheMisses != 3 || s.CacheHits != 1 {
 		t.Errorf("got %d misses / %d hits, want 3 / 1 (scoped flush)", s.CacheMisses, s.CacheHits)
 	}
-	if s.CacheScopedFlushes != 1 || s.CacheFlushes != 0 {
-		t.Errorf("scoped/full flushes = %d/%d, want 1/0", s.CacheScopedFlushes, s.CacheFlushes)
+	if s.CacheScopedFlushes != 1 {
+		t.Errorf("CacheScopedFlushes = %d, want 1", s.CacheScopedFlushes)
 	}
 	// Scoped flush of a function with no entries is not a flush.
 	mgr.InvalidateFunc(f.fn)
 	mgr.InvalidateFunc(f.fn)
 	if s := mgr.Stats(); s.CacheScopedFlushes != 2 {
 		t.Errorf("CacheScopedFlushes = %d, want 2 (second empty flush uncounted)", s.CacheScopedFlushes)
-	}
-	// A full Invalidate drops the remaining buckets.
-	mgr.Invalidate()
-	mgr.Alias(l1, l2, qo)
-	s = mgr.Stats()
-	if s.CacheFlushes != 1 {
-		t.Errorf("CacheFlushes = %d, want 1", s.CacheFlushes)
-	}
-	if s.CacheHits != 1 {
-		t.Errorf("hits after full flush = %d, want 1 (re-miss)", s.CacheHits)
 	}
 }
 
@@ -247,7 +214,7 @@ func TestStatsMergeAndClone(t *testing.T) {
 	a.QueriesByPass["GVN"] = 3
 
 	b := NewStats()
-	b.Queries, b.MayAlias, b.CacheMisses, b.CacheFlushes = 2, 2, 2, 1
+	b.Queries, b.MayAlias, b.CacheMisses, b.CacheScopedFlushes = 2, 2, 2, 1
 	b.NoAliasByAnalysis["tbaa"] = 1
 	b.QueriesByPass["GVN"] = 2
 
@@ -256,7 +223,7 @@ func TestStatsMergeAndClone(t *testing.T) {
 	if sum.Queries != 5 || sum.NoAlias != 2 || sum.MayAlias != 2 {
 		t.Errorf("merged outcome counters wrong: %+v", sum)
 	}
-	if sum.CacheHits != 1 || sum.CacheMisses != 2 || sum.CacheFlushes != 1 {
+	if sum.CacheHits != 1 || sum.CacheMisses != 2 || sum.CacheScopedFlushes != 1 {
 		t.Errorf("merged cache counters wrong: %+v", sum)
 	}
 	if sum.QueriesByPass["GVN"] != 5 || sum.NoAliasByAnalysis["basic-aa"] != 2 || sum.NoAliasByAnalysis["tbaa"] != 1 {
@@ -285,7 +252,7 @@ func TestManagerConcurrentQueries(t *testing.T) {
 					return
 				}
 				if j%50 == 0 {
-					mgr.Invalidate()
+					mgr.InvalidateFunc(nil)
 				}
 			}
 		}()

@@ -30,11 +30,9 @@ type Stats struct {
 	// cache and count in neither.
 	CacheHits   int64 `json:"cache_hits"`
 	CacheMisses int64 `json:"cache_misses"`
-	// CacheFlushes counts module-wide invalidations that actually
-	// dropped entries; CacheScopedFlushes counts the per-function
-	// invalidations the analysis manager issues for the one function a
-	// pass changed, which leave every other function's entries intact.
-	CacheFlushes       int64 `json:"cache_flushes"`
+	// CacheScopedFlushes counts the per-function invalidations that
+	// dropped entries: the analysis manager issues one for each function
+	// a pass changed, leaving every other function's entries intact.
 	CacheScopedFlushes int64 `json:"cache_scoped_flushes"`
 
 	// NoAliasByAnalysis counts definitive no-alias answers per analysis
@@ -70,7 +68,6 @@ func (s *Stats) Merge(other *Stats) {
 	s.MayAlias += other.MayAlias
 	s.CacheHits += other.CacheHits
 	s.CacheMisses += other.CacheMisses
-	s.CacheFlushes += other.CacheFlushes
 	s.CacheScopedFlushes += other.CacheScopedFlushes
 	for k, v := range other.NoAliasByAnalysis {
 		s.NoAliasByAnalysis[k] += v
@@ -200,7 +197,7 @@ type cacheEntry struct {
 // function, and a hit skips the whole cacheable chain prefix. Analyses
 // implementing Uncacheable (the ORAQL responder) are consulted on
 // every query regardless, so their counters and sequence consumption
-// are unaffected by memoization. The pass manager calls Invalidate
+// are unaffected by memoization. The analysis manager calls InvalidateFunc
 // between pass executions once a pass mutates the module; within one
 // pass execution the cache keeps LLVM's batch semantics (stale entries
 // can only be conservative, since transformations never make disjoint
@@ -352,29 +349,6 @@ func (mgr *Manager) SetQueryCache(enabled bool) {
 			s.cache = map[queryKey]cacheEntry{}
 			s.mu.Unlock()
 		}
-	}
-}
-
-// Invalidate flushes the entire memoized query cache across all
-// functions — the module-wide AAQueryInfo drop. The pass pipeline now
-// prefers the scoped InvalidateFunc; the full flush remains for
-// callers without a function context.
-func (mgr *Manager) Invalidate() {
-	dropped := 0
-	shards := mgr.allShards()
-	for _, s := range shards {
-		s.mu.Lock()
-		if len(s.cache) > 0 {
-			dropped += len(s.cache)
-			s.cache = map[queryKey]cacheEntry{}
-		}
-		s.mu.Unlock()
-	}
-	if dropped > 0 {
-		nilShard := mgr.shardFor(nil)
-		nilShard.mu.Lock()
-		nilShard.stats.CacheFlushes++
-		nilShard.mu.Unlock()
 	}
 }
 
