@@ -3,8 +3,6 @@ package aa
 import (
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"github.com/oraql/go-oraql/internal/ir"
 )
@@ -13,11 +11,9 @@ import (
 // analysis and by requesting pass. The totals feed the Fig. 4 columns
 // ("# No-Alias Results", original vs ORAQL).
 //
-// A Stats value is an immutable snapshot: Manager.Stats returns a deep
-// copy of the accumulator it guards internally, so snapshots of
-// compilations on different goroutines (service jobs, speculative
-// probe tests) can be read and Merge'd freely without additional
-// locking.
+// Manager.Stats returns a deep copy of the manager's accumulator, so a
+// snapshot outlives its compilation and can be read and Merge'd on any
+// goroutine.
 type Stats struct {
 	Queries      int64 `json:"queries"`
 	NoAlias      int64 `json:"no_alias"`
@@ -197,15 +193,11 @@ type cacheEntry struct {
 // function, and a hit skips the whole cacheable chain prefix. Analyses
 // implementing Uncacheable (the ORAQL responder) are consulted on
 // every query regardless, so their counters and sequence consumption
-// are unaffected by memoization. The analysis manager calls InvalidateFunc
-// between pass executions once a pass mutates the module; within one
-// pass execution the cache keeps LLVM's batch semantics (stale entries
-// can only be conservative, since transformations never make disjoint
-// live pointers overlap).
-//
-// Manager is safe for concurrent queries; note however that the ORAQL
-// pass appended during probing keeps its own unsynchronized state, so
-// probing compilations use one manager per compilation.
+// are unaffected by memoization. The analysis manager calls
+// InvalidateFunc for each function a pass changed; within one pass
+// execution the cache keeps LLVM's batch semantics (stale entries can
+// only be conservative, since transformations never make disjoint live
+// pointers overlap).
 //
 // Cache entries are bucketed by the querying function (QueryCtx.Func),
 // because alias queries are intra-function: both locations name values
@@ -215,12 +207,8 @@ type cacheEntry struct {
 // drops only f's bucket. Queries without a function context land in a
 // shared nil bucket that every scoped flush also drops.
 //
-// State is sharded by that same bucketing: each function owns a shard
-// holding its cache bucket and its statistics, guarded by its own
-// mutex, so a scoped flush touches one shard and Stats() merges the
-// shard snapshots. All counters of one query are booked in a single
-// critical section, so a snapshot taken while queries are in flight
-// can never observe a query whose outcome is missing (no torn reads).
+// Like LLVM's AAResults, a Manager belongs to one compilation, which
+// runs on one goroutine; it is not safe for concurrent use.
 type Manager struct {
 	Module *ir.Module
 	chain  []Analysis
@@ -228,72 +216,16 @@ type Manager struct {
 	// Blocker, when non-nil, is consulted before the chain.
 	Blocker Blocker
 
-	memoOff atomic.Bool
-
-	// shardMu guards the shards map itself; the shards it holds are
-	// never removed, so a looked-up shard stays valid without it.
-	shardMu sync.RWMutex
-	shards  map[*ir.Func]*shard
-}
-
-// shard is the per-function slice of the manager's mutable state: the
-// memoized cache bucket and the statistics of queries issued from that
-// function. fn == nil (queries without a function context) has a shard
-// of its own.
-type shard struct {
-	mu    sync.Mutex
-	stats *Stats
-	cache map[queryKey]cacheEntry
-}
-
-func newShard() *shard {
-	return &shard{stats: NewStats(), cache: map[queryKey]cacheEntry{}}
+	memoOff bool
+	stats   *Stats
+	cache   map[*ir.Func]map[queryKey]cacheEntry
 }
 
 // NewManager returns a manager over m with the given chain, queried in
-// order. Shards for m's functions (and the nil bucket) are created
-// eagerly so the common query path is a read-lock map hit.
+// order.
 func NewManager(m *ir.Module, chain ...Analysis) *Manager {
-	mgr := &Manager{
-		Module: m,
-		chain:  chain,
-		shards: map[*ir.Func]*shard{nil: newShard()},
-	}
-	if m != nil {
-		for _, fn := range m.Funcs {
-			mgr.shards[fn] = newShard()
-		}
-	}
-	return mgr
-}
-
-// shardFor returns fn's shard, creating it for functions that did not
-// exist when the manager was built.
-func (mgr *Manager) shardFor(fn *ir.Func) *shard {
-	mgr.shardMu.RLock()
-	s := mgr.shards[fn]
-	mgr.shardMu.RUnlock()
-	if s != nil {
-		return s
-	}
-	mgr.shardMu.Lock()
-	defer mgr.shardMu.Unlock()
-	if s = mgr.shards[fn]; s == nil {
-		s = newShard()
-		mgr.shards[fn] = s
-	}
-	return s
-}
-
-// allShards snapshots the shard list.
-func (mgr *Manager) allShards() []*shard {
-	mgr.shardMu.RLock()
-	defer mgr.shardMu.RUnlock()
-	out := make([]*shard, 0, len(mgr.shards))
-	for _, s := range mgr.shards {
-		out = append(out, s)
-	}
-	return out
+	return &Manager{Module: m, chain: chain, stats: NewStats(),
+		cache: map[*ir.Func]map[queryKey]cacheEntry{}}
 }
 
 // DefaultChain builds the analyses enabled in the default -O3 pipeline,
@@ -322,33 +254,16 @@ func (mgr *Manager) Append(a Analysis) { mgr.chain = append(mgr.chain, a) }
 // Chain returns the analyses in query order.
 func (mgr *Manager) Chain() []Analysis { return mgr.chain }
 
-// Stats returns a snapshot of the accumulated query statistics, merged
-// over all shards. Each shard is snapshotted under its own lock, and
-// every shard books all counters of a query atomically, so the merged
-// snapshot always satisfies the per-query invariants (every counted
-// query has a counted outcome, every cacheable query a counted
-// hit-or-miss) even while queries are in flight.
-func (mgr *Manager) Stats() *Stats {
-	out := NewStats()
-	for _, s := range mgr.allShards() {
-		s.mu.Lock()
-		out.Merge(s.stats)
-		s.mu.Unlock()
-	}
-	return out
-}
+// Stats returns a snapshot of the accumulated query statistics.
+func (mgr *Manager) Stats() *Stats { return mgr.stats.Clone() }
 
 // SetQueryCache enables or disables the memoized query cache (enabled
 // by default); disabling flushes it. Used by the cache-ablation
 // benchmarks.
 func (mgr *Manager) SetQueryCache(enabled bool) {
-	mgr.memoOff.Store(!enabled)
+	mgr.memoOff = !enabled
 	if !enabled {
-		for _, s := range mgr.allShards() {
-			s.mu.Lock()
-			s.cache = map[queryKey]cacheEntry{}
-			s.mu.Unlock()
-		}
+		clear(mgr.cache)
 	}
 }
 
@@ -359,21 +274,11 @@ func (mgr *Manager) SetQueryCache(enabled bool) {
 // cannot be attributed. The flush counter reflects only the function's
 // own bucket.
 func (mgr *Manager) InvalidateFunc(fn *ir.Func) {
-	s := mgr.shardFor(fn)
-	s.mu.Lock()
-	if len(s.cache) > 0 {
-		s.cache = map[queryKey]cacheEntry{}
-		s.stats.CacheScopedFlushes++
+	if len(mgr.cache[fn]) > 0 {
+		mgr.stats.CacheScopedFlushes++
 	}
-	s.mu.Unlock()
-	if fn != nil {
-		nilShard := mgr.shardFor(nil)
-		nilShard.mu.Lock()
-		if len(nilShard.cache) > 0 {
-			nilShard.cache = map[queryKey]cacheEntry{}
-		}
-		nilShard.mu.Unlock()
-	}
+	delete(mgr.cache, fn)
+	delete(mgr.cache, nil)
 }
 
 // cachePrefixLen returns the length of the chain prefix whose answers
@@ -387,35 +292,13 @@ func (mgr *Manager) cachePrefixLen() int {
 	return len(mgr.chain)
 }
 
-// cacheTraffic tags how a query interacted with the memoized cache.
-type cacheTraffic int
-
-const (
-	trafficNone cacheTraffic = iota // blocked or memoization off
-	trafficHit
-	trafficMiss
-)
-
-// book records every counter of one query in a single critical section
-// of the function's shard: attribution, cache traffic, and outcome.
-// Booking atomically is what makes Stats() snapshots tear-free.
-func (s *shard) book(q *QueryCtx, r Result, analysis string, traffic cacheTraffic) {
-	s.mu.Lock()
-	s.bookLocked(q, r, analysis, traffic)
-	s.mu.Unlock()
-}
-
-func (s *shard) bookLocked(q *QueryCtx, r Result, analysis string, traffic cacheTraffic) {
-	st := s.stats
+// book records a query's attribution and outcome; Alias counts its
+// cache traffic.
+func (mgr *Manager) book(q *QueryCtx, r Result, analysis string) {
+	st := mgr.stats
 	st.Queries++
 	if q != nil && q.Pass != "" {
 		st.QueriesByPass[q.Pass]++
-	}
-	switch traffic {
-	case trafficHit:
-		st.CacheHits++
-	case trafficMiss:
-		st.CacheMisses++
 	}
 	switch r {
 	case NoAlias:
@@ -442,54 +325,45 @@ func (mgr *Manager) walk(from, to int, a, b MemLoc, q *QueryCtx) (Result, string
 }
 
 // Alias answers an alias query by walking the chain, serving the
-// cacheable prefix from the memoized query cache when possible. All
-// statistics of the query are booked in one critical section of the
-// issuing function's shard, after the answer is known.
+// cacheable prefix from the issuing function's cache bucket when
+// possible.
 func (mgr *Manager) Alias(a, b MemLoc, q *QueryCtx) Result {
+	if mgr.Blocker != nil && mgr.Blocker.Block(a, b, q) {
+		mgr.book(q, MayAlias, "")
+		return MayAlias
+	}
+	prefix := mgr.cachePrefixLen()
+	if mgr.memoOff || prefix == 0 {
+		r, name := mgr.walk(0, len(mgr.chain), a, b, q)
+		mgr.book(q, r, name)
+		return r
+	}
+
 	var fn *ir.Func
 	if q != nil {
 		fn = q.Func
 	}
-	s := mgr.shardFor(fn)
-
-	if mgr.Blocker != nil && mgr.Blocker.Block(a, b, q) {
-		s.book(q, MayAlias, "", trafficNone)
-		return MayAlias
-	}
-	prefix := mgr.cachePrefixLen()
-	if mgr.memoOff.Load() || prefix == 0 {
-		r, name := mgr.walk(0, len(mgr.chain), a, b, q)
-		s.book(q, r, name, trafficNone)
-		return r
-	}
-
+	bucket := mgr.cache[fn]
 	key := queryKeyOf(a, b)
-	s.mu.Lock()
-	ent, hit := s.cache[key]
-	s.mu.Unlock()
-
+	ent, hit := bucket[key]
 	if hit {
-		r, name := ent.result, ent.analysis
-		if !r.Definitive() {
-			// The cacheable prefix is known to be inconclusive: consult
-			// only the uncacheable tail (e.g. the ORAQL responder).
-			r, name = mgr.walk(prefix, len(mgr.chain), a, b, q)
+		mgr.stats.CacheHits++
+	} else {
+		mgr.stats.CacheMisses++
+		ent.result, ent.analysis = mgr.walk(0, prefix, a, b, q)
+		if bucket == nil {
+			bucket = map[queryKey]cacheEntry{}
+			mgr.cache[fn] = bucket
 		}
-		s.book(q, r, name, trafficHit)
-		return r
+		bucket[key] = ent
 	}
-
-	pr, pname := mgr.walk(0, prefix, a, b, q)
-	r, name := pr, pname
+	r, name := ent.result, ent.analysis
 	if !r.Definitive() {
+		// The cacheable prefix is inconclusive: consult only the
+		// uncacheable tail (e.g. the ORAQL responder).
 		r, name = mgr.walk(prefix, len(mgr.chain), a, b, q)
 	}
-	s.mu.Lock()
-	if !mgr.memoOff.Load() {
-		s.cache[key] = cacheEntry{result: pr, analysis: pname}
-	}
-	s.bookLocked(q, r, name, trafficMiss)
-	s.mu.Unlock()
+	mgr.book(q, r, name)
 	return r
 }
 
