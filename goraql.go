@@ -185,9 +185,6 @@ type (
 	// PassTiming is the per-pass execution accounting of one
 	// compilation (-time-passes): runs, changed runs, wall time.
 	PassTiming = passes.Timing
-	// PreservedAnalyses is the per-pass declaration of which analyses
-	// survive it (the new-pass-manager invalidation protocol).
-	PreservedAnalyses = analysis.PreservedAnalyses
 	// AnalysisStats are the analysis manager's per-analysis cache
 	// counters (hits, misses, invalidations).
 	AnalysisStats = analysis.Stats

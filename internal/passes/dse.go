@@ -82,11 +82,11 @@ func (p *DSE) Run(fn *ir.Func, ctx *Context) analysis.PreservedAnalyses {
 	}
 
 	if !changed {
-		return analysis.All()
+		return analysis.All
 	}
 	fn.Compact()
 	removeDeadCode(fn)
-	return analysis.CFGOnly() // deletes stores, never edges
+	return analysis.CFGOnly // deletes stores, never edges
 }
 
 // objectIsRead reports whether any instruction reads through a pointer

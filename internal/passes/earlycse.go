@@ -65,10 +65,10 @@ func (p *EarlyCSE) Run(fn *ir.Func, ctx *Context) analysis.PreservedAnalyses {
 		}
 	}
 	if !changed {
-		return analysis.All()
+		return analysis.All
 	}
 	fn.Compact()
-	return analysis.CFGOnly() // removes instructions, never edges
+	return analysis.CFGOnly // removes instructions, never edges
 }
 
 // lookupAvail finds an available entry whose location must-aliases loc

@@ -93,7 +93,7 @@ func (p *GVN) Run(fn *ir.Func, ctx *Context) analysis.PreservedAnalyses {
 		changed = true
 	}
 	if !changed {
-		return analysis.All()
+		return analysis.All
 	}
-	return analysis.CFGOnly() // deletes instructions, never edges
+	return analysis.CFGOnly // deletes instructions, never edges
 }

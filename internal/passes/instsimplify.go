@@ -44,10 +44,10 @@ func (p *InstSimplify) Run(fn *ir.Func, ctx *Context) analysis.PreservedAnalyses
 		changed = true
 	}
 	if !changed {
-		return analysis.All()
+		return analysis.All
 	}
 	// Rewrites values (in particular GEP offsets) but never block edges.
-	return analysis.CFGOnly()
+	return analysis.CFGOnly
 }
 
 // canonGEP folds constant addends of a GEP index into the byte offset:

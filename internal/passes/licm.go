@@ -23,7 +23,7 @@ func (p *LICM) Run(fn *ir.Func, ctx *Context) analysis.PreservedAnalyses {
 	info := ctx.CFG(fn)
 	loops := info.Loops()
 	if len(loops) == 0 {
-		return analysis.All()
+		return analysis.All
 	}
 	// Innermost loops first so hoisted code can cascade outwards.
 	ordered := append([]*cfg.Loop(nil), loops...)
@@ -44,10 +44,10 @@ func (p *LICM) Run(fn *ir.Func, ctx *Context) analysis.PreservedAnalyses {
 		}
 	}
 	if !changed {
-		return analysis.All()
+		return analysis.All
 	}
 	fn.Compact()
-	return analysis.CFGOnly() // moves instructions between existing blocks
+	return analysis.CFGOnly // moves instructions between existing blocks
 }
 
 func (p *LICM) runOnLoop(fn *ir.Func, ctx *Context, info *cfg.Info, l *cfg.Loop) bool {

@@ -61,9 +61,9 @@ func (p *LoopDeletion) Run(fn *ir.Func, ctx *Context) analysis.PreservedAnalyses
 		ctx.InvalidateAll(fn)
 	}
 	if !changed {
-		return analysis.All()
+		return analysis.All
 	}
-	return analysis.None() // rewired branches and removed blocks
+	return analysis.None // rewired branches and removed blocks
 }
 
 // loopIsDead: no stores, no effectful calls, and no inside-defined
@@ -225,7 +225,7 @@ func (p *LoopLoadElim) Run(fn *ir.Func, ctx *Context) analysis.PreservedAnalyses
 	info := ctx.CFG(fn)
 	loops := info.Loops()
 	if len(loops) == 0 {
-		return analysis.All()
+		return analysis.All
 	}
 	walker := ctx.MemSSA(fn)
 	q := ctx.Query(fn)
@@ -266,9 +266,9 @@ func (p *LoopLoadElim) Run(fn *ir.Func, ctx *Context) analysis.PreservedAnalyses
 		}
 	}
 	if !changed {
-		return analysis.All()
+		return analysis.All
 	}
 	fn.Compact()
 	removeDeadCode(fn)
-	return analysis.CFGOnly() // deletes loads, never edges
+	return analysis.CFGOnly // deletes loads, never edges
 }

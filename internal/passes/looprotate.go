@@ -40,9 +40,9 @@ func (p *LoopRotate) Run(fn *ir.Func, ctx *Context) analysis.PreservedAnalyses {
 		}
 		if !rotated {
 			if !changed {
-				return analysis.All()
+				return analysis.All
 			}
-			return analysis.None() // restructured loop headers
+			return analysis.None // restructured loop headers
 		}
 	}
 }

@@ -54,9 +54,9 @@ func (p *LoopVectorize) Run(fn *ir.Func, ctx *Context) analysis.PreservedAnalyse
 		}
 		if !done {
 			if !changed {
-				return analysis.All()
+				return analysis.All
 			}
-			return analysis.None() // inserted vector and remainder loops
+			return analysis.None // inserted vector and remainder loops
 		}
 	}
 }

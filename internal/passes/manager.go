@@ -10,7 +10,7 @@
 // Passes obtain CFG info and the MemorySSA walker through the
 // per-function analysis manager (Context.CFG / Context.MemSSA) and
 // report what they preserved by returning an
-// analysis.PreservedAnalyses set, the new-pass-manager protocol.
+// analysis.PreservedAnalyses level, the new-pass-manager protocol.
 package passes
 
 import (
@@ -139,9 +139,9 @@ type Context struct {
 	Timing *Timing
 
 	// DisableAnalysisCache runs the analysis manager in force-invalidate
-	// mode: every Get recomputes and any change invalidates everything,
-	// never trusting declared preservation sets. This is the reference
-	// behaviour the transparency tests compare the cache against.
+	// mode: every request recomputes its analysis, never trusting
+	// declared preservation. This is the reference behaviour the
+	// transparency tests compare the cache against.
 	DisableAnalysisCache bool
 
 	// DebugPassExec prints "Executing Pass '<name>' on Function '<fn>'"
@@ -167,58 +167,27 @@ type Context struct {
 	am *analysis.Manager
 }
 
-// Analyses returns the context's analysis manager, building and
-// populating it with the default registrations on first use: CFG info,
-// the MemorySSA walker (valid exactly as long as the CFG is), and the
-// alias-query-cache marker whose invalidation hook scopes AA cache
-// flushes to the changed function.
+// Analyses returns the context's analysis manager, built on first
+// use over the context's AA manager.
 func (c *Context) Analyses() *analysis.Manager {
 	if c.am == nil {
-		m := analysis.NewManager()
-		m.Register(analysis.Registration{
-			Key:   analysis.CFGKey,
-			Build: func(_ *analysis.Manager, fn *ir.Func) any { return cfg.New(fn) },
-		})
-		m.Register(analysis.Registration{
-			Key: analysis.MemSSAKey,
-			Build: func(m *analysis.Manager, fn *ir.Func) any {
-				info := m.Get(analysis.CFGKey, fn).(*cfg.Info)
-				return mssa.New(fn, info, c.AA)
-			},
-			// The walker holds no state beyond its CFG view, so it stays
-			// valid whenever the CFG does.
-			PreservedWith: []analysis.Key{analysis.CFGKey},
-		})
-		m.Register(analysis.Registration{
-			Key: analysis.AAQueryCacheKey,
-			OnInvalidate: func(fn *ir.Func) {
-				if c.AA != nil {
-					c.AA.InvalidateFunc(fn)
-				}
-			},
-		})
-		m.SetCaching(!c.DisableAnalysisCache)
-		c.am = m
+		c.am = analysis.NewManager(c.AA, !c.DisableAnalysisCache)
 	}
 	return c.am
 }
 
 // CFG returns fn's control-flow analyses (cached until a pass fails to
 // preserve them).
-func (c *Context) CFG(fn *ir.Func) *cfg.Info {
-	return c.Analyses().Get(analysis.CFGKey, fn).(*cfg.Info)
-}
+func (c *Context) CFG(fn *ir.Func) *cfg.Info { return c.Analyses().CFG(fn) }
 
 // MemSSA returns fn's MemorySSA clobber walker (cached with the CFG).
-func (c *Context) MemSSA(fn *ir.Func) *mssa.Walker {
-	return c.Analyses().Get(analysis.MemSSAKey, fn).(*mssa.Walker)
-}
+func (c *Context) MemSSA(fn *ir.Func) *mssa.Walker { return c.Analyses().MemSSA(fn) }
 
 // InvalidateAll drops every cached analysis for fn. Passes that
 // restructure the CFG mid-run (loop rotation, vectorization) call this
 // between iterations before re-fetching CFG info.
 func (c *Context) InvalidateAll(fn *ir.Func) {
-	c.Analyses().Invalidate(fn, analysis.None())
+	c.Analyses().Invalidate(fn, analysis.None)
 }
 
 // Query returns the AA query context for the currently running pass.
@@ -238,8 +207,8 @@ type Pass interface {
 	// query attribution (matching the paper's pass names).
 	Name() string
 	// Run transforms fn and declares which analyses it preserved:
-	// All() when nothing changed, CFGOnly() when instructions changed
-	// but block structure did not, None() after CFG surgery.
+	// All when nothing changed, CFGOnly when instructions changed but
+	// block structure did not, None after CFG surgery.
 	Run(fn *ir.Func, ctx *Context) analysis.PreservedAnalyses
 }
 
@@ -299,9 +268,8 @@ func O1Pipeline() *Pipeline {
 // Run executes the pipeline over every function in ctx.Module, one
 // pass at a time and, within a pass, one function at a time in module
 // order — the order of LLVM's function pass manager. After each pass
-// run it applies the pass's preservation set to the analysis manager —
-// the invalidation boundary that used to be a module-wide AA cache
-// flush and is now scoped to the function that changed.
+// run it applies the pass's preservation level to the analysis
+// manager, which also flushes the changed function's AA cache bucket.
 //
 // A step-reuse plan (ctx.Steps) stops the run early when it fails;
 // the caller checks StepPlan.Failed.
@@ -339,10 +307,10 @@ func (p *Pipeline) Run(ctx *Context) {
 				local := ctx.Stats
 				ctx.Stats = shared
 				shared.Merge(local)
-				sp.endLive(fi, local, !pa.PreservesAll())
+				sp.endLive(fi, local, pa != analysis.All)
 			}
 			if ctx.Timing != nil {
-				ctx.Timing.Record(pass.Name(), elapsed, !pa.PreservesAll())
+				ctx.Timing.Record(pass.Name(), elapsed, pa != analysis.All)
 			}
 		}
 	}
@@ -353,7 +321,7 @@ func (p *Pipeline) Run(ctx *Context) {
 }
 
 // runStep executes one (pass, function) step and applies its
-// preservation set; elapsed times the pass alone.
+// preservation level; elapsed times the pass alone.
 func (ctx *Context) runStep(pass Pass, fn *ir.Func) (pa analysis.PreservedAnalyses, elapsed time.Duration) {
 	ctx.curPass = pass.Name()
 	if ctx.DebugPassExec && ctx.Out != nil {

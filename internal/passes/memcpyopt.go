@@ -65,11 +65,11 @@ func (p *MemCpyOpt) Run(fn *ir.Func, ctx *Context) analysis.PreservedAnalyses {
 		}
 	}
 	if !changed {
-		return analysis.All()
+		return analysis.All
 	}
 	removeDeadCode(fn)
 	fn.Compact()
-	return analysis.CFGOnly() // inserts GEPs in place, never edges
+	return analysis.CFGOnly // inserts GEPs in place, never edges
 }
 
 // decomposePtr mirrors BasicAA's GEP walk.

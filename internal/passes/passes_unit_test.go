@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/oraql/go-oraql/internal/aa"
+	"github.com/oraql/go-oraql/internal/analysis"
 	"github.com/oraql/go-oraql/internal/ir"
 )
 
@@ -51,7 +52,7 @@ func TestLoopRotateShape(t *testing.T) {
 	narg := &ir.Arg{Name: "n", Ty: ir.I64}
 	m, fn := countedLoop(t, narg)
 	ctx := newCtx(m)
-	if (&LoopRotate{}).Run(fn, ctx).PreservesAll() {
+	if (&LoopRotate{}).Run(fn, ctx) == analysis.All {
 		t.Fatal("loop should rotate")
 	}
 	if err := ir.Verify(m); err != nil {
@@ -66,7 +67,7 @@ func TestLoopRotateShape(t *testing.T) {
 		t.Errorf("entry must end in the guard branch:\n%s", fn.String())
 	}
 	// Rotating again must be a no-op (bottom-tested form).
-	if !(&LoopRotate{}).Run(fn, ctx).PreservesAll() {
+	if (&LoopRotate{}).Run(fn, ctx) != analysis.All {
 		t.Error("second rotation must not fire")
 	}
 }
@@ -99,7 +100,7 @@ func TestLoopRotateSkipsMultiExit(t *testing.T) {
 	if err := ir.Verify(m); err != nil {
 		t.Fatal(err)
 	}
-	if !(&LoopRotate{}).Run(fn, newCtx(m)).PreservesAll() {
+	if (&LoopRotate{}).Run(fn, newCtx(m)) != analysis.All {
 		t.Error("multi-predecessor exit must not rotate")
 	}
 }
@@ -140,7 +141,7 @@ func TestVectorizeCountedLoop(t *testing.T) {
 	narg := &ir.Arg{Name: "n", Ty: ir.I64}
 	m, fn := countedLoop(t, narg)
 	ctx := newCtx(m)
-	if (&LoopVectorize{}).Run(fn, ctx).PreservesAll() {
+	if (&LoopVectorize{}).Run(fn, ctx) == analysis.All {
 		t.Fatalf("loop should vectorize:\n%s", fn.String())
 	}
 	if err := ir.Verify(m); err != nil {

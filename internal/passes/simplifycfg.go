@@ -27,9 +27,9 @@ func (p *SimplifyCFG) Run(fn *ir.Func, ctx *Context) analysis.PreservedAnalyses 
 		ctx.Stats.Add(p.Name(), "Number of CFG simplification rounds", 1)
 	}
 	if !changed {
-		return analysis.All()
+		return analysis.All
 	}
-	return analysis.None() // block structure changed
+	return analysis.None // block structure changed
 }
 
 func foldConstBranches(fn *ir.Func) bool {

@@ -61,9 +61,9 @@ func (p *Sink) Run(fn *ir.Func, ctx *Context) analysis.PreservedAnalyses {
 		}
 	}
 	if !changed {
-		return analysis.All()
+		return analysis.All
 	}
-	return analysis.CFGOnly() // moves instructions between existing blocks
+	return analysis.CFGOnly // moves instructions between existing blocks
 }
 
 // soleUserBlock returns the single successor (from succs) that
@@ -156,7 +156,7 @@ func (p *ADCE) Run(fn *ir.Func, ctx *Context) analysis.PreservedAnalyses {
 	if n > 0 {
 		ctx.Stats.Add(p.Name(), "# instructions removed", int64(n))
 		fn.Compact()
-		return analysis.CFGOnly() // deletes instructions, never edges
+		return analysis.CFGOnly // deletes instructions, never edges
 	}
-	return analysis.All()
+	return analysis.All
 }

@@ -42,11 +42,11 @@ func (p *SLPVectorize) Run(fn *ir.Func, ctx *Context) analysis.PreservedAnalyses
 		}
 	}
 	if !changed {
-		return analysis.All()
+		return analysis.All
 	}
 	fn.Compact()
 	removeDeadCode(fn)
-	return analysis.CFGOnly() // rewrites instructions within blocks
+	return analysis.CFGOnly // rewrites instructions within blocks
 }
 
 // findStoreGroup locates four stores of the same scalar type to

@@ -249,30 +249,22 @@ func (r *CompileResult) Timing() *passes.Timing {
 	return out
 }
 
-// AnalysisStats merges the analysis-manager cache counters of all
-// targets, summed per analysis key.
+// AnalysisStats sums the analysis-manager cache counters of all
+// targets, one row per analysis in Snapshot order.
 func (r *CompileResult) AnalysisStats() []analysis.Stats {
-	byKey := map[analysis.Key]*analysis.Stats{}
-	var order []analysis.Key
+	var out []analysis.Stats
 	for _, t := range []*TargetStats{r.Host, r.Device} {
 		if t == nil {
 			continue
 		}
-		for _, s := range t.Analysis {
-			agg := byKey[s.Key]
-			if agg == nil {
-				agg = &analysis.Stats{Key: s.Key}
-				byKey[s.Key] = agg
-				order = append(order, s.Key)
+		for i, s := range t.Analysis {
+			if i == len(out) {
+				out = append(out, analysis.Stats{Key: s.Key})
 			}
-			agg.Hits += s.Hits
-			agg.Misses += s.Misses
-			agg.Invalidations += s.Invalidations
+			out[i].Hits += s.Hits
+			out[i].Misses += s.Misses
+			out[i].Invalidations += s.Invalidations
 		}
-	}
-	out := make([]analysis.Stats, len(order))
-	for i, k := range order {
-		out[i] = *byKey[k]
 	}
 	return out
 }
