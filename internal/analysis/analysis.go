@@ -68,11 +68,10 @@ type Manager struct {
 }
 
 // NewManager returns an empty cache whose walkers query aaMgr and
-// whose invalidations flush aaMgr's per-function buckets (aaMgr may be
-// nil). With caching false it runs in force-invalidate mode: every
-// request rebuilds its analysis, and declared preservation is never
-// trusted — the reference behaviour the transparency tests compare the
-// cache against.
+// whose invalidations flush aaMgr's per-function buckets. With caching
+// false it runs in force-invalidate mode: every request rebuilds its
+// analysis, and declared preservation is never trusted — the reference
+// behaviour the transparency tests compare the cache against.
 func NewManager(aaMgr *aa.Manager, caching bool) *Manager {
 	return &Manager{aa: aaMgr, caching: caching,
 		cfgs:      map[*ir.Func]*cfg.Info{},
@@ -120,9 +119,7 @@ func (m *Manager) Invalidate(fn *ir.Func, pa PreservedAnalyses) {
 		drop(m.cfgs, &m.cfgStats, fn)
 		drop(m.walkers, &m.walkStats, fn)
 	}
-	if m.aa != nil {
-		m.aa.InvalidateFunc(fn)
-	}
+	m.aa.InvalidateFunc(fn)
 }
 
 func drop[T any](cache map[*ir.Func]T, st *Stats, fn *ir.Func) {

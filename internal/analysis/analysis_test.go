@@ -177,17 +177,6 @@ func TestManagerForceInvalidateMode(t *testing.T) {
 	}
 }
 
-func TestManagerWithoutAA(t *testing.T) {
-	fx, _ := newFixture(true)
-	m := NewManager(nil, true)
-	m.MemSSA(fx.f)
-	m.Invalidate(fx.f, CFGOnly)
-	m.Invalidate(fx.f, None)
-	if c, wk := counters(m); c.Invalidations != 1 || wk.Invalidations != 1 {
-		t.Errorf("invalidations = %d/%d, want 1/1", c.Invalidations, wk.Invalidations)
-	}
-}
-
 func TestSnapshotDeterministic(t *testing.T) {
 	fx, m := newFixture(true)
 	snap := m.Snapshot()
