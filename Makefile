@@ -41,7 +41,8 @@ bench-serve:
 # cross-process warm-start smoke: cold/warm `oraql sweep` from two
 # processes over one -cache-dir (byte-identical, >=5x), then the
 # seeded reprobe of an edited program (strictly fewer compiles, same
-# convictions).
+# convictions) and of an edit whose query stream shifts (at most 8
+# compiles, strictly fewer than from scratch, same convictions).
 bench-diskcache:
 	scripts/bench_diskcache.sh
 

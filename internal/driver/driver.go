@@ -159,10 +159,15 @@ type state struct {
 	maxSeen int // highest unique-query count observed
 
 	// Persistent-campaign state (nil/empty without BenchSpec.Cache).
-	campID  string    // test-outcome identity: content hashes + checkID
-	checkID string    // check identity: spec config sans module content
-	pins    []int8    // per-index persisted verdict: +1 opt, -1 pess, 0 unknown
-	priors  []float64 // per-index P(must stay pessimistic), 0.5 unknown
+	campID  string // test-outcome identity: content hashes + checkID
+	checkID string // check identity: spec config sans module content
+	// hint holds the descriptors of the persisted convictions that the
+	// fully optimistic compile's query stream matched, and hintAt their
+	// positions in that stream; both are nil without one, and the
+	// seeded round clears them (persist.go).
+	hint   map[string]bool
+	hintAt []int
+	priors []float64 // per-position P(must stay pessimistic), 0.5 unknown
 }
 
 func (st *state) logf(format string, args ...any) {
@@ -292,9 +297,9 @@ func (st *state) probe() (*Result, error) {
 		st.padLen = 2*n + 64
 		var decided oraql.Seq
 		// The disk-seeded round-0 path tests the candidate the persisted
-		// verdicts hint at before the chunked recursion, so it applies
+		// convictions hint at before the chunked recursion, so it applies
 		// only when the chunked strategy is in charge.
-		if round == 0 && st.pins != nil && strat == Chunked {
+		if round == 0 && st.hint != nil && strat == Chunked {
 			decided, err = st.seededSolve(n)
 		} else {
 			decided, err = strat.Solve(st, n)
@@ -349,8 +354,12 @@ func (st *state) finalize(seq oraql.Seq) (*Result, error) {
 	st.res.TestsDisk = int(st.eng.diskTests.Load())
 	st.res.StepsRun = int(st.eng.stepsRun.Load())
 	st.res.StepsReplayed = int(st.eng.stepsReplayed.Load())
-	st.persistVerdicts(fin.Compile)
-	st.ingestWarehouse()
+	if st.spec.Cache != nil {
+		recs := fin.Compile.Records()
+		descs := describeQueries(recs)
+		st.persistVerdicts(recs, descs)
+		st.ingestWarehouse(recs, descs)
+	}
 	s := fin.Compile.ORAQLStats()
 	st.logf("%s: done: %d opt (%d cached), %d pess (%d cached); %d compiles, %d tests (+%d cached, %d from disk, %d speculated, %d wasted); test steps %d run, %d replayed, %d cold fallbacks",
 		st.spec.Name, s.UniqueOptimistic, s.CachedOptimistic, s.UniquePessimistic, s.CachedPessimistic,

@@ -178,20 +178,17 @@ func funcSizes(mod *ir.Module) map[string]int {
 	return sizes
 }
 
-// seedFeaturePriors fills priors[rec.Index] with the per-query feature
-// estimate for every record and returns how many were scored. mod is
-// the baseline host module (function sizes); nil degrades gracefully.
-func seedFeaturePriors(recs []*oraql.QueryRecord, mod *ir.Module, priors []float64) int {
+// seedFeaturePriors sets est[i] to the feature estimate of recs[i]
+// and returns how many records were scored. mod is the baseline host
+// module (function sizes); nil degrades gracefully.
+func seedFeaturePriors(recs []*oraql.QueryRecord, mod *ir.Module, est []float64) int {
 	sizes := funcSizes(mod)
 	scored := 0
-	for _, rec := range recs {
-		if rec.Index < 0 || rec.Index >= len(priors) {
-			continue
-		}
+	for i, rec := range recs {
 		if rec.A.Ptr == nil || rec.B.Ptr == nil {
 			continue
 		}
-		priors[rec.Index] = featureScore(rec, sizes[rec.Func])
+		est[i] = featureScore(rec, sizes[rec.Func])
 		scored++
 	}
 	return scored

@@ -2,12 +2,16 @@ package driver
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"os"
 	"strings"
 	"testing"
 
 	"github.com/oraql/go-oraql/internal/diskcache"
+	"github.com/oraql/go-oraql/internal/oraql"
 	"github.com/oraql/go-oraql/internal/pipeline"
+	"github.com/oraql/go-oraql/internal/warehouse"
 )
 
 // helloEditedSrc is helloSrc with an extra, alias-hazard-free helper
@@ -85,6 +89,10 @@ func TestWarmCampaignReplaysFromDisk(t *testing.T) {
 	if got, want := warm.FinalSeq.String(), cold.FinalSeq.String(); got != want {
 		t.Fatalf("warm final seq %q != cold %q", got, want)
 	}
+	// The warm campaign files the same finding, so the same record.
+	if n := warehouse.Open(cache).Load().Len(); n != 1 {
+		t.Fatalf("warehouse holds %d records after a warm reprobe, want 1", n)
+	}
 	if warm.Final.Run.Stdout != cold.Final.Run.Stdout {
 		t.Fatalf("warm output %q != cold %q", warm.Final.Run.Stdout, cold.Final.Run.Stdout)
 	}
@@ -149,6 +157,90 @@ func TestIncrementalReprobeOfEditedProgram(t *testing.T) {
 	}
 	if !strings.Contains(seeded.Final.Run.Stdout, "sum=") {
 		t.Fatalf("unexpected output %q", seeded.Final.Run.Stdout)
+	}
+}
+
+// pick_mat's first pessimistic answer shifts every later position of
+// its query stream by one, so its persisted convictions, placed on the
+// fully optimistic compile's stream, land one position short of the
+// second. The seeded reprobe of an edit that leaves pick_mat alone must
+// move the hint with the stream rather than bisect from scratch: at
+// most 8 compiles and 4 consumed tests (probing the edit from scratch
+// takes 16 compiles), with the uncached edit's FinalSeq and convictions.
+func TestSeededReprobePlacesShiftedHint(t *testing.T) {
+	src, err := os.ReadFile("testdata/pick_mat.mc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := string(src) + "int reprobe_edit(int x) {\n\treturn x * 3 + 7;\n}\n"
+	for _, workers := range []int{1, 0} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			probe := func(src string, cache *diskcache.Store) *Result {
+				t.Helper()
+				var log bytes.Buffer
+				res, err := Probe(&BenchSpec{
+					Name:    "pick_mat",
+					Compile: pipeline.Config{Source: src},
+					Workers: workers,
+					Cache:   cache,
+					Log:     &log,
+				})
+				if err != nil {
+					t.Fatalf("probe: %v\n%s", err, log.String())
+				}
+				return res
+			}
+			cache, err := diskcache.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			probe(string(src), cache)
+			uncached := probe(edited, nil)
+			seeded := probe(edited, cache)
+			t.Logf("compiles: seeded %d, uncached %d", seeded.Compiles, uncached.Compiles)
+
+			if seeded.Compiles > 8 {
+				t.Errorf("seeded reprobe took %d compiles, want <= 8", seeded.Compiles)
+			}
+			if n := seeded.TestsRun + seeded.TestsCached; n > 4 {
+				t.Errorf("seeded reprobe consumed %d tests, want <= 4", n)
+			}
+			if s, u := seeded.FinalSeq.String(), uncached.FinalSeq.String(); s != u {
+				t.Errorf("FinalSeq differs:\n seeded   %s\n uncached %s", s, u)
+			}
+			if s, u := fmt.Sprint(guiltySet(seeded)), fmt.Sprint(guiltySet(uncached)); s != u {
+				t.Errorf("convictions differ:\n seeded   %s\n uncached %s", s, u)
+			}
+		})
+	}
+}
+
+// A host and a device record at one position read the same sequence
+// bit, so the position must stay pessimistic when either must:
+// 1 − (1 − p_host)(1 − p_device). A position with one record keeps
+// its estimate bit for bit, which leaves single-target priors as they
+// were; a position with none is unknown.
+func TestPositionPriorsCombineRecordsAtOneIndex(t *testing.T) {
+	recs := []*oraql.QueryRecord{
+		{Index: 0}, {Index: 1}, {Index: 3}, // host
+		{Index: 0}, {Index: 3}, // device
+	}
+	est := []float64{0.1, 0.3, 0.95, 0.2, 0.9}
+	got := positionPriors(recs, est)
+	want := []float64{
+		1 - (1-0.1)*(1-0.2),
+		0.3,
+		0.5,
+		0.98, // 1 − 0.05·0.1 = 0.995, clamped
+		0.5,
+	}
+	for i := range want {
+		if math.Abs(got[i]-want[i]) > 1e-12 {
+			t.Errorf("prior[%d] = %g, want %g", i, got[i], want[i])
+		}
+	}
+	if got[1] != est[1] {
+		t.Errorf("single-record prior %v is not its estimate %v bit for bit", got[1], est[1])
 	}
 }
 

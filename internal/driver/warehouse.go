@@ -10,11 +10,12 @@ import (
 // warehouse, and campaigns with no per-function history fall back to
 // the fleet-wide per-shape verdict frequencies accumulated there.
 
-// ingestWarehouse files the finished probe as a warehouse record. The
-// record is pure campaign output — content addressing makes repeat
-// runs of the same campaign land on the same ID, so re-probing never
-// duplicates corpus entries.
-func (st *state) ingestWarehouse() {
+// ingestWarehouse files the finished probe as a warehouse record;
+// descs renders the final compile's records. The record is pure
+// campaign output — content addressing makes repeat runs of the same
+// campaign land on the same ID, so re-probing never duplicates corpus
+// entries.
+func (st *state) ingestWarehouse(recs []*oraql.QueryRecord, descs []queryDesc) {
 	w := warehouse.Open(st.spec.Cache)
 	if w == nil || st.res.Final == nil {
 		return
@@ -33,11 +34,10 @@ func (st *state) ingestWarehouse() {
 		ExeHash:         st.res.Final.Compile.ExeHash(),
 		FuncHashes:      st.res.Baseline.Compile.ContentFuncHashes(),
 	}
-	for _, r := range st.res.Final.Compile.Records() {
-		a, b := r.LocDescriptions()
+	for i, r := range recs {
 		rec.Queries = append(rec.Queries, warehouse.QueryVerdict{
 			Index: r.Index, Pass: r.Pass, Func: r.Func,
-			A: a, B: b, Optimistic: r.Optimistic,
+			A: descs[i].a, B: descs[i].b, Optimistic: r.Optimistic,
 		})
 	}
 	id, added, err := w.Ingest(rec)
@@ -59,14 +59,14 @@ const shapeMaxWeight = 16
 
 // seedShapePriors is the fleet-wide fallback for seedPriors: when no
 // per-function verdict history matches (first campaign on a program,
-// or every function was edited), update each query's conviction
-// probability from the warehouse's per-shape verdict frequencies
-// instead. The shape frequency beta-updates the IR feature estimate
-// already in priors (weight-capped), so a fresh campaign still orders
+// or every function was edited), update each record's conviction
+// estimate est[i] from the warehouse's per-shape verdict frequencies
+// instead; descs renders recs. The shape frequency beta-updates the IR
+// feature estimate (weight-capped), so a fresh campaign still orders
 // its speculation by what convicted elsewhere. Only priors are seeded
-// — never pins: shape statistics are suggestive, not per-query
+// — never hints: shape statistics are suggestive, not per-query
 // evidence.
-func (st *state) seedShapePriors(recs []*oraql.QueryRecord, priors []float64) int {
+func (st *state) seedShapePriors(recs []*oraql.QueryRecord, descs []queryDesc, est []float64) int {
 	w := warehouse.Open(st.spec.Cache)
 	if w == nil {
 		return 0
@@ -76,12 +76,8 @@ func (st *state) seedShapePriors(recs []*oraql.QueryRecord, priors []float64) in
 		return 0
 	}
 	seeded := 0
-	for _, rec := range recs {
-		if rec.Index < 0 || rec.Index >= len(priors) {
-			continue
-		}
-		a, b := rec.LocDescriptions()
-		shape := warehouse.QueryVerdict{Pass: rec.Pass, A: a, B: b}.Shape()
+	for i, rec := range recs {
+		shape := warehouse.QueryVerdict{Pass: rec.Pass, A: descs[i].a, B: descs[i].b}.Shape()
 		c, ok := hist[shape]
 		if !ok {
 			continue
@@ -95,9 +91,8 @@ func (st *state) seedShapePriors(recs []*oraql.QueryRecord, priors []float64) in
 			weight = shapeMaxWeight
 		}
 		freq := float64(c.Pessimistic) / float64(total)
-		priors[rec.Index] = clampPrior(
-			(priors[rec.Index]*featurePseudoCount + freq*weight) /
-				(featurePseudoCount + weight))
+		est[i] = clampPrior((est[i]*featurePseudoCount + freq*weight) /
+			(featurePseudoCount + weight))
 		seeded++
 	}
 	return seeded

@@ -9,7 +9,11 @@
 #   - the edited-program reprobe: a probe campaign persists its state,
 #     the program is edited (a helper appended after main), and the
 #     seeded reprobe must use strictly fewer compiles than probing the
-#     edit from scratch while convicting the same guilty queries.
+#     edit from scratch while convicting the same guilty queries;
+#   - the shifted-stream reprobe: the same with XSBench's pick_mat,
+#     whose first pessimistic answer shifts the position of its second
+#     conviction. The seeded reprobe must take at most 8 compiles,
+#     strictly fewer than from scratch, with the same convictions.
 #
 # Run from the repo root:
 #
@@ -101,6 +105,40 @@ verdicts "$tmp/probe_seeded.json" > "$tmp/seeded.verdicts"
 cmp -s "$tmp/scratch.verdicts" "$tmp/seeded.verdicts" ||
 	fail "seeded reprobe convicted different queries than scratch"
 
+# --- Leg 3: reprobe of an edit whose query stream shifts. ------------
+# pick_mat convicts two queries, and the first pessimistic answer moves
+# the second one position away from where the fully optimistic compile
+# asked it. The persisted convictions must move with the stream.
+mkdir -p "$tmp/s1" "$tmp/s2"
+cp internal/driver/testdata/pick_mat.mc "$tmp/s1/pick_mat.mc"
+cp internal/driver/testdata/pick_mat.mc "$tmp/s2/pick_mat.mc"
+cat >> "$tmp/s2/pick_mat.mc" <<'EOF'
+int reprobe_edit(int x) {
+	return x * 3 + 7;
+}
+EOF
+
+scache="$tmp/shifted-cache"
+(cd "$tmp/s1" && "$tmp/oraql" probe -file pick_mat.mc -cache-dir "$scache" -json) \
+	> "$tmp/shifted_first.json" 2> /dev/null
+(cd "$tmp/s2" && "$tmp/oraql" probe -file pick_mat.mc -json) \
+	> "$tmp/shifted_scratch.json" 2> /dev/null
+(cd "$tmp/s2" && "$tmp/oraql" probe -file pick_mat.mc -cache-dir "$scache" -json) \
+	> "$tmp/shifted_seeded.json" 2> /dev/null
+
+shifted_scratch=$(probe_num "$tmp/shifted_scratch.json" compiles)
+shifted_seeded=$(probe_num "$tmp/shifted_seeded.json" compiles)
+shifted_tests=$(( $(probe_num "$tmp/shifted_seeded.json" tests_run) + \
+	$(probe_num "$tmp/shifted_seeded.json" tests_cached) ))
+[ "$shifted_seeded" -le 8 ] ||
+	fail "shifted-stream reprobe took $shifted_seeded compiles (want <= 8)"
+[ "$shifted_seeded" -lt "$shifted_scratch" ] ||
+	fail "shifted-stream reprobe took $shifted_seeded compiles, scratch $shifted_scratch (want strictly fewer)"
+verdicts "$tmp/shifted_scratch.json" > "$tmp/shifted_scratch.verdicts"
+verdicts "$tmp/shifted_seeded.json" > "$tmp/shifted_seeded.verdicts"
+cmp -s "$tmp/shifted_scratch.verdicts" "$tmp/shifted_seeded.verdicts" ||
+	fail "shifted-stream reprobe convicted different queries than scratch"
+
 cat > "$out" <<EOF
 {
   "configs": $nconf,
@@ -115,6 +153,12 @@ cat > "$out" <<EOF
     "scratch_compiles": $scratch_compiles,
     "seeded_compiles": $seeded_compiles,
     "seeded_tests_from_disk": $seeded_disk,
+    "verdicts_identical": true
+  },
+  "reprobe_shifted": {
+    "scratch_compiles": $shifted_scratch,
+    "seeded_compiles": $shifted_seeded,
+    "seeded_tests": $shifted_tests,
     "verdicts_identical": true
   }
 }
