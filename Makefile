@@ -47,10 +47,9 @@ bench-diskcache:
 	scripts/bench_diskcache.sh
 
 # bench-cluster records BENCH_cluster.json and doubles as the CI
-# cluster smoke: 1/2/4-process fleets over a shared -cache-dir (warm
-# sweep fully deduplicated fleet-wide, byte-identical), then the
-# peer-kill degradation leg on distinct dirs (SIGKILL one of two
-# peered instances mid-sweep; the survivor completes identically).
+# cluster smoke: 1/2/4-process fleets over a shared -cache-dir (one
+# compile per config fleet-wide, warm sweep fully deduplicated,
+# byte-identical exe hashes).
 bench-cluster:
 	scripts/bench_cluster.sh
 
@@ -69,8 +68,8 @@ warehouse-smoke:
 	$(GO) test -race -count=1 ./internal/warehouse/...
 
 # cluster-smoke runs the in-process cluster/batch/retry suites under
-# the race detector: peer forwarding, breaker trips, fault-injected
-# transports, batch dedup, and the client retry policy.
+# the race detector: shared-directory fleets (one compile per key,
+# racing publishes), batch dedup, and the client retry policy.
 cluster-smoke:
 	$(GO) test -race -count=1 -run 'Cluster|Batch|Retry' ./internal/service/...
 

@@ -86,9 +86,7 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	models := map[string]minic.Model{"seq": minic.ModelSeq, "openmp": minic.ModelOpenMP,
-		"tasks": minic.ModelTasks, "mpi": minic.ModelMPI, "offload": minic.ModelOffload}
-	m, ok := models[*model]
+	m, ok := minic.ModelByName(*model)
 	if !ok {
 		return cliutil.Usagef("unknown model %q", *model)
 	}

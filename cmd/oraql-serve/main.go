@@ -18,20 +18,13 @@
 //	            [-queue N] [-cache-entries N] [-request-timeout 60s]
 //	            [-cache-dir DIR] [-cache-max-mb N] [-quiet]
 //	            [-campaign-max-steps N] [-campaign-timeout 10m]
-//	            [-self URL -peers URL,URL,...] [-peer-timeout 2s]
 //
 // With -cache-dir, compile results and probe campaign state persist in
 // a content-addressed store shared safely by any number of serve
 // instances (and the oraql/oraql-opt CLIs) pointing at the same
-// directory: restarts and sibling instances start warm.
-//
-// With -peers, instances without a shared directory still behave as
-// one cache: every instance must be started with the same node set
-// (its own -self plus the others as -peers), over which all of them
-// build the same consistent-hash ring. A cache miss on a key owned by
-// a peer is first fetched from that peer (GET /v1/artifact/{key})
-// before compiling locally; peer failures degrade to local compiles
-// behind a per-peer circuit breaker. -peers composes with -cache-dir.
+// directory: restarts and sibling instances start warm. A fleet of
+// instances is one cache exactly when they share a -cache-dir; the
+// instances never talk to each other.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: the listener stops, the
 // job queue drains (queued jobs are cancelled without running), and
@@ -48,7 +41,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -75,10 +67,6 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
 	campaignSteps := fs.Int64("campaign-max-steps", 0, "instruction budget per campaign script (0 = package default; requests can lower it, never raise it)")
 	campaignTimeout := fs.Duration("campaign-timeout", 0, "wall-clock limit per campaign script (0 = 10m)")
-	self := fs.String("self", "", "this instance's base URL as peers reach it (required with -peers)")
-	peers := fs.String("peers", "", "comma-separated peer base URLs; enables peer-forwarding cluster mode")
-	peerTimeout := fs.Duration("peer-timeout", 0, "deadline per peer artifact fetch (0 = 2s)")
-	peerCooldown := fs.Duration("peer-cooldown", 0, "base circuit-breaker cooldown after a peer failure, doubling per consecutive failure (0 = 1s)")
 	quiet := fs.Bool("quiet", false, "suppress the structured request log")
 	fs.Bool("json", false, "emit failures as the shared JSON error envelope")
 	if err := fs.Parse(argv); err != nil {
@@ -86,16 +74,6 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	}
 	if fs.NArg() > 0 {
 		return cliutil.Usagef("unexpected arguments: %v", fs.Args())
-	}
-
-	var peerList []string
-	for _, p := range strings.Split(*peers, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			peerList = append(peerList, p)
-		}
-	}
-	if len(peerList) > 0 && *self == "" {
-		return cliutil.Usagef("-peers requires -self: every instance must know its own base URL for the ring to agree fleet-wide")
 	}
 
 	var logW io.Writer = stderr
@@ -116,11 +94,6 @@ func run(argv []string, stdout, stderr io.Writer) error {
 
 		CampaignMaxSteps: *campaignSteps,
 		CampaignTimeout:  *campaignTimeout,
-
-		Self:         *self,
-		Peers:        peerList,
-		PeerTimeout:  *peerTimeout,
-		PeerCooldown: *peerCooldown,
 	})
 	httpSrv := &http.Server{Addr: *addr, Handler: svc}
 
@@ -132,9 +105,6 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 	fmt.Fprintf(stderr, "oraql-serve: listening on %s (workers=%d queue=%d cache=%d)\n",
 		*addr, svc.Workers(), *queue, *cacheEntries)
-	if len(peerList) > 0 {
-		fmt.Fprintf(stderr, "oraql-serve: cluster mode self=%s peers=%s\n", *self, strings.Join(peerList, ","))
-	}
 
 	select {
 	case sig := <-sigCh:

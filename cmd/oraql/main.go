@@ -194,9 +194,7 @@ func parseProbeArgs(args []string) (*probeArgs, error) {
 func (pa *probeArgs) spec() (*driver.BenchSpec, error) {
 	var spec *driver.BenchSpec
 	if pa.file != "" {
-		models := map[string]minic.Model{"seq": minic.ModelSeq, "openmp": minic.ModelOpenMP,
-			"tasks": minic.ModelTasks, "mpi": minic.ModelMPI, "offload": minic.ModelOffload}
-		m, ok := models[pa.model]
+		m, ok := minic.ModelByName(pa.model)
 		if !ok {
 			return nil, cliutil.Usagef("unknown model %q", pa.model)
 		}

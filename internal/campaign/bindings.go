@@ -211,10 +211,10 @@ func (o *opts) program(what string) (pipeline.Config, error) {
 		if err != nil {
 			return pipeline.Config{}, err
 		}
-		m, ok := map[string]minic.Model{
-			"": minic.ModelSeq, "seq": minic.ModelSeq, "openmp": minic.ModelOpenMP,
-			"tasks": minic.ModelTasks, "mpi": minic.ModelMPI, "offload": minic.ModelOffload,
-		}[model]
+		if model == "" {
+			model = "seq"
+		}
+		m, ok := minic.ModelByName(model)
 		if !ok {
 			return pipeline.Config{}, scriptErr(o.line, "%s: unknown model %q", what, model)
 		}

@@ -13,8 +13,10 @@
 // one directory. Writers stage into a tmp/ subdirectory and publish
 // with rename(2), which is atomic on POSIX filesystems: readers see
 // either no entry or a complete one. Two processes writing the same
-// key race benignly — both renames succeed and the entries are
-// byte-identical by construction (same key, same content).
+// key race benignly: both renames succeed and the last one wins. The
+// two payloads need not be byte-identical (two service compiles of one
+// key differ in their timing fields), but either way every reader sees
+// one complete entry.
 //
 // GC is size-capped and mtime-driven: reads refresh an entry's mtime,
 // and when the store grows past its budget the oldest entries are

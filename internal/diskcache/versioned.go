@@ -3,8 +3,8 @@ package diskcache
 // Versioned entries: optimistic-concurrency shared state.
 //
 // Immutable artifacts (objects/) are published blind — two writers of
-// the same key race benignly because the content is identical by
-// construction. Mutable shared state (campaign verdict records, fleet
+// the same key race benignly because either payload is a correct value
+// for the key, and the last rename wins. Mutable shared state (campaign verdict records, fleet
 // bookkeeping) has no such luck: a read-merge-write from two processes
 // loses one side's update. Versioned entries close that hole with the
 // optimistic compare-and-update discipline: read the current version,

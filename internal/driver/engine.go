@@ -92,16 +92,15 @@ type engine struct {
 	specConsumed  atomic.Int64
 	diskTests     atomic.Int64
 
-	// specDepth bounds in-flight *compile* speculation, adapting to the
-	// observed hit/waste rate: it starts at min(workers-1, cores-1) —
-	// zero on a single-core host, where a speculative compile only
-	// steals cycles from the consumed test — shrinks when speculation is
-	// cancelled unconsumed, and grows (up to workers-1) when consumed.
-	// The gate applies to compiles only: a candidate whose outcome is
-	// already on disk completes its speculative call synchronously in
-	// prefetch, costing neither a compile nor a worker slot, so it
-	// bypasses the depth bound (and, being free, never feeds the
-	// adaptive +1 evidence that compile-speculation pays).
+	// specDepth bounds in-flight speculative tests. It starts at
+	// min(workers-1, cores-1), zero on a single-core host, where a
+	// speculative compile only steals cycles from the consumed test.
+	// A speculative test cancelled mid-flight lowers it by one; a
+	// consumed speculative test that compiled raises it by one, up to
+	// workers-1. With a maximum of 1 (-j 2, or -j 0 on two cores) this
+	// is a ratchet: the first cancellation drops the depth to 0, no
+	// speculative test starts at depth 0, so none is consumed to raise
+	// it again, and the campaign speculates no more.
 	specDepth  atomic.Int64
 	specActive atomic.Int64
 }
@@ -211,22 +210,11 @@ func (e *engine) get(seq oraql.Seq) testOutcome {
 // bound is reached, or when the candidate is already in flight. The
 // driver passes candidates in descending consumption-probability
 // order, so depth throttling drops the least promising ones first.
-//
-// The depth bound gates compile speculation only: when it is reached
-// (including the permanent depth 0 of a single-core host) a candidate
-// whose outcome is already in the persistent campaign state is still
-// registered as a completed speculative call — a warm prefetch costs
-// no compile and no worker slot, so priors keep paying off even where
-// compile speculation never engages.
 func (e *engine) prefetch(seq oraql.Seq) {
-	if e.workers <= 1 {
+	if e.workers <= 1 || e.specActive.Load() >= e.specDepth.Load() {
 		return
 	}
 	key := seq.String()
-	if e.specActive.Load() >= e.specDepth.Load() {
-		e.prefetchFromDisk(key)
-		return
-	}
 	e.mu.Lock()
 	if _, ok := e.calls[key]; ok {
 		e.mu.Unlock()
@@ -257,32 +245,6 @@ func (e *engine) prefetch(seq oraql.Seq) {
 		}
 		close(c.done)
 	}()
-}
-
-// prefetchFromDisk registers a completed speculative call for a
-// candidate whose outcome is already persisted, without taking a
-// worker slot. Called when the adaptive depth bound blocks a compile
-// prefetch; quietly does nothing without a persistent campaign or on
-// a cold candidate.
-func (e *engine) prefetchFromDisk(key string) {
-	if e.spec.Cache == nil || e.campID == "" {
-		return
-	}
-	o, ok := e.spec.Cache.LoadTestOutcome(diskcache.TestOutcomeKey(e.campID, key))
-	if !ok {
-		return
-	}
-	e.mu.Lock()
-	if _, dup := e.calls[key]; dup {
-		e.mu.Unlock()
-		return
-	}
-	c := &testCall{key: key, done: make(chan struct{}), speculative: true}
-	c.out = testOutcome{ok: o.OK, unique: o.Unique, fromDisk: true}
-	close(c.done)
-	e.calls[key] = c
-	e.mu.Unlock()
-	e.specLaunched.Add(1)
 }
 
 // cancelSpeculative cancels every outstanding speculative call. Called

@@ -103,11 +103,22 @@ type chunkedStrategy struct{}
 
 func (chunkedStrategy) Name() string { return "chunked" }
 
-// Solve runs the chunked recursion over [0, n). The knownBad flag
-// implements the paper's Fig. 2 deduction: when a parent range failed
-// and its first half verified entirely optimistic, the second half must
-// contain a dangerous query, so its whole-range test is skipped.
-func (s chunkedStrategy) Solve(p Prober, n int) (oraql.Seq, error) {
+// Solve runs the chunked recursion over [0, n), splitting every range
+// at its index midpoint.
+func (chunkedStrategy) Solve(p Prober, n int) (oraql.Seq, error) {
+	return bisect(p, n, midpoint)
+}
+
+// midpoint is the chunked strategy's split of [lo, hi).
+func midpoint(lo, hi int) int { return (lo + hi) / 2 }
+
+// bisect runs the chunked recursion over [0, n), splitting a failed
+// range [lo, hi) of at least two queries at split(lo, hi), which must
+// lie strictly between lo and hi. The knownBad flag implements the
+// paper's Fig. 2 deduction: when a parent range failed and its left
+// part verified entirely optimistic, the right part must contain a
+// dangerous query, so its whole-range test is skipped.
+func bisect(p Prober, n int, split func(lo, hi int) int) (oraql.Seq, error) {
 	decided := make(oraql.Seq, n)
 	// allOpt reports whether the whole range ended up optimistic.
 	var solve func(lo, hi int, knownBad bool) (bool, error)
@@ -120,7 +131,7 @@ func (s chunkedStrategy) Solve(p Prober, n int) (oraql.Seq, error) {
 			for i := lo; i < hi; i++ {
 				cand[i] = true
 			}
-			ok, err := p.Test(p.Pad(cand[:hi]), s.specs(p, decided, lo, hi)...)
+			ok, err := p.Test(p.Pad(cand[:hi]), bisectSpecs(p, decided, lo, hi, split)...)
 			if err != nil {
 				return false, err
 			}
@@ -134,12 +145,12 @@ func (s chunkedStrategy) Solve(p Prober, n int) (oraql.Seq, error) {
 			p.Logf("query %d must stay pessimistic", lo)
 			return false, nil
 		}
-		mid := (lo + hi) / 2
+		mid := split(lo, hi)
 		leftAll, err := solve(lo, mid, false)
 		if err != nil {
 			return false, err
 		}
-		// If the left half is entirely optimistic, the dangerous query
+		// If the left part is entirely optimistic, the dangerous query
 		// must be on the right: skip the right's whole-range test.
 		if _, err := solve(mid, hi, leftAll); err != nil {
 			return false, err
@@ -152,10 +163,10 @@ func (s chunkedStrategy) Solve(p Prober, n int) (oraql.Seq, error) {
 	return decided, nil
 }
 
-// specs builds the speculative candidates launched alongside the
+// bisectSpecs builds the speculative candidates launched alongside the
 // whole-range test of [lo, hi): the fail path descends the left spine
-// (left half, left quarter, ...), and the right half is speculated
-// under the assumption that the whole left half stays pessimistic.
+// (left part, its left part, ...), and the right part is speculated
+// under the assumption that the whole left part stays pessimistic.
 // Decided bits only ever flip to optimistic on a success — and every
 // success cancels outstanding speculation — so candidates built from
 // the current decided state stay exact until consumed or cancelled.
@@ -165,7 +176,7 @@ func (s chunkedStrategy) Solve(p Prober, n int) (oraql.Seq, error) {
 // ancestor's failure probability along the path that reaches the
 // candidate's test — so the engine's bounded speculation depth is
 // spent on the tests most likely to be consumed.
-func (chunkedStrategy) specs(p Prober, decided oraql.Seq, lo, hi int) []oraql.Seq {
+func bisectSpecs(p Prober, decided oraql.Seq, lo, hi int, split func(lo, hi int) int) []oraql.Seq {
 	if p.Workers() <= 1 || hi-lo <= 1 {
 		return nil
 	}
@@ -173,7 +184,7 @@ func (chunkedStrategy) specs(p Prober, decided oraql.Seq, lo, hi int) []oraql.Se
 	var scores []float64
 	prob := 1.0 // P(every ancestor range test failed)
 	for l, h := lo, hi; h-l > 1 && len(specs) < p.Workers()-1; {
-		m := (l + h) / 2
+		m := split(l, h)
 		cand := decided.Clone()
 		for i := l; i < m; i++ {
 			cand[i] = true
@@ -183,13 +194,13 @@ func (chunkedStrategy) specs(p Prober, decided oraql.Seq, lo, hi int) []oraql.Se
 		scores = append(scores, prob)
 		h = m
 	}
-	if mid := (lo + hi) / 2; len(specs) < p.Workers()-1 {
+	if mid := split(lo, hi); len(specs) < p.Workers()-1 {
 		cand := decided.Clone()
 		for i := mid; i < hi; i++ {
 			cand[i] = true
 		}
 		specs = append(specs, p.Pad(cand[:hi]))
-		// Consumed when [lo,hi) failed and its left half failed too
+		// Consumed when [lo,hi) failed and its left part failed too
 		// (leftAll skips the right's whole-range test otherwise).
 		scores = append(scores, p.PFail(lo, hi)*p.PFail(lo, mid))
 	}
@@ -374,96 +385,9 @@ func bayesSplit(w []float64, lo, hi int) int {
 
 // Solve runs the chunked recursion (including the Fig. 2 knownBad
 // deduction) with guilt-mass split points.
-func (s bayesStrategy) Solve(p Prober, n int) (oraql.Seq, error) {
-	decided := make(oraql.Seq, n)
+func (bayesStrategy) Solve(p Prober, n int) (oraql.Seq, error) {
 	w := bayesWeights(p, n)
-	var solve func(lo, hi int, knownBad bool) (bool, error)
-	solve = func(lo, hi int, knownBad bool) (bool, error) {
-		if lo >= hi {
-			return true, nil
-		}
-		if !knownBad {
-			cand := decided.Clone()
-			for i := lo; i < hi; i++ {
-				cand[i] = true
-			}
-			ok, err := p.Test(p.Pad(cand[:hi]), s.specs(p, decided, w, lo, hi)...)
-			if err != nil {
-				return false, err
-			}
-			if ok {
-				copy(decided[lo:hi], cand[lo:hi])
-				return true, nil
-			}
-		}
-		if hi-lo == 1 {
-			decided[lo] = false // dangerous query pinned
-			p.Logf("query %d must stay pessimistic", lo)
-			return false, nil
-		}
-		mid := bayesSplit(w, lo, hi)
-		leftAll, err := solve(lo, mid, false)
-		if err != nil {
-			return false, err
-		}
-		// An entirely-optimistic left part proves the dangerous query
-		// sits on the right: skip the right's whole-range test.
-		if _, err := solve(mid, hi, leftAll); err != nil {
-			return false, err
-		}
-		return false, nil
-	}
-	if _, err := solve(0, n, true); err != nil {
-		return nil, err
-	}
-	return decided, nil
-}
-
-// specs mirrors the chunked strategy's speculative candidates with
-// guilt-mass splits: the fail path descends the left spine, plus the
-// right part under the assumption the whole left part stays
-// pessimistic; with priors, candidates are ordered by estimated
-// consumption probability.
-func (s bayesStrategy) specs(p Prober, decided oraql.Seq, w []float64, lo, hi int) []oraql.Seq {
-	if p.Workers() <= 1 || hi-lo <= 1 {
-		return nil
-	}
-	var specs []oraql.Seq
-	var scores []float64
-	prob := 1.0 // P(every ancestor range test failed)
-	for l, h := lo, hi; h-l > 1 && len(specs) < p.Workers()-1; {
-		m := bayesSplit(w, l, h)
-		cand := decided.Clone()
-		for i := l; i < m; i++ {
-			cand[i] = true
-		}
-		prob *= p.PFail(l, h)
-		specs = append(specs, p.Pad(cand[:m]))
-		scores = append(scores, prob)
-		h = m
-	}
-	if mid := bayesSplit(w, lo, hi); len(specs) < p.Workers()-1 && hi-mid >= 1 {
-		cand := decided.Clone()
-		for i := mid; i < hi; i++ {
-			cand[i] = true
-		}
-		specs = append(specs, p.Pad(cand[:hi]))
-		// Consumed when [lo,hi) failed and its left part failed too.
-		scores = append(scores, p.PFail(lo, hi)*p.PFail(lo, mid))
-	}
-	if p.HasPriors() {
-		ord := make([]int, len(specs))
-		for i := range ord {
-			ord[i] = i
-		}
-		sort.SliceStable(ord, func(a, b int) bool { return scores[ord[a]] > scores[ord[b]] })
-		sorted := make([]oraql.Seq, len(specs))
-		for i, j := range ord {
-			sorted[i] = specs[j]
-		}
-		specs = sorted
-	}
-	return specs
+	return bisect(p, n, func(lo, hi int) int { return bayesSplit(w, lo, hi) })
 }
 
 // linearStrategy flips one query at a time, left to right: n tests,

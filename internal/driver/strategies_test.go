@@ -58,7 +58,7 @@ func TestChunkedSpecsConsumptionOrdering(t *testing.T) {
 	f := &fakeProber{priors: priors, workers: 16, has: true}
 	decided := make(oraql.Seq, 8)
 
-	specs := chunkedStrategy{}.specs(f, decided, 0, 8)
+	specs := bisectSpecs(f, decided, 0, 8, midpoint)
 	want := []int{4, 2, 8, 1} // left half, left quarter, right half, left eighth
 	if len(specs) != len(want) {
 		t.Fatalf("got %d speculative candidates, want %d", len(specs), len(want))
@@ -81,7 +81,7 @@ func TestChunkedSpecsConsumptionOrdering(t *testing.T) {
 func TestChunkedSpecsNaturalOrderWithoutPriors(t *testing.T) {
 	f := &fakeProber{workers: 16, has: false}
 	decided := make(oraql.Seq, 8)
-	specs := chunkedStrategy{}.specs(f, decided, 0, 8)
+	specs := bisectSpecs(f, decided, 0, 8, midpoint)
 	want := []int{4, 2, 1, 8}
 	if len(specs) != len(want) {
 		t.Fatalf("got %d speculative candidates, want %d", len(specs), len(want))

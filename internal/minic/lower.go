@@ -42,6 +42,18 @@ const (
 	ModelOffload
 )
 
+var modelNames = map[string]Model{
+	"seq": ModelSeq, "openmp": ModelOpenMP, "tasks": ModelTasks,
+	"mpi": ModelMPI, "offload": ModelOffload,
+}
+
+// ModelByName resolves the name every surface uses for a model: seq,
+// openmp, tasks, mpi or offload.
+func ModelByName(name string) (Model, bool) {
+	m, ok := modelNames[name]
+	return m, ok
+}
+
 // Options configures the frontend.
 type Options struct {
 	Dialect Dialect

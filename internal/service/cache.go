@@ -15,9 +15,9 @@ import (
 // Misses are single-flighted: the first request for a key becomes the
 // leader and runs the pipeline; concurrent requests for the same key
 // wait for the leader's response instead of compiling the identical
-// program again (no thundering herd between get and put). A leader
-// that fails wakes its followers empty-handed and they compete to
-// become the next leader, so a transient failure never wedges a key.
+// program again (no thundering herd between a miss and its store). A
+// leader that fails wakes its followers empty-handed and they compete
+// to become the next leader, so a transient failure never wedges a key.
 type resultCache struct {
 	mu      sync.Mutex
 	max     int
@@ -48,29 +48,8 @@ func newResultCache(max int) *resultCache {
 	return &resultCache{max: max, order: list.New(), entries: map[string]*list.Element{}, flights: map[string]*flight{}}
 }
 
-// get returns the cached response for key and bumps its recency.
-func (c *resultCache) get(key string) (*CompileResponse, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		c.misses++
-		return nil, false
-	}
-	c.hits++
-	c.order.MoveToFront(el)
-	return el.Value.(*cacheItem).val, true
-}
-
-// put stores a response, evicting the least recently used entry when
-// the cache is full.
-func (c *resultCache) put(key string, v *CompileResponse) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.store(key, v)
-}
-
-// store is put's body; the caller holds c.mu.
+// store inserts a response, evicting the least recently used entry
+// when the cache is full; the caller holds c.mu.
 func (c *resultCache) store(key string, v *CompileResponse) {
 	if el, ok := c.entries[key]; ok {
 		el.Value.(*cacheItem).val = v
@@ -104,15 +83,6 @@ func (c *resultCache) begin(key string) (cached *CompileResponse, fl *flight, le
 	fl = &flight{done: make(chan struct{})}
 	c.flights[key] = fl
 	return nil, fl, true
-}
-
-// peek returns the in-flight compilation of key, if any, without
-// competing for leadership — the artifact endpoint joins flights this
-// way so a peer asking mid-compile gets the result instead of a miss.
-func (c *resultCache) peek(key string) *flight {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.flights[key]
 }
 
 // wait blocks until the flight's leader completes or ctx is cancelled.

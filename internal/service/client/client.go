@@ -195,17 +195,6 @@ func (c *Client) CompileBatch(ctx context.Context, req *service.BatchCompileRequ
 	return &out, nil
 }
 
-// Artifact fetches a cached compile response by its result-cache key
-// ("<module-hash>:<config-hash>") without triggering a compilation.
-// A 404 (no artifact) comes back as an error carrying the envelope.
-func (c *Client) Artifact(ctx context.Context, key string) (*service.CompileResponse, error) {
-	var out service.CompileResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/artifact/"+key, nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // Probe submits a probe campaign and returns the queued job.
 func (c *Client) Probe(ctx context.Context, req *service.ProbeRequest) (*service.JobInfo, error) {
 	var out service.JobInfo

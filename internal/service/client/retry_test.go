@@ -13,7 +13,7 @@ import (
 )
 
 // flakyServer answers failStatus for the first fail requests on every
-// path, then succeeds.
+// path, then succeeds with one queued job.
 func flakyServer(t *testing.T, fail int, failStatus int) (*httptest.Server, *atomic.Int64) {
 	t.Helper()
 	var calls atomic.Int64
@@ -25,12 +25,7 @@ func flakyServer(t *testing.T, fail int, failStatus int) (*httptest.Server, *ato
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		switch {
-		case strings.HasPrefix(r.URL.Path, "/v1/artifact/"):
-			w.Write([]byte(`{"cached":true,"module_hash":"m","config_hash":"c","compile_ms":1,"result":{}}`))
-		default:
-			w.Write([]byte(`{"id":"j1","kind":"probe","state":"queued","created":"2026-01-01T00:00:00Z"}`))
-		}
+		w.Write([]byte(`{"id":"j1","kind":"probe","state":"queued","created":"2026-01-01T00:00:00Z"}`))
 	}))
 	t.Cleanup(srv.Close)
 	return srv, &calls
@@ -53,12 +48,12 @@ func TestRetryGetOn503(t *testing.T) {
 	var slept []time.Duration
 	c := New(srv.URL)
 	c.Retry = testPolicy(4, &slept)
-	resp, err := c.Artifact(context.Background(), "m:c")
+	info, err := c.Job(context.Background(), "j1")
 	if err != nil {
-		t.Fatalf("Artifact after retries: %v", err)
+		t.Fatalf("Job after retries: %v", err)
 	}
-	if !resp.Cached || resp.ModuleHash != "m" {
-		t.Fatalf("unexpected artifact: %+v", resp)
+	if info.ID != "j1" || info.State != "queued" {
+		t.Fatalf("unexpected job: %+v", info)
 	}
 	if got := calls.Load(); got != 3 {
 		t.Fatalf("server saw %d attempts, want 3", got)
@@ -76,8 +71,8 @@ func TestRetryBackoffJitterBounds(t *testing.T) {
 	c := New(srv.URL)
 	c.Retry = testPolicy(4, &slept)
 	c.Retry.jitter = nil // real jitter: verify the bounds hold
-	if _, err := c.Artifact(context.Background(), "m:c"); err != nil {
-		t.Fatalf("Artifact: %v", err)
+	if _, err := c.Job(context.Background(), "j1"); err != nil {
+		t.Fatalf("Job: %v", err)
 	}
 	base := c.Retry.BaseDelay
 	if len(slept) != 3 {
@@ -110,8 +105,8 @@ func TestRetryGetOnNetworkError(t *testing.T) {
 			hop++
 		}
 	}
-	if _, err := c.Artifact(context.Background(), "m:c"); err != nil {
-		t.Fatalf("Artifact after failover: %v", err)
+	if _, err := c.Job(context.Background(), "j1"); err != nil {
+		t.Fatalf("Job after failover: %v", err)
 	}
 	if calls.Load() != 1 || len(slept) != 1 {
 		t.Fatalf("calls=%d slept=%d, want 1 and 1", calls.Load(), len(slept))
@@ -143,13 +138,13 @@ func TestNoRetryGetOn404(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
 		w.WriteHeader(http.StatusNotFound)
-		w.Write([]byte(`{"error":"no artifact","code":404}`))
+		w.Write([]byte(`{"error":"no such job","code":404}`))
 	}))
 	t.Cleanup(srv.Close)
 	var slept []time.Duration
 	c := New(srv.URL)
 	c.Retry = testPolicy(5, &slept)
-	if _, err := c.Artifact(context.Background(), "nope"); err == nil {
+	if _, err := c.Job(context.Background(), "nope"); err == nil {
 		t.Fatal("expected an error")
 	}
 	if calls.Load() != 1 || len(slept) != 0 {
@@ -168,7 +163,7 @@ func TestRetryStopsOnCancel(t *testing.T) {
 		slept = append(slept, d)
 		cancel()
 	}
-	_, err := c.Artifact(ctx, "m:c")
+	_, err := c.Job(ctx, "j1")
 	if err == nil {
 		t.Fatal("expected an error")
 	}

@@ -1,364 +1,52 @@
 package service_test
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"net"
-	"net/http"
-	"net/http/httptest"
-	"strconv"
-	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/oraql/go-oraql/internal/diskcache"
 	"github.com/oraql/go-oraql/internal/service"
 	"github.com/oraql/go-oraql/internal/service/client"
 )
 
-// fleetNode is one in-process serve instance reachable over real
-// loopback HTTP, so peer fetches exercise the production transport.
+// fleetNode is one in-process serve instance reachable over loopback
+// HTTP.
 type fleetNode struct {
-	svc *service.Server
 	cl  *client.Client
 	url string
-	hs  *http.Server
 }
 
-// kill drops the node off the network (listener and connections
-// closed) without draining it, simulating a crashed instance.
-func (n *fleetNode) kill() { n.hs.Close() }
-
-// newFleet starts n instances, each configured with its own URL as
-// Self and the others as Peers. The listeners are bound before any
-// Config is built because ring membership needs every URL up front.
-func newFleet(t *testing.T, n int, tweak func(i int, cfg *service.Config)) ([]*fleetNode, []string) {
+// newFleet starts n instances on one shared cache directory. Each
+// opens its own store on dir, as separate processes would.
+func newFleet(t *testing.T, n int, dir string) []*fleetNode {
 	t.Helper()
-	listeners := make([]net.Listener, n)
-	urls := make([]string, n)
-	for i := range listeners {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("listen: %v", err)
-		}
-		listeners[i] = ln
-		urls[i] = "http://" + ln.Addr().String()
-	}
 	nodes := make([]*fleetNode, n)
 	for i := range nodes {
-		cfg := service.Config{Self: urls[i]}
-		for j, u := range urls {
-			if j != i {
-				cfg.Peers = append(cfg.Peers, u)
-			}
+		st, err := diskcache.Open(dir)
+		if err != nil {
+			t.Fatalf("open shared store: %v", err)
 		}
-		if tweak != nil {
-			tweak(i, &cfg)
-		}
-		svc := service.New(cfg)
-		hs := &http.Server{Handler: svc}
-		go hs.Serve(listeners[i])
-		node := &fleetNode{svc: svc, cl: client.New(urls[i]), url: urls[i], hs: hs}
-		nodes[i] = node
-		t.Cleanup(func() {
-			node.hs.Close()
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			if err := node.svc.Shutdown(ctx); err != nil {
-				t.Errorf("shutdown %s: %v", node.url, err)
-			}
-		})
+		_, cl, stop := newTestServer(t, service.Config{Cache: st})
+		t.Cleanup(stop)
+		nodes[i] = &fleetNode{cl: cl, url: cl.Base}
 	}
-	return nodes, urls
+	return nodes
 }
 
-// reqsOwnedBy generates n distinct compile requests whose cache keys
-// the fleet's ring assigns to owner, by scanning seed-varied programs.
-func reqsOwnedBy(t *testing.T, nodes []string, owner string, n int) []*service.CompileRequest {
-	t.Helper()
-	var out []*service.CompileRequest
-	for seed := 0; seed < 4096 && len(out) < n; seed++ {
-		src := fmt.Sprintf("int main() { int pad = %d; print(pad, \"\\n\"); return 0; }", seed)
-		req := compileReq(src, service.CompileOptions{})
-		if service.OwnerForRequest(nodes, req) == owner {
-			out = append(out, req)
-		}
-	}
-	if len(out) < n {
-		t.Fatalf("found %d/%d requests owned by %s in 4096 candidates", len(out), n, owner)
-	}
-	return out
-}
-
-// labeledMetricSum sums every sample of a labeled series ("name{...} v");
-// an absent series sums to 0.
-func labeledMetricSum(t *testing.T, text, name string) float64 {
+// fleetCompiles sums oraql_compiles_total over nodes.
+func fleetCompiles(t *testing.T, nodes []*fleetNode) float64 {
 	t.Helper()
 	var total float64
-	for _, line := range strings.Split(text, "\n") {
-		if !strings.HasPrefix(line, name+"{") {
-			continue
-		}
-		_, rest, ok := strings.Cut(line, "} ")
-		if !ok {
-			continue
-		}
-		v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
+	for _, n := range nodes {
+		text, err := n.cl.Metrics(context.Background())
 		if err != nil {
-			t.Fatalf("parse %s sample %q: %v", name, line, err)
+			t.Fatalf("metrics: %v", err)
 		}
-		total += v
+		total += metricValue(t, text, "oraql_compiles_total")
 	}
 	return total
-}
-
-// peerStats scrapes one node's peer counters in a single metrics pull.
-type peerStats struct {
-	forwards, hits, misses, failures, tripped float64
-	compiles                                  float64
-}
-
-func scrapePeerStats(t *testing.T, cl *client.Client) peerStats {
-	t.Helper()
-	text, err := cl.Metrics(context.Background())
-	if err != nil {
-		t.Fatalf("metrics: %v", err)
-	}
-	return peerStats{
-		forwards: labeledMetricSum(t, text, "oraql_peer_forwards_total"),
-		hits:     labeledMetricSum(t, text, "oraql_peer_hits_total"),
-		misses:   labeledMetricSum(t, text, "oraql_peer_misses_total"),
-		failures: labeledMetricSum(t, text, "oraql_peer_failures_total"),
-		tripped:  labeledMetricSum(t, text, "oraql_peer_tripped"),
-		compiles: metricValue(t, text, "oraql_compiles_total"),
-	}
-}
-
-// TestClusterPeerForwardHit pins the happy path: a miss on a non-owner
-// is answered from the ring owner's cache — byte-identical payload, no
-// local compilation, and the forward/hit visible on /metrics.
-func TestClusterPeerForwardHit(t *testing.T) {
-	nodes, urls := newFleet(t, 2, nil)
-	a, b := nodes[0], nodes[1]
-	ctx := context.Background()
-
-	req := reqsOwnedBy(t, urls, a.url, 1)[0]
-	warm, err := a.cl.Compile(ctx, req)
-	if err != nil {
-		t.Fatalf("compile on owner: %v", err)
-	}
-	if warm.Cached {
-		t.Fatal("first compile on the owner must not be cached")
-	}
-
-	got, err := b.cl.Compile(ctx, req)
-	if err != nil {
-		t.Fatalf("compile on non-owner: %v", err)
-	}
-	if !got.Cached {
-		t.Fatal("peer-forwarded response must report Cached")
-	}
-	if !bytes.Equal(got.Result, warm.Result) {
-		t.Fatal("peer-forwarded payload differs from the owner's")
-	}
-	if got.ModuleHash != warm.ModuleHash || got.ConfigHash != warm.ConfigHash {
-		t.Fatalf("key mismatch: %s:%s vs %s:%s", got.ModuleHash, got.ConfigHash, warm.ModuleHash, warm.ConfigHash)
-	}
-
-	st := scrapePeerStats(t, b.cl)
-	if st.forwards != 1 || st.hits != 1 {
-		t.Fatalf("non-owner forwards=%v hits=%v, want 1 and 1", st.forwards, st.hits)
-	}
-	if st.compiles != 0 {
-		t.Fatalf("non-owner ran %v compilations; the peer hit should have prevented all", st.compiles)
-	}
-
-	// A repeat on the non-owner is now a memory hit: no second forward.
-	if _, err := b.cl.Compile(ctx, req); err != nil {
-		t.Fatal(err)
-	}
-	if st2 := scrapePeerStats(t, b.cl); st2.forwards != 1 {
-		t.Fatalf("repeat compile forwarded again: forwards=%v", st2.forwards)
-	}
-}
-
-// TestClusterCleanMissDegradesToLocal pins the miss path: the owner is
-// healthy but cold, so the non-owner books a clean miss (breaker stays
-// closed) and compiles locally.
-func TestClusterCleanMissDegradesToLocal(t *testing.T) {
-	nodes, urls := newFleet(t, 2, nil)
-	a, b := nodes[0], nodes[1]
-
-	req := reqsOwnedBy(t, urls, a.url, 1)[0]
-	got, err := b.cl.Compile(context.Background(), req)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	if got.Cached {
-		t.Fatal("a fleet-wide cold key cannot be a cache hit")
-	}
-	st := scrapePeerStats(t, b.cl)
-	if st.forwards != 1 || st.misses != 1 || st.failures != 0 {
-		t.Fatalf("forwards=%v misses=%v failures=%v, want 1/1/0", st.forwards, st.misses, st.failures)
-	}
-	if st.tripped != 0 {
-		t.Fatal("a clean miss must not trip the breaker")
-	}
-	if st.compiles != 1 {
-		t.Fatalf("compiles=%v, want exactly 1 local compilation", st.compiles)
-	}
-}
-
-// TestClusterPeerDownDegradesGracefully kills the owner and verifies
-// the survivor still answers (local compile), books the failure, trips
-// the breaker, and stops forwarding while the breaker is open.
-func TestClusterPeerDownDegradesGracefully(t *testing.T) {
-	nodes, urls := newFleet(t, 2, func(i int, cfg *service.Config) {
-		// A cooldown far beyond the test's runtime makes "no second
-		// forward" deterministic.
-		cfg.PeerCooldown = time.Minute
-		cfg.PeerTimeout = 2 * time.Second
-	})
-	a, b := nodes[0], nodes[1]
-	ctx := context.Background()
-
-	reqs := reqsOwnedBy(t, urls, a.url, 2)
-	a.kill()
-
-	got, err := b.cl.Compile(ctx, reqs[0])
-	if err != nil {
-		t.Fatalf("compile with dead owner: %v", err)
-	}
-	if got.Cached {
-		t.Fatal("nothing could have cached this response")
-	}
-	st := scrapePeerStats(t, b.cl)
-	if st.failures < 1 {
-		t.Fatalf("failures=%v, want >= 1", st.failures)
-	}
-	if st.tripped != 1 {
-		t.Fatalf("oraql_peer_tripped=%v, want 1 (breaker open)", st.tripped)
-	}
-
-	// While the breaker is open, a second owned-elsewhere key must not
-	// pay the connection attempt: forwards stays flat.
-	if _, err := b.cl.Compile(ctx, reqs[1]); err != nil {
-		t.Fatalf("second compile with dead owner: %v", err)
-	}
-	if st2 := scrapePeerStats(t, b.cl); st2.forwards != st.forwards {
-		t.Fatalf("breaker open but forwards advanced: %v -> %v", st.forwards, st2.forwards)
-	}
-}
-
-// fakeTransport scripts the peer exchange for fault injection.
-type fakeTransport struct {
-	fetch func(ctx context.Context, peer, key string) (*service.CompileResponse, bool, error)
-}
-
-func (f *fakeTransport) Fetch(ctx context.Context, peer, key string) (*service.CompileResponse, bool, error) {
-	return f.fetch(ctx, peer, key)
-}
-
-// faultInjectedServer is one instance whose only peer lives behind the
-// scripted transport; the returned request is owned by that peer.
-func faultInjectedServer(t *testing.T, timeout time.Duration, ft *fakeTransport) (*client.Client, *service.CompileRequest) {
-	t.Helper()
-	self, peer := "http://self.invalid", "http://peer.invalid"
-	svc := service.New(service.Config{
-		Self:          self,
-		Peers:         []string{peer},
-		PeerTimeout:   timeout,
-		PeerTransport: ft,
-	})
-	ts := httptest.NewServer(svc)
-	t.Cleanup(func() {
-		ts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := svc.Shutdown(ctx); err != nil {
-			t.Errorf("shutdown: %v", err)
-		}
-	})
-	return client.New(ts.URL), reqsOwnedBy(t, []string{self, peer}, peer, 1)[0]
-}
-
-// TestClusterFaultInjectedTransport drives the degradation paths the
-// network cannot produce on demand: hard errors, hangs, and a peer
-// returning a payload for the wrong key.
-func TestClusterFaultInjectedTransport(t *testing.T) {
-	ctx := context.Background()
-
-	t.Run("error degrades to local compile", func(t *testing.T) {
-		cl, req := faultInjectedServer(t, 2*time.Second, &fakeTransport{
-			fetch: func(context.Context, string, string) (*service.CompileResponse, bool, error) {
-				return nil, false, errors.New("injected fault")
-			},
-		})
-		got, err := cl.Compile(ctx, req)
-		if err != nil {
-			t.Fatalf("compile: %v", err)
-		}
-		if got.Cached {
-			t.Fatal("degraded compile cannot be a hit")
-		}
-		if st := scrapePeerStats(t, cl); st.failures != 1 || st.compiles != 1 {
-			t.Fatalf("failures=%v compiles=%v, want 1 and 1", st.failures, st.compiles)
-		}
-	})
-
-	t.Run("hang is bounded by the peer timeout", func(t *testing.T) {
-		// The transport never returns on its own: the request completes
-		// at all only because PeerTimeout cancels the fetch context.
-		cl, req := faultInjectedServer(t, 50*time.Millisecond, &fakeTransport{
-			fetch: func(ctx context.Context, _, _ string) (*service.CompileResponse, bool, error) {
-				<-ctx.Done()
-				return nil, false, ctx.Err()
-			},
-		})
-		start := time.Now()
-		got, err := cl.Compile(ctx, req)
-		if err != nil {
-			t.Fatalf("compile past a hung peer: %v", err)
-		}
-		if got.Cached {
-			t.Fatal("degraded compile cannot be a hit")
-		}
-		if elapsed := time.Since(start); elapsed > 30*time.Second {
-			t.Fatalf("hung peer stalled the request for %v", elapsed)
-		}
-		if st := scrapePeerStats(t, cl); st.failures != 1 {
-			t.Fatalf("failures=%v, want 1", st.failures)
-		}
-	})
-
-	t.Run("wrong-key payload is rejected as a miss", func(t *testing.T) {
-		cl, req := faultInjectedServer(t, 2*time.Second, &fakeTransport{
-			fetch: func(_ context.Context, _, key string) (*service.CompileResponse, bool, error) {
-				return &service.CompileResponse{
-					ModuleHash: "bogus", ConfigHash: "bogus",
-					Result: json.RawMessage(`{"exe_hash":"evil"}`),
-				}, true, nil
-			},
-		})
-		got, err := cl.Compile(ctx, req)
-		if err != nil {
-			t.Fatalf("compile: %v", err)
-		}
-		if got.ModuleHash == "bogus" {
-			t.Fatal("the forged payload was served")
-		}
-		st := scrapePeerStats(t, cl)
-		if st.misses != 1 || st.failures != 0 {
-			t.Fatalf("misses=%v failures=%v, want 1 and 0 (validation miss, not a breaker trip)", st.misses, st.failures)
-		}
-		if st.compiles != 1 {
-			t.Fatalf("compiles=%v, want 1 local compilation", st.compiles)
-		}
-	})
 }
 
 // TestClusterExactlyOneCompileSharedDir is the fleet-dedup contract: a
@@ -367,18 +55,7 @@ func TestClusterFaultInjectedTransport(t *testing.T) {
 // sweep — issued as one batch against each instance — costs zero more
 // while returning the identical executables.
 func TestClusterExactlyOneCompileSharedDir(t *testing.T) {
-	dir := t.TempDir()
-	stores := make([]*diskcache.Store, 2)
-	for i := range stores {
-		st, err := diskcache.Open(dir)
-		if err != nil {
-			t.Fatalf("open shared store: %v", err)
-		}
-		stores[i] = st
-	}
-	nodes, _ := newFleet(t, 2, func(i int, cfg *service.Config) {
-		cfg.Cache = stores[i]
-	})
+	nodes := newFleet(t, 2, t.TempDir())
 	ctx := context.Background()
 
 	const sweep = 16
@@ -386,18 +63,6 @@ func TestClusterExactlyOneCompileSharedDir(t *testing.T) {
 	for i := range reqs {
 		src := fmt.Sprintf("int main() { int cfg = %d; print(cfg, \"\\n\"); return 0; }", i)
 		reqs[i] = *compileReq(src, service.CompileOptions{})
-	}
-
-	fleetCompiles := func() float64 {
-		var total float64
-		for _, n := range nodes {
-			text, err := n.cl.Metrics(ctx)
-			if err != nil {
-				t.Fatalf("metrics: %v", err)
-			}
-			total += metricValue(t, text, "oraql_compiles_total")
-		}
-		return total
 	}
 
 	// Cold sweep, round-robin across the fleet.
@@ -409,7 +74,7 @@ func TestClusterExactlyOneCompileSharedDir(t *testing.T) {
 		}
 		cold[i] = exeHash(t, resp)
 	}
-	if got := fleetCompiles(); got != sweep {
+	if got := fleetCompiles(t, nodes); got != sweep {
 		t.Fatalf("cold sweep ran %v compilations fleet-wide, want exactly %d", got, sweep)
 	}
 
@@ -435,34 +100,33 @@ func TestClusterExactlyOneCompileSharedDir(t *testing.T) {
 			}
 		}
 	}
-	if got := fleetCompiles(); got != sweep {
+	if got := fleetCompiles(t, nodes); got != sweep {
 		t.Fatalf("warm sweep recompiled: %v compilations fleet-wide, want still %d", got, sweep)
 	}
 }
 
-// TestClusterConcurrentFleetDedup hammers one key concurrently through
-// both instances: every response must be byte-identical, and the fleet
-// compiles it at most once per instance (single-flight locally, peer
-// join across).
-func TestClusterConcurrentFleetDedup(t *testing.T) {
-	nodes, urls := newFleet(t, 2, nil)
+// TestClusterConcurrentSharedDir sends one new key from 8 clients at
+// once through two instances that share one directory. Every response
+// carries the same executable, the fleet compiles the key at most once
+// per instance, and the racing publishes leave one complete entry: a
+// third instance opened on the directory serves the key as a hit.
+// Payloads are not compared, because two compiles of one key differ in
+// compile_ms and in per-pass wall_ms.
+func TestClusterConcurrentSharedDir(t *testing.T) {
+	dir := t.TempDir()
+	nodes := newFleet(t, 2, dir)
 	ctx := context.Background()
+	req := compileReq(progSum, service.CompileOptions{})
 
-	req := reqsOwnedBy(t, urls, nodes[0].url, 1)[0]
 	const clients = 8
-	results := make([][]byte, clients)
+	resps := make([]*service.CompileResponse, clients)
 	errs := make([]error, clients)
 	var wg sync.WaitGroup
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, err := nodes[i%2].cl.Compile(ctx, req)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			results[i] = resp.Result
+			resps[i], errs[i] = nodes[i%2].cl.Compile(ctx, req)
 		}(i)
 	}
 	wg.Wait()
@@ -472,60 +136,25 @@ func TestClusterConcurrentFleetDedup(t *testing.T) {
 			t.Fatalf("client %d: %v", i, err)
 		}
 	}
+	want := exeHash(t, resps[0])
 	for i := 1; i < clients; i++ {
-		if !bytes.Equal(results[i], results[0]) {
-			t.Fatalf("client %d observed a different payload", i)
+		if h := exeHash(t, resps[i]); h != want {
+			t.Fatalf("client %d got exe hash %s, client 0 got %s", i, h, want)
 		}
 	}
-	var compiles float64
-	for _, n := range nodes {
-		text, err := n.cl.Metrics(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		compiles += metricValue(t, text, "oraql_compiles_total")
-	}
-	if compiles < 1 || compiles > 2 {
+	if compiles := fleetCompiles(t, nodes); compiles < 1 || compiles > 2 {
 		t.Fatalf("fleet ran %v compilations of one key, want 1 or 2 (once per instance at worst)", compiles)
 	}
-}
 
-// TestClusterArtifactEndpoint pins the donor side of peer forwarding:
-// a cached key is served with its exact payload, an unknown key is a
-// 404, and — because rotating instances keep donating their cache —
-// the endpoint still answers while the service drains.
-func TestClusterArtifactEndpoint(t *testing.T) {
-	svc, cl, stop := newTestServer(t, service.Config{})
-	defer stop() // a second Shutdown after the in-test drain is a no-op
-	ctx := context.Background()
-
-	resp, err := cl.Compile(ctx, compileReq(progSum, service.CompileOptions{}))
+	third := newFleet(t, 1, dir)[0]
+	resp, err := third.cl.Compile(ctx, req)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("compile on a third instance: %v", err)
 	}
-	key := resp.ModuleHash + ":" + resp.ConfigHash
-
-	art, err := cl.Artifact(ctx, key)
-	if err != nil {
-		t.Fatalf("artifact: %v", err)
+	if !resp.Cached {
+		t.Fatal("a third instance on the shared directory recompiled the key")
 	}
-	if !art.Cached || !bytes.Equal(art.Result, resp.Result) {
-		t.Fatal("artifact payload differs from the compile response")
-	}
-
-	if _, err := cl.Artifact(ctx, "feed:beef"); err == nil || !strings.Contains(err.Error(), "404") {
-		t.Fatalf("unknown key should 404, got %v", err)
-	}
-
-	sctx, cancel := context.WithTimeout(ctx, 30*time.Second)
-	defer cancel()
-	if err := svc.Shutdown(sctx); err != nil {
-		t.Fatalf("shutdown: %v", err)
-	}
-	if _, err := cl.Compile(ctx, compileReq(progSum, service.CompileOptions{})); err == nil {
-		t.Fatal("compile must be refused while draining")
-	}
-	if art, err := cl.Artifact(ctx, key); err != nil || !art.Cached {
-		t.Fatalf("draining instance stopped donating its cache: %v", err)
+	if h := exeHash(t, resp); h != want {
+		t.Fatalf("third instance served exe hash %s, want %s", h, want)
 	}
 }

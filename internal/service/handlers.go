@@ -25,7 +25,6 @@ func (s *Server) routes() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/compile", s.handleCompile)
 	mux.HandleFunc("POST /v1/compile/batch", s.handleCompileBatch)
-	mux.HandleFunc("GET /v1/artifact/{key}", s.handleArtifact)
 	mux.HandleFunc("POST /v1/probe", s.handleProbe)
 	mux.HandleFunc("POST /v1/fuzz", s.handleFuzz)
 	mux.HandleFunc("POST /v1/campaign", s.handleCampaign)
@@ -88,10 +87,9 @@ func compileStatus(err error) int {
 	}
 }
 
-// compileOne resolves one compile request through the full cache
-// hierarchy: in-memory LRU, single-flight join, shared persistent
-// store, peer-forwarded fetch from the key's ring owner, and finally
-// the pipeline itself. It is the shared engine of /v1/compile and
+// compileOne resolves one compile request in four steps: in-memory
+// LRU, single-flight join, shared persistent store, and finally the
+// pipeline itself. It is the shared engine of /v1/compile and
 // /v1/compile/batch.
 func (s *Server) compileOne(ctx context.Context, req *CompileRequest) (*CompileResponse, error) {
 	moduleHash, configHash := cacheKeys(req)
@@ -130,27 +128,15 @@ func (s *Server) compileOne(ctx context.Context, req *CompileRequest) (*CompileR
 		}
 	}()
 
-	serveHit := func(resp *CompileResponse) *CompileResponse {
-		s.cache.complete(key, fl, resp)
-		completed = true
-		hit := *resp
-		hit.Cached = true
-		return &hit
-	}
-
 	// Second level: the shared persistent store. A response another
 	// process (or a previous life of this one) computed is promoted
 	// into the in-memory cache and served as a hit.
 	if resp, ok := s.loadDiskResponse(key); ok {
-		return serveHit(resp), nil
-	}
-
-	// Third level: the key's ring owner elsewhere in the fleet. Any
-	// failure degrades to compiling locally; a fetched response is
-	// promoted into both local levels.
-	if resp, ok := s.peerFetch(ctx, key); ok {
-		s.storeDiskResponse(key, resp)
-		return serveHit(resp), nil
+		s.cache.complete(key, fl, resp)
+		completed = true
+		hit := *resp
+		hit.Cached = true
+		return &hit, nil
 	}
 
 	cfg, err := compileConfig(req)
@@ -297,40 +283,6 @@ func (s *Server) handleCompileBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.met.observeBatch(len(req.Items), len(order))
 	writeJSON(w, http.StatusOK, &out)
-}
-
-// handleArtifact serves one cached compile response by its result-cache
-// key without ever compiling: memory hit, else join an in-flight
-// compilation, else the persistent store, else 404. Peers call it to
-// resolve forwarded misses; it deliberately serves while draining, so
-// an instance being rotated out keeps donating its cache to the fleet.
-func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	if resp, ok := s.cache.get(key); ok {
-		hit := *resp
-		hit.Cached = true
-		writeJSON(w, http.StatusOK, &hit)
-		return
-	}
-	// A compilation of this key may be in flight right now: join it as
-	// a follower instead of reporting a miss, so a concurrent fleet-wide
-	// burst of one key still compiles once.
-	if fl := s.cache.peek(key); fl != nil {
-		if v, ok := s.cache.wait(r.Context(), fl); ok {
-			hit := *v
-			hit.Cached = true
-			writeJSON(w, http.StatusOK, &hit)
-			return
-		}
-	}
-	if resp, ok := s.loadDiskResponse(key); ok {
-		s.cache.put(key, resp)
-		hit := *resp
-		hit.Cached = true
-		writeJSON(w, http.StatusOK, &hit)
-		return
-	}
-	writeError(w, http.StatusNotFound, "no artifact for key %q", key)
 }
 
 // diskResponseKey derives the persistent key for one compile response.
@@ -583,16 +535,12 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var tripped map[string]bool
-	if s.cluster != nil {
-		tripped = s.cluster.tripped()
-	}
 	warehouseRecords := -1
 	if wh := warehouse.Open(s.cfg.Cache); wh != nil {
 		warehouseRecords = wh.Load().Len()
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	fmt.Fprint(w, s.met.render(s.cache, s.cfg.Cache, len(s.queue), cap(s.queue), s.inflight.Load(), s.cfg.Workers, tripped, warehouseRecords))
+	fmt.Fprint(w, s.met.render(s.cache, s.cfg.Cache, len(s.queue), cap(s.queue), s.inflight.Load(), s.cfg.Workers, warehouseRecords))
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -41,8 +41,6 @@ type metrics struct {
 	analysisHits   int64
 	analysisMisses int64
 
-	// peer[base] counts cluster fetches against each peer, by outcome.
-	peer map[string]*peerCounters
 	// Batch endpoint counters: requests, items across them, and the
 	// distinct content keys those items deduplicated to.
 	batchRequests int64
@@ -52,19 +50,6 @@ type metrics struct {
 	// warehouse[op] counts completed /v1/warehouse operations.
 	warehouse map[string]int64
 }
-
-// peerCounters tallies one peer's fetch outcomes.
-type peerCounters struct {
-	forwards, hits, misses, failures int64
-}
-
-// Peer fetch outcomes for observePeer.
-const (
-	peerForward = "forward"
-	peerHit     = "hit"
-	peerMiss    = "miss"
-	peerFailure = "failure"
-)
 
 // latencyBuckets are the histogram upper bounds in seconds.
 var latencyBuckets = []float64{0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30}
@@ -84,7 +69,6 @@ func newMetrics() *metrics {
 		// series from the first scrape.
 		inflight:        map[string]int64{"probe": 0, "fuzz": 0, "campaign": 0},
 		campaignScripts: map[string]int64{},
-		peer:            map[string]*peerCounters{},
 		warehouse:       map[string]int64{},
 	}
 }
@@ -94,27 +78,6 @@ func (m *metrics) observeWarehouse(op string) {
 	m.mu.Lock()
 	m.warehouse[op]++
 	m.mu.Unlock()
-}
-
-// observePeer books one peer fetch outcome (peerForward/Hit/Miss/Failure).
-func (m *metrics) observePeer(peer, outcome string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	c := m.peer[peer]
-	if c == nil {
-		c = &peerCounters{}
-		m.peer[peer] = c
-	}
-	switch outcome {
-	case peerForward:
-		c.forwards++
-	case peerHit:
-		c.hits++
-	case peerMiss:
-		c.misses++
-	case peerFailure:
-		c.failures++
-	}
 }
 
 // observeBatch books one /v1/compile/batch request.
@@ -200,11 +163,9 @@ func (m *metrics) observeCompile(aaHits, aaLookups, anHits, anMisses int64) {
 // render writes the registry in the Prometheus text exposition format,
 // with the live gauges passed in by the server. disk is the shared
 // persistent store (nil when the service runs memory-only);
-// peerTripped maps every configured peer to its live breaker state
-// (nil when the instance is not in a cluster).
 // warehouseRecords is the live corpus size (-1 when no persistent
 // store is configured, which suppresses the gauge).
-func (m *metrics) render(cache *resultCache, disk *diskcache.Store, queueDepth, queueCap int, inflight int64, workers int, peerTripped map[string]bool, warehouseRecords int) string {
+func (m *metrics) render(cache *resultCache, disk *diskcache.Store, queueDepth, queueCap int, inflight int64, workers, warehouseRecords int) string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var b strings.Builder
@@ -296,38 +257,6 @@ func (m *metrics) render(cache *resultCache, disk *diskcache.Store, queueDepth, 
 		b.WriteString("# HELP oraql_disk_cache_bytes Bytes used by the shared cache directory.\n")
 		b.WriteString("# TYPE oraql_disk_cache_bytes gauge\n")
 		fmt.Fprintf(&b, "oraql_disk_cache_bytes %d\n", bytes)
-	}
-
-	if len(m.peer) > 0 || len(peerTripped) > 0 {
-		b.WriteString("# HELP oraql_peer_forwards_total Cache misses forwarded to a peer ring owner.\n")
-		b.WriteString("# TYPE oraql_peer_forwards_total counter\n")
-		for _, p := range sortedKeys(m.peer) {
-			fmt.Fprintf(&b, "oraql_peer_forwards_total{peer=%q} %d\n", p, m.peer[p].forwards)
-		}
-		b.WriteString("# HELP oraql_peer_hits_total Forwarded fetches the peer answered from its cache.\n")
-		b.WriteString("# TYPE oraql_peer_hits_total counter\n")
-		for _, p := range sortedKeys(m.peer) {
-			fmt.Fprintf(&b, "oraql_peer_hits_total{peer=%q} %d\n", p, m.peer[p].hits)
-		}
-		b.WriteString("# HELP oraql_peer_misses_total Forwarded fetches the peer had no artifact for.\n")
-		b.WriteString("# TYPE oraql_peer_misses_total counter\n")
-		for _, p := range sortedKeys(m.peer) {
-			fmt.Fprintf(&b, "oraql_peer_misses_total{peer=%q} %d\n", p, m.peer[p].misses)
-		}
-		b.WriteString("# HELP oraql_peer_failures_total Forwarded fetches that failed in transport (degraded to local compile).\n")
-		b.WriteString("# TYPE oraql_peer_failures_total counter\n")
-		for _, p := range sortedKeys(m.peer) {
-			fmt.Fprintf(&b, "oraql_peer_failures_total{peer=%q} %d\n", p, m.peer[p].failures)
-		}
-		b.WriteString("# HELP oraql_peer_tripped Peer circuit breakers currently open (1 = fetches suppressed).\n")
-		b.WriteString("# TYPE oraql_peer_tripped gauge\n")
-		for _, p := range sortedKeys(peerTripped) {
-			v := 0
-			if peerTripped[p] {
-				v = 1
-			}
-			fmt.Fprintf(&b, "oraql_peer_tripped{peer=%q} %d\n", p, v)
-		}
 	}
 
 	b.WriteString("# HELP oraql_batch_requests_total Batch compile requests served.\n")

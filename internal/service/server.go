@@ -38,32 +38,11 @@ type Config struct {
 	// Cache, when non-nil, backs the in-memory result cache with the
 	// shared persistent store (-cache-dir): compile responses are
 	// served across restarts and across N serve instances sharing one
-	// directory, the pipeline's translation-unit/function layers are
-	// enabled for every service compilation, and probe campaigns
-	// persist their state. Nil keeps the service memory-only.
+	// directory, which is what makes such a fleet one cache; the
+	// pipeline's translation-unit layer is enabled for every service
+	// compilation, and probe campaigns persist their state. Nil keeps
+	// the service memory-only.
 	Cache *diskcache.Store
-	// Self is this instance's own base URL (e.g. "http://10.0.0.1:8421")
-	// as the rest of the fleet reaches it. Required when Peers is set:
-	// every instance must be configured with the same node set (its
-	// Self plus its Peers) for the consistent-hash ring to agree on
-	// ownership fleet-wide.
-	Self string
-	// Peers lists the other fleet instances' base URLs. Non-empty
-	// enables peer-forwarding cluster mode: a cache miss on a key owned
-	// by a peer is first fetched from that peer (GET /v1/artifact/{key})
-	// before compiling locally.
-	Peers []string
-	// PeerTimeout caps one peer artifact fetch (default 2s). A slow or
-	// hung peer costs at most this much before the local compile runs.
-	PeerTimeout time.Duration
-	// PeerCooldown is the base circuit-breaker cooldown after a peer
-	// fetch failure; it doubles per consecutive failure up to 30s, and
-	// any successful exchange (hits and clean misses alike) resets it
-	// (default 1s).
-	PeerCooldown time.Duration
-	// PeerTransport overrides the HTTP peer fetcher; tests inject
-	// latency, errors and hangs through it (nil = real HTTP).
-	PeerTransport PeerTransport
 	// Log receives one structured line per request and per job
 	// transition (nil = silent).
 	Log io.Writer
@@ -88,12 +67,6 @@ func (c Config) withDefaults() Config {
 	if c.CampaignMaxSteps <= 0 {
 		c.CampaignMaxSteps = campaign.DefaultMaxSteps
 	}
-	if c.PeerTimeout <= 0 {
-		c.PeerTimeout = 2 * time.Second
-	}
-	if c.PeerCooldown <= 0 {
-		c.PeerCooldown = time.Second
-	}
 	return c
 }
 
@@ -101,13 +74,12 @@ func (c Config) withDefaults() Config {
 // job queue, worker pool, metrics. Create with New, serve it with
 // net/http, stop it with Shutdown.
 type Server struct {
-	cfg     Config
-	mux     *http.ServeMux
-	cache   *resultCache
-	jobs    *jobStore
-	queue   chan *job
-	met     *metrics
-	cluster *cluster // nil outside cluster mode
+	cfg   Config
+	mux   *http.ServeMux
+	cache *resultCache
+	jobs  *jobStore
+	queue chan *job
+	met   *metrics
 
 	// root is cancelled by Shutdown; every job context derives from it.
 	root       context.Context
@@ -134,9 +106,6 @@ func New(cfg Config) *Server {
 		met:        newMetrics(),
 		root:       root,
 		rootCancel: cancel,
-	}
-	if len(cfg.Peers) > 0 {
-		s.cluster = newCluster(cfg.Self, cfg.Peers, cfg.PeerTimeout, cfg.PeerCooldown, cfg.PeerTransport)
 	}
 	s.mux = s.routes()
 	for i := 0; i < cfg.Workers; i++ {
@@ -193,8 +162,6 @@ func routeLabel(r *http.Request) string {
 		r.URL.Path == "/v1/warehouse",
 		r.URL.Path == "/metrics", r.URL.Path == "/healthz":
 		return r.URL.Path
-	case len(r.URL.Path) > len("/v1/artifact/") && r.URL.Path[:len("/v1/artifact/")] == "/v1/artifact/":
-		return "/v1/artifact/{key}"
 	case len(r.URL.Path) > len("/v1/jobs/") && r.URL.Path[:len("/v1/jobs/")] == "/v1/jobs/":
 		if len(r.URL.Path) > 7 && r.URL.Path[len(r.URL.Path)-7:] == "/events" {
 			return "/v1/jobs/{id}/events"

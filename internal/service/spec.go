@@ -16,18 +16,14 @@ import (
 	"github.com/oraql/go-oraql/internal/progen"
 )
 
-var models = map[string]minic.Model{
-	"":        minic.ModelSeq,
-	"seq":     minic.ModelSeq,
-	"openmp":  minic.ModelOpenMP,
-	"tasks":   minic.ModelTasks,
-	"mpi":     minic.ModelMPI,
-	"offload": minic.ModelOffload,
-}
-
-// frontend translates the wire program spec into frontend options.
+// frontend translates the wire program spec into frontend options;
+// an omitted model is seq.
 func (p *ProgramSpec) frontend() (minic.Options, error) {
-	m, ok := models[p.Model]
+	name := p.Model
+	if name == "" {
+		name = "seq"
+	}
+	m, ok := minic.ModelByName(name)
 	if !ok {
 		return minic.Options{}, badRequestf("unknown model %q", p.Model)
 	}

@@ -1,20 +1,13 @@
 #!/bin/sh
-# bench_cluster.sh — records the cluster-mode fleet benchmarks into
-# BENCH_cluster.json:
-#
-#   - fleet scaling: 1-, 2-, and 4-process oraql-serve fleets, each
-#     sharing one -cache-dir, swept cold through one instance and warm
-#     through ANOTHER (one POST /v1/compile/batch over all 16
-#     benchmark configurations). The warm sweep must be served without
-#     a single new compilation anywhere in the fleet (>= 90% dedup is
-#     the floor, 100% the expectation), with byte-identical exe
-#     hashes, and oraql_compiles_total summed over the fleet must
-#     equal the config count;
-#   - peer-kill degradation: 2 instances on DISTINCT cache dirs
-#     coupled only by -peers. The first instance is swept warm and
-#     then killed with SIGKILL mid-fleet-sweep; the survivor's sweep
-#     must still complete with identical exe hashes, booking at least
-#     one oraql_peer_failures_total against the corpse.
+# bench_cluster.sh — records the fleet benchmark into
+# BENCH_cluster.json: 1-, 2-, and 4-process oraql-serve fleets, each
+# sharing one -cache-dir, swept cold through one instance and warm
+# through ANOTHER (one POST /v1/compile/batch over all 16 benchmark
+# configurations). The warm sweep must be served without a single new
+# compilation anywhere in the fleet (>= 90% dedup is the floor, 100%
+# the expectation), with byte-identical exe hashes, and
+# oraql_compiles_total summed over the fleet must equal the config
+# count. The shared directory is the only link between the instances.
 #
 # Run from the repo root:
 #
@@ -43,32 +36,16 @@ cleanup() {
 }
 trap cleanup EXIT INT TERM
 
-# start_fleet <n> <firstport> <cachedir|"">  — one dir shared by the
-# fleet when given, one private dir per instance otherwise. Sets $pids
-# (newest fleet last) and $urls.
+# start_fleet <n> <firstport> <cachedir> — n instances sharing one
+# cache directory. Sets $pids and $urls.
 start_fleet() {
 	n="$1"; first="$2"; shared="$3"
 	urls=""
 	i=0
 	while [ "$i" -lt "$n" ]; do
 		urls="$urls http://127.0.0.1:$((first + i))"
-		i=$((i + 1))
-	done
-	i=0
-	for self in $urls; do
-		peers=""
-		for u in $urls; do
-			[ "$u" = "$self" ] && continue
-			peers="$peers,$u"
-		done
-		peers="${peers#,}"
-		dir="$shared"
-		[ -n "$dir" ] || dir="$tmp/own-$((first + i))"
-		set -- -addr "127.0.0.1:$((first + i))" -cache-dir "$dir" -quiet
-		if [ -n "$peers" ]; then
-			set -- "$@" -self "$self" -peers "$peers"
-		fi
-		"$tmp/oraql-serve" "$@" > "$tmp/serve-$((first + i)).log" 2>&1 &
+		"$tmp/oraql-serve" -addr "127.0.0.1:$((first + i))" -cache-dir "$shared" -quiet \
+			> "$tmp/serve-$((first + i)).log" 2>&1 &
 		pids="$pids $!"
 		i=$((i + 1))
 	done
@@ -93,15 +70,8 @@ compiles_sum() {
 	echo "$total"
 }
 
-# peer_metric_sum <metric> <url> — sum of a labeled peer series.
-peer_metric_sum() {
-	curl -fs "$2/metrics" |
-		awk -v m="$1" 'index($1, m "{") == 1 { s += $2 } END { print s + 0 }'
-}
-
 json_num() { sed -n "s/^  \"$2\": \([0-9.]*\),*\$/\1/p" "$1" | head -1; }
 
-# --- Phase 1: fleet scaling over a shared cache directory. ----------
 : > "$tmp/fleets.json"
 port="$baseport"
 for n in 1 2 4; do
@@ -141,41 +111,12 @@ for n in 1 2 4; do
 done
 fleet_json=$(sed '$ s/},$/}/' "$tmp/fleets.json")
 
-# --- Phase 2: peer-kill degradation on DISTINCT cache dirs. ---------
-start_fleet 2 "$port" ""
-a_url="http://127.0.0.1:$port"
-b_url="http://127.0.0.1:$((port + 1))"
-a_pid=$(echo "$pids" | awk '{ print $1 }')
-
-"$tmp/oraql" sweep -json -server "$a_url" > "$tmp/kill-before.json"
-# The fleet sweep is mid-flight: A holds every artifact, B none. Kill
-# A hard — no drain, no goodbye — and let B finish the sweep.
-kill -9 "$a_pid"
-wait "$a_pid" 2>/dev/null || true
-"$tmp/oraql" sweep -json -server "$b_url" > "$tmp/kill-after.json"
-
-grep '"exe_hash"' "$tmp/kill-before.json" > "$tmp/kill-before.hashes"
-grep '"exe_hash"' "$tmp/kill-after.json" > "$tmp/kill-after.hashes"
-cmp -s "$tmp/kill-before.hashes" "$tmp/kill-after.hashes" ||
-	fail "survivor's sweep exe hashes differ from the killed instance's"
-
-failures=$(peer_metric_sum oraql_peer_failures_total "$b_url")
-[ "$failures" -ge 1 ] ||
-	fail "survivor booked $failures peer failures, want >= 1 (did it never forward to the corpse?)"
-survivor_ms=$(json_num "$tmp/kill-after.json" total_ms)
-echo "bench_cluster: peer-kill survivor completed in ${survivor_ms}ms with $failures booked peer failure(s)"
-
 cat > "$out" <<EOF
 {
   "configs": $nconf,
   "fleets": [
 $fleet_json
-  ],
-  "peer_kill": {
-    "survivor_ms": $survivor_ms,
-    "survivor_peer_failures": $failures,
-    "exe_hashes_identical": true
-  }
+  ]
 }
 EOF
 echo "wrote $out"
