@@ -292,21 +292,21 @@ func benchConvictions(res *driver.Result) string {
 }
 
 // BenchmarkProbe_StrategyMatrix is the probing-strategy shoot-out over
-// every app configuration: chunked, freq, and bayes, each cold and
-// seeded. "Seeded" means a prior chunked campaign populated a fresh
-// disk cache (verdict history + failure priors), the situation a
-// re-probe of an unchanged or lightly edited program sees; the seeding
-// run is excluded from the timing. scripts/bench_probe.sh lifts the
-// matrix into BENCH_probe.json and checks the headline claim: seeded
-// bayes beats cold chunked and cold freq on compiles and wall clock on
-// every configuration.
+// every app configuration: chunked and freq, each cold and seeded.
+// "Seeded" means a prior chunked campaign populated a fresh disk cache
+// (test outcomes, verdict history, run replay), the situation a
+// re-probe of an unchanged program sees; the seeding run is excluded
+// from the timing. scripts/bench_probe.sh lifts the matrix into
+// BENCH_probe.json and checks the headline claim: seeded chunked beats
+// cold chunked and cold freq on compiles and wall clock on every
+// configuration.
 //
 // Conviction identity is enforced inline for the seeded runs of the
-// prefix-context strategies (chunked, bayes): their conviction sets
-// must match the seeding chunked campaign exactly. freq is exempt — it
-// convicts a documented superset (see TestStrategyConformance).
+// prefix-context strategy (chunked): its conviction set must match the
+// seeding chunked campaign exactly. freq is exempt — it convicts a
+// documented superset (see TestStrategyConformance).
 func BenchmarkProbe_StrategyMatrix(b *testing.B) {
-	for _, strat := range []driver.Strategy{driver.Chunked, driver.FreqSpace, driver.Bayes} {
+	for _, strat := range []driver.Strategy{driver.Chunked, driver.FreqSpace} {
 		for _, mode := range []string{"cold", "seeded"} {
 			for _, cfg := range apps.All() {
 				strat, mode, cfg := strat, mode, cfg

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	oraql list
-//	oraql probe <config-id> [-strategy chunked|freq|bayes] [-j N] [-v] [-json]
+//	oraql probe <config-id> [-strategy chunked|freq|linear] [-j N] [-v] [-json]
 //	oraql probe -file prog.mc [-model seq|openmp|tasks|mpi|offload] [-fortran] [-views]
 //	oraql probe <config-id> -server http://localhost:8347   # same probe, remotely
 //	oraql report <config-id>        # Fig. 3-style pessimistic dump
@@ -78,7 +78,7 @@ func run(argv []string, stdout, stderr io.Writer) error {
 func usage(w io.Writer) {
 	fmt.Fprintln(w, `usage:
   oraql list
-  oraql probe <config-id> [-strategy chunked|freq|bayes] [-j N] [-no-exe-cache] [-v] [-json]
+  oraql probe <config-id> [-strategy chunked|freq|linear] [-j N] [-no-exe-cache] [-v] [-json]
   oraql probe -file prog.mc [-model seq|openmp|tasks|mpi|offload] [-fortran] [-views] [-target sub]
   oraql probe ... -server http://host:8347 [-poll 250ms]
   oraql report <config-id>

@@ -74,7 +74,7 @@ func TestRunCampaignScript(t *testing.T) {
 	if !strings.Contains(out.String(), "hello 3") {
 		t.Errorf("stdout missing print output:\n%s", out.String())
 	}
-	if !strings.Contains(out.String(), `"n": 4`) {
+	if !strings.Contains(out.String(), `"n": 3`) {
 		t.Errorf("stdout missing JSON return value:\n%s", out.String())
 	}
 	if !strings.Contains(errw.String(), "done") {

@@ -217,25 +217,6 @@ func strategyBuiltins() []*Builtin {
 			},
 		},
 		{
-			Name: "probe_pfail",
-			Doc:  "probe_pfail(lo, hi) — estimated probability that flipping queries [lo, hi) optimistic fails verification (0.5-based without priors)",
-			Fn: func(in *interp, line int, args []any) (any, error) {
-				p, err := in.prober(line, "probe_pfail")
-				if err != nil {
-					return nil, err
-				}
-				if len(args) != 2 {
-					return nil, scriptErr(line, "probe_pfail needs lo and hi, got %d argument(s)", len(args))
-				}
-				lo, lok := args[0].(int64)
-				hi, hok := args[1].(int64)
-				if !lok || !hok {
-					return nil, scriptErr(line, "probe_pfail needs two integers, got %s and %s", typeName(args[0]), typeName(args[1]))
-				}
-				return p.PFail(int(lo), int(hi)), nil
-			},
-		},
-		{
 			Name: "probe_workers",
 			Doc:  "probe_workers() — the running probe's speculation budget (1 = strictly sequential)",
 			Fn: func(in *interp, line int, args []any) (any, error) {
@@ -247,20 +228,6 @@ func strategyBuiltins() []*Builtin {
 					return nil, scriptErr(line, "probe_workers takes no arguments")
 				}
 				return int64(p.Workers()), nil
-			},
-		},
-		{
-			Name: "probe_has_priors",
-			Doc:  "probe_has_priors() — whether persisted verdict priors back probe_pfail for the running probe",
-			Fn: func(in *interp, line int, args []any) (any, error) {
-				p, err := in.prober(line, "probe_has_priors")
-				if err != nil {
-					return nil, err
-				}
-				if len(args) != 0 {
-					return nil, scriptErr(line, "probe_has_priors takes no arguments")
-				}
-				return p.HasPriors(), nil
 			},
 		},
 	}

@@ -103,8 +103,8 @@ func TestFnCallDepthLimit(t *testing.T) {
 
 func TestProbeBindingsRequireStrategyContext(t *testing.T) {
 	for _, call := range []string{
-		"probe_test([true])", "probe_pad([])", "probe_pfail(0, 1)",
-		"probe_workers()", "probe_has_priors()",
+		"probe_test([true])", "probe_pad([])",
+		"probe_workers()",
 	} {
 		runExpectError(t, call, "only available inside a strategy function")
 	}
@@ -164,9 +164,6 @@ func TestScriptStrategyMatchesCompiledLinear(t *testing.T) {
 		register_strategy("mine", fn(n) {
 			if probe_workers() < 1 {
 				fail("bad worker count")
-			}
-			if probe_pfail(0, n) < 0.0 {
-				fail("bad pfail")
 			}
 			let decided = []
 			for i in range(n) {

@@ -167,7 +167,6 @@ type state struct {
 	// seeded round clears them (persist.go).
 	hint   map[string]bool
 	hintAt []int
-	priors []float64 // per-position P(must stay pessimistic), 0.5 unknown
 }
 
 func (st *state) logf(format string, args ...any) {
@@ -255,7 +254,8 @@ func (st *state) probe() (*Result, error) {
 	if base.RunErr != nil {
 		return nil, fmt.Errorf("driver: baseline run failed: %w", base.RunErr)
 	}
-	if len(spec.Verify.References) == 0 {
+	refs := spec.Verify.References
+	if len(refs) == 0 {
 		spec.Verify.References = []string{base.Run.Stdout}
 	}
 	base.Verify = spec.Verify.Check(base.Run.Stdout, nil)
@@ -264,7 +264,7 @@ func (st *state) probe() (*Result, error) {
 	}
 	st.res.Baseline = base
 	st.logf("%s: baseline verified (%d instrs)", spec.Name, base.Run.Instrs)
-	st.campaignKeys()
+	st.campaignKeys(refs)
 
 	// The engine is created only after the verify references are
 	// recorded: workers verify concurrently against the frozen spec.
@@ -283,7 +283,7 @@ func (st *state) probe() (*Result, error) {
 		return st.finalize(nil)
 	}
 	st.logf("%s: fully optimistic failed; bisecting %d unique queries", spec.Name, st.maxSeen)
-	st.seedPriors()
+	st.loadHint()
 
 	// Step 3: bisection. The padding keeps undecided queries
 	// pessimistic; it adapts as query counts drift.
@@ -405,11 +405,6 @@ func (st *state) Pad(decided oraql.Seq) oraql.Seq { return st.pad(decided, st.pa
 
 // Workers is the speculation budget.
 func (st *state) Workers() int { return st.eng.workers }
-
-// PFail is defined in persist.go (persisted-prior estimate).
-
-// HasPriors reports whether persisted verdict priors were loaded.
-func (st *state) HasPriors() bool { return st.priors != nil }
 
 // Logf prefixes progress lines with the benchmark name.
 func (st *state) Logf(format string, args ...any) {

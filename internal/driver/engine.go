@@ -83,7 +83,7 @@ type engine struct {
 	mu         sync.Mutex
 	calls      map[string]*testCall
 	exe        map[string]*exeEntry
-	optRecords []*oraql.QueryRecord // query stream of the empty-seq compile
+	optRecords []*oraql.QueryRecord // query stream of the empty-seq compile (persistent campaigns only)
 
 	compiles      atomic.Int64
 	stepsRun      atomic.Int64
@@ -153,7 +153,7 @@ func (e *engine) adjustDepth(delta int64) {
 }
 
 // takeOptRecords hands the empty-sequence compile's query records to
-// the driver (once) for verdict seeding.
+// the driver (once) for the verdict hint.
 func (e *engine) takeOptRecords() []*oraql.QueryRecord {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -207,9 +207,9 @@ func (e *engine) get(seq oraql.Seq) testOutcome {
 
 // prefetch speculatively launches a candidate test on the worker pool.
 // It is a no-op when probing sequentially, when the adaptive depth
-// bound is reached, or when the candidate is already in flight. The
-// driver passes candidates in descending consumption-probability
-// order, so depth throttling drops the least promising ones first.
+// bound is reached, or when the candidate is already in flight.
+// Strategies pass their nearest fail-path candidates first, so depth
+// throttling drops the farthest ones.
 func (e *engine) prefetch(seq oraql.Seq) {
 	if e.workers <= 1 || e.specActive.Load() >= e.specDepth.Load() {
 		return
@@ -305,12 +305,11 @@ func (e *engine) run(ctx context.Context, seq oraql.Seq) testOutcome {
 	run, replayed := cr.Steps()
 	e.stepsRun.Add(int64(run))
 	e.stepsReplayed.Add(int64(replayed))
-	if len(seq) == 0 && replayed == 0 {
-		// The fully-optimistic compile's query stream feeds both the
-		// persisted-verdict seeding and the IR feature extraction, so it
-		// is captured with or without a persistent campaign. It is the
-		// session's first compile, so nothing was replayed and its
-		// records are exact.
+	if len(seq) == 0 && replayed == 0 && dkey != "" {
+		// A persistent campaign places its verdict hint on the
+		// fully-optimistic compile's query stream. It is the session's
+		// first compile, so nothing was replayed and its records are
+		// exact.
 		e.mu.Lock()
 		if e.optRecords == nil {
 			e.optRecords = cr.Records()

@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"github.com/oraql/go-oraql/internal/diskcache"
-	"github.com/oraql/go-oraql/internal/ir"
 	"github.com/oraql/go-oraql/internal/oraql"
 )
 
@@ -14,7 +13,8 @@ import (
 // work.
 //
 //   - Test outcomes, keyed by the campaign identity (baseline module
-//     content hashes + check configuration) and the exact candidate
+//     content hashes + check configuration: pipeline, ORAQL scope, run
+//     options and verify settings) and the exact candidate
 //     sequence. Reprobing an unchanged program replays every test from
 //     disk without compiling or running anything.
 //
@@ -35,8 +35,10 @@ import (
 //     campaign, never soundness.
 
 // campaignKeys derives the two persistence identities after the
-// baseline compilation (which carries the content hashes).
-func (st *state) campaignKeys() {
+// baseline compilation (which carries the content hashes). refs are
+// the verify references the caller supplied, before an empty list took
+// the baseline output.
+func (st *state) campaignKeys(refs []string) {
 	if st.spec.Cache == nil || st.res.Baseline == nil {
 		return
 	}
@@ -51,8 +53,10 @@ func (st *state) campaignKeys() {
 		st.spec.ORAQL.Mode, st.spec.ORAQL.Target, st.spec.ORAQL.Funcs, st.spec.ORAQL.Files,
 		r.NumThreads, r.NumRanks, r.StepLimit, r.MemLimit)
 	// checkID excludes the module hashes on purpose: per-function
-	// verdicts must survive edits to *other* functions.
-	st.checkID = diskcache.Key("check", st.spec.Name, cfg)
+	// verdicts must survive edits to *other* functions. It includes the
+	// verify settings, because a verdict holds only for its check.
+	st.checkID = diskcache.Key("check", st.spec.Name, cfg,
+		fmt.Sprintf("masks=%q|refs=%q", st.spec.Verify.MaskPatterns, refs))
 	dev := ""
 	if b.Device != nil {
 		dev = b.Device.ModuleHash
@@ -84,86 +88,13 @@ func describeQueries(recs []*oraql.QueryRecord) []queryDesc {
 	return out
 }
 
-// featurePseudoCount is the strength of the IR feature estimate when
-// observed verdict history updates it: the feature score enters the
-// beta update as featurePseudoCount virtual observations, so a couple
-// of real verdicts already dominate it.
-const featurePseudoCount = 2
-
-// clampPrior keeps per-query priors away from certainty: priors order
-// and partition the bisection, they never decide it.
-func clampPrior(p float64) float64 {
-	if p < 0.02 {
-		return 0.02
-	}
-	if p > 0.98 {
-		return 0.98
-	}
-	return p
-}
-
-// positionPriors folds per-record estimates (est[i] belongs to
-// recs[i]) into per-position priors over [0, len(recs)). The host and
-// device compiles read one sequence, so a position must stay
-// pessimistic when any of its records must: 1 − Π(1 − p_r), clamped.
-// A position with one record keeps that record's estimate exactly; one
-// with none is unknown (0.5).
-func positionPriors(recs []*oraql.QueryRecord, est []float64) []float64 {
-	priors := make([]float64, len(recs))
-	seen := make([]bool, len(recs))
-	for i, rec := range recs {
-		j := rec.Index
-		if seen[j] {
-			priors[j] = 1 - (1-priors[j])*(1-est[i])
-		} else {
-			priors[j], seen[j] = est[i], true
-		}
-	}
-	for j := range priors {
-		if seen[j] {
-			priors[j] = clampPrior(priors[j])
-		} else {
-			priors[j] = 0.5
-		}
-	}
-	return priors
-}
-
-// seedPriors fills st.priors (per-position probability that the query
-// must stay pessimistic) and the hint (persisted convictions) from the
-// fully optimistic compile's query stream and three evidence layers,
-// weakest first:
-//
-//  1. IR feature scores (features.go) — always available once the
-//     fully-optimistic compile's query stream is captured; the
-//     cold-start estimate.
-//  2. Warehouse per-shape verdict frequencies — fleet-wide history,
-//     cross-program; blended over the feature base when no
-//     per-function history matched. Priors only, never hints.
-//  3. Per-function persisted verdicts — same program, same check;
-//     beta-updates the feature base, and every descriptor ever
-//     convicted joins the hint.
-//
-// Each layer updates one estimate per record; positionPriors combines
-// them per position.
-func (st *state) seedPriors() {
+// loadHint sets the hint from the fully optimistic compile's query
+// stream, which the engine captures only for a persistent campaign:
+// every descriptor the persisted per-function verdicts ever convicted
+// under this check joins it, at the position the stream asked it.
+func (st *state) loadHint() {
 	recs := st.eng.takeOptRecords()
 	if len(recs) == 0 {
-		return
-	}
-	est := make([]float64, len(recs))
-	for i := range est {
-		est[i] = 0.5
-	}
-	var mod *ir.Module
-	if st.res.Baseline != nil && st.res.Baseline.Compile != nil && st.res.Baseline.Compile.Host != nil {
-		mod = st.res.Baseline.Compile.Host.Module
-	}
-	if scored := seedFeaturePriors(recs, mod, est); scored > 0 {
-		st.priors = positionPriors(recs, est)
-		st.logf("%s: scored %d/%d queries from IR features", st.spec.Name, scored, len(recs))
-	}
-	if st.spec.Cache == nil || st.checkID == "" {
 		return
 	}
 	descs := describeQueries(recs)
@@ -183,14 +114,9 @@ func (st *state) seedPriors() {
 			byHash[fh] = fv
 		}
 		c := fv[descs[i].key]
-		total := c.Optimistic + c.Pessimistic
-		if total == 0 {
+		if c.Optimistic+c.Pessimistic == 0 {
 			continue
 		}
-		// Beta update: feature estimate as pseudo-counts, observed
-		// verdicts on top.
-		est[i] = clampPrior((est[i]*featurePseudoCount + float64(c.Pessimistic)) /
-			(featurePseudoCount + float64(total)))
 		// Ever convicted -> hinted pessimistic (conservative).
 		if c.Pessimistic > 0 {
 			hint[descs[i].key] = true
@@ -198,22 +124,14 @@ func (st *state) seedPriors() {
 		}
 		matched++
 	}
-	if matched > 0 {
-		st.priors = positionPriors(recs, est)
-		if len(hint) > 0 {
-			st.hint, st.hintAt = hint, hintAt
-		}
-		st.logf("%s: seeded %d/%d query verdicts (%d convictions) from persisted campaign state",
-			st.spec.Name, matched, len(recs), len(hint))
+	if matched == 0 {
 		return
 	}
-	// No per-function history (first campaign on this program, or every
-	// function edited): fall back to the warehouse's fleet-wide verdict
-	// frequencies per query shape. Priors only — never hints.
-	if seeded := st.seedShapePriors(recs, descs, est); seeded > 0 {
-		st.priors = positionPriors(recs, est)
-		st.logf("%s: seeded %d/%d query priors from warehouse shape history", st.spec.Name, seeded, len(recs))
+	if len(hint) > 0 {
+		st.hint, st.hintAt = hint, hintAt
 	}
+	st.logf("%s: seeded %d/%d query verdicts (%d convictions) from persisted campaign state",
+		st.spec.Name, matched, len(recs), len(hint))
 }
 
 // persistVerdicts records the final verified compilation's per-query
@@ -243,22 +161,6 @@ func (st *state) persistVerdicts(recs []*oraql.QueryRecord, descs []queryDesc) {
 	for fh, obs := range byFunc {
 		st.spec.Cache.MergeFuncVerdicts(fh, st.checkID, obs)
 	}
-}
-
-// PFail estimates the probability that flipping [lo, hi) optimistic
-// fails verification, from the per-index priors (0.5 when unknown).
-// Part of the Prober interface consumed by speculation-ordering
-// strategies.
-func (st *state) PFail(lo, hi int) float64 {
-	allOK := 1.0
-	for i := lo; i < hi; i++ {
-		p := 0.5
-		if i < len(st.priors) {
-			p = st.priors[i]
-		}
-		allOK *= 1 - p
-	}
-	return 1 - allOK
 }
 
 // hintedCandidate answers the positions at pessimistically and every

@@ -3,14 +3,13 @@ package driver
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"os"
 	"strings"
 	"testing"
 
 	"github.com/oraql/go-oraql/internal/diskcache"
-	"github.com/oraql/go-oraql/internal/oraql"
 	"github.com/oraql/go-oraql/internal/pipeline"
+	"github.com/oraql/go-oraql/internal/verify"
 	"github.com/oraql/go-oraql/internal/warehouse"
 )
 
@@ -101,6 +100,49 @@ func TestWarmCampaignReplaysFromDisk(t *testing.T) {
 		t.Fatalf("replayed instruction counts diverge: warm %d/%d, cold %d/%d",
 			warm.Baseline.Run.Instrs, warm.Final.Run.Instrs,
 			cold.Baseline.Run.Instrs, cold.Final.Run.Instrs)
+	}
+}
+
+// A verdict is only as good as the check that produced it, so one
+// store must keep the state of differently checked campaigns apart.
+// Masking the output line makes helloSrc fully optimistic, while the
+// unmasked check convicts; in either order over one store, each
+// campaign must end as its uncached twin does.
+func TestCampaignStateIsKeyedByVerifySettings(t *testing.T) {
+	checks := map[string][]string{"masked": {`sum=.*`}, "unmasked": nil}
+	probe := func(check string, cache *diskcache.Store) *Result {
+		t.Helper()
+		var log bytes.Buffer
+		res, err := Probe(&BenchSpec{
+			Name:    "hello",
+			Compile: pipeline.Config{Source: helloSrc},
+			Verify:  verify.Spec{MaskPatterns: checks[check]},
+			Workers: 1,
+			Cache:   cache,
+			Log:     &log,
+		})
+		if err != nil {
+			t.Fatalf("%s probe: %v\n%s", check, err, log.String())
+		}
+		return res
+	}
+	uncached := map[string]string{}
+	for check := range checks {
+		uncached[check] = probe(check, nil).FinalSeq.String()
+	}
+	if uncached["masked"] == uncached["unmasked"] {
+		t.Fatalf("both checks reach FinalSeq %q; the test needs them to differ", uncached["masked"])
+	}
+	for _, order := range [][]string{{"masked", "unmasked"}, {"unmasked", "masked"}} {
+		cache, err := diskcache.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, check := range order {
+			if got := probe(check, cache).FinalSeq.String(); got != uncached[check] {
+				t.Errorf("order %v: %s FinalSeq %q, uncached %q", order, check, got, uncached[check])
+			}
+		}
 	}
 }
 
@@ -212,74 +254,5 @@ func TestSeededReprobePlacesShiftedHint(t *testing.T) {
 				t.Errorf("convictions differ:\n seeded   %s\n uncached %s", s, u)
 			}
 		})
-	}
-}
-
-// A host and a device record at one position read the same sequence
-// bit, so the position must stay pessimistic when either must:
-// 1 − (1 − p_host)(1 − p_device). A position with one record keeps
-// its estimate bit for bit, which leaves single-target priors as they
-// were; a position with none is unknown.
-func TestPositionPriorsCombineRecordsAtOneIndex(t *testing.T) {
-	recs := []*oraql.QueryRecord{
-		{Index: 0}, {Index: 1}, {Index: 3}, // host
-		{Index: 0}, {Index: 3}, // device
-	}
-	est := []float64{0.1, 0.3, 0.95, 0.2, 0.9}
-	got := positionPriors(recs, est)
-	want := []float64{
-		1 - (1-0.1)*(1-0.2),
-		0.3,
-		0.5,
-		0.98, // 1 − 0.05·0.1 = 0.995, clamped
-		0.5,
-	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Errorf("prior[%d] = %g, want %g", i, got[i], want[i])
-		}
-	}
-	if got[1] != est[1] {
-		t.Errorf("single-record prior %v is not its estimate %v bit for bit", got[1], est[1])
-	}
-}
-
-// PFail composes per-query failure probabilities into a range
-// estimate: the range fails when any member fails, so
-// PFail(lo, hi) = 1 - prod(1 - p_i), with 0.5 for every query the
-// priors table does not cover. The table mixes known and unknown
-// positions to pin that composition.
-func TestPFailMixedKnownUnknownPriors(t *testing.T) {
-	st := &state{priors: []float64{0.2, 0.8}} // queries 2+ unknown
-	cases := []struct {
-		name   string
-		lo, hi int
-		want   float64
-	}{
-		{"single known low", 0, 1, 0.2},
-		{"single known high", 1, 2, 0.8},
-		{"two known combine", 0, 2, 1 - 0.8*0.2},
-		{"single unknown defaults to 0.5", 2, 3, 0.5},
-		{"known and unknown mix", 0, 3, 1 - 0.8*0.2*0.5},
-		{"unknown pair", 2, 4, 1 - 0.5*0.5},
-		{"empty range never fails", 1, 1, 0},
-	}
-	for _, c := range cases {
-		if got := st.PFail(c.lo, c.hi); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("%s: PFail(%d, %d) = %g, want %g", c.name, c.lo, c.hi, got, c.want)
-		}
-	}
-
-	// With no priors loaded every estimate is 0.5-based and HasPriors
-	// reports false — strategies then skip prior-driven ordering.
-	bare := &state{}
-	if bare.HasPriors() {
-		t.Error("state without priors claims HasPriors")
-	}
-	if got := bare.PFail(0, 2); math.Abs(got-0.75) > 1e-12 {
-		t.Errorf("unseeded PFail(0, 2) = %g, want 0.75", got)
-	}
-	if !st.HasPriors() {
-		t.Error("state with priors denies HasPriors")
 	}
 }

@@ -12,8 +12,6 @@ package driver
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
 
 	"github.com/oraql/go-oraql/internal/oraql"
@@ -21,9 +19,8 @@ import (
 )
 
 // Prober is the strategy's interface to the probing state: testing
-// candidates (with optional speculative prefetch), pessimistic
-// padding, and the speculation-ordering hints from persisted campaign
-// history. Implemented by the driver's internal state; campaign tests
+// candidates (with optional speculative prefetch) and pessimistic
+// padding. Implemented by the driver's internal state; campaign tests
 // may fake it.
 type Prober interface {
 	// Test verifies one candidate sequence, consuming a test from the
@@ -39,13 +36,6 @@ type Prober interface {
 	// Workers is the speculation budget (1 = strictly sequential; no
 	// point building speculative candidates).
 	Workers() int
-	// PFail estimates the probability that flipping [lo, hi) optimistic
-	// fails verification, from persisted per-query priors (0.5-based
-	// when unknown).
-	PFail(lo, hi int) float64
-	// HasPriors reports whether persisted verdict priors are available
-	// (PFail is then informative, and speculation ordering pays off).
-	HasPriors() bool
 	// Logf emits a progress line, prefixed with the benchmark name.
 	Logf(format string, args ...any)
 }
@@ -67,7 +57,6 @@ var (
 	Chunked   Strategy = chunkedStrategy{}
 	FreqSpace Strategy = freqStrategy{}
 	Linear    Strategy = linearStrategy{}
-	Bayes     Strategy = bayesStrategy{}
 )
 
 func init() {
@@ -78,7 +67,6 @@ func init() {
 		{Chunked, "recursive halving of consecutive ranges (paper default; good when dangerous queries cluster)"},
 		{FreqSpace, "residue-class splitting by doubling modulus (descriptors independent of sequence length)"},
 		{Linear, "one query at a time, left to right (O(n) tests; diagnostic baseline)"},
-		{Bayes, "probability-ranked bisection: IR features + persisted priors order queries safest-first and balance splits by guilt mass"},
 	} {
 		registry.Strategies.Register(registry.Entry{
 			Name:        s.strat.Name(),
@@ -103,22 +91,13 @@ type chunkedStrategy struct{}
 
 func (chunkedStrategy) Name() string { return "chunked" }
 
-// Solve runs the chunked recursion over [0, n), splitting every range
-// at its index midpoint.
-func (chunkedStrategy) Solve(p Prober, n int) (oraql.Seq, error) {
-	return bisect(p, n, midpoint)
-}
-
-// midpoint is the chunked strategy's split of [lo, hi).
-func midpoint(lo, hi int) int { return (lo + hi) / 2 }
-
-// bisect runs the chunked recursion over [0, n), splitting a failed
-// range [lo, hi) of at least two queries at split(lo, hi), which must
-// lie strictly between lo and hi. The knownBad flag implements the
-// paper's Fig. 2 deduction: when a parent range failed and its left
-// part verified entirely optimistic, the right part must contain a
-// dangerous query, so its whole-range test is skipped.
-func bisect(p Prober, n int, split func(lo, hi int) int) (oraql.Seq, error) {
+// Solve runs the chunked recursion over [0, n), splitting a failed
+// range [lo, hi) of at least two queries at its index midpoint. The
+// knownBad flag implements the paper's Fig. 2 deduction: when a parent
+// range failed and its left part verified entirely optimistic, the
+// right part must contain a dangerous query, so its whole-range test
+// is skipped.
+func (s chunkedStrategy) Solve(p Prober, n int) (oraql.Seq, error) {
 	decided := make(oraql.Seq, n)
 	// allOpt reports whether the whole range ended up optimistic.
 	var solve func(lo, hi int, knownBad bool) (bool, error)
@@ -131,7 +110,7 @@ func bisect(p Prober, n int, split func(lo, hi int) int) (oraql.Seq, error) {
 			for i := lo; i < hi; i++ {
 				cand[i] = true
 			}
-			ok, err := p.Test(p.Pad(cand[:hi]), bisectSpecs(p, decided, lo, hi, split)...)
+			ok, err := p.Test(p.Pad(cand[:hi]), s.specs(p, decided, lo, hi)...)
 			if err != nil {
 				return false, err
 			}
@@ -145,7 +124,7 @@ func bisect(p Prober, n int, split func(lo, hi int) int) (oraql.Seq, error) {
 			p.Logf("query %d must stay pessimistic", lo)
 			return false, nil
 		}
-		mid := split(lo, hi)
+		mid := (lo + hi) / 2
 		leftAll, err := solve(lo, mid, false)
 		if err != nil {
 			return false, err
@@ -163,58 +142,36 @@ func bisect(p Prober, n int, split func(lo, hi int) int) (oraql.Seq, error) {
 	return decided, nil
 }
 
-// bisectSpecs builds the speculative candidates launched alongside the
-// whole-range test of [lo, hi): the fail path descends the left spine
-// (left part, its left part, ...), and the right part is speculated
-// under the assumption that the whole left part stays pessimistic.
-// Decided bits only ever flip to optimistic on a success — and every
-// success cancels outstanding speculation — so candidates built from
-// the current decided state stay exact until consumed or cancelled.
-//
-// When persisted verdict priors are available, candidates are ordered
-// by estimated consumption probability — the product of each
-// ancestor's failure probability along the path that reaches the
-// candidate's test — so the engine's bounded speculation depth is
-// spent on the tests most likely to be consumed.
-func bisectSpecs(p Prober, decided oraql.Seq, lo, hi int, split func(lo, hi int) int) []oraql.Seq {
+// specs builds the speculative candidates launched alongside the
+// whole-range test of [lo, hi): the fail path descends the left
+// spine (left part, its left part, ...), and the right part is
+// speculated under the assumption that the whole left part stays
+// pessimistic. Decided bits only ever flip to optimistic on a success
+// — and every success cancels outstanding speculation — so candidates
+// built from the current decided state stay exact until consumed or
+// cancelled. They come in construction order, the left spine
+// outside-in and then the right part; the engine drops the tail once
+// its speculation depth is reached.
+func (chunkedStrategy) specs(p Prober, decided oraql.Seq, lo, hi int) []oraql.Seq {
 	if p.Workers() <= 1 || hi-lo <= 1 {
 		return nil
 	}
 	var specs []oraql.Seq
-	var scores []float64
-	prob := 1.0 // P(every ancestor range test failed)
 	for l, h := lo, hi; h-l > 1 && len(specs) < p.Workers()-1; {
-		m := split(l, h)
+		m := (l + h) / 2
 		cand := decided.Clone()
 		for i := l; i < m; i++ {
 			cand[i] = true
 		}
-		prob *= p.PFail(l, h)
 		specs = append(specs, p.Pad(cand[:m]))
-		scores = append(scores, prob)
 		h = m
 	}
-	if mid := split(lo, hi); len(specs) < p.Workers()-1 {
+	if len(specs) < p.Workers()-1 {
 		cand := decided.Clone()
-		for i := mid; i < hi; i++ {
+		for i := (lo + hi) / 2; i < hi; i++ {
 			cand[i] = true
 		}
 		specs = append(specs, p.Pad(cand[:hi]))
-		// Consumed when [lo,hi) failed and its left part failed too
-		// (leftAll skips the right's whole-range test otherwise).
-		scores = append(scores, p.PFail(lo, hi)*p.PFail(lo, mid))
-	}
-	if p.HasPriors() {
-		ord := make([]int, len(specs))
-		for i := range ord {
-			ord[i] = i
-		}
-		sort.SliceStable(ord, func(a, b int) bool { return scores[ord[a]] > scores[ord[b]] })
-		sorted := make([]oraql.Seq, len(specs))
-		for i, j := range ord {
-			sorted[i] = specs[j]
-		}
-		specs = sorted
 	}
 	return specs
 }
@@ -305,89 +262,6 @@ func (freqStrategy) specs(p Prober, decided oraql.Seq, done []bool, m, r int) []
 		}
 	}
 	return specs
-}
-
-// bayesStrategy is the prior-driven probabilistic bisection: the
-// chunked recursion with its split points placed by estimated
-// per-query failure probability (IR feature scores beta-updated by
-// persisted verdict history — Prober.PFail) instead of at the index
-// midpoint. Each failing range splits at its guilt-mass median — the
-// index where the cumulative -log survival probability reaches half
-// the range's total — and, when a single dominant likely-guilty query
-// carries most of the mass, immediately before it.
-//
-// The effect with sharp priors: the high-probability-safe mass ahead
-// of each suspect tests as one large optimistic chunk (one test
-// decides most queries) and the likely-guilty queries are isolated as
-// singletons within a few tests, instead of paying a full log-depth
-// descent per conviction. The recursion structure, left-to-right
-// decision order, and singleton conviction contexts are exactly the
-// chunked strategy's — only the split positions move — so convictions
-// stay exact and the pessimistic conviction set matches chunked's.
-// With no priors every weight is equal, the guilt-mass median is the
-// index midpoint, and the strategy degenerates to chunked.
-type bayesStrategy struct{}
-
-func (bayesStrategy) Name() string { return "bayes" }
-
-// bayesWeights converts per-query failure probabilities into additive
-// guilt-mass weights: w = -log(1 - p), so a range's total weight is
-// the -log of the probability that the whole range survives its
-// optimistic test.
-func bayesWeights(p Prober, n int) []float64 {
-	w := make([]float64, n)
-	for i := range w {
-		q := 1 - p.PFail(i, i+1)
-		if q < 0.02 {
-			q = 0.02
-		}
-		w[i] = -math.Log(q)
-	}
-	return w
-}
-
-// bayesSplit places the split point of [lo, hi) at the guilt-mass
-// median: the end of the largest prefix whose mass is at most half
-// the range's total, clamped so both parts are non-empty. A dominant
-// suspect — one query carrying more than half the mass — therefore
-// lands at the head of the right part: the whole likely-safe prefix
-// tests as one chunk, and the suspect is one singleton test from
-// conviction. With uniform weights (no priors) every prefix of
-// length floor(n/2) holds at most half the mass, so the split is
-// chunked's floor midpoint exactly; the comparison carries a relative
-// tolerance so that exact-tie prefixes are kept rather than decided
-// by float summation order.
-func bayesSplit(w []float64, lo, hi int) int {
-	total := 0.0
-	for _, x := range w[lo:hi] {
-		total += x
-	}
-	if total <= 0 {
-		return (lo + hi) / 2
-	}
-	mass := 0.0
-	mid := lo
-	for k := lo; k < hi; k++ {
-		if (mass+w[k])*2 > total*(1+1e-9) {
-			break
-		}
-		mass += w[k]
-		mid = k + 1
-	}
-	if mid <= lo {
-		mid = lo + 1
-	}
-	if mid >= hi {
-		mid = hi - 1
-	}
-	return mid
-}
-
-// Solve runs the chunked recursion (including the Fig. 2 knownBad
-// deduction) with guilt-mass split points.
-func (bayesStrategy) Solve(p Prober, n int) (oraql.Seq, error) {
-	w := bayesWeights(p, n)
-	return bisect(p, n, func(lo, hi int) int { return bayesSplit(w, lo, hi) })
 }
 
 // linearStrategy flips one query at a time, left to right: n tests,

@@ -16,7 +16,6 @@ import (
 var stmtsOption = registry.Option{
 	Name: "stmts", Type: "integer",
 	Description: "top-level statements per generated program (0 = generator default)",
-	Default:     6,
 }
 
 func init() {

@@ -11,31 +11,26 @@
 // The package is deliberately a leaf: it imports nothing from the rest
 // of the repository, and entries carry their implementation as an
 // opaque value the owning package type-asserts back. What the registry
-// itself understands is the introspectable surface — name, one-line
-// description, and the option documentation rendered by `-list` and
-// the JSON schema endpoints.
+// itself understands is the introspectable surface: the name and
+// one-line description, which `-list`, `GET /v1/registry` and the
+// script introspection bindings show, and the option documentation
+// that `-list` prints.
 package registry
 
 import (
-	"encoding/json"
 	"fmt"
-	"sort"
 	"sync"
 )
 
-// Option documents one tunable of a registered entry, in enough detail
-// to render a JSON-schema property for it.
+// Option documents one tunable of a registered entry.
 type Option struct {
 	// Name is the option key as scripts and wire requests spell it.
 	Name string `json:"name"`
-	// Type is the JSON-schema primitive: "string", "number",
-	// "integer", "boolean".
+	// Type is the JSON primitive: "string", "number", "integer",
+	// "boolean".
 	Type string `json:"type"`
 	// Description is the one-line help text.
 	Description string `json:"description"`
-	// Default, when non-nil, is the value used when the option is
-	// omitted.
-	Default any `json:"default,omitempty"`
 }
 
 // Entry is one registered implementation.
@@ -70,7 +65,7 @@ type Registry struct {
 }
 
 // global is the creation-ordered list of registries, so generic
-// tooling (the shared -list printer, the schema endpoint) can walk
+// tooling (the shared -list printer, the registry endpoint) can walk
 // every extension point without naming them.
 var (
 	globalMu sync.Mutex
@@ -169,13 +164,6 @@ func (r *Registry) Names() []string {
 	return append(out, r.order...)
 }
 
-// SortedNames returns the registered names sorted lexicographically.
-func (r *Registry) SortedNames() []string {
-	names := r.Names()
-	sort.Strings(names)
-	return names
-}
-
 // Entries returns the entries in registration order, parent entries
 // first for overlays.
 func (r *Registry) Entries() []*Entry {
@@ -204,51 +192,6 @@ func (r *Registry) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return n + len(r.order)
-}
-
-// Info is the JSON-able description of one entry (Value omitted).
-type Info struct {
-	Name        string   `json:"name"`
-	Description string   `json:"description"`
-	Options     []Option `json:"options,omitempty"`
-}
-
-// Describe returns the JSON-able descriptions in registration order.
-func (r *Registry) Describe() []Info {
-	entries := r.Entries()
-	out := make([]Info, len(entries))
-	for i, e := range entries {
-		out[i] = Info{Name: e.Name, Description: e.Description, Options: e.Options}
-	}
-	return out
-}
-
-// Schema renders the registry as a JSON-schema fragment: one object
-// definition per entry, whose properties are the documented options.
-func (r *Registry) Schema() json.RawMessage {
-	defs := map[string]any{}
-	for _, e := range r.Entries() {
-		props := map[string]any{}
-		for _, o := range e.Options {
-			p := map[string]any{"type": o.Type, "description": o.Description}
-			if o.Default != nil {
-				p["default"] = o.Default
-			}
-			props[o.Name] = p
-		}
-		defs[e.Name] = map[string]any{
-			"description": e.Description,
-			"type":        "object",
-			"properties":  props,
-		}
-	}
-	data, err := json.MarshalIndent(map[string]any{r.kind: defs}, "", "  ")
-	if err != nil {
-		// Everything marshalled here is built from plain maps of JSON
-		// primitives; a failure is a bug in this file.
-		panic(fmt.Sprintf("registry %s: schema: %v", r.kind, err))
-	}
-	return data
 }
 
 // The repository's extension points, in the order tooling lists them.

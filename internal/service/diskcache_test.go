@@ -132,3 +132,34 @@ func TestSharedCacheDirCorruptResponseRecompiles(t *testing.T) {
 		t.Fatal("recompiled exe hash differs from original")
 	}
 }
+
+// oraql_compiles_total counts pipeline runs, not translation-unit
+// loads. The analysis cache is transparent, so it stays out of the TU
+// key: a second request that differs only in disable_analysis_cache
+// misses the response cache and the LRU, but the pipeline serves it
+// whole from the first request's TU artifact without running.
+func TestCompilesTotalSkipsTranslationUnitLoads(t *testing.T) {
+	ctx := context.Background()
+	cache, err := diskcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, cl, stop := newTestServer(t, service.Config{Cache: cache})
+	defer stop()
+	for _, opts := range []service.CompileOptions{{}, {DisableAnalysisCache: true}} {
+		resp, err := cl.Compile(ctx, compileReq(progSum, opts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Cached {
+			t.Fatalf("options %+v were served from the response cache", opts)
+		}
+	}
+	text, err := cl.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := metricValue(t, text, "oraql_compiles_total"); got != 1 {
+		t.Fatalf("oraql_compiles_total = %v, want 1", got)
+	}
+}

@@ -320,9 +320,14 @@ func (s *Server) storeDiskResponse(key string, resp *CompileResponse) {
 	s.cfg.Cache.Put(diskResponseKey(key), data)
 }
 
-// observeCompileResult lifts one compilation's AA and analysis cache
-// counters into the service metrics.
+// observeCompileResult books one pipeline run and lifts its AA and
+// analysis cache counters into the service metrics. A result that a
+// translation-unit artifact served whole ran no pipeline and is not
+// booked.
 func (s *Server) observeCompileResult(cr *pipeline.CompileResult) {
+	if cr.DiskHits() > 0 {
+		return
+	}
 	aas := cr.AAStats()
 	var anHits, anMisses int64
 	for _, as := range cr.AnalysisStats() {

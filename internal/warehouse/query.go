@@ -194,8 +194,8 @@ func (m *Manifest) DivergentSeeds(grammar string) []int64 {
 }
 
 // ShapePriors aggregates verdict frequencies per query shape over the
-// whole corpus — the fleet-wide priors the driver folds into its
-// candidate ordering when no per-function history exists.
+// whole corpus — the fleet-wide history the CPG export annotates its
+// ORAQL edges with (CPGOptions.History).
 func (m *Manifest) ShapePriors() map[string]diskcache.VerdictCounts {
 	out := map[string]diskcache.VerdictCounts{}
 	for _, s := range m.Summaries() {

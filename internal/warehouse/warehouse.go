@@ -159,7 +159,7 @@ type Summary struct {
 
 	// Passes and Shapes list the distinct guilty (pessimistic) passes
 	// and query shapes, sorted; ShapeCounts carries the full verdict
-	// frequencies per shape for prior seeding.
+	// frequencies per shape (Manifest.ShapePriors).
 	Passes      []string                           `json:"passes,omitempty"`
 	Shapes      []string                           `json:"shapes,omitempty"`
 	ShapeCounts map[string]diskcache.VerdictCounts `json:"shape_counts,omitempty"`

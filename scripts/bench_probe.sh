@@ -3,9 +3,9 @@
 #
 #   - sequential vs parallel driver: wall clock per workflow sweep,
 #     speculation counts, and the alias-query cache hit rate;
-#   - the strategy matrix: chunked / freq / bayes, cold and seeded
-#     (a prior chunked campaign populated a disk cache), per app
-#     configuration, with compile counts and conviction counts.
+#   - the strategy matrix: chunked / freq, cold and seeded (a prior
+#     chunked campaign populated a disk cache), per app configuration,
+#     with compile counts and conviction counts.
 #
 # Run from the repo root:
 #
@@ -15,10 +15,10 @@
 # speculative tests, so expect parallel >= sequential there; the >=2x
 # speedup target is for multi-core hosts.
 #
-# The script fails if seeded bayes does not beat BOTH cold chunked and
-# cold freq on compiles and wall clock on every configuration, or if a
-# prefix-context strategy's conviction count diverges from chunked —
-# the headline claims the matrix exists to pin.
+# The script fails if seeded chunked does not beat BOTH cold chunked
+# and cold freq on compiles and wall clock on every configuration, or
+# if its conviction count diverges from cold chunked's — the headline
+# claims the matrix exists to pin.
 set -eu
 count="${1:-3}"
 out="BENCH_probe.json"
@@ -71,7 +71,7 @@ END {
 	printf "    \"workers\": 1,\n"
 	printf "    \"seeding\": \"one chunked campaign against a fresh disk cache, excluded from timing\",\n"
 	printf "    \"rows\": [\n"
-	nstrat = split("chunked freq bayes", strats, " ")
+	nstrat = split("chunked freq", strats, " ")
 	sep = ""
 	bad = 0
 	for (s = 1; s <= nstrat; s++) {
@@ -89,25 +89,25 @@ END {
 		}
 	}
 	printf "\n    ],\n"
-	# The headline claims: seeded bayes beats cold chunked and cold
+	# The headline claims: seeded chunked beats cold chunked and cold
 	# freq on compiles and wall clock everywhere, with conviction
-	# counts identical to chunked (freq may convict a superset).
+	# counts identical to cold chunked (freq may convict a superset).
 	for (c = 1; c <= ncfg; c++) {
-		bk = "bayes" SUBSEP "seeded" SUBSEP cfgs[c]
+		sk = "chunked" SUBSEP "seeded" SUBSEP cfgs[c]
 		ck = "chunked" SUBSEP "cold" SUBSEP cfgs[c]
 		fk = "freq" SUBSEP "cold" SUBSEP cfgs[c]
-		if (!(bk in mcomp) || !(ck in mcomp) || !(fk in mcomp)) continue
-		if (mcomp[bk] >= mcomp[ck] || mcomp[bk] >= mcomp[fk] ||
-		    mms[bk] >= mms[ck] || mms[bk] >= mms[fk]) {
-			printf "BENCH: seeded bayes does not win on %s\n", cfgs[c] > "/dev/stderr"
+		if (!(sk in mcomp) || !(ck in mcomp) || !(fk in mcomp)) continue
+		if (mcomp[sk] >= mcomp[ck] || mcomp[sk] >= mcomp[fk] ||
+		    mms[sk] >= mms[ck] || mms[sk] >= mms[fk]) {
+			printf "BENCH: seeded chunked does not win on %s\n", cfgs[c] > "/dev/stderr"
 			bad = 1
 		}
-		if (mconv[bk] != mconv[ck]) {
-			printf "BENCH: bayes convictions diverge from chunked on %s\n", cfgs[c] > "/dev/stderr"
+		if (mconv[sk] != mconv[ck]) {
+			printf "BENCH: seeded chunked convictions diverge from cold on %s\n", cfgs[c] > "/dev/stderr"
 			bad = 1
 		}
 	}
-	printf "    \"seeded_bayes_beats_cold_chunked_and_freq_everywhere\": %s\n", bad ? "false" : "true"
+	printf "    \"seeded_chunked_beats_cold_chunked_and_freq_everywhere\": %s\n", bad ? "false" : "true"
 	printf "  }\n"
 	printf "}\n"
 	exit bad

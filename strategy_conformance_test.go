@@ -1,9 +1,9 @@
 package goraql
 
 // Strategy conformance: for every strategy that decides queries left
-// to right — chunked, bayes, linear, and script-defined strategies
-// built the same way — a singleton conviction test always runs in the
-// same context (final decided prefix, pessimistic suffix), so the
+// to right — chunked, linear, and script-defined strategies built the
+// same way — a singleton conviction test always runs in the same
+// context (final decided prefix, pessimistic suffix), so the
 // conviction set and the final executable are properties of the
 // program, not of where the bisection splits. The suite pins that:
 // identical conviction sets and byte-identical exe hashes across the
