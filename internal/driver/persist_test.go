@@ -105,18 +105,19 @@ func TestWarmCampaignReplaysFromDisk(t *testing.T) {
 
 // A verdict is only as good as the check that produced it, so one
 // store must keep the state of differently checked campaigns apart.
-// Masking the output line makes helloSrc fully optimistic, while the
-// unmasked check convicts; in either order over one store, each
+// Masking the output line, or accepting the fully optimistic build's
+// output as a second reference, makes helloSrc fully optimistic, while
+// the default check convicts; in either order over one store, each
 // campaign must end as its uncached twin does.
 func TestCampaignStateIsKeyedByVerifySettings(t *testing.T) {
-	checks := map[string][]string{"masked": {`sum=.*`}, "unmasked": nil}
+	checks := map[string]verify.Spec{"masked": {MaskPatterns: []string{`sum=.*`}}, "default": {}}
 	probe := func(check string, cache *diskcache.Store) *Result {
 		t.Helper()
 		var log bytes.Buffer
 		res, err := Probe(&BenchSpec{
 			Name:    "hello",
 			Compile: pipeline.Config{Source: helloSrc},
-			Verify:  verify.Spec{MaskPatterns: checks[check]},
+			Verify:  checks[check],
 			Workers: 1,
 			Cache:   cache,
 			Log:     &log,
@@ -126,21 +127,26 @@ func TestCampaignStateIsKeyedByVerifySettings(t *testing.T) {
 		}
 		return res
 	}
+	masked := probe("masked", nil)
+	checks["two references"] = verify.Spec{References: []string{masked.Baseline.Run.Stdout, masked.Final.Run.Stdout}}
 	uncached := map[string]string{}
 	for check := range checks {
 		uncached[check] = probe(check, nil).FinalSeq.String()
 	}
-	if uncached["masked"] == uncached["unmasked"] {
-		t.Fatalf("both checks reach FinalSeq %q; the test needs them to differ", uncached["masked"])
+	if uncached["masked"] == uncached["default"] || uncached["two references"] == uncached["default"] {
+		t.Fatalf("uncached FinalSeqs %q; the test needs the default check to differ", uncached)
 	}
-	for _, order := range [][]string{{"masked", "unmasked"}, {"unmasked", "masked"}} {
+	for _, order := range [][]string{
+		{"masked", "default"}, {"default", "masked"},
+		{"two references", "default"}, {"default", "two references"},
+	} {
 		cache, err := diskcache.Open(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, check := range order {
 			if got := probe(check, cache).FinalSeq.String(); got != uncached[check] {
-				t.Errorf("order %v: %s FinalSeq %q, uncached %q", order, check, got, uncached[check])
+				t.Errorf("order %q: %s FinalSeq %q, uncached %q", order, check, got, uncached[check])
 			}
 		}
 	}
