@@ -18,9 +18,11 @@ test:
 # the scheduler hides, several catch real races in the concurrency that
 # remains: the speculative probe engine, the fuzz pool, service jobs
 # and batches, and the irinterp rank goroutines.
+# The second line needs -count=1: the test cache does not key on
+# GOMAXPROCS, so it would replay the first line's results.
 race:
 	GOMAXPROCS=1 $(GO) test -race ./...
-	GOMAXPROCS=4 $(GO) test -race ./...
+	GOMAXPROCS=4 $(GO) test -race -count=1 ./...
 
 # bench smoke-runs the probing benchmarks (1 iteration each); use
 # scripts/bench_probe.sh to record a BENCH_probe.json baseline.
@@ -79,22 +81,25 @@ cluster-smoke:
 serve-smoke:
 	scripts/serve_smoke.sh
 
-# campaign-smoke mirrors the CI campaign job: every example campaign
+# campaign-smoke mirrors the CI campaign job: 30s of the script
+# engine's no-panic fuzz target, every example campaign
 # through `oraql run` (cross-worker byte-identity for the scripted
 # default probe), the -max-steps sandbox, and one campaign through a
 # live oraql-serve with -cache-dir via POST /v1/campaign.
 campaign-smoke:
+	$(GO) test ./internal/campaign -fuzz FuzzCampaignScriptNoPanic -fuzztime 30s -run '^$$'
 	scripts/campaign_smoke.sh
 
 # fuzz-smoke mirrors the CI fuzz job: a 200-program differential
 # campaign, the fault-injection triage self-test, and 30s of each
-# native fuzz target.
+# native fuzz target, the compile-session one included.
 fuzz-smoke:
 	$(GO) run ./cmd/oraql-fuzz -n 200 -seed 1 -v
 	$(GO) run ./cmd/oraql-fuzz -inject -n 10 -seed 1 -v
 	$(GO) test ./internal/irtext -fuzz FuzzIRTextRoundtrip -fuzztime 30s -run '^$$'
 	$(GO) test ./internal/irtext -fuzz FuzzParseNoPanic -fuzztime 30s -run '^$$'
 	$(GO) test ./internal/difftest -fuzz FuzzDifferential -fuzztime 30s -run '^$$'
+	$(GO) test ./internal/pipeline -fuzz FuzzSessionMatchesCold -fuzztime 30s -run '^$$'
 
 # fuzz runs an open-ended differential campaign; tune N/SEED/ARGS.
 N ?= 1000

@@ -400,26 +400,29 @@ func BenchmarkCompileOnly(b *testing.B) {
 }
 
 // BenchmarkCompile_AnalysisCache measures the compile-time effect of
-// the analysis manager's lazy cache: every configuration is compiled
-// once with cached analyses and once force-invalidated (each pass
-// recomputes CFG info and MemorySSA from scratch), reporting the cache
-// hit rate as a metric. scripts/bench_compile.sh records both modes
+// the two compile caches: every configuration is compiled once with
+// both ("cached"), once with the analysis manager force-invalidated so
+// each pass recomputes CFG info and MemorySSA from scratch ("forced"),
+// and once without the AA query cache ("aa-off"), reporting both hit
+// rates as metrics. scripts/bench_compile.sh records the three modes
 // into BENCH_compile.json.
 func BenchmarkCompile_AnalysisCache(b *testing.B) {
 	modes := []struct {
-		name    string
-		disable bool
-	}{{"cached", false}, {"forced", true}}
+		name              string
+		noAnalysis, noAAQ bool
+	}{{"cached", false, false}, {"forced", true, false}, {"aa-off", false, true}}
 	for _, c := range apps.All() {
 		c := c
 		for _, mode := range modes {
 			mode := mode
 			b.Run(c.ID+"/"+mode.name, func(b *testing.B) {
 				var hits, misses int64
+				var aaHitRate float64
 				for i := 0; i < b.N; i++ {
 					cc := c.Spec().Compile
 					cc.Name = c.ID
-					cc.DisableAnalysisCache = mode.disable
+					cc.DisableAnalysisCache = mode.noAnalysis
+					cc.DisableAAQueryCache = mode.noAAQ
 					cr, err := CompileSource(cc)
 					if err != nil {
 						b.Fatal(err)
@@ -429,12 +432,14 @@ func BenchmarkCompile_AnalysisCache(b *testing.B) {
 						hits += as.Hits
 						misses += as.Misses
 					}
+					aaHitRate = cr.AAStats().CacheHitRate()
 				}
 				b.ReportMetric(float64(hits), "analysis-hits")
 				b.ReportMetric(float64(misses), "analysis-misses")
 				if hits+misses > 0 {
 					b.ReportMetric(100*float64(hits)/float64(hits+misses), "analysis-hit-%")
 				}
+				b.ReportMetric(100*aaHitRate, "aa-cache-hit-%")
 			})
 		}
 	}

@@ -114,42 +114,51 @@ func LocBefore(ptr ir.Value, in *ir.Instr) MemLoc {
 // AccessLocs returns the memory locations an instruction may access:
 // (read, write); either may be a nil slice.
 func AccessLocs(in *ir.Instr) (reads, writes []MemLoc) {
+	return AppendReadLocs(nil, in), AppendWriteLocs(nil, in)
+}
+
+// AppendReadLocs appends the locations in may read to dst, the
+// append-style form of AccessLocs' reads: a caller that passes a slice
+// of a local array allocates nothing for up to its length.
+func AppendReadLocs(dst []MemLoc, in *ir.Instr) []MemLoc { return appendLocs(dst, in, false) }
+
+// AppendWriteLocs appends the locations in may write to dst, as
+// AppendReadLocs does for reads.
+func AppendWriteLocs(dst []MemLoc, in *ir.Instr) []MemLoc { return appendLocs(dst, in, true) }
+
+func appendLocs(dst []MemLoc, in *ir.Instr, write bool) []MemLoc {
 	switch in.Op {
 	case ir.OpLoad:
-		return []MemLoc{LocOfLoad(in)}, nil
+		if !write {
+			dst = append(dst, LocOfLoad(in))
+		}
 	case ir.OpStore:
-		return nil, []MemLoc{LocOfStore(in)}
-	case ir.OpMemCpy:
+		if write {
+			dst = append(dst, LocOfStore(in))
+		}
+	case ir.OpMemCpy, ir.OpMemSet:
 		sz := UnknownSize
 		if c, ok := in.Operands[2].(*ir.Const); ok {
 			sz = PreciseSize(c.I)
 		}
-		return []MemLoc{{Ptr: in.Operands[1], Size: sz, Instr: in}},
-			[]MemLoc{{Ptr: in.Operands[0], Size: sz, Instr: in}}
-	case ir.OpMemSet:
-		sz := UnknownSize
-		if c, ok := in.Operands[2].(*ir.Const); ok {
-			sz = PreciseSize(c.I)
+		switch {
+		case write:
+			dst = append(dst, MemLoc{Ptr: in.Operands[0], Size: sz, Instr: in})
+		case in.Op == ir.OpMemCpy:
+			dst = append(dst, MemLoc{Ptr: in.Operands[1], Size: sz, Instr: in})
 		}
-		return nil, []MemLoc{{Ptr: in.Operands[0], Size: sz, Instr: in}}
 	case ir.OpCall:
 		eff := ir.CalleeEffects(in.Callee)
-		if !eff.Reads && !eff.Writes {
-			return nil, nil
+		if write && !eff.Writes || !write && !eff.Reads {
+			break
 		}
 		for _, op := range in.Operands {
 			if op.Type() == ir.Ptr {
-				if eff.Reads {
-					reads = append(reads, LocBefore(op, in))
-				}
-				if eff.Writes {
-					writes = append(writes, LocBefore(op, in))
-				}
+				dst = append(dst, LocBefore(op, in))
 			}
 		}
-		return reads, writes
 	}
-	return nil, nil
+	return dst
 }
 
 // QueryCtx carries compilation context alongside a query: which pass is

@@ -232,3 +232,35 @@ func TestStatsMergeAndClone(t *testing.T) {
 		t.Errorf("Clone aliased the source maps")
 	}
 }
+
+// TestRepeatedAccessQueriesAllocateNothing: a clobber or read query
+// that the cache answers builds its access locations on the stack, so
+// it allocates nothing.
+func TestRepeatedAccessQueriesAllocateNothing(t *testing.T) {
+	f := newFixture(t)
+	ld := f.b.Load(ir.F64, f.p, "double")
+	st := f.b.Store(ld, f.q, "double")
+	cp := f.b.MemCpy(f.a1, f.a2, ir.ConstInt(16))
+	ms := f.b.MemSet(f.a2, ir.ConstInt(0), ir.ConstInt(16))
+	call := f.b.Call(ir.Void, "user", f.p, f.a1, f.idx)
+	f.b.Ret(nil)
+	mgr := NewManager(f.m, DefaultChain(f.m)...)
+	q := &QueryCtx{Pass: "test", Func: f.fn}
+	loc := f.loc(f.a1, 8)
+	query := func() {
+		for _, in := range []*ir.Instr{ld, st, cp, ms, call} {
+			mgr.InstrMayClobberLoc(in, loc, q)
+			mgr.InstrMayReadLoc(in, loc, q)
+		}
+	}
+	query()
+	before := mgr.Stats()
+	if got := testing.AllocsPerRun(100, query); got != 0 {
+		t.Errorf("cache-hit access queries: %v allocations per run, want 0", got)
+	}
+	after := mgr.Stats()
+	if after.CacheMisses != before.CacheMisses || after.CacheHits == before.CacheHits {
+		t.Fatalf("repeats must hit the cache: misses %d -> %d, hits %d -> %d",
+			before.CacheMisses, after.CacheMisses, before.CacheHits, after.CacheHits)
+	}
+}

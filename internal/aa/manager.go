@@ -267,18 +267,19 @@ func (mgr *Manager) SetQueryCache(enabled bool) {
 	}
 }
 
-// InvalidateFunc drops the memoized verdicts of one function — the
+// InvalidateFunc empties the memoized verdicts of one function — the
 // analysis manager calls this for exactly the function a pass changed,
 // leaving every other function's entries hot. The shared nil bucket
-// (queries without a function context) is dropped too, since those
-// cannot be attributed. The flush counter reflects only the function's
-// own bucket.
+// (queries without a function context) is emptied too, since those
+// cannot be attributed. Buckets are emptied in place, so the next pass
+// refills one without regrowing it. The flush counter reflects only
+// the function's own bucket.
 func (mgr *Manager) InvalidateFunc(fn *ir.Func) {
 	if len(mgr.cache[fn]) > 0 {
 		mgr.stats.CacheScopedFlushes++
 	}
-	delete(mgr.cache, fn)
-	delete(mgr.cache, nil)
+	clear(mgr.cache[fn])
+	clear(mgr.cache[nil])
 }
 
 // cachePrefixLen returns the length of the chain prefix whose answers
@@ -378,27 +379,11 @@ func (mgr *Manager) InstrMayClobberLoc(in *ir.Instr, loc MemLoc, q *QueryCtx) bo
 	if !in.WritesMemory() {
 		return false
 	}
-	_, writes := AccessLocs(in)
-	if len(writes) == 0 {
-		// Writes memory but through no identifiable pointer (e.g. an
-		// unknown call): conservatively clobbers.
-		return true
+	if in.Op == ir.OpStore {
+		return mgr.Alias(loc, LocOfStore(in), q) != NoAlias
 	}
-	if in.Op == ir.OpCall && !ir.CalleeEffects(in.Callee).ArgMemOnly {
-		// A user call may write through any captured pointer, not only
-		// its arguments; still issue the per-argument queries so the
-		// query stream matches LLVM's, then stay conservative.
-		for _, w := range writes {
-			mgr.Alias(loc, w, q)
-		}
-		return true
-	}
-	for _, w := range writes {
-		if mgr.Alias(loc, w, q) != NoAlias {
-			return true
-		}
-	}
-	return false
+	var buf [4]MemLoc
+	return mgr.mayAccess(in, loc, AppendWriteLocs(buf[:0], in), q)
 }
 
 // InstrMayReadLoc reports whether in may read from loc.
@@ -406,18 +391,32 @@ func (mgr *Manager) InstrMayReadLoc(in *ir.Instr, loc MemLoc, q *QueryCtx) bool 
 	if !in.ReadsMemory() {
 		return false
 	}
-	reads, _ := AccessLocs(in)
-	if len(reads) == 0 {
+	if in.Op == ir.OpLoad {
+		return mgr.Alias(loc, LocOfLoad(in), q) != NoAlias
+	}
+	var buf [4]MemLoc
+	return mgr.mayAccess(in, loc, AppendReadLocs(buf[:0], in), q)
+}
+
+// mayAccess reports whether in, which accesses memory through locs,
+// may touch loc.
+func (mgr *Manager) mayAccess(in *ir.Instr, loc MemLoc, locs []MemLoc, q *QueryCtx) bool {
+	if len(locs) == 0 {
+		// Accesses memory but through no identifiable pointer (e.g.
+		// an unknown call): conservatively it does.
 		return true
 	}
 	if in.Op == ir.OpCall && !ir.CalleeEffects(in.Callee).ArgMemOnly {
-		for _, r := range reads {
-			mgr.Alias(loc, r, q)
+		// A user call may access memory through any captured pointer,
+		// not only its arguments; still issue the per-argument queries
+		// so the query stream matches LLVM's, then stay conservative.
+		for _, l := range locs {
+			mgr.Alias(loc, l, q)
 		}
 		return true
 	}
-	for _, r := range reads {
-		if mgr.Alias(loc, r, q) != NoAlias {
+	for _, l := range locs {
+		if mgr.Alias(loc, l, q) != NoAlias {
 			return true
 		}
 	}

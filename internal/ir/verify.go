@@ -9,13 +9,24 @@ import (
 // error describing the first violation found. Passes are expected to
 // leave modules in a verifiable state; the pipeline verifies after the
 // frontend and after the full pass pipeline.
-func Verify(m *Module) error {
+func Verify(m *Module) error { return VerifyExcept(m, nil) }
+
+// VerifyExcept is Verify without the per-function checks of the
+// functions m.Funcs[fi] for which skip(fi) reports true; the
+// module-level checks still run. A body's check reads only the body
+// and the function names and globals of its module, so a caller may
+// skip a body that is unchanged since it passed in a module with the
+// same function names and globals. A nil skip checks every function.
+func VerifyExcept(m *Module, skip func(fi int) bool) error {
 	seen := map[string]bool{}
-	for _, f := range m.Funcs {
+	for fi, f := range m.Funcs {
 		if seen[f.Name] {
 			return fmt.Errorf("duplicate function %q", f.Name)
 		}
 		seen[f.Name] = true
+		if skip != nil && skip(fi) {
+			continue
+		}
 		if err := verifyFunc(m, f); err != nil {
 			return fmt.Errorf("func %s: %w", f.Name, err)
 		}

@@ -297,6 +297,7 @@ func decode(fn *ir.Func, globals map[*ir.Global]int64) *code {
 				db.vphis = db.vphis || df.laneOf[d.slots[in]] >= 0
 			}
 		}
+		db.body = make([]dinstr, 0, len(b.Instrs))
 		for _, in := range b.Instrs {
 			if in.Dead() || in.Op == ir.OpPhi {
 				continue

@@ -107,14 +107,20 @@ func Run(p *Program, opts Options) (*Result, error) {
 	if p.Host.FuncByName("main") == nil {
 		return nil, errors.New("irinterp: no main function")
 	}
-	ranks := make([]*machine, opts.NumRanks)
+	ranks := make([]*machine, 0, opts.NumRanks)
+	defer func() {
+		// Every rank has stopped: its pages go back to the pool.
+		for _, m := range ranks {
+			m.releasePages()
+		}
+	}()
 	boxes := newMailboxes(opts.NumRanks)
-	for r := range ranks {
+	for r := range opts.NumRanks {
 		m, err := newMachine(p, opts, r, boxes)
 		if err != nil {
 			return nil, err
 		}
-		ranks[r] = m
+		ranks = append(ranks, m)
 	}
 	// Every rank lays the globals out alike, so the ranks share one
 	// code cache: the program's when it fits, else the run's own.
@@ -303,6 +309,7 @@ func newMachine(p *Program, opts Options, rank int, boxes *mailboxes) (*machine,
 		}
 	})
 	if err != nil {
+		m.releasePages()
 		return nil, err
 	}
 	return m, nil

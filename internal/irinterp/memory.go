@@ -1,11 +1,16 @@
 package irinterp
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"sync"
+)
 
 // Simulated memory is a lazily allocated page table over [0, MemLimit).
-// A page is allocated on its first write; a page never written reads
-// as zero. Every access is bounds-checked against MemLimit before it
-// touches the table, so the page size is invisible to programs.
+// A page is taken on its first write; a page never written reads as
+// zero. Every access is bounds-checked against MemLimit before it
+// touches the table, so the page size is invisible to programs. Pages
+// are recycled: a run returns its pages to pagePool when it ends, and
+// a page taken from the pool is zeroed first.
 const (
 	pageBits = 14
 	pageSize = 1 << pageBits
@@ -13,6 +18,20 @@ const (
 )
 
 type page [pageSize]byte
+
+// pagePool holds the pages of finished runs for later ones.
+var pagePool = sync.Pool{New: func() any { return new(page) }}
+
+// releasePages returns the machine's pages to pagePool. The machine
+// must not touch memory afterwards.
+func (m *machine) releasePages() {
+	for _, p := range m.pages {
+		if p != nil {
+			pagePool.Put(p)
+		}
+	}
+	m.pages = nil
+}
 
 // page returns the page holding addr for reading, or nil if it was
 // never written.
@@ -23,8 +42,8 @@ func (m *machine) page(addr int64) *page {
 	return nil
 }
 
-// writablePage returns the page holding addr, allocating it (and
-// growing the table) on first use.
+// writablePage returns the page holding addr, taking a zeroed one from
+// the pool (and growing the table) on first use.
 func (m *machine) writablePage(addr int64) *page {
 	i := addr >> pageBits
 	if i >= int64(len(m.pages)) {
@@ -32,7 +51,8 @@ func (m *machine) writablePage(addr int64) *page {
 	}
 	p := m.pages[i]
 	if p == nil {
-		p = new(page)
+		p = pagePool.Get().(*page)
+		*p = page{}
 		m.pages[i] = p
 	}
 	return p

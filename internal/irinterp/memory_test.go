@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
+	"sync"
 	"testing"
 
 	"github.com/oraql/go-oraql/internal/ir"
@@ -218,4 +219,82 @@ func TestGlobalLayoutMemoryLimit(t *testing.T) {
 	if _, err := Run(&Program{Host: m}, Options{MemLimit: 3 << 20}); err != nil {
 		t.Errorf("layout within the limit: %v", err)
 	}
+}
+
+// dirtyRun fills three heap pages with a non-zero pattern, so its pages
+// go back to the pool dirty; with trap it then divides by zero.
+func dirtyRun(t *testing.T, trap bool) {
+	m, b := buildMain(t)
+	p := b.Call(ir.Ptr, "__malloc", ir.ConstInt(3*pageSize))
+	b.MemSet(p, ir.ConstInt(0xAB), ir.ConstInt(3*pageSize))
+	if trap {
+		b.Call(ir.Void, "__print_i64", b.Bin(ir.OpSDiv, ir.ConstInt(1), ir.ConstInt(0), ""))
+	}
+	b.Ret(ir.ConstInt(0))
+	_, err := Run(&Program{Host: m}, Options{})
+	if trap != (err != nil) {
+		t.Errorf("trap %v: err = %v", trap, err)
+	}
+}
+
+// sparseProgram writes one word into each of three heap pages, at the
+// addresses dirtyRun filled, and prints the checksum of all three.
+func sparseProgram() (*ir.Module, string) {
+	return heapProgram(func(b *ir.Builder, p ir.Value, ref []byte) {
+		for i := int64(0); i < 3; i++ {
+			storeAt(b, p, ref, i*pageSize+pageSize/2, 0x5A5A5A5A5A5A5A5A+uint64(i))
+		}
+	})
+}
+
+// TestPooledPagesReadZero: pages return to the pool when a run ends,
+// normally or by a trap, and a page taken from it reads zero wherever
+// its new run never wrote, although the run before filled it.
+func TestPooledPagesReadZero(t *testing.T) {
+	m, want := sparseProgram()
+	for _, trap := range []bool{false, true} {
+		dirtyRun(t, trap)
+		// Make sure the next run takes dirty pages even if the pool
+		// dropped the ones above.
+		for range 4 {
+			p := new(page)
+			for i := range p {
+				p[i] = 0xCD
+			}
+			pagePool.Put(p)
+		}
+		if got := runModule(t, m, Options{}).Stdout; got != want {
+			t.Fatalf("after a dirty run (trap %v): checksum %s, want %s", trap, got, want)
+		}
+	}
+}
+
+// TestPooledPagesConcurrentRuns shares the pool between concurrent runs
+// that fill and trap and runs that write sparsely; under -race it also
+// checks that no page is shared while in use.
+func TestPooledPagesConcurrentRuns(t *testing.T) {
+	m, want := sparseProgram()
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 8 {
+				if g%2 == 0 {
+					dirtyRun(t, g == 2)
+					continue
+				}
+				res, err := Run(&Program{Host: m}, Options{})
+				if err != nil {
+					t.Errorf("sparse run: %v", err)
+					return
+				}
+				if res.Stdout != want {
+					t.Errorf("sparse run: checksum %s, want %s", res.Stdout, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -92,27 +92,48 @@ func (p *DSE) Run(fn *ir.Func, ctx *Context) analysis.PreservedAnalyses {
 // objectIsRead reports whether any instruction reads through a pointer
 // derived from the non-captured object obj.
 func objectIsRead(fn *ir.Func, obj *ir.Instr) bool {
+	var buf [4]aa.MemLoc
 	for _, b := range fn.Blocks {
 		for _, in := range b.Instrs {
 			if in.Dead() || !in.ReadsMemory() {
 				continue
 			}
-			reads, _ := aa.AccessLocs(in)
-			for _, r := range reads {
-				u := aa.UnderlyingObject(r.Ptr)
-				if u == ir.Value(obj) || u == nil {
-					// Derived from obj, or unknown provenance (stay
-					// conservative even though non-capture implies it
-					// cannot be obj).
-					if u == ir.Value(obj) {
-						return true
-					}
-				}
-			}
+			reads := aa.AppendReadLocs(buf[:0], in)
 			if in.Op == ir.OpCall && !ir.CalleeEffects(in.Callee).ArgMemOnly && len(reads) == 0 {
 				return true // reads arbitrary memory
+			}
+			for _, r := range reads {
+				if derivedFrom(r.Ptr, obj, 0) {
+					return true
+				}
 			}
 		}
 	}
 	return false
+}
+
+// derivedFrom reports whether pointer v reaches obj through GEP bases
+// or either arm of a select. These are the derivations
+// aa.IsNonCaptured follows, so for a non-captured obj no other pointer
+// can point into it. Past 64 steps it stays conservative.
+func derivedFrom(v ir.Value, obj *ir.Instr, depth int) bool {
+	for ; depth < 64; depth++ {
+		in, ok := v.(*ir.Instr)
+		switch {
+		case !ok:
+			return false
+		case in == obj:
+			return true
+		case in.Op == ir.OpGEP:
+			v = in.Operands[0]
+		case in.Op == ir.OpSelect:
+			if derivedFrom(in.Operands[1], obj, depth+1) {
+				return true
+			}
+			v = in.Operands[2]
+		default:
+			return false
+		}
+	}
+	return true
 }

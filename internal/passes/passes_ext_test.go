@@ -146,6 +146,25 @@ int main() {
 	}
 }
 
+// TestDSEReadThroughConditionalPointer: minic lowers ?: to a select,
+// so the arrays are read only through it; DSE must keep their stores.
+func TestDSEReadThroughConditionalPointer(t *testing.T) {
+	src := `
+int main() {
+	double a[4];
+	double c[4];
+	for (int i = 0; i < 2; i++) { a[i] = 42.0 + i; c[i] = 7.0 + i; }
+	double s = 0.0;
+	for (int i = 0; i < 2; i++) { double *p = (i == 1) ? a : c; s = s + p[1]; }
+	print(s, "\n");
+	return 0;
+}`
+	out, _ := semanticsPreserved(t, src)
+	if out != "51\n" {
+		t.Errorf("out = %q, want %q", out, "51\n")
+	}
+}
+
 func TestLICMHoistsInvariantLoad(t *testing.T) {
 	src := `
 int main() {

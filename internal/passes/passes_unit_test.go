@@ -190,6 +190,30 @@ func TestDSEDeadObjectStores(t *testing.T) {
 	}
 }
 
+// TestDSEKeepsStoresReadThroughSelect: a load through a select of two
+// non-captured arrays reads both, so neither array's stores are dead.
+func TestDSEKeepsStoresReadThroughSelect(t *testing.T) {
+	m := ir.NewModule("t")
+	cond := &ir.Arg{Name: "c", Ty: ir.I64}
+	fn, b := ir.NewFunc(m, "f", ir.Void, cond)
+	a := b.Alloca(32, "a")
+	c := b.Alloca(32, "c")
+	sa := b.Store(ir.ConstFloat(42), b.GEP(a, nil, 0, 8, "a1"), "double")
+	sc := b.Store(ir.ConstFloat(7), b.GEP(c, nil, 0, 8, "c1"), "double")
+	p := b.Select(b.ICmp(ir.PredEQ, cond, ir.ConstInt(1), "is1"), a, c, "p")
+	ld := b.Load(ir.F64, b.GEP(p, nil, 0, 8, "p1"), "double")
+	b.Call(ir.Void, "__print_f64", ld)
+	b.Ret(nil)
+	ctx := newCtx(m)
+	(&DSE{}).Run(fn, ctx)
+	if sa.Dead() || sc.Dead() {
+		t.Errorf("stores read through the select must survive: a %v, c %v", !sa.Dead(), !sc.Dead())
+	}
+	if n := ctx.Stats.Get("Dead Store Elimination", "# stores deleted"); n != 0 {
+		t.Errorf("%d stores deleted, want 0", n)
+	}
+}
+
 func TestSimplifyCFGUnreachable(t *testing.T) {
 	m := ir.NewModule("t")
 	fn, b := ir.NewFunc(m, "f", ir.Void)

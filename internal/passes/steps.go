@@ -64,11 +64,12 @@ type StepMemo struct {
 
 // stepNode is one function state: the body after a fixed history.
 // final and lowered are set on leaves once some compilation finished
-// there and lowered the body.
+// there and lowered the body; verified once final passed ir.Verify.
 type stepNode struct {
-	edges   []*stepEdge
-	final   *ir.Func
-	lowered *codegen.Lowered
+	edges    []*stepEdge
+	final    *ir.Func
+	lowered  *codegen.Lowered
+	verified bool
 }
 
 // stepEdge is one recorded step: the transcript it got, its
@@ -266,6 +267,32 @@ func (sp *StepPlan) finish(ctx *Context, p *Pipeline) {
 			fn = m.Funcs[fi]
 		}
 		sp.memo.keepFinal(sp.at[fi], fn)
+	}
+}
+
+// Verified reports whether fn, function fi's body after the pipeline,
+// is the body stored on its final node and passed ir.Verify in an
+// earlier compilation of the session. The check need not run again:
+// the body is frozen, and it reads only the function names and
+// globals of its module, which every shell of the pristine module
+// shares (ir.VerifyExcept).
+func (sp *StepPlan) Verified(fi int, fn *ir.Func) bool {
+	n := sp.at[fi]
+	sp.memo.mu.Lock()
+	defer sp.memo.mu.Unlock()
+	return n.verified && n.final == fn
+}
+
+// MarkVerified records that the final bodies of m, the compilation's
+// module, passed ir.Verify. Call it after the pipeline ran, on a plan
+// that did not fail.
+func (sp *StepPlan) MarkVerified(m *ir.Module) {
+	sp.memo.mu.Lock()
+	defer sp.memo.mu.Unlock()
+	for fi, fn := range m.Funcs {
+		if n := sp.at[fi]; n.final == fn {
+			n.verified = true
+		}
 	}
 }
 

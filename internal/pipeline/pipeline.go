@@ -429,7 +429,7 @@ func compileModule(cctx context.Context, cfg Config, m *ir.Module, memo *passes.
 	if ctx.Steps != nil && ctx.Steps.Failed() {
 		return nil, errLineage
 	}
-	if err := ir.Verify(m); err != nil {
+	if err := verifyOptimized(m, ctx.Steps); err != nil {
 		return nil, fmt.Errorf("%s: post-optimization verification of %s: %w", cfg.Name, m.Name, err)
 	}
 	var code *codegen.Result
@@ -448,4 +448,28 @@ func compileModule(cctx context.Context, cfg Config, m *ir.Module, memo *passes.
 		Timing: ctx.Timing, Analysis: ctx.Analyses().Snapshot(),
 		ModuleHash: moduleHash, FuncHashes: funcHashes,
 		StepsRun: ctx.StepsRun, StepsReplayed: ctx.StepsReplayed}, nil
+}
+
+// testHookVerifyFunc, when non-nil, sees every function body that
+// post-optimization verification checks.
+var testHookVerifyFunc func(*ir.Func)
+
+// verifyOptimized runs ir.Verify on an optimized module. A session
+// compilation (plan non-nil) skips the final bodies an earlier
+// compilation of the session verified and records the ones it
+// verifies.
+func verifyOptimized(m *ir.Module, plan *passes.StepPlan) error {
+	err := ir.VerifyExcept(m, func(fi int) bool {
+		if plan != nil && plan.Verified(fi, m.Funcs[fi]) {
+			return true
+		}
+		if testHookVerifyFunc != nil {
+			testHookVerifyFunc(m.Funcs[fi])
+		}
+		return false
+	})
+	if err == nil && plan != nil {
+		plan.MarkVerified(m)
+	}
+	return err
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -637,5 +638,78 @@ func TestSessionSharedIRIsReadOnly(t *testing.T) {
 				t.Errorf("%s seq %d [%s]: compiling again after Release: %s", id, i, s, d)
 			}
 		}
+	}
+}
+
+// bodies returns the function bodies of a compilation's modules.
+func bodies(cr *pipeline.CompileResult) []*ir.Func {
+	out := slices.Clone(cr.Program.Host.Funcs)
+	if cr.Program.Device != nil {
+		out = append(out, cr.Program.Device.Funcs...)
+	}
+	return out
+}
+
+// TestSessionVerifiesEachFinalBodyOnce counts the bodies that
+// post-optimization verification checks in one session: every body of
+// the first compilation, none when the same sequence compiles again,
+// exactly the live bodies of a sequence that makes some function live,
+// and every body again after Release.
+func TestSessionVerifiesEachFinalBodyOnce(t *testing.T) {
+	var checked []*ir.Func
+	defer pipeline.SetVerifyHook(func(f *ir.Func) { checked = append(checked, f) })()
+	ctx := context.Background()
+	for _, id := range []string{"lulesh-seq", "testsnap-fortran", "xsbench-cuda"} {
+		spec := apps.ByID(id).Spec()
+		cfg := spec.Compile
+		cfg.Name = spec.Name
+		opts := spec.ORAQL
+		cfg.ORAQL = &opts
+		sess := pipeline.NewSession(cfg)
+		compile := func(seq oraql.Seq) (*pipeline.CompileResult, []*ir.Func) {
+			t.Helper()
+			checked = nil
+			cr, err := sess.Compile(ctx, seq)
+			if err != nil {
+				t.Fatalf("%s [%s]: %v", id, seq, err)
+			}
+			return cr, checked
+		}
+		same := func(what string, got, want []*ir.Func) {
+			t.Helper()
+			if !slices.Equal(got, want) {
+				t.Errorf("%s: %s: verified %d bodies, want %d", id, what, len(got), len(want))
+			}
+		}
+
+		first, got := compile(nil)
+		same("first compilation", got, bodies(first))
+		_, got = compile(nil)
+		same("repeat of the first sequence", got, nil)
+
+		// One pessimistic answer halfway through the queries makes the
+		// function that asks it live from that step on; the others
+		// replay to the end and take their stored bodies.
+		n := first.ORAQLStats().UniqueOptimistic
+		seq := make(oraql.Seq, n/2+1)
+		for i := range n / 2 {
+			seq[i] = true
+		}
+		third, got := compile(seq)
+		earlier := bodies(first)
+		var live []*ir.Func
+		for _, f := range bodies(third) {
+			if !slices.Contains(earlier, f) {
+				live = append(live, f)
+			}
+		}
+		if len(live) == 0 || len(live) == len(earlier) {
+			t.Fatalf("%s: %d of %d bodies live; the sequence must make some but not all live", id, len(live), len(earlier))
+		}
+		same("one pessimistic answer", got, live)
+
+		sess.Release()
+		released, got := compile(seq)
+		same("after Release", got, bodies(released))
 	}
 }
