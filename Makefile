@@ -16,13 +16,18 @@ test:
 
 # race runs once per GOMAXPROCS value: one core catches lost wakeups
 # the scheduler hides, several catch real races in the concurrency that
-# remains: the speculative probe engine, the fuzz pool, service jobs
-# and batches, and the irinterp rank goroutines.
+# remains: the speculative probe engine, a campaign's baseline and its
+# fully optimistic test running side by side, the fuzz pool, service
+# jobs and batches, and the irinterp rank goroutines. The driver's
+# overlap and determinism tests then run 10 times at each value.
 # The second line needs -count=1: the test cache does not key on
 # GOMAXPROCS, so it would replay the first line's results.
+RACE_DRIVER := 'TestOverlap|TestParallelProbeIsDeterministic'
 race:
 	GOMAXPROCS=1 $(GO) test -race ./...
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./...
+	GOMAXPROCS=1 $(GO) test -race -count=10 -run $(RACE_DRIVER) ./internal/driver
+	GOMAXPROCS=4 $(GO) test -race -count=10 -run $(RACE_DRIVER) ./internal/driver
 
 # bench smoke-runs the probing benchmarks (1 iteration each); use
 # scripts/bench_probe.sh to record a BENCH_probe.json baseline.

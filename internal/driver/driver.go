@@ -14,7 +14,9 @@
 // likely next candidates concurrently and cancels losers. The decision
 // loop itself stays sequential and consumes test outcomes in canonical
 // order, so parallel and sequential probing produce bit-identical
-// FinalSeq (see engine.go).
+// FinalSeq (see engine.go). On more than one core, a campaign without
+// a store also runs the fully optimistic test beside the baseline,
+// which that test needs only when its output is compared.
 package driver
 
 import (
@@ -175,6 +177,11 @@ func (st *state) logf(format string, args ...any) {
 	}
 }
 
+// baselineHook, when a test sets it, runs between the baseline compile
+// and the baseline run; overlapped reports whether the fully
+// optimistic test was started beside the baseline.
+var baselineHook func(overlapped bool)
+
 // execute compiles with the given ORAQL options (nil = pass disabled),
 // every step live, and runs the program.
 func (st *state) execute(opts *oraql.Options) (*Outcome, error) {
@@ -183,6 +190,9 @@ func (st *state) execute(opts *oraql.Options) (*Outcome, error) {
 		return nil, err
 	}
 	st.res.Compiles++
+	if opts == nil && baselineHook != nil {
+		baselineHook(st.eng.overlap)
+	}
 	rr, runErr := st.run(cr)
 	out := &Outcome{Compile: cr, Run: rr, RunErr: runErr}
 	var stdout string
@@ -245,8 +255,16 @@ func (st *state) probe() (*Result, error) {
 	opts := spec.ORAQL
 	cfg.ORAQL = &opts
 	st.sess = pipeline.NewSession(cfg)
+	st.eng = newEngine(st.ctx, spec, st.sess)
+	defer st.eng.shutdown()
 
-	// Step 1: baseline compile and run without ORAQL.
+	// Step 1: baseline compile and run without ORAQL. A campaign the
+	// engine overlaps starts the fully optimistic test (step 2) beside
+	// it; that test checks its output only once the references below
+	// are recorded, and a failed baseline cancels it.
+	if st.eng.overlap {
+		st.eng.launch(nil, false)
+	}
 	base, err := st.execute(nil)
 	if err != nil {
 		return nil, fmt.Errorf("driver: baseline: %w", err)
@@ -266,12 +284,11 @@ func (st *state) probe() (*Result, error) {
 	st.logf("%s: baseline verified (%d instrs)", spec.Name, base.Run.Instrs)
 	st.campaignKeys(refs)
 
-	// The engine is created only after the verify references are
-	// recorded: workers verify concurrently against the frozen spec.
-	st.eng = newEngine(st.ctx, spec, st.campID, st.sess)
-	defer st.eng.shutdown()
+	// From here on tests verify concurrently against the frozen spec.
+	st.eng.recorded(st.campID)
 
-	// Step 2: fully optimistic attempt (empty sequence).
+	// Step 2: fully optimistic attempt (empty sequence), joined when
+	// it was started beside the baseline.
 	ok, err := st.test(nil)
 	if err != nil {
 		return nil, err

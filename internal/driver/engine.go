@@ -65,16 +65,34 @@ type exeEntry struct {
 // Speculative calls carry a context and are cancelled as losers the
 // moment a consumed test succeeds (success flips decided bits, which
 // stales every candidate built from the previous decided state).
+//
+// The engine exists from the start of the campaign. When overlap is
+// set, the fully optimistic test runs beside the baseline: it is a
+// call in the single-flight map like any other, not speculation, and
+// its verification waits until the driver has recorded the verify
+// references (recorded).
 type engine struct {
 	// ctx is the probe-wide context: consumed tests run directly under
-	// it, speculative tests under children of it, so cancelling the
-	// probe stops every in-flight compilation.
+	// it, launched tests under children of it, so cancelling the probe
+	// stops every in-flight compilation.
 	ctx     context.Context
 	spec    *BenchSpec
 	workers int
-	campID  string // persistent campaign identity ("" = no disk outcomes)
 	sem     chan struct{}
 	wg      sync.WaitGroup
+
+	// overlap: the campaign has more than one worker and core and no
+	// store, so the driver starts the fully optimistic test beside the
+	// baseline. A campaign with a store keys that test by the
+	// baseline's content hashes, so it waits for the baseline.
+	overlap bool
+	// refs is closed once the driver has recorded the verify
+	// references; no test checks a run's output before. campID, the
+	// persistent campaign identity ("" = no disk outcomes), is set just
+	// before: a campaign with a store starts no test earlier, and one
+	// without never reads it.
+	refs   chan struct{}
+	campID string
 
 	// sess compiles every test: pass steps whose ORAQL transcripts
 	// still fit are replayed.
@@ -105,7 +123,7 @@ type engine struct {
 	specActive atomic.Int64
 }
 
-func newEngine(ctx context.Context, spec *BenchSpec, campID string, sess *pipeline.Session) *engine {
+func newEngine(ctx context.Context, spec *BenchSpec, sess *pipeline.Session) *engine {
 	w := spec.Workers
 	if w <= 0 {
 		w = runtime.NumCPU()
@@ -117,8 +135,8 @@ func newEngine(ctx context.Context, spec *BenchSpec, campID string, sess *pipeli
 		ctx:     ctx,
 		spec:    spec,
 		workers: w,
-		campID:  campID,
 		sem:     make(chan struct{}, w),
+		refs:    make(chan struct{}),
 		sess:    sess,
 		calls:   map[string]*testCall{},
 		exe:     map[string]*exeEntry{},
@@ -131,7 +149,34 @@ func newEngine(ctx context.Context, spec *BenchSpec, campID string, sess *pipeli
 		depth = 0
 	}
 	e.specDepth.Store(depth)
+	e.overlap = depth > 0 && spec.Cache == nil
 	return e
+}
+
+// recorded takes the campaign identity and releases verification: the
+// driver has recorded the verify references.
+func (e *engine) recorded(campID string) {
+	e.campID = campID
+	close(e.refs)
+}
+
+// awaitRefs waits until the verify references are recorded. Only the
+// overlapped fully optimistic test can get here before then; it gives
+// up when ctx ends first. Once they are recorded it returns nil even
+// for a cancelled ctx, so a run that finished is still checked and
+// published.
+func (e *engine) awaitRefs(ctx context.Context) error {
+	select {
+	case <-e.refs:
+		return nil
+	default:
+	}
+	select {
+	case <-e.refs:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // adjustDepth moves the speculation depth by delta within [0, workers-1].
@@ -214,6 +259,16 @@ func (e *engine) prefetch(seq oraql.Seq) {
 	if e.workers <= 1 || e.specActive.Load() >= e.specDepth.Load() {
 		return
 	}
+	e.launch(seq, true)
+}
+
+// launch starts a test of seq on its own goroutine, under a child of
+// the probe context, and registers it in the single-flight map for
+// the decision loop to join. It is a no-op when the candidate is
+// already in flight. A speculative launch counts toward the
+// speculation counters and the depth; the overlapped fully optimistic
+// test does not.
+func (e *engine) launch(seq oraql.Seq, speculative bool) {
 	key := seq.String()
 	e.mu.Lock()
 	if _, ok := e.calls[key]; ok {
@@ -221,15 +276,19 @@ func (e *engine) prefetch(seq oraql.Seq) {
 		return
 	}
 	ctx, cancel := context.WithCancel(e.ctx)
-	c := &testCall{key: key, done: make(chan struct{}), speculative: true, cancel: cancel}
+	c := &testCall{key: key, done: make(chan struct{}), speculative: speculative, cancel: cancel}
 	e.calls[key] = c
 	e.mu.Unlock()
-	e.specLaunched.Add(1)
-	e.specActive.Add(1)
+	if speculative {
+		e.specLaunched.Add(1)
+		e.specActive.Add(1)
+	}
 	e.wg.Add(1)
 	go func() {
 		defer e.wg.Done()
-		defer e.specActive.Add(-1)
+		if speculative {
+			defer e.specActive.Add(-1)
+		}
 		out := e.run(ctx, seq)
 		e.mu.Lock()
 		if errors.Is(out.err, context.Canceled) {
@@ -240,7 +299,7 @@ func (e *engine) prefetch(seq oraql.Seq) {
 		}
 		c.out = out
 		e.mu.Unlock()
-		if c.canceled {
+		if c.canceled && speculative {
 			e.adjustDepth(-1) // cancelled unconsumed: wasted work, narrow
 		}
 		close(c.done)
@@ -260,10 +319,17 @@ func (e *engine) cancelSpeculative() {
 	e.mu.Unlock()
 }
 
-// shutdown cancels outstanding speculation and waits for the worker
-// goroutines to drain.
+// shutdown cancels every launched test still in flight — speculation,
+// and the overlapped test of a campaign whose baseline failed — and
+// waits for their goroutines to drain.
 func (e *engine) shutdown() {
-	e.cancelSpeculative()
+	e.mu.Lock()
+	for _, c := range e.calls {
+		if c.cancel != nil {
+			c.cancel()
+		}
+	}
+	e.mu.Unlock()
 	e.wg.Wait()
 }
 
@@ -321,7 +387,11 @@ func (e *engine) run(ctx context.Context, seq oraql.Seq) testOutcome {
 		if ctx.Err() != nil {
 			return testOutcome{err: ctx.Err()}
 		}
-		out.ok, _, _ = e.verifyRun(cr)
+		var ent exeEntry
+		if err := e.verifyRun(ctx, cr, &ent); err != nil {
+			return testOutcome{err: err}
+		}
+		out.ok = ent.v.OK
 		out.didRun = true
 		e.storeOutcome(dkey, out)
 		return out
@@ -347,7 +417,11 @@ func (e *engine) run(ctx context.Context, seq oraql.Seq) testOutcome {
 			e.storeOutcome(dkey, out)
 			return out
 		}
-		if ctx.Err() != nil {
+		err := ctx.Err()
+		if err == nil {
+			err = e.verifyRun(ctx, cr, ent)
+		}
+		if err != nil {
 			// Don't publish a cancelled entry: remove it so the next test
 			// of this binary runs for real.
 			e.mu.Lock()
@@ -355,11 +429,8 @@ func (e *engine) run(ctx context.Context, seq oraql.Seq) testOutcome {
 			ent.canceled = true
 			e.mu.Unlock()
 			close(ent.done)
-			return testOutcome{err: ctx.Err()}
+			return testOutcome{err: err}
 		}
-		var pass bool
-		pass, ent.run, ent.runErr = e.verifyRun(cr)
-		ent.v = verify.Result{OK: pass}
 		close(ent.done)
 		out.ok = ent.v.OK
 		out.didRun = true
@@ -376,14 +447,20 @@ func (e *engine) storeOutcome(dkey string, out testOutcome) {
 	e.spec.Cache.StoreTestOutcome(dkey, diskcache.TestOutcome{OK: out.ok, Unique: out.unique})
 }
 
-// verifyRun executes the compiled program and checks its output.
-func (e *engine) verifyRun(cr *pipeline.CompileResult) (bool, *irinterp.Result, error) {
-	rr, runErr := irinterp.Run(cr.Program, e.spec.Run)
-	var stdout string
-	if rr != nil {
-		stdout = rr.Stdout
+// verifyRun executes the compiled program into ent and, once the
+// verify references are recorded, checks its output. It fails only
+// when ctx ends while it waits for them.
+func (e *engine) verifyRun(ctx context.Context, cr *pipeline.CompileResult, ent *exeEntry) error {
+	ent.run, ent.runErr = irinterp.Run(cr.Program, e.spec.Run)
+	if err := e.awaitRefs(ctx); err != nil {
+		return err
 	}
-	return e.spec.Verify.Check(stdout, runErr).OK, rr, runErr
+	var stdout string
+	if ent.run != nil {
+		stdout = ent.run.Stdout
+	}
+	ent.v = verify.Result{OK: e.spec.Verify.Check(stdout, ent.runErr).OK}
+	return nil
 }
 
 // ranExe returns the exe-hash entry of a test that already ran the

@@ -84,9 +84,11 @@ func (st *state) run(cr *pipeline.CompileResult) (*irinterp.Result, error) {
 
 // runFresh executes a compiled program, unless a test of this campaign
 // already ran the bit-identical binary: the final compile's binary is
-// usually the one the final-round test verified.
+// usually the one the final-round test verified. The baseline always
+// runs: an overlapped fully optimistic test of the same binary holds
+// its entry until the baseline has recorded the references.
 func (st *state) runFresh(cr *pipeline.CompileResult) (*irinterp.Result, error) {
-	if st.eng != nil {
+	if st.res.Baseline != nil {
 		if ent := st.eng.ranExe(cr.ExeHash()); ent != nil {
 			return ent.run, ent.runErr
 		}

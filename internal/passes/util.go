@@ -49,25 +49,6 @@ func sideEffectFree(in *ir.Instr) bool {
 	return false
 }
 
-// useCounts maps each instruction to the number of operand slots that
-// reference it across the function.
-func useCounts(fn *ir.Func) map[*ir.Instr]int {
-	uses := map[*ir.Instr]int{}
-	for _, b := range fn.Blocks {
-		for _, in := range b.Instrs {
-			if in.Dead() {
-				continue
-			}
-			for _, op := range in.Operands {
-				if oi, ok := op.(*ir.Instr); ok {
-					uses[oi]++
-				}
-			}
-		}
-	}
-	return uses
-}
-
 // exprKey builds a structural hash key of a pure instruction for CSE
 // and value numbering: opcode, predicate, gep constants, callee, and
 // operand identities. Non-constant operands are keyed by VID; constants
@@ -126,19 +107,42 @@ func fconstOf(v ir.Value) (float64, bool) {
 }
 
 // removeDeadCode deletes unused side-effect-free instructions until a
-// fixed point, returning how many were removed.
+// fixed point, returning how many were removed. It counts the uses of
+// each instruction once, in a table indexed by instruction ID, and
+// takes a dying instruction's uses back from its operands.
 func removeDeadCode(fn *ir.Func) int {
+	n := 0
+	for _, b := range fn.Blocks {
+		for _, in := range b.Instrs {
+			n = max(n, in.ID+1)
+		}
+	}
+	uses := make([]int32, n)
+	count := func(in *ir.Instr, delta int32) {
+		for _, op := range in.Operands {
+			if oi, ok := op.(*ir.Instr); ok && oi.ID < n {
+				uses[oi.ID] += delta
+			}
+		}
+	}
+	for _, b := range fn.Blocks {
+		for _, in := range b.Instrs {
+			if !in.Dead() {
+				count(in, 1)
+			}
+		}
+	}
 	removed := 0
 	for {
-		uses := useCounts(fn)
 		changed := false
 		for _, b := range fn.Blocks {
 			for _, in := range b.Instrs {
 				if in.Dead() || in.IsTerminator() {
 					continue
 				}
-				if uses[in] == 0 && sideEffectFree(in) {
+				if uses[in.ID] == 0 && sideEffectFree(in) {
 					in.MarkDead()
+					count(in, -1)
 					removed++
 					changed = true
 				}

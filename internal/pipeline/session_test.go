@@ -488,8 +488,10 @@ func TestModuleClone(t *testing.T) {
 // TestSessionConcurrentCallers is small enough for -race -count=10: on
 // a few configurations, 8 callers compile overlapping sequences
 // through one session, each in its own order, so the same steps,
-// final bodies and lowerings are published concurrently. Every result
-// must match the cold compilation.
+// final bodies and lowerings are published concurrently. A ninth
+// caller compiles the live baseline, racing the session's first
+// Compile(nil) for the frontend run. Every result must match the cold
+// compilation.
 func TestSessionConcurrentCallers(t *testing.T) {
 	const callers = 8
 	for ci, id := range []string{"lulesh-seq", "minigmg-sse", "xsbench-cuda"} {
@@ -504,13 +506,28 @@ func TestSessionConcurrentCallers(t *testing.T) {
 		for i, s := range seqs {
 			want[i] = outcomeOf(coldCompile(cfg, s))
 		}
+		live := cfg
+		live.ORAQL = nil
+		wantLive := outcomeOf(pipeline.CompileContext(context.Background(), live))
 		sess := pipeline.NewSession(cfg)
 		var replayed atomic.Int64
 		var wg sync.WaitGroup
+		start := make(chan struct{})
+		// A probe campaign's baseline compiles live beside its fully
+		// optimistic test, the session's first Compile(nil).
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if d := outcomeOf(sess.CompileLive(context.Background(), nil)).diff(wantLive); d != "" {
+				t.Errorf("%s live baseline: %s", id, d)
+			}
+		}()
 		for c := 0; c < callers; c++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				<-start
 				for k := range seqs {
 					i := (c + k) % len(seqs)
 					cr, err := sess.Compile(context.Background(), seqs[i])
@@ -524,6 +541,7 @@ func TestSessionConcurrentCallers(t *testing.T) {
 				}
 			}()
 		}
+		close(start)
 		wg.Wait()
 		if n := sess.Fallbacks(); n != 0 {
 			t.Errorf("%s: %d cold fallbacks, want 0", id, n)

@@ -2,6 +2,7 @@ package service_test
 
 import (
 	"context"
+	"net/http"
 	"runtime"
 	"strings"
 	"sync"
@@ -99,11 +100,23 @@ func TestCompileSingleFlightLeaderFailure(t *testing.T) {
 // TestJobEventsDisconnectNoLeak pins that an event-stream handler
 // exits when its client disconnects mid-campaign: goroutines return to
 // baseline instead of accumulating one blocked handler per dropped
-// stream.
+// stream. Both counts are taken with no idle keep-alive connection
+// open: an idle connection holds two client goroutines and one on the
+// server, none of them a handler. A request cancelled while its
+// connection is being dialled leaves that connection idle, so the
+// client gets a transport of its own to close them on.
 func TestJobEventsDisconnectNoLeak(t *testing.T) {
 	svc, cl, stop := newTestServer(t, service.Config{})
 	defer stop()
 	ctx := context.Background()
+	tr := &http.Transport{}
+	defer tr.CloseIdleConnections()
+	cl.HTTP = &http.Client{Transport: tr}
+	goroutines := func() int {
+		tr.CloseIdleConnections()
+		runtime.GC()
+		return runtime.NumGoroutine()
+	}
 
 	// A campaign large enough to still be running while streams come
 	// and go.
@@ -112,7 +125,7 @@ func TestJobEventsDisconnectNoLeak(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	before := runtime.NumGoroutine()
+	before := goroutines()
 	const streams = 8
 	var wg sync.WaitGroup
 	for i := 0; i < streams; i++ {
@@ -134,8 +147,7 @@ func TestJobEventsDisconnectNoLeak(t *testing.T) {
 	// bounded grace period to unwind.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		runtime.GC()
-		if n := runtime.NumGoroutine(); n <= before+2 || time.Now().After(deadline) {
+		if n := goroutines(); n <= before+2 || time.Now().After(deadline) {
 			if n > before+2 {
 				t.Fatalf("goroutines: %d before streams, %d after disconnect — event handlers leaked", before, n)
 			}
