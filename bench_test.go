@@ -52,7 +52,6 @@ func reportFig4Metrics(b *testing.B, e *report.Experiment) {
 	if orig > 0 {
 		b.ReportMetric(100*float64(fin-orig)/float64(orig), "noalias-growth-%")
 	}
-	b.ReportMetric(100*e.Probe.Final.Compile.AAStats().CacheHitRate(), "aa-cache-hit-%")
 }
 
 // BenchmarkFig4_QueryStats regenerates the Fig. 4 table: one sub-bench
@@ -239,7 +238,7 @@ func probeWorkers(b *testing.B, workers int) {
 	ids := []string{"lulesh-seq", "testsnap-openmp", "minigmg-sse", "quicksilver-openmp"}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		var compiles, spec, wasted, hits, misses int64
+		var compiles, spec, wasted int64
 		for _, id := range ids {
 			cfg := apps.ByID(id)
 			s := cfg.Spec()
@@ -251,16 +250,10 @@ func probeWorkers(b *testing.B, workers int) {
 			compiles += int64(res.Compiles)
 			spec += int64(res.TestsSpeculated)
 			wasted += int64(res.TestsWasted)
-			aas := res.Final.Compile.AAStats()
-			hits += aas.CacheHits
-			misses += aas.CacheMisses
 		}
 		b.ReportMetric(float64(compiles), "compiles")
 		b.ReportMetric(float64(spec), "tests-speculated")
 		b.ReportMetric(float64(wasted), "tests-wasted")
-		if hits+misses > 0 {
-			b.ReportMetric(100*float64(hits)/float64(hits+misses), "aa-cache-hit-%")
-		}
 	}
 }
 
@@ -400,29 +393,26 @@ func BenchmarkCompileOnly(b *testing.B) {
 }
 
 // BenchmarkCompile_AnalysisCache measures the compile-time effect of
-// the two compile caches: every configuration is compiled once with
-// both ("cached"), once with the analysis manager force-invalidated so
+// the analysis cache: every configuration is compiled once with it
+// ("cached") and once with the analysis manager force-invalidated so
 // each pass recomputes CFG info and MemorySSA from scratch ("forced"),
-// and once without the AA query cache ("aa-off"), reporting both hit
-// rates as metrics. scripts/bench_compile.sh records the three modes
-// into BENCH_compile.json.
+// reporting the hit rate as metrics. scripts/bench_compile.sh records
+// both modes into BENCH_compile.json.
 func BenchmarkCompile_AnalysisCache(b *testing.B) {
 	modes := []struct {
-		name              string
-		noAnalysis, noAAQ bool
-	}{{"cached", false, false}, {"forced", true, false}, {"aa-off", false, true}}
+		name       string
+		noAnalysis bool
+	}{{"cached", false}, {"forced", true}}
 	for _, c := range apps.All() {
 		c := c
 		for _, mode := range modes {
 			mode := mode
 			b.Run(c.ID+"/"+mode.name, func(b *testing.B) {
 				var hits, misses int64
-				var aaHitRate float64
 				for i := 0; i < b.N; i++ {
 					cc := c.Spec().Compile
 					cc.Name = c.ID
 					cc.DisableAnalysisCache = mode.noAnalysis
-					cc.DisableAAQueryCache = mode.noAAQ
 					cr, err := CompileSource(cc)
 					if err != nil {
 						b.Fatal(err)
@@ -432,14 +422,12 @@ func BenchmarkCompile_AnalysisCache(b *testing.B) {
 						hits += as.Hits
 						misses += as.Misses
 					}
-					aaHitRate = cr.AAStats().CacheHitRate()
 				}
 				b.ReportMetric(float64(hits), "analysis-hits")
 				b.ReportMetric(float64(misses), "analysis-misses")
 				if hits+misses > 0 {
 					b.ReportMetric(100*float64(hits)/float64(hits+misses), "analysis-hit-%")
 				}
-				b.ReportMetric(100*aaHitRate, "aa-cache-hit-%")
 			})
 		}
 	}

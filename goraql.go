@@ -167,8 +167,8 @@ type (
 	MemLoc = aa.MemLoc
 	// QueryCtx carries the requesting pass and function.
 	QueryCtx = aa.QueryCtx
-	// AAStats are the manager's query statistics, including the
-	// memoized query-cache hit/miss/flush counters.
+	// AAStats are the manager's query statistics: outcomes, no-alias
+	// answers per analysis and queries per requesting pass.
 	AAStats = aa.Stats
 )
 

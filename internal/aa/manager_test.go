@@ -112,3 +112,98 @@ func TestStatsAnalysesSorted(t *testing.T) {
 		}
 	}
 }
+
+// countingAA is a fake analysis that records how often it is consulted
+// and always answers the configured result.
+type countingAA struct {
+	name    string
+	answer  Result
+	queries int
+}
+
+func (c *countingAA) Name() string { return c.name }
+func (c *countingAA) Alias(a, b MemLoc, q *QueryCtx) Result {
+	c.queries++
+	return c.answer
+}
+
+// TestEveryQueryWalksTheChain: the manager memoizes nothing, so a
+// repeated query and its operand-swapped twin each consult the chain
+// again, and each is booked with its answering analysis.
+func TestEveryQueryWalksTheChain(t *testing.T) {
+	f := newFixture(t)
+	pre := &countingAA{name: "pre", answer: MayAlias}
+	last := &countingAA{name: "last", answer: NoAlias}
+	mgr := NewManager(f.m, pre, last)
+	l1, l2 := f.loc(f.p, 8), f.loc(f.q, 8)
+	q := &QueryCtx{Pass: "test", Func: f.fn}
+
+	const n = 4
+	for i := 0; i < n; i++ {
+		if r := mgr.Alias(l1, l2, q); r != NoAlias {
+			t.Fatalf("query %d: got %v, want NoAlias", i, r)
+		}
+		if r := mgr.Alias(l2, l1, q); r != NoAlias {
+			t.Fatalf("swapped query %d: got %v, want NoAlias", i, r)
+		}
+	}
+	if pre.queries != 2*n || last.queries != 2*n {
+		t.Errorf("chain consulted %d/%d times, want %d/%d", pre.queries, last.queries, 2*n, 2*n)
+	}
+	s := mgr.Stats()
+	if s.Queries != 2*n || s.NoAlias != 2*n || s.NoAliasByAnalysis["last"] != 2*n {
+		t.Errorf("Queries/NoAlias/last = %d/%d/%d, want %d each",
+			s.Queries, s.NoAlias, s.NoAliasByAnalysis["last"], 2*n)
+	}
+}
+
+func TestStatsMergeAndClone(t *testing.T) {
+	a := NewStats()
+	a.Queries, a.NoAlias = 3, 2
+	a.NoAliasByAnalysis["basic-aa"] = 2
+	a.QueriesByPass["GVN"] = 3
+
+	b := NewStats()
+	b.Queries, b.MayAlias = 2, 2
+	b.NoAliasByAnalysis["tbaa"] = 1
+	b.QueriesByPass["GVN"] = 2
+
+	sum := a.Clone()
+	sum.Merge(b)
+	if sum.Queries != 5 || sum.NoAlias != 2 || sum.MayAlias != 2 {
+		t.Errorf("merged outcome counters wrong: %+v", sum)
+	}
+	if sum.QueriesByPass["GVN"] != 5 || sum.NoAliasByAnalysis["basic-aa"] != 2 || sum.NoAliasByAnalysis["tbaa"] != 1 {
+		t.Errorf("merged maps wrong: %+v", sum)
+	}
+	// Clone must be deep: mutating the clone leaves the original alone.
+	if a.QueriesByPass["GVN"] != 3 {
+		t.Errorf("Clone aliased the source maps")
+	}
+}
+
+// TestRepeatedAccessQueriesAllocateNothing: a clobber or read query
+// builds its access locations on the stack, so walking the default
+// chain for it allocates nothing.
+func TestRepeatedAccessQueriesAllocateNothing(t *testing.T) {
+	f := newFixture(t)
+	ld := f.b.Load(ir.F64, f.p, "double")
+	st := f.b.Store(ld, f.q, "double")
+	cp := f.b.MemCpy(f.a1, f.a2, ir.ConstInt(16))
+	ms := f.b.MemSet(f.a2, ir.ConstInt(0), ir.ConstInt(16))
+	call := f.b.Call(ir.Void, "user", f.p, f.a1, f.idx)
+	f.b.Ret(nil)
+	mgr := NewManager(f.m, DefaultChain(f.m)...)
+	q := &QueryCtx{Pass: "test", Func: f.fn}
+	loc := f.loc(f.a1, 8)
+	query := func() {
+		for _, in := range []*ir.Instr{ld, st, cp, ms, call} {
+			mgr.InstrMayClobberLoc(in, loc, q)
+			mgr.InstrMayReadLoc(in, loc, q)
+		}
+	}
+	query()
+	if got := testing.AllocsPerRun(100, query); got != 0 {
+		t.Errorf("access queries: %v allocations per run, want 0", got)
+	}
+}

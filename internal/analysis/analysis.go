@@ -3,11 +3,10 @@
 // AnalysisManager/PreservedAnalyses protocol reduced to what the
 // pipeline uses: each function's CFG info and MemorySSA walker are
 // computed on first request and kept until a pass declares it did not
-// preserve them, and every change flushes the changed function's
-// bucket of the alias-query cache. Keeping the CFG and the walker
-// across the passes that do not touch the CFG is a modest win, about
-// 1.1× on compile time and within noise on some configurations
-// (BENCH_compile.json records the forced/cached ratio per config).
+// preserve them. Keeping the CFG and the walker across the passes that
+// do not touch the CFG is a modest win, about 1.1× on compile time and
+// within noise on some configurations (BENCH_compile.json records the
+// forced/cached ratio per config).
 package analysis
 
 import (
@@ -39,9 +38,8 @@ const (
 	None PreservedAnalyses = iota
 	// CFGOnly: the function's instructions changed but its block
 	// structure did not. The CFG info survives, and so does the
-	// MemorySSA walker, a stateless view over it; the function's
-	// alias-query cache bucket is flushed. EarlyCSE, GVN, DSE, LICM and
-	// Sink return it.
+	// MemorySSA walker, a stateless view over it, so nothing is
+	// dropped. EarlyCSE, GVN, DSE, LICM and Sink return it.
 	CFGOnly
 	// All: the pass did not change the function.
 	All
@@ -68,11 +66,11 @@ type Manager struct {
 	walkStats Stats
 }
 
-// NewManager returns an empty cache whose walkers query aaMgr and
-// whose invalidations flush aaMgr's per-function buckets. With caching
-// false it runs in force-invalidate mode: every request rebuilds its
-// analysis, and declared preservation is never trusted — the reference
-// behaviour the transparency tests compare the cache against.
+// NewManager returns an empty cache whose walkers query aaMgr. With
+// caching false it runs in force-invalidate mode: every request
+// rebuilds its analysis, and declared preservation is never trusted —
+// the reference behaviour the transparency tests compare the cache
+// against.
 func NewManager(aaMgr *aa.Manager, caching bool) *Manager {
 	return &Manager{aa: aaMgr, caching: caching,
 		cfgs:      map[*ir.Func]*cfg.Info{},
@@ -108,19 +106,15 @@ func lookup[T any](m *Manager, cache map[*ir.Func]T, st *Stats, fn *ir.Func, bui
 	return v
 }
 
-// Invalidate applies a pass's preservation level to fn. All is a
-// no-op. Any change flushes fn's alias-query cache bucket, and None
-// also drops fn's CFG info and walker, counting each one dropped. In
-// force-invalidate mode nothing is cached, so only the flush remains.
+// Invalidate applies a pass's preservation level to fn: None drops
+// fn's CFG info and walker, counting each one dropped; All and CFGOnly
+// keep both. In force-invalidate mode nothing is cached, so nothing is
+// dropped.
 func (m *Manager) Invalidate(fn *ir.Func, pa PreservedAnalyses) {
-	if pa == All {
-		return
-	}
 	if pa == None {
 		drop(m.cfgs, &m.cfgStats, fn)
 		drop(m.walkers, &m.walkStats, fn)
 	}
-	m.aa.InvalidateFunc(fn)
 }
 
 func drop[T any](cache map[*ir.Func]T, st *Stats, fn *ir.Func) {

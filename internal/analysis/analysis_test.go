@@ -7,39 +7,20 @@ import (
 	"github.com/oraql/go-oraql/internal/ir"
 )
 
-// fixture is two functions, each with two disjoint allocas, and a real
-// AA manager over them, so every test can watch the alias-query cache
-// buckets the analysis manager flushes.
+// fixture is two functions and a real AA manager over them for the
+// walkers to query.
 type fixture struct {
 	f, g *ir.Func
-	aa   *aa.Manager
-	locs map[*ir.Func][2]aa.MemLoc
 }
 
 func newFixture(caching bool) (*fixture, *Manager) {
 	m := ir.NewModule("t")
-	fx := &fixture{locs: map[*ir.Func][2]aa.MemLoc{}}
 	for _, name := range []string{"f", "g"} {
-		fn, b := ir.NewFunc(m, name, ir.Void)
-		a1, a2 := b.Alloca(64, "a1"), b.Alloca(64, "a2")
+		_, b := ir.NewFunc(m, name, ir.Void)
 		b.Ret(nil)
-		fx.locs[fn] = [2]aa.MemLoc{{Ptr: a1, Size: aa.PreciseSize(8)}, {Ptr: a2, Size: aa.PreciseSize(8)}}
 	}
-	fx.f, fx.g = m.Funcs[0], m.Funcs[1]
-	fx.aa = aa.NewManager(m, aa.NewBasicAA())
-	return fx, NewManager(fx.aa, caching)
-}
-
-// query issues fn's alias query and reports whether the AA query cache
-// served it.
-func (fx *fixture) query(t *testing.T, fn *ir.Func) (hit bool) {
-	t.Helper()
-	before := fx.aa.Stats().CacheHits
-	l := fx.locs[fn]
-	if r := fx.aa.Alias(l[0], l[1], &aa.QueryCtx{Pass: "test", Func: fn}); r != aa.NoAlias {
-		t.Fatalf("disjoint allocas: got %v, want NoAlias", r)
-	}
-	return fx.aa.Stats().CacheHits > before
+	fx := &fixture{f: m.Funcs[0], g: m.Funcs[1]}
+	return fx, NewManager(aa.NewManager(m, aa.NewBasicAA()), caching)
 }
 
 // counters returns the cfg and memory-ssa rows.
@@ -91,27 +72,10 @@ func TestManagerCFGOnlyKeepsCFGAndWalker(t *testing.T) {
 	}
 }
 
-func TestManagerCFGOnlyFlushesOnlyThatAliasBucket(t *testing.T) {
-	fx, m := newFixture(true)
-	fx.query(t, fx.f)
-	fx.query(t, fx.g)
-	m.Invalidate(fx.f, CFGOnly)
-	if fx.query(t, fx.f) {
-		t.Error("f's alias verdict must be flushed")
-	}
-	if !fx.query(t, fx.g) {
-		t.Error("g's alias verdict must survive f's invalidation")
-	}
-	if n := fx.aa.Stats().CacheScopedFlushes; n != 1 {
-		t.Errorf("CacheScopedFlushes = %d, want 1", n)
-	}
-}
-
 func TestManagerInvalidationScope(t *testing.T) {
 	fx, m := newFixture(true)
 	info, w := m.CFG(fx.f), m.MemSSA(fx.f)
 	gInfo := m.CFG(fx.g)
-	fx.query(t, fx.f)
 
 	m.Invalidate(fx.f, None)
 	if m.CFG(fx.f) == info || m.MemSSA(fx.f) == w {
@@ -119,9 +83,6 @@ func TestManagerInvalidationScope(t *testing.T) {
 	}
 	if m.CFG(fx.g) != gInfo {
 		t.Error("g's entry must survive f's invalidation")
-	}
-	if fx.query(t, fx.f) {
-		t.Error("None must flush f's alias verdicts")
 	}
 	if c, wk := counters(m); c.Invalidations != 1 || wk.Invalidations != 1 {
 		t.Errorf("invalidations = %d/%d, want 1/1", c.Invalidations, wk.Invalidations)
@@ -136,16 +97,9 @@ func TestManagerInvalidationScope(t *testing.T) {
 func TestManagerAllIsNoOp(t *testing.T) {
 	fx, m := newFixture(true)
 	info, w := m.CFG(fx.f), m.MemSSA(fx.f)
-	fx.query(t, fx.f)
 	m.Invalidate(fx.f, All)
 	if m.CFG(fx.f) != info || m.MemSSA(fx.f) != w {
 		t.Error("All must keep every analysis")
-	}
-	if !fx.query(t, fx.f) {
-		t.Error("All must keep the alias verdicts")
-	}
-	if n := fx.aa.Stats().CacheScopedFlushes; n != 0 {
-		t.Errorf("CacheScopedFlushes = %d, want 0", n)
 	}
 }
 
@@ -161,17 +115,8 @@ func TestManagerForceInvalidateMode(t *testing.T) {
 		t.Errorf("cfg %d/%d, memory-ssa %d/%d hits/misses, want 0/4, 0/2",
 			c.Hits, c.Misses, wk.Hits, wk.Misses)
 	}
-	// Declared preservation is not trusted: CFGOnly still flushes.
-	fx.query(t, fx.f)
 	m.Invalidate(fx.f, CFGOnly)
-	if fx.query(t, fx.f) {
-		t.Error("force mode must flush the alias bucket on CFGOnly")
-	}
-	// But All (nothing changed) is still a no-op.
-	m.Invalidate(fx.f, All)
-	if !fx.query(t, fx.f) {
-		t.Error("All must stay a no-op in force mode")
-	}
+	m.Invalidate(fx.f, None)
 	if c, wk := counters(m); c.Invalidations != 0 || wk.Invalidations != 0 {
 		t.Errorf("nothing is cached, yet invalidations = %d/%d", c.Invalidations, wk.Invalidations)
 	}

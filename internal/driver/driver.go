@@ -11,7 +11,9 @@
 // on a bounded worker pool (BenchSpec.Workers): sibling subranges of
 // the chunked recursion and residue classes of the freq-space strategy
 // are independent candidates, so the driver speculatively tests the
-// likely next candidates concurrently and cancels losers. The decision
+// likely next candidate beside the consumed one and cancels losers:
+// one speculative test at a time, until the first is cancelled
+// mid-flight (see engine.go). The decision
 // loop itself stays sequential and consumes test outcomes in canonical
 // order, so parallel and sequential probing produce bit-identical
 // FinalSeq (see engine.go). On more than one core, a campaign without
@@ -420,7 +422,7 @@ func (st *state) Test(seq oraql.Seq, specs ...oraql.Seq) (bool, error) {
 // Pad extends a decided prefix to the current generous padding length.
 func (st *state) Pad(decided oraql.Seq) oraql.Seq { return st.pad(decided, st.padLen) }
 
-// Workers is the speculation budget.
+// Workers is the worker count.
 func (st *state) Workers() int { return st.eng.workers }
 
 // Logf prefixes progress lines with the benchmark name.

@@ -110,18 +110,23 @@ type engine struct {
 	specConsumed  atomic.Int64
 	diskTests     atomic.Int64
 
-	// specDepth bounds in-flight speculative tests. It starts at
-	// min(workers-1, cores-1), zero on a single-core host, where a
-	// speculative compile only steals cycles from the consumed test.
-	// A speculative test cancelled mid-flight lowers it by one; a
-	// consumed speculative test that compiled raises it by one, up to
-	// workers-1. With a maximum of 1 (-j 2, or -j 0 on two cores) this
-	// is a ratchet: the first cancellation drops the depth to 0, no
-	// speculative test starts at depth 0, so none is consumed to raise
-	// it again, and the campaign speculates no more.
-	specDepth  atomic.Int64
+	// The speculation policy: at most one speculative test is in
+	// flight (specActive), and once a speculative test is cancelled
+	// mid-flight the campaign speculates no more (speculate goes
+	// false). speculate starts true only with more than one worker and
+	// more than one core; on one core a speculative compile only
+	// steals cycles from the consumed test. On two cores this policy
+	// beat both no speculation and a depth held at one without the stop
+	// (DESIGN.md, "Speculation policy").
+	speculate  atomic.Bool
 	specActive atomic.Int64
 }
+
+// specHook, when a test sets it, observes the speculation policy: it
+// runs after a speculative test is launched (launched true), with the
+// number then in flight, and when one is cancelled mid-flight
+// (launched false), before the campaign stops speculating.
+var specHook func(launched bool, inFlight int64)
 
 func newEngine(ctx context.Context, spec *BenchSpec, sess *pipeline.Session) *engine {
 	w := spec.Workers
@@ -141,15 +146,9 @@ func newEngine(ctx context.Context, spec *BenchSpec, sess *pipeline.Session) *en
 		calls:   map[string]*testCall{},
 		exe:     map[string]*exeEntry{},
 	}
-	depth := int64(w - 1)
-	if c := int64(runtime.GOMAXPROCS(0) - 1); c < depth {
-		depth = c
-	}
-	if depth < 0 {
-		depth = 0
-	}
-	e.specDepth.Store(depth)
-	e.overlap = depth > 0 && spec.Cache == nil
+	parallel := w > 1 && runtime.GOMAXPROCS(0) > 1
+	e.speculate.Store(parallel)
+	e.overlap = parallel && spec.Cache == nil
 	return e
 }
 
@@ -176,24 +175,6 @@ func (e *engine) awaitRefs(ctx context.Context) error {
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
-	}
-}
-
-// adjustDepth moves the speculation depth by delta within [0, workers-1].
-func (e *engine) adjustDepth(delta int64) {
-	max := int64(e.workers - 1)
-	for {
-		cur := e.specDepth.Load()
-		next := cur + delta
-		if next < 0 {
-			next = 0
-		}
-		if next > max {
-			next = max
-		}
-		if next == cur || e.specDepth.CompareAndSwap(cur, next) {
-			return
-		}
 	}
 }
 
@@ -225,12 +206,6 @@ func (e *engine) get(seq oraql.Seq) testOutcome {
 			e.consume(c)
 			if c.speculative {
 				e.specConsumed.Add(1)
-				if !c.out.fromDisk {
-					// Compile speculation paid off: widen. Disk-served
-					// outcomes cost nothing, so they are no evidence that
-					// spending a worker on a speculative compile pays.
-					e.adjustDepth(1)
-				}
 			}
 			if c.out.fromDisk {
 				e.diskTests.Add(1)
@@ -250,13 +225,17 @@ func (e *engine) get(seq oraql.Seq) testOutcome {
 	}
 }
 
-// prefetch speculatively launches a candidate test on the worker pool.
-// It is a no-op when probing sequentially, when the adaptive depth
-// bound is reached, or when the candidate is already in flight.
-// Strategies pass their nearest fail-path candidates first, so depth
-// throttling drops the farthest ones.
+// prefetch speculatively launches a candidate test on the worker pool
+// under the speculation policy: it is a no-op while a speculative test
+// is in flight, once one was cancelled mid-flight, on a campaign with
+// one worker or one core, and when the candidate is already in flight.
+// Strategies pass their nearest fail-path candidate first, so it is the
+// one launched. Only the decision loop calls prefetch, so checking the
+// in-flight count and then launching cannot overshoot one. The count
+// is read first: a speculative test stops speculation before it leaves
+// the count, so a zero count means the stop, if any, is visible.
 func (e *engine) prefetch(seq oraql.Seq) {
-	if e.workers <= 1 || e.specActive.Load() >= e.specDepth.Load() {
+	if e.specActive.Load() > 0 || !e.speculate.Load() {
 		return
 	}
 	e.launch(seq, true)
@@ -266,8 +245,8 @@ func (e *engine) prefetch(seq oraql.Seq) {
 // the probe context, and registers it in the single-flight map for
 // the decision loop to join. It is a no-op when the candidate is
 // already in flight. A speculative launch counts toward the
-// speculation counters and the depth; the overlapped fully optimistic
-// test does not.
+// speculation counters and the in-flight count; the overlapped fully
+// optimistic test does not.
 func (e *engine) launch(seq oraql.Seq, speculative bool) {
 	key := seq.String()
 	e.mu.Lock()
@@ -281,7 +260,10 @@ func (e *engine) launch(seq oraql.Seq, speculative bool) {
 	e.mu.Unlock()
 	if speculative {
 		e.specLaunched.Add(1)
-		e.specActive.Add(1)
+		n := e.specActive.Add(1)
+		if specHook != nil {
+			specHook(true, n)
+		}
 	}
 	e.wg.Add(1)
 	go func() {
@@ -300,7 +282,11 @@ func (e *engine) launch(seq oraql.Seq, speculative bool) {
 		c.out = out
 		e.mu.Unlock()
 		if c.canceled && speculative {
-			e.adjustDepth(-1) // cancelled unconsumed: wasted work, narrow
+			// Cancelled unconsumed: wasted work. Stop speculating.
+			if specHook != nil {
+				specHook(false, e.specActive.Load())
+			}
+			e.speculate.Store(false)
 		}
 		close(c.done)
 	}()

@@ -33,8 +33,11 @@ type Prober interface {
 	// driver's generous padding length (undecided queries stay
 	// pessimistic).
 	Pad(decided oraql.Seq) oraql.Seq
-	// Workers is the speculation budget (1 = strictly sequential; no
-	// point building speculative candidates).
+	// Workers is the worker count (1 = strictly sequential; no point
+	// building speculative candidates). A strategy builds up to
+	// Workers()-1 candidates, nearest first; the engine launches at
+	// most one speculative test at a time, so the first is the one
+	// that runs.
 	Workers() int
 	// Logf emits a progress line, prefixed with the benchmark name.
 	Logf(format string, args ...any)
@@ -150,8 +153,9 @@ func (s chunkedStrategy) Solve(p Prober, n int) (oraql.Seq, error) {
 // — and every success cancels outstanding speculation — so candidates
 // built from the current decided state stay exact until consumed or
 // cancelled. They come in construction order, the left spine
-// outside-in and then the right part; the engine drops the tail once
-// its speculation depth is reached.
+// outside-in and then the right part. The engine keeps at most one
+// speculative test in flight, and none after the first is cancelled
+// mid-flight, so it launches at most the first and drops the rest.
 func (chunkedStrategy) specs(p Prober, decided oraql.Seq, lo, hi int) []oraql.Seq {
 	if p.Workers() <= 1 || hi-lo <= 1 {
 		return nil
@@ -229,9 +233,9 @@ func (s freqStrategy) Solve(p Prober, n int) (oraql.Seq, error) {
 
 // specs builds the speculative candidates launched alongside the test
 // of residue class (m, r): the refined classes of the next modulus
-// levels, expanded breadth-first so one whole level tests in parallel.
-// All of them belong to the fail path (decided unchanged); a success
-// cancels them.
+// levels, expanded breadth-first, nearest first. All of them belong to
+// the fail path (decided unchanged); a success cancels them. As for
+// chunked, the engine launches at most the first.
 func (freqStrategy) specs(p Prober, decided oraql.Seq, done []bool, m, r int) []oraql.Seq {
 	n := len(decided)
 	if p.Workers() <= 1 || m >= n {

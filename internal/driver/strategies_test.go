@@ -19,8 +19,8 @@ func (f *fakeProber) Workers() int                                         { ret
 func (f *fakeProber) Logf(format string, args ...any)                      {}
 
 // The candidates keep construction order — the left spine
-// outside-in, then the right half — so the engine's depth throttling
-// drops the farthest ones first.
+// outside-in, then the right half — so the one speculative test the
+// engine launches is the nearest.
 func TestChunkedSpecsNaturalOrderWithoutPriors(t *testing.T) {
 	f := &fakeProber{workers: 16}
 	decided := make(oraql.Seq, 8)

@@ -236,13 +236,6 @@ func New(m *ir.Module, opts Options) *Pass {
 // Name implements aa.Analysis.
 func (*Pass) Name() string { return "oraql" }
 
-// UncacheableAlias implements aa.Uncacheable: the responder's answers
-// consume the response sequence and are tracked by its own pair cache,
-// so the manager's memoized query cache must forward every repeated
-// query instead of replaying a stored verdict — otherwise the cached
-// optimistic/pessimistic counters (Fig. 4) would undercount.
-func (*Pass) UncacheableAlias() bool { return true }
-
 // Stats returns the pass counters.
 func (p *Pass) Stats() Stats { return p.stats }
 

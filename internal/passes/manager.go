@@ -269,7 +269,8 @@ func O1Pipeline() *Pipeline {
 // pass at a time and, within a pass, one function at a time in module
 // order — the order of LLVM's function pass manager. After each pass
 // run it applies the pass's preservation level to the analysis
-// manager, which also flushes the changed function's AA cache bucket.
+// manager; any level but All also marks the step as a change for the
+// step memo and -time-passes.
 //
 // A step-reuse plan (ctx.Steps) stops the run early when it fails;
 // the caller checks StepPlan.Failed.

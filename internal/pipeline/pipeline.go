@@ -53,9 +53,6 @@ type Config struct {
 	// canonical resolved chain is part of every persistence key. Empty
 	// falls back to FullAAChain.
 	AAChain string
-	// DisableAAQueryCache turns off the manager-level memoized alias
-	// query cache (for the cache-ablation benchmarks).
-	DisableAAQueryCache bool
 	// DisableAnalysisCache runs the per-function analysis manager in
 	// force-invalidate mode: every pass run recomputes CFG info and the
 	// MemorySSA walker from scratch. The transparency tests compare this
@@ -218,8 +215,7 @@ func (r *CompileResult) ORAQLStats() oraql.Stats {
 	return s
 }
 
-// AAStats merges the alias-analysis statistics of all targets,
-// including the memoized query-cache hit/miss/flush counters.
+// AAStats merges the alias-analysis statistics of all targets.
 func (r *CompileResult) AAStats() *aa.Stats {
 	out := aa.NewStats()
 	out.Merge(r.Host.AA)
@@ -391,9 +387,6 @@ func compileModule(cctx context.Context, cfg Config, m *ir.Module, memo *passes.
 		return nil, fmt.Errorf("%s: %w", cfg.Name, err)
 	}
 	mgr := aa.NewManager(m, chain...)
-	if cfg.DisableAAQueryCache {
-		mgr.SetQueryCache(false)
-	}
 	var op *oraql.Pass
 	if cfg.ORAQL != nil {
 		opts := *cfg.ORAQL

@@ -113,7 +113,7 @@ func pct(oraql, orig int64) string {
 func Fig4(exps []*Experiment, withPaper bool) string {
 	t := &table{header: []string{
 		"Benchmark", "Programming Model", "Source Files",
-		"OptU", "OptC", "PessU", "PessC", "NA-Orig", "NA-ORAQL", "Delta", "AA$-Hit",
+		"OptU", "OptC", "PessU", "PessC", "NA-Orig", "NA-ORAQL", "Delta",
 	}}
 	if withPaper {
 		t.header = append(t.header, "paper:PessU", "paper:Delta")
@@ -127,7 +127,6 @@ func Fig4(exps []*Experiment, withPaper bool) string {
 			fmt.Sprint(s.UniqueOptimistic), fmt.Sprint(s.CachedOptimistic),
 			fmt.Sprint(s.UniquePessimistic), fmt.Sprint(s.CachedPessimistic),
 			fmt.Sprint(orig), fmt.Sprint(final), pct(final, orig),
-			fmt.Sprintf("%.1f%%", 100*e.Probe.Final.Compile.AAStats().CacheHitRate()),
 		}
 		if withPaper {
 			p := e.Config.Paper

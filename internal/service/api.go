@@ -74,8 +74,8 @@ type CompileOptions struct {
 	// ("default", "full") or as a comma-separated analysis list; takes
 	// precedence over FullAAChain. GET /v1/registry lists the names.
 	AAChain string `json:"aa_chain,omitempty"`
-	// DisableAAQueryCache / DisableAnalysisCache are the ablation knobs.
-	DisableAAQueryCache  bool `json:"disable_aa_query_cache,omitempty"`
+	// DisableAnalysisCache is the analysis-cache ablation knob
+	// (pipeline.Config.DisableAnalysisCache).
 	DisableAnalysisCache bool `json:"disable_analysis_cache,omitempty"`
 	// ORAQL enables the ORAQL responder; Seq is the response sequence
 	// in -opt-aa-seq syntax ("1 0 1 ..."), Target the module filter.

@@ -320,21 +320,20 @@ func (s *Server) storeDiskResponse(key string, resp *CompileResponse) {
 	s.cfg.Cache.Put(diskResponseKey(key), data)
 }
 
-// observeCompileResult books one pipeline run and lifts its AA and
-// analysis cache counters into the service metrics. A result that a
+// observeCompileResult books one pipeline run and lifts its analysis
+// cache counters into the service metrics. A result that a
 // translation-unit artifact served whole ran no pipeline and is not
 // booked.
 func (s *Server) observeCompileResult(cr *pipeline.CompileResult) {
 	if cr.DiskHits() > 0 {
 		return
 	}
-	aas := cr.AAStats()
 	var anHits, anMisses int64
 	for _, as := range cr.AnalysisStats() {
 		anHits += as.Hits
 		anMisses += as.Misses
 	}
-	s.met.observeCompile(aas.CacheHits, aas.CacheLookups(), anHits, anMisses)
+	s.met.observeCompile(anHits, anMisses)
 }
 
 // handleProbe submits an asynchronous probe campaign.

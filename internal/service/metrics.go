@@ -12,9 +12,8 @@ import (
 
 // metrics is a hand-rolled Prometheus-text registry: request counters
 // and latency histograms per route, queue/worker gauges, and the
-// compiler-level cache counters (result cache, AA query cache,
-// analysis cache) accumulated from every compilation the service
-// runs. Everything is rendered by render() in the text exposition
+// compiler-level cache counters (result cache, analysis cache)
+// accumulated from every compilation the service runs. Everything is rendered by render() in the text exposition
 // format; no external client library is involved.
 type metrics struct {
 	mu sync.Mutex
@@ -36,8 +35,6 @@ type metrics struct {
 	// Compiler-level counters, summed over every compilation executed
 	// by the service (sync compiles and job compiles alike).
 	compiles       int64
-	aaCacheHits    int64
-	aaCacheLookups int64
 	analysisHits   int64
 	analysisMisses int64
 
@@ -147,15 +144,12 @@ func (m *metrics) observeCampaignScript(sha string) {
 	m.mu.Unlock()
 }
 
-// observeCompile lifts one compilation's cache counters into the
-// service-wide series: AA query-cache hits/lookups from aa.Stats and
-// the analysis manager's hit/miss counters.
-func (m *metrics) observeCompile(aaHits, aaLookups, anHits, anMisses int64) {
+// observeCompile lifts one compilation's analysis-manager hit/miss
+// counters into the service-wide series.
+func (m *metrics) observeCompile(anHits, anMisses int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.compiles++
-	m.aaCacheHits += aaHits
-	m.aaCacheLookups += aaLookups
 	m.analysisHits += anHits
 	m.analysisMisses += anMisses
 }
@@ -293,12 +287,6 @@ func (m *metrics) render(cache *resultCache, disk *diskcache.Store, queueDepth, 
 	b.WriteString("# HELP oraql_compiles_total Pipeline compilations executed by the service.\n")
 	b.WriteString("# TYPE oraql_compiles_total counter\n")
 	fmt.Fprintf(&b, "oraql_compiles_total %d\n", m.compiles)
-	b.WriteString("# HELP oraql_aa_query_cache_hits_total Memoized AA query-cache hits over all service compilations.\n")
-	b.WriteString("# TYPE oraql_aa_query_cache_hits_total counter\n")
-	fmt.Fprintf(&b, "oraql_aa_query_cache_hits_total %d\n", m.aaCacheHits)
-	b.WriteString("# HELP oraql_aa_query_cache_lookups_total Memoized AA query-cache lookups (hits + misses).\n")
-	b.WriteString("# TYPE oraql_aa_query_cache_lookups_total counter\n")
-	fmt.Fprintf(&b, "oraql_aa_query_cache_lookups_total %d\n", m.aaCacheLookups)
 	b.WriteString("# HELP oraql_analysis_cache_hits_total Analysis-manager cache hits over all service compilations.\n")
 	b.WriteString("# TYPE oraql_analysis_cache_hits_total counter\n")
 	fmt.Fprintf(&b, "oraql_analysis_cache_hits_total %d\n", m.analysisHits)

@@ -148,9 +148,9 @@ func TestCompileCacheHit(t *testing.T) {
 	if compiles := metricValue(t, after, "oraql_compiles_total"); compiles < 1 {
 		t.Fatalf("compiles_total = %v, want >= 1", compiles)
 	}
-	// The AA query cache counters of the real compilation must surface.
-	if lookups := metricValue(t, after, "oraql_aa_query_cache_lookups_total"); lookups == 0 {
-		t.Fatal("aa query cache lookups not lifted into service metrics")
+	// The analysis cache counters of the real compilation must surface.
+	if hits := metricValue(t, after, "oraql_analysis_cache_hits_total"); hits == 0 {
+		t.Fatal("analysis cache hits not lifted into service metrics")
 	}
 
 	// Different options miss the cache: the key covers the config hash.
@@ -472,6 +472,7 @@ func TestRequestErrors(t *testing.T) {
 	}{
 		{"malformed json", "/v1/compile", "{", http.StatusBadRequest},
 		{"unknown field", "/v1/compile", `{"nope": 1}`, http.StatusBadRequest},
+		{"removed option", "/v1/compile", `{"program":{"source":"int main() { return 0; }"},"options":{"disable_aa_query_cache":true}}`, http.StatusBadRequest},
 		{"empty program", "/v1/compile", `{}`, http.StatusBadRequest},
 		{"unknown config", "/v1/compile", `{"program":{"config_id":"no-such"}}`, http.StatusBadRequest},
 		{"unknown model", "/v1/compile", `{"program":{"source":"int main() { return 0; }","model":"warp"}}`, http.StatusBadRequest},

@@ -1,11 +1,9 @@
 #!/bin/sh
 # Records the compile benchmark into BENCH_compile.json: per
-# configuration, the median compile wall time with both compile caches
-# ("cached"), with the analysis cache force-invalidated ("forced") and
-# with the AA query cache off ("aa-off"), plus both caches' hit rates.
-# speedup is forced / cached, aa_cache_speedup is aa-off / cached. The
-# median, not the mean, because one garbage collection during a
-# single-compile sample can double it.
+# configuration, the median compile wall time with the analysis cache
+# ("cached") and with it force-invalidated ("forced"), plus its hit
+# rate. speedup is forced / cached. The median, not the mean, because
+# one garbage collection during a single-compile sample can double it.
 #
 # Run from the repo root:
 #
@@ -37,7 +35,6 @@ awk -v gomaxprocs="$gomaxprocs" '
 		if ($(i+1) == "analysis-hit-%") hit[key] = $i
 		if ($(i+1) == "analysis-hits") hits[key] = $i
 		if ($(i+1) == "analysis-misses") miss[key] = $i
-		if ($(i+1) == "aa-cache-hit-%") aahit[key] = $i
 	}
 }
 function median(key,   i, j, t, a, k) {
@@ -56,18 +53,15 @@ END {
 	printf "  \"configs\": {\n"
 	for (j = 1; j <= ncfg; j++) {
 		cfg = order[j]
-		ck = cfg SUBSEP "cached"; fk = cfg SUBSEP "forced"; ak = cfg SUBSEP "aa-off"
-		cms = median(ck) / 1e6; fms = median(fk) / 1e6; ams = median(ak) / 1e6
+		ck = cfg SUBSEP "cached"; fk = cfg SUBSEP "forced"
+		cms = median(ck) / 1e6; fms = median(fk) / 1e6
 		printf "    \"%s\": {\n", cfg
 		printf "      \"cached_ms\": %.2f,\n", cms
 		printf "      \"forced_ms\": %.2f,\n", fms
 		printf "      \"speedup\": %.2f,\n", fms / cms
 		printf "      \"analysis_hits\": %d,\n", hits[ck]
 		printf "      \"analysis_misses\": %d,\n", miss[ck]
-		printf "      \"analysis_hit_pct\": %.2f,\n", hit[ck]
-		printf "      \"aa_off_ms\": %.2f,\n", ams
-		printf "      \"aa_cache_speedup\": %.2f,\n", ams / cms
-		printf "      \"aa_cache_hit_pct\": %.2f\n", aahit[ck]
+		printf "      \"analysis_hit_pct\": %.2f\n", hit[ck]
 		printf "    }%s\n", (j < ncfg) ? "," : ""
 	}
 	printf "  }\n}\n"

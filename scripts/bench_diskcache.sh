@@ -3,9 +3,13 @@
 # into BENCH_diskcache.json:
 #
 #   - the cold/warm cross-process matrix: `oraql sweep` compiles all 16
-#     benchmark configurations into a fresh -cache-dir, then a SECOND
-#     process sweeps the same directory warm. Exe hashes must be
-#     byte-identical and the warm sweep at least 5x faster;
+#     benchmark configurations into a fresh -cache-dir, 5 times, each
+#     into a directory of its own; then 9 more processes sweep the
+#     first directory warm. Exe hashes must be byte-identical, every
+#     warm sweep must hit disk for every configuration, and the median
+#     warm sweep must be at least 5x faster than the median cold one
+#     (a single warm sweep takes tens of milliseconds, so one pair of
+#     timings can miss the floor on noise alone);
 #   - the edited-program reprobe: a probe campaign persists its state,
 #     the program is edited (a helper appended after main), and the
 #     seeded reprobe must use strictly fewer compiles than probing the
@@ -28,25 +32,42 @@ fail() { echo "bench_diskcache: FAIL: $*" >&2; exit 1; }
 
 go build -o "$tmp/oraql" ./cmd/oraql
 
-# --- Leg 1: cold vs warm sweep, separate processes, shared dir. ------
-cache="$tmp/cache"
-"$tmp/oraql" sweep -json -cache-dir "$cache" > "$tmp/cold.json"
-"$tmp/oraql" sweep -json -cache-dir "$cache" > "$tmp/warm.json"
-
-grep '"exe_hash"' "$tmp/cold.json" > "$tmp/cold.hashes"
-grep '"exe_hash"' "$tmp/warm.json" > "$tmp/warm.hashes"
-cmp -s "$tmp/cold.hashes" "$tmp/warm.hashes" ||
-	fail "warm sweep exe hashes differ from cold"
-
+# --- Leg 1: cold vs warm sweeps, separate processes. ------------------
+ncold=5
+nwarm=9
 json_num() { sed -n "s/^  \"$2\": \([0-9.]*\),*\$/\1/p" "$1" | head -1; }
-cold_ms=$(json_num "$tmp/cold.json" total_ms)
-warm_ms=$(json_num "$tmp/warm.json" total_ms)
-nconf=$(grep -c '"exe_hash"' "$tmp/cold.json")
-warm_hits=$(sed -n 's/.*"Hits": \([0-9]*\),*/\1/p' "$tmp/warm.json" | head -1)
+median() { sort -n | awk '{ a[NR] = $1 } END { print (NR % 2) ? a[(NR+1)/2] : (a[NR/2] + a[NR/2+1]) / 2 }'; }
+
+: > "$tmp/cold.ms"
+i=1
+while [ "$i" -le "$ncold" ]; do
+	"$tmp/oraql" sweep -json -cache-dir "$tmp/cache$i" > "$tmp/cold$i.json"
+	json_num "$tmp/cold$i.json" total_ms >> "$tmp/cold.ms"
+	grep '"exe_hash"' "$tmp/cold$i.json" > "$tmp/cold$i.hashes"
+	cmp -s "$tmp/cold1.hashes" "$tmp/cold$i.hashes" ||
+		fail "cold sweep $i exe hashes differ from cold sweep 1"
+	i=$((i + 1))
+done
+nconf=$(grep -c '"exe_hash"' "$tmp/cold1.json")
+
+: > "$tmp/warm.ms"
+j=1
+while [ "$j" -le "$nwarm" ]; do
+	"$tmp/oraql" sweep -json -cache-dir "$tmp/cache1" > "$tmp/warm$j.json"
+	json_num "$tmp/warm$j.json" total_ms >> "$tmp/warm.ms"
+	grep '"exe_hash"' "$tmp/warm$j.json" > "$tmp/warm$j.hashes"
+	cmp -s "$tmp/cold1.hashes" "$tmp/warm$j.hashes" ||
+		fail "warm sweep $j exe hashes differ from cold"
+	warm_hits=$(sed -n 's/.*"Hits": \([0-9]*\),*/\1/p' "$tmp/warm$j.json" | head -1)
+	[ "$warm_hits" -ge "$nconf" ] || fail "warm sweep $j hit disk only $warm_hits times"
+	j=$((j + 1))
+done
+
+cold_ms=$(median < "$tmp/cold.ms")
+warm_ms=$(median < "$tmp/warm.ms")
 speedup=$(awk "BEGIN { printf \"%.1f\", $cold_ms / $warm_ms }")
 awk "BEGIN { exit !($cold_ms / $warm_ms >= 5) }" ||
-	fail "warm sweep only ${speedup}x faster than cold (want >= 5x)"
-[ "$warm_hits" -ge "$nconf" ] || fail "warm sweep hit disk only $warm_hits times"
+	fail "median warm sweep only ${speedup}x faster than median cold (want >= 5x)"
 
 # --- Leg 2: incremental reprobe of an edited program. ----------------
 # Both versions keep the SAME file name (probed from sibling dirs):
@@ -143,6 +164,9 @@ cat > "$out" <<EOF
 {
   "configs": $nconf,
   "sweep": {
+    "cold_sweeps": $ncold,
+    "warm_sweeps": $nwarm,
+    "statistic": "median",
     "cold_ms": $cold_ms,
     "warm_ms": $warm_ms,
     "speedup": $speedup,

@@ -47,8 +47,10 @@ metrics=$(curl -fs "$base/metrics")
 hits=$(echo "$metrics" | awk '$1 == "oraql_result_cache_hits_total" { print $2 }')
 [ -n "$hits" ] || fail "oraql_result_cache_hits_total missing from /metrics"
 [ "$hits" -ge 1 ] 2>/dev/null || fail "oraql_result_cache_hits_total = $hits, want >= 1"
-echo "$metrics" | grep -q '^oraql_aa_query_cache_lookups_total' ||
-	fail "AA query cache counters missing from /metrics"
+# The compilation's own analysis-cache counter is lifted too.
+an=$(echo "$metrics" | awk '$1 == "oraql_analysis_cache_hits_total" { print $2 }')
+[ -n "$an" ] || fail "oraql_analysis_cache_hits_total missing from /metrics"
+[ "$an" -ge 1 ] 2>/dev/null || fail "oraql_analysis_cache_hits_total = $an, want >= 1"
 echo "serve_smoke: metrics report $hits cache hit(s)"
 
 # 4. Probe campaign via the raw API: submit, poll to completion.
