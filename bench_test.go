@@ -324,6 +324,9 @@ func BenchmarkProbe_StrategyMatrix(b *testing.B) {
 							}
 							want = benchConvictions(sres)
 							cache = c
+							// testing.B collects garbage before every cold
+							// cell; do the same after the untimed seeding.
+							runtime.GC()
 							b.StartTimer()
 						}
 						spec := cfg.Spec()

@@ -248,15 +248,74 @@ func TestCampaignState(t *testing.T) {
 
 	s.MergeFuncVerdicts("fhash", "check", map[string]bool{"q1": true, "q2": false})
 	s.MergeFuncVerdicts("fhash", "check", map[string]bool{"q1": true})
+	// A survival after a conviction leaves the descriptor convicted.
+	s.MergeFuncVerdicts("fhash", "check", map[string]bool{"q2": true})
 	v := s.LoadFuncVerdicts("fhash", "check")
-	if v["q1"].Optimistic != 2 || v["q1"].Pessimistic != 0 {
-		t.Fatalf("q1 = %+v", v["q1"])
+	if len(v) != 2 {
+		t.Fatalf("set = %v, want q1 and q2", v)
 	}
-	if v["q2"].Pessimistic != 1 {
-		t.Fatalf("q2 = %+v", v["q2"])
+	if convicted, seen := v["q1"]; !seen || convicted {
+		t.Fatalf("q1 = %v, %v; want seen, never convicted", convicted, seen)
+	}
+	if !v["q2"] {
+		t.Fatalf("q2 lost its conviction: %v", v)
 	}
 	if s.LoadFuncVerdicts("other", "check") != nil {
 		t.Fatal("verdicts leak across function hashes")
+	}
+	// An entry of per-descriptor tallies, the older verdict format, is
+	// not read as a set.
+	tally := []byte(`{"q1":{"opt":1,"pess":0}}`)
+	if err := s.CompareAndUpdate(Key("verdicts", "fhash2", "check"), 0, tally); err != nil {
+		t.Fatal(err)
+	}
+	if v := s.LoadFuncVerdicts("fhash2", "check"); v != nil {
+		t.Fatalf("tally entry read as a verdict set: %v", v)
+	}
+}
+
+// A merge publishes a version only when the set grows: a descriptor it
+// has not seen, or the first conviction of one it has. Any other merge
+// writes nothing, so an unchanged reprobe leaves the store as it was.
+func TestMergeFuncVerdictsPublishesOnlyNews(t *testing.T) {
+	s := open(t)
+	key := funcVerdictsKey("fhash", "check")
+	s.MergeFuncVerdicts("fhash", "check", map[string]bool{"q1": true, "q2": false})
+	_, base, ok := s.LoadVersioned(key)
+	if !ok || base != 1 {
+		t.Fatalf("first merge: version %d, ok=%v; want 1", base, ok)
+	}
+	puts := s.Counters().Puts
+	for _, obs := range []map[string]bool{
+		{"q1": true, "q2": false},
+		{"q1": true},
+		{"q2": true},
+		{},
+	} {
+		s.MergeFuncVerdicts("fhash", "check", obs)
+	}
+	if got := s.Counters().Puts; got != puts {
+		t.Fatalf("merges that add nothing made %d puts", got-puts)
+	}
+	if _, v, _ := s.LoadVersioned(key); v != base {
+		t.Fatalf("merges that add nothing moved the version %d -> %d", base, v)
+	}
+
+	for i, obs := range []map[string]bool{
+		{"q1": false},            // convicts a seen descriptor
+		{"q1": true, "q3": true}, // adds a new one
+	} {
+		s.MergeFuncVerdicts("fhash", "check", obs)
+		if got := s.Counters().Puts; got != puts+int64(i+1) {
+			t.Fatalf("merge %v: %d puts, want exactly one", obs, got-puts-int64(i))
+		}
+		if _, v, _ := s.LoadVersioned(key); v != base+uint64(i+1) {
+			t.Fatalf("merge %v: version %d, want %d", obs, v, base+uint64(i+1))
+		}
+	}
+	v := s.LoadFuncVerdicts("fhash", "check")
+	if !v["q1"] || !v["q2"] || v["q3"] || len(v) != 3 {
+		t.Fatalf("set = %v, want q1 and q2 convicted, q3 seen", v)
 	}
 }
 

@@ -4,11 +4,12 @@ package diskcache
 //
 // Immutable artifacts (objects/) are published blind — two writers of
 // the same key race benignly because either payload is a correct value
-// for the key, and the last rename wins. Mutable shared state (campaign verdict records, fleet
-// bookkeeping) has no such luck: a read-merge-write from two processes
-// loses one side's update. Versioned entries close that hole with the
-// optimistic compare-and-update discipline: read the current version,
-// recompute, publish as version+1, retry on conflict.
+// for the key, and the last rename wins. Mutable shared state (the
+// per-function verdict sets, the warehouse manifest) has no such luck:
+// a read-merge-write from two processes loses one side's update.
+// Versioned entries close that hole with the optimistic
+// compare-and-update discipline: read the current version, recompute,
+// publish as version+1, retry on conflict.
 //
 // Each version is its own entry file, versioned/xx/<key>.<%016x v>,
 // self-checked like every other entry. Publishing uses link(2) from a
@@ -23,8 +24,11 @@ package diskcache
 // erase every update since (the ABA hazard). A tombstone keeps the slot
 // pinned — any stale link hits EEXIST — while releasing the payload
 // bytes. Tombstones cost one empty directory entry per superseded
-// version; the store's mutable records see modest update counts, so the
-// growth is negligible next to the artifact payloads.
+// version. That growth stays negligible next to the artifact payloads
+// because every mutable record here publishes only when its content
+// changes: a function's verdict set when it gains a descriptor or a
+// conviction, the warehouse manifest when it gains a record. A reprobe
+// of an unchanged program publishes no version at all.
 
 import (
 	"errors"
@@ -112,8 +116,16 @@ func (s *Store) LoadVersioned(key string) (payload []byte, version uint64, ok bo
 			s.misses.Add(1)
 			return nil, newest.v, false
 		}
-		data, err := os.ReadFile(s.versionedPath(key, newest.v))
-		if err != nil || len(data) == 0 {
+		path := s.versionedPath(key, newest.v)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			// Unreadable (a directory in the slot, EIO, EACCES): a miss
+			// at this version, so the next publish supersedes the slot.
+			// A rescan would pick the same slot again, forever.
+			s.misses.Add(1)
+			return nil, newest.v, false
+		}
+		if len(data) == 0 {
 			// Tombstoned between scan and read: rescan settles on the
 			// newer version the pruning writer published.
 			continue
@@ -121,12 +133,14 @@ func (s *Store) LoadVersioned(key string) (payload []byte, version uint64, ok bo
 		p, derr := decodeEntry(data, versionedEntryKey(key, newest.v))
 		if derr != nil {
 			// Corrupt: tombstone it (removal would unpin the slot) and
-			// rescan. A torn concurrent publish is impossible — link(2)
-			// only ever exposes complete staged files — so this is real
+			// miss at its version, whether or not the truncate worked.
+			// A torn concurrent publish is impossible — link(2) only
+			// ever exposes complete staged files — so this is real
 			// damage, and the record restarts one version later.
 			s.corrupt.Add(1)
-			_ = os.Truncate(s.versionedPath(key, newest.v), 0)
-			continue
+			s.misses.Add(1)
+			_ = os.Truncate(path, 0)
+			return nil, newest.v, false
 		}
 		s.hits.Add(1)
 		return p, newest.v, true

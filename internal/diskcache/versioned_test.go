@@ -7,6 +7,7 @@ import (
 	"os"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestVersionedRoundtrip(t *testing.T) {
@@ -174,7 +175,10 @@ func TestUpdateVersionedConflictStorm(t *testing.T) {
 }
 
 // MergeFuncVerdicts rides the same CAS loop: concurrent merges from
-// two handles must not lose counts.
+// two handles must not lose descriptors. Each writer adds descriptors
+// of its own on every iteration, so every merge publishes, and one
+// descriptor both writers share ends convicted once either convicts
+// it.
 func TestMergeFuncVerdictsConcurrent(t *testing.T) {
 	dir := t.TempDir()
 	s1, err := Open(dir)
@@ -187,18 +191,75 @@ func TestMergeFuncVerdictsConcurrent(t *testing.T) {
 	}
 	const iters = 20
 	var wg sync.WaitGroup
-	for _, s := range []*Store{s1, s2} {
+	for w, s := range []*Store{s1, s2} {
 		wg.Add(1)
-		go func(s *Store) {
+		go func(w int, s *Store) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				s.MergeFuncVerdicts("fhash", "check", map[string]bool{"q1": true, "q2": false})
+				s.MergeFuncVerdicts("fhash", "check", map[string]bool{
+					fmt.Sprintf("w%d-ok-%d", w, i):  true,
+					fmt.Sprintf("w%d-bad-%d", w, i): false,
+					"shared":                        i != w,
+				})
 			}
-		}(s)
+		}(w, s)
 	}
 	wg.Wait()
 	v := s1.LoadFuncVerdicts("fhash", "check")
-	if v["q1"].Optimistic != 2*iters || v["q2"].Pessimistic != 2*iters {
-		t.Fatalf("lost verdict updates: %+v", v)
+	if want := 2*2*iters + 1; len(v) != want {
+		t.Fatalf("lost verdict updates: %d descriptors, want %d", len(v), want)
+	}
+	for w := 0; w < 2; w++ {
+		for i := 0; i < iters; i++ {
+			if convicted, seen := v[fmt.Sprintf("w%d-ok-%d", w, i)]; !seen || convicted {
+				t.Fatalf("writer %d iteration %d: survivor %v, %v", w, i, convicted, seen)
+			}
+			if !v[fmt.Sprintf("w%d-bad-%d", w, i)] {
+				t.Fatalf("writer %d iteration %d: conviction lost", w, i)
+			}
+		}
+	}
+	if !v["shared"] {
+		t.Fatal("shared descriptor lost its conviction")
+	}
+}
+
+// A newest slot that cannot be read (here a directory in its place)
+// reads as a miss at its version, and the next publish supersedes it.
+// A rescan would pick the same slot again and never return.
+func TestVersionedUnreadableSlotMisses(t *testing.T) {
+	s := open(t)
+	key := Key("state", "unreadable")
+	if err := s.CompareAndUpdate(key, 0, []byte("good")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(s.versionedPath(key, 2), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	type load struct {
+		v  uint64
+		ok bool
+	}
+	done := make(chan load, 1)
+	go func() {
+		_, v, ok := s.LoadVersioned(key)
+		done <- load{v, ok}
+	}()
+	select {
+	case got := <-done:
+		if got.ok || got.v != 2 {
+			t.Fatalf("unreadable newest: version %d, ok=%v; want a miss at 2", got.v, got.ok)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("LoadVersioned did not return on an unreadable slot")
+	}
+	if err := s.UpdateVersioned(key, 0, func(old []byte) ([]byte, error) {
+		return []byte("recovered"), nil
+	}); err != nil {
+		t.Fatalf("publish over an unreadable slot: %v", err)
+	}
+	got, v, ok := s.LoadVersioned(key)
+	if !ok || v != 3 || string(got) != "recovered" {
+		t.Fatalf("after publish: %q, %d, %v", got, v, ok)
 	}
 }

@@ -18,13 +18,16 @@ import (
 //     sequence. Reprobing an unchanged program replays every test from
 //     disk without compiling or running anything.
 //
-//   - Per-query verdicts, keyed by the *function* content hash and a
-//     stable query descriptor (pass + function + both location dumps +
-//     occurrence index — deliberately not the sequence position, which
-//     shifts with edits). Functions untouched by an edit keep their
-//     hash, so their verdicts transfer to the next campaign. The
-//     convictions among them that the new query stream still asks are
-//     the hint: a set of descriptors, not of positions. seededSolve
+//   - Per-query verdicts, keyed by the *function* content hash: a set
+//     of stable query descriptors (pass + function + both location
+//     dumps + occurrence index — deliberately not the sequence
+//     position, which shifts with edits), each marked with whether any
+//     campaign convicted it. The set only grows, and a merge that adds
+//     nothing publishes nothing, so an unchanged reprobe writes no
+//     verdict. Functions untouched by an edit keep their hash, so
+//     their verdicts transfer to the next campaign. The convictions
+//     among them that the new query stream still asks are the hint: a
+//     set of descriptors, not of positions. seededSolve
 //     places it on a compile's own query records and tests the
 //     candidate that placement gives, which settles a small edit in
 //     one test. A candidate that fails is compiled live and the hint
@@ -113,12 +116,12 @@ func (st *state) loadHint() {
 			fv = st.spec.Cache.LoadFuncVerdicts(fh, st.checkID)
 			byHash[fh] = fv
 		}
-		c := fv[descs[i].key]
-		if c.Optimistic+c.Pessimistic == 0 {
+		convicted, seen := fv[descs[i].key]
+		if !seen {
 			continue
 		}
 		// Ever convicted -> hinted pessimistic (conservative).
-		if c.Pessimistic > 0 {
+		if convicted {
 			hint[descs[i].key] = true
 			hintAt = append(hintAt, rec.Index)
 		}
@@ -134,9 +137,11 @@ func (st *state) loadHint() {
 		st.spec.Name, matched, len(recs), len(hint))
 }
 
-// persistVerdicts records the final verified compilation's per-query
-// verdicts under the owning functions' content hashes; descs renders
-// recs, the final compile's records.
+// persistVerdicts adds the final verified compilation's per-query
+// verdicts to the sets of the owning functions' content hashes; descs
+// renders recs, the final compile's records. A function whose set
+// already holds every descriptor, with every conviction, gets no new
+// version.
 func (st *state) persistVerdicts(recs []*oraql.QueryRecord, descs []queryDesc) {
 	if st.spec.Cache == nil || st.checkID == "" || st.res.Baseline == nil {
 		return

@@ -261,10 +261,12 @@ func RecordID(r *Record) (string, error) {
 
 // Ingest persists a record and registers it in the manifest. The
 // operation is idempotent and safe under racing processes sharing the
-// cache directory: the record blob is published blind (identical
-// content by construction), and the manifest insert runs under the
-// CAS retry loop with set semantics — added reports whether THIS call
-// introduced the record.
+// cache directory: the record blob is written only when the store
+// holds no valid copy of it (racing writers publish identical content
+// by construction), and the manifest insert runs under the CAS retry
+// loop with set semantics — added reports whether THIS call introduced
+// the record. Re-ingesting a filed record writes nothing; a deleted
+// blob is written again, and a reset manifest re-learns the ID.
 func (s *Store) Ingest(r *Record) (id string, added bool, err error) {
 	if r.Kind == "" {
 		return "", false, fmt.Errorf("warehouse: record without kind")
@@ -274,7 +276,9 @@ func (s *Store) Ingest(r *Record) (id string, added bool, err error) {
 		return "", false, fmt.Errorf("warehouse: encode record: %w", err)
 	}
 	id = diskcache.HashText(string(data))
-	s.d.Put(recordKey(id), data)
+	if _, ok := s.d.Get(recordKey(id)); !ok {
+		s.d.Put(recordKey(id), data)
+	}
 
 	err = s.d.UpdateVersioned(manifestKey(), 0, func(old []byte) ([]byte, error) {
 		m := decodeManifest(old)

@@ -3,6 +3,8 @@ package warehouse
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -45,6 +47,7 @@ func TestIngestIdempotent(t *testing.T) {
 	if !added {
 		t.Fatal("first ingest of a record must report added")
 	}
+	puts := w.d.Counters().Puts
 	id2, added, err := w.Ingest(probeRecord("app-a", 1))
 	if err != nil {
 		t.Fatal(err)
@@ -55,6 +58,9 @@ func TestIngestIdempotent(t *testing.T) {
 	if id1 != id2 {
 		t.Fatalf("equal findings got different IDs: %s vs %s", id1, id2)
 	}
+	if got := w.d.Counters().Puts; got != puts {
+		t.Fatalf("re-ingesting a filed record made %d puts, want 0", got-puts)
+	}
 	if n := w.Load().Len(); n != 1 {
 		t.Fatalf("corpus has %d records after duplicate ingest, want 1", n)
 	}
@@ -64,6 +70,23 @@ func TestIngestIdempotent(t *testing.T) {
 	}
 	if len(got.Queries) != 3 || got.App != "app-a" {
 		t.Fatalf("record round-trip mangled: %+v", got)
+	}
+
+	// A record whose blob was deleted is written again; the manifest,
+	// which still lists it, is left as it is.
+	key := recordKey(id1)
+	if err := os.Remove(filepath.Join(w.d.Dir(), "objects", key[:2], key)); err != nil {
+		t.Fatal(err)
+	}
+	puts = w.d.Counters().Puts
+	if _, added, err := w.Ingest(probeRecord("app-a", 1)); err != nil || added {
+		t.Fatalf("re-ingest after blob loss: added=%v, err=%v", added, err)
+	}
+	if got := w.d.Counters().Puts; got != puts+1 {
+		t.Fatalf("re-ingest after blob loss made %d puts, want 1 (the blob)", got-puts)
+	}
+	if _, ok := w.Load().Record(id1); !ok {
+		t.Fatal("deleted record blob was not written again")
 	}
 }
 

@@ -2,6 +2,10 @@ package goraql
 
 import (
 	"fmt"
+	"io/fs"
+	"maps"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -78,6 +82,91 @@ func TestSeededReprobeOfEditedApp(t *testing.T) {
 			}
 		})
 	}
+}
+
+// A reprobe of an unchanged program writes nothing to its store: its
+// test outcomes, runs and TU artifacts are there already, the verdict
+// sets hold every descriptor with every conviction, and the warehouse
+// holds its record. Each reprobe opens the store afresh, as a new
+// process would, and must end as its seeding campaign did.
+func TestUnchangedReprobeWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	probe := func(cfg *apps.Config, store *diskcache.Store) *driver.Result {
+		t.Helper()
+		spec := cfg.Spec()
+		spec.Strategy = driver.Chunked
+		spec.Workers = 1
+		spec.Cache = store
+		res, err := driver.Probe(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", cfg.ID, err)
+		}
+		return res
+	}
+	open := func() *diskcache.Store {
+		t.Helper()
+		store, err := diskcache.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return store
+	}
+	seedStore := open()
+	seeded := map[string]*driver.Result{}
+	for _, cfg := range apps.All() {
+		seeded[cfg.ID] = probe(cfg, seedStore)
+	}
+	files := storeFiles(t, dir)
+	for _, cfg := range apps.All() {
+		store := open()
+		res := probe(cfg, store)
+		if c := store.Counters(); c.Puts != 0 || c.PutErrors != 0 {
+			t.Errorf("%s: unchanged reprobe made %d puts and %d put errors, want none", cfg.ID, c.Puts, c.PutErrors)
+		}
+		if got := storeFiles(t, dir); !maps.Equal(got, files) {
+			t.Errorf("%s: unchanged reprobe changed the store's files (%d before, %d after)", cfg.ID, len(files), len(got))
+			files = got
+		}
+		want := seeded[cfg.ID]
+		if r, s := res.FinalSeq.String(), want.FinalSeq.String(); r != s {
+			t.Errorf("%s: FinalSeq differs:\n reprobe %s\n seeding %s", cfg.ID, r, s)
+		}
+		if r, s := convictions(res), convictions(want); fmt.Sprint(r) != fmt.Sprint(s) {
+			t.Errorf("%s: convictions differ:\n reprobe %v\n seeding %v", cfg.ID, r, s)
+		}
+	}
+}
+
+// storeFiles maps each file of a store outside tmp/ to the hash of its
+// bytes.
+func storeFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if rel == "tmp" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		files[rel] = diskcache.HashText(string(data))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }
 
 // convictions lists a campaign's guilty queries as sorted

@@ -10,6 +10,10 @@
 #     warm sweep must be at least 5x faster than the median cold one
 #     (a single warm sweep takes tens of milliseconds, so one pair of
 #     timings can miss the floor on noise alone);
+#   - the unchanged reprobe: a second process probes the same program
+#     against the first probe's -cache-dir, every file of the store
+#     outside tmp/ must keep its name and its sha256sum, and the second
+#     probe must convict the same queries as the first;
 #   - the edited-program reprobe: a probe campaign persists its state,
 #     the program is edited (a helper appended after main), and the
 #     seeded reprobe must use strictly fewer compiles than probing the
@@ -105,6 +109,32 @@ EOF
 pcache="$tmp/probe-cache"
 (cd "$tmp/v1" && "$tmp/oraql" probe -file hello.mc -cache-dir "$pcache" -json) \
 	> "$tmp/probe_first.json" 2> /dev/null
+
+# An unchanged reprobe writes nothing: every file outside tmp/ keeps
+# its name and its bytes.
+store_sums() { (cd "$pcache" && find . -path ./tmp -prune -o -type f -print | sort | xargs sha256sum); }
+store_sums > "$tmp/store_before.sums"
+(cd "$tmp/v1" && "$tmp/oraql" probe -file hello.mc -cache-dir "$pcache" -json) \
+	> "$tmp/probe_again.json" 2> /dev/null
+store_sums > "$tmp/store_after.sums"
+store_files=$(wc -l < "$tmp/store_before.sums")
+# A file counts once whether it was added, removed or rewritten.
+changed_files=$(awk '{ sum[$2] = sum[$2] "|" $1 } END {
+	n = 0
+	for (f in sum) if (split(sum[f], s, "|") != 3 || s[2] != s[3]) n++
+	print n
+}' "$tmp/store_before.sums" "$tmp/store_after.sums")
+[ "$changed_files" -eq 0 ] ||
+	fail "unchanged reprobe changed $changed_files of the store's $store_files files"
+
+# Conviction sets compare the guilty queries' stable descriptors (pass,
+# function, both location dumps) — indices may differ.
+verdicts() { grep -E '"(pass|func|a|b)":' "$1" | sort; }
+verdicts "$tmp/probe_first.json" > "$tmp/first.verdicts"
+verdicts "$tmp/probe_again.json" > "$tmp/again.verdicts"
+cmp -s "$tmp/first.verdicts" "$tmp/again.verdicts" ||
+	fail "unchanged reprobe convicted different queries than the first probe"
+
 (cd "$tmp/v2" && "$tmp/oraql" probe -file hello.mc -json) \
 	> "$tmp/probe_scratch.json" 2> /dev/null
 (cd "$tmp/v2" && "$tmp/oraql" probe -file hello.mc -cache-dir "$pcache" -json) \
@@ -118,9 +148,7 @@ seeded_disk=$(probe_num "$tmp/probe_seeded.json" tests_disk)
 [ "$seeded_compiles" -lt "$scratch_compiles" ] ||
 	fail "seeded reprobe took $seeded_compiles compiles, scratch $scratch_compiles (want strictly fewer)"
 
-# Same conviction set: compare the guilty queries' stable descriptors
-# (pass, function, both location dumps) — indices may differ.
-verdicts() { grep -E '"(pass|func|a|b)":' "$1" | sort; }
+# Same conviction set as scratch.
 verdicts "$tmp/probe_scratch.json" > "$tmp/scratch.verdicts"
 verdicts "$tmp/probe_seeded.json" > "$tmp/seeded.verdicts"
 cmp -s "$tmp/scratch.verdicts" "$tmp/seeded.verdicts" ||
@@ -172,6 +200,10 @@ cat > "$out" <<EOF
     "speedup": $speedup,
     "warm_disk_hits": $warm_hits,
     "exe_hashes_identical": true
+  },
+  "reprobe_unchanged": {
+    "store_files": $store_files,
+    "changed_files": $changed_files
   },
   "reprobe": {
     "scratch_compiles": $scratch_compiles,
