@@ -63,9 +63,9 @@ bench-cluster:
 # bench-warehouse records BENCH_warehouse.json and doubles as the CI
 # warehouse smoke: 500-finding ingest throughput with idempotent
 # re-ingest, two racing ingest processes over one shared directory
-# (exactly one record per unique finding), query latency with
-# byte-identical answers, and the scripted forensics campaign's
-# cross-worker byte-identity.
+# (exactly one record per unique finding, filed by exactly one of
+# them), query latency with byte-identical answers, and the scripted
+# forensics campaign's cross-worker byte-identity.
 bench-warehouse:
 	scripts/bench_warehouse.sh
 
@@ -76,9 +76,11 @@ warehouse-smoke:
 
 # cluster-smoke runs the in-process cluster/batch/retry suites under
 # the race detector: shared-directory fleets (one compile per key,
-# racing publishes), batch dedup, and the client retry policy.
+# racing publishes), batch dedup, and the client retry policy; then the
+# store's grow-only set races 10 times.
 cluster-smoke:
 	$(GO) test -race -count=1 -run 'Cluster|Batch|Retry' ./internal/service/...
+	$(GO) test -race -count=10 -run 'Set|MergeFuncVerdicts|GCRaces' ./internal/diskcache/
 
 # serve-smoke mirrors the CI serve job: build the server, drive every
 # endpoint with the checked-in example, assert the cache hit on
@@ -97,7 +99,8 @@ campaign-smoke:
 
 # fuzz-smoke mirrors the CI fuzz job: a 200-program differential
 # campaign, the fault-injection triage self-test, and 30s of each
-# native fuzz target, the compile-session one included.
+# native fuzz target, the compile-session and persisted-state ones
+# included.
 fuzz-smoke:
 	$(GO) run ./cmd/oraql-fuzz -n 200 -seed 1 -v
 	$(GO) run ./cmd/oraql-fuzz -inject -n 10 -seed 1 -v
@@ -105,6 +108,8 @@ fuzz-smoke:
 	$(GO) test ./internal/irtext -fuzz FuzzParseNoPanic -fuzztime 30s -run '^$$'
 	$(GO) test ./internal/difftest -fuzz FuzzDifferential -fuzztime 30s -run '^$$'
 	$(GO) test ./internal/pipeline -fuzz FuzzSessionMatchesCold -fuzztime 30s -run '^$$'
+	$(GO) test ./internal/diskcache -fuzz FuzzDecodeEntry -fuzztime 30s -run '^$$'
+	$(GO) test ./internal/warehouse -fuzz FuzzSetMemberPayloads -fuzztime 30s -run '^$$'
 
 # fuzz runs an open-ended differential campaign; tune N/SEED/ARGS.
 N ?= 1000

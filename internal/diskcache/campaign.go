@@ -1,9 +1,6 @@
 package diskcache
 
-import (
-	"encoding/json"
-	"errors"
-)
+import "encoding/json"
 
 // Campaign state: the probe driver persists two artifact families so a
 // later process (or a reprobe of an edited program) can skip work.
@@ -17,8 +14,9 @@ import (
 //     stable descriptor, not a sequence index), each marked with
 //     whether any campaign convicted it. Functions untouched by an
 //     edit keep their hash, so their verdicts seed the next bisection.
-//     The set only grows, so a campaign that learned nothing new
-//     publishes nothing.
+//     It is a grow-only set (set.go): each member holds what one
+//     campaign learned, and a campaign that learned nothing new adds
+//     nothing.
 
 // TestOutcome is one persisted probe-test result.
 type TestOutcome struct {
@@ -66,59 +64,59 @@ type VerdictCounts struct {
 // campaign saw, mapped to whether any campaign ever convicted it.
 type FuncVerdicts map[string]bool
 
-// funcVerdictsKey: one entry per (function content, campaign check).
-// Its domain is "verdict-set", not the "verdicts" of the older
-// per-descriptor tallies, so a tally entry, which would decode only in
-// part, reads as a miss.
+// funcVerdictsKey names one set per (function content, campaign
+// check).
 func funcVerdictsKey(funcHash, checkID string) string {
 	return Key("verdict-set", funcHash, checkID)
 }
 
-// LoadFuncVerdicts fetches the verdict set for one function content
-// hash (nil when none recorded).
+// LoadFuncVerdicts returns the verdict set for one function content
+// hash, the union of its members (nil when none recorded). A
+// descriptor is convicted when any member convicts it; a member that
+// does not decode is skipped.
 func (s *Store) LoadFuncVerdicts(funcHash, checkID string) FuncVerdicts {
-	data, _, ok := s.LoadVersioned(funcVerdictsKey(funcHash, checkID))
-	if !ok {
-		return nil
-	}
 	var v FuncVerdicts
-	if json.Unmarshal(data, &v) != nil {
-		return nil
+	for _, data := range s.SetMembers(funcVerdictsKey(funcHash, checkID)) {
+		var m FuncVerdicts
+		if json.Unmarshal(data, &m) != nil {
+			continue
+		}
+		if v == nil {
+			v = FuncVerdicts{}
+		}
+		for desc, convicted := range m {
+			v[desc] = v[desc] || convicted
+		}
 	}
 	return v
 }
 
-// errNoNews aborts a verdict merge that would publish the set it read.
-var errNoNews = errors.New("diskcache: verdict set unchanged")
-
 // MergeFuncVerdicts folds one campaign's observations (descriptor →
-// optimistic-survived) into the persisted set through the
-// version-checked compare-and-update loop, so concurrent campaigns
-// (same process, sibling serve instances, separate CLI runs) never
-// lose each other's descriptors. It publishes a version only when a
-// descriptor is new or a seen one is convicted for the first time.
+// optimistic-survived) into the persisted set. It adds one member that
+// holds only the news, the descriptors the set lacks and the first
+// convictions of ones it has, named by the hash of its JSON, and
+// nothing when there is no news. Concurrent campaigns (same process,
+// sibling serve instances, separate CLI runs) each add their own
+// member, so none loses another's descriptors.
 func (s *Store) MergeFuncVerdicts(funcHash, checkID string, obs map[string]bool) {
 	if len(obs) == 0 {
 		return
 	}
-	// An exhausted retry budget (pathological conflict storm or an I/O
-	// fault) only costs hint quality, never correctness — drop it.
-	_ = s.UpdateVersioned(funcVerdictsKey(funcHash, checkID), 0, func(old []byte) ([]byte, error) {
-		var v FuncVerdicts
-		if old == nil || json.Unmarshal(old, &v) != nil || v == nil {
-			v = FuncVerdicts{} // absent or damaged: start from this campaign
+	have := s.LoadFuncVerdicts(funcHash, checkID)
+	news := FuncVerdicts{}
+	for desc, optimistic := range obs {
+		convicted, seen := have[desc]
+		if !seen || (!optimistic && !convicted) {
+			news[desc] = !optimistic
 		}
-		grew := false
-		for desc, optimistic := range obs {
-			convicted, seen := v[desc]
-			if !seen || (!optimistic && !convicted) {
-				v[desc] = convicted || !optimistic
-				grew = true
-			}
-		}
-		if !grew {
-			return nil, errNoNews
-		}
-		return json.Marshal(v)
-	})
+	}
+	if len(news) == 0 {
+		return
+	}
+	data, err := json.Marshal(news)
+	if err != nil {
+		return
+	}
+	// A failed add only costs hint quality, never correctness.
+	_, _ = s.AddToSet(funcVerdictsKey(funcHash, checkID), HashText(string(data)), data)
 }

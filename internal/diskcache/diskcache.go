@@ -18,10 +18,15 @@
 // key differ in their timing fields), but either way every reader sees
 // one complete entry.
 //
-// GC is size-capped and mtime-driven: reads refresh an entry's mtime,
-// and when the store grows past its budget the oldest entries are
-// evicted until usage drops below a low-water mark, so hot entries
-// survive pressure.
+// Artifacts live under objects/xx/<key>. State that only grows (a
+// function's verdict set, the warehouse index) lives under
+// sets/xx/<key>/<name> as grow-only sets of members that are never
+// rewritten (set.go).
+//
+// GC is size-capped and mtime-driven: reads refresh an entry's or a
+// member's mtime, and when the store grows past its budget the oldest
+// files are removed until usage drops below a low-water mark, so hot
+// entries survive pressure.
 package diskcache
 
 import (
@@ -32,7 +37,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,13 +66,12 @@ const gcLowWater = 0.85
 
 // Counters is a snapshot of the store's activity since Open.
 type Counters struct {
-	Hits         int64 // Get found a valid entry
-	Misses       int64 // Get found nothing
-	Corrupt      int64 // Get found a torn/truncated/foreign entry (counted as a miss too)
-	Puts         int64 // entries published
-	PutErrors    int64 // publishes that failed (I/O errors; non-fatal)
-	Evictions    int64 // entries removed by GC
-	CASConflicts int64 // CompareAndUpdate attempts another writer beat
+	Hits      int64 // Get found a valid entry, or SetMembers a readable member
+	Misses    int64 // Get or SetMembers found nothing
+	Corrupt   int64 // torn/truncated/foreign entries or members found (counted as a miss too)
+	Puts      int64 // entries and set members published
+	PutErrors int64 // publishes that failed (I/O errors; non-fatal)
+	Evictions int64 // files removed by GC
 }
 
 // Store is one open handle on a cache directory. It is safe for
@@ -81,7 +84,6 @@ type Store struct {
 	hits, misses, corrupt atomic.Int64
 	puts, putErrors       atomic.Int64
 	evictions             atomic.Int64
-	casConflicts          atomic.Int64
 
 	// written accumulates bytes published since the last GC sweep;
 	// gcMu serializes sweeps within this process.
@@ -107,7 +109,7 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	for _, o := range opts {
 		o(s)
 	}
-	for _, sub := range []string{"objects", "tmp"} {
+	for _, sub := range []string{"objects", "sets", "tmp"} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			return nil, fmt.Errorf("diskcache: open %s: %w", dir, err)
 		}
@@ -157,30 +159,44 @@ func (s *Store) Put(key string, payload []byte) {
 		s.putErrors.Add(1)
 		return
 	}
+	s.published(len(data))
+}
+
+// published counts one publish of n bytes and sweeps once enough bytes
+// have been written since the last sweep.
+func (s *Store) published(n int) {
 	s.puts.Add(1)
-	if s.written.Add(int64(len(data))) >= gcCheckEvery {
+	if s.written.Add(int64(n)) >= gcCheckEvery {
 		s.written.Store(0)
 		s.gc()
 	}
 }
 
-func (s *Store) writeAtomic(key string, data []byte) error {
-	dir := filepath.Dir(s.path(key))
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
+// stage writes data to a fresh file under tmp/ and returns its path.
+func (s *Store) stage(data []byte) (string, error) {
 	tmp, err := os.CreateTemp(filepath.Join(s.dir, "tmp"), "put-*")
 	if err != nil {
-		return err
+		return "", err
 	}
 	name := tmp.Name()
 	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		os.Remove(name)
-		return err
+		return "", err
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(name)
+		return "", err
+	}
+	return name, nil
+}
+
+func (s *Store) writeAtomic(key string, data []byte) error {
+	if err := os.MkdirAll(filepath.Dir(s.path(key)), 0o755); err != nil {
+		return err
+	}
+	name, err := s.stage(data)
+	if err != nil {
 		return err
 	}
 	// rename is atomic within one filesystem (tmp/ and objects/ share
@@ -198,18 +214,18 @@ func (s *Store) writeAtomic(key string, data []byte) error {
 // Counters returns a snapshot of the store's activity counters.
 func (s *Store) Counters() Counters {
 	return Counters{
-		Hits:         s.hits.Load(),
-		Misses:       s.misses.Load(),
-		Corrupt:      s.corrupt.Load(),
-		Puts:         s.puts.Load(),
-		PutErrors:    s.putErrors.Load(),
-		Evictions:    s.evictions.Load(),
-		CASConflicts: s.casConflicts.Load(),
+		Hits:      s.hits.Load(),
+		Misses:    s.misses.Load(),
+		Corrupt:   s.corrupt.Load(),
+		Puts:      s.puts.Load(),
+		PutErrors: s.putErrors.Load(),
+		Evictions: s.evictions.Load(),
 	}
 }
 
-// Usage walks the store and returns its live entry count and byte
-// total. It is O(entries); callers on hot paths should throttle.
+// Usage walks the store and returns its live file count (entries and
+// set members) and byte total. It is O(files); callers on hot paths
+// should throttle.
 func (s *Store) Usage() (entries int, bytes int64) {
 	for _, e := range s.scan() {
 		entries++
@@ -226,7 +242,7 @@ type scanEntry struct {
 
 func (s *Store) scan() []scanEntry {
 	var out []scanEntry
-	for _, root := range []string{"objects", "versioned"} {
+	for _, root := range []string{"objects", "sets"} {
 		_ = filepath.Walk(filepath.Join(s.dir, root), func(path string, info os.FileInfo, err error) error {
 			if err != nil || info == nil || info.IsDir() {
 				return nil // entries may vanish mid-walk; skip and continue
@@ -238,9 +254,9 @@ func (s *Store) scan() []scanEntry {
 	return out
 }
 
-// gc evicts oldest-first until usage is under the low-water mark.
-// Concurrent sweeps from other processes race benignly: removing an
-// already-removed entry is a no-op.
+// gc removes files oldest-first, entries and set members alike, until
+// usage is under the low-water mark. Concurrent sweeps from other
+// processes race benignly: removing an already-removed file is a no-op.
 func (s *Store) gc() {
 	s.gcMu.Lock()
 	defer s.gcMu.Unlock()
@@ -254,13 +270,9 @@ func (s *Store) gc() {
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].mtime.Before(entries[j].mtime) })
 	target := int64(float64(s.maxBytes) * gcLowWater)
-	versionedRoot := filepath.Join(s.dir, "versioned") + string(filepath.Separator)
 	for _, e := range entries {
 		if total <= target {
 			break
-		}
-		if e.size == 0 {
-			continue // versioned tombstone: name-only, nothing to reclaim
 		}
 		// Re-stat before removing: the scan's mtime is stale, and a
 		// writer (this process or another sharing the directory) may
@@ -275,13 +287,7 @@ func (s *Store) gc() {
 		if st.ModTime().After(e.mtime) {
 			continue
 		}
-		// Versioned slots are truncated, not unlinked: the name pins the
-		// version against stale CAS writers (see versioned.go).
-		if strings.HasPrefix(e.path, versionedRoot) {
-			if os.Truncate(e.path, 0) == nil {
-				s.evictions.Add(1)
-			}
-		} else if os.Remove(e.path) == nil {
+		if os.Remove(e.path) == nil {
 			s.evictions.Add(1)
 		}
 		total -= e.size
@@ -330,7 +336,9 @@ func decodeEntry(data []byte, key string) ([]byte, error) {
 	off := 12 + keyLen
 	payloadLen := binary.LittleEndian.Uint64(data[off : off+8])
 	off += 8
-	if uint64(len(data)-off) != payloadLen+sha256.Size {
+	// Compare without adding to payloadLen: a corrupt length near 2^64
+	// would wrap the sum and pass.
+	if len(data)-off < sha256.Size || payloadLen != uint64(len(data)-off-sha256.Size) {
 		return nil, fmt.Errorf("truncated payload")
 	}
 	payload := data[off : off+int(payloadLen)]

@@ -100,6 +100,58 @@ func TestCorruptPayloadIsMiss(t *testing.T) {
 	}
 }
 
+// overflowEntry is an entry for key whose length field reads 2^64-22
+// with 10 bytes after it: length plus checksum size wraps to 10.
+func overflowEntry(key string) []byte {
+	data := encodeEntry(key, nil)
+	off := 12 + len(key)
+	binary.LittleEndian.PutUint64(data[off:], 1<<64-22)
+	return append(data[:off+8], make([]byte, 10)...)
+}
+
+// A corrupt length field must read as a miss, not panic the reader.
+func TestLengthOverflowIsMiss(t *testing.T) {
+	s := open(t)
+	key := Key("fn", "overflow")
+	if err := os.MkdirAll(filepath.Dir(s.path(key)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(s.path(key), overflowEntry(key), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s.Get(key); ok {
+		t.Fatalf("overflowing length served %q", got)
+	}
+	if c := s.Counters(); c.Corrupt != 1 {
+		t.Fatalf("corrupt = %d, want 1", c.Corrupt)
+	}
+}
+
+// FuzzDecodeEntry: arbitrary bytes never panic the decoder, any key
+// and payload survive an encode/decode round trip, and a byte flipped
+// anywhere in a valid entry never decodes to another payload.
+func FuzzDecodeEntry(f *testing.F) {
+	key := Key("fn", "overflow")
+	f.Add(overflowEntry(key), key, []byte("payload"), uint(0), byte(1))
+	f.Add(encodeEntry("k", []byte("p")), "k", []byte{}, uint(13), byte(0x80))
+	f.Fuzz(func(t *testing.T, data []byte, key string, payload []byte, at uint, mask byte) {
+		_, _ = decodeEntry(data, key)
+
+		enc := encodeEntry(key, payload)
+		got, err := decodeEntry(enc, key)
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("round trip: %q, %v; want %q", got, err, payload)
+		}
+		if mask == 0 {
+			mask = 1
+		}
+		enc[at%uint(len(enc))] ^= mask
+		if got, err := decodeEntry(enc, key); err == nil && !bytes.Equal(got, payload) {
+			t.Fatalf("flipped byte %d decoded to %q, want %q or an error", at%uint(len(enc)), got, payload)
+		}
+	})
+}
+
 // An entry written under a different schema version must be invisible.
 func TestSchemaBumpInvalidates(t *testing.T) {
 	s := open(t)
@@ -263,27 +315,18 @@ func TestCampaignState(t *testing.T) {
 	if s.LoadFuncVerdicts("other", "check") != nil {
 		t.Fatal("verdicts leak across function hashes")
 	}
-	// An entry of per-descriptor tallies, the older verdict format, is
-	// not read as a set.
-	tally := []byte(`{"q1":{"opt":1,"pess":0}}`)
-	if err := s.CompareAndUpdate(Key("verdicts", "fhash2", "check"), 0, tally); err != nil {
-		t.Fatal(err)
-	}
-	if v := s.LoadFuncVerdicts("fhash2", "check"); v != nil {
-		t.Fatalf("tally entry read as a verdict set: %v", v)
-	}
 }
 
-// A merge publishes a version only when the set grows: a descriptor it
-// has not seen, or the first conviction of one it has. Any other merge
+// A merge adds a member only when the set grows: a descriptor it has
+// not seen, or the first conviction of one it has. The member holds
+// only that news and is named by the hash of its JSON. Any other merge
 // writes nothing, so an unchanged reprobe leaves the store as it was.
 func TestMergeFuncVerdictsPublishesOnlyNews(t *testing.T) {
 	s := open(t)
 	key := funcVerdictsKey("fhash", "check")
 	s.MergeFuncVerdicts("fhash", "check", map[string]bool{"q1": true, "q2": false})
-	_, base, ok := s.LoadVersioned(key)
-	if !ok || base != 1 {
-		t.Fatalf("first merge: version %d, ok=%v; want 1", base, ok)
+	if n := len(s.SetMembers(key)); n != 1 {
+		t.Fatalf("first merge: %d members, want 1", n)
 	}
 	puts := s.Counters().Puts
 	for _, obs := range []map[string]bool{
@@ -297,20 +340,27 @@ func TestMergeFuncVerdictsPublishesOnlyNews(t *testing.T) {
 	if got := s.Counters().Puts; got != puts {
 		t.Fatalf("merges that add nothing made %d puts", got-puts)
 	}
-	if _, v, _ := s.LoadVersioned(key); v != base {
-		t.Fatalf("merges that add nothing moved the version %d -> %d", base, v)
+	if n := len(s.SetMembers(key)); n != 1 {
+		t.Fatalf("merges that add nothing left %d members, want 1", n)
 	}
 
-	for i, obs := range []map[string]bool{
-		{"q1": false},            // convicts a seen descriptor
-		{"q1": true, "q3": true}, // adds a new one
+	for i, c := range []struct {
+		obs  map[string]bool
+		news string
+	}{
+		{map[string]bool{"q1": false}, `{"q1":true}`},             // convicts a seen descriptor
+		{map[string]bool{"q1": true, "q3": true}, `{"q3":false}`}, // adds a new one
 	} {
-		s.MergeFuncVerdicts("fhash", "check", obs)
+		s.MergeFuncVerdicts("fhash", "check", c.obs)
 		if got := s.Counters().Puts; got != puts+int64(i+1) {
-			t.Fatalf("merge %v: %d puts, want exactly one", obs, got-puts-int64(i))
+			t.Fatalf("merge %v: %d puts, want exactly one", c.obs, got-puts-int64(i))
 		}
-		if _, v, _ := s.LoadVersioned(key); v != base+uint64(i+1) {
-			t.Fatalf("merge %v: version %d, want %d", obs, v, base+uint64(i+1))
+		m := s.SetMembers(key)
+		if len(m) != i+2 {
+			t.Fatalf("merge %v: %d members, want %d", c.obs, len(m), i+2)
+		}
+		if got := string(m[HashText(c.news)]); got != c.news {
+			t.Fatalf("merge %v: news member holds %q, want %s", c.obs, got, c.news)
 		}
 	}
 	v := s.LoadFuncVerdicts("fhash", "check")

@@ -141,7 +141,7 @@ func (st *state) loadHint() {
 // verdicts to the sets of the owning functions' content hashes; descs
 // renders recs, the final compile's records. A function whose set
 // already holds every descriptor, with every conviction, gets no new
-// version.
+// member.
 func (st *state) persistVerdicts(recs []*oraql.QueryRecord, descs []queryDesc) {
 	if st.spec.Cache == nil || st.checkID == "" || st.res.Baseline == nil {
 		return

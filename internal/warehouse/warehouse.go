@@ -8,16 +8,15 @@
 // construction: the same finding from any process lands on the same
 // address.
 //
-// A single manifest, kept as a versioned CAS entry (diskcache
-// LoadVersioned/UpdateVersioned), holds the record-ID set plus small
-// per-record summaries. Set-insert semantics under the optimistic
-// compare-and-update discipline make racing writers sharing one
-// -cache-dir converge to exactly one record per unique finding: the
-// loser of a CAS round re-reads, sees the ID already present, and
-// publishes nothing. Secondary views — by pass, query shape, function
-// hash, grammar profile — are derived deterministically from the
-// summaries at load time (see query.go), never stored, so they cannot
-// drift from the records.
+// The record index is a grow-only diskcache set (AddToSet/SetMembers):
+// one member per record, named by its ID and holding its small
+// Summary. Filing a record adds one member and rewrites nothing, and
+// link semantics make racing writers sharing one -cache-dir converge
+// to exactly one member per unique finding, with exactly one of them
+// told it added the record. Secondary views — by pass, query shape,
+// function hash, grammar profile — are derived deterministically from
+// the summaries at load time (see query.go), never stored, so they
+// cannot drift from the records.
 //
 // The package also exports compiled modules as a typed code property
 // graph (cpg.go): IR structure, CFG/dominator edges, data-flow and
@@ -27,7 +26,6 @@ package warehouse
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -145,8 +143,8 @@ func (r *Record) canonical() ([]byte, error) {
 	return json.Marshal(r)
 }
 
-// Summary is the manifest's compact view of one record: enough to
-// answer cross-campaign queries without loading record blobs.
+// Summary is the index's compact view of one record: enough to answer
+// cross-campaign queries without loading record blobs.
 type Summary struct {
 	ID        string `json:"id"`
 	Kind      string `json:"kind"`
@@ -170,11 +168,6 @@ type Summary struct {
 	ArtifactID string `json:"artifact_id,omitempty"`
 }
 
-// manifest is the versioned CAS payload: the record set.
-type manifest struct {
-	Records map[string]*Summary `json:"records"`
-}
-
 // Store is a warehouse over a shared diskcache store.
 type Store struct {
 	d *diskcache.Store
@@ -189,16 +182,13 @@ func Open(d *diskcache.Store) *Store {
 	return &Store{d: d}
 }
 
-// manifestKey is the single versioned slot holding the record set.
-func manifestKey() string { return diskcache.Key("wh-manifest") }
+// indexKey names the set that lists every filed record.
+func indexKey() string { return diskcache.Key("wh-index") }
 
 // recordKey addresses one immutable record blob.
 func recordKey(id string) string { return diskcache.Key("wh-record", id) }
 
-// errUnchanged aborts a manifest update that would publish no change.
-var errUnchanged = errors.New("warehouse: manifest unchanged")
-
-// summarize derives the manifest summary of a record.
+// summarize derives the index summary of a record.
 func summarize(id string, r *Record) *Summary {
 	s := &Summary{
 		ID: id, Kind: r.Kind, App: r.App, AAChain: r.AAChain,
@@ -259,14 +249,14 @@ func RecordID(r *Record) (string, error) {
 	return diskcache.HashText(string(data)), nil
 }
 
-// Ingest persists a record and registers it in the manifest. The
-// operation is idempotent and safe under racing processes sharing the
-// cache directory: the record blob is written only when the store
-// holds no valid copy of it (racing writers publish identical content
-// by construction), and the manifest insert runs under the CAS retry
-// loop with set semantics — added reports whether THIS call introduced
-// the record. Re-ingesting a filed record writes nothing; a deleted
-// blob is written again, and a reset manifest re-learns the ID.
+// Ingest persists a record and files it in the index. The operation is
+// idempotent and safe under racing processes sharing the cache
+// directory: the record blob is written only when the store holds no
+// valid copy of it (racing writers publish identical content by
+// construction), and the index member is named by the record ID, so
+// added reports whether THIS call filed the record. Re-ingesting a
+// filed record writes nothing; a deleted blob is written again, and a
+// record whose member was lost is filed again.
 func (s *Store) Ingest(r *Record) (id string, added bool, err error) {
 	if r.Kind == "" {
 		return "", false, fmt.Errorf("warehouse: record without kind")
@@ -279,35 +269,12 @@ func (s *Store) Ingest(r *Record) (id string, added bool, err error) {
 	if _, ok := s.d.Get(recordKey(id)); !ok {
 		s.d.Put(recordKey(id), data)
 	}
-
-	err = s.d.UpdateVersioned(manifestKey(), 0, func(old []byte) ([]byte, error) {
-		m := decodeManifest(old)
-		if _, ok := m.Records[id]; ok {
-			return nil, errUnchanged
-		}
-		m.Records[id] = summarize(id, r)
-		return json.Marshal(m)
-	})
-	if errors.Is(err, errUnchanged) {
-		return id, false, nil
-	}
+	sum, err := json.Marshal(summarize(id, r))
 	if err != nil {
-		return id, false, err
+		return id, false, fmt.Errorf("warehouse: encode summary: %w", err)
 	}
-	return id, true, nil
-}
-
-// decodeManifest tolerates an absent or damaged payload by starting
-// empty: records re-ingest idempotently, so a reset manifest heals.
-func decodeManifest(data []byte) *manifest {
-	m := &manifest{}
-	if len(data) > 0 {
-		_ = json.Unmarshal(data, m)
-	}
-	if m.Records == nil {
-		m.Records = map[string]*Summary{}
-	}
-	return m
+	added, err = s.d.AddToSet(indexKey(), id, sum)
+	return id, added, err
 }
 
 // Manifest is the loaded record set with deterministic iteration
@@ -318,17 +285,24 @@ type Manifest struct {
 	sortedIDs []string
 }
 
-// Load reads the current manifest; an empty warehouse loads as an
-// empty manifest, never an error.
+// Load reads the index; an empty warehouse loads as an empty
+// manifest, never an error. A member whose summary does not decode or
+// does not carry its own ID is skipped.
 func (s *Store) Load() *Manifest {
-	data, _, _ := s.d.LoadVersioned(manifestKey())
-	m := decodeManifest(data)
-	ids := make([]string, 0, len(m.Records))
-	for id := range m.Records {
+	byID := map[string]*Summary{}
+	for id, data := range s.d.SetMembers(indexKey()) {
+		var sum Summary
+		if json.Unmarshal(data, &sum) != nil || sum.ID != id {
+			continue
+		}
+		byID[id] = &sum
+	}
+	ids := make([]string, 0, len(byID))
+	for id := range byID {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	return &Manifest{store: s, byID: m.Records, sortedIDs: ids}
+	return &Manifest{store: s, byID: byID, sortedIDs: ids}
 }
 
 // Len is the number of registered records.

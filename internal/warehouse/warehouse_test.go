@@ -2,10 +2,12 @@ package warehouse
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/oraql/go-oraql/internal/diskcache"
@@ -72,7 +74,7 @@ func TestIngestIdempotent(t *testing.T) {
 		t.Fatalf("record round-trip mangled: %+v", got)
 	}
 
-	// A record whose blob was deleted is written again; the manifest,
+	// A record whose blob was deleted is written again; the index,
 	// which still lists it, is left as it is.
 	key := recordKey(id1)
 	if err := os.Remove(filepath.Join(w.d.Dir(), "objects", key[:2], key)); err != nil {
@@ -93,12 +95,14 @@ func TestIngestIdempotent(t *testing.T) {
 // TestRacingWriters drives many goroutines through two independent
 // store handles over one directory — the same interleavings two
 // processes sharing a -cache-dir produce — and demands exactly one
-// manifest entry per unique finding. Run under -race.
+// index member per unique finding, with exactly one of the racing
+// ingests of each reporting added. Run under -race.
 func TestRacingWriters(t *testing.T) {
 	dir := t.TempDir()
 	a, b := openStore(t, dir), openStore(t, dir)
 	const unique = 8
 	const writers = 4
+	var added [unique]atomic.Int32
 	var wg sync.WaitGroup
 	for g := 0; g < writers; g++ {
 		for _, w := range []*Store{a, b} {
@@ -106,8 +110,12 @@ func TestRacingWriters(t *testing.T) {
 			go func(w *Store) {
 				defer wg.Done()
 				for i := 0; i < unique; i++ {
-					if _, _, err := w.Ingest(probeRecord(fmt.Sprintf("app-%d", i), int64(i))); err != nil {
+					_, ok, err := w.Ingest(probeRecord(fmt.Sprintf("app-%d", i), int64(i)))
+					if err != nil {
 						t.Errorf("racing ingest: %v", err)
+					}
+					if ok {
+						added[i].Add(1)
 					}
 				}
 			}(w)
@@ -117,8 +125,12 @@ func TestRacingWriters(t *testing.T) {
 	if n := a.Load().Len(); n != unique {
 		t.Fatalf("racing writers left %d records, want exactly %d", n, unique)
 	}
-	// Count added=true across a fresh replay: every record exists, so
-	// none may be added again.
+	for i := range added {
+		if n := added[i].Load(); n != 1 {
+			t.Errorf("record %d: %d racing ingests reported added, want exactly 1", i, n)
+		}
+	}
+	// Every record exists, so none may be added again.
 	for i := 0; i < unique; i++ {
 		if _, added, _ := b.Ingest(probeRecord(fmt.Sprintf("app-%d", i), int64(i))); added {
 			t.Fatalf("record %d re-added after the race settled", i)
@@ -200,4 +212,64 @@ func TestLocClassShapes(t *testing.T) {
 			t.Errorf("Shape(%q, %q) = %q, want %q", c.a, c.b, got, c.want)
 		}
 	}
+}
+
+// FuzzSetMemberPayloads plants an arbitrary payload as a member of a
+// function's verdict set and of the warehouse index, beside members the
+// store wrote itself. Loading and merging never panic and keep every
+// descriptor and conviction of a member that decodes; the index lists
+// the planted member exactly when its summary carries its own ID.
+func FuzzSetMemberPayloads(f *testing.F) {
+	f.Add([]byte(`{"q1":true,"q2":false}`), []byte(`{"id":"planted","kind":"probe","app":"app-b","shapes":["LICM|arg|gep"]}`))
+	f.Add([]byte(`null`), []byte(`{"id":"other","kind":"fuzz"}`))
+	f.Add([]byte(`{"q1":{"opt":1,"pess":0}}`), []byte(`[]`))
+	f.Fuzz(func(t *testing.T, verdicts, summary []byte) {
+		dir := t.TempDir()
+		w := openStore(t, dir)
+		w.d.MergeFuncVerdicts("fhash", "check", map[string]bool{"seen": true})
+		// The store's only set so far is that function's verdict set.
+		sets, err := filepath.Glob(filepath.Join(dir, "sets", "*", "*"))
+		if err != nil || len(sets) != 1 {
+			t.Fatalf("verdict set directories: %v, %v", sets, err)
+		}
+		if _, err := w.d.AddToSet(filepath.Base(sets[0]), "planted", verdicts); err != nil {
+			t.Fatal(err)
+		}
+		w.d.MergeFuncVerdicts("fhash", "check", map[string]bool{"seen": false, "merged": true})
+		v := w.d.LoadFuncVerdicts("fhash", "check")
+		var want map[string]bool
+		if json.Unmarshal(verdicts, &want) == nil {
+			for desc, convicted := range want {
+				if got, seen := v[desc]; !seen || (convicted && !got) {
+					t.Fatalf("planted %q (convicted %v) loads as %v, seen %v", desc, convicted, got, seen)
+				}
+			}
+		}
+		if _, seen := v["merged"]; !seen || !v["seen"] {
+			t.Fatalf("merged descriptors lost: %v", v)
+		}
+
+		id, _, err := w.Ingest(probeRecord("app-a", 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.d.AddToSet(indexKey(), "planted", summary); err != nil {
+			t.Fatal(err)
+		}
+		m := w.Load()
+		if _, ok := m.byID[id]; !ok {
+			t.Fatal("ingested record missing from the index")
+		}
+		var sum Summary
+		own := json.Unmarshal(summary, &sum) == nil && sum.ID == "planted"
+		if _, listed := m.byID["planted"]; listed != own || m.Len() != len(m.byID) {
+			t.Fatalf("planted summary %q: listed %v, want %v", summary, listed, own)
+		}
+		for _, by := range []string{"pass", "shape", "func", "grammar"} {
+			m.Query(QueryOptions{By: by})
+		}
+		m.Stats()
+		m.ShapePriors()
+		m.DivergentSeeds("")
+	})
 }

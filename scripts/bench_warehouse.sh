@@ -7,7 +7,8 @@
 #     must add zero records (content addressing);
 #   - racing writers: two concurrent processes ingest the same 500
 #     findings into a fresh shared directory — the corpus must end up
-#     with exactly one record per unique finding;
+#     with exactly one record per unique finding, and the two
+#     processes' counts of new records must sum to 500;
 #   - query latency: recurrence queries over the 500-record corpus,
 #     answered byte-identically across repeated runs;
 #   - scripted forensics: the forensics-query.oraql campaign (two real
@@ -67,6 +68,11 @@ wait "$pid_b" || fail "racing ingest process B failed"
 race_records=$("$tmp/oraql" warehouse stats -cache-dir "$race" -json | sed -n 's/^  "records": \([0-9]*\),*$/\1/p')
 [ "$race_records" = "$n" ] ||
 	fail "racing writers left $race_records records, want exactly $n (one per unique finding)"
+new_records() { sed -n 's/^ingested [0-9]* reports: \([0-9]*\) new records,.*/\1/p' "$1"; }
+race_a=$(new_records "$tmp/race-a.out")
+race_b=$(new_records "$tmp/race-b.out")
+[ $((${race_a:-0} + ${race_b:-0})) -eq "$n" ] ||
+	fail "racing processes reported $race_a + $race_b new records, want $n in all (exactly one added per finding)"
 
 # --- Leg 3: query latency + byte-identical answers. ------------------
 t0=$(now_ms)
