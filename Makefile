@@ -77,10 +77,12 @@ warehouse-smoke:
 # cluster-smoke runs the in-process cluster/batch/retry suites under
 # the race detector: shared-directory fleets (one compile per key,
 # racing publishes), batch dedup, and the client retry policy; then the
-# store's grow-only set races 10 times.
+# store's grow-only set races and concurrent campaigns of one program
+# over one directory, 10 times each.
 cluster-smoke:
 	$(GO) test -race -count=1 -run 'Cluster|Batch|Retry' ./internal/service/...
 	$(GO) test -race -count=10 -run 'Set|MergeFuncVerdicts|GCRaces' ./internal/diskcache/
+	$(GO) test -race -count=10 -run TestConcurrentCampaignsLoseNothing ./internal/driver
 
 # serve-smoke mirrors the CI serve job: build the server, drive every
 # endpoint with the checked-in example, assert the cache hit on
@@ -110,6 +112,7 @@ fuzz-smoke:
 	$(GO) test ./internal/pipeline -fuzz FuzzSessionMatchesCold -fuzztime 30s -run '^$$'
 	$(GO) test ./internal/diskcache -fuzz FuzzDecodeEntry -fuzztime 30s -run '^$$'
 	$(GO) test ./internal/warehouse -fuzz FuzzSetMemberPayloads -fuzztime 30s -run '^$$'
+	$(GO) test ./internal/driver -fuzz FuzzCampaignSetMembers -fuzztime 30s -run '^$$'
 
 # fuzz runs an open-ended differential campaign; tune N/SEED/ARGS.
 N ?= 1000

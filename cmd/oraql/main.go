@@ -34,7 +34,6 @@ import (
 	"github.com/oraql/go-oraql/internal/driver"
 	"github.com/oraql/go-oraql/internal/irinterp"
 	"github.com/oraql/go-oraql/internal/minic"
-	"github.com/oraql/go-oraql/internal/oraql"
 	"github.com/oraql/go-oraql/internal/pipeline"
 	"github.com/oraql/go-oraql/internal/report"
 	"github.com/oraql/go-oraql/internal/service"
@@ -159,7 +158,7 @@ func parseProbeArgs(args []string) (*probeArgs, error) {
 	fs.BoolVar(&pa.views, "views", false, "Kokkos/Thrust-style boxed heap arrays for -file")
 	fs.StringVar(&pa.target, "target", "", "-opt-aa-target substring (restrict ORAQL to a target)")
 	fs.StringVar(&pa.strategy, "strategy", "chunked", "bisection strategy by registered name (`oraql list -strategies`)")
-	fs.IntVar(&pa.workers, "j", 0, "probing worker pool size (0 = NumCPU, 1 = sequential)")
+	fs.IntVar(&pa.workers, "j", 0, "probing workers: above 1, one speculative test beside the consumed one (0 = NumCPU, 1 = sequential)")
 	fs.BoolVar(&pa.noCache, "no-exe-cache", false, "disable the executable-hash test cache")
 	fs.StringVar(&pa.cacheDir, "cache-dir", "", "persistent cache directory: compile artifacts and campaign state survive across processes (local mode only)")
 	fs.IntVar(&pa.ranks, "ranks", 1, "simulated MPI ranks")
@@ -208,8 +207,7 @@ func (pa *probeArgs) spec() (*driver.BenchSpec, error) {
 				Source: pa.source, SourceFile: pa.file,
 				Frontend: minic.Options{Dialect: d, Model: m, Views: pa.views},
 			},
-			Run:   irinterp.Options{NumRanks: pa.ranks},
-			ORAQL: oraql.Options{Target: pa.target},
+			Run: irinterp.Options{NumRanks: pa.ranks},
 		}
 	} else {
 		cfg := apps.ByID(pa.id)
@@ -225,6 +223,10 @@ func (pa *probeArgs) spec() (*driver.BenchSpec, error) {
 	spec.Strategy = strat
 	spec.Workers = pa.workers
 	spec.DisableExeCache = pa.noCache
+	// -target applies to config ids too, as it does on the server.
+	if pa.target != "" {
+		spec.ORAQL.Target = pa.target
+	}
 	if pa.cacheDir != "" {
 		cache, err := cliutil.OpenCache(pa.cacheDir, 0)
 		if err != nil {

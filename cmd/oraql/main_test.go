@@ -112,3 +112,27 @@ func TestProbeBadModelUsesSourceBeforeModelCheck(t *testing.T) {
 		t.Fatalf("want usage error, got %v", err)
 	}
 }
+
+// -target restricts ORAQL for a config id as it does for -file and on
+// the server; without it the config keeps its own target.
+func TestProbeTargetAppliesToConfigIDs(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"gridmini-offload", "-target", "x"}, "x"},
+		{[]string{"gridmini-offload"}, "gpu"},
+	} {
+		pa, err := parseProbeArgs(c.args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := pa.spec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spec.ORAQL.Target != c.want {
+			t.Errorf("probe %q: ORAQL.Target = %q, want %q", c.args, spec.ORAQL.Target, c.want)
+		}
+	}
+}

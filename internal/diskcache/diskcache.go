@@ -1,10 +1,10 @@
 // Package diskcache is a disk-backed, content-addressed artifact store
 // shared by the pipeline, the probe driver, and the serve frontend.
 //
-// Every artifact is addressed by a sha256 key derived from the full
-// content that determines it (function IR text, pipeline identity, AA
-// chain, responder decision sequence) plus a schema version, so a
-// schema bump silently invalidates the whole store. Entries are
+// Every artifact and set is addressed by a sha256 key derived from the
+// full content that determines it (source or IR text, pipeline
+// identity, AA chain, a probe campaign's check) plus a schema version,
+// so a schema bump silently invalidates the whole store. Entries are
 // self-checking: a header carries the format magic, schema version and
 // key, and a trailing sha256 guards the payload, so a truncated or
 // corrupt file degrades to a cache miss, never an error or a torn read.
@@ -19,9 +19,9 @@
 // one complete entry.
 //
 // Artifacts live under objects/xx/<key>. State that only grows (a
-// function's verdict set, the warehouse index) lives under
-// sets/xx/<key>/<name> as grow-only sets of members that are never
-// rewritten (set.go).
+// function's verdict set, a probe campaign's test verdicts and runs,
+// the warehouse index) lives under sets/xx/<key>/<name> as grow-only
+// sets of members that are never rewritten (set.go).
 //
 // GC is size-capped and mtime-driven: reads refresh an entry's or a
 // member's mtime, and when the store grows past its budget the oldest

@@ -288,16 +288,6 @@ func TestGCKeepsHotEntries(t *testing.T) {
 
 func TestCampaignState(t *testing.T) {
 	s := open(t)
-	key := TestOutcomeKey("campaign", "1101")
-	if _, ok := s.LoadTestOutcome(key); ok {
-		t.Fatal("outcome hit before store")
-	}
-	s.StoreTestOutcome(key, TestOutcome{OK: true, Unique: 7})
-	o, ok := s.LoadTestOutcome(key)
-	if !ok || !o.OK || o.Unique != 7 {
-		t.Fatalf("outcome = %+v, %v", o, ok)
-	}
-
 	s.MergeFuncVerdicts("fhash", "check", map[string]bool{"q1": true, "q2": false})
 	s.MergeFuncVerdicts("fhash", "check", map[string]bool{"q1": true})
 	// A survival after a conviction leaves the descriptor convicted.

@@ -5,14 +5,14 @@ package diskcache
 // Immutable artifacts (objects/) are published blind: two writers of
 // one key race benignly because either payload is a correct value for
 // the key, and the last rename wins. The state campaigns share across
-// processes (a function's verdict set, the warehouse's record index)
-// only grows, so it is kept as a set of named members, one file each,
-// under sets/xx/<key>/<name>. A member is never rewritten: a writer
-// stages a self-checked file in tmp/ and links it into place, and
-// link(2) fails with EEXIST when the name exists, so of two writers of
-// one name exactly one adds it. A name always stands for the same
-// content (a hash of it, or the ID of the record it summarizes), so
-// the loser has nothing to retry.
+// processes (a function's verdict set, a campaign's test verdicts and
+// runs, the warehouse's record index) only grows, so it is kept as a
+// set of named members, one file each, under sets/xx/<key>/<name>. A
+// member is never rewritten: a writer stages a self-checked file in
+// tmp/ and links it into place, and link(2) fails with EEXIST when the
+// name exists, so of two writers of one name exactly one adds it. A
+// name always stands for the same content (a hash of it, or the ID of
+// the record it summarizes), so the loser has nothing to retry.
 //
 // With nothing overwritten there is no read-modify-write to lose, and
 // so no version to compare or retry on. GC evicts members by age like
@@ -20,6 +20,7 @@ package diskcache
 // writer that still holds the member's content simply adds it again.
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -70,6 +71,17 @@ func (s *Store) AddToSet(key, name string, payload []byte) (added bool, err erro
 	}
 	s.published(len(data))
 	return true, nil
+}
+
+// AddJSON adds v's JSON to key's set as a member named by the hash of
+// that JSON, so two writers of one value add one member.
+func (s *Store) AddJSON(key string, v any) error {
+	data, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
+	_, err = s.AddToSet(key, HashText(string(data)), data)
+	return err
 }
 
 // SetMembers returns key's readable members by name (nil when there are

@@ -1,0 +1,234 @@
+package driver
+
+import (
+	"encoding/json"
+	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"sync"
+	"testing"
+
+	"github.com/oraql/go-oraql/internal/diskcache"
+	"github.com/oraql/go-oraql/internal/irinterp"
+	"github.com/oraql/go-oraql/internal/oraql"
+	"github.com/oraql/go-oraql/internal/pipeline"
+)
+
+// helloSpec probes helloSrc at one worker through store.
+func helloSpec(store *diskcache.Store, strat Strategy) *BenchSpec {
+	return &BenchSpec{
+		Name:     "hello",
+		Compile:  pipeline.Config{Source: helloSrc},
+		Strategy: strat,
+		Workers:  1,
+		Cache:    store,
+	}
+}
+
+func openStore(t testing.TB, dir string) *diskcache.Store {
+	t.Helper()
+	store, err := diskcache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return store
+}
+
+// A campaign set reads as the union of its members: test verdicts and
+// runs round-trip through AddJSON, a second member adds to the first,
+// and a member that does not decode, a verdict that claims more than
+// maxUnique queries, and a run that decodes as null add nothing.
+func TestCampaignSetRoundtrip(t *testing.T) {
+	store := openStore(t, t.TempDir())
+	key := diskcache.Key("campaign", "roundtrip")
+	if u := loadCampaignSet(store.SetMembers(key)); len(u.Tests)+len(u.Runs) != 0 {
+		t.Fatalf("empty set loads as %+v", u)
+	}
+	opt := candidateHash(nil)
+	pess := candidateHash(oraql.Seq{false, true})
+	first := campaignSet{
+		Tests: map[string]testVerdict{opt: {OK: false, Unique: 7}},
+		Runs:  map[string]*irinterp.Result{"exe-a": {Stdout: "sum=1\n", Instrs: 42}},
+	}
+	second := campaignSet{Tests: map[string]testVerdict{pess: {OK: true, Unique: 5}}}
+	for _, m := range []campaignSet{first, second} {
+		if err := store.AddJSON(key, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, payload := range map[string]string{
+		"undecodable": `{"tests":{"x":{"ok":"yes"}}}`,
+		"too many":    fmt.Sprintf(`{"tests":{"y":{"ok":true,"unique":%d}}}`, maxUnique+1),
+		"null run":    `{"runs":{"exe-b":null}}`,
+	} {
+		if _, err := store.AddToSet(key, diskcache.HashText(name), []byte(payload)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	u := loadCampaignSet(store.SetMembers(key))
+	if len(u.Tests) != 2 || u.Tests[opt] != (testVerdict{OK: false, Unique: 7}) || u.Tests[pess] != (testVerdict{OK: true, Unique: 5}) {
+		t.Errorf("tests = %+v, want both members' verdicts", u.Tests)
+	}
+	if len(u.Runs) != 1 || u.Runs["exe-a"] == nil || u.Runs["exe-a"].Stdout != "sum=1\n" || u.Runs["exe-a"].Instrs != 42 {
+		t.Errorf("runs = %+v, want exe-a only", u.Runs)
+	}
+}
+
+// campaignSetKey returns the key of the one campaign set in store: the
+// set whose members carry runs.
+func campaignSetKey(t testing.TB, store *diskcache.Store) string {
+	t.Helper()
+	sets, err := filepath.Glob(filepath.Join(store.Dir(), "sets", "*", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var key string
+	for _, set := range sets {
+		if len(loadCampaignSet(store.SetMembers(filepath.Base(set))).Runs) > 0 {
+			if key != "" {
+				t.Fatal("more than one campaign set")
+			}
+			key = filepath.Base(set)
+		}
+	}
+	if key == "" {
+		t.Fatal("no campaign set")
+	}
+	return key
+}
+
+// copyStore copies the files of the store at src into a new directory.
+func copyStore(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dst
+}
+
+// FuzzCampaignSetMembers plants an arbitrary payload in a campaign set
+// beside the member its seeding campaign added and reprobes the
+// unchanged program through a fresh handle. The reprobe
+// never panics and never serves a run that decoded as null. When the
+// payload carries no campaign state (it does not decode, or holds no
+// test verdict and no run but null ones), the reprobe runs no test,
+// makes no put, and ends as the seeding campaign did.
+func FuzzCampaignSetMembers(f *testing.F) {
+	seedDir := f.TempDir()
+	seedStore := openStore(f, seedDir)
+	seeded, err := Probe(helloSpec(seedStore, nil))
+	if err != nil {
+		f.Fatal(err)
+	}
+	key := campaignSetKey(f, seedStore)
+	var member []byte
+	for _, data := range seedStore.SetMembers(key) {
+		member = data
+	}
+	f.Add([]byte(`null`))
+	f.Add(member[:len(member)/2])
+	f.Add([]byte(fmt.Sprintf(`{"runs":{%q:null}}`, seeded.Baseline.Compile.ExeHash())))
+	f.Add([]byte(fmt.Sprintf(`{"tests":{%q:{"ok":"yes","unique":1}}}`, candidateHash(nil))))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		dir := copyStore(t, seedDir)
+		if _, err := openStore(t, dir).AddToSet(key, "planted", payload); err != nil {
+			t.Fatal(err)
+		}
+		store := openStore(t, dir)
+		res, err := Probe(helloSpec(store, nil))
+		if err == nil && (res.Baseline.Run == nil || res.Final.Run == nil) {
+			t.Fatal("the reprobe served a null run")
+		}
+		var planted campaignSet
+		if json.Unmarshal(payload, &planted) == nil {
+			if len(planted.Tests) > 0 {
+				return
+			}
+			for _, r := range planted.Runs {
+				if r != nil {
+					return
+				}
+			}
+		}
+		if err != nil {
+			t.Fatalf("reprobe beside %q: %v", payload, err)
+		}
+		if res.TestsRun != 0 {
+			t.Errorf("reprobe beside %q ran %d tests, want 0", payload, res.TestsRun)
+		}
+		if puts := store.Counters().Puts; puts != 0 {
+			t.Errorf("reprobe beside %q made %d puts, want 0", payload, puts)
+		}
+		if r, s := res.FinalSeq.String(), seeded.FinalSeq.String(); r != s {
+			t.Errorf("FinalSeq %q, seeding campaign %q", r, s)
+		}
+		if r, s := guiltySet(res), guiltySet(seeded); fmt.Sprint(r) != fmt.Sprint(s) {
+			t.Errorf("convictions %v, seeding campaign %v", r, s)
+		}
+	})
+}
+
+// Campaigns of one program that run at once, through two store handles
+// on one directory as two processes would, lose none of each other's
+// state: half probe with chunked and half with freq, so they consume
+// different candidates. A reprobe with either strategy through a fresh
+// handle then finds every test verdict and both runs, and writes
+// nothing.
+func TestConcurrentCampaignsLoseNothing(t *testing.T) {
+	dir := t.TempDir()
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for range 2 {
+		store := openStore(t, dir)
+		for i := range 4 {
+			strat := Chunked
+			if i%2 == 1 {
+				strat = FreqSpace
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := Probe(helloSpec(store, strat)); err != nil {
+					errs <- fmt.Errorf("%s: %w", strat.Name(), err)
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for _, strat := range []Strategy{Chunked, FreqSpace} {
+		store := openStore(t, dir)
+		res, err := Probe(helloSpec(store, strat))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.TestsRun != 0 || res.RunsReplayed != 2 {
+			t.Errorf("%s reprobe ran %d tests and replayed %d runs, want 0 and 2", strat.Name(), res.TestsRun, res.RunsReplayed)
+		}
+		if c := store.Counters(); c.Puts != 0 {
+			t.Errorf("%s reprobe made %d puts, want 0", strat.Name(), c.Puts)
+		}
+	}
+}

@@ -7,18 +7,18 @@
 // against — plus the executable-hash test cache that skips re-running
 // bit-identical binaries.
 //
-// Deviating from the paper's strictly sequential driver, probing runs
-// on a bounded worker pool (BenchSpec.Workers): sibling subranges of
-// the chunked recursion and residue classes of the freq-space strategy
-// are independent candidates, so the driver speculatively tests the
-// likely next candidate beside the consumed one and cancels losers:
-// one speculative test at a time, until the first is cancelled
-// mid-flight (see engine.go). The decision
-// loop itself stays sequential and consumes test outcomes in canonical
-// order, so parallel and sequential probing produce bit-identical
-// FinalSeq (see engine.go). On more than one core, a campaign without
-// a store also runs the fully optimistic test beside the baseline,
-// which that test needs only when its output is compared.
+// Deviating from the paper's strictly sequential driver, probing with
+// more than one worker (BenchSpec.Workers) on more than one core
+// speculates: sibling subranges of the chunked recursion and residue
+// classes of the freq-space strategy are independent candidates, so
+// the driver tests the likely next candidate beside the consumed one
+// and cancels losers: one speculative test at a time, until the first
+// is cancelled mid-flight (see engine.go). The decision loop itself
+// stays sequential and consumes test outcomes in canonical order, so
+// parallel and sequential probing produce bit-identical FinalSeq. A
+// campaign without a store also runs the fully optimistic test beside
+// the baseline, which that test needs only when its output is
+// compared.
 package driver
 
 import (
@@ -44,9 +44,10 @@ type BenchSpec struct {
 	// Strategy is the bisection strategy (see strategies.go); nil means
 	// the registered default, Chunked.
 	Strategy Strategy
-	// Workers bounds the worker pool for speculative parallel probing
-	// (0 defaults to runtime.NumCPU(); 1 probes strictly sequentially).
-	// The final sequence is identical for every worker count.
+	// Workers above 1 let a campaign on more than one core test one
+	// candidate ahead of the decision loop, and every count above 1
+	// behaves alike (0 defaults to runtime.NumCPU(); 1 probes strictly
+	// sequentially). The final sequence is identical for every count.
 	Workers int
 	// DisableExeCache turns off the executable-hash test cache (for the
 	// ablation benchmark).
@@ -55,12 +56,13 @@ type BenchSpec struct {
 	// consumed tests only; speculative tests are free.
 	MaxTests int
 	// Cache, when non-nil, persists campaign state across processes:
-	// test outcomes keyed by the baseline content identity (a repeated
-	// campaign replays from disk) and per-query verdicts keyed by
-	// function content hashes (a campaign on an edited program seeds
-	// its bisection from the unchanged functions' history — see
-	// persist.go). The store is also installed as the pipeline's
-	// compile cache for the non-ORAQL baseline compilation.
+	// a campaign set of test verdicts and runs keyed by the baseline
+	// content identity (a repeated campaign replays from it) and
+	// per-query verdicts keyed by function content hashes (a campaign
+	// on an edited program seeds its bisection from the unchanged
+	// functions' history — see persist.go). The store is also
+	// installed as the pipeline's compile cache for the non-ORAQL
+	// baseline compilation.
 	Cache *diskcache.Store
 	// Log receives progress lines when non-nil.
 	Log io.Writer
@@ -96,10 +98,10 @@ type Result struct {
 	TestsRun    int
 	TestsCached int
 	// TestsDisk is the subset of TestsCached whose outcome was replayed
-	// from the persistent campaign state (BenchSpec.Cache).
+	// from the persisted campaign set (BenchSpec.Cache).
 	TestsDisk int
-	// RunsReplayed counts baseline/final interpreter runs served from
-	// the persistent run-replay layer instead of executing (runcache.go).
+	// RunsReplayed counts baseline/final interpreter runs replayed from
+	// the persisted campaign set instead of executing (runcache.go).
 	RunsReplayed int
 	// TestsSpeculated counts speculative tests launched by the parallel
 	// driver; TestsWasted is the subset whose outcome was never
@@ -143,12 +145,16 @@ func Probe(spec *BenchSpec) (*Result, error) {
 
 // ProbeContext is Probe with cancellation: ctx covers the whole
 // workflow — the sequential decision loop checks it before every
-// consumed test, speculative workers inherit it, and it is threaded
+// consumed test, speculative tests inherit it, and it is threaded
 // into every compilation of the campaign's pipeline.Session, so
 // cancelling it stops probing mid-pipeline, not only between tests.
+// A persistent campaign adds what it learned to its campaign set when
+// probing returns, with or without an error.
 func ProbeContext(ctx context.Context, spec *BenchSpec) (*Result, error) {
 	st := &state{ctx: ctx, spec: spec}
-	return st.probe()
+	res, err := st.probe()
+	st.publishCampaign()
+	return res, err
 }
 
 type state struct {
@@ -163,8 +169,13 @@ type state struct {
 	maxSeen int // highest unique-query count observed
 
 	// Persistent-campaign state (nil/empty without BenchSpec.Cache).
-	campID  string // test-outcome identity: content hashes + checkID
+	campID  string // campaign-set identity: content hashes + checkID
 	checkID string // check identity: spec config sans module content
+	// camp is the union of the campaign set's members, loaded after
+	// the baseline compile, and learned what this campaign found that
+	// camp lacks (persist.go). Only the decision loop touches learned.
+	camp    *campaignSet
+	learned campaignSet
 	// hint holds the descriptors of the persisted convictions that the
 	// fully optimistic compile's query stream matched, and hintAt their
 	// positions in that stream; both are nil without one, and the
@@ -192,8 +203,11 @@ func (st *state) execute(opts *oraql.Options) (*Outcome, error) {
 		return nil, err
 	}
 	st.res.Compiles++
-	if opts == nil && baselineHook != nil {
-		baselineHook(st.eng.overlap)
+	if opts == nil {
+		st.openCampaign(cr)
+		if baselineHook != nil {
+			baselineHook(st.eng.overlap)
+		}
 	}
 	rr, runErr := st.run(cr)
 	out := &Outcome{Compile: cr, Run: rr, RunErr: runErr}
@@ -206,9 +220,10 @@ func (st *state) execute(opts *oraql.Options) (*Outcome, error) {
 }
 
 // test verifies a candidate sequence through the engine, optionally
-// prefetching speculative candidates onto the worker pool first. Only
-// consumed tests update the decision state (budget, counters, drift),
-// which keeps the probing decisions independent of worker count.
+// prefetching a speculative candidate first. Only consumed tests
+// update the decision state (budget, counters, drift, the verdicts a
+// persistent campaign learns), which keeps the probing decisions and
+// the campaign set independent of worker count.
 func (st *state) test(seq oraql.Seq, specs ...oraql.Seq) (bool, error) {
 	if err := st.ctx.Err(); err != nil {
 		return false, fmt.Errorf("driver: probing cancelled: %w", err)
@@ -225,6 +240,9 @@ func (st *state) test(seq oraql.Seq, specs ...oraql.Seq) (bool, error) {
 	}
 	if out.unique > st.maxSeen {
 		st.maxSeen = out.unique
+	}
+	if st.camp != nil && !out.fromDisk {
+		st.learned.Tests[candidateHash(seq)] = testVerdict{OK: out.ok, Unique: out.unique}
 	}
 	if out.didRun {
 		st.res.TestsRun++
@@ -247,7 +265,7 @@ func (st *state) probe() (*Result, error) {
 	}
 	// The shared store serves the compile cache for the non-ORAQL
 	// baseline compilation, which therefore carries the content hashes
-	// that identify the campaign and key the per-function verdict
+	// that identify the campaign set and key the per-function verdict
 	// history.
 	if spec.Cache != nil && spec.Compile.DiskCache == nil {
 		spec.Compile.DiskCache = spec.Cache
@@ -274,8 +292,7 @@ func (st *state) probe() (*Result, error) {
 	if base.RunErr != nil {
 		return nil, fmt.Errorf("driver: baseline run failed: %w", base.RunErr)
 	}
-	refs := spec.Verify.References
-	if len(refs) == 0 {
+	if len(spec.Verify.References) == 0 {
 		spec.Verify.References = []string{base.Run.Stdout}
 	}
 	base.Verify = spec.Verify.Check(base.Run.Stdout, nil)
@@ -284,10 +301,9 @@ func (st *state) probe() (*Result, error) {
 	}
 	st.res.Baseline = base
 	st.logf("%s: baseline verified (%d instrs)", spec.Name, base.Run.Instrs)
-	st.campaignKeys(refs)
 
 	// From here on tests verify concurrently against the frozen spec.
-	st.eng.recorded(st.campID)
+	st.eng.recorded()
 
 	// Step 2: fully optimistic attempt (empty sequence), joined when
 	// it was started beside the baseline.

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/oraql/go-oraql/internal/diskcache"
 	"github.com/oraql/go-oraql/internal/irinterp"
 	"github.com/oraql/go-oraql/internal/oraql"
 	"github.com/oraql/go-oraql/internal/pipeline"
@@ -24,7 +23,7 @@ type testOutcome struct {
 	ok       bool
 	unique   int  // unique ORAQL query count of this compile
 	didRun   bool // false when the verdict came from the exe-hash cache
-	fromDisk bool // verdict replayed from the persistent campaign state
+	fromDisk bool // verdict replayed from the campaign set (persist.go)
 	err      error
 }
 
@@ -53,9 +52,11 @@ type exeEntry struct {
 	canceled bool
 }
 
-// engine executes candidate tests for the probing driver on a bounded
-// worker pool. The decision loop stays strictly sequential and
-// deterministic; the engine adds two layers the loop consults:
+// engine executes candidate tests for the probing driver: the consumed
+// test on the decision loop's goroutine, and at most one speculative
+// test and the overlapped fully optimistic test on goroutines of their
+// own. The decision loop stays strictly sequential and deterministic;
+// the engine adds two layers the loop consults:
 //
 //   - a single-flight candidate map, so a speculatively prefetched test
 //     is joined (not repeated) when the decision loop requests it;
@@ -78,7 +79,6 @@ type engine struct {
 	ctx     context.Context
 	spec    *BenchSpec
 	workers int
-	sem     chan struct{}
 	wg      sync.WaitGroup
 
 	// overlap: the campaign has more than one worker and core and no
@@ -87,12 +87,11 @@ type engine struct {
 	// baseline's content hashes, so it waits for the baseline.
 	overlap bool
 	// refs is closed once the driver has recorded the verify
-	// references; no test checks a run's output before. campID, the
-	// persistent campaign identity ("" = no disk outcomes), is set just
-	// before: a campaign with a store starts no test earlier, and one
-	// without never reads it.
-	refs   chan struct{}
-	campID string
+	// references; no test checks a run's output before.
+	refs chan struct{}
+	// camp is the loaded campaign set, nil without one. openCampaign
+	// sets it only for a campaign with a store, before any test starts.
+	camp *campaignSet
 
 	// sess compiles every test: pass steps whose ORAQL transcripts
 	// still fit are replayed.
@@ -140,7 +139,6 @@ func newEngine(ctx context.Context, spec *BenchSpec, sess *pipeline.Session) *en
 		ctx:     ctx,
 		spec:    spec,
 		workers: w,
-		sem:     make(chan struct{}, w),
 		refs:    make(chan struct{}),
 		sess:    sess,
 		calls:   map[string]*testCall{},
@@ -152,12 +150,9 @@ func newEngine(ctx context.Context, spec *BenchSpec, sess *pipeline.Session) *en
 	return e
 }
 
-// recorded takes the campaign identity and releases verification: the
-// driver has recorded the verify references.
-func (e *engine) recorded(campID string) {
-	e.campID = campID
-	close(e.refs)
-}
+// recorded releases verification: the driver has recorded the verify
+// references.
+func (e *engine) recorded() { close(e.refs) }
 
 // awaitRefs waits until the verify references are recorded. Only the
 // overlapped fully optimistic test can get here before then; it gives
@@ -225,15 +220,16 @@ func (e *engine) get(seq oraql.Seq) testOutcome {
 	}
 }
 
-// prefetch speculatively launches a candidate test on the worker pool
-// under the speculation policy: it is a no-op while a speculative test
-// is in flight, once one was cancelled mid-flight, on a campaign with
-// one worker or one core, and when the candidate is already in flight.
-// Strategies pass their nearest fail-path candidate first, so it is the
-// one launched. Only the decision loop calls prefetch, so checking the
-// in-flight count and then launching cannot overshoot one. The count
-// is read first: a speculative test stops speculation before it leaves
-// the count, so a zero count means the stop, if any, is visible.
+// prefetch speculatively launches a candidate test under the
+// speculation policy: it is a no-op while a speculative test is in
+// flight, once one was cancelled mid-flight, on a campaign with one
+// worker or one core, and when the candidate is already in flight.
+// Strategies pass their nearest fail-path candidate, the one test
+// worth launching. Only the decision loop calls prefetch, so checking
+// the in-flight count and then launching cannot overshoot one. The
+// count is read first: a speculative test stops speculation before it
+// leaves the count, so a zero count means the stop, if any, is
+// visible.
 func (e *engine) prefetch(seq oraql.Seq) {
 	if e.specActive.Load() > 0 || !e.speculate.Load() {
 		return
@@ -328,24 +324,20 @@ func (e *engine) consume(c *testCall) {
 	e.mu.Unlock()
 }
 
-// run compiles and verifies one candidate on a worker slot. ctx is
-// threaded into the compilation and checked again before executing, so
-// a cancelled speculative test stops mid-pipeline. With a persistent
-// campaign (BenchSpec.Cache + content-hash identity), outcomes are
-// consulted on disk first — a warm campaign replays every test without
-// compiling — and persisted after each fresh verdict.
+// run compiles and verifies one candidate. ctx is threaded into the
+// compilation and checked again before executing, so a cancelled
+// speculative test stops mid-pipeline. A persistent campaign answers
+// from its loaded campaign set first — a warm campaign replays every
+// test without compiling; the driver learns fresh verdicts as it
+// consumes them (state.test).
 func (e *engine) run(ctx context.Context, seq oraql.Seq) testOutcome {
-	var dkey string
-	if e.spec.Cache != nil && e.campID != "" {
-		dkey = diskcache.TestOutcomeKey(e.campID, seq.String())
-		if o, ok := e.spec.Cache.LoadTestOutcome(dkey); ok {
+	if e.camp != nil {
+		if v, ok := e.camp.Tests[candidateHash(seq)]; ok {
 			// Counted into diskTests at consumption (get), so the stat
 			// stays a subset of the tests the decision loop consumed.
-			return testOutcome{ok: o.OK, unique: o.Unique, fromDisk: true}
+			return testOutcome{ok: v.OK, unique: v.Unique, fromDisk: true}
 		}
 	}
-	e.sem <- struct{}{}
-	defer func() { <-e.sem }()
 	if ctx.Err() != nil {
 		return testOutcome{err: ctx.Err()}
 	}
@@ -357,7 +349,7 @@ func (e *engine) run(ctx context.Context, seq oraql.Seq) testOutcome {
 	run, replayed := cr.Steps()
 	e.stepsRun.Add(int64(run))
 	e.stepsReplayed.Add(int64(replayed))
-	if len(seq) == 0 && replayed == 0 && dkey != "" {
+	if len(seq) == 0 && replayed == 0 && e.camp != nil {
 		// A persistent campaign places its verdict hint on the
 		// fully-optimistic compile's query stream. It is the session's
 		// first compile, so nothing was replayed and its records are
@@ -379,7 +371,6 @@ func (e *engine) run(ctx context.Context, seq oraql.Seq) testOutcome {
 		}
 		out.ok = ent.v.OK
 		out.didRun = true
-		e.storeOutcome(dkey, out)
 		return out
 	}
 
@@ -400,7 +391,6 @@ func (e *engine) run(ctx context.Context, seq oraql.Seq) testOutcome {
 				continue // owner was cancelled mid-flight; re-claim
 			}
 			out.ok = ent.v.OK
-			e.storeOutcome(dkey, out)
 			return out
 		}
 		err := ctx.Err()
@@ -420,17 +410,8 @@ func (e *engine) run(ctx context.Context, seq oraql.Seq) testOutcome {
 		close(ent.done)
 		out.ok = ent.v.OK
 		out.didRun = true
-		e.storeOutcome(dkey, out)
 		return out
 	}
-}
-
-// storeOutcome persists a fresh test verdict into the campaign state.
-func (e *engine) storeOutcome(dkey string, out testOutcome) {
-	if dkey == "" || out.err != nil {
-		return
-	}
-	e.spec.Cache.StoreTestOutcome(dkey, diskcache.TestOutcome{OK: out.ok, Unique: out.unique})
 }
 
 // verifyRun executes the compiled program into ent and, once the

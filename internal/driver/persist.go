@@ -1,22 +1,31 @@
 package driver
 
 import (
+	"encoding/json"
 	"fmt"
 	"slices"
 
 	"github.com/oraql/go-oraql/internal/diskcache"
+	"github.com/oraql/go-oraql/internal/irinterp"
 	"github.com/oraql/go-oraql/internal/oraql"
+	"github.com/oraql/go-oraql/internal/pipeline"
 )
 
-// Campaign persistence (BenchSpec.Cache): the driver stores two
-// artifact families in the shared disk cache so later processes skip
+// Campaign persistence (BenchSpec.Cache): the driver keeps two kinds
+// of grow-only set in the shared disk cache so later processes skip
 // work.
 //
-//   - Test outcomes, keyed by the campaign identity (baseline module
+//   - The campaign set, keyed by the campaign identity (baseline module
 //     content hashes + check configuration: pipeline, ORAQL scope, run
-//     options and verify settings) and the exact candidate
-//     sequence. Reprobing an unchanged program replays every test from
-//     disk without compiling or running anything.
+//     options and verify settings). The union of its members maps the
+//     hash of each candidate a campaign consumed to its test verdict,
+//     and the executable hash of each baseline and final build to its
+//     run (runcache.go). probe reads it once, right after the baseline
+//     compile yields the identity; the engine and run answer from it in
+//     memory; and when probe returns it adds one member that holds
+//     what the campaign learned and the union lacked, or nothing. So
+//     an unchanged reprobe compiles no test, runs nothing and writes
+//     nothing.
 //
 //   - Per-query verdicts, keyed by the *function* content hash: a set
 //     of stable query descriptors (pass + function + both location
@@ -36,17 +45,40 @@ import (
 //     final sequence is always re-verified — so a stale hint costs a
 //     few compiles and at most two tests more than an uncached
 //     campaign, never soundness.
+//
+// A campaign killed before probe returns adds nothing to its campaign
+// set, which costs later campaigns misses, never a wrong answer.
 
-// campaignKeys derives the two persistence identities after the
-// baseline compilation (which carries the content hashes). refs are
-// the verify references the caller supplied, before an empty list took
-// the baseline output.
-func (st *state) campaignKeys(refs []string) {
-	if st.spec.Cache == nil || st.res.Baseline == nil {
-		return
-	}
-	b := st.res.Baseline.Compile
-	if b.Host.ModuleHash == "" {
+// campaignSet is the state of one campaign identity: the union of the
+// members of the set keyed by campID, or what one campaign adds to it.
+type campaignSet struct {
+	// Tests maps a candidate's hash (candidateHash) to its verdict.
+	Tests map[string]testVerdict `json:"tests,omitempty"`
+	// Runs maps an executable hash to the run of the baseline or final
+	// build with that hash.
+	Runs map[string]*irinterp.Result `json:"runs,omitempty"`
+}
+
+// testVerdict is one candidate's persisted check result.
+type testVerdict struct {
+	OK     bool `json:"ok"`
+	Unique int  `json:"unique"` // unique ORAQL queries the compile asked
+}
+
+// maxUnique bounds the query count a persisted verdict may claim. The
+// driver sizes every candidate by it, so a verdict that claims more
+// (the largest config asks 184) is skipped, not trusted with memory.
+const maxUnique = 1 << 16
+
+// candidateHash names a candidate sequence in the campaign set.
+func candidateHash(seq oraql.Seq) string { return diskcache.HashText(seq.String()) }
+
+// openCampaign derives the two persistence identities from the baseline
+// compile, which carries the content hashes, and loads the campaign
+// set. It runs before the baseline run, so the verify references are
+// still the caller's, before an empty list takes the baseline output.
+func (st *state) openCampaign(b *pipeline.CompileResult) {
+	if st.spec.Cache == nil || b.Host.ModuleHash == "" {
 		return
 	}
 	c := st.spec.Compile
@@ -59,12 +91,50 @@ func (st *state) campaignKeys(refs []string) {
 	// verdicts must survive edits to *other* functions. It includes the
 	// verify settings, because a verdict holds only for its check.
 	st.checkID = diskcache.Key("check", st.spec.Name, cfg,
-		fmt.Sprintf("masks=%q|refs=%q", st.spec.Verify.MaskPatterns, refs))
+		fmt.Sprintf("masks=%q|refs=%q", st.spec.Verify.MaskPatterns, st.spec.Verify.References))
 	dev := ""
 	if b.Device != nil {
 		dev = b.Device.ModuleHash
 	}
 	st.campID = diskcache.Key("campaign", st.checkID, b.Host.ModuleHash, dev)
+	st.camp = loadCampaignSet(st.spec.Cache.SetMembers(st.campID))
+	st.eng.camp = st.camp
+	st.learned = campaignSet{Tests: map[string]testVerdict{}, Runs: map[string]*irinterp.Result{}}
+}
+
+// loadCampaignSet returns the union of a campaign set's members. A
+// member that does not decode is skipped, and so are a verdict that
+// claims a negative count or more than maxUnique queries and a run
+// that decodes as null. Members this driver writes never disagree: a
+// verdict and a run are pure functions of their keys.
+func loadCampaignSet(members map[string][]byte) *campaignSet {
+	u := &campaignSet{Tests: map[string]testVerdict{}, Runs: map[string]*irinterp.Result{}}
+	for _, data := range members {
+		var m campaignSet
+		if json.Unmarshal(data, &m) != nil {
+			continue
+		}
+		for h, v := range m.Tests {
+			if v.Unique >= 0 && v.Unique <= maxUnique {
+				u.Tests[h] = v
+			}
+		}
+		for h, r := range m.Runs {
+			if r != nil {
+				u.Runs[h] = r
+			}
+		}
+	}
+	return u
+}
+
+// publishCampaign adds what the campaign learned that its campaign set
+// lacked as one member, and nothing when it learned nothing. A failed
+// add costs later campaigns misses, never a wrong answer.
+func (st *state) publishCampaign() {
+	if st.camp != nil && len(st.learned.Tests)+len(st.learned.Runs) > 0 {
+		_ = st.spec.Cache.AddJSON(st.campID, st.learned)
+	}
 }
 
 // queryDesc is one query record rendered: both location dumps and

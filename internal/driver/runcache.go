@@ -1,83 +1,47 @@
 package driver
 
-// The run-replay layer of the persistent campaign state. The simulated
-// machine is deterministic: a program with the same executable hash
-// produces the identical result under the same run options. Successful
-// baseline/final runs are therefore persisted in the campaign store
-// and replayed across processes, which completes the seeded fast path
-// for an unchanged program — test verdicts replay from the outcome
-// history (engine.go), the baseline compilation from its
+// Run replay, the runs half of the campaign set (persist.go). The
+// simulated machine is deterministic: a program with the same
+// executable hash produces the identical result under the same run
+// options. A campaign's successful baseline and final runs therefore
+// join its campaign set under their executable hashes, and a later
+// campaign of the same identity replays them. That completes the
+// seeded fast path for an unchanged program — test verdicts replay
+// from the campaign set (engine.go), the baseline compilation from its
 // translation-unit artifact (pipeline), and the interpreter runs from
-// here, so a re-probe pays cache I/O instead of simulated execution.
+// here, so a re-probe pays one set read instead of simulated
+// execution.
 //
 // The executable hash alone does not identify a program: the encoding
 // leaves out a constant whose only use is a phi, so two programs that
-// differ only there lower to one hash. Run artifacts are therefore also
-// keyed by the campaign's pristine content identity, the baseline
-// compile's module hashes; a campaign without one (a -debug-pass
-// baseline is not content-hashed) runs fresh and persists nothing.
+// differ only there lower to one hash. The campaign set is keyed by the
+// campaign identity, which holds the pristine content hashes and the
+// run options; a campaign without one (a -debug-pass baseline is not
+// content-hashed) runs fresh and persists nothing.
 //
 // Failed runs are never persisted: their Go error values would not
-// round-trip through the artifact, and they are not on the seeded fast
-// path — a baseline or final run that fails aborts the campaign.
+// round-trip through JSON, and they are not on the seeded fast path —
+// a baseline or final run that fails aborts the campaign.
 
 import (
-	"encoding/json"
-	"fmt"
-
-	"github.com/oraql/go-oraql/internal/diskcache"
 	"github.com/oraql/go-oraql/internal/irinterp"
 	"github.com/oraql/go-oraql/internal/pipeline"
 )
 
-// runKey derives the run-artifact key from the program's pristine
-// content identity, the executable identity and every output-affecting
-// run option.
-func runKey(content, exeHash string, opts irinterp.Options) string {
-	return diskcache.Key("run", content, exeHash, fmt.Sprintf(
-		"threads=%d|ranks=%d|steps=%d|mem=%d",
-		opts.NumThreads, opts.NumRanks, opts.StepLimit, opts.MemLimit))
-}
-
-// contentID is the pristine content identity of the campaign's program:
-// the baseline compile's host and device module hashes, "" when it was
-// not content-hashed. The baseline run passes its own compile, since
-// the campaign has no baseline yet.
-func (st *state) contentID(cr *pipeline.CompileResult) string {
-	if st.res.Baseline != nil {
-		cr = st.res.Baseline.Compile
-	}
-	if cr.Host.ModuleHash == "" {
-		return ""
-	}
-	id := cr.Host.ModuleHash
-	if cr.Device != nil {
-		id += ":" + cr.Device.ModuleHash
-	}
-	return id
-}
-
-// run executes a compiled program, replaying the persisted result when
-// the campaign store already holds one for this program and executable.
-// A corrupt artifact degrades to a fresh run.
+// run executes a compiled program, replaying the run the campaign set
+// holds for its executable hash.
 func (st *state) run(cr *pipeline.CompileResult) (*irinterp.Result, error) {
-	content := st.contentID(cr)
-	if st.spec.Cache == nil || content == "" {
+	if st.camp == nil {
 		return st.runFresh(cr)
 	}
-	key := runKey(content, cr.ExeHash(), st.spec.Run)
-	if data, ok := st.spec.Cache.Get(key); ok {
-		rr := &irinterp.Result{}
-		if json.Unmarshal(data, rr) == nil {
-			st.res.RunsReplayed++
-			return rr, nil
-		}
+	exe := cr.ExeHash()
+	if rr := st.camp.Runs[exe]; rr != nil {
+		st.res.RunsReplayed++
+		return rr, nil
 	}
 	rr, err := st.runFresh(cr)
 	if err == nil && rr != nil {
-		if data, jerr := json.Marshal(rr); jerr == nil {
-			st.spec.Cache.Put(key, data)
-		}
+		st.learned.Runs[exe] = rr
 	}
 	return rr, err
 }

@@ -24,20 +24,19 @@ import (
 // may fake it.
 type Prober interface {
 	// Test verifies one candidate sequence, consuming a test from the
-	// budget. The trailing specs are speculative candidates prefetched
-	// onto the worker pool — likely future tests on the fail path —
-	// which cost nothing from the budget and are cancelled when
-	// overtaken.
+	// budget. The trailing specs are speculative candidates — likely
+	// future tests on the fail path — which cost nothing from the
+	// budget and are cancelled when overtaken; the engine launches one
+	// while no other speculative test is in flight.
 	Test(seq oraql.Seq, specs ...oraql.Seq) (bool, error)
 	// Pad extends a decided prefix with pessimistic padding to the
 	// driver's generous padding length (undecided queries stay
 	// pessimistic).
 	Pad(decided oraql.Seq) oraql.Seq
 	// Workers is the worker count (1 = strictly sequential; no point
-	// building speculative candidates). A strategy builds up to
-	// Workers()-1 candidates, nearest first; the engine launches at
-	// most one speculative test at a time, so the first is the one
-	// that runs.
+	// building speculative candidates). Above 1 the engine keeps at
+	// most one speculative test in flight, so a strategy builds one
+	// candidate, the nearest on the fail path.
 	Workers() int
 	// Logf emits a progress line, prefixed with the benchmark name.
 	Logf(format string, args ...any)
@@ -145,39 +144,22 @@ func (s chunkedStrategy) Solve(p Prober, n int) (oraql.Seq, error) {
 	return decided, nil
 }
 
-// specs builds the speculative candidates launched alongside the
-// whole-range test of [lo, hi): the fail path descends the left
-// spine (left part, its left part, ...), and the right part is
-// speculated under the assumption that the whole left part stays
-// pessimistic. Decided bits only ever flip to optimistic on a success
-// — and every success cancels outstanding speculation — so candidates
-// built from the current decided state stay exact until consumed or
-// cancelled. They come in construction order, the left spine
-// outside-in and then the right part. The engine keeps at most one
-// speculative test in flight, and none after the first is cancelled
-// mid-flight, so it launches at most the first and drops the rest.
+// specs builds the speculative candidate launched alongside the
+// whole-range test of [lo, hi): its left part, the next test on the
+// fail path. Decided bits only ever flip to optimistic on a success —
+// and every success cancels outstanding speculation — so a candidate
+// built from the current decided state stays exact until consumed or
+// cancelled.
 func (chunkedStrategy) specs(p Prober, decided oraql.Seq, lo, hi int) []oraql.Seq {
 	if p.Workers() <= 1 || hi-lo <= 1 {
 		return nil
 	}
-	var specs []oraql.Seq
-	for l, h := lo, hi; h-l > 1 && len(specs) < p.Workers()-1; {
-		m := (l + h) / 2
-		cand := decided.Clone()
-		for i := l; i < m; i++ {
-			cand[i] = true
-		}
-		specs = append(specs, p.Pad(cand[:m]))
-		h = m
+	mid := (lo + hi) / 2
+	cand := decided.Clone()
+	for i := lo; i < mid; i++ {
+		cand[i] = true
 	}
-	if len(specs) < p.Workers()-1 {
-		cand := decided.Clone()
-		for i := (lo + hi) / 2; i < hi; i++ {
-			cand[i] = true
-		}
-		specs = append(specs, p.Pad(cand[:hi]))
-	}
-	return specs
+	return []oraql.Seq{p.Pad(cand[:mid])}
 }
 
 // freqStrategy is the frequency-space recursion: residue classes of
@@ -231,41 +213,21 @@ func (s freqStrategy) Solve(p Prober, n int) (oraql.Seq, error) {
 	return decided, nil
 }
 
-// specs builds the speculative candidates launched alongside the test
-// of residue class (m, r): the refined classes of the next modulus
-// levels, expanded breadth-first, nearest first. All of them belong to
-// the fail path (decided unchanged); a success cancels them. As for
-// chunked, the engine launches at most the first.
+// specs builds the speculative candidate launched alongside the test
+// of residue class (m, r): the refined class (2m, r), the next test on
+// the fail path (decided unchanged); a success cancels it.
 func (freqStrategy) specs(p Prober, decided oraql.Seq, done []bool, m, r int) []oraql.Seq {
 	n := len(decided)
 	if p.Workers() <= 1 || m >= n {
 		return nil
 	}
-	type class struct{ m, r int }
-	frontier := []class{{2 * m, r}, {2 * m, r + m}}
-	var specs []oraql.Seq
-	for len(frontier) > 0 && len(specs) < p.Workers()-1 {
-		c := frontier[0]
-		frontier = frontier[1:]
-		if c.r >= n {
-			continue
-		}
-		cand := decided.Clone()
-		fresh := false
-		for i := c.r; i < n; i += c.m {
-			if !done[i] {
-				cand[i] = true
-				fresh = true
-			}
-		}
-		if fresh {
-			specs = append(specs, p.Pad(cand))
-		}
-		if c.m < n {
-			frontier = append(frontier, class{2 * c.m, c.r}, class{2 * c.m, c.r + c.m})
+	cand := decided.Clone()
+	for i := r; i < n; i += 2 * m {
+		if !done[i] {
+			cand[i] = true
 		}
 	}
-	return specs
+	return []oraql.Seq{p.Pad(cand)}
 }
 
 // linearStrategy flips one query at a time, left to right: n tests,

@@ -18,20 +18,25 @@ func (f *fakeProber) Pad(decided oraql.Seq) oraql.Seq                      { ret
 func (f *fakeProber) Workers() int                                         { return f.workers }
 func (f *fakeProber) Logf(format string, args ...any)                      {}
 
-// The candidates keep construction order — the left spine
-// outside-in, then the right half — so the one speculative test the
-// engine launches is the nearest.
+// The engine keeps at most one speculative test in flight, so chunked
+// builds one candidate whatever the worker count: the nearest on the
+// fail path, the left half.
 func TestChunkedSpecsNaturalOrderWithoutPriors(t *testing.T) {
 	f := &fakeProber{workers: 16}
 	decided := make(oraql.Seq, 8)
 	specs := chunkedStrategy{}.specs(f, decided, 0, 8)
-	want := []int{4, 2, 1, 8}
-	if len(specs) != len(want) {
-		t.Fatalf("got %d speculative candidates, want %d", len(specs), len(want))
+	if len(specs) != 1 || specs[0].String() != "1 1 1 1" {
+		t.Fatalf("speculative candidates %v, want one, the left half 1 1 1 1", specs)
 	}
-	for i, s := range specs {
-		if len(s) != want[i] {
-			t.Fatalf("candidate %d has length %d, want %d", i, len(s), want[i])
-		}
+}
+
+// freq likewise builds one candidate: the refined residue class
+// (2m, r) of the class under test.
+func TestFreqSpecsNearestClass(t *testing.T) {
+	f := &fakeProber{workers: 16}
+	decided := make(oraql.Seq, 8)
+	specs := freqStrategy{}.specs(f, decided, make([]bool, 8), 1, 0)
+	if len(specs) != 1 || specs[0].String() != "1 0 1 0 1 0 1 0" {
+		t.Fatalf("speculative candidates %v, want one, the class (2, 0) 1 0 1 0 1 0 1 0", specs)
 	}
 }

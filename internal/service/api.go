@@ -140,7 +140,8 @@ type ProbeRequest struct {
 	// AAChain selects the alias-analysis chain for every probe
 	// compilation (registered name or comma-separated analysis list).
 	AAChain string `json:"aa_chain,omitempty"`
-	// Workers bounds the speculative probing pool (0 = NumCPU).
+	// Workers above 1 lets the probe test one speculative candidate
+	// beside the consumed one (0 = NumCPU, 1 = sequential).
 	Workers int `json:"workers,omitempty"`
 	// MaxTests bounds probing effort (0 = no bound).
 	MaxTests int `json:"max_tests,omitempty"`

@@ -46,6 +46,10 @@ type metrics struct {
 
 	// warehouse[op] counts completed /v1/warehouse operations.
 	warehouse map[string]int64
+
+	// usage walks the store for its file count and bytes; a test holds
+	// a scrape inside it.
+	usage func(*diskcache.Store) (int, int64)
 }
 
 // latencyBuckets are the histogram upper bounds in seconds.
@@ -67,6 +71,7 @@ func newMetrics() *metrics {
 		inflight:        map[string]int64{"probe": 0, "fuzz": 0, "campaign": 0},
 		campaignScripts: map[string]int64{},
 		warehouse:       map[string]int64{},
+		usage:           (*diskcache.Store).Usage,
 	}
 }
 
@@ -160,6 +165,16 @@ func (m *metrics) observeCompile(anHits, anMisses int64) {
 // warehouseRecords is the live corpus size (-1 when no persistent
 // store is configured, which suppresses the gauge).
 func (m *metrics) render(cache *resultCache, disk *diskcache.Store, queueDepth, queueCap int, inflight int64, workers, warehouseRecords int) string {
+	// Read the caches before taking m.mu: Usage walks the whole store,
+	// and every finishing request waits on m.mu to be counted.
+	hits, misses, entries := cache.counters()
+	var dc diskcache.Counters
+	var diskEntries int
+	var diskBytes int64
+	if disk != nil {
+		dc = disk.Counters()
+		diskEntries, diskBytes = m.usage(disk)
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var b strings.Builder
@@ -216,7 +231,6 @@ func (m *metrics) render(cache *resultCache, disk *diskcache.Store, queueDepth, 
 	b.WriteString("# TYPE oraql_workers gauge\n")
 	fmt.Fprintf(&b, "oraql_workers %d\n", workers)
 
-	hits, misses, entries := cache.counters()
 	b.WriteString("# HELP oraql_result_cache_hits_total Compile requests served from the cross-request result cache.\n")
 	b.WriteString("# TYPE oraql_result_cache_hits_total counter\n")
 	fmt.Fprintf(&b, "oraql_result_cache_hits_total %d\n", hits)
@@ -228,29 +242,27 @@ func (m *metrics) render(cache *resultCache, disk *diskcache.Store, queueDepth, 
 	fmt.Fprintf(&b, "oraql_result_cache_entries %d\n", entries)
 
 	if disk != nil {
-		c := disk.Counters()
-		entries, bytes := disk.Usage()
 		b.WriteString("# HELP oraql_disk_cache_hits_total Persistent-store lookups served from disk.\n")
 		b.WriteString("# TYPE oraql_disk_cache_hits_total counter\n")
-		fmt.Fprintf(&b, "oraql_disk_cache_hits_total %d\n", c.Hits)
+		fmt.Fprintf(&b, "oraql_disk_cache_hits_total %d\n", dc.Hits)
 		b.WriteString("# HELP oraql_disk_cache_misses_total Persistent-store lookups that found nothing.\n")
 		b.WriteString("# TYPE oraql_disk_cache_misses_total counter\n")
-		fmt.Fprintf(&b, "oraql_disk_cache_misses_total %d\n", c.Misses)
+		fmt.Fprintf(&b, "oraql_disk_cache_misses_total %d\n", dc.Misses)
 		b.WriteString("# HELP oraql_disk_cache_corrupt_total Torn/truncated/foreign entries discarded as misses.\n")
 		b.WriteString("# TYPE oraql_disk_cache_corrupt_total counter\n")
-		fmt.Fprintf(&b, "oraql_disk_cache_corrupt_total %d\n", c.Corrupt)
+		fmt.Fprintf(&b, "oraql_disk_cache_corrupt_total %d\n", dc.Corrupt)
 		b.WriteString("# HELP oraql_disk_cache_puts_total Entries published to the persistent store.\n")
 		b.WriteString("# TYPE oraql_disk_cache_puts_total counter\n")
-		fmt.Fprintf(&b, "oraql_disk_cache_puts_total %d\n", c.Puts)
+		fmt.Fprintf(&b, "oraql_disk_cache_puts_total %d\n", dc.Puts)
 		b.WriteString("# HELP oraql_disk_cache_evictions_total Entries removed by size-capped GC.\n")
 		b.WriteString("# TYPE oraql_disk_cache_evictions_total counter\n")
-		fmt.Fprintf(&b, "oraql_disk_cache_evictions_total %d\n", c.Evictions)
+		fmt.Fprintf(&b, "oraql_disk_cache_evictions_total %d\n", dc.Evictions)
 		b.WriteString("# HELP oraql_disk_cache_entries Live entries in the shared cache directory.\n")
 		b.WriteString("# TYPE oraql_disk_cache_entries gauge\n")
-		fmt.Fprintf(&b, "oraql_disk_cache_entries %d\n", entries)
+		fmt.Fprintf(&b, "oraql_disk_cache_entries %d\n", diskEntries)
 		b.WriteString("# HELP oraql_disk_cache_bytes Bytes used by the shared cache directory.\n")
 		b.WriteString("# TYPE oraql_disk_cache_bytes gauge\n")
-		fmt.Fprintf(&b, "oraql_disk_cache_bytes %d\n", bytes)
+		fmt.Fprintf(&b, "oraql_disk_cache_bytes %d\n", diskBytes)
 	}
 
 	b.WriteString("# HELP oraql_batch_requests_total Batch compile requests served.\n")

@@ -1,6 +1,7 @@
 package goraql
 
 import (
+	"encoding/json"
 	"fmt"
 	"io/fs"
 	"maps"
@@ -135,6 +136,88 @@ func TestUnchangedReprobeWritesNothing(t *testing.T) {
 			t.Errorf("%s: convictions differ:\n reprobe %v\n seeding %v", cfg.ID, r, s)
 		}
 	}
+}
+
+// Each campaign keeps its test verdicts and its baseline and final
+// runs in one campaign set, whatever it tested. Over the 16 configs
+// through one store, a seeding sweep leaves only the TU artifacts and
+// the warehouse record blobs under objects/, and one member in each
+// campaign set; an unchanged sweep adds nothing; an edited sweep, whose
+// programs have new identities, adds a campaign set per config with
+// one member each.
+func TestCampaignSetLayout(t *testing.T) {
+	dir := t.TempDir()
+	store, err := diskcache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep := func(leg string, edited bool) {
+		t.Helper()
+		before := store.Counters()
+		for _, cfg := range apps.All() {
+			spec := cfg.Spec()
+			spec.Strategy = driver.Chunked
+			spec.Workers = 1
+			spec.Cache = store
+			if edited {
+				spec.Compile.Source += "\nint reprobe_edit(int x) {\n\treturn x * 3 + 7;\n}\n"
+			}
+			if _, err := driver.Probe(spec); err != nil {
+				t.Fatalf("%s %s: %v", leg, cfg.ID, err)
+			}
+		}
+		c := store.Counters()
+		t.Logf("%s sweep: %d lookups, %d puts", leg,
+			c.Hits+c.Misses-before.Hits-before.Misses, c.Puts-before.Puts)
+	}
+	// layout counts the objects and, for every campaign set, its
+	// members; a campaign member is the one whose JSON has runs.
+	layout := func() (objects int, campaigns map[string]int) {
+		t.Helper()
+		objs, err := filepath.Glob(filepath.Join(dir, "objects", "*", "*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets, err := filepath.Glob(filepath.Join(dir, "sets", "*", "*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		campaigns = map[string]int{}
+		for _, set := range sets {
+			key := filepath.Base(set)
+			for _, data := range store.SetMembers(key) {
+				var m map[string]json.RawMessage
+				if json.Unmarshal(data, &m) == nil && m["runs"] != nil {
+					campaigns[key]++
+				}
+			}
+		}
+		return len(objs), campaigns
+	}
+	// Each campaign identity owns one TU artifact, one warehouse
+	// record and one campaign set.
+	check := func(leg string, identities int) {
+		t.Helper()
+		objects, campaigns := layout()
+		if objects != 2*identities {
+			t.Errorf("after the %s sweep: %d objects, want %d TU artifacts and warehouse records", leg, objects, 2*identities)
+		}
+		if len(campaigns) != identities {
+			t.Errorf("after the %s sweep: %d campaign sets, want %d", leg, len(campaigns), identities)
+		}
+		for key, members := range campaigns {
+			if members != 1 {
+				t.Errorf("after the %s sweep: campaign set %.12s has %d members, want 1", leg, key, members)
+			}
+		}
+	}
+	n := len(apps.All())
+	sweep("seeding", false)
+	check("seeding", n)
+	sweep("unchanged", false)
+	check("unchanged", n)
+	sweep("edited", true)
+	check("edited", 2*n)
 }
 
 // storeFiles maps each file of a store outside tmp/ to the hash of its
