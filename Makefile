@@ -78,7 +78,8 @@ warehouse-smoke:
 # the race detector: shared-directory fleets (one compile per key,
 # racing publishes), batch dedup, and the client retry policy; then the
 # store's grow-only set races and concurrent campaigns of one program
-# over one directory, 10 times each.
+# over one directory, whose fresh-handle reprobes serve their final
+# builds from the campaign set, 10 times each.
 cluster-smoke:
 	$(GO) test -race -count=1 -run 'Cluster|Batch|Retry' ./internal/service/...
 	$(GO) test -race -count=10 -run 'Set|MergeFuncVerdicts|GCRaces' ./internal/diskcache/

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -134,5 +136,34 @@ func TestProbeTargetAppliesToConfigIDs(t *testing.T) {
 		if spec.ORAQL.Target != c.want {
 			t.Errorf("probe %q: ORAQL.Target = %q, want %q", c.args, spec.ORAQL.Target, c.want)
 		}
+	}
+}
+
+// A warm rerun of `oraql probe -cache-dir` serves its baseline from a
+// translation-unit artifact and its final build from the campaign set,
+// and must still report the cold run's alias statistics.
+func TestWarmProbeReportsColdAliasStats(t *testing.T) {
+	dir := t.TempDir()
+	probe := func() map[string]any {
+		t.Helper()
+		var out strings.Builder
+		if err := run([]string{"probe", "lulesh-seq", "-j", "1", "-cache-dir", dir, "-json"}, &out, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		var res map[string]any
+		if err := json.Unmarshal([]byte(out.String()), &res); err != nil {
+			t.Fatalf("probe -json: %v\n%s", err, out.String())
+		}
+		return res
+	}
+	cold, warm := probe(), probe()
+	for _, key := range []string{"no_alias_orig", "no_alias_oraql", "aa"} {
+		c, w := fmt.Sprint(cold[key]), fmt.Sprint(warm[key])
+		if c != w {
+			t.Errorf("%s: warm rerun printed %s, cold run %s", key, w, c)
+		}
+	}
+	if n, _ := cold["no_alias_orig"].(float64); n == 0 {
+		t.Errorf("cold run printed no_alias_orig 0")
 	}
 }

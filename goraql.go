@@ -113,7 +113,11 @@ type (
 	// ORAQLStats are the pass counters (unique/cached x
 	// optimistic/pessimistic).
 	ORAQLStats = oraql.Stats
-	// QueryRecord describes one unique ORAQL query.
+	// QueryRecord describes one unique ORAQL query. A record of a
+	// final build that a probe with a store restored from its
+	// campaign set carries its rendered locations, and its A and B
+	// hold no IR pointers: read them through LocDescriptions and
+	// SrcLocs.
 	QueryRecord = oraql.QueryRecord
 )
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"io"
 )
 
 // Key derives a content address from a domain tag and the ordered
@@ -25,9 +26,13 @@ func Key(domain string, parts ...string) string {
 }
 
 // HashText returns the bare content hash of a text blob (module or
-// function IR). Used to identify programs and functions in campaign
-// state without tying the identity to a cache domain.
-func HashText(text string) string {
-	sum := sha256.Sum256([]byte(text))
-	return hex.EncodeToString(sum[:])
+// function IR), given whole or as parts that concatenate to it. Used
+// to identify programs and functions in campaign state without tying
+// the identity to a cache domain.
+func HashText(parts ...string) string {
+	h := sha256.New()
+	for _, p := range parts {
+		io.WriteString(h, p)
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }

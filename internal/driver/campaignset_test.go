@@ -1,11 +1,13 @@
 package driver
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -126,12 +128,15 @@ func copyStore(t *testing.T, src string) string {
 }
 
 // FuzzCampaignSetMembers plants an arbitrary payload in a campaign set
-// beside the member its seeding campaign added and reprobes the
-// unchanged program through a fresh handle. The reprobe
-// never panics and never serves a run that decoded as null. When the
-// payload carries no campaign state (it does not decode, or holds no
-// test verdict and no run but null ones), the reprobe runs no test,
-// makes no put, and ends as the seeding campaign did.
+// beside the member its seeding campaign added, under a name that
+// sorts first, and reprobes the unchanged program through a fresh
+// handle. The reprobe never panics, never serves a run that decoded as
+// null, and never serves a final build whose records contradict the
+// final sequence or its counters (finalRecordsHold). When the payload
+// carries no campaign state (it does not decode, or holds no test
+// verdict, no run but null ones and no final that restores under the
+// final sequence), the reprobe runs no test, makes no put, and ends as
+// the seeding campaign did, with its final build served from the set.
 func FuzzCampaignSetMembers(f *testing.F) {
 	seedDir := f.TempDir()
 	seedStore := openStore(f, seedDir)
@@ -144,19 +149,55 @@ func FuzzCampaignSetMembers(f *testing.F) {
 	for _, data := range seedStore.SetMembers(key) {
 		member = data
 	}
+	final := candidateHash(seeded.FinalSeq)
+	finalOpts := oraql.Options{Seq: seeded.FinalSeq}
 	f.Add([]byte(`null`))
 	f.Add(member[:len(member)/2])
 	f.Add([]byte(fmt.Sprintf(`{"runs":{%q:null}}`, seeded.Baseline.Compile.ExeHash())))
 	f.Add([]byte(fmt.Sprintf(`{"tests":{%q:{"ok":"yes","unique":1}}}`, candidateHash(nil))))
+	// Planted finals: the seeding campaign's, broken one way each, then
+	// intact under another sequence's hash, and another sequence's
+	// final under this one's.
+	plant := func(h string, edit func(s *pipeline.Snapshot)) {
+		var m campaignSet
+		if err := json.Unmarshal(member, &m); err != nil || m.Finals[final] == nil {
+			f.Fatalf("seeding member holds no final: %v", err)
+		}
+		snap := m.Finals[final]
+		edit(snap)
+		data, err := json.Marshal(campaignSet{Finals: map[string]*pipeline.Snapshot{h: snap}})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	plant(final, func(s *pipeline.Snapshot) { s.Host.IR = s.Host.IR[:len(s.Host.IR)/2] })
+	plant(final, func(s *pipeline.Snapshot) {
+		s.Host.Records.Records[0].Optimistic = !s.Host.Records.Records[0].Optimistic
+	})
+	plant(final, func(s *pipeline.Snapshot) {
+		s.Host.Records.Records = s.Host.Records.Records[:len(s.Host.Records.Records)-1]
+	})
+	plant(final, func(s *pipeline.Snapshot) { s.Host.Records.Records[0].CacheHits++ })
+	plant(candidateHash(oraql.Seq{false}), func(*pipeline.Snapshot) {})
+	other, err := pipeline.Compile(pipeline.Config{Name: "hello", Source: helloSrc,
+		ORAQL: &oraql.Options{Seq: make(oraql.Seq, 64)}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	plant(final, func(s *pipeline.Snapshot) { *s = *pipeline.TakeSnapshot(other) })
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		dir := copyStore(t, seedDir)
-		if _, err := openStore(t, dir).AddToSet(key, "planted", payload); err != nil {
+		if _, err := openStore(t, dir).AddToSet(key, "+planted", payload); err != nil {
 			t.Fatal(err)
 		}
 		store := openStore(t, dir)
 		res, err := Probe(helloSpec(store, nil))
 		if err == nil && (res.Baseline.Run == nil || res.Final.Run == nil) {
 			t.Fatal("the reprobe served a null run")
+		}
+		if err == nil {
+			finalRecordsHold(t, res)
 		}
 		var planted campaignSet
 		if json.Unmarshal(payload, &planted) == nil {
@@ -165,6 +206,11 @@ func FuzzCampaignSetMembers(f *testing.F) {
 			}
 			for _, r := range planted.Runs {
 				if r != nil {
+					return
+				}
+			}
+			if snap := planted.Finals[final]; snap != nil {
+				if _, ok := snap.Restore(&finalOpts); ok {
 					return
 				}
 			}
@@ -178,8 +224,17 @@ func FuzzCampaignSetMembers(f *testing.F) {
 		if puts := store.Counters().Puts; puts != 0 {
 			t.Errorf("reprobe beside %q made %d puts, want 0", payload, puts)
 		}
+		if res.Final.Compile.DiskHits() == 0 {
+			t.Errorf("reprobe beside %q compiled its final build", payload)
+		}
 		if r, s := res.FinalSeq.String(), seeded.FinalSeq.String(); r != s {
 			t.Errorf("FinalSeq %q, seeding campaign %q", r, s)
+		}
+		if r, s := res.Final.Compile.ExeHash(), seeded.Final.Compile.ExeHash(); r != s {
+			t.Errorf("final exe hash %.12s, seeding campaign %.12s", r, s)
+		}
+		if r, s := res.Final.Compile.Host.Module.String(), seeded.Final.Compile.Host.Module.String(); r != s {
+			t.Error("final IR differs from the seeding campaign's")
 		}
 		if r, s := guiltySet(res), guiltySet(seeded); fmt.Sprint(r) != fmt.Sprint(s) {
 			t.Errorf("convictions %v, seeding campaign %v", r, s)
@@ -187,12 +242,43 @@ func FuzzCampaignSetMembers(f *testing.F) {
 	})
 }
 
+// finalRecordsHold checks a campaign's final build against its final
+// sequence, as a restored final must be checked before it is served:
+// per target, record i has Index i and the sequence's answer at i,
+// there is one record per unique query, and the records' cache hits
+// sum to the cached counters by answer.
+func finalRecordsHold(t *testing.T, res *Result) {
+	t.Helper()
+	for _, ts := range []*pipeline.TargetStats{res.Final.Compile.Host, res.Final.Compile.Device} {
+		if ts == nil {
+			continue
+		}
+		recs, s := ts.ORAQL.Records(), ts.ORAQL.Stats()
+		var hits [2]int
+		for i, rec := range recs {
+			want := i >= len(res.FinalSeq) || res.FinalSeq[i]
+			if rec.Index != i || rec.Optimistic != want {
+				t.Fatalf("%s: final record %d has index %d and answer %t, want %d and %t",
+					ts.Module.Name, i, rec.Index, rec.Optimistic, i, want)
+			}
+			if rec.Optimistic {
+				hits[1] += rec.CacheHits
+			} else {
+				hits[0] += rec.CacheHits
+			}
+		}
+		if len(recs) != s.Unique() || hits != [2]int{s.CachedPessimistic, s.CachedOptimistic} {
+			t.Fatalf("%s: %d final records with cache hits %v, counters %+v", ts.Module.Name, len(recs), hits, s)
+		}
+	}
+}
+
 // Campaigns of one program that run at once, through two store handles
 // on one directory as two processes would, lose none of each other's
 // state: half probe with chunked and half with freq, so they consume
 // different candidates. A reprobe with either strategy through a fresh
-// handle then finds every test verdict and both runs, and writes
-// nothing.
+// handle then finds every test verdict, both runs and its final build,
+// and writes nothing.
 func TestConcurrentCampaignsLoseNothing(t *testing.T) {
 	dir := t.TempDir()
 	var wg sync.WaitGroup
@@ -227,8 +313,37 @@ func TestConcurrentCampaignsLoseNothing(t *testing.T) {
 		if res.TestsRun != 0 || res.RunsReplayed != 2 {
 			t.Errorf("%s reprobe ran %d tests and replayed %d runs, want 0 and 2", strat.Name(), res.TestsRun, res.RunsReplayed)
 		}
+		if res.Final.Compile.DiskHits() == 0 {
+			t.Errorf("%s reprobe compiled its final build", strat.Name())
+		}
 		if c := store.Counters(); c.Puts != 0 {
 			t.Errorf("%s reprobe made %d puts, want 0", strat.Name(), c.Puts)
 		}
+	}
+}
+
+// A campaign that dumps its queries compiles its final build live,
+// since only a compile that runs can print, though the campaign set
+// holds the final; it learns nothing, since the set holds the final.
+func TestDumpingReprobeCompilesItsFinal(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := Probe(helloSpec(openStore(t, dir), nil)); err != nil {
+		t.Fatal(err)
+	}
+	store := openStore(t, dir)
+	var dump bytes.Buffer
+	spec := helloSpec(store, nil)
+	spec.ORAQL.Dump = oraql.DumpFlags{First: true, Pessimistic: true}
+	spec.ORAQL.Out = &dump
+	res, err := Probe(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Final.Compile.DiskHits() != 0 || !strings.Contains(dump.String(), "[ORAQL] Pessimistic query") {
+		t.Errorf("dumping reprobe served its final from the set (%d disk hits) or printed no dump:\n%s",
+			res.Final.Compile.DiskHits(), dump.String())
+	}
+	if puts := store.Counters().Puts; puts != 0 {
+		t.Errorf("dumping reprobe made %d puts, want 0", puts)
 	}
 }

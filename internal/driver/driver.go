@@ -174,7 +174,7 @@ type state struct {
 	// camp is the union of the campaign set's members, loaded after
 	// the baseline compile, and learned what this campaign found that
 	// camp lacks (persist.go). Only the decision loop touches learned.
-	camp    *campaignSet
+	camp    *campaignUnion
 	learned campaignSet
 	// hint holds the descriptors of the persisted convictions that the
 	// fully optimistic compile's query stream matched, and hintAt their
@@ -195,20 +195,10 @@ func (st *state) logf(format string, args ...any) {
 // optimistic test was started beside the baseline.
 var baselineHook func(overlapped bool)
 
-// execute compiles with the given ORAQL options (nil = pass disabled),
-// every step live, and runs the program.
-func (st *state) execute(opts *oraql.Options) (*Outcome, error) {
-	cr, err := st.sess.CompileLive(st.ctx, opts)
-	if err != nil {
-		return nil, err
-	}
+// execute counts a baseline or final build among the compiles, runs
+// it and checks its output.
+func (st *state) execute(cr *pipeline.CompileResult) *Outcome {
 	st.res.Compiles++
-	if opts == nil {
-		st.openCampaign(cr)
-		if baselineHook != nil {
-			baselineHook(st.eng.overlap)
-		}
-	}
 	rr, runErr := st.run(cr)
 	out := &Outcome{Compile: cr, Run: rr, RunErr: runErr}
 	var stdout string
@@ -216,7 +206,7 @@ func (st *state) execute(opts *oraql.Options) (*Outcome, error) {
 		stdout = rr.Stdout
 	}
 	out.Verify = st.spec.Verify.Check(stdout, runErr)
-	return out, nil
+	return out
 }
 
 // test verifies a candidate sequence through the engine, optionally
@@ -285,10 +275,15 @@ func (st *state) probe() (*Result, error) {
 	if st.eng.overlap {
 		st.eng.launch(nil, false)
 	}
-	base, err := st.execute(nil)
+	cr, err := st.sess.CompileLive(st.ctx, nil)
 	if err != nil {
 		return nil, fmt.Errorf("driver: baseline: %w", err)
 	}
+	st.openCampaign(cr)
+	if baselineHook != nil {
+		baselineHook(st.eng.overlap)
+	}
+	base := st.execute(cr)
 	if base.RunErr != nil {
 		return nil, fmt.Errorf("driver: baseline run failed: %w", base.RunErr)
 	}
@@ -365,19 +360,19 @@ func (st *state) probe() (*Result, error) {
 	return st.finalize(final)
 }
 
-// finalize recompiles with the final sequence and records results.
+// finalize builds the final sequence, compiled live or restored from
+// the campaign set (compileFinal), and records results.
 func (st *state) finalize(seq oraql.Seq) (*Result, error) {
 	// Testing is over: wait out cancelled speculation, then release
 	// the session's memos so they are garbage during the final compile.
 	st.eng.shutdown()
 	st.res.ColdFallbacks = st.sess.Fallbacks()
 	st.sess.Release()
-	opts := st.spec.ORAQL
-	opts.Seq = seq
-	fin, err := st.execute(&opts)
+	cr, err := st.compileFinal(seq)
 	if err != nil {
 		return nil, err
 	}
+	fin := st.execute(cr)
 	if !fin.Verify.OK {
 		return nil, fmt.Errorf("driver: final sequence does not verify: %s", fin.Verify.Diff)
 	}

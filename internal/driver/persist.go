@@ -19,13 +19,18 @@ import (
 //     content hashes + check configuration: pipeline, ORAQL scope, run
 //     options and verify settings). The union of its members maps the
 //     hash of each candidate a campaign consumed to its test verdict,
-//     and the executable hash of each baseline and final build to its
-//     run (runcache.go). probe reads it once, right after the baseline
-//     compile yields the identity; the engine and run answer from it in
-//     memory; and when probe returns it adds one member that holds
-//     what the campaign learned and the union lacked, or nothing. So
-//     an unchanged reprobe compiles no test, runs nothing and writes
-//     nothing.
+//     the executable hash of each baseline and final build to its run
+//     (runcache.go), and the hash of each final sequence to its final
+//     build (compileFinal), as a pipeline.Snapshot that carries the
+//     ORAQL counters and the query records with their locations
+//     rendered. probe reads it once, right after the baseline compile
+//     yields the identity; the engine, run and compileFinal answer
+//     from it in memory; and when probe returns it adds one member
+//     that holds what the campaign learned and the union lacked, or
+//     nothing. A final is served only after its records check against
+//     the sequence and its counters (oraql.Restore). So an unchanged
+//     reprobe, whose baseline comes from its TU artifact, compiles
+//     nothing, runs nothing and writes nothing.
 //
 //   - Per-query verdicts, keyed by the *function* content hash: a set
 //     of stable query descriptors (pass + function + both location
@@ -49,14 +54,27 @@ import (
 // A campaign killed before probe returns adds nothing to its campaign
 // set, which costs later campaigns misses, never a wrong answer.
 
-// campaignSet is the state of one campaign identity: the union of the
-// members of the set keyed by campID, or what one campaign adds to it.
+// campaignSet is what one campaign adds to the set keyed by campID.
 type campaignSet struct {
 	// Tests maps a candidate's hash (candidateHash) to its verdict.
 	Tests map[string]testVerdict `json:"tests,omitempty"`
 	// Runs maps an executable hash to the run of the baseline or final
 	// build with that hash.
 	Runs map[string]*irinterp.Result `json:"runs,omitempty"`
+	// Finals maps the hash of a final sequence to the final build of a
+	// campaign that ended on it (compileFinal).
+	Finals map[string]*pipeline.Snapshot `json:"finals,omitempty"`
+}
+
+// campaignUnion is the union of a campaign set's members. Members this
+// driver writes never disagree: a verdict, a run and a final build are
+// pure functions of their keys. A final keeps every member's version,
+// in member-name order, because only a campaign that ends on its
+// sequence can check one.
+type campaignUnion struct {
+	Tests  map[string]testVerdict
+	Runs   map[string]*irinterp.Result
+	Finals map[string][]*pipeline.Snapshot
 }
 
 // testVerdict is one candidate's persisted check result.
@@ -99,19 +117,25 @@ func (st *state) openCampaign(b *pipeline.CompileResult) {
 	st.campID = diskcache.Key("campaign", st.checkID, b.Host.ModuleHash, dev)
 	st.camp = loadCampaignSet(st.spec.Cache.SetMembers(st.campID))
 	st.eng.camp = st.camp
-	st.learned = campaignSet{Tests: map[string]testVerdict{}, Runs: map[string]*irinterp.Result{}}
+	st.learned = campaignSet{Tests: map[string]testVerdict{}, Runs: map[string]*irinterp.Result{},
+		Finals: map[string]*pipeline.Snapshot{}}
 }
 
 // loadCampaignSet returns the union of a campaign set's members. A
 // member that does not decode is skipped, and so are a verdict that
-// claims a negative count or more than maxUnique queries and a run
-// that decodes as null. Members this driver writes never disagree: a
-// verdict and a run are pure functions of their keys.
-func loadCampaignSet(members map[string][]byte) *campaignSet {
-	u := &campaignSet{Tests: map[string]testVerdict{}, Runs: map[string]*irinterp.Result{}}
-	for _, data := range members {
+// claims a negative count or more than maxUnique queries and a run or
+// final that decodes as null.
+func loadCampaignSet(members map[string][]byte) *campaignUnion {
+	u := &campaignUnion{Tests: map[string]testVerdict{}, Runs: map[string]*irinterp.Result{},
+		Finals: map[string][]*pipeline.Snapshot{}}
+	names := make([]string, 0, len(members))
+	for name := range members {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
 		var m campaignSet
-		if json.Unmarshal(data, &m) != nil {
+		if json.Unmarshal(members[name], &m) != nil {
 			continue
 		}
 		for h, v := range m.Tests {
@@ -124,6 +148,11 @@ func loadCampaignSet(members map[string][]byte) *campaignSet {
 				u.Runs[h] = r
 			}
 		}
+		for h, f := range m.Finals {
+			if f != nil {
+				u.Finals[h] = append(u.Finals[h], f)
+			}
+		}
 	}
 	return u
 }
@@ -132,9 +161,42 @@ func loadCampaignSet(members map[string][]byte) *campaignSet {
 // lacked as one member, and nothing when it learned nothing. A failed
 // add costs later campaigns misses, never a wrong answer.
 func (st *state) publishCampaign() {
-	if st.camp != nil && len(st.learned.Tests)+len(st.learned.Runs) > 0 {
-		_ = st.spec.Cache.AddJSON(st.campID, st.learned)
+	l := &st.learned
+	if st.camp != nil && len(l.Tests)+len(l.Runs)+len(l.Finals) > 0 {
+		_ = st.spec.Cache.AddJSON(st.campID, l)
 	}
+}
+
+// compileFinal compiles the final build, with sequence seq, or
+// restores it from the campaign set: the first version filed under
+// seq's hash that restores under the campaign's ORAQL options
+// (pipeline.Snapshot.Restore checks the records against seq) is
+// served, unless the campaign dumps, which takes a live compile. A
+// final compiled live is learned unless a version under its key
+// restored or went unchecked.
+func (st *state) compileFinal(seq oraql.Seq) (*pipeline.CompileResult, error) {
+	opts := st.spec.ORAQL
+	opts.Seq = seq
+	if st.camp == nil {
+		return st.sess.CompileLive(st.ctx, &opts)
+	}
+	h := candidateHash(seq)
+	versions := st.camp.Finals[h]
+	cfg := st.spec.Compile
+	cfg.ORAQL = &opts
+	dumps := cfg.Dumps()
+	if !dumps {
+		for _, v := range versions {
+			if cr, ok := v.Restore(&opts); ok {
+				return cr, nil
+			}
+		}
+	}
+	cr, err := st.sess.CompileLive(st.ctx, &opts)
+	if err == nil && (!dumps || len(versions) == 0) {
+		st.learned.Finals[h] = pipeline.TakeSnapshot(cr)
+	}
+	return cr, err
 }
 
 // queryDesc is one query record rendered: both location dumps and
@@ -144,16 +206,18 @@ type queryDesc struct {
 	key  string // pass|func|a|b#occurrence
 }
 
-// describeQueries renders a record stream's locations and stable
-// per-query descriptors. Identical query streams (same function
+// describeQueries renders a record stream's locations, each distinct
+// one once (oraql.Render), and stable per-query descriptors. Identical
+// query streams (same function
 // content, same analysis answers) produce identical descriptors across
 // processes and across edits to other functions; the occurrence suffix
 // disambiguates repeated (pass, locations) pairs within one function.
 func describeQueries(recs []*oraql.QueryRecord) []queryDesc {
+	rr := oraql.Render(recs)
 	occ := map[string]int{}
 	out := make([]queryDesc, len(recs))
-	for i, rec := range recs {
-		a, b := rec.LocDescriptions()
+	for i, rec := range rr.Records {
+		a, b := rr.Locs[rec.A].Desc, rr.Locs[rec.B].Desc
 		base := rec.Pass + "|" + rec.Func + "|" + a + "|" + b
 		out[i] = queryDesc{a: a, b: b, key: fmt.Sprintf("%s#%d", base, occ[base])}
 		occ[base]++

@@ -8,8 +8,9 @@ package driver
 // campaign of the same identity replays them. That completes the
 // seeded fast path for an unchanged program — test verdicts replay
 // from the campaign set (engine.go), the baseline compilation from its
-// translation-unit artifact (pipeline), and the interpreter runs from
-// here, so a re-probe pays one set read instead of simulated
+// translation-unit artifact (pipeline), the final build from the
+// campaign set (persist.go), and the interpreter runs from here, so a
+// re-probe pays one set read instead of compiles and simulated
 // execution.
 //
 // The executable hash alone does not identify a program: the encoding

@@ -7,8 +7,20 @@ import (
 
 // String renders the module in an LLVM-like textual form. The output is
 // deterministic, parseable by package irtext (print→parse round-trips),
-// and used by tests and the -print-ir flag of oraql-opt.
+// and used by tests and the -print-ir flag of oraql-opt. It is Header
+// followed by each function's String.
 func (m *Module) String() string {
+	var sb strings.Builder
+	sb.WriteString(m.Header())
+	for _, f := range m.Funcs {
+		sb.WriteString(f.String())
+	}
+	return sb.String()
+}
+
+// Header renders what String prints before the functions: the module
+// line, the TBAA tags and the globals.
+func (m *Module) Header() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "; module %s target=%s\n", m.Name, m.Target)
 	for _, tag := range m.TBAA.Tags() {
@@ -44,9 +56,6 @@ func (m *Module) String() string {
 			sb.WriteString("}")
 		}
 		sb.WriteString("\n")
-	}
-	for _, f := range m.Funcs {
-		sb.WriteString(f.String())
 	}
 	return sb.String()
 }

@@ -9,6 +9,7 @@ import (
 	"github.com/oraql/go-oraql/internal/irinterp"
 	"github.com/oraql/go-oraql/internal/irtext"
 	"github.com/oraql/go-oraql/internal/minic"
+	"github.com/oraql/go-oraql/internal/oraql"
 	"github.com/oraql/go-oraql/internal/pipeline"
 )
 
@@ -35,7 +36,58 @@ func TestRoundTripAllApps(t *testing.T) {
 				t.Fatal(err)
 			}
 			roundTrip(t, cfg, cr.Program.Host, cr.Program.Device)
+
+			// Fully optimistic output (ORAQL on, empty sequence): the
+			// final build of a fully optimistic campaign, whose code
+			// motion and vectorization go further. It may miscompile,
+			// so only the text round trip is checked.
+			opt, err := pipeline.Compile(pipeline.Config{
+				Name: cfg.ID, Source: cfg.Source, SourceFile: cfg.SourceName, Frontend: cfg.Frontend,
+				ORAQL: &oraql.Options{},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range []*ir.Module{opt.Program.Host, opt.Program.Device} {
+				if m == nil {
+					continue
+				}
+				text := m.String()
+				m2, err := irtext.Parse(text)
+				if err != nil {
+					t.Fatalf("parse fully optimistic %s: %v", m.Name, err)
+				}
+				if again := m2.String(); again != text {
+					t.Fatalf("fully optimistic %s: print->parse->print is not a fixpoint:\nfirst diff at %s", m.Name, firstDiff(text, again))
+				}
+			}
 		})
+	}
+}
+
+// A block printed after a block it dominates can define a value that
+// the earlier one uses. The parser must still type every user from
+// that value: here a vector splat defined in the last block.
+func TestLateDefinitionKeepsTypes(t *testing.T) {
+	src := "; module late target=host\n" +
+		"define double @f(double %x) {\n" +
+		"entry:\n" +
+		"  br %def\n" +
+		"use:\n" +
+		"  %v = fmul %s, %s\n" +
+		"  %r = vreduce %v\n" +
+		"  ret %r\n" +
+		"def:\n" +
+		"  %s = vsplat %x\n" +
+		"  br %use\n" +
+		"}\n"
+	m, err := irtext.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	use := m.Funcs[0].Blocks[1].Instrs
+	if use[0].Ty != ir.V4F64 || use[1].Ty != ir.F64 {
+		t.Errorf("%%v is %s and %%r %s, want %s and %s", use[0].Ty, use[1].Ty, ir.V4F64, ir.F64)
 	}
 }
 
@@ -130,9 +182,10 @@ func TestParserErrors(t *testing.T) {
 	cases := []string{
 		"",                              // no header
 		"; module x target=t\n@g = bad", // malformed global
-		"; module x target=t\ndefine void @f() {\nentry:\n  bogus 1\n}\n",                             // unknown op
-		"; module x target=t\ndefine void @f() {\nentry:\n  ret void\n",                               // unterminated
-		"; module x target=t\ndefine void @f() {\nentry:\n  %x = load i64, %missing\n  ret void\n}\n", // undefined value
+		"; module x target=t\ndefine void @f() {\nentry:\n  bogus 1\n}\n",                                      // unknown op
+		"; module x target=t\ndefine void @f() {\nentry:\n  ret void\n",                                        // unterminated
+		"; module x target=t\ndefine void @f() {\nentry:\n  %x = load i64, %missing\n  ret void\n}\n",          // undefined value
+		"; module x target=t\ndefine void @f() {\nentry:\n  %a = vsplat %b\n  %b = vsplat %a\n  ret void\n}\n", // no SSA order
 	}
 	for _, src := range cases {
 		if _, err := irtext.Parse(src); err == nil {

@@ -9,10 +9,9 @@ import (
 )
 
 // operands fills in one instruction from its stripped text (pass 2).
-// Dominance guarantees that every referenced non-phi value was defined
-// on an earlier line, and phis carry explicit types, so type inference
-// for constants always has a resolved operand or an explicit type to
-// lean on.
+// The caller resolves every referenced non-phi value first (body), and
+// phis carry explicit types, so type inference for constants always
+// has a resolved operand or an explicit type to lean on.
 func (fp *funcParser) operands(r rawInstr) error {
 	in := r.in
 	text := r.text
@@ -307,8 +306,12 @@ func (fp *funcParser) operands(r rawInstr) error {
 		if err != nil {
 			return err
 		}
+		elem := scalarOf(v.Type())
+		if elem != ir.I64 && elem != ir.F64 {
+			return fmt.Errorf("vsplat of %s", v.Type())
+		}
 		in.Operands = []ir.Value{v}
-		in.Ty = ir.VecType(scalarOf(v.Type()), 4)
+		in.Ty = ir.VecType(elem, 4)
 
 	case ir.OpVExtract:
 		args := splitArgs(rest)
@@ -499,16 +502,21 @@ func (fp *funcParser) metadata(in *ir.Instr, meta string) error {
 				rest = loc[end:]
 				loc = loc[:end]
 			}
-			parts := strings.Split(loc, ":")
-			if len(parts) < 3 {
+			// file:line:col, where the file may hold colons itself.
+			c2 := strings.LastIndexByte(loc, ':')
+			c1 := -1
+			if c2 >= 0 {
+				c1 = strings.LastIndexByte(loc[:c2], ':')
+			}
+			if c1 < 0 {
 				return fmt.Errorf("malformed !dbg %q", loc)
 			}
-			line, err1 := strconv.Atoi(parts[len(parts)-2])
-			col, err2 := strconv.Atoi(parts[len(parts)-1])
+			line, err1 := strconv.Atoi(loc[c1+1 : c2])
+			col, err2 := strconv.Atoi(loc[c2+1:])
 			if err1 != nil || err2 != nil {
 				return fmt.Errorf("malformed !dbg %q", loc)
 			}
-			in.Loc = ir.SrcLoc{File: strings.Join(parts[:len(parts)-2], ":"), Line: line, Col: col}
+			in.Loc = ir.SrcLoc{File: loc[:c1], Line: line, Col: col}
 			s = strings.TrimSpace(rest)
 		default:
 			return fmt.Errorf("unknown metadata %q", s)

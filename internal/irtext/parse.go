@@ -116,7 +116,9 @@ func (p *parser) module() (*ir.Module, error) {
 	// Pass 1: headers.
 	parsers := make([]*funcParser, len(fns))
 	for i, ext := range fns {
-		fp := &funcParser{m: m, values: map[string]ir.Value{}, blocks: map[string]*ir.Block{}}
+		n := ext.end - ext.start // body lines: at most that many values
+		fp := &funcParser{m: m, values: make(map[string]ir.Value, n), blocks: map[string]*ir.Block{},
+			raw: make([]rawInstr, 0, n)}
 		if err := fp.header(ext.head); err != nil {
 			return nil, err
 		}

@@ -1,9 +1,11 @@
 package irtext
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"github.com/oraql/go-oraql/internal/ir"
 )
@@ -18,7 +20,19 @@ type funcParser struct {
 	blocks   map[string]*ir.Block // label -> block
 	raw      []rawInstr
 	curLabel string
+
+	// cur is the instruction whose operands are being resolved, in text
+	// order on the first pass (textOrder). It must wait for an operand
+	// that is not resolved yet: one later in the text on the first
+	// pass, or a deferred one (body).
+	cur       *ir.Instr
+	textOrder bool
+	deferred  map[*ir.Instr]bool
 }
+
+// errForward stops a non-phi instruction at an operand that is not
+// resolved yet.
+var errForward = errors.New("operand not resolved yet")
 
 type rawInstr struct {
 	in   *ir.Instr
@@ -44,17 +58,47 @@ func (fp *funcParser) body(lines []string, baseLine int) error {
 			return err
 		}
 	}
-	for _, r := range fp.raw {
-		if err := fp.operands(r); err != nil {
-			return fmt.Errorf("line %d: %q: %w", r.line+1, r.text, err)
+	// An instruction's result type follows from its operands', so an
+	// operand must be resolved before its users. In text order it
+	// usually is; but a block printed late can define a value that an
+	// earlier-printed block it dominates uses. Such a user stops at
+	// that operand (errForward), is reset and deferred, and the
+	// deferred ones are retried until none is left. Phis spell out
+	// their type and break the cycles of loops; a retry that makes no
+	// progress (no SSA order exists) resolves the rest in text order.
+	pending := fp.raw
+	for first := true; len(pending) > 0; first = false {
+		var later []rawInstr
+		for _, r := range pending {
+			fp.cur, fp.textOrder = r.in, first
+			err := fp.operands(r)
+			if errors.Is(err, errForward) {
+				in := r.in
+				*in = ir.Instr{Op: in.Op, Ty: ir.Void, ID: in.ID, Parent: in.Parent, Name: in.Name}
+				if fp.deferred == nil {
+					fp.deferred = map[*ir.Instr]bool{}
+				}
+				fp.deferred[in] = true
+				later = append(later, r)
+				continue
+			}
+			if err != nil {
+				return fmt.Errorf("line %d: %q: %w", r.line+1, r.text, err)
+			}
+			delete(fp.deferred, r.in)
+			// A void result cannot carry a name: the printer drops the
+			// "%x = " prefix for void instructions, so a named one would
+			// not survive a print/parse round trip.
+			if r.in.Name != "" && r.in.Ty == ir.Void {
+				return fmt.Errorf("line %d: %q: named result of void type", r.line+1, r.text)
+			}
 		}
-		// A void result cannot carry a name: the printer drops the
-		// "%x = " prefix for void instructions, so a named one would
-		// not survive a print/parse round trip.
-		if r.in.Name != "" && r.in.Ty == ir.Void {
-			return fmt.Errorf("line %d: %q: named result of void type", r.line+1, r.text)
+		if !first && len(later) == len(pending) {
+			fp.deferred = nil
 		}
+		pending = later
 	}
+	fp.cur = nil
 	return nil
 }
 
@@ -154,11 +198,14 @@ func (fp *funcParser) shell(line string, pos int) error {
 		text = text[eq+3:]
 	}
 	text, meta := splitMeta(text)
-	fields := strings.Fields(text)
-	if len(fields) == 0 {
+	if text == "" {
 		return fmt.Errorf("missing opcode in %q", line)
 	}
-	op, ok := opByName(fields[0])
+	opName := text
+	if i := strings.IndexFunc(text, unicode.IsSpace); i >= 0 {
+		opName = text[:i]
+	}
+	op, ok := opByName(opName)
 	if !ok {
 		return fmt.Errorf("unknown opcode in %q", line)
 	}
@@ -212,6 +259,10 @@ func (fp *funcParser) value(tok string, hint *ir.Type) (ir.Value, error) {
 		if !ok {
 			return nil, fmt.Errorf("undefined value %s", tok)
 		}
+		if in, ok := v.(*ir.Instr); ok && fp.cur != nil && fp.cur.Op != ir.OpPhi &&
+			(fp.textOrder && in.ID >= fp.cur.ID || fp.deferred[in]) {
+			return nil, errForward
+		}
 		return v, nil
 	case strings.HasPrefix(tok, "@"):
 		g := fp.m.GlobalByName(tok[1:])
@@ -249,7 +300,7 @@ func (fp *funcParser) value(tok string, hint *ir.Type) (ir.Value, error) {
 
 // splitArgs splits on top-level commas (respecting quotes).
 func splitArgs(s string) []string {
-	var out []string
+	out := make([]string, 0, 4)
 	depth := 0
 	inStr := false
 	start := 0

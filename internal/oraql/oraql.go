@@ -146,6 +146,9 @@ type Options struct {
 
 // QueryRecord describes one unique (non-cached) query the pass
 // answered; the report tooling renders these like the paper's Fig. 3.
+// A record restored from a persisted compilation (Restore) carries its
+// rendered locations instead: its A and B hold no IR pointers, so
+// readers go through LocDescriptions and SrcLocs.
 type QueryRecord struct {
 	Index      int  // position in the unique-query stream
 	Optimistic bool // response given
@@ -153,18 +156,96 @@ type QueryRecord struct {
 	Pass       string // requesting pass at first issue
 	Func       string // enclosing function
 	CacheHits  int    // times later served from cache
+
+	rendered *[2]RenderedLoc // restored records only
 }
 
 // LocDescriptions renders both query locations the way the Fig. 3
 // dump does; the difftest triage reports embed these strings.
 func (r *QueryRecord) LocDescriptions() (a, b string) {
+	if r.rendered != nil {
+		return r.rendered[0].Desc, r.rendered[1].Desc
+	}
 	return describeLoc(r.A), describeLoc(r.B)
 }
 
 // SrcLocs returns the source locations of the two query pointers
 // (either may be invalid).
 func (r *QueryRecord) SrcLocs() (a, b ir.SrcLoc) {
+	if r.rendered != nil {
+		return r.rendered[0].Src, r.rendered[1].Src
+	}
 	return srcOf(r.A), srcOf(r.B)
+}
+
+// RenderedRecords are a compilation's query records with their
+// locations rendered, the form in which a persisted compilation keeps
+// them. Each distinct location is kept once.
+type RenderedRecords struct {
+	Locs    []RenderedLoc    `json:"locs"`
+	Records []RenderedRecord `json:"records"`
+}
+
+// RenderedLoc is one query location rendered: what LocDescriptions
+// and SrcLocs return for it.
+type RenderedLoc struct {
+	Desc string    `json:"desc"`
+	Src  ir.SrcLoc `json:"src"`
+}
+
+// RenderedRecord is one query record whose locations A and B index
+// RenderedRecords.Locs.
+type RenderedRecord struct {
+	Index      int    `json:"index"`
+	Optimistic bool   `json:"optimistic"`
+	Pass       string `json:"pass"`
+	Func       string `json:"func"`
+	CacheHits  int    `json:"cache_hits"`
+	A          int    `json:"a"`
+	B          int    `json:"b"`
+}
+
+// Render renders the locations of recs, each distinct one once. The
+// IR the records point into must no longer change.
+func Render(recs []*QueryRecord) *RenderedRecords {
+	out := &RenderedRecords{Records: make([]RenderedRecord, len(recs))}
+	type memoKey struct {
+		ptr   ir.Value
+		size  aa.LocationSize
+		instr *ir.Instr
+	}
+	index := map[RenderedLoc]int{}
+	intern := func(l RenderedLoc) int {
+		i, ok := index[l]
+		if !ok {
+			i = len(out.Locs)
+			out.Locs = append(out.Locs, l)
+			index[l] = i
+		}
+		return i
+	}
+	memo := map[memoKey]int{}
+	loc := func(r *QueryRecord, side int) int {
+		if r.rendered != nil {
+			return intern(r.rendered[side])
+		}
+		m := r.A
+		if side == 1 {
+			m = r.B
+		}
+		k := memoKey{m.Ptr, m.Size, m.Instr}
+		i, ok := memo[k]
+		if !ok {
+			i = intern(RenderedLoc{Desc: describeLoc(m), Src: srcOf(m)})
+			memo[k] = i
+		}
+		return i
+	}
+	for i, r := range recs {
+		out.Records[i] = RenderedRecord{Index: r.Index, Optimistic: r.Optimistic, Pass: r.Pass,
+			Func: r.Func, CacheHits: r.CacheHits, A: loc(r, 0), B: loc(r, 1)}
+	}
+	return out
 }
 
 // Stats are the counters the pass reports through the statistics
@@ -231,6 +312,37 @@ func New(m *ir.Module, opts Options) *Pass {
 	p := &Pass{opts: opts, module: m, cache: map[[2]int64]*QueryRecord{}}
 	p.active = opts.Target == "" || strings.Contains(m.Target, opts.Target)
 	return p
+}
+
+// Restore returns a pass that reports the counters and records of an
+// earlier compilation under opts and answers no query. It checks them
+// against opts first: record i must have Index i, opts' answer at i
+// and locations that exist, there must be one record per unique query,
+// and the records' cache hits must sum to the cached counters by
+// answer.
+func Restore(opts Options, stats Stats, rr *RenderedRecords) (*Pass, error) {
+	p := &Pass{opts: opts, stats: stats, records: make([]*QueryRecord, len(rr.Records))}
+	var opt int
+	var hits [2]int // pessimistic, optimistic
+	for i, r := range rr.Records {
+		if r.Index != i || r.Optimistic != p.seqAt(i) || r.CacheHits < 0 ||
+			r.A < 0 || r.A >= len(rr.Locs) || r.B < 0 || r.B >= len(rr.Locs) {
+			return nil, fmt.Errorf("oraql: restored record %d does not match the sequence or its locations", i)
+		}
+		if r.Optimistic {
+			opt++
+			hits[1] += r.CacheHits
+		} else {
+			hits[0] += r.CacheHits
+		}
+		p.records[i] = &QueryRecord{Index: r.Index, Optimistic: r.Optimistic, Pass: r.Pass,
+			Func: r.Func, CacheHits: r.CacheHits, rendered: &[2]RenderedLoc{rr.Locs[r.A], rr.Locs[r.B]}}
+	}
+	if len(rr.Records) != stats.Unique() || opt != stats.UniqueOptimistic ||
+		hits != [2]int{stats.CachedPessimistic, stats.CachedOptimistic} {
+		return nil, fmt.Errorf("oraql: %d restored records do not match the counters %+v", len(rr.Records), stats)
+	}
+	return p, nil
 }
 
 // Name implements aa.Analysis.

@@ -363,3 +363,52 @@ func TestTranscriptFitReplayScript(t *testing.T) {
 		t.Error("a different pair key must break the script")
 	}
 }
+
+// A pass's records render each distinct location once and restore
+// with the same locations and counters; Restore refuses records that
+// contradict the sequence, the counters or their own location table.
+func TestRenderRestore(t *testing.T) {
+	env := newQueryEnv(t, 3)
+	opts := Options{Seq: Seq{false, true}}
+	p := New(env.m, opts)
+	q := &aa.QueryCtx{Pass: "GVN", Func: env.fn}
+	p.Alias(env.loc(0), env.loc(1), q)
+	p.Alias(env.loc(0), env.loc(2), q)
+	p.Alias(env.loc(1), env.loc(0), q) // cached
+	rr := Render(p.Records())
+	// The three allocas print alike, so their locations are one entry.
+	if len(rr.Records) != 2 || len(rr.Locs) != 1 {
+		t.Fatalf("rendered %d records over %d locations, want 2 over 1", len(rr.Records), len(rr.Locs))
+	}
+	r, err := Restore(opts, p.Stats(), rr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Stats() != p.Stats() {
+		t.Errorf("restored stats %+v, want %+v", r.Stats(), p.Stats())
+	}
+	for i, rec := range r.Records() {
+		live := p.Records()[i]
+		ra, rb := rec.LocDescriptions()
+		la, lb := live.LocDescriptions()
+		rsa, rsb := rec.SrcLocs()
+		lsa, lsb := live.SrcLocs()
+		if ra != la || rb != lb || rsa != lsa || rsb != lsb || rec.CacheHits != live.CacheHits || rec.A.Ptr != nil {
+			t.Errorf("record %d restored as %+v (%s, %s), want %+v (%s, %s) without IR pointers", i, rec, ra, rb, live, la, lb)
+		}
+	}
+	for name, edit := range map[string]func(rr *RenderedRecords, s *Stats){
+		"index":      func(rr *RenderedRecords, _ *Stats) { rr.Records[1].Index = 0 },
+		"answer":     func(rr *RenderedRecords, _ *Stats) { rr.Records[0].Optimistic = true },
+		"count":      func(rr *RenderedRecords, _ *Stats) { rr.Records = rr.Records[:1] },
+		"cache hits": func(_ *RenderedRecords, s *Stats) { s.CachedPessimistic++ },
+		"location":   func(rr *RenderedRecords, _ *Stats) { rr.Records[1].B = len(rr.Locs) },
+	} {
+		bad := &RenderedRecords{Locs: rr.Locs, Records: append([]RenderedRecord(nil), rr.Records...)}
+		stats := p.Stats()
+		edit(bad, &stats)
+		if _, err := Restore(opts, stats, bad); err == nil {
+			t.Errorf("%s: Restore accepted records that contradict it", name)
+		}
+	}
+}

@@ -1,7 +1,8 @@
 package pipeline
 
 import (
-	"encoding/json"
+	"bytes"
+	"encoding/gob"
 	"fmt"
 
 	"github.com/oraql/go-oraql/internal/aa"
@@ -9,6 +10,7 @@ import (
 	"github.com/oraql/go-oraql/internal/diskcache"
 	"github.com/oraql/go-oraql/internal/irinterp"
 	"github.com/oraql/go-oraql/internal/irtext"
+	"github.com/oraql/go-oraql/internal/oraql"
 	"github.com/oraql/go-oraql/internal/passes"
 )
 
@@ -19,7 +21,9 @@ import (
 // AA chain, pass pipeline and codegen entirely — the optimized module
 // is re-materialized from its persisted text and the deterministic
 // outputs (exe hash and machine statistics, -stats counters, timing
-// rows) are replayed, byte-identical to a cold compilation.
+// rows, AA statistics) are replayed, byte-identical to a cold
+// compilation. An artifact without AA statistics, or in the older
+// JSON form, reads as a miss.
 //
 // The key covers the whole module on purpose: the AA chain holds
 // module-level analyses (Globals, Andersen, Steensgaard) that read
@@ -27,31 +31,39 @@ import (
 // optimized code of an untouched function. An edited program is
 // therefore a miss as a whole.
 //
-// Not persisted, by design: AA query counters and analysis-manager
-// cache counters. A warm compilation runs no passes, so it issues no
-// queries; those counters are outside the byte-identity contract
-// (which covers exe hash, IR text, -stats, and timing-row order).
+// An artifact is a gob-encoded Snapshot, the persisted form the probe
+// driver also files each campaign's final build in (as JSON in its
+// campaign set); that one adds the ORAQL counters and query records. Not persisted, by design: the
+// analysis-manager cache counters and pass wall times. A restored
+// compilation runs no passes; those numbers are outside the
+// byte-identity contract (which covers exe hash, IR text, -stats,
+// timing-row order, AA and ORAQL statistics and the query records).
 
-// tuTarget is one persisted per-module compilation output.
-type tuTarget struct {
-	IR         string            `json:"ir"` // optimized module text
-	Stats      []passes.Entry    `json:"stats"`
-	Timing     []tuTimingRow     `json:"timing"`
-	Code       *codegen.Result   `json:"code"`
-	ModuleHash string            `json:"module_hash"`           // pristine module identity
-	FuncHashes map[string]string `json:"func_hashes,omitempty"` // pristine function identities
+// Snapshot is a finished compilation in persisted form, one
+// TargetSnapshot per target.
+type Snapshot struct {
+	Host   *TargetSnapshot `json:"host"`
+	Device *TargetSnapshot `json:"device,omitempty"`
 }
 
-type tuTimingRow struct {
+// TargetSnapshot is one target's persisted compilation output.
+type TargetSnapshot struct {
+	IR         string            `json:"ir"` // optimized module text
+	Stats      []passes.Entry    `json:"stats"`
+	Timing     []timingRow       `json:"timing"`
+	Code       *codegen.Result   `json:"code"`
+	AA         *aa.Stats         `json:"aa"`
+	ModuleHash string            `json:"module_hash"`           // pristine module identity
+	FuncHashes map[string]string `json:"func_hashes,omitempty"` // pristine function identities
+	// ORAQL and Records are set exactly when the pass was on.
+	ORAQL   *oraql.Stats           `json:"oraql,omitempty"`
+	Records *oraql.RenderedRecords `json:"records,omitempty"`
+}
+
+type timingRow struct {
 	Pass    string `json:"pass"`
 	Runs    int64  `json:"runs"`
 	Changed int64  `json:"changed"`
-}
-
-// tuArtifact is the persisted whole-compilation payload.
-type tuArtifact struct {
-	Host   *tuTarget `json:"host"`
-	Device *tuTarget `json:"device,omitempty"`
 }
 
 // tuCacheable reports whether this configuration's compilation can be
@@ -72,41 +84,96 @@ func (c Config) tuKey(srcName string) string {
 	return diskcache.Key("tu", srcName, c.Source, fe, c.diskConfigKey())
 }
 
-// loadTU re-materializes a persisted compilation. The module is parsed
-// back from its optimized text (irtext.Parse verifies it); any decode
-// or parse failure degrades to a miss.
+// loadTU re-materializes a persisted compilation; any decode, parse
+// or validation failure degrades to a miss.
 func loadTU(cfg Config, key string) (*CompileResult, bool) {
 	data, ok := cfg.DiskCache.Get(key)
 	if !ok {
 		return nil, false
 	}
-	var art tuArtifact
-	if json.Unmarshal(data, &art) != nil || art.Host == nil {
+	var snap Snapshot
+	if gob.NewDecoder(bytes.NewReader(data)).Decode(&snap) != nil {
 		return nil, false
 	}
-	host, ok := art.Host.materialize()
+	return snap.Restore(nil)
+}
+
+// storeTU persists a completed compilation. The artifact is gob, not
+// JSON: a warm load decodes it in about 60% of the time, because the
+// IR text is stored as it is, not escaped.
+func storeTU(cfg Config, key string, res *CompileResult) {
+	var buf bytes.Buffer
+	if gob.NewEncoder(&buf).Encode(TakeSnapshot(res)) != nil {
+		return
+	}
+	cfg.DiskCache.Put(key, buf.Bytes())
+}
+
+// TakeSnapshot captures a finished compilation for persisting. Its
+// query records must be complete: the compilation replayed no step.
+func TakeSnapshot(cr *CompileResult) *Snapshot {
+	snap := &Snapshot{Host: snapshotTarget(cr.Host)}
+	if cr.Device != nil {
+		snap.Device = snapshotTarget(cr.Device)
+	}
+	return snap
+}
+
+func snapshotTarget(ts *TargetStats) *TargetSnapshot {
+	out := &TargetSnapshot{
+		IR:         ts.Module.String(),
+		Stats:      ts.Pass.Ordered(),
+		Code:       ts.Code,
+		AA:         ts.AA,
+		ModuleHash: ts.ModuleHash,
+		FuncHashes: ts.FuncHashes,
+	}
+	if ts.Timing != nil {
+		for _, row := range ts.Timing.Rows() {
+			out.Timing = append(out.Timing, timingRow{Pass: row.Pass, Runs: row.Runs, Changed: row.Changed})
+		}
+	}
+	if ts.ORAQL != nil {
+		stats := ts.ORAQL.Stats()
+		out.ORAQL = &stats
+		out.Records = oraql.Render(ts.ORAQL.Records())
+	}
+	return out
+}
+
+// Restore rebuilds the compilation a snapshot captured, as compiled
+// with ORAQL options opts (nil: the pass was off). Each module is
+// parsed back from its optimized text (irtext.Parse verifies it), and
+// the ORAQL counters and records are checked against opts
+// (oraql.Restore). It fails when a target lacks an output, carries
+// ORAQL state that opts contradicts, or does not parse or check.
+func (s *Snapshot) Restore(opts *oraql.Options) (*CompileResult, bool) {
+	host, ok := s.Host.restore(opts)
 	if !ok {
 		return nil, false
 	}
-	res := &CompileResult{Host: host}
-	if art.Device != nil {
-		dev, ok := art.Device.materialize()
-		if !ok {
+	res := &CompileResult{Host: host, Program: &irinterp.Program{Host: host.Module}}
+	if s.Device != nil {
+		if res.Device, ok = s.Device.restore(opts); !ok {
 			return nil, false
 		}
-		res.Device = dev
-	}
-	res.Program = &irinterp.Program{Host: res.Host.Module}
-	if res.Device != nil {
 		res.Program.Device = res.Device.Module
 	}
 	return res, true
 }
 
-// materialize rebuilds one target's stats from a persisted artifact.
-func (t *tuTarget) materialize() (*TargetStats, bool) {
-	if t.Code == nil {
+// restore rebuilds one target's stats.
+func (t *TargetSnapshot) restore(opts *oraql.Options) (*TargetStats, bool) {
+	if t == nil || t.Code == nil || t.AA == nil || (opts == nil) != (t.ORAQL == nil) ||
+		(opts != nil) != (t.Records != nil) {
 		return nil, false
+	}
+	var op *oraql.Pass
+	if opts != nil {
+		var err error
+		if op, err = oraql.Restore(*opts, *t.ORAQL, t.Records); err != nil {
+			return nil, false
+		}
 	}
 	m, err := irtext.Parse(t.IR)
 	if err != nil {
@@ -121,38 +188,8 @@ func (t *tuTarget) materialize() (*TargetStats, bool) {
 		timing.Seed(row.Pass, row.Runs, row.Changed)
 	}
 	return &TargetStats{
-		Module: m, AA: aa.NewStats(), Pass: stats, Code: t.Code,
+		Module: m, AA: t.AA.Clone(), Pass: stats, ORAQL: op, Code: t.Code,
 		Timing: timing, ModuleHash: t.ModuleHash, FuncHashes: t.FuncHashes,
 		DiskHits: len(m.Funcs),
 	}, true
-}
-
-// snapshotTU captures one freshly compiled target for persisting.
-func snapshotTU(ts *TargetStats) *tuTarget {
-	out := &tuTarget{
-		IR:         ts.Module.String(),
-		Stats:      ts.Pass.Ordered(),
-		Code:       ts.Code,
-		ModuleHash: ts.ModuleHash,
-		FuncHashes: ts.FuncHashes,
-	}
-	if ts.Timing != nil {
-		for _, row := range ts.Timing.Rows() {
-			out.Timing = append(out.Timing, tuTimingRow{Pass: row.Pass, Runs: row.Runs, Changed: row.Changed})
-		}
-	}
-	return out
-}
-
-// storeTU persists a completed compilation.
-func storeTU(cfg Config, key string, res *CompileResult) {
-	art := tuArtifact{Host: snapshotTU(res.Host)}
-	if res.Device != nil {
-		art.Device = snapshotTU(res.Device)
-	}
-	data, err := json.Marshal(&art)
-	if err != nil {
-		return
-	}
-	cfg.DiskCache.Put(key, data)
 }

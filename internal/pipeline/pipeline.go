@@ -75,6 +75,12 @@ type Config struct {
 	DiskCache *diskcache.Store
 }
 
+// Dumps reports whether a compilation prints anything (ORAQL Dump,
+// DebugPassExec, DumpOut), which only a compile that runs can do.
+func (c Config) Dumps() bool {
+	return c.ORAQL != nil && c.ORAQL.Dump.Any() || c.DebugPassExec || c.DumpOut != nil
+}
+
 // sourceName is the file name the frontend reports for the source.
 func (c Config) sourceName() string {
 	if c.SourceFile != "" {
@@ -371,15 +377,21 @@ func compileModule(cctx context.Context, cfg Config, m *ir.Module, memo *passes.
 
 	// Pristine-content identities must be taken before any pass mutates
 	// the module. A persisted translation unit carries them, because a
-	// warm load never sees the pristine module to recompute them.
+	// warm load never sees the pristine module to recompute them. The
+	// module hash is that of m.String(), hashed from its parts so each
+	// function is printed once.
 	var moduleHash string
 	var funcHashes map[string]string
 	if cfg.tuCacheable() {
-		moduleHash = diskcache.HashText(m.String())
+		parts := make([]string, 1, len(m.Funcs)+1)
+		parts[0] = m.Header()
 		funcHashes = make(map[string]string, len(m.Funcs))
 		for _, fn := range m.Funcs {
-			funcHashes[fn.Name] = diskcache.HashText(fn.String())
+			text := fn.String()
+			parts = append(parts, text)
+			funcHashes[fn.Name] = diskcache.HashText(text)
 		}
+		moduleHash = diskcache.HashText(parts...)
 	}
 
 	chain, err := aa.ChainByName(m, cfg.aaChainSpec())

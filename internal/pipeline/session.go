@@ -77,10 +77,7 @@ func NewSession(cfg Config) *Session { return &Session{cfg: cfg} }
 func (s *Session) Fallbacks() int { return int(s.fallbacks.Load()) }
 
 // reusable reports whether the configuration may reuse steps at all.
-func (s *Session) reusable() bool {
-	c := s.cfg
-	return c.ORAQL != nil && !c.ORAQL.Dump.Any() && !c.DebugPassExec && c.DumpOut == nil
-}
+func (s *Session) reusable() bool { return s.cfg.ORAQL != nil && !s.cfg.Dumps() }
 
 // Compile compiles the session's configuration with response sequence
 // seq. The result's modules share function bodies with the session and

@@ -349,12 +349,11 @@ func Fig3(e *Experiment) string {
 		n++
 		fmt.Fprintf(&sb, "Executing Pass '%s' on Function '%s'...\n", rec.Pass, rec.Func)
 		fmt.Fprintf(&sb, "[ORAQL] Pessimistic query [Cached 0]\n")
-		fmt.Fprintf(&sb, "[ORAQL] - %s [%s]\n", describePtr(rec.A.Ptr), rec.A.Size)
-		fmt.Fprintf(&sb, "[ORAQL] - %s [%s]\n", describePtr(rec.B.Ptr), rec.B.Size)
+		a, b := rec.LocDescriptions()
+		fmt.Fprintf(&sb, "[ORAQL] - %s\n[ORAQL] - %s\n", a, b)
 		fmt.Fprintf(&sb, "[ORAQL] Scope: %s\n", rec.Func)
-		la, lb := srcLocOf(rec.A.Ptr, rec.A.Instr), srcLocOf(rec.B.Ptr, rec.B.Instr)
-		if la != "" || lb != "" {
-			fmt.Fprintf(&sb, "[ORAQL] LocA: %s\n[ORAQL] LocB: %s\n", la, lb)
+		if la, lb := rec.SrcLocs(); la.IsValid() || lb.IsValid() {
+			fmt.Fprintf(&sb, "[ORAQL] LocA: %s\n[ORAQL] LocB: %s\n", srcLocString(la), srcLocString(lb))
 		}
 		fmt.Fprintf(&sb, "[ORAQL] (served from cache %d more times)\n", rec.CacheHits)
 	}
@@ -364,24 +363,13 @@ func Fig3(e *Experiment) string {
 	return sb.String()
 }
 
-// describePtr renders the pointer's defining instruction (Fig. 3 shows
-// the full IR of both sides).
-func describePtr(v ir.Value) string {
-	if in, ok := v.(*ir.Instr); ok {
-		return in.String()
+// srcLocString renders a query side's source location, empty when it
+// has none.
+func srcLocString(l ir.SrcLoc) string {
+	if !l.IsValid() {
+		return ""
 	}
-	return fmt.Sprintf("%s %s", v.Type(), v.Ident())
-}
-
-// srcLocOf extracts the best available source location of a query side.
-func srcLocOf(ptr ir.Value, access *ir.Instr) string {
-	if in, ok := ptr.(*ir.Instr); ok && in.Loc.IsValid() {
-		return in.Loc.String()
-	}
-	if access != nil && access.Loc.IsValid() {
-		return access.Loc.String()
-	}
-	return ""
+	return l.String()
 }
 
 // SortByFig4Order orders experiments by the registry (Fig. 4) order.

@@ -15,6 +15,7 @@ import (
 	"github.com/oraql/go-oraql/internal/diskcache"
 	"github.com/oraql/go-oraql/internal/driver"
 	"github.com/oraql/go-oraql/internal/pipeline"
+	"github.com/oraql/go-oraql/internal/report"
 )
 
 // A seeded reprobe of an edited program settles in a few compiles:
@@ -136,6 +137,112 @@ func TestUnchangedReprobeWritesNothing(t *testing.T) {
 			t.Errorf("%s: convictions differ:\n reprobe %v\n seeding %v", cfg.ID, r, s)
 		}
 	}
+}
+
+// An unchanged reprobe compiles nothing. Through a fresh handle, each
+// of the 16 configs serves its baseline from a TU artifact and its
+// tests, both runs and its final build from its campaign set; it
+// writes nothing and ends with the seeding campaign's final build and
+// probe report, effort counters aside.
+func TestUnchangedReprobeServesFinalFromSet(t *testing.T) {
+	dir := t.TempDir()
+	probe := func(cfg *apps.Config) (*driver.Result, *diskcache.Store) {
+		t.Helper()
+		store, err := diskcache.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := cfg.Spec()
+		spec.Strategy = driver.Chunked
+		spec.Workers = 1
+		spec.Cache = store
+		res, err := driver.Probe(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", cfg.ID, err)
+		}
+		return res, store
+	}
+	seeded := map[string]*driver.Result{}
+	for _, cfg := range apps.All() {
+		seeded[cfg.ID], _ = probe(cfg)
+	}
+	files := storeFiles(t, dir)
+	for _, cfg := range apps.All() {
+		res, store := probe(cfg)
+		want := seeded[cfg.ID]
+		if b, f := res.Baseline.Compile.DiskHits(), res.Final.Compile.DiskHits(); b == 0 || f == 0 {
+			t.Errorf("%s: baseline and final served %d and %d functions from disk, want both > 0", cfg.ID, b, f)
+		}
+		if res.TestsRun != 0 || res.RunsReplayed != 2 {
+			t.Errorf("%s: reprobe ran %d tests and replayed %d runs, want 0 and 2", cfg.ID, res.TestsRun, res.RunsReplayed)
+		}
+		if c := store.Counters(); c.Puts != 0 || c.PutErrors != 0 {
+			t.Errorf("%s: reprobe made %d puts and %d put errors, want none", cfg.ID, c.Puts, c.PutErrors)
+		}
+		if got := storeFiles(t, dir); !maps.Equal(got, files) {
+			t.Errorf("%s: reprobe changed the store's files (%d before, %d after)", cfg.ID, len(files), len(got))
+			files = got
+		}
+		if r, s := res.FinalSeq.String(), want.FinalSeq.String(); r != s {
+			t.Errorf("%s: FinalSeq differs:\n reprobe %s\n seeding %s", cfg.ID, r, s)
+		}
+		if r, s := finalBuild(res.Final.Compile), finalBuild(want.Final.Compile); r != s {
+			t.Errorf("%s: final build differs from the seeding campaign's at %s", cfg.ID, firstLineDiff(r, s))
+		}
+		if r, s := probeReport(t, res), probeReport(t, want); r != s {
+			t.Errorf("%s: probe report differs:\n reprobe %s\n seeding %s", cfg.ID, r, s)
+		}
+	}
+}
+
+// finalBuild flattens what a final build reports: exe hash, IR text,
+// -stats, timing rows, ORAQL and AA statistics, and every query
+// record as its readers see it.
+func finalBuild(cr *pipeline.CompileResult) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "exe %s\n", cr.ExeHash())
+	for _, ts := range []*pipeline.TargetStats{cr.Host, cr.Device} {
+		if ts != nil {
+			sb.WriteString(ts.Module.String())
+			ts.Pass.Print(&sb)
+		}
+	}
+	for _, row := range cr.Timing().Rows() {
+		fmt.Fprintf(&sb, "timing %s runs=%d changed=%d\n", row.Pass, row.Runs, row.Changed)
+	}
+	fmt.Fprintf(&sb, "oraql %+v\n", cr.ORAQLStats())
+	aaStats, _ := json.Marshal(cr.AAStats())
+	fmt.Fprintf(&sb, "aa %s\n", aaStats)
+	for _, rec := range cr.Records() {
+		a, b := rec.LocDescriptions()
+		la, lb := rec.SrcLocs()
+		fmt.Fprintf(&sb, "record %d %t %s %s hits=%d\n  %s\n  %s\n  %s %s\n",
+			rec.Index, rec.Optimistic, rec.Pass, rec.Func, rec.CacheHits, a, b, la, lb)
+	}
+	return sb.String()
+}
+
+// probeReport is a campaign's probe JSON without its effort counters.
+func probeReport(t *testing.T, res *driver.Result) string {
+	t.Helper()
+	pj := report.NewProbeJSON(res)
+	pj.Compiles, pj.TestsRun, pj.TestsCached, pj.TestsDisk, pj.TestsSpeculated, pj.TestsWasted = 0, 0, 0, 0, 0, 0
+	data, err := json.Marshal(pj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// firstLineDiff returns the first line where a and b differ.
+func firstLineDiff(a, b string) string {
+	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for i := 0; i < len(al) && i < len(bl); i++ {
+		if al[i] != bl[i] {
+			return fmt.Sprintf("line %d:\n reprobe %s\n seeding %s", i+1, al[i], bl[i])
+		}
+	}
+	return fmt.Sprintf("length: %d vs %d lines", len(al), len(bl))
 }
 
 // Each campaign keeps its test verdicts and its baseline and final
