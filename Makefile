@@ -78,8 +78,9 @@ warehouse-smoke:
 # the race detector: shared-directory fleets (one compile per key,
 # racing publishes), batch dedup, and the client retry policy; then the
 # store's grow-only set races and concurrent campaigns of one program
-# over one directory, whose fresh-handle reprobes serve their final
-# builds from the campaign set, 10 times each.
+# over one directory, whose fresh-handle reprobes serve their tests and
+# runs from the campaign set and their final builds from TU artifacts,
+# 10 times each.
 cluster-smoke:
 	$(GO) test -race -count=1 -run 'Cluster|Batch|Retry' ./internal/service/...
 	$(GO) test -race -count=10 -run 'Set|MergeFuncVerdicts|GCRaces' ./internal/diskcache/
@@ -114,6 +115,7 @@ fuzz-smoke:
 	$(GO) test ./internal/diskcache -fuzz FuzzDecodeEntry -fuzztime 30s -run '^$$'
 	$(GO) test ./internal/warehouse -fuzz FuzzSetMemberPayloads -fuzztime 30s -run '^$$'
 	$(GO) test ./internal/driver -fuzz FuzzCampaignSetMembers -fuzztime 30s -run '^$$'
+	$(GO) test ./internal/pipeline -fuzz FuzzTUArtifact -fuzztime 30s -run '^$$'
 
 # fuzz runs an open-ended differential campaign; tune N/SEED/ARGS.
 N ?= 1000

@@ -15,7 +15,8 @@
 // With -cache-dir, every oracle compilation is backed by the shared
 // persistent store: re-running a seed range (or sharing the directory
 // with oraql/oraql-opt/oraql-serve) starts warm. The oracle's verdict
-// is unaffected — ORAQL-active variants bypass the cache. Divergences
+// is unaffected: a compilation served from the store, an ORAQL-active
+// variant's included, is byte-identical to a cold one. Divergences
 // (and their triage artifacts) are additionally filed in the forensics
 // warehouse inside the same directory; -seed-from-warehouse reorders
 // generation so seeds that diverged in past campaigns run first.

@@ -63,7 +63,7 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	cacheDir := fs.String("cache-dir", "", "persistent compile cache directory shared across processes (empty = no persistence; output is byte-identical warm or cold)")
 	cacheMaxMB := fs.Int("cache-max-mb", 0, "size cap for -cache-dir in MiB before GC evicts cold entries (0 = 512)")
 	printIR := fs.Bool("print-ir", false, "print optimized IR")
-	debugPass := fs.Bool("debug-pass", false, "print pass executions (-debug-pass=Executions analogue)")
+	debugPass := fs.Bool("debug-pass", false, "print pass executions to stderr (-debug-pass=Executions analogue)")
 	runProg := fs.Bool("run", false, "run the compiled program on the simulated machine")
 	ranks := fs.Int("ranks", 1, "simulated MPI ranks for -run")
 	fs.Bool("json", false, "emit failures as the shared JSON error envelope")
@@ -100,8 +100,10 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		Frontend:             minic.Options{Dialect: d, Model: m, Views: *views},
 		FullAAChain:          *full,
 		AAChain:              *aaChain,
-		DebugPassExec:        *debugPass,
 		DisableAnalysisCache: *noAnalysisCache,
+	}
+	if *debugPass {
+		cfg.DebugPass = stderr
 	}
 	if strings.HasSuffix(file, ".ir") {
 		// Textual-IR input: bypass the frontend.
@@ -163,8 +165,9 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stderr, "exe hash: %s\n", cr.ExeHash())
 	if cache != nil {
 		// Function hits counts the functions a translation-unit
-		// artifact served: all of them on a warm run, none on a cold
-		// run or when ORAQL or -debug-pass bypasses the cache.
+		// artifact served: all of them on a warm run, with or without
+		// ORAQL, and none on a cold run or when a dump (-debug-pass,
+		// -opt-aa-dump-*) bypasses the cache.
 		c := cache.Counters()
 		fmt.Fprintf(stderr, "disk cache: %d function hits, %d store hits / %d misses, %d puts\n",
 			cr.DiskHits(), c.Hits, c.Misses, c.Puts)

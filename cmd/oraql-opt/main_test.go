@@ -59,3 +59,31 @@ func TestCompileAndRun(t *testing.T) {
 		t.Fatalf("stderr missing exe hash: %q", errW.String())
 	}
 }
+
+// -debug-pass prints one "Executing Pass" line per executed step to
+// stderr, cold and with a -cache-dir that already holds the build's TU
+// artifact, with ORAQL off and on: a compile that prints is never
+// served from disk.
+func TestDebugPassPrintsExecutions(t *testing.T) {
+	const file = "../../examples/serve/sum.mc"
+	dir := t.TempDir()
+	for _, oraqlArgs := range [][]string{nil, {"-opt-aa"}} {
+		cold := append([]string{file}, oraqlArgs...)
+		warm := append(append([]string{}, cold...), "-cache-dir", dir)
+		if err := run(warm, io.Discard, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		for _, argv := range [][]string{cold, warm} {
+			var errW strings.Builder
+			if err := run(append(argv, "-debug-pass"), io.Discard, &errW); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(errW.String(), "Executing Pass '") {
+				t.Errorf("%v -debug-pass printed no pass execution:\n%s", argv, errW.String())
+			}
+			if strings.Contains(errW.String(), "disk cache:") && !strings.Contains(errW.String(), "disk cache: 0 function hits") {
+				t.Errorf("%v -debug-pass was served from disk:\n%s", argv, errW.String())
+			}
+		}
+	}
+}

@@ -114,9 +114,9 @@ type (
 	// optimistic/pessimistic).
 	ORAQLStats = oraql.Stats
 	// QueryRecord describes one unique ORAQL query. A record of a
-	// final build that a probe with a store restored from its
-	// campaign set carries its rendered locations, and its A and B
-	// hold no IR pointers: read them through LocDescriptions and
+	// compilation restored from a TU artifact (a probe's final build
+	// with a store, for one) carries its rendered locations, and its A
+	// and B hold no IR pointers: read them through LocDescriptions and
 	// SrcLocs.
 	QueryRecord = oraql.QueryRecord
 )

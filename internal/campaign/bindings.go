@@ -274,9 +274,7 @@ func compileConfigFromOpts(in *interp, o *opts, what string) (cfg pipeline.Confi
 	if err := o.finish(what); err != nil {
 		return cfg, false, err
 	}
-	if cfg.ORAQL == nil {
-		cfg.DiskCache = in.opts.Cache
-	}
+	cfg.DiskCache = in.opts.Cache
 	return cfg, hadORAQL, nil
 }
 

@@ -132,9 +132,10 @@ type CheckOptions struct {
 	Variants []Variant
 	// Cache, when non-nil, backs every oracle compilation with the
 	// persistent store: re-checking a seed already compiled by a prior
-	// campaign (or another process) reuses its artifacts. Compilations
-	// with an active ORAQL responder bypass the cache by construction,
-	// so the oracle's verdict is identical with or without it.
+	// campaign (or another process) reuses its artifacts, those of the
+	// ORAQL variants included, whose keys hold their ORAQL options. A
+	// served compilation is byte-identical to a cold one, so the
+	// oracle's verdict is identical with or without the cache.
 	Cache *diskcache.Store
 }
 

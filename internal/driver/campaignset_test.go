@@ -134,9 +134,12 @@ func copyStore(t *testing.T, src string) string {
 // null, and never serves a final build whose records contradict the
 // final sequence or its counters (finalRecordsHold). When the payload
 // carries no campaign state (it does not decode, or holds no test
-// verdict, no run but null ones and no final that restores under the
-// final sequence), the reprobe runs no test, makes no put, and ends as
-// the seeding campaign did, with its final build served from the set.
+// verdict and no run but null ones), the reprobe runs no test, makes
+// no put, and ends as the seeding campaign did, with its final build
+// served from its TU artifact. The seeds include members as a store
+// from before final builds became TU artifacts holds them, with the
+// final in a "finals" map that decoding ignores; planted TU artifacts
+// are FuzzTUArtifact's (internal/pipeline).
 func FuzzCampaignSetMembers(f *testing.F) {
 	seedDir := f.TempDir()
 	seedStore := openStore(f, seedDir)
@@ -149,43 +152,36 @@ func FuzzCampaignSetMembers(f *testing.F) {
 	for _, data := range seedStore.SetMembers(key) {
 		member = data
 	}
-	final := candidateHash(seeded.FinalSeq)
-	finalOpts := oraql.Options{Seq: seeded.FinalSeq}
 	f.Add([]byte(`null`))
 	f.Add(member[:len(member)/2])
 	f.Add([]byte(fmt.Sprintf(`{"runs":{%q:null}}`, seeded.Baseline.Compile.ExeHash())))
 	f.Add([]byte(fmt.Sprintf(`{"tests":{%q:{"ok":"yes","unique":1}}}`, candidateHash(nil))))
-	// Planted finals: the seeding campaign's, broken one way each, then
-	// intact under another sequence's hash, and another sequence's
-	// final under this one's.
-	plant := func(h string, edit func(s *pipeline.Snapshot)) {
-		var m campaignSet
-		if err := json.Unmarshal(member, &m); err != nil || m.Finals[final] == nil {
-			f.Fatalf("seeding member holds no final: %v", err)
-		}
-		snap := m.Finals[final]
-		edit(snap)
-		data, err := json.Marshal(campaignSet{Finals: map[string]*pipeline.Snapshot{h: snap}})
+	// Old members: the seeding final in the old layout, broken one way
+	// each, then intact under another sequence's hash, and another
+	// sequence's final under this one's.
+	final := candidateHash(seeded.FinalSeq)
+	oldFinal := func(h string, cr *pipeline.CompileResult, edit func(ir *string, rr *oraql.RenderedRecords)) {
+		ir, rr := cr.Host.Module.String(), oraql.Render(cr.Records())
+		edit(&ir, rr)
+		data, err := json.Marshal(map[string]any{"finals": map[string]any{
+			h: map[string]any{"host": map[string]any{"ir": ir, "oraql": cr.ORAQLStats(), "records": rr}}}})
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(data)
 	}
-	plant(final, func(s *pipeline.Snapshot) { s.Host.IR = s.Host.IR[:len(s.Host.IR)/2] })
-	plant(final, func(s *pipeline.Snapshot) {
-		s.Host.Records.Records[0].Optimistic = !s.Host.Records.Records[0].Optimistic
-	})
-	plant(final, func(s *pipeline.Snapshot) {
-		s.Host.Records.Records = s.Host.Records.Records[:len(s.Host.Records.Records)-1]
-	})
-	plant(final, func(s *pipeline.Snapshot) { s.Host.Records.Records[0].CacheHits++ })
-	plant(candidateHash(oraql.Seq{false}), func(*pipeline.Snapshot) {})
+	fin := seeded.Final.Compile
+	oldFinal(final, fin, func(ir *string, _ *oraql.RenderedRecords) { *ir = (*ir)[:len(*ir)/2] })
+	oldFinal(final, fin, func(_ *string, rr *oraql.RenderedRecords) { rr.Records[0].Optimistic = !rr.Records[0].Optimistic })
+	oldFinal(final, fin, func(_ *string, rr *oraql.RenderedRecords) { rr.Records = rr.Records[:len(rr.Records)-1] })
+	oldFinal(final, fin, func(_ *string, rr *oraql.RenderedRecords) { rr.Records[0].CacheHits++ })
+	oldFinal(candidateHash(oraql.Seq{false}), fin, func(*string, *oraql.RenderedRecords) {})
 	other, err := pipeline.Compile(pipeline.Config{Name: "hello", Source: helloSrc,
 		ORAQL: &oraql.Options{Seq: make(oraql.Seq, 64)}})
 	if err != nil {
 		f.Fatal(err)
 	}
-	plant(final, func(s *pipeline.Snapshot) { *s = *pipeline.TakeSnapshot(other) })
+	oldFinal(final, other, func(*string, *oraql.RenderedRecords) {})
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		dir := copyStore(t, seedDir)
 		if _, err := openStore(t, dir).AddToSet(key, "+planted", payload); err != nil {
@@ -206,11 +202,6 @@ func FuzzCampaignSetMembers(f *testing.F) {
 			}
 			for _, r := range planted.Runs {
 				if r != nil {
-					return
-				}
-			}
-			if snap := planted.Finals[final]; snap != nil {
-				if _, ok := snap.Restore(&finalOpts); ok {
 					return
 				}
 			}
@@ -277,8 +268,8 @@ func finalRecordsHold(t *testing.T, res *Result) {
 // on one directory as two processes would, lose none of each other's
 // state: half probe with chunked and half with freq, so they consume
 // different candidates. A reprobe with either strategy through a fresh
-// handle then finds every test verdict, both runs and its final build,
-// and writes nothing.
+// handle then finds every test verdict and both runs in its campaign
+// set and its final build in its TU artifact, and writes nothing.
 func TestConcurrentCampaignsLoseNothing(t *testing.T) {
 	dir := t.TempDir()
 	var wg sync.WaitGroup
@@ -323,8 +314,9 @@ func TestConcurrentCampaignsLoseNothing(t *testing.T) {
 }
 
 // A campaign that dumps its queries compiles its final build live,
-// since only a compile that runs can print, though the campaign set
-// holds the final; it learns nothing, since the set holds the final.
+// since only a compile that runs can print, though a TU artifact holds
+// the final; it files nothing, since a compile that prints is never
+// filed and the campaign set holds every test and run.
 func TestDumpingReprobeCompilesItsFinal(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := Probe(helloSpec(openStore(t, dir), nil)); err != nil {

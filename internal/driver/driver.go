@@ -61,8 +61,8 @@ type BenchSpec struct {
 	// per-query verdicts keyed by function content hashes (a campaign
 	// on an edited program seeds its bisection from the unchanged
 	// functions' history — see persist.go). The store is also
-	// installed as the pipeline's compile cache for the non-ORAQL
-	// baseline compilation.
+	// installed as the pipeline's compile cache, which serves and files
+	// the baseline and final builds as TU artifacts.
 	Cache *diskcache.Store
 	// Log receives progress lines when non-nil.
 	Log io.Writer
@@ -174,7 +174,7 @@ type state struct {
 	// camp is the union of the campaign set's members, loaded after
 	// the baseline compile, and learned what this campaign found that
 	// camp lacks (persist.go). Only the decision loop touches learned.
-	camp    *campaignUnion
+	camp    *campaignSet
 	learned campaignSet
 	// hint holds the descriptors of the persisted convictions that the
 	// fully optimistic compile's query stream matched, and hintAt their
@@ -253,8 +253,8 @@ func (st *state) probe() (*Result, error) {
 	if err := spec.Verify.Compile(); err != nil {
 		return nil, fmt.Errorf("driver: verify spec: %w", err)
 	}
-	// The shared store serves the compile cache for the non-ORAQL
-	// baseline compilation, which therefore carries the content hashes
+	// The shared store serves the compile cache for the baseline and
+	// final builds. The non-ORAQL baseline carries the content hashes
 	// that identify the campaign set and key the per-function verdict
 	// history.
 	if spec.Cache != nil && spec.Compile.DiskCache == nil {
@@ -360,15 +360,17 @@ func (st *state) probe() (*Result, error) {
 	return st.finalize(final)
 }
 
-// finalize builds the final sequence, compiled live or restored from
-// the campaign set (compileFinal), and records results.
+// finalize builds the final sequence, compiled live or served from its
+// TU artifact, and records results.
 func (st *state) finalize(seq oraql.Seq) (*Result, error) {
 	// Testing is over: wait out cancelled speculation, then release
 	// the session's memos so they are garbage during the final compile.
 	st.eng.shutdown()
 	st.res.ColdFallbacks = st.sess.Fallbacks()
 	st.sess.Release()
-	cr, err := st.compileFinal(seq)
+	opts := st.spec.ORAQL
+	opts.Seq = seq
+	cr, err := st.sess.CompileLive(st.ctx, &opts)
 	if err != nil {
 		return nil, err
 	}

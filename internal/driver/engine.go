@@ -91,7 +91,7 @@ type engine struct {
 	refs chan struct{}
 	// camp is the loaded campaign set, nil without one. openCampaign
 	// sets it only for a campaign with a store, before any test starts.
-	camp *campaignUnion
+	camp *campaignSet
 
 	// sess compiles every test: pass steps whose ORAQL transcripts
 	// still fit are replayed.

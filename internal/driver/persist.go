@@ -19,18 +19,17 @@ import (
 //     content hashes + check configuration: pipeline, ORAQL scope, run
 //     options and verify settings). The union of its members maps the
 //     hash of each candidate a campaign consumed to its test verdict,
-//     the executable hash of each baseline and final build to its run
-//     (runcache.go), and the hash of each final sequence to its final
-//     build (compileFinal), as a pipeline.Snapshot that carries the
-//     ORAQL counters and the query records with their locations
-//     rendered. probe reads it once, right after the baseline compile
-//     yields the identity; the engine, run and compileFinal answer
-//     from it in memory; and when probe returns it adds one member
-//     that holds what the campaign learned and the union lacked, or
-//     nothing. A final is served only after its records check against
-//     the sequence and its counters (oraql.Restore). So an unchanged
-//     reprobe, whose baseline comes from its TU artifact, compiles
-//     nothing, runs nothing and writes nothing.
+//     and the executable hash of each baseline and final build to its
+//     run (runcache.go). probe reads it once, right after the baseline
+//     compile yields the identity; the engine and run answer from it
+//     in memory; and when probe returns it adds one member that holds
+//     what the campaign learned and the union lacked, or nothing. The
+//     builds themselves are not here: the baseline and the final are
+//     TU artifacts (pipeline), since a build depends only on the
+//     source, the compile config and the ORAQL options, not on the run
+//     and verify options in the campaign identity. So an unchanged
+//     reprobe, whose baseline and final come from their TU artifacts,
+//     compiles nothing, runs nothing and writes nothing.
 //
 //   - Per-query verdicts, keyed by the *function* content hash: a set
 //     of stable query descriptors (pass + function + both location
@@ -54,27 +53,17 @@ import (
 // A campaign killed before probe returns adds nothing to its campaign
 // set, which costs later campaigns misses, never a wrong answer.
 
-// campaignSet is what one campaign adds to the set keyed by campID.
+// campaignSet is what one campaign adds to the set keyed by campID,
+// and also the union of the set's members. Members this driver writes
+// never disagree: a verdict and a run are pure functions of their
+// keys. A member written before final builds became TU artifacts may
+// also hold a "finals" map, which decoding ignores.
 type campaignSet struct {
 	// Tests maps a candidate's hash (candidateHash) to its verdict.
 	Tests map[string]testVerdict `json:"tests,omitempty"`
 	// Runs maps an executable hash to the run of the baseline or final
 	// build with that hash.
 	Runs map[string]*irinterp.Result `json:"runs,omitempty"`
-	// Finals maps the hash of a final sequence to the final build of a
-	// campaign that ended on it (compileFinal).
-	Finals map[string]*pipeline.Snapshot `json:"finals,omitempty"`
-}
-
-// campaignUnion is the union of a campaign set's members. Members this
-// driver writes never disagree: a verdict, a run and a final build are
-// pure functions of their keys. A final keeps every member's version,
-// in member-name order, because only a campaign that ends on its
-// sequence can check one.
-type campaignUnion struct {
-	Tests  map[string]testVerdict
-	Runs   map[string]*irinterp.Result
-	Finals map[string][]*pipeline.Snapshot
 }
 
 // testVerdict is one candidate's persisted check result.
@@ -117,25 +106,18 @@ func (st *state) openCampaign(b *pipeline.CompileResult) {
 	st.campID = diskcache.Key("campaign", st.checkID, b.Host.ModuleHash, dev)
 	st.camp = loadCampaignSet(st.spec.Cache.SetMembers(st.campID))
 	st.eng.camp = st.camp
-	st.learned = campaignSet{Tests: map[string]testVerdict{}, Runs: map[string]*irinterp.Result{},
-		Finals: map[string]*pipeline.Snapshot{}}
+	st.learned = campaignSet{Tests: map[string]testVerdict{}, Runs: map[string]*irinterp.Result{}}
 }
 
 // loadCampaignSet returns the union of a campaign set's members. A
 // member that does not decode is skipped, and so are a verdict that
-// claims a negative count or more than maxUnique queries and a run or
-// final that decodes as null.
-func loadCampaignSet(members map[string][]byte) *campaignUnion {
-	u := &campaignUnion{Tests: map[string]testVerdict{}, Runs: map[string]*irinterp.Result{},
-		Finals: map[string][]*pipeline.Snapshot{}}
-	names := make([]string, 0, len(members))
-	for name := range members {
-		names = append(names, name)
-	}
-	slices.Sort(names)
-	for _, name := range names {
+// claims a negative count or more than maxUnique queries and a run
+// that decodes as null.
+func loadCampaignSet(members map[string][]byte) *campaignSet {
+	u := &campaignSet{Tests: map[string]testVerdict{}, Runs: map[string]*irinterp.Result{}}
+	for _, data := range members {
 		var m campaignSet
-		if json.Unmarshal(members[name], &m) != nil {
+		if json.Unmarshal(data, &m) != nil {
 			continue
 		}
 		for h, v := range m.Tests {
@@ -148,11 +130,6 @@ func loadCampaignSet(members map[string][]byte) *campaignUnion {
 				u.Runs[h] = r
 			}
 		}
-		for h, f := range m.Finals {
-			if f != nil {
-				u.Finals[h] = append(u.Finals[h], f)
-			}
-		}
 	}
 	return u
 }
@@ -162,41 +139,9 @@ func loadCampaignSet(members map[string][]byte) *campaignUnion {
 // add costs later campaigns misses, never a wrong answer.
 func (st *state) publishCampaign() {
 	l := &st.learned
-	if st.camp != nil && len(l.Tests)+len(l.Runs)+len(l.Finals) > 0 {
+	if st.camp != nil && len(l.Tests)+len(l.Runs) > 0 {
 		_ = st.spec.Cache.AddJSON(st.campID, l)
 	}
-}
-
-// compileFinal compiles the final build, with sequence seq, or
-// restores it from the campaign set: the first version filed under
-// seq's hash that restores under the campaign's ORAQL options
-// (pipeline.Snapshot.Restore checks the records against seq) is
-// served, unless the campaign dumps, which takes a live compile. A
-// final compiled live is learned unless a version under its key
-// restored or went unchecked.
-func (st *state) compileFinal(seq oraql.Seq) (*pipeline.CompileResult, error) {
-	opts := st.spec.ORAQL
-	opts.Seq = seq
-	if st.camp == nil {
-		return st.sess.CompileLive(st.ctx, &opts)
-	}
-	h := candidateHash(seq)
-	versions := st.camp.Finals[h]
-	cfg := st.spec.Compile
-	cfg.ORAQL = &opts
-	dumps := cfg.Dumps()
-	if !dumps {
-		for _, v := range versions {
-			if cr, ok := v.Restore(&opts); ok {
-				return cr, nil
-			}
-		}
-	}
-	cr, err := st.sess.CompileLive(st.ctx, &opts)
-	if err == nil && (!dumps || len(versions) == 0) {
-		st.learned.Finals[h] = pipeline.TakeSnapshot(cr)
-	}
-	return cr, err
 }
 
 // queryDesc is one query record rendered: both location dumps and

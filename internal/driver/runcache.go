@@ -7,18 +7,17 @@ package driver
 // join its campaign set under their executable hashes, and a later
 // campaign of the same identity replays them. That completes the
 // seeded fast path for an unchanged program — test verdicts replay
-// from the campaign set (engine.go), the baseline compilation from its
-// translation-unit artifact (pipeline), the final build from the
-// campaign set (persist.go), and the interpreter runs from here, so a
-// re-probe pays one set read instead of compiles and simulated
-// execution.
+// from the campaign set (engine.go), the baseline and final builds
+// from their translation-unit artifacts (pipeline), and the
+// interpreter runs from here, so a re-probe pays one set read and two
+// artifact loads instead of compiles and simulated execution.
 //
 // The executable hash alone does not identify a program: the encoding
 // leaves out a constant whose only use is a phi, so two programs that
 // differ only there lower to one hash. The campaign set is keyed by the
 // campaign identity, which holds the pristine content hashes and the
-// run options; a campaign without one (a -debug-pass baseline is not
-// content-hashed) runs fresh and persists nothing.
+// run options; a campaign without one (a baseline that prints, with
+// -debug-pass, is not content-hashed) runs fresh and persists nothing.
 //
 // Failed runs are never persisted: their Go error values would not
 // round-trip through JSON, and they are not on the seeded fast path —

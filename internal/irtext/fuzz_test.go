@@ -61,6 +61,10 @@ func FuzzParseNoPanic(f *testing.F) {
 	f.Add("%x = add i64 1, 2")
 	f.Add("global @g = [8 x double]")
 	f.Add(strings.Repeat("(", 64))
+	// Vector operations on a scalar, which must not parse.
+	f.Add("; module x target=t\ndefine double @f(double %x) {\nentry:\n  %a = vextract %x, 0\n  ret %a\n}\n")
+	f.Add("; module x target=t\ndefine double @f(double %x) {\nentry:\n  %a = vinsert %x, %x, 0\n  ret %x\n}\n")
+	f.Add("; module x target=t\ndefine double @f(double %x) {\nentry:\n  %a = vreduce %x\n  ret %a\n}\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 1<<16 {
 			t.Skip()

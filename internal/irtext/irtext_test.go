@@ -186,6 +186,9 @@ func TestParserErrors(t *testing.T) {
 		"; module x target=t\ndefine void @f() {\nentry:\n  ret void\n",                                        // unterminated
 		"; module x target=t\ndefine void @f() {\nentry:\n  %x = load i64, %missing\n  ret void\n}\n",          // undefined value
 		"; module x target=t\ndefine void @f() {\nentry:\n  %a = vsplat %b\n  %b = vsplat %a\n  ret void\n}\n", // no SSA order
+		"; module x target=t\ndefine double @f(double %x) {\nentry:\n  %a = vextract %x, 0\n  ret %a\n}\n",     // vextract of a scalar
+		"; module x target=t\ndefine double @f(double %x) {\nentry:\n  %a = vinsert %x, %x, 0\n  ret %x\n}\n",  // vinsert into a scalar
+		"; module x target=t\ndefine double @f(double %x) {\nentry:\n  %a = vreduce %x\n  ret %a\n}\n",         // vreduce of a scalar
 	}
 	for _, src := range cases {
 		if _, err := irtext.Parse(src); err == nil {

@@ -322,6 +322,9 @@ func (fp *funcParser) operands(r rawInstr) error {
 		if err != nil {
 			return err
 		}
+		if vec.Type().Kind != ir.KVec {
+			return fmt.Errorf("vextract of %s", vec.Type())
+		}
 		lane, err := fp.value(args[1], ir.I64)
 		if err != nil {
 			return err
@@ -338,7 +341,10 @@ func (fp *funcParser) operands(r rawInstr) error {
 		if err != nil {
 			return err
 		}
-		val, err := fp.value(args[1], scalarOf(vec.Type()))
+		if vec.Type().Kind != ir.KVec {
+			return fmt.Errorf("vinsert into %s", vec.Type())
+		}
+		val, err := fp.value(args[1], vec.Type().Elem)
 		if err != nil {
 			return err
 		}
@@ -353,6 +359,9 @@ func (fp *funcParser) operands(r rawInstr) error {
 		v, err := fp.valueInferred(rest, ir.V4F64)
 		if err != nil {
 			return err
+		}
+		if v.Type().Kind != ir.KVec {
+			return fmt.Errorf("vreduce of %s", v.Type())
 		}
 		in.Operands = []ir.Value{v}
 		in.Ty = v.Type().Elem

@@ -144,11 +144,11 @@ type Context struct {
 	// transparency tests compare the cache against.
 	DisableAnalysisCache bool
 
-	// DebugPassExec prints "Executing Pass '<name>' on Function '<fn>'"
-	// lines to Out, the analogue of -debug-pass=Executions that the
-	// paper uses to attribute queries to passes (Fig. 3).
-	DebugPassExec bool
-	Out           io.Writer
+	// DebugPass, when non-nil, receives an "Executing Pass '<name>' on
+	// Function '<fn>'" line per executed step, the analogue of
+	// -debug-pass=Executions that the paper uses to attribute queries to
+	// passes (Fig. 3).
+	DebugPass io.Writer
 
 	// Steps, when non-nil, is a compile session's step-reuse plan: a
 	// step whose recorded ORAQL transcript still fits is replayed
@@ -325,8 +325,8 @@ func (p *Pipeline) Run(ctx *Context) {
 // preservation level; elapsed times the pass alone.
 func (ctx *Context) runStep(pass Pass, fn *ir.Func) (pa analysis.PreservedAnalyses, elapsed time.Duration) {
 	ctx.curPass = pass.Name()
-	if ctx.DebugPassExec && ctx.Out != nil {
-		fmt.Fprintf(ctx.Out, "Executing Pass '%s' on Function '%s'...\n", pass.Name(), fn.Name)
+	if ctx.DebugPass != nil {
+		fmt.Fprintf(ctx.DebugPass, "Executing Pass '%s' on Function '%s'...\n", pass.Name(), fn.Name)
 	}
 	start := time.Now()
 	pa = pass.Run(fn, ctx)

@@ -14,16 +14,19 @@ import (
 	"github.com/oraql/go-oraql/internal/passes"
 )
 
-// Translation-unit artifacts: the pipeline's only disk-cache layer,
-// keyed by the input — the source text (pre-frontend) or, for a
-// pre-built module, its printed text, in a key domain of its own — and
-// every output-affecting configuration knob. A hit skips the frontend,
-// AA chain, pass pipeline and codegen entirely — the optimized module
-// is re-materialized from its persisted text and the deterministic
+// Translation-unit artifacts: the pipeline's only disk-cache layer.
+// One rule decides what goes through it (tuCacheable): every
+// compilation with a store that prints nothing, ORAQL compilations
+// (a probe's final build among them) included. An artifact is keyed by
+// the input — the source text (pre-frontend) or, for a pre-built
+// module, its printed text, in a key domain of its own — and every
+// output-affecting configuration knob, the ORAQL options that shape
+// the output included. A hit skips the frontend, AA chain, pass
+// pipeline and codegen entirely — the optimized module is
+// re-materialized from its persisted text and the deterministic
 // outputs (exe hash and machine statistics, -stats counters, timing
-// rows, AA statistics) are replayed, byte-identical to a cold
-// compilation. An artifact without AA statistics, or in the older
-// JSON form, reads as a miss.
+// rows, AA statistics, and for an ORAQL compilation its counters and
+// query records) are replayed, byte-identical to a cold compilation.
 //
 // The key covers the whole module on purpose: the AA chain holds
 // module-level analyses (Globals, Andersen, Steensgaard) that read
@@ -31,46 +34,47 @@ import (
 // optimized code of an untouched function. An edited program is
 // therefore a miss as a whole.
 //
-// An artifact is a gob-encoded Snapshot, the persisted form the probe
-// driver also files each campaign's final build in (as JSON in its
-// campaign set); that one adds the ORAQL counters and query records. Not persisted, by design: the
-// analysis-manager cache counters and pass wall times. A restored
-// compilation runs no passes; those numbers are outside the
-// byte-identity contract (which covers exe hash, IR text, -stats,
-// timing-row order, AA and ORAQL statistics and the query records).
+// An artifact is a gob-encoded snapshot. One without AA statistics,
+// in the older JSON form, or whose query records do not check against
+// its sequence and counters (oraql.Restore) reads as a miss. Not
+// persisted, by design: the analysis-manager cache counters and pass
+// wall times. A restored compilation runs no passes; those numbers are
+// outside the byte-identity contract (which covers exe hash, IR text,
+// -stats, timing-row order, AA and ORAQL statistics and the query
+// records).
 
-// Snapshot is a finished compilation in persisted form, one
-// TargetSnapshot per target.
-type Snapshot struct {
-	Host   *TargetSnapshot `json:"host"`
-	Device *TargetSnapshot `json:"device,omitempty"`
+// snapshot is a finished compilation in persisted form, one
+// targetSnapshot per target.
+type snapshot struct {
+	Host   *targetSnapshot
+	Device *targetSnapshot
 }
 
-// TargetSnapshot is one target's persisted compilation output.
-type TargetSnapshot struct {
-	IR         string            `json:"ir"` // optimized module text
-	Stats      []passes.Entry    `json:"stats"`
-	Timing     []timingRow       `json:"timing"`
-	Code       *codegen.Result   `json:"code"`
-	AA         *aa.Stats         `json:"aa"`
-	ModuleHash string            `json:"module_hash"`           // pristine module identity
-	FuncHashes map[string]string `json:"func_hashes,omitempty"` // pristine function identities
+// targetSnapshot is one target's persisted compilation output.
+type targetSnapshot struct {
+	IR         string // optimized module text
+	Stats      []passes.Entry
+	Timing     []timingRow
+	Code       *codegen.Result
+	AA         *aa.Stats
+	ModuleHash string            // pristine module identity
+	FuncHashes map[string]string // pristine function identities
 	// ORAQL and Records are set exactly when the pass was on.
-	ORAQL   *oraql.Stats           `json:"oraql,omitempty"`
-	Records *oraql.RenderedRecords `json:"records,omitempty"`
+	ORAQL   *oraql.Stats
+	Records *oraql.RenderedRecords
 }
 
 type timingRow struct {
-	Pass    string `json:"pass"`
-	Runs    int64  `json:"runs"`
-	Changed int64  `json:"changed"`
+	Pass    string
+	Runs    int64
+	Changed int64
 }
 
-// tuCacheable reports whether this configuration's compilation can be
-// served from (and persisted to) the translation-unit layer.
+// tuCacheable reports whether this configuration's compilation is
+// served from (and persisted to) the translation-unit layer: it has a
+// store and an input, and prints nothing.
 func (c Config) tuCacheable() bool {
-	return c.DiskCache != nil && c.ORAQL == nil && !c.DebugPassExec &&
-		(c.Module != nil || c.Source != "")
+	return c.DiskCache != nil && !c.Dumps() && (c.Module != nil || c.Source != "")
 }
 
 // tuKey derives the translation-unit artifact key. A pre-built module
@@ -91,11 +95,11 @@ func loadTU(cfg Config, key string) (*CompileResult, bool) {
 	if !ok {
 		return nil, false
 	}
-	var snap Snapshot
+	var snap snapshot
 	if gob.NewDecoder(bytes.NewReader(data)).Decode(&snap) != nil {
 		return nil, false
 	}
-	return snap.Restore(nil)
+	return snap.restore(cfg.ORAQL)
 }
 
 // storeTU persists a completed compilation. The artifact is gob, not
@@ -103,24 +107,24 @@ func loadTU(cfg Config, key string) (*CompileResult, bool) {
 // IR text is stored as it is, not escaped.
 func storeTU(cfg Config, key string, res *CompileResult) {
 	var buf bytes.Buffer
-	if gob.NewEncoder(&buf).Encode(TakeSnapshot(res)) != nil {
+	if gob.NewEncoder(&buf).Encode(takeSnapshot(res)) != nil {
 		return
 	}
 	cfg.DiskCache.Put(key, buf.Bytes())
 }
 
-// TakeSnapshot captures a finished compilation for persisting. Its
-// query records must be complete: the compilation replayed no step.
-func TakeSnapshot(cr *CompileResult) *Snapshot {
-	snap := &Snapshot{Host: snapshotTarget(cr.Host)}
+// takeSnapshot captures a finished compilation for persisting. Its
+// query records are complete: compileTU compiles every step live.
+func takeSnapshot(cr *CompileResult) *snapshot {
+	snap := &snapshot{Host: snapshotTarget(cr.Host)}
 	if cr.Device != nil {
 		snap.Device = snapshotTarget(cr.Device)
 	}
 	return snap
 }
 
-func snapshotTarget(ts *TargetStats) *TargetSnapshot {
-	out := &TargetSnapshot{
+func snapshotTarget(ts *TargetStats) *targetSnapshot {
+	out := &targetSnapshot{
 		IR:         ts.Module.String(),
 		Stats:      ts.Pass.Ordered(),
 		Code:       ts.Code,
@@ -141,13 +145,13 @@ func snapshotTarget(ts *TargetStats) *TargetSnapshot {
 	return out
 }
 
-// Restore rebuilds the compilation a snapshot captured, as compiled
+// restore rebuilds the compilation a snapshot captured, as compiled
 // with ORAQL options opts (nil: the pass was off). Each module is
 // parsed back from its optimized text (irtext.Parse verifies it), and
 // the ORAQL counters and records are checked against opts
 // (oraql.Restore). It fails when a target lacks an output, carries
 // ORAQL state that opts contradicts, or does not parse or check.
-func (s *Snapshot) Restore(opts *oraql.Options) (*CompileResult, bool) {
+func (s *snapshot) restore(opts *oraql.Options) (*CompileResult, bool) {
 	host, ok := s.Host.restore(opts)
 	if !ok {
 		return nil, false
@@ -163,7 +167,7 @@ func (s *Snapshot) Restore(opts *oraql.Options) (*CompileResult, bool) {
 }
 
 // restore rebuilds one target's stats.
-func (t *TargetSnapshot) restore(opts *oraql.Options) (*TargetStats, bool) {
+func (t *targetSnapshot) restore(opts *oraql.Options) (*TargetStats, bool) {
 	if t == nil || t.Code == nil || t.AA == nil || (opts == nil) != (t.ORAQL == nil) ||
 		(opts != nil) != (t.Records != nil) {
 		return nil, false

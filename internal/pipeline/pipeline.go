@@ -9,9 +9,9 @@
 package pipeline
 
 import (
-	"bytes"
 	"context"
 	"fmt"
+	"io"
 
 	"github.com/oraql/go-oraql/internal/aa"
 	"github.com/oraql/go-oraql/internal/analysis"
@@ -60,25 +60,26 @@ type Config struct {
 	DisableAnalysisCache bool
 	// ORAQL, when non-nil, appends the ORAQL pass to the AA chain.
 	ORAQL *oraql.Options
-	// DebugPassExec and DumpOut mirror -debug-pass=Executions.
-	DebugPassExec bool
-	DumpOut       *bytes.Buffer
+	// DebugPass, when non-nil, receives a line per executed pass step
+	// (-debug-pass=Executions).
+	DebugPass io.Writer
 	// DiskCache, when non-nil, serves the whole compilation from a
 	// persisted translation-unit artifact when one exists and persists
 	// one afterwards, making repeat compilations warm-startable across
-	// processes (diskcache.go). Output — exe hash, IR text, -stats,
-	// timing-row order — is byte-identical warm vs cold. ORAQL-active
-	// and -debug-pass compilations bypass the cache (their output
-	// depends on the response sequence or is a trace); the probe driver
-	// layers its own campaign-state persistence on the same store
-	// instead.
+	// processes (diskcache.go). Every compilation that prints nothing
+	// goes through it, ORAQL-active ones included: their key adds the
+	// ORAQL options that shape the output, sequence included. Output —
+	// exe hash, IR text, -stats, timing-row order, AA and ORAQL
+	// statistics, query records — is byte-identical warm vs cold. A
+	// compilation that dumps (Dumps) bypasses the cache, since only a
+	// compilation that runs can print.
 	DiskCache *diskcache.Store
 }
 
 // Dumps reports whether a compilation prints anything (ORAQL Dump,
-// DebugPassExec, DumpOut), which only a compile that runs can do.
+// DebugPass), which only a compile that runs can do.
 func (c Config) Dumps() bool {
-	return c.ORAQL != nil && c.ORAQL.Dump.Any() || c.DebugPassExec || c.DumpOut != nil
+	return c.ORAQL != nil && c.ORAQL.Dump.Any() || c.DebugPass != nil
 }
 
 // sourceName is the file name the frontend reports for the source.
@@ -115,11 +116,18 @@ func (c Config) AAChainCanonical() string {
 }
 
 // diskConfigKey folds every output-affecting configuration knob into
-// the translation-unit key. Transparent knobs (the AA query and
-// analysis caches, which the transparency tests prove output-neutral)
-// are deliberately excluded so their ablation modes share entries.
+// the translation-unit key. Transparent knobs (the analysis cache,
+// which the transparency tests prove output-neutral) are deliberately
+// excluded so their ablation modes share entries. The ORAQL options
+// that shape the output join only when the pass is on, so a non-ORAQL
+// key reads as it always has; Dump and Out only print.
 func (c Config) diskConfigKey() string {
-	return fmt.Sprintf("opt=%d|stop=%d|chain=%s", c.OptLevel, c.StopAfter, c.AAChainCanonical())
+	key := fmt.Sprintf("opt=%d|stop=%d|chain=%s", c.OptLevel, c.StopAfter, c.AAChainCanonical())
+	if o := c.ORAQL; o != nil {
+		key += fmt.Sprintf("|oraql=%d|seq=%s|target=%q|funcs=%q|files=%q",
+			o.Mode, o.Seq, o.Target, o.Funcs, o.Files)
+	}
+	return key
 }
 
 // TargetStats bundles per-module compilation outputs.
@@ -135,10 +143,10 @@ type TargetStats struct {
 	Analysis []analysis.Stats
 	// ModuleHash and FuncHashes are sha256 identities of the pristine
 	// (pre-optimization) module and each of its functions. They are set
-	// exactly when the compilation can be cached as a translation unit,
-	// which a persisted artifact must carry; the probe driver keys its
-	// campaign state and per-query verdicts by them. Empty/nil
-	// otherwise.
+	// exactly when a compilation without ORAQL can be cached as a
+	// translation unit, whose artifact must carry them; the probe
+	// driver keys its campaign state and per-query verdicts by the
+	// baseline's. Empty/nil otherwise, so test compiles hash nothing.
 	ModuleHash string
 	FuncHashes map[string]string
 	// DiskHits counts functions served by a translation-unit artifact
@@ -382,7 +390,7 @@ func compileModule(cctx context.Context, cfg Config, m *ir.Module, memo *passes.
 	// function is printed once.
 	var moduleHash string
 	var funcHashes map[string]string
-	if cfg.tuCacheable() {
+	if cfg.tuCacheable() && cfg.ORAQL == nil {
 		parts := make([]string, 1, len(m.Funcs)+1)
 		parts[0] = m.Header()
 		funcHashes = make(map[string]string, len(m.Funcs))
@@ -401,12 +409,8 @@ func compileModule(cctx context.Context, cfg Config, m *ir.Module, memo *passes.
 	mgr := aa.NewManager(m, chain...)
 	var op *oraql.Pass
 	if cfg.ORAQL != nil {
-		opts := *cfg.ORAQL
-		if opts.Out == nil && cfg.DumpOut != nil {
-			opts.Out = cfg.DumpOut
-		}
-		op = oraql.New(m, opts)
-		if opts.Mode == oraql.ModeBlocking {
+		op = oraql.New(m, *cfg.ORAQL)
+		if cfg.ORAQL.Mode == oraql.ModeBlocking {
 			// Section VIII design: consulted before the chain, forcing
 			// may-alias for blocked queries.
 			mgr.Blocker = op
@@ -418,10 +422,7 @@ func compileModule(cctx context.Context, cfg Config, m *ir.Module, memo *passes.
 	ctx := &passes.Context{Module: m, AA: mgr, Stats: stats, Ctx: cctx,
 		Timing:               passes.NewTiming(),
 		DisableAnalysisCache: cfg.DisableAnalysisCache,
-		DebugPassExec:        cfg.DebugPassExec}
-	if cfg.DumpOut != nil {
-		ctx.Out = cfg.DumpOut
-	}
+		DebugPass:            cfg.DebugPass}
 	if memo != nil && op != nil {
 		ctx.Steps = memo.Plan(op)
 	}

@@ -39,8 +39,8 @@ var errLineage = errors.New("pipeline: step transcript mismatch")
 // its query records are complete only when it replayed no step, which
 // always holds for a session's first compilation.
 //
-// Compilations that dump anything (ORAQL Dump, DebugPassExec, DumpOut)
-// are compiled cold, as are configurations without ORAQL. When a
+// Compilations that dump anything (ORAQL Dump, DebugPass) are
+// compiled cold, as are configurations without ORAQL. When a
 // re-executed step breaks the lineage invariant the compilation is
 // redone cold and counted (Fallbacks), and the session compiles cold
 // from then on.

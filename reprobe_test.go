@@ -140,11 +140,11 @@ func TestUnchangedReprobeWritesNothing(t *testing.T) {
 }
 
 // An unchanged reprobe compiles nothing. Through a fresh handle, each
-// of the 16 configs serves its baseline from a TU artifact and its
-// tests, both runs and its final build from its campaign set; it
+// of the 16 configs serves its baseline and its final build from their
+// TU artifacts and its tests and both runs from its campaign set; it
 // writes nothing and ends with the seeding campaign's final build and
 // probe report, effort counters aside.
-func TestUnchangedReprobeServesFinalFromSet(t *testing.T) {
+func TestUnchangedReprobeServesFinalFromTUArtifact(t *testing.T) {
 	dir := t.TempDir()
 	probe := func(cfg *apps.Config) (*driver.Result, *diskcache.Store) {
 		t.Helper()
@@ -246,19 +246,21 @@ func firstLineDiff(a, b string) string {
 }
 
 // Each campaign keeps its test verdicts and its baseline and final
-// runs in one campaign set, whatever it tested. Over the 16 configs
-// through one store, a seeding sweep leaves only the TU artifacts and
-// the warehouse record blobs under objects/, and one member in each
-// campaign set; an unchanged sweep adds nothing; an edited sweep, whose
-// programs have new identities, adds a campaign set per config with
-// one member each.
+// runs in one campaign set, whatever it tested, and its baseline and
+// final builds as TU artifacts. Over the 16 configs at one worker
+// through one store, a seeding sweep leaves two TU artifacts and a
+// warehouse record blob per config under objects/, and one member in
+// each campaign set; an unchanged sweep adds nothing; an edited sweep,
+// whose programs have new identities, adds as much again, plus the
+// builds its hint placements compiled, and a campaign set per config
+// with one member each.
 func TestCampaignSetLayout(t *testing.T) {
 	dir := t.TempDir()
 	store, err := diskcache.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sweep := func(leg string, edited bool) {
+	sweep := func(leg string, edited bool) (puts int64) {
 		t.Helper()
 		before := store.Counters()
 		for _, cfg := range apps.All() {
@@ -276,6 +278,7 @@ func TestCampaignSetLayout(t *testing.T) {
 		c := store.Counters()
 		t.Logf("%s sweep: %d lookups, %d puts", leg,
 			c.Hits+c.Misses-before.Hits-before.Misses, c.Puts-before.Puts)
+		return c.Puts - before.Puts
 	}
 	// layout counts the objects and, for every campaign set, its
 	// members; a campaign member is the one whose JSON has runs.
@@ -301,13 +304,14 @@ func TestCampaignSetLayout(t *testing.T) {
 		}
 		return len(objs), campaigns
 	}
-	// Each campaign identity owns one TU artifact, one warehouse
-	// record and one campaign set.
-	check := func(leg string, identities int) {
+	check := func(leg string, puts, wantPuts int64, wantObjects, identities int) {
 		t.Helper()
+		if puts != wantPuts {
+			t.Errorf("the %s sweep made %d puts, want %d", leg, puts, wantPuts)
+		}
 		objects, campaigns := layout()
-		if objects != 2*identities {
-			t.Errorf("after the %s sweep: %d objects, want %d TU artifacts and warehouse records", leg, objects, 2*identities)
+		if objects != wantObjects {
+			t.Errorf("after the %s sweep: %d objects, want %d", leg, objects, wantObjects)
 		}
 		if len(campaigns) != identities {
 			t.Errorf("after the %s sweep: %d campaign sets, want %d", leg, len(campaigns), identities)
@@ -318,13 +322,14 @@ func TestCampaignSetLayout(t *testing.T) {
 			}
 		}
 	}
+	// Each campaign identity owns a baseline and a final TU artifact, a
+	// warehouse record and a campaign set. Of the edited campaigns, the
+	// ones whose hinted candidate failed placed the hint on 6 more live
+	// compiles, each filed like any compile that prints nothing.
 	n := len(apps.All())
-	sweep("seeding", false)
-	check("seeding", n)
-	sweep("unchanged", false)
-	check("unchanged", n)
-	sweep("edited", true)
-	check("edited", 2*n)
+	check("seeding", sweep("seeding", false), 170, 3*n, n)
+	check("unchanged", sweep("unchanged", false), 0, 3*n, n)
+	check("edited", sweep("edited", true), 86, 6*n+6, 2*n)
 }
 
 // storeFiles maps each file of a store outside tmp/ to the hash of its

@@ -3,7 +3,10 @@
 # BENCH_serve.json: requests per second and p50/p99 latency at 1, 4,
 # and 16 concurrent clients, cold cache (every request compiles a
 # distinct program) vs warm cache (every request hits the
-# cross-request result cache). Run from the repo root:
+# cross-request result cache). It also records disk_tier: per-key
+# median and p90 microseconds of a hit of the whole-response disk tier
+# against serving the same request from its translation-unit artifact,
+# over serve-mix's 64 hot keys (5 passes). Run from the repo root:
 #
 #   scripts/bench_serve.sh [count]
 set -eu
@@ -12,6 +15,8 @@ out="BENCH_serve.json"
 
 go test -run '^$' -bench Serve_Compile -benchtime=1x \
 	-count="$count" . | tee /tmp/bench_serve.txt
+go test -run '^$' -bench Serve_DiskTier -benchtime=5x \
+	./internal/service | tee -a /tmp/bench_serve.txt
 
 awk -v ncpu="$(nproc 2>/dev/null || echo 1)" '
 /^BenchmarkServe_Compile\// {
@@ -25,6 +30,11 @@ awk -v ncpu="$(nproc 2>/dev/null || echo 1)" '
 		if ($(i+1) == "req/s")  rps[name] += $i
 	}
 	order[name] = 1
+}
+/^BenchmarkServe_DiskTier/ {
+	for (i = 3; i < NF; i += 2) {
+		if ($(i+1) ~ /-us$/) disk[$(i+1)] = $i
+	}
 }
 END {
 	printf "{\n"
@@ -43,6 +53,13 @@ END {
 		printf "  }"
 		sep = ",\n"
 	}
+	printf "%s  \"disk_tier\": {\n", sep
+	printf "    \"keys\": 64,\n"
+	printf "    \"response_hit_median_us\": %d,\n", disk["tier-median-us"]
+	printf "    \"response_hit_p90_us\": %d,\n", disk["tier-p90-us"]
+	printf "    \"tu_restore_median_us\": %d,\n", disk["tu-median-us"]
+	printf "    \"tu_restore_p90_us\": %d\n", disk["tu-p90-us"]
+	printf "  }"
 	printf "\n}\n"
 }' /tmp/bench_serve.txt > "$out"
 echo "wrote $out"
