@@ -98,24 +98,27 @@ serve-smoke:
 # default probe), the -max-steps sandbox, and one campaign through a
 # live oraql-serve with -cache-dir via POST /v1/campaign.
 campaign-smoke:
-	$(GO) test ./internal/campaign -fuzz FuzzCampaignScriptNoPanic -fuzztime 30s -run '^$$'
+	$(GO) test ./internal/campaign -fuzz FuzzCampaignScriptNoPanic -fuzztime 30s -fuzzminimizetime 10x -run '^$$'
 	scripts/campaign_smoke.sh
 
 # fuzz-smoke mirrors the CI fuzz job: a 200-program differential
 # campaign, the fault-injection triage self-test, and 30s of each
 # native fuzz target, the compile-session and persisted-state ones
-# included.
+# included. Each target minimizes a new input for at most 10 execs,
+# so the window goes to exploring; a failing input is still reported,
+# less minimized.
 fuzz-smoke:
 	$(GO) run ./cmd/oraql-fuzz -n 200 -seed 1 -v
 	$(GO) run ./cmd/oraql-fuzz -inject -n 10 -seed 1 -v
-	$(GO) test ./internal/irtext -fuzz FuzzIRTextRoundtrip -fuzztime 30s -run '^$$'
-	$(GO) test ./internal/irtext -fuzz FuzzParseNoPanic -fuzztime 30s -run '^$$'
-	$(GO) test ./internal/difftest -fuzz FuzzDifferential -fuzztime 30s -run '^$$'
-	$(GO) test ./internal/pipeline -fuzz FuzzSessionMatchesCold -fuzztime 30s -run '^$$'
-	$(GO) test ./internal/diskcache -fuzz FuzzDecodeEntry -fuzztime 30s -run '^$$'
-	$(GO) test ./internal/warehouse -fuzz FuzzSetMemberPayloads -fuzztime 30s -run '^$$'
-	$(GO) test ./internal/driver -fuzz FuzzCampaignSetMembers -fuzztime 30s -run '^$$'
-	$(GO) test ./internal/pipeline -fuzz FuzzTUArtifact -fuzztime 30s -run '^$$'
+	$(GO) test ./internal/irtext -fuzz FuzzIRTextRoundtrip -fuzztime 30s -fuzzminimizetime 10x -run '^$$'
+	$(GO) test ./internal/irtext -fuzz FuzzParseNoPanic -fuzztime 30s -fuzzminimizetime 10x -run '^$$'
+	$(GO) test ./internal/difftest -fuzz FuzzDifferential -fuzztime 30s -fuzzminimizetime 10x -run '^$$'
+	$(GO) test ./internal/pipeline -fuzz FuzzSessionMatchesCold -fuzztime 30s -fuzzminimizetime 10x -run '^$$'
+	$(GO) test ./internal/diskcache -fuzz FuzzDecodeEntry -fuzztime 30s -fuzzminimizetime 10x -run '^$$'
+	$(GO) test ./internal/warehouse -fuzz FuzzSetMemberPayloads -fuzztime 30s -fuzzminimizetime 10x -run '^$$'
+	$(GO) test ./internal/driver -fuzz FuzzCampaignSetMembers -fuzztime 30s -fuzzminimizetime 10x -run '^$$'
+	$(GO) test ./internal/pipeline -fuzz FuzzTUArtifact -fuzztime 30s -fuzzminimizetime 10x -run '^$$'
+	$(GO) test ./internal/warehouse -fuzz FuzzWarehouseRecord -fuzztime 30s -fuzzminimizetime 10x -run '^$$'
 
 # fuzz runs an open-ended differential campaign; tune N/SEED/ARGS.
 N ?= 1000

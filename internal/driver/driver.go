@@ -90,10 +90,13 @@ type Result struct {
 	// verified (no pessimistic answers needed).
 	FullyOptimistic bool
 
-	// Probing effort counters. Compiles includes speculative compiles;
-	// TestsRun + TestsCached counts the tests the decision loop
-	// consumed and is identical for every worker count (the split
-	// between run and cached may shift with speculative timing).
+	// Probing effort counters. Compiles counts the compiles that ran,
+	// speculative ones included, and not a build a TU artifact served
+	// whole; a fully optimistic campaign's final is its optimistic
+	// test's build, counted once. TestsRun + TestsCached counts the
+	// tests the decision loop consumed and is identical for every
+	// worker count (the split between run and cached may shift with
+	// speculative timing).
 	Compiles    int
 	TestsRun    int
 	TestsCached int
@@ -195,10 +198,16 @@ func (st *state) logf(format string, args ...any) {
 // optimistic test was started beside the baseline.
 var baselineHook func(overlapped bool)
 
-// execute counts a baseline or final build among the compiles, runs
-// it and checks its output.
+// count books a build among the compiles unless its TU artifact
+// served it whole: Compiles counts only compiles that ran.
+func (st *state) count(cr *pipeline.CompileResult) {
+	if cr.DiskHits() == 0 {
+		st.res.Compiles++
+	}
+}
+
+// execute runs a baseline or final build and checks its output.
 func (st *state) execute(cr *pipeline.CompileResult) *Outcome {
-	st.res.Compiles++
 	rr, runErr := st.run(cr)
 	out := &Outcome{Compile: cr, Run: rr, RunErr: runErr}
 	var stdout string
@@ -215,18 +224,25 @@ func (st *state) execute(cr *pipeline.CompileResult) *Outcome {
 // persistent campaign learns), which keeps the probing decisions and
 // the campaign set independent of worker count.
 func (st *state) test(seq oraql.Seq, specs ...oraql.Seq) (bool, error) {
+	out, err := st.outcome(seq, specs...)
+	return out.ok, err
+}
+
+// outcome is test returning the whole consumed outcome, the fully
+// optimistic test's build included.
+func (st *state) outcome(seq oraql.Seq, specs ...oraql.Seq) (testOutcome, error) {
 	if err := st.ctx.Err(); err != nil {
-		return false, fmt.Errorf("driver: probing cancelled: %w", err)
+		return testOutcome{}, fmt.Errorf("driver: probing cancelled: %w", err)
 	}
 	if st.spec.MaxTests > 0 && st.res.TestsRun+st.res.TestsCached >= st.spec.MaxTests {
-		return false, fmt.Errorf("driver: test budget (%d) exhausted", st.spec.MaxTests)
+		return testOutcome{}, fmt.Errorf("driver: test budget (%d) exhausted", st.spec.MaxTests)
 	}
 	for _, s := range specs {
 		st.eng.prefetch(s)
 	}
 	out := st.eng.get(seq)
 	if out.err != nil {
-		return false, out.err
+		return testOutcome{}, out.err
 	}
 	if out.unique > st.maxSeen {
 		st.maxSeen = out.unique
@@ -244,7 +260,7 @@ func (st *state) test(seq oraql.Seq, specs ...oraql.Seq) (bool, error) {
 		// the previous decided state is now a loser.
 		st.eng.cancelSpeculative()
 	}
-	return out.ok, nil
+	return out, nil
 }
 
 func (st *state) probe() (*Result, error) {
@@ -279,6 +295,7 @@ func (st *state) probe() (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("driver: baseline: %w", err)
 	}
+	st.count(cr)
 	st.openCampaign(cr)
 	if baselineHook != nil {
 		baselineHook(st.eng.overlap)
@@ -301,19 +318,21 @@ func (st *state) probe() (*Result, error) {
 	st.eng.recorded()
 
 	// Step 2: fully optimistic attempt (empty sequence), joined when
-	// it was started beside the baseline.
-	ok, err := st.test(nil)
+	// it was started beside the baseline. Its build is the final when
+	// it verifies, and the query stream the verdict hint is placed on
+	// when it fails.
+	opt, err := st.outcome(nil)
 	if err != nil {
 		return nil, err
 	}
-	if ok {
+	if opt.ok {
 		st.logf("%s: fully optimistic compilation verified", spec.Name)
 		st.res.FullyOptimistic = true
 		st.res.FinalSeq = nil
-		return st.finalize(nil)
+		return st.finalize(nil, opt.build)
 	}
 	st.logf("%s: fully optimistic failed; bisecting %d unique queries", spec.Name, st.maxSeen)
-	st.loadHint()
+	st.loadHint(opt.build)
 
 	// Step 3: bisection. The padding keeps undecided queries
 	// pessimistic; it adapts as query counts drift.
@@ -343,26 +362,30 @@ func (st *state) probe() (*Result, error) {
 			return nil, err
 		}
 		if ok {
-			return st.finalize(final)
+			return st.finalize(final, nil)
 		}
 		st.logf("%s: query count drifted (now %d); re-probing", spec.Name, st.maxSeen)
 	}
 	// Fall back to the all-pessimistic sequence, which reproduces the
 	// baseline compilation behaviour for ORAQL-visible queries.
 	final = make(oraql.Seq, st.maxSeen+64)
-	ok, err = st.test(final)
+	ok, err := st.test(final)
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
 		return nil, fmt.Errorf("driver: %s: even the all-pessimistic sequence fails verification", spec.Name)
 	}
-	return st.finalize(final)
+	return st.finalize(final, nil)
 }
 
-// finalize builds the final sequence, compiled live or served from its
-// TU artifact, and records results.
-func (st *state) finalize(seq oraql.Seq) (*Result, error) {
+// finalize takes the final build, runs it and records results. opt,
+// when non-nil, is the fully optimistic test's exact build of the
+// empty sequence: it is the final build, filed as the final's TU
+// artifact (Session.Adopt), unless the campaign prints, whose final
+// compiles live because that compile is what prints. Otherwise the
+// final compiles live or is served from its TU artifact.
+func (st *state) finalize(seq oraql.Seq, opt *pipeline.CompileResult) (*Result, error) {
 	// Testing is over: wait out cancelled speculation, then release
 	// the session's memos so they are garbage during the final compile.
 	st.eng.shutdown()
@@ -370,9 +393,13 @@ func (st *state) finalize(seq oraql.Seq) (*Result, error) {
 	st.sess.Release()
 	opts := st.spec.ORAQL
 	opts.Seq = seq
-	cr, err := st.sess.CompileLive(st.ctx, &opts)
-	if err != nil {
-		return nil, err
+	cr := opt
+	if cr == nil || !st.sess.Adopt(&opts, cr) {
+		var err error
+		if cr, err = st.sess.CompileLive(st.ctx, &opts); err != nil {
+			return nil, err
+		}
+		st.count(cr)
 	}
 	fin := st.execute(cr)
 	if !fin.Verify.OK {

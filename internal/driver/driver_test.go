@@ -149,9 +149,76 @@ func TestProbeFullyOptimisticFastPath(t *testing.T) {
 	if len(res.FinalSeq) != 0 {
 		t.Errorf("fully optimistic result must keep the empty sequence, got %v", res.FinalSeq)
 	}
-	// Baseline + optimistic test + finalize = 3 compiles.
-	if res.Compiles != 3 {
-		t.Errorf("compiles = %d, want 3", res.Compiles)
+	// Baseline + optimistic test = 2 compiles: the optimistic test
+	// replayed no step, so its build is the final.
+	if res.Compiles != 2 {
+		t.Errorf("compiles = %d, want 2", res.Compiles)
+	}
+}
+
+// A fully optimistic campaign that prints compiles its final live,
+// because that compile is what prints: with an ORAQL dump or with
+// -debug-pass it takes 3 compiles, and after the baseline and the
+// optimistic test the final prints what one compile of the empty
+// sequence prints.
+func TestPrintingFullyOptimisticCampaignCompilesItsFinal(t *testing.T) {
+	// printed returns what one compile of noHazardSrc prints.
+	printed := func(t *testing.T, opts *oraql.Options, debugPass bool) string {
+		t.Helper()
+		var out bytes.Buffer
+		cfg := pipeline.Config{Name: "nohazard", Source: noHazardSrc}
+		if opts != nil {
+			o := *opts
+			o.Out = &out
+			cfg.ORAQL = &o
+		}
+		if debugPass {
+			cfg.DebugPass = &out
+		}
+		if _, err := pipeline.Compile(cfg); err != nil {
+			t.Fatal(err)
+		}
+		return out.String()
+	}
+	dump := oraql.Options{Dump: oraql.DumpFlags{First: true, Optimistic: true}}
+	for _, c := range []struct {
+		name      string
+		opts      oraql.Options
+		debugPass bool
+	}{
+		{"oraql-dump", dump, false},
+		{"debug-pass", oraql.Options{}, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var out bytes.Buffer
+			spec := &BenchSpec{
+				Name:    "nohazard",
+				Compile: pipeline.Config{Source: noHazardSrc},
+				ORAQL:   c.opts,
+				Workers: 1,
+			}
+			if c.debugPass {
+				spec.Compile.DebugPass = &out
+			} else {
+				spec.ORAQL.Out = &out
+			}
+			res, err := Probe(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.FullyOptimistic || res.Compiles != 3 {
+				t.Errorf("fully optimistic %v in %d compiles, want true in 3", res.FullyOptimistic, res.Compiles)
+			}
+			opt := printed(t, &c.opts, c.debugPass)
+			want := opt + opt
+			if c.debugPass {
+				want = printed(t, nil, true) + want
+			}
+			if opt == "" || out.String() != want {
+				t.Errorf("campaign printed %d bytes, want baseline, test and final: %d bytes\n%s",
+					out.Len(), len(want), out.String())
+			}
+		})
 	}
 }
 

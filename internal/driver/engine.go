@@ -24,7 +24,11 @@ type testOutcome struct {
 	unique   int  // unique ORAQL query count of this compile
 	didRun   bool // false when the verdict came from the exe-hash cache
 	fromDisk bool // verdict replayed from the campaign set (persist.go)
-	err      error
+	// build is the fully optimistic test's build when it replayed no
+	// step, so its records and every counter are exact; nil for every
+	// other test.
+	build *pipeline.CompileResult
+	err   error
 }
 
 // testCall is one in-flight or completed test, single-flighted by the
@@ -71,7 +75,10 @@ type exeEntry struct {
 // set, the fully optimistic test runs beside the baseline: it is a
 // call in the single-flight map like any other, not speculation, and
 // its verification waits until the driver has recorded the verify
-// references (recorded).
+// references (recorded). That test's outcome keeps its whole build
+// until the driver consumes the verdict: finalize takes the build as
+// the final when the test verifies, loadHint its records when it
+// fails, and either way the engine holds it no longer.
 type engine struct {
 	// ctx is the probe-wide context: consumed tests run directly under
 	// it, launched tests under children of it, so cancelling the probe
@@ -97,10 +104,9 @@ type engine struct {
 	// still fit are replayed.
 	sess *pipeline.Session
 
-	mu         sync.Mutex
-	calls      map[string]*testCall
-	exe        map[string]*exeEntry
-	optRecords []*oraql.QueryRecord // query stream of the empty-seq compile (persistent campaigns only)
+	mu    sync.Mutex
+	calls map[string]*testCall
+	exe   map[string]*exeEntry
 
 	compiles      atomic.Int64
 	stepsRun      atomic.Int64
@@ -171,16 +177,6 @@ func (e *engine) awaitRefs(ctx context.Context) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// takeOptRecords hands the empty-sequence compile's query records to
-// the driver (once) for the verdict hint.
-func (e *engine) takeOptRecords() []*oraql.QueryRecord {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	r := e.optRecords
-	e.optRecords = nil
-	return r
 }
 
 // get returns the outcome for a candidate, joining an in-flight or
@@ -345,22 +341,20 @@ func (e *engine) run(ctx context.Context, seq oraql.Seq) testOutcome {
 	if err != nil {
 		return testOutcome{err: err}
 	}
-	e.compiles.Add(1)
+	if cr.DiskHits() == 0 {
+		// After a lineage fallback a TU artifact can serve the compile.
+		e.compiles.Add(1)
+	}
 	run, replayed := cr.Steps()
 	e.stepsRun.Add(int64(run))
 	e.stepsReplayed.Add(int64(replayed))
-	if len(seq) == 0 && replayed == 0 && e.camp != nil {
-		// A persistent campaign places its verdict hint on the
-		// fully-optimistic compile's query stream. It is the session's
-		// first compile, so nothing was replayed and its records are
-		// exact.
-		e.mu.Lock()
-		if e.optRecords == nil {
-			e.optRecords = cr.Records()
-		}
-		e.mu.Unlock()
-	}
 	out := testOutcome{unique: cr.ORAQLStats().Unique()}
+	if len(seq) == 0 && replayed == 0 {
+		// The fully optimistic test is the session's first compile, so
+		// it replayed nothing: the driver takes its build as the final
+		// or places its verdict hint on its records.
+		out.build = cr
+	}
 	if e.spec.DisableExeCache {
 		if ctx.Err() != nil {
 			return testOutcome{err: ctx.Err()}

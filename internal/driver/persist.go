@@ -170,12 +170,16 @@ func describeQueries(recs []*oraql.QueryRecord) []queryDesc {
 	return out
 }
 
-// loadHint sets the hint from the fully optimistic compile's query
-// stream, which the engine captures only for a persistent campaign:
-// every descriptor the persisted per-function verdicts ever convicted
-// under this check joins it, at the position the stream asked it.
-func (st *state) loadHint() {
-	recs := st.eng.takeOptRecords()
+// loadHint sets a persistent campaign's hint from opt, the fully
+// optimistic test's build, nil when that test compiled nothing or
+// replayed a step: every descriptor the persisted per-function verdicts
+// ever convicted under this check joins it, at the position opt's
+// query stream asked it.
+func (st *state) loadHint(opt *pipeline.CompileResult) {
+	if st.camp == nil || opt == nil {
+		return
+	}
+	recs := opt.Records()
 	if len(recs) == 0 {
 		return
 	}
@@ -274,7 +278,7 @@ func (st *state) placeHint(cand oraql.Seq, hint map[string]bool) (oraql.Seq, err
 	if err != nil {
 		return nil, err
 	}
-	st.res.Compiles++
+	st.count(cr)
 	recs := cr.Records()
 	var at []int
 	for i, d := range describeQueries(recs) {

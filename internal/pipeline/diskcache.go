@@ -17,12 +17,14 @@ import (
 // Translation-unit artifacts: the pipeline's only disk-cache layer.
 // One rule decides what goes through it (tuCacheable): every
 // compilation with a store that prints nothing, ORAQL compilations
-// (a probe's final build among them) included. An artifact is keyed by
-// the input — the source text (pre-frontend) or, for a pre-built
-// module, its printed text, in a key domain of its own — and every
-// output-affecting configuration knob, the ORAQL options that shape
-// the output included. A hit skips the frontend, AA chain, pass
-// pipeline and codegen entirely — the optimized module is
+// (a probe's final build among them) included. compileTU reads and
+// files them; Session.Adopt files a compile-session build that stands
+// for a live compilation, through the same rule and storeTU. An
+// artifact is keyed by the input — the source text (pre-frontend) or,
+// for a pre-built module, its printed text, in a key domain of its
+// own — and every output-affecting configuration knob, the ORAQL
+// options that shape the output included. A hit skips the frontend,
+// AA chain, pass pipeline and codegen entirely — the optimized module is
 // re-materialized from its persisted text and the deterministic
 // outputs (exe hash and machine statistics, -stats counters, timing
 // rows, AA statistics, and for an ORAQL compilation its counters and
@@ -114,7 +116,8 @@ func storeTU(cfg Config, key string, res *CompileResult) {
 }
 
 // takeSnapshot captures a finished compilation for persisting. Its
-// query records are complete: compileTU compiles every step live.
+// query records are complete: compileTU compiles every step live, and
+// Session.Adopt is handed only a compilation that replayed no step.
 func takeSnapshot(cr *CompileResult) *snapshot {
 	snap := &snapshot{Host: snapshotTarget(cr.Host)}
 	if cr.Device != nil {

@@ -47,7 +47,9 @@ var errLineage = errors.New("pipeline: step transcript mismatch")
 //
 // CompileLive compiles from a clone of the pristine modules with every
 // step live and no memo — the probe driver's baseline and final
-// compiles — so a campaign runs the frontend once.
+// compiles — so a campaign runs the frontend once. A compilation that
+// replayed no step is exact, so Adopt lets it stand for CompileLive's:
+// a fully optimistic campaign's final is its optimistic test's build.
 //
 // A Session is safe for concurrent use: its pristine modules and the
 // final bodies are read-only, and its step memos and code cache
@@ -130,7 +132,8 @@ func (s *Session) Compile(ctx context.Context, seq oraql.Seq) (*CompileResult, e
 // running every step live and consulting no memo. Its result is
 // CompileContext's, query records and every counter included,
 // translation-unit artifact included: a hit serves it before the
-// frontend runs.
+// frontend runs. The probe driver calls it for the baseline and for a
+// final that no adopted build (Adopt) stands for.
 func (s *Session) CompileLive(ctx context.Context, opts *oraql.Options) (*CompileResult, error) {
 	cfg := s.cfg
 	cfg.ORAQL = opts
@@ -145,6 +148,27 @@ func (s *Session) CompileLive(ctx context.Context, opts *oraql.Options) (*Compil
 		host, device = s.clone()
 		return host, device, nil
 	})
+}
+
+// Adopt lets cr, a compilation of the session's configuration with
+// ORAQL options opts that replayed no step, stand for
+// CompileLive(opts), and files it as CompileLive would have: under its
+// translation-unit key when the configuration is cacheable
+// (tuCacheable, storeTU). Such a compilation has CompileLive's output,
+// query records and every counter included; the probe driver adopts
+// its fully optimistic test's build as the final. Adopt refuses,
+// filing nothing, when the configuration prints, since only a
+// compilation that runs can print.
+func (s *Session) Adopt(opts *oraql.Options, cr *CompileResult) bool {
+	cfg := s.cfg
+	cfg.ORAQL = opts
+	if cfg.Dumps() {
+		return false
+	}
+	if cfg.tuCacheable() {
+		storeTU(cfg, cfg.tuKey(cfg.sourceName()), cr)
+	}
+	return true
 }
 
 // Release drops the step memos, which hold every test compilation's

@@ -255,7 +255,8 @@ func RecordID(r *Record) (string, error) {
 // valid copy of it (racing writers publish identical content by
 // construction), and the index member is named by the record ID, so
 // added reports whether THIS call filed the record. Re-ingesting a
-// filed record writes nothing; a deleted blob is written again, and a
+// filed record writes nothing; a deleted blob, or one whose bytes do
+// not hash to its ID (which Record rejects), is written again, and a
 // record whose member was lost is filed again.
 func (s *Store) Ingest(r *Record) (id string, added bool, err error) {
 	if r.Kind == "" {
@@ -266,7 +267,7 @@ func (s *Store) Ingest(r *Record) (id string, added bool, err error) {
 		return "", false, fmt.Errorf("warehouse: encode record: %w", err)
 	}
 	id = diskcache.HashText(string(data))
-	if _, ok := s.d.Get(recordKey(id)); !ok {
+	if old, ok := s.d.Get(recordKey(id)); !ok || diskcache.HashText(string(old)) != id {
 		s.d.Put(recordKey(id), data)
 	}
 	sum, err := json.Marshal(summarize(id, r))

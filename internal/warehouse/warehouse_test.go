@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -271,5 +272,48 @@ func FuzzSetMemberPayloads(f *testing.F) {
 		m.Stats()
 		m.ShapePriors()
 		m.DivergentSeeds("")
+	})
+}
+
+// FuzzWarehouseRecord plants an arbitrary payload under a record's
+// key. Reading it never panics and returns a record only for a payload
+// that hashes to the ID, and after the record is ingested it reads
+// back equal to the record ingested, whatever the payload was.
+func FuzzWarehouseRecord(f *testing.F) {
+	rec := probeRecord("app-a", 1)
+	blob, err := rec.canonical()
+	if err != nil {
+		f.Fatal(err)
+	}
+	other, err := probeRecord("app-b", 2).canonical()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(blob)
+	f.Add(blob[:len(blob)/2])
+	f.Add(other)
+	f.Add([]byte(`null`))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		w := openStore(t, t.TempDir())
+		id, err := RecordID(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.d.Put(recordKey(id), payload)
+		got, ok := w.Load().Record(id)
+		if own := diskcache.HashText(string(payload)) == id; ok != own {
+			t.Fatalf("planted %q: read %v, want %v", payload, ok, own)
+		}
+		if ok && !reflect.DeepEqual(got, rec) {
+			t.Fatalf("planted blob reads as %+v, want %+v", got, rec)
+		}
+		if _, _, err := w.Ingest(probeRecord("app-a", 1)); err != nil {
+			t.Fatal(err)
+		}
+		got, ok = w.Load().Record(id)
+		if !ok || !reflect.DeepEqual(got, rec) {
+			t.Fatalf("after ingest over %q: read %+v (%v), want %+v", payload, got, ok, rec)
+		}
 	})
 }

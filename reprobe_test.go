@@ -1,6 +1,7 @@
 package goraql
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io/fs"
@@ -141,9 +142,9 @@ func TestUnchangedReprobeWritesNothing(t *testing.T) {
 
 // An unchanged reprobe compiles nothing. Through a fresh handle, each
 // of the 16 configs serves its baseline and its final build from their
-// TU artifacts and its tests and both runs from its campaign set; it
-// writes nothing and ends with the seeding campaign's final build and
-// probe report, effort counters aside.
+// TU artifacts and its tests and both runs from its campaign set, so
+// it counts no compile; it writes nothing and ends with the seeding
+// campaign's final build and probe report, effort counters aside.
 func TestUnchangedReprobeServesFinalFromTUArtifact(t *testing.T) {
 	dir := t.TempDir()
 	probe := func(cfg *apps.Config) (*driver.Result, *diskcache.Store) {
@@ -176,6 +177,9 @@ func TestUnchangedReprobeServesFinalFromTUArtifact(t *testing.T) {
 		if res.TestsRun != 0 || res.RunsReplayed != 2 {
 			t.Errorf("%s: reprobe ran %d tests and replayed %d runs, want 0 and 2", cfg.ID, res.TestsRun, res.RunsReplayed)
 		}
+		if res.Compiles != 0 {
+			t.Errorf("%s: reprobe counted %d compiles, want 0", cfg.ID, res.Compiles)
+		}
 		if c := store.Counters(); c.Puts != 0 || c.PutErrors != 0 {
 			t.Errorf("%s: reprobe made %d puts and %d put errors, want none", cfg.ID, c.Puts, c.PutErrors)
 		}
@@ -192,6 +196,49 @@ func TestUnchangedReprobeServesFinalFromTUArtifact(t *testing.T) {
 		if r, s := probeReport(t, res), probeReport(t, want); r != s {
 			t.Errorf("%s: probe report differs:\n reprobe %s\n seeding %s", cfg.ID, r, s)
 		}
+	}
+}
+
+// A fully optimistic campaign compiles its final once: its optimistic
+// test is the compile session's first compile and replays no step, so
+// that build is the final. With no store, at one worker and at two
+// (where the test runs beside the baseline), each of the 7 fully
+// optimistic configs takes 2 compiles, and its final equals a live
+// compile of the empty sequence in everything a final build reports
+// and in its analysis-cache counters.
+func TestFullyOptimisticFinalIsItsTestBuild(t *testing.T) {
+	for _, id := range []string{"gridmini-offload", "minigmg-ompif", "minigmg-omptask", "minigmg-sse",
+		"quicksilver-openmp", "testsnap-seq", "testsnap-kokkos-cuda"} {
+		t.Run(id, func(t *testing.T) {
+			spec := apps.ByID(id).Spec()
+			cfg := spec.Compile
+			cfg.Name = spec.Name
+			opts := spec.ORAQL
+			cfg.ORAQL = &opts
+			live, err := pipeline.NewSession(cfg).CompileLive(context.Background(), &opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 2} {
+				spec := apps.ByID(id).Spec()
+				spec.Strategy = driver.Chunked
+				spec.Workers = workers
+				res, err := driver.Probe(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !res.FullyOptimistic || res.Compiles != 2 {
+					t.Errorf("workers=%d: fully optimistic %v in %d compiles, want true in 2", workers, res.FullyOptimistic, res.Compiles)
+				}
+				fin := res.Final.Compile
+				if r, l := finalBuild(fin), finalBuild(live); r != l {
+					t.Errorf("workers=%d: final build differs from the live compile at %s", workers, firstLineDiff(r, l))
+				}
+				if r, l := fmt.Sprint(fin.AnalysisStats()), fmt.Sprint(live.AnalysisStats()); r != l {
+					t.Errorf("workers=%d: analysis stats differ:\n final %s\n live  %s", workers, r, l)
+				}
+			}
+		})
 	}
 }
 

@@ -21,10 +21,11 @@
 # and cold freq on compiles and wall clock on every configuration, or
 # if its conviction count diverges from cold chunked's — the headline
 # claims the matrix exists to pin. A cell's wall clock is the median
-# of at least 5 separate single-campaign timings. On the fully
-# optimistic configurations, where a seeded campaign takes 2 compiles
-# against cold's 3, the two medians can still swap between runs, so
-# the gate can fail there on noise.
+# of at least 5 separate single-campaign timings. Compiles counts only
+# compiles that ran: a seeded campaign of an unchanged program serves
+# its baseline and final builds from TU artifacts and counts 0, against
+# cold's 2 on the fully optimistic configurations (the optimistic
+# test's build is the final) and more where it bisects.
 set -eu
 count="${1:-3}"
 mcount=$count
