@@ -126,7 +126,7 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	cfg.DiskCache = cache
 	dump := oraql.DumpFlags{First: *dumpFirst, Cached: *dumpCached, Optimistic: *dumpOpt, Pessimistic: *dumpPess}
 	if *useORAQL || *seqStr != "" || dump.Any() {
-		seq, err := oraql.ParseSeq(*seqStr)
+		seq, err := parseSeqArg(*seqStr)
 		if err != nil {
 			return cliutil.WrapUsage(err)
 		}
@@ -181,4 +181,19 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "[%d instructions, %d cycles]\n", rr.Instrs, rr.Cycles)
 	}
 	return nil
+}
+
+// parseSeqArg parses an -opt-aa-seq argument. The form @<filename>
+// loads the sequence from a file, mirroring LLVM's response-file
+// support for sequences longer than the argument length limit; only
+// this command line expands it.
+func parseSeqArg(arg string) (oraql.Seq, error) {
+	if path, ok := strings.CutPrefix(arg, "@"); ok {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return nil, fmt.Errorf("oraql-opt: sequence file: %w", err)
+		}
+		arg = string(data)
+	}
+	return oraql.ParseSeq(arg)
 }

@@ -35,6 +35,33 @@ func TestFailurePaths(t *testing.T) {
 	}
 }
 
+// -opt-aa-seq @file loads the sequence from a file; a missing file is
+// a usage error.
+func TestSeqResponseFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "seq.txt")
+	if err := os.WriteFile(path, []byte("0 1 0"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	seq, err := parseSeqArg("@" + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq.String() != "0 1 0" {
+		t.Errorf("got %q", seq.String())
+	}
+	if _, err := parseSeqArg("@" + filepath.Join(dir, "missing")); err == nil {
+		t.Error("missing file must error")
+	}
+	err = run([]string{"../../examples/serve/sum.mc", "-opt-aa-seq", "@" + filepath.Join(dir, "missing")}, io.Discard, io.Discard)
+	if got := cliutil.ExitCode(err); got != cliutil.ExitUsage {
+		t.Errorf("missing sequence file: exit code %d, want %d (err: %v)", got, cliutil.ExitUsage, err)
+	}
+	if err := run([]string{"../../examples/serve/sum.mc", "-opt-aa-seq", "@" + path}, io.Discard, io.Discard); err != nil {
+		t.Errorf("sequence file: %v", err)
+	}
+}
+
 func TestCompileAndRun(t *testing.T) {
 	dir := t.TempDir()
 	file := filepath.Join(dir, "prog.mc")

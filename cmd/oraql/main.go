@@ -21,6 +21,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -33,9 +34,9 @@ import (
 	"github.com/oraql/go-oraql/internal/cliutil"
 	"github.com/oraql/go-oraql/internal/driver"
 	"github.com/oraql/go-oraql/internal/irinterp"
-	"github.com/oraql/go-oraql/internal/minic"
 	"github.com/oraql/go-oraql/internal/pipeline"
 	"github.com/oraql/go-oraql/internal/report"
+	"github.com/oraql/go-oraql/internal/request"
 	"github.com/oraql/go-oraql/internal/service"
 	"github.com/oraql/go-oraql/internal/service/client"
 
@@ -189,69 +190,22 @@ func parseProbeArgs(args []string) (*probeArgs, error) {
 	return pa, nil
 }
 
-// spec builds the local driver spec for the parsed invocation.
-func (pa *probeArgs) spec() (*driver.BenchSpec, error) {
-	var spec *driver.BenchSpec
-	if pa.file != "" {
-		m, ok := minic.ModelByName(pa.model)
-		if !ok {
-			return nil, cliutil.Usagef("unknown model %q", pa.model)
-		}
-		d := minic.DialectC
-		if pa.fortran {
-			d = minic.DialectFortran
-		}
-		spec = &driver.BenchSpec{
-			Name: pa.file,
-			Compile: pipeline.Config{
-				Source: pa.source, SourceFile: pa.file,
-				Frontend: minic.Options{Dialect: d, Model: m, Views: pa.views},
-			},
-			Run: irinterp.Options{NumRanks: pa.ranks},
-		}
-	} else {
-		cfg := apps.ByID(pa.id)
-		if cfg == nil {
-			return nil, fmt.Errorf("unknown configuration %q (try `oraql list`)", pa.id)
-		}
-		spec = cfg.Spec()
-	}
-	strat, err := driver.StrategyByName(pa.strategy)
-	if err != nil {
-		return nil, cliutil.WrapUsage(err)
-	}
-	spec.Strategy = strat
-	spec.Workers = pa.workers
-	spec.DisableExeCache = pa.noCache
-	// -target applies to config ids too, as it does on the server.
-	if pa.target != "" {
-		spec.ORAQL.Target = pa.target
-	}
-	if pa.cacheDir != "" {
-		cache, err := cliutil.OpenCache(pa.cacheDir, 0)
-		if err != nil {
-			return nil, err
-		}
-		spec.Cache = cache
-	}
-	return spec, nil
-}
-
-// request builds the wire form for -server mode.
-func (pa *probeArgs) request() *service.ProbeRequest {
-	req := &service.ProbeRequest{
+// request builds the wire form of the invocation: sent as is with
+// -server, translated in-process without.
+func (pa *probeArgs) request() *request.ProbeRequest {
+	req := &request.ProbeRequest{
 		Strategy:        pa.strategy,
 		Workers:         pa.workers,
 		Target:          pa.target,
 		DisableExeCache: pa.noCache,
 	}
 	if pa.file != "" {
-		req.Program = service.ProgramSpec{
+		req.Program = request.ProgramSpec{
 			Source: pa.source, SourceFile: pa.file,
 			Model: pa.model, Fortran: pa.fortran, Views: pa.views, Ranks: pa.ranks,
 		}
 	} else {
-		req.Program = service.ProgramSpec{ConfigID: pa.id}
+		req.Program = request.ProgramSpec{ConfigID: pa.id}
 	}
 	return req
 }
@@ -264,8 +218,14 @@ func cmdProbe(args []string, stdout, stderr io.Writer) error {
 	if pa.server != "" {
 		return probeViaServer(pa, stdout, stderr)
 	}
-	spec, err := pa.spec()
+	spec, err := pa.request().Spec(driver.StrategyByName)
+	if errors.Is(err, request.ErrUnknownModel) {
+		return cliutil.WrapUsage(err)
+	}
 	if err != nil {
+		return err
+	}
+	if spec.Cache, err = cliutil.OpenCache(pa.cacheDir, 0); err != nil {
 		return err
 	}
 	spec.Log = stderr

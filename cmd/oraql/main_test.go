@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/oraql/go-oraql/internal/cliutil"
+	"github.com/oraql/go-oraql/internal/driver"
 )
 
 // TestFailurePaths pins the shared exit-code contract: 2 for caller
@@ -129,7 +130,7 @@ func TestProbeTargetAppliesToConfigIDs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec, err := pa.spec()
+		spec, err := pa.request().Spec(driver.StrategyByName)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,10 +7,10 @@ import (
 	"io"
 	"os"
 
-	"github.com/oraql/go-oraql/internal/apps"
 	"github.com/oraql/go-oraql/internal/cliutil"
 	"github.com/oraql/go-oraql/internal/difftest"
 	"github.com/oraql/go-oraql/internal/pipeline"
+	"github.com/oraql/go-oraql/internal/request"
 	"github.com/oraql/go-oraql/internal/warehouse"
 )
 
@@ -153,22 +153,20 @@ func cmdWarehouseExport(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return cliutil.WrapUsage(err)
 	}
-	var cfg pipeline.Config
-	switch {
-	case *file != "":
+	if *file == "" && fs.NArg() == 0 {
+		return cliutil.Usagef("warehouse export needs a config id or -file")
+	}
+	req := request.CompileRequest{Program: request.ProgramSpec{ConfigID: fs.Arg(0)}}
+	if *file != "" {
 		src, err := os.ReadFile(*file)
 		if err != nil {
 			return err
 		}
-		cfg.Name, cfg.Source, cfg.SourceFile = *file, string(src), *file
-	case fs.NArg() >= 1:
-		app := apps.ByID(fs.Arg(0))
-		if app == nil {
-			return fmt.Errorf("unknown configuration %q (try `oraql list`)", fs.Arg(0))
-		}
-		cfg.Name, cfg.Source, cfg.SourceFile, cfg.Frontend = app.ID, app.Source, app.SourceName, app.Frontend
-	default:
-		return cliutil.Usagef("warehouse export needs a config id or -file")
+		req.Program = request.ProgramSpec{Source: string(src), SourceFile: *file}
+	}
+	cfg, err := req.Config()
+	if err != nil {
+		return err
 	}
 	cr, err := pipeline.Compile(cfg)
 	if err != nil {

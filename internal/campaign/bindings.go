@@ -1,28 +1,31 @@
 package campaign
 
 // The ORAQL bindings: the host functions a campaign script can call.
-// Everything funnels through the same driver/pipeline/difftest entry
-// points the CLIs and oraql-serve use, so a scripted campaign is
-// byte-identical to its compiled-in equivalent — same FinalSeq, same
-// verdicts, same exe hashes — for any worker count. The sandbox is
-// structural: this is the complete surface, and none of it reaches
-// the filesystem or spawns processes.
+// Each decodes its option map into a struct of the keys it accepts,
+// fills the request type of internal/request and calls its one
+// translation, the one oraql-serve and the oraql CLI call too; from
+// there everything funnels through the same driver/pipeline/difftest
+// entry points, so a scripted campaign is byte-identical to its
+// compiled-in equivalent — same FinalSeq, same verdicts, same exe
+// hashes — for any worker count. The sandbox is structural: this is
+// the complete surface, and none of it reaches the filesystem or
+// spawns processes.
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
+	"sort"
+	"strings"
 
-	"github.com/oraql/go-oraql/internal/aa"
 	"github.com/oraql/go-oraql/internal/apps"
 	"github.com/oraql/go-oraql/internal/difftest"
 	"github.com/oraql/go-oraql/internal/driver"
-	"github.com/oraql/go-oraql/internal/minic"
-	"github.com/oraql/go-oraql/internal/oraql"
 	"github.com/oraql/go-oraql/internal/pipeline"
-	"github.com/oraql/go-oraql/internal/progen"
 	"github.com/oraql/go-oraql/internal/registry"
 	"github.com/oraql/go-oraql/internal/report"
+	"github.com/oraql/go-oraql/internal/request"
 )
 
 func oraqlBuiltins() []*Builtin {
@@ -59,7 +62,7 @@ func oraqlBuiltins() []*Builtin {
 		intro("grammars", static(registry.Grammars), "grammars() — registered generator grammar profiles as [{name, description}]"),
 		{
 			Name: "compile",
-			Doc:  "compile({config|source, model, aa_chain, seq, oraql, target, opt_level}) — one compilation; returns the compile report",
+			Doc:  "compile({config|source, model, fortran, views, name, aa_chain, seq, oraql, target, opt_level}) — one compilation; returns the compile report",
 			Fn:   bindCompile,
 		},
 		{
@@ -69,12 +72,12 @@ func oraqlBuiltins() []*Builtin {
 		},
 		{
 			Name: "probe",
-			Doc:  "probe({config|source, model, strategy, aa_chain, workers, max_tests, target}) — full ORAQL probing campaign; returns the probe report",
+			Doc:  "probe({config|source, model, fortran, views, name, strategy, aa_chain, workers, max_tests, target}) — full ORAQL probing campaign; returns the probe report",
 			Fn:   bindProbe,
 		},
 		{
 			Name: "sweep",
-			Doc:  "sweep({configs, strategy, aa_chain, workers, max_tests}) — probe a list of app configs (default: all); returns a list of probe reports",
+			Doc:  "sweep({configs, strategy, aa_chain, workers, max_tests, target}) — probe a list of app configs (default: all); returns a list of probe reports",
 			Fn:   bindSweep,
 		},
 		{
@@ -85,205 +88,152 @@ func oraqlBuiltins() []*Builtin {
 	}
 }
 
-// opts is a type-checked view of a script's option map.
-type opts struct {
-	m    map[string]any
-	line int
-	used map[string]bool
-}
-
-func newOpts(line int, args []any, what string) (*opts, error) {
+// decodeOpts decodes a binding's options map into dst, a pointer to a
+// struct that declares every key the binding accepts in the name of a
+// json tag; embedded structs add their keys. Keys match exactly, an
+// undeclared key fails the call, and a missing or nil key leaves its
+// field as dst had it, so dst carries the defaults.
+func decodeOpts(line int, args []any, what string, dst any) error {
+	var m map[string]any
 	switch len(args) {
 	case 0:
-		return &opts{m: map[string]any{}, line: line, used: map[string]bool{}}, nil
 	case 1:
-		m, ok := args[0].(map[string]any)
-		if !ok {
-			return nil, scriptErr(line, "%s takes an options map, got %s", what, typeName(args[0]))
+		var ok bool
+		if m, ok = args[0].(map[string]any); !ok {
+			return scriptErr(line, "%s takes an options map, got %s", what, typeName(args[0]))
 		}
-		return &opts{m: m, line: line, used: map[string]bool{}}, nil
+	default:
+		return scriptErr(line, "%s takes at most one options map, got %d arguments", what, len(args))
 	}
-	return nil, scriptErr(line, "%s takes at most one options map, got %d arguments", what, len(args))
-}
-
-func (o *opts) str(key string) (string, error) {
-	o.used[key] = true
-	v, ok := o.m[key]
-	if !ok || v == nil {
-		return "", nil
+	fields := map[string]reflect.Value{}
+	optFields(reflect.ValueOf(dst).Elem(), fields)
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	s, ok := v.(string)
-	if !ok {
-		return "", scriptErr(o.line, "option %q must be a string, got %s", key, typeName(v))
-	}
-	return s, nil
-}
-
-func (o *opts) integer(key string) (int, error) {
-	o.used[key] = true
-	v, ok := o.m[key]
-	if !ok || v == nil {
-		return 0, nil
-	}
-	i, ok := v.(int64)
-	if !ok {
-		return 0, scriptErr(o.line, "option %q must be an integer, got %s", key, typeName(v))
-	}
-	return int(i), nil
-}
-
-func (o *opts) boolean(key string) (bool, error) {
-	o.used[key] = true
-	v, ok := o.m[key]
-	if !ok || v == nil {
-		return false, nil
-	}
-	b, ok := v.(bool)
-	if !ok {
-		return false, scriptErr(o.line, "option %q must be a boolean, got %s", key, typeName(v))
-	}
-	return b, nil
-}
-
-func (o *opts) strList(key string) ([]string, error) {
-	o.used[key] = true
-	v, ok := o.m[key]
-	if !ok || v == nil {
-		return nil, nil
-	}
-	l, ok := v.([]any)
-	if !ok {
-		return nil, scriptErr(o.line, "option %q must be a list of strings, got %s", key, typeName(v))
-	}
-	out := make([]string, len(l))
-	for i, el := range l {
-		s, ok := el.(string)
+	sort.Strings(keys)
+	for _, k := range keys {
+		f, ok := fields[k]
 		if !ok {
-			return nil, scriptErr(o.line, "option %q must be a list of strings; element %d is %s", key, i, typeName(el))
+			return scriptErr(line, "%s: unknown option %q", what, k)
 		}
-		out[i] = s
-	}
-	return out, nil
-}
-
-// finish rejects unknown keys so typos fail loudly instead of being
-// silently ignored.
-func (o *opts) finish(what string) error {
-	for k := range o.m {
-		if !o.used[k] {
-			return scriptErr(o.line, "%s: unknown option %q", what, k)
+		if err := setOpt(line, k, f, m[k]); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// program resolves the config/source option pair shared by compile
-// and probe into a pipeline config skeleton.
-func (o *opts) program(what string) (pipeline.Config, error) {
-	id, err := o.str("config")
-	if err != nil {
-		return pipeline.Config{}, err
+func optFields(v reflect.Value, out map[string]reflect.Value) {
+	for i := 0; i < v.NumField(); i++ {
+		sf := v.Type().Field(i)
+		if sf.Anonymous {
+			optFields(v.Field(i), out)
+			continue
+		}
+		name, _, _ := strings.Cut(sf.Tag.Get("json"), ",")
+		out[name] = v.Field(i)
 	}
-	source, err := o.str("source")
-	if err != nil {
-		return pipeline.Config{}, err
-	}
-	switch {
-	case id != "":
-		app := apps.ByID(id)
-		if app == nil {
-			return pipeline.Config{}, scriptErr(o.line, "%s: unknown configuration %q", what, id)
-		}
-		return pipeline.Config{
-			Name: app.ID, Source: app.Source, SourceFile: app.SourceName,
-			Frontend: app.Frontend,
-		}, nil
-	case source != "":
-		model, err := o.str("model")
-		if err != nil {
-			return pipeline.Config{}, err
-		}
-		fortran, err := o.boolean("fortran")
-		if err != nil {
-			return pipeline.Config{}, err
-		}
-		views, err := o.boolean("views")
-		if err != nil {
-			return pipeline.Config{}, err
-		}
-		if model == "" {
-			model = "seq"
-		}
-		m, ok := minic.ModelByName(model)
-		if !ok {
-			return pipeline.Config{}, scriptErr(o.line, "%s: unknown model %q", what, model)
-		}
-		d := minic.DialectC
-		if fortran {
-			d = minic.DialectFortran
-		}
-		name, err := o.str("name")
-		if err != nil {
-			return pipeline.Config{}, err
-		}
-		if name == "" {
-			name = "campaign.mc"
-		}
-		return pipeline.Config{
-			Name: name, Source: source, SourceFile: name,
-			Frontend: minic.Options{Dialect: d, Model: m, Views: views},
-		}, nil
-	}
-	return pipeline.Config{}, scriptErr(o.line, "%s needs a config name or a source string", what)
 }
 
-// compileConfigFromOpts resolves compile's option map into a ready
-// pipeline config; shared by compile and compile_batch so a batched
-// item is configured byte-identically to its one-shot equivalent.
-func compileConfigFromOpts(in *interp, o *opts, what string) (cfg pipeline.Config, hadORAQL bool, err error) {
-	cfg, err = o.program(what)
-	if err != nil {
-		return cfg, false, err
+// setOpt type-checks one script value against its field's kind.
+func setOpt(line int, key string, f reflect.Value, v any) error {
+	if v == nil {
+		return nil
 	}
-	if cfg.OptLevel, err = o.integer("opt_level"); err != nil {
-		return cfg, false, err
+	bad := func(want string) error {
+		return scriptErr(line, "option %q must be %s, got %s", key, want, typeName(v))
 	}
-	if cfg.AAChain, err = o.str("aa_chain"); err != nil {
-		return cfg, false, err
-	}
-	seq, err := o.str("seq")
-	if err != nil {
-		return cfg, false, err
-	}
-	useORAQL, err := o.boolean("oraql")
-	if err != nil {
-		return cfg, false, err
-	}
-	target, err := o.str("target")
-	if err != nil {
-		return cfg, false, err
-	}
-	hadORAQL = useORAQL || seq != ""
-	if hadORAQL {
-		s, err := oraql.ParseSeq(seq)
-		if err != nil {
-			return cfg, false, scriptErr(o.line, "%s: bad seq: %v", what, err)
+	switch f.Kind() {
+	case reflect.String:
+		s, ok := v.(string)
+		if !ok {
+			return bad("a string")
 		}
-		cfg.ORAQL = &oraql.Options{Seq: s, Target: target}
+		f.SetString(s)
+	case reflect.Int, reflect.Int64:
+		i, ok := v.(int64)
+		if !ok {
+			return bad("an integer")
+		}
+		f.SetInt(i)
+	case reflect.Bool:
+		b, ok := v.(bool)
+		if !ok {
+			return bad("a boolean")
+		}
+		f.SetBool(b)
+	default: // []string
+		l, ok := v.([]any)
+		if !ok {
+			return bad("a list of strings")
+		}
+		out := make([]string, len(l))
+		for i, el := range l {
+			if out[i], ok = el.(string); !ok {
+				return scriptErr(line, "option %q must be a list of strings; element %d is %s", key, i, typeName(el))
+			}
+		}
+		f.Set(reflect.ValueOf(out))
 	}
-	if err := o.finish(what); err != nil {
-		return cfg, false, err
+	return nil
+}
+
+// program is the key group compile and probe share: a registered
+// configuration by id, or an inline source. A config id ignores the
+// source-only keys, as the wire does.
+type program struct {
+	Config  string `json:"config"`
+	Source  string `json:"source"`
+	Model   string `json:"model"`
+	Fortran bool   `json:"fortran"`
+	Views   bool   `json:"views"`
+	Name    string `json:"name"`
+}
+
+// spec is the program's wire form; an unnamed source is campaign.mc.
+func (p *program) spec() request.ProgramSpec {
+	name := p.Name
+	if name == "" {
+		name = "campaign.mc"
+	}
+	return request.ProgramSpec{
+		ConfigID: p.Config, Source: p.Source, SourceFile: name,
+		Model: p.Model, Fortran: p.Fortran, Views: p.Views,
+	}
+}
+
+// compileConfig decodes one compile option map and translates it;
+// compile and compile_batch share it, so a batched item is configured
+// byte-identically to its one-shot equivalent.
+func compileConfig(in *interp, line int, args []any, what string) (pipeline.Config, error) {
+	var o struct {
+		program
+		OptLevel int    `json:"opt_level"`
+		AAChain  string `json:"aa_chain"`
+		Seq      string `json:"seq"`
+		ORAQL    bool   `json:"oraql"`
+		Target   string `json:"target"`
+	}
+	if err := decodeOpts(line, args, what, &o); err != nil {
+		return pipeline.Config{}, err
+	}
+	req := request.CompileRequest{
+		Program: o.spec(),
+		Options: request.CompileOptions{
+			OptLevel: o.OptLevel, AAChain: o.AAChain, ORAQL: o.ORAQL, Seq: o.Seq, Target: o.Target,
+		},
+	}
+	cfg, err := req.Config()
+	if err != nil {
+		return cfg, scriptErr(line, "%s: %v", what, err)
 	}
 	cfg.DiskCache = in.opts.Cache
-	return cfg, hadORAQL, nil
+	return cfg, nil
 }
 
 func bindCompile(in *interp, line int, args []any) (any, error) {
-	o, err := newOpts(line, args, "compile")
-	if err != nil {
-		return nil, err
-	}
-	cfg, hadORAQL, err := compileConfigFromOpts(in, o, "compile")
+	cfg, err := compileConfig(in, line, args, "compile")
 	if err != nil {
 		return nil, err
 	}
@@ -291,7 +241,7 @@ func bindCompile(in *interp, line int, args []any) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	return toScriptValue(report.NewCompileJSON(cr, false, hadORAQL))
+	return toScriptValue(report.NewCompileJSON(cr, false, cfg.ORAQL != nil))
 }
 
 // bindCompileBatch amortizes a list of compilations: items whose
@@ -320,11 +270,7 @@ func bindCompileBatch(in *interp, line int, args []any) (any, error) {
 		}
 		rep, ok := seen[string(keyBytes)]
 		if !ok {
-			o, err := newOpts(line, []any{m}, "compile_batch")
-			if err != nil {
-				return nil, err
-			}
-			cfg, hadORAQL, err := compileConfigFromOpts(in, o, "compile_batch")
+			cfg, err := compileConfig(in, line, []any{m}, "compile_batch")
 			if err != nil {
 				return nil, err
 			}
@@ -332,7 +278,7 @@ func bindCompileBatch(in *interp, line int, args []any) (any, error) {
 			if err != nil {
 				return nil, fmt.Errorf("compile_batch element %d: %w", i, err)
 			}
-			rep = report.NewCompileJSON(cr, false, hadORAQL)
+			rep = report.NewCompileJSON(cr, false, cfg.ORAQL != nil)
 			seen[string(keyBytes)] = rep
 		}
 		v, err := toScriptValue(rep)
@@ -344,73 +290,29 @@ func bindCompileBatch(in *interp, line int, args []any) (any, error) {
 	return out, nil
 }
 
-// probeSpecFromOpts builds a benchmark spec from shared probe/sweep
-// options; configOverride substitutes the per-iteration sweep config.
-func probeSpecFromOpts(in *interp, o *opts, configOverride string, what string) (*driver.BenchSpec, error) {
-	var spec *driver.BenchSpec
-	if configOverride != "" {
-		app := apps.ByID(configOverride)
-		if app == nil {
-			return nil, scriptErr(o.line, "%s: unknown configuration %q", what, configOverride)
-		}
-		spec = app.Spec()
-	} else {
-		id, err := o.str("config")
-		if err != nil {
-			return nil, err
-		}
-		if id != "" {
-			app := apps.ByID(id)
-			if app == nil {
-				return nil, scriptErr(o.line, "%s: unknown configuration %q", what, id)
-			}
-			spec = app.Spec()
-		} else {
-			cfg, err := o.program(what)
-			if err != nil {
-				return nil, err
-			}
-			spec = &driver.BenchSpec{Name: cfg.Name, Compile: cfg}
-		}
+// probeOpts are the keys probe and sweep share.
+type probeOpts struct {
+	Strategy string `json:"strategy"`
+	AAChain  string `json:"aa_chain"`
+	Workers  int    `json:"workers"`
+	MaxTests int    `json:"max_tests"`
+	Target   string `json:"target"`
+}
+
+// benchSpec translates one probe of prog. Strategies resolve against
+// the run's overlay, so script-registered strategies are selectable
+// exactly like built-ins, and workers default to the run's.
+func (o *probeOpts) benchSpec(in *interp, line int, what string, prog request.ProgramSpec) (*driver.BenchSpec, error) {
+	req := request.ProbeRequest{
+		Program: prog, Strategy: o.Strategy, AAChain: o.AAChain,
+		Workers: o.Workers, MaxTests: o.MaxTests, Target: o.Target,
 	}
-	strategy, err := o.str("strategy")
+	if req.Workers == 0 {
+		req.Workers = in.opts.Workers
+	}
+	spec, err := req.Spec(in.lookupStrategy)
 	if err != nil {
-		return nil, err
-	}
-	if strategy != "" {
-		// Resolved against the run's overlay, so script-registered
-		// strategies are selectable exactly like built-ins.
-		strat, err := in.lookupStrategy(strategy)
-		if err != nil {
-			return nil, scriptErr(o.line, "%s: %v", what, err)
-		}
-		spec.Strategy = strat
-	}
-	chain, err := o.str("aa_chain")
-	if err != nil {
-		return nil, err
-	}
-	if chain != "" {
-		if _, err := aa.ResolveChainNames(chain); err != nil {
-			return nil, scriptErr(o.line, "%s: %v", what, err)
-		}
-		spec.Compile.AAChain = chain
-	}
-	if spec.Workers, err = o.integer("workers"); err != nil {
-		return nil, err
-	}
-	if spec.Workers == 0 {
-		spec.Workers = in.opts.Workers
-	}
-	if spec.MaxTests, err = o.integer("max_tests"); err != nil {
-		return nil, err
-	}
-	target, err := o.str("target")
-	if err != nil {
-		return nil, err
-	}
-	if target != "" {
-		spec.ORAQL.Target = target
+		return nil, scriptErr(line, "%s: %v", what, err)
 	}
 	spec.Cache = in.opts.Cache
 	spec.Log = in.opts.Log
@@ -418,15 +320,15 @@ func probeSpecFromOpts(in *interp, o *opts, configOverride string, what string) 
 }
 
 func bindProbe(in *interp, line int, args []any) (any, error) {
-	o, err := newOpts(line, args, "probe")
-	if err != nil {
+	var o struct {
+		program
+		probeOpts
+	}
+	if err := decodeOpts(line, args, "probe", &o); err != nil {
 		return nil, err
 	}
-	spec, err := probeSpecFromOpts(in, o, "", "probe")
+	spec, err := o.benchSpec(in, line, "probe", o.spec())
 	if err != nil {
-		return nil, err
-	}
-	if err := o.finish("probe"); err != nil {
 		return nil, err
 	}
 	res, err := driver.ProbeContext(in.ctx, spec)
@@ -437,14 +339,14 @@ func bindProbe(in *interp, line int, args []any) (any, error) {
 }
 
 func bindSweep(in *interp, line int, args []any) (any, error) {
-	o, err := newOpts(line, args, "sweep")
-	if err != nil {
+	var o struct {
+		Configs []string `json:"configs"`
+		probeOpts
+	}
+	if err := decodeOpts(line, args, "sweep", &o); err != nil {
 		return nil, err
 	}
-	ids, err := o.strList("configs")
-	if err != nil {
-		return nil, err
-	}
+	ids := o.Configs
 	if len(ids) == 0 {
 		for _, c := range apps.All() {
 			ids = append(ids, c.ID)
@@ -452,7 +354,7 @@ func bindSweep(in *interp, line int, args []any) (any, error) {
 	}
 	var out []any
 	for _, id := range ids {
-		spec, err := probeSpecFromOpts(in, o, id, "sweep")
+		spec, err := o.benchSpec(in, line, "sweep", request.ProgramSpec{ConfigID: id})
 		if err != nil {
 			return nil, err
 		}
@@ -467,84 +369,42 @@ func bindSweep(in *interp, line int, args []any) (any, error) {
 		}
 		out = append(out, v)
 	}
-	if err := o.finish("sweep"); err != nil {
-		return nil, err
-	}
 	return out, nil
 }
 
 func bindFuzz(in *interp, line int, args []any) (any, error) {
-	o, err := newOpts(line, args, "fuzz")
+	o := struct {
+		N                 int    `json:"n"`
+		Seed              int64  `json:"seed"`
+		Workers           int    `json:"workers"`
+		Stmts             int    `json:"stmts"`
+		Grammar           string `json:"grammar"`
+		Inject            bool   `json:"inject"`
+		Triage            bool   `json:"triage"`
+		MaxDivergences    int    `json:"max_divergences"`
+		SeedFromWarehouse bool   `json:"seed_from_warehouse"`
+	}{Triage: true} // triage defaults on, like the CLI
+	if err := decodeOpts(line, args, "fuzz", &o); err != nil {
+		return nil, err
+	}
+	req := request.FuzzRequest{
+		N: o.N, Seed: o.Seed, Workers: o.Workers, Stmts: o.Stmts, Grammar: o.Grammar,
+		Inject: o.Inject, NoTriage: !o.Triage, MaxDivergences: o.MaxDivergences,
+	}
+	if req.Workers == 0 {
+		req.Workers = in.opts.Workers
+	}
+	fo, err := req.Options()
 	if err != nil {
-		return nil, err
-	}
-	fo := difftest.FuzzOptions{
-		Ctx:   in.ctx,
-		Cache: in.opts.Cache,
-		Log:   in.opts.Log,
-	}
-	if fo.N, err = o.integer("n"); err != nil {
-		return nil, err
-	}
-	seed, err := o.integer("seed")
-	if err != nil {
-		return nil, err
-	}
-	fo.Seed = int64(seed)
-	if fo.Seed == 0 {
-		fo.Seed = 1
-	}
-	if fo.Workers, err = o.integer("workers"); err != nil {
-		return nil, err
-	}
-	if fo.Workers == 0 {
-		fo.Workers = in.opts.Workers
-	}
-	if fo.MaxDivergences, err = o.integer("max_divergences"); err != nil {
-		return nil, err
-	}
-	grammar, err := o.str("grammar")
-	if err != nil {
-		return nil, err
-	}
-	stmts, err := o.integer("stmts")
-	if err != nil {
-		return nil, err
-	}
-	if fo.Gen, err = progen.GrammarByName(grammar, stmts); err != nil {
 		return nil, scriptErr(line, "fuzz: %v", err)
 	}
-	fo.Grammar = grammar
-	seedFromWarehouse, err := o.boolean("seed_from_warehouse")
-	if err != nil {
-		return nil, err
-	}
-	if seedFromWarehouse {
+	fo.Ctx, fo.Cache, fo.Log = in.ctx, in.opts.Cache, in.opts.Log
+	if o.SeedFromWarehouse {
 		w, err := openWarehouse(in, line, "fuzz: seed_from_warehouse")
 		if err != nil {
 			return nil, err
 		}
-		fo.PrioritySeeds = w.Load().DivergentSeeds(grammar)
-	}
-	// Triage defaults on, like the CLI.
-	fo.Triage = true
-	o.used["triage"] = true
-	if v, ok := o.m["triage"]; ok {
-		b, ok := v.(bool)
-		if !ok {
-			return nil, scriptErr(line, "option %q must be a boolean, got %s", "triage", typeName(v))
-		}
-		fo.Triage = b
-	}
-	inject, err := o.boolean("inject")
-	if err != nil {
-		return nil, err
-	}
-	if inject {
-		fo.Variants = []difftest.Variant{difftest.InjectVariant()}
-	}
-	if err := o.finish("fuzz"); err != nil {
-		return nil, err
+		fo.PrioritySeeds = w.Load().DivergentSeeds(fo.Grammar)
 	}
 	res, err := difftest.Fuzz(fo)
 	if err != nil {

@@ -53,24 +53,9 @@ func bindWarehouseStats(in *interp, line int, args []any) (any, error) {
 }
 
 func bindWarehouseQuery(in *interp, line int, args []any) (any, error) {
-	o, err := newOpts(line, args, "warehouse_query")
-	if err != nil {
-		return nil, err
-	}
+	// The keys are QueryOptions' own, as on POST /v1/warehouse.
 	var q warehouse.QueryOptions
-	if q.By, err = o.str("by"); err != nil {
-		return nil, err
-	}
-	if q.Kind, err = o.str("kind"); err != nil {
-		return nil, err
-	}
-	if q.App, err = o.str("app"); err != nil {
-		return nil, err
-	}
-	if q.Grammar, err = o.str("grammar"); err != nil {
-		return nil, err
-	}
-	if err := o.finish("warehouse_query"); err != nil {
+	if err := decodeOpts(line, args, "warehouse_query", &q); err != nil {
 		return nil, err
 	}
 	w, err := openWarehouse(in, line, "warehouse_query")
@@ -85,22 +70,17 @@ func bindWarehouseQuery(in *interp, line int, args []any) (any, error) {
 }
 
 func bindWarehouseSeeds(in *interp, line int, args []any) (any, error) {
-	o, err := newOpts(line, args, "warehouse_divergent_seeds")
-	if err != nil {
-		return nil, err
+	var o struct {
+		Grammar string `json:"grammar"`
 	}
-	grammar, err := o.str("grammar")
-	if err != nil {
-		return nil, err
-	}
-	if err := o.finish("warehouse_divergent_seeds"); err != nil {
+	if err := decodeOpts(line, args, "warehouse_divergent_seeds", &o); err != nil {
 		return nil, err
 	}
 	w, err := openWarehouse(in, line, "warehouse_divergent_seeds")
 	if err != nil {
 		return nil, err
 	}
-	seeds := w.Load().DivergentSeeds(grammar)
+	seeds := w.Load().DivergentSeeds(o.Grammar)
 	out := make([]any, len(seeds))
 	for i, s := range seeds {
 		out[i] = s

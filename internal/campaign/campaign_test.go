@@ -400,3 +400,34 @@ func TestCompileBatchEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestOptionKeys pins how an option map decodes into a binding's
+// declared keys: names match exactly (encoding/json would match them
+// case-insensitively), values are type-checked by key, and a program
+// given by config id accepts the source-only keys and ignores them, as
+// the wire does.
+func TestOptionKeys(t *testing.T) {
+	for _, tc := range []struct {
+		src     string
+		wantSub string // "" = the call succeeds
+	}{
+		{`compile({Config: "minigmg-sse"})`, `compile: unknown option "Config"`},
+		{`compile({config: "minigmg-sse", OPT_LEVEL: 1})`, `unknown option "OPT_LEVEL"`},
+		{`fuzz({n: "1"})`, `option "n" must be an integer, got string`},
+		{`fuzz({triage: 1})`, `option "triage" must be a boolean, got int`},
+		{`sweep({configs: "minigmg-sse"})`, `option "configs" must be a list of strings, got string`},
+		{`sweep({configs: [1]})`, `option "configs" must be a list of strings; element 0 is int`},
+		{`warehouse_query({by: "pass", order: 1})`, `warehouse_query: unknown option "order"`},
+		{`compile({config: "minigmg-sse"}, {})`, "at most one options map"},
+		{`compile({config: "minigmg-sse", model: "openmp", name: "x.mc", fortran: true})`, ""},
+		{`compile({})`, "program needs a config id or a source"},
+	} {
+		_, err := Run(tc.src, Options{MaxSteps: 10_000})
+		switch {
+		case tc.wantSub == "" && err != nil:
+			t.Errorf("%s: %v", tc.src, err)
+		case tc.wantSub != "" && (err == nil || !strings.Contains(err.Error(), tc.wantSub)):
+			t.Errorf("%s: error %v, want one containing %q", tc.src, err, tc.wantSub)
+		}
+	}
+}

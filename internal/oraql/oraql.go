@@ -28,19 +28,12 @@ import (
 // (no-alias), false pessimistically (may-alias).
 type Seq []bool
 
-// ParseSeq parses the -opt-aa-seq command-line syntax: space-separated
+// ParseSeq parses the -opt-aa-seq sequence syntax: space-separated
 // "1"/"0" characters. The empty string is the empty (fully optimistic)
-// sequence. An argument of the form @<filename> loads the sequence from
-// a file, mirroring LLVM's response-file support for sequences longer
-// than the argument length limit.
+// sequence. It parses text only: the @<filename> response-file form is
+// the oraql-opt command line's to expand, so a sequence that arrives
+// in a request or a script never reads a file.
 func ParseSeq(s string) (Seq, error) {
-	if strings.HasPrefix(s, "@") {
-		data, err := os.ReadFile(s[1:])
-		if err != nil {
-			return nil, fmt.Errorf("oraql: sequence file: %w", err)
-		}
-		s = string(data)
-	}
 	var seq Seq
 	for _, f := range strings.Fields(s) {
 		switch f {

@@ -12,6 +12,9 @@ import (
 	"github.com/oraql/go-oraql/internal/registry"
 )
 
+// DefaultGrammar is the profile an empty grammar name selects.
+const DefaultGrammar = "default"
+
 // stmtsOption documents the per-profile statement-count override.
 var stmtsOption = registry.Option{
 	Name: "stmts", Type: "integer",
@@ -23,7 +26,7 @@ func init() {
 		name, desc string
 		opts       Options
 	}{
-		{"default", "the full grammar: calls, structs/TBAA, pointer views, parallel regions", Options{}},
+		{DefaultGrammar, "the full grammar: calls, structs/TBAA, pointer views, parallel regions", Options{}},
 		{"scalar", "straight-line scalar code and loops only (no calls, structs, pointers, parallel)",
 			Options{DisableCalls: true, DisableStructs: true, DisablePointers: true, DisableParallel: true}},
 		{"no-pointers", "full grammar minus heap arrays and offset pointer views (no controlled aliasing)",
@@ -45,7 +48,7 @@ func init() {
 // count.
 func GrammarByName(name string, stmts int) (Options, error) {
 	if name == "" {
-		name = "default"
+		name = DefaultGrammar
 	}
 	e, ok := registry.Grammars.Lookup(name)
 	if !ok {

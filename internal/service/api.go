@@ -20,10 +20,17 @@
 //	GET  /v1/jobs/{id}/events   stream progress lines
 //	DELETE /v1/jobs/{id}        cancel
 //
+// The compile, probe and fuzz request types are internal/request's,
+// aliased here; each has one translation, which every handler calls
+// (and so do campaign scripts and the oraql CLI). The server adds only
+// its own settings: its -cache-dir store, its job log and its HTTP
+// status codes (a translation error is a 400).
+//
 // Campaign scripts run sandboxed: the interpreter has no filesystem
-// or exec bindings at all, and the server enforces an instruction
-// budget and a wall-clock limit on every script. The script's sha256
-// is recorded in the job and exported in /metrics.
+// or exec bindings at all, no binding reads a file on a script's or a
+// request's behalf (a seq is sequence text), and the server enforces
+// an instruction budget and a wall-clock limit on every script. The
+// script's sha256 is recorded in the job and exported in /metrics.
 //
 // Forensics warehouse (synchronous, over the shared -cache-dir):
 //
@@ -40,57 +47,19 @@ package service
 import (
 	"encoding/json"
 	"time"
+
+	"github.com/oraql/go-oraql/internal/request"
 )
 
-// ProgramSpec selects the program of a compile or probe request:
-// either an inline minic source or the id of a registered benchmark
-// configuration (`oraql list`).
-type ProgramSpec struct {
-	// ConfigID names a registered benchmark configuration; when set,
-	// every other field is ignored.
-	ConfigID string `json:"config_id,omitempty"`
-
-	// Source is inline minic source text.
-	Source     string `json:"source,omitempty"`
-	SourceFile string `json:"source_file,omitempty"`
-	// Model is the parallel model: seq (default), openmp, tasks, mpi,
-	// offload.
-	Model string `json:"model,omitempty"`
-	// Fortran selects the Fortran dialect (descriptor arrays, no TBAA).
-	Fortran bool `json:"fortran,omitempty"`
-	// Views lowers arrays as Kokkos/Thrust-style boxed heap views.
-	Views bool `json:"views,omitempty"`
-	// Ranks is the simulated MPI rank count for runs (default 1).
-	Ranks int `json:"ranks,omitempty"`
-}
-
-// CompileOptions tunes one /v1/compile compilation.
-type CompileOptions struct {
-	// OptLevel: 0 = default (-O3), 1 = -O1, -1 = frontend output only.
-	OptLevel int `json:"opt_level,omitempty"`
-	// FullAAChain additionally enables the CFL points-to analyses.
-	FullAAChain bool `json:"full_aa_chain,omitempty"`
-	// AAChain selects the alias-analysis chain by registered name
-	// ("default", "full") or as a comma-separated analysis list; takes
-	// precedence over FullAAChain. GET /v1/registry lists the names.
-	AAChain string `json:"aa_chain,omitempty"`
-	// DisableAnalysisCache is the analysis-cache ablation knob
-	// (pipeline.Config.DisableAnalysisCache).
-	DisableAnalysisCache bool `json:"disable_analysis_cache,omitempty"`
-	// ORAQL enables the ORAQL responder; Seq is the response sequence
-	// in -opt-aa-seq syntax ("1 0 1 ..."), Target the module filter.
-	ORAQL  bool   `json:"oraql,omitempty"`
-	Seq    string `json:"seq,omitempty"`
-	Target string `json:"target,omitempty"`
-	// WithIR embeds the optimized textual IR in the response.
-	WithIR bool `json:"with_ir,omitempty"`
-}
-
-// CompileRequest is the /v1/compile body.
-type CompileRequest struct {
-	Program ProgramSpec    `json:"program"`
-	Options CompileOptions `json:"options"`
-}
+// The five request types live in internal/request beside their one
+// translation each, which campaign scripts and the oraql CLI share.
+type (
+	ProgramSpec    = request.ProgramSpec
+	CompileOptions = request.CompileOptions
+	CompileRequest = request.CompileRequest
+	ProbeRequest   = request.ProbeRequest
+	FuzzRequest    = request.FuzzRequest
+)
 
 // CompileResponse is the /v1/compile reply.
 type CompileResponse struct {
@@ -129,47 +98,6 @@ type BatchCompileResponse struct {
 	// Unique counts the distinct content keys in the batch — the
 	// compilations the batch could cost at most, before the caches.
 	Unique int `json:"unique"`
-}
-
-// ProbeRequest is the /v1/probe body; the reply is a JobInfo.
-type ProbeRequest struct {
-	Program ProgramSpec `json:"program"`
-	// Strategy is the bisection strategy by registered name: chunked
-	// (default), freq, or linear. GET /v1/registry lists the names.
-	Strategy string `json:"strategy,omitempty"`
-	// AAChain selects the alias-analysis chain for every probe
-	// compilation (registered name or comma-separated analysis list).
-	AAChain string `json:"aa_chain,omitempty"`
-	// Workers above 1 lets the probe test one speculative candidate
-	// beside the consumed one (0 = NumCPU, 1 = sequential).
-	Workers int `json:"workers,omitempty"`
-	// MaxTests bounds probing effort (0 = no bound).
-	MaxTests int `json:"max_tests,omitempty"`
-	// Target restricts ORAQL to matching modules (-opt-aa-target).
-	Target string `json:"target,omitempty"`
-	// DisableExeCache turns off the executable-hash test cache.
-	DisableExeCache bool `json:"disable_exe_cache,omitempty"`
-}
-
-// FuzzRequest is the /v1/fuzz body; the reply is a JobInfo.
-type FuzzRequest struct {
-	// N is the number of generated programs (default 100).
-	N int `json:"n,omitempty"`
-	// Seed is the first generator seed (default 1).
-	Seed int64 `json:"seed,omitempty"`
-	// Workers bounds the campaign pool (0 = GOMAXPROCS).
-	Workers int `json:"workers,omitempty"`
-	// Stmts is the statements-per-program knob (0 = generator default).
-	Stmts int `json:"stmts,omitempty"`
-	// Grammar selects a registered program-generator grammar profile
-	// (default, scalar, no-pointers, sequential, parallel-heavy, ...).
-	Grammar string `json:"grammar,omitempty"`
-	// Inject runs the fault-injection self-test variant.
-	Inject bool `json:"inject,omitempty"`
-	// NoTriage skips divergence triage (triage is on by default).
-	NoTriage bool `json:"no_triage,omitempty"`
-	// MaxDivergences stops the campaign early (0 = difftest default).
-	MaxDivergences int `json:"max_divergences,omitempty"`
 }
 
 // CampaignRequest is the /v1/campaign body; the reply is a JobInfo.

@@ -154,6 +154,24 @@ func TestBatchPerItemErrors(t *testing.T) {
 
 // TestBatchValidation pins the request-level rejections: empty and
 // oversized batches bounce with 400 before any compilation runs.
+// TestBatchSeqReadsNoFile: an item whose seq names a file on the
+// server gets a 400 whose error holds no byte of the file.
+func TestBatchSeqReadsNoFile(t *testing.T) {
+	_, cl, stop := newTestServer(t, service.Config{})
+	defer stop()
+	items := []service.CompileRequest{{
+		Program: service.ProgramSpec{ConfigID: "lulesh-seq"},
+		Options: service.CompileOptions{Seq: "@" + secretFile(t)},
+	}}
+	batch, err := cl.CompileBatch(context.Background(), &service.BatchCompileRequest{Items: items})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if it := batch.Items[0]; it.Response != nil || it.Code != http.StatusBadRequest || strings.Contains(it.Error, secretToken) {
+		t.Fatalf("item: %+v, want a 400 that holds no byte of the file", it)
+	}
+}
+
 func TestBatchValidation(t *testing.T) {
 	_, cl, stop := newTestServer(t, service.Config{})
 	defer stop()

@@ -10,6 +10,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -233,6 +234,19 @@ func TestCampaignSandboxSurface(t *testing.T) {
 		if info.State != service.JobFailed || !strings.Contains(info.Error, "undefined name") {
 			t.Fatalf("%s(): state=%s err=%q, want undefined-name failure", name, info.State, info.Error)
 		}
+	}
+
+	// A sequence is text: a seq of @<path> fails the script without
+	// reading the file.
+	j, err := cl.Campaign(context.Background(), &service.CampaignRequest{
+		Script: fmt.Sprintf(`compile({config: "lulesh-seq", seq: "@%s"})`, secretFile(t)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := waitDone(t, cl, j.ID)
+	if info.State != service.JobFailed || !strings.Contains(info.Error, "bad seq") || strings.Contains(info.Error, secretToken) {
+		t.Fatalf("seq @file: state=%s err=%q, want a bad-seq failure that holds no byte of the file", info.State, info.Error)
 	}
 }
 

@@ -59,7 +59,7 @@ func BenchmarkServe_DiskTier(b *testing.B) {
 			tier = append(tier, time.Since(start))
 
 			start = time.Now()
-			cfg, err := compileConfig(req)
+			cfg, err := req.Config()
 			if err != nil {
 				b.Fatal(err)
 			}

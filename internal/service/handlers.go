@@ -139,9 +139,9 @@ func (s *Server) compileOne(ctx context.Context, req *CompileRequest) (*CompileR
 		return &hit, nil
 	}
 
-	cfg, err := compileConfig(req)
+	cfg, err := req.Config()
 	if err != nil {
-		return nil, err
+		return nil, badRequest{err}
 	}
 	// Server-level tuning, deliberately not part of the wire format (or
 	// the cache key): the disk cache only shortcuts work without
@@ -343,7 +343,7 @@ func (s *Server) handleProbe(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	spec, err := probeSpec(&req)
+	spec, err := req.Spec(driver.StrategyByName)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -372,11 +372,12 @@ func (s *Server) handleFuzz(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	opts, err := fuzzOptions(&req)
+	opts, err := req.Options()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	opts.Cache = s.cfg.Cache
 	j, err := s.submit("fuzz", "", func(ctx context.Context, j *job) (any, error) {
 		opts.Ctx = ctx
 		opts.Log = j // campaign progress lines become job events

@@ -78,9 +78,9 @@ func (s *Server) warehouseOp(w http.ResponseWriter, r *http.Request, req *Wareho
 // compile tuning (worker budget, shared store) so the graph bytes are
 // identical to what the oraql CLI exports for the same corpus.
 func (s *Server) warehouseExport(ctx context.Context, req *WarehouseRequest, man *warehouse.Manifest) (*warehouse.Graph, error) {
-	cfg, err := compileConfig(&CompileRequest{Program: req.Program})
+	cfg, err := (&CompileRequest{Program: req.Program}).Config()
 	if err != nil {
-		return nil, err
+		return nil, badRequest{err}
 	}
 	cfg.DiskCache = s.cfg.Cache
 	cctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)

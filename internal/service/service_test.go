@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -464,6 +466,10 @@ func TestRequestErrors(t *testing.T) {
 		return resp.StatusCode, string(data)
 	}
 
+	// A seq of @<path> names a file on the server; the request must
+	// be refused without reading it, so no byte of it reaches the body.
+	secret := secretFile(t)
+
 	cases := []struct {
 		name string
 		path string
@@ -479,6 +485,8 @@ func TestRequestErrors(t *testing.T) {
 		{"syntax error", "/v1/compile", `{"program":{"source":"int main( {"}}`, http.StatusUnprocessableEntity},
 		{"probe unknown strategy", "/v1/probe", fmt.Sprintf(`{"program":{"source":%q},"strategy":"dowsing"}`, progSum), http.StatusBadRequest},
 		{"fuzz malformed", "/v1/fuzz", "[", http.StatusBadRequest},
+		{"seq names a server file", "/v1/compile", fmt.Sprintf(`{"program":{"config_id":"lulesh-seq"},"options":{"seq":"@%s"}}`, secret), http.StatusBadRequest},
+		{"seq names a missing file", "/v1/compile", `{"program":{"config_id":"lulesh-seq"},"options":{"seq":"@/nonexistent/file"}}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		code, body := post(tc.path, tc.body)
@@ -489,6 +497,9 @@ func TestRequestErrors(t *testing.T) {
 		var env service.ErrorResponse
 		if err := json.Unmarshal([]byte(body), &env); err != nil || env.Error == "" || env.Code != tc.want {
 			t.Errorf("%s: not the uniform error envelope: %s", tc.name, body)
+		}
+		if strings.Contains(body, secretToken) || strings.Contains(body, "no such file") {
+			t.Errorf("%s: the body shows a server file: %s", tc.name, body)
 		}
 	}
 
@@ -556,4 +567,18 @@ func TestQueueFull(t *testing.T) {
 	if err := svc.Shutdown(sctx); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
+}
+
+// secretToken is the first word of secretFile's content, the token a
+// parser that read the file would echo back.
+const secretToken = "hunter2-TOPSECRET"
+
+// secretFile writes a file no request may read and returns its path.
+func secretFile(t *testing.T) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "secret.txt")
+	if err := os.WriteFile(path, []byte(secretToken+" more words"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }

@@ -17,7 +17,8 @@
 #   - the edited-program reprobe: a probe campaign persists its state,
 #     the program is edited (a helper appended after main), and the
 #     seeded reprobe must use strictly fewer compiles than probing the
-#     edit from scratch while convicting the same guilty queries;
+#     edit from scratch while convicting the same guilty queries (the
+#     scratch probes run at -j 1, where their compile count is exact);
 #   - the shifted-stream reprobe: the same with XSBench's pick_mat,
 #     whose first pessimistic answer shifts the position of its second
 #     conviction. The seeded reprobe must take at most 8 compiles,
@@ -135,7 +136,10 @@ verdicts "$tmp/probe_again.json" > "$tmp/again.verdicts"
 cmp -s "$tmp/first.verdicts" "$tmp/again.verdicts" ||
 	fail "unchanged reprobe convicted different queries than the first probe"
 
-(cd "$tmp/v2" && "$tmp/oraql" probe -file hello.mc -json) \
+# The scratch probes run at -j 1: speculative compiles at a higher -j
+# make their compile counts depend on scheduling, and the gates compare
+# against them.
+(cd "$tmp/v2" && "$tmp/oraql" probe -file hello.mc -j 1 -json) \
 	> "$tmp/probe_scratch.json" 2> /dev/null
 (cd "$tmp/v2" && "$tmp/oraql" probe -file hello.mc -cache-dir "$pcache" -json) \
 	> "$tmp/probe_seeded.json" 2> /dev/null
@@ -170,7 +174,7 @@ EOF
 scache="$tmp/shifted-cache"
 (cd "$tmp/s1" && "$tmp/oraql" probe -file pick_mat.mc -cache-dir "$scache" -json) \
 	> "$tmp/shifted_first.json" 2> /dev/null
-(cd "$tmp/s2" && "$tmp/oraql" probe -file pick_mat.mc -json) \
+(cd "$tmp/s2" && "$tmp/oraql" probe -file pick_mat.mc -j 1 -json) \
 	> "$tmp/shifted_scratch.json" 2> /dev/null
 (cd "$tmp/s2" && "$tmp/oraql" probe -file pick_mat.mc -cache-dir "$scache" -json) \
 	> "$tmp/shifted_seeded.json" 2> /dev/null
