@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 vet build test race bench bench-compile bench-serve bench-diskcache bench-cluster bench-warehouse cluster-smoke serve-smoke campaign-smoke warehouse-smoke fuzz fuzz-smoke check
+.PHONY: tier1 vet build test race bench bench-compile bench-codec bench-serve bench-diskcache bench-cluster bench-warehouse cluster-smoke serve-smoke campaign-smoke warehouse-smoke fuzz fuzz-smoke check
 
 # tier1 is the gate the roadmap pins: it must stay green.
 tier1: build test
@@ -38,6 +38,12 @@ bench:
 # scripts/bench_compile.sh to record a BENCH_compile.json baseline.
 bench-compile:
 	$(GO) test -run '^$$' -bench 'Compile_AnalysisCache' -benchtime=1x .
+
+# bench-codec records BENCH_codec.json: the median cost of printing
+# and of parsing back the IR text of every configuration's baseline and
+# fully optimistic builds (BenchmarkIRCodec in internal/irtext).
+bench-codec:
+	scripts/bench_codec.sh
 
 # bench-serve smoke-runs the oraql-serve latency benchmark; use
 # scripts/bench_serve.sh to record a BENCH_serve.json baseline.

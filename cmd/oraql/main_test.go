@@ -10,7 +10,11 @@ import (
 	"testing"
 
 	"github.com/oraql/go-oraql/internal/cliutil"
+	"github.com/oraql/go-oraql/internal/difftest"
 	"github.com/oraql/go-oraql/internal/driver"
+	"github.com/oraql/go-oraql/internal/progen"
+	"github.com/oraql/go-oraql/internal/request"
+	"github.com/oraql/go-oraql/internal/warehouse"
 )
 
 // TestFailurePaths pins the shared exit-code contract: 2 for caller
@@ -166,5 +170,51 @@ func TestWarmProbeReportsColdAliasStats(t *testing.T) {
 	}
 	if n, _ := cold["no_alias_orig"].(float64); n == 0 {
 		t.Errorf("cold run printed no_alias_orig 0")
+	}
+}
+
+// TestWarehouseIngestLabelsDefaultGrammar: archived fuzz findings
+// ingested without -grammar are filed under the default profile, as a
+// fuzz campaign files its own; an unregistered profile is refused.
+func TestWarehouseIngestLabelsDefaultGrammar(t *testing.T) {
+	req := request.FuzzRequest{N: 10, Seed: 1, Workers: 1, Inject: true, NoTriage: true, MaxDivergences: 1}
+	opts, err := req.Options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := difftest.Fuzz(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Divergences) != 1 {
+		t.Fatalf("fuzz campaign found %d divergences, want 1", len(res.Divergences))
+	}
+	data, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report := filepath.Join(t.TempDir(), "report.json")
+	if err := os.WriteFile(report, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	err = run([]string{"warehouse", "ingest", "-cache-dir", dir, "-grammar", "no-such-grammar", report}, io.Discard, io.Discard)
+	if got := cliutil.ExitCode(err); got != cliutil.ExitUsage {
+		t.Fatalf("ingest with an unknown grammar: exit code %d, want %d (err: %v)", got, cliutil.ExitUsage, err)
+	}
+	if err := run([]string{"warehouse", "ingest", "-cache-dir", dir, report}, io.Discard, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := run([]string{"warehouse", "query", "-cache-dir", dir, "-by", "grammar"}, &out, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	var rows []warehouse.Recurrence
+	if err := json.Unmarshal([]byte(out.String()), &rows); err != nil {
+		t.Fatalf("query output %q: %v", out.String(), err)
+	}
+	if len(rows) != 1 || rows[0].Key != progen.DefaultGrammar || rows[0].Records != 1 {
+		t.Fatalf("query -by grammar = %s, want one %q group of 1 record", out.String(), progen.DefaultGrammar)
 	}
 }

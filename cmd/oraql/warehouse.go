@@ -10,6 +10,7 @@ import (
 	"github.com/oraql/go-oraql/internal/cliutil"
 	"github.com/oraql/go-oraql/internal/difftest"
 	"github.com/oraql/go-oraql/internal/pipeline"
+	"github.com/oraql/go-oraql/internal/progen"
 	"github.com/oraql/go-oraql/internal/request"
 	"github.com/oraql/go-oraql/internal/warehouse"
 )
@@ -57,13 +58,20 @@ func cmdWarehouseIngest(args []string, stdout io.Writer) error {
 	fs.SetOutput(io.Discard)
 	cacheDir := fs.String("cache-dir", "", "warehouse directory (shared with probes and fuzz campaigns)")
 	cacheMaxMB := fs.Int("cache-max-mb", 0, "size cap in MiB (0 = 512)")
-	grammar := fs.String("grammar", "", "grammar profile label to record on the findings")
+	grammar := fs.String("grammar", "", "grammar profile label to record on the findings (empty: "+progen.DefaultGrammar+")")
 	fs.Bool("json", false, "emit failures as the shared JSON error envelope")
 	if err := fs.Parse(args); err != nil {
 		return cliutil.WrapUsage(err)
 	}
 	if fs.NArg() < 1 {
 		return cliutil.Usagef("warehouse ingest needs report JSON files")
+	}
+	// Label the findings as a fuzz campaign does (FuzzRequest.Options).
+	if *grammar == "" {
+		*grammar = progen.DefaultGrammar
+	}
+	if _, err := progen.GrammarByName(*grammar, 0); err != nil {
+		return cliutil.WrapUsage(err)
 	}
 	w, err := openWarehouse(*cacheDir, *cacheMaxMB)
 	if err != nil {

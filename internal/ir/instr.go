@@ -1,6 +1,9 @@
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Opcode enumerates instruction operations.
 type Opcode int
@@ -60,7 +63,7 @@ const (
 	OpRet // operands: [value]
 )
 
-var opNames = map[Opcode]string{
+var opNames = [...]string{
 	OpAlloca: "alloca", OpLoad: "load", OpStore: "store", OpGEP: "gep",
 	OpMemCpy: "memcpy", OpMemSet: "memset",
 	OpAdd: "add", OpSub: "sub", OpMul: "mul", OpSDiv: "sdiv", OpSRem: "srem",
@@ -75,8 +78,8 @@ var opNames = map[Opcode]string{
 
 // String returns the mnemonic of the opcode.
 func (o Opcode) String() string {
-	if s, ok := opNames[o]; ok {
-		return s
+	if o >= 0 && int(o) < len(opNames) && opNames[o] != "" {
+		return opNames[o]
 	}
 	return fmt.Sprintf("op(%d)", int(o))
 }
@@ -174,7 +177,7 @@ func (in *Instr) Ident() string {
 	if in.Name != "" {
 		return "%" + in.Name
 	}
-	return fmt.Sprintf("%%t%d", in.ID)
+	return "%t" + strconv.Itoa(in.ID)
 }
 
 // VID implements Value.

@@ -1,9 +1,9 @@
 package ir
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // Value is anything that can appear as an instruction operand: constants,
@@ -58,13 +58,18 @@ func (c *Const) Type() *Type { return c.Ty }
 
 // Ident implements Value.
 func (c *Const) Ident() string {
+	var buf [32]byte
+	return string(c.appendIdent(buf[:0]))
+}
+
+func (c *Const) appendIdent(b []byte) []byte {
 	switch {
 	case c.Str != "":
-		return fmt.Sprintf("%q", c.Str)
+		return strconv.AppendQuote(b, c.Str)
 	case c.Ty == F64:
-		return FormatF64(c.F)
+		return appendF64(b, c.F)
 	default:
-		return fmt.Sprintf("%d", c.I)
+		return strconv.AppendInt(b, c.I, 10)
 	}
 }
 
@@ -75,11 +80,17 @@ func (c *Const) Ident() string {
 // call arguments). The shortest-unique rendering is preserved
 // otherwise, so parsing recovers the exact bit pattern.
 func FormatF64(f float64) string {
-	s := strconv.FormatFloat(f, 'g', -1, 64)
-	if !strings.ContainsAny(s, ".eEnN") { // Inf/NaN keep their letters
-		s += ".0"
+	var buf [32]byte
+	return string(appendF64(buf[:0], f))
+}
+
+func appendF64(b []byte, f float64) []byte {
+	start := len(b)
+	b = strconv.AppendFloat(b, f, 'g', -1, 64)
+	if !bytes.ContainsAny(b[start:], ".eEnN") { // Inf/NaN keep their letters
+		b = append(b, ".0"...)
 	}
-	return s
+	return b
 }
 
 // VID implements Value. Constants are identified by their payload so

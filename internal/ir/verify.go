@@ -39,12 +39,14 @@ func verifyFunc(m *Module, f *Func) error {
 		return errors.New("no blocks")
 	}
 	dom := newDomChecker(f)
-	blockSet := map[*Block]bool{}
+	blockSet := make(map[*Block]bool, len(f.Blocks))
+	nValues := len(f.Params)
 	for _, b := range f.Blocks {
 		blockSet[b] = true
+		nValues += len(b.Instrs)
 	}
 	// Collect values defined in this function.
-	defined := map[Value]bool{}
+	defined := make(map[Value]bool, nValues)
 	for _, p := range f.Params {
 		defined[p] = true
 	}
@@ -130,10 +132,11 @@ type domChecker struct {
 }
 
 func newDomChecker(f *Func) *domChecker {
-	d := &domChecker{idom: map[*Block]*Block{}, rpoIndex: map[*Block]int{}, reach: map[*Block]bool{}}
-	preds := map[*Block][]*Block{}
-	var post []*Block
-	visited := map[*Block]bool{}
+	n := len(f.Blocks)
+	d := &domChecker{idom: make(map[*Block]*Block, n), rpoIndex: make(map[*Block]int, n), reach: make(map[*Block]bool, n)}
+	preds := make(map[*Block][]*Block, n)
+	post := make([]*Block, 0, n)
+	visited := make(map[*Block]bool, n)
 	var dfs func(b *Block)
 	dfs = func(b *Block) {
 		visited[b] = true
@@ -146,7 +149,7 @@ func newDomChecker(f *Func) *domChecker {
 		post = append(post, b)
 	}
 	dfs(f.Entry())
-	var rpo []*Block
+	rpo := make([]*Block, 0, len(post))
 	for i := len(post) - 1; i >= 0; i-- {
 		d.rpoIndex[post[i]] = len(rpo)
 		rpo = append(rpo, post[i])

@@ -11,11 +11,14 @@ import (
 // operands fills in one instruction from its stripped text (pass 2).
 // The caller resolves every referenced non-phi value first (body), and
 // phis carry explicit types, so type inference for constants always
-// has a resolved operand or an explicit type to lean on.
+// has a resolved operand or an explicit type to lean on. Operands are
+// gathered in the parser's scratch list and placed once the whole
+// instruction resolved.
 func (fp *funcParser) operands(r rawInstr) error {
 	in := r.in
 	text := r.text
 	rest := strings.TrimSpace(strings.TrimPrefix(text, in.Op.String()))
+	var args [3]string
 	var err error
 	switch in.Op {
 	case ir.OpAlloca:
@@ -27,8 +30,7 @@ func (fp *funcParser) operands(r rawInstr) error {
 
 	case ir.OpLoad:
 		// load TYPE, PTR
-		args := splitArgs(rest)
-		if len(args) != 2 {
+		if splitArgs(rest, args[:]) != 2 {
 			return fmt.Errorf("load wants 'TYPE, PTR'")
 		}
 		in.Ty, err = parseType(args[0])
@@ -39,12 +41,11 @@ func (fp *funcParser) operands(r rawInstr) error {
 		if err != nil {
 			return err
 		}
-		in.Operands = []ir.Value{ptr}
+		in.Operands = fp.operandList(ptr)
 
 	case ir.OpStore:
 		// store TYPE VAL, PTR
-		args := splitArgs(rest)
-		if len(args) != 2 {
+		if splitArgs(rest, args[:]) != 2 {
 			return fmt.Errorf("store wants 'TYPE VAL, PTR'")
 		}
 		sp := strings.LastIndex(args[0], " ")
@@ -63,41 +64,43 @@ func (fp *funcParser) operands(r rawInstr) error {
 		if err != nil {
 			return err
 		}
-		in.Operands = []ir.Value{val, ptr}
+		in.Operands = fp.operandList(val, ptr)
 
 	case ir.OpGEP:
 		// gep BASE + IDX*SCALE + OFF   |   gep BASE + OFF
 		in.Ty = ir.Ptr
-		parts := strings.Split(rest, " + ")
-		base, err := fp.value(parts[0], ir.Ptr)
+		parts := strings.Count(rest, " + ") + 1
+		baseText, tail, _ := strings.Cut(rest, " + ")
+		base, err := fp.value(baseText, ir.Ptr)
 		if err != nil {
 			return err
 		}
-		in.Operands = []ir.Value{base}
-		switch len(parts) {
+		switch parts {
 		case 2:
-			in.Off, err = strconv.ParseInt(strings.TrimSpace(parts[1]), 10, 64)
+			in.Off, err = strconv.ParseInt(strings.TrimSpace(tail), 10, 64)
 			if err != nil {
 				return fmt.Errorf("gep offset: %w", err)
 			}
+			in.Operands = fp.operandList(base)
 		case 3:
-			star := strings.LastIndex(parts[1], "*")
+			idxText, offText, _ := strings.Cut(tail, " + ")
+			star := strings.LastIndex(idxText, "*")
 			if star < 0 {
 				return fmt.Errorf("gep index missing scale")
 			}
-			idx, err := fp.value(parts[1][:star], ir.I64)
+			idx, err := fp.value(idxText[:star], ir.I64)
 			if err != nil {
 				return err
 			}
-			in.Operands = append(in.Operands, idx)
-			in.Scale, err = strconv.ParseInt(strings.TrimSpace(parts[1][star+1:]), 10, 64)
+			in.Scale, err = strconv.ParseInt(strings.TrimSpace(idxText[star+1:]), 10, 64)
 			if err != nil {
 				return fmt.Errorf("gep scale: %w", err)
 			}
-			in.Off, err = strconv.ParseInt(strings.TrimSpace(parts[2]), 10, 64)
+			in.Off, err = strconv.ParseInt(strings.TrimSpace(offText), 10, 64)
 			if err != nil {
 				return fmt.Errorf("gep offset: %w", err)
 			}
+			in.Operands = fp.operandList(base, idx)
 		default:
 			return fmt.Errorf("malformed gep")
 		}
@@ -112,49 +115,60 @@ func (fp *funcParser) operands(r rawInstr) error {
 		if err != nil {
 			return err
 		}
-		tail := splitArgs(rest[arrow+4:])
-		if len(tail) != 2 {
+		if splitArgs(rest[arrow+4:], args[:]) != 2 {
 			return fmt.Errorf("memcpy wants 'SRC, N'")
 		}
-		src, err := fp.value(tail[0], ir.Ptr)
+		src, err := fp.value(args[0], ir.Ptr)
 		if err != nil {
 			return err
 		}
-		n, err := fp.value(tail[1], ir.I64)
+		n, err := fp.value(args[1], ir.I64)
 		if err != nil {
 			return err
 		}
-		in.Operands = []ir.Value{dst, src, n}
+		in.Operands = fp.operandList(dst, src, n)
 
 	case ir.OpMemSet:
-		args := splitArgs(rest)
-		if len(args) != 3 {
+		// memset DST, VAL, N — its metadata tail is not read.
+		if splitArgs(rest, args[:]) != 3 {
 			return fmt.Errorf("memset wants 'DST, VAL, N'")
 		}
-		return fp.resolveList(in, args, []*ir.Type{ir.Ptr, ir.I64, ir.I64}, ir.Void)
+		ops := fp.ops[:0]
+		for i, hint := range [3]*ir.Type{ir.Ptr, ir.I64, ir.I64} {
+			v, err := fp.value(args[i], hint)
+			if err != nil {
+				return err
+			}
+			ops = append(ops, v)
+		}
+		fp.ops = ops
+		in.Operands = fp.operandList(ops...)
+		in.Ty = ir.Void
+		return nil
 
 	case ir.OpICmp, ir.OpFCmp:
 		// icmp PRED a, b
-		fields := strings.SplitN(rest, " ", 2)
-		if len(fields) < 2 {
+		predText, operands, ok := strings.Cut(rest, " ")
+		if !ok {
 			return fmt.Errorf("cmp wants 'PRED a, b'")
 		}
-		pred, ok := predByName[fields[0]]
+		pred, ok := predByName(predText)
 		if !ok {
-			return fmt.Errorf("unknown predicate %q", fields[0])
+			return fmt.Errorf("unknown predicate %q", predText)
 		}
 		in.Pred = pred
 		hint := ir.I64
 		if in.Op == ir.OpFCmp {
 			hint = ir.F64
 		}
-		args := splitArgs(fields[1])
-		if len(args) != 2 {
+		if splitArgs(operands, args[:]) != 2 {
 			return fmt.Errorf("cmp wants two operands")
 		}
-		if err := fp.resolveBin(in, args, hint); err != nil {
+		ops, err := fp.resolveBin(fp.ops[:0], args[:2], hint)
+		if err != nil {
 			return err
 		}
+		in.Operands = fp.operandList(ops...)
 		in.Ty = ir.I1
 
 	case ir.OpPhi:
@@ -171,26 +185,27 @@ func (fp *funcParser) operands(r rawInstr) error {
 		if err != nil {
 			return err
 		}
-		for _, inc := range splitArgs(rest[tyEnd:]) {
-			inc = strings.TrimSpace(inc)
+		ops, refs := fp.ops[:0], fp.refs[:0]
+		for inc, more, ok := nextArg(rest[tyEnd:]); ok; inc, more, ok = nextArg(more) {
 			if !strings.HasPrefix(inc, "[") || !strings.HasSuffix(inc, "]") {
 				return fmt.Errorf("malformed phi incoming %q", inc)
 			}
-			parts := splitArgs(inc[1 : len(inc)-1])
-			if len(parts) != 2 || !strings.HasPrefix(parts[1], "%") {
+			if splitArgs(inc[1:len(inc)-1], args[:]) != 2 || !strings.HasPrefix(args[1], "%") {
 				return fmt.Errorf("malformed phi incoming %q", inc)
 			}
-			v, err := fp.value(parts[0], in.Ty)
+			v, err := fp.value(args[0], in.Ty)
 			if err != nil {
 				return err
 			}
-			blk, ok := fp.blocks[strings.TrimPrefix(parts[1], "%")]
+			blk, ok := fp.blocks[args[1][1:]]
 			if !ok {
-				return fmt.Errorf("phi references unknown block %q", parts[1])
+				return fmt.Errorf("phi references unknown block %q", args[1])
 			}
-			in.Operands = append(in.Operands, v)
-			in.Incoming = append(in.Incoming, blk)
+			ops, refs = append(ops, v), append(refs, blk)
 		}
+		fp.ops, fp.refs = ops, refs
+		in.Operands = fp.operandList(ops...)
+		in.Incoming = fp.blockList(refs...)
 
 	case ir.OpCall:
 		// call TYPE @name(args)
@@ -204,9 +219,11 @@ func (fp *funcParser) operands(r rawInstr) error {
 			return err
 		}
 		in.Callee = rest[at+1 : open]
-		callee := fp.m.FuncByName(in.Callee)
+		callee := fp.funcs[in.Callee]
 		intrTypes := intrinsicParamTypes[in.Callee]
-		for i, a := range splitArgs(rest[open+1 : len(rest)-1]) {
+		ops := fp.ops[:0]
+		for a, more, ok := nextArg(rest[open+1 : len(rest)-1]); ok; a, more, ok = nextArg(more) {
+			i := len(ops)
 			hint := ir.I64
 			if callee != nil && i < len(callee.Params) {
 				hint = callee.Params[i].Ty
@@ -219,18 +236,19 @@ func (fp *funcParser) operands(r rawInstr) error {
 			if err != nil {
 				return err
 			}
-			in.Operands = append(in.Operands, v)
+			ops = append(ops, v)
 		}
+		fp.ops = ops
+		in.Operands = fp.operandList(ops...)
 
 	case ir.OpBr:
-		args := splitArgs(rest)
-		switch len(args) {
+		switch splitArgs(rest, args[:]) {
 		case 1:
 			blk, ok := fp.blocks[strings.TrimPrefix(args[0], "%")]
 			if !ok {
 				return fmt.Errorf("br to unknown block %q", args[0])
 			}
-			in.Succs = []*ir.Block{blk}
+			in.Succs = fp.blockList(blk)
 		case 3:
 			cond, err := fp.value(args[0], ir.I1)
 			if err != nil {
@@ -241,57 +259,56 @@ func (fp *funcParser) operands(r rawInstr) error {
 			if !ok1 || !ok2 {
 				return fmt.Errorf("br to unknown block")
 			}
-			in.Operands = []ir.Value{cond}
-			in.Succs = []*ir.Block{t, e}
+			in.Operands = fp.operandList(cond)
+			in.Succs = fp.blockList(t, e)
 		default:
 			return fmt.Errorf("malformed br")
 		}
 
 	case ir.OpRet:
 		if rest != "void" && rest != "" {
-			hint := fp.fn.RetTy
-			v, err := fp.value(rest, hint)
+			v, err := fp.value(rest, fp.fn.RetTy)
 			if err != nil {
 				return err
 			}
-			in.Operands = []ir.Value{v}
+			in.Operands = fp.operandList(v)
 		}
 
 	case ir.OpSIToFP:
-		v, err := fp.valueInferred(rest, ir.I64)
+		v, err := fp.value(rest, ir.I64)
 		if err != nil {
 			return err
 		}
-		in.Operands = []ir.Value{v}
+		in.Operands = fp.operandList(v)
 		in.Ty = ir.F64
 		if v.Type().Kind == ir.KVec {
 			in.Ty = ir.V4F64
 		}
 
 	case ir.OpFPToSI:
-		v, err := fp.valueInferred(rest, ir.F64)
+		v, err := fp.value(rest, ir.F64)
 		if err != nil {
 			return err
 		}
-		in.Operands = []ir.Value{v}
+		in.Operands = fp.operandList(v)
 		in.Ty = ir.I64
 		if v.Type().Kind == ir.KVec {
 			in.Ty = ir.V4I64
 		}
 
 	case ir.OpSelect:
-		args := splitArgs(rest)
-		if len(args) != 3 {
+		if splitArgs(rest, args[:]) != 3 {
 			return fmt.Errorf("select wants three operands")
 		}
 		cond, err := fp.value(args[0], ir.I1)
 		if err != nil {
 			return err
 		}
-		if err := fp.resolveBin(in, args[1:], ir.I64); err != nil {
+		ops, err := fp.resolveBin(append(fp.ops[:0], cond), args[1:], ir.I64)
+		if err != nil {
 			return err
 		}
-		in.Operands = append([]ir.Value{cond}, in.Operands...)
+		in.Operands = fp.operandList(ops...)
 		in.Ty = in.Operands[1].Type()
 
 	case ir.OpVSplat:
@@ -302,7 +319,7 @@ func (fp *funcParser) operands(r rawInstr) error {
 		if t := strings.TrimSpace(rest); !strings.HasPrefix(t, "%") && !looksFloat(t) {
 			hint = ir.I64
 		}
-		v, err := fp.valueInferred(rest, hint)
+		v, err := fp.value(rest, hint)
 		if err != nil {
 			return err
 		}
@@ -310,12 +327,11 @@ func (fp *funcParser) operands(r rawInstr) error {
 		if elem != ir.I64 && elem != ir.F64 {
 			return fmt.Errorf("vsplat of %s", v.Type())
 		}
-		in.Operands = []ir.Value{v}
+		in.Operands = fp.operandList(v)
 		in.Ty = ir.VecType(elem, 4)
 
 	case ir.OpVExtract:
-		args := splitArgs(rest)
-		if len(args) != 2 {
+		if splitArgs(rest, args[:]) != 2 {
 			return fmt.Errorf("vextract wants 'VEC, LANE'")
 		}
 		vec, err := fp.value(args[0], ir.V4F64)
@@ -329,12 +345,11 @@ func (fp *funcParser) operands(r rawInstr) error {
 		if err != nil {
 			return err
 		}
-		in.Operands = []ir.Value{vec, lane}
+		in.Operands = fp.operandList(vec, lane)
 		in.Ty = vec.Type().Elem
 
 	case ir.OpVInsert:
-		args := splitArgs(rest)
-		if len(args) != 3 {
+		if splitArgs(rest, args[:]) != 3 {
 			return fmt.Errorf("vinsert wants 'VEC, VAL, LANE'")
 		}
 		vec, err := fp.value(args[0], ir.V4F64)
@@ -352,18 +367,18 @@ func (fp *funcParser) operands(r rawInstr) error {
 		if err != nil {
 			return err
 		}
-		in.Operands = []ir.Value{vec, val, lane}
+		in.Operands = fp.operandList(vec, val, lane)
 		in.Ty = vec.Type()
 
 	case ir.OpVReduce:
-		v, err := fp.valueInferred(rest, ir.V4F64)
+		v, err := fp.value(rest, ir.V4F64)
 		if err != nil {
 			return err
 		}
 		if v.Type().Kind != ir.KVec {
 			return fmt.Errorf("vreduce of %s", v.Type())
 		}
-		in.Operands = []ir.Value{v}
+		in.Operands = fp.operandList(v)
 		in.Ty = v.Type().Elem
 
 	default: // binary arithmetic
@@ -372,13 +387,14 @@ func (fp *funcParser) operands(r rawInstr) error {
 		case ir.OpFAdd, ir.OpFSub, ir.OpFMul, ir.OpFDiv:
 			hint = ir.F64
 		}
-		args := splitArgs(rest)
-		if len(args) != 2 {
+		if splitArgs(rest, args[:]) != 2 {
 			return fmt.Errorf("binary op wants two operands")
 		}
-		if err := fp.resolveBin(in, args, hint); err != nil {
+		ops, err := fp.resolveBin(fp.ops[:0], args[:2], hint)
+		if err != nil {
 			return err
 		}
+		in.Operands = fp.operandList(ops...)
 		in.Ty = in.Operands[0].Type()
 		if in.Ty == ir.Void || in.Ty == ir.Ptr {
 			// Pointer-typed operand in arithmetic cannot happen; Void
@@ -387,27 +403,22 @@ func (fp *funcParser) operands(r rawInstr) error {
 		}
 		// Constants next to a typed operand adopt its type family.
 		if in.Operands[0].Type().Kind == ir.KVec || in.Operands[1].Type().Kind == ir.KVec {
-			for i, op := range in.Operands {
-				if op.Type().Kind != ir.KVec {
-					_ = i // scalar-with-vector never printed; defensive only
-				}
-			}
 			in.Ty = in.Operands[0].Type()
 		}
 	}
 	return fp.metadata(in, r.meta)
 }
 
-// resolveBin resolves two operand tokens, preferring a referenced
-// value's type as the constant hint.
-func (fp *funcParser) resolveBin(in *ir.Instr, args []string, hint *ir.Type) error {
+// resolveBin resolves two operand tokens onto ops, preferring a
+// referenced value's type as the constant hint.
+func (fp *funcParser) resolveBin(ops []ir.Value, args []string, hint *ir.Type) ([]ir.Value, error) {
 	ty := hint
 	for _, a := range args {
 		a = strings.TrimSpace(a)
 		if strings.HasPrefix(a, "%") || strings.HasPrefix(a, "@") {
 			v, err := fp.value(a, hint)
 			if err != nil {
-				return err
+				return ops, err
 			}
 			if v.Type() != ir.Void {
 				ty = v.Type()
@@ -418,30 +429,12 @@ func (fp *funcParser) resolveBin(in *ir.Instr, args []string, hint *ir.Type) err
 	for _, a := range args {
 		v, err := fp.value(a, ty)
 		if err != nil {
-			return err
+			return ops, err
 		}
-		in.Operands = append(in.Operands, v)
+		ops = append(ops, v)
 	}
-	return nil
-}
-
-// resolveList resolves tokens against per-position type hints.
-func (fp *funcParser) resolveList(in *ir.Instr, args []string, hints []*ir.Type, resTy *ir.Type) error {
-	for i, a := range args {
-		v, err := fp.value(a, hints[i])
-		if err != nil {
-			return err
-		}
-		in.Operands = append(in.Operands, v)
-	}
-	in.Ty = resTy
-	return nil
-}
-
-// valueInferred resolves a single token, using the referenced value's
-// own type when available.
-func (fp *funcParser) valueInferred(tok string, hint *ir.Type) (ir.Value, error) {
-	return fp.value(tok, hint)
+	fp.ops = ops
+	return ops, nil
 }
 
 // intrinsicParamTypes gives constant-type hints for the float-bearing
@@ -467,7 +460,7 @@ func looksFloat(s string) bool {
 	if s == "" || strings.HasPrefix(s, "%") || strings.HasPrefix(s, "@") || strings.HasPrefix(s, `"`) {
 		return false
 	}
-	return strings.ContainsAny(s, ".eE") && !strings.HasPrefix(s, `"`)
+	return strings.ContainsAny(s, ".eE")
 }
 
 func scalarOf(t *ir.Type) *ir.Type {
@@ -505,7 +498,7 @@ func (fp *funcParser) metadata(in *ir.Instr, meta string) error {
 			s = rest
 		case strings.HasPrefix(s, "!dbg "):
 			loc := strings.TrimPrefix(s, "!dbg ")
-			end := strings.Index(loc, " !")
+			end := metaStart(loc)
 			rest := ""
 			if end >= 0 {
 				rest = loc[end:]

@@ -11,6 +11,11 @@
 //	  %x = op operands... [!tbaa "t"] [!dbg file:line:col]
 //	  ...
 //	}
+//
+// The parser reads the source in place: lines, names, labels and
+// metadata are substrings of it, and each function's instructions,
+// operand lists and constants live in a few arrays sized from its
+// text.
 package irtext
 
 import (
@@ -23,7 +28,7 @@ import (
 
 // Parse reads a module from its textual form.
 func Parse(src string) (*ir.Module, error) {
-	p := &parser{lines: strings.Split(src, "\n")}
+	p := &parser{src: src, lines: strings.Count(src, "\n") + 1}
 	m, err := p.module()
 	if err != nil {
 		return nil, fmt.Errorf("irtext: line %d: %w", p.pos+1, err)
@@ -34,24 +39,62 @@ func Parse(src string) (*ir.Module, error) {
 	return m, nil
 }
 
+// parser walks the source line by line: pos is the index of the
+// current line, off the byte offset where it starts.
 type parser struct {
-	lines []string
+	src   string
+	lines int // number of lines, as strings.Split would count them
 	pos   int
+	off   int
+
+	// Symbol tables: globals and funcs for the module; values and
+	// blocks for the body being parsed, cleared for each. raw, ops and
+	// refs are scratch that every body reuses.
+	globals map[string]*ir.Global
+	funcs   map[string]*ir.Func
+	values  map[string]ir.Value  // %ident -> value
+	blocks  map[string]*ir.Block // label -> block
+	raw     []rawInstr
+	ops     []ir.Value
+	refs    []*ir.Block
 }
 
+// line returns the current line, untrimmed, and the offset of the
+// next one.
+func (p *parser) line() (string, int) {
+	rest := p.src[p.off:]
+	if i := strings.IndexByte(rest, '\n'); i >= 0 {
+		return rest[:i], p.off + i + 1
+	}
+	return rest, len(p.src) + 1
+}
+
+// cur returns the current line, trimmed, skipping blank ones.
 func (p *parser) cur() (string, bool) {
-	for p.pos < len(p.lines) {
-		l := strings.TrimSpace(p.lines[p.pos])
-		if l == "" {
-			p.pos++
-			continue
+	for p.pos < p.lines {
+		raw, _ := p.line()
+		if l := strings.TrimSpace(raw); l != "" {
+			return l, true
 		}
-		return l, true
+		p.advance()
 	}
 	return "", false
 }
 
-func (p *parser) advance() { p.pos++ }
+func (p *parser) advance() {
+	_, p.off = p.line()
+	p.pos++
+}
+
+// fnExtent is one function in the source: its define line and the
+// lines of its body, [start, end) in bytes from line number line.
+type fnExtent struct {
+	head       string
+	start, end int
+	line       int
+	instrs     int // instruction lines in the body
+	labels     int // label lines in the body
+}
 
 func (p *parser) module() (*ir.Module, error) {
 	head, ok := p.cur()
@@ -69,10 +112,6 @@ func (p *parser) module() (*ir.Module, error) {
 
 	// Collect globals, TBAA tags, and function extents; function
 	// headers are parsed before any body so forward calls resolve.
-	type fnExtent struct {
-		head       string
-		start, end int // body line range [start, end)
-	}
 	var fns []fnExtent
 	for {
 		line, ok := p.cur()
@@ -93,16 +132,23 @@ func (p *parser) module() (*ir.Module, error) {
 		case strings.HasPrefix(line, "define "):
 			ext := fnExtent{head: line}
 			p.advance()
-			ext.start = p.pos
+			ext.start, ext.line = p.off, p.pos
 			for {
 				l, ok := p.cur()
 				if !ok {
 					return nil, fmt.Errorf("unterminated function in %q", line)
 				}
 				if l == "}" {
-					ext.end = p.pos
+					ext.end = p.off
 					p.advance()
 					break
+				}
+				switch {
+				case strings.HasPrefix(l, ";"):
+				case isLabel(l):
+					ext.labels++
+				default:
+					ext.instrs++
 				}
 				p.advance()
 			}
@@ -113,24 +159,44 @@ func (p *parser) module() (*ir.Module, error) {
 			return nil, fmt.Errorf("unexpected top-level line %q", line)
 		}
 	}
+
+	p.globals = make(map[string]*ir.Global, len(m.Globals))
+	for _, g := range m.Globals {
+		if _, dup := p.globals[g.Name]; !dup { // GlobalByName finds the first
+			p.globals[g.Name] = g
+		}
+	}
 	// Pass 1: headers.
-	parsers := make([]*funcParser, len(fns))
-	for i, ext := range fns {
-		n := ext.end - ext.start // body lines: at most that many values
-		fp := &funcParser{m: m, values: make(map[string]ir.Value, n), blocks: map[string]*ir.Block{},
-			raw: make([]rawInstr, 0, n)}
-		if err := fp.header(ext.head); err != nil {
+	p.funcs = make(map[string]*ir.Func, len(fns))
+	for _, ext := range fns {
+		fn, err := p.header(m, ext.head)
+		if err != nil {
 			return nil, err
 		}
-		parsers[i] = fp
+		if _, dup := p.funcs[fn.Name]; !dup {
+			p.funcs[fn.Name] = fn
+		}
 	}
-	// Pass 2: bodies.
+	// Pass 2: bodies, sharing symbol tables sized for the largest.
+	maxInstrs, maxLabels := 0, 0
 	for i, ext := range fns {
-		if err := parsers[i].body(p.lines[ext.start:ext.end], ext.start); err != nil {
+		maxInstrs = max(maxInstrs, ext.instrs+len(m.Funcs[i].Params))
+		maxLabels = max(maxLabels, ext.labels)
+	}
+	p.values = make(map[string]ir.Value, maxInstrs)
+	p.blocks = make(map[string]*ir.Block, maxLabels)
+	p.raw = make([]rawInstr, 0, maxInstrs)
+	for i, ext := range fns {
+		if err := p.body(m.Funcs[i], ext); err != nil {
 			return nil, err
 		}
 	}
 	return m, nil
+}
+
+// isLabel reports whether a trimmed body line is a block label.
+func isLabel(l string) bool {
+	return strings.HasSuffix(l, ":") && !strings.Contains(l, " ")
 }
 
 func (p *parser) tbaaTag(m *ir.Module, line string) error {
@@ -201,14 +267,18 @@ func (p *parser) global(m *ir.Module, line string) error {
 	g.Const = strings.Contains(rest, " const")
 	g.Internal = strings.Contains(rest, " internal")
 	if i := strings.Index(rest, "init.i64 {"); i >= 0 {
-		vals, err := intList(rest[i+len("init.i64 {"):])
+		vals, err := initList(rest[i+len("init.i64 {"):], func(f string) (int64, error) {
+			return strconv.ParseInt(f, 10, 64)
+		})
 		if err != nil {
 			return err
 		}
 		g.InitI64 = vals
 	}
 	if i := strings.Index(rest, "init.f64 {"); i >= 0 {
-		vals, err := floatList(rest[i+len("init.f64 {"):])
+		vals, err := initList(rest[i+len("init.f64 {"):], func(f string) (float64, error) {
+			return strconv.ParseFloat(f, 64)
+		})
 		if err != nil {
 			return err
 		}
@@ -218,44 +288,32 @@ func (p *parser) global(m *ir.Module, line string) error {
 	return nil
 }
 
-func intList(s string) ([]int64, error) {
+// initList parses a global's initializer up to its closing brace:
+// comma-separated values, blank entries skipped.
+func initList[T any](s string, parse func(string) (T, error)) ([]T, error) {
 	end := strings.Index(s, "}")
 	if end < 0 {
 		return nil, fmt.Errorf("unterminated init list")
 	}
-	var out []int64
-	for _, f := range strings.Split(s[:end], ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
+	s = s[:end]
+	var out []T
+	for {
+		f, rest, more := strings.Cut(s, ",")
+		if f = strings.TrimSpace(f); f != "" {
+			v, err := parse(f)
+			if err != nil {
+				return nil, err
+			}
+			if out == nil {
+				out = make([]T, 0, strings.Count(s, ",")+1)
+			}
+			out = append(out, v)
 		}
-		v, err := strconv.ParseInt(f, 10, 64)
-		if err != nil {
-			return nil, err
+		if !more {
+			return out, nil
 		}
-		out = append(out, v)
+		s = rest
 	}
-	return out, nil
-}
-
-func floatList(s string) ([]float64, error) {
-	end := strings.Index(s, "}")
-	if end < 0 {
-		return nil, fmt.Errorf("unterminated init list")
-	}
-	var out []float64
-	for _, f := range strings.Split(s[:end], ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		v, err := strconv.ParseFloat(f, 64)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 func parseType(s string) (*ir.Type, error) {

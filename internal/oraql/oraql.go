@@ -618,9 +618,9 @@ func describeLoc(l aa.MemLoc) string {
 	if in, ok := l.Ptr.(*ir.Instr); ok {
 		def = in.String()
 	} else {
-		def = fmt.Sprintf("%s %s", l.Ptr.Type(), l.Ptr.Ident())
+		def = l.Ptr.Type().String() + " " + l.Ptr.Ident()
 	}
-	return fmt.Sprintf("%s [%s]", def, l.Size)
+	return def + " [" + l.Size.String() + "]"
 }
 
 func srcOf(l aa.MemLoc) ir.SrcLoc {
