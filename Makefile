@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 vet build test race bench bench-compile bench-codec bench-serve bench-diskcache bench-cluster bench-warehouse cluster-smoke serve-smoke campaign-smoke warehouse-smoke fuzz fuzz-smoke check
+.PHONY: tier1 vet build test race bench bench-compile bench-codec bench-interp bench-serve bench-diskcache bench-cluster bench-warehouse cluster-smoke serve-smoke campaign-smoke warehouse-smoke fuzz fuzz-smoke check
 
 # tier1 is the gate the roadmap pins: it must stay green.
 tier1: build test
@@ -19,7 +19,8 @@ test:
 # remains: the speculative probe engine, a campaign's baseline and its
 # fully optimistic test running side by side, the fuzz pool, service
 # jobs and batches, and the irinterp rank goroutines. The driver's
-# overlap and determinism tests then run 10 times at each value.
+# overlap and determinism tests then run 10 times at each value, and
+# runs sharing one interpreter code cache (and MPI ranks) 5 times.
 # The second line needs -count=1: the test cache does not key on
 # GOMAXPROCS, so it would replay the first line's results.
 RACE_DRIVER := 'TestOverlap|TestParallelProbeIsDeterministic'
@@ -28,6 +29,7 @@ race:
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./...
 	GOMAXPROCS=1 $(GO) test -race -count=10 -run $(RACE_DRIVER) ./internal/driver
 	GOMAXPROCS=4 $(GO) test -race -count=10 -run $(RACE_DRIVER) ./internal/driver
+	$(GO) test -race -count=5 -run 'TestSharedCodeConcurrentRuns|TestMPI' ./internal/irinterp
 
 # bench smoke-runs the probing benchmarks (1 iteration each); use
 # scripts/bench_probe.sh to record a BENCH_probe.json baseline.
@@ -44,6 +46,13 @@ bench-compile:
 # fully optimistic builds (BenchmarkIRCodec in internal/irtext).
 bench-codec:
 	scripts/bench_codec.sh
+
+# bench-interp records BENCH_interp.json: per configuration, the
+# median ns/op, Minstr/s, B/op and allocs/op of BenchmarkInterp_Apps
+# (every run decodes) and BenchmarkInterp_AppsShared (runs share one
+# code cache, as a campaign's tests do), with nproc and GOMAXPROCS.
+bench-interp:
+	scripts/bench_interp.sh
 
 # bench-serve smoke-runs the oraql-serve latency benchmark; use
 # scripts/bench_serve.sh to record a BENCH_serve.json baseline.

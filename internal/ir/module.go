@@ -96,6 +96,15 @@ func (f *Func) AllocID() int {
 	return id
 }
 
+// AllocBlockID hands out a fresh block ID for a block made outside
+// NewBlock, which renames it: the IR parser keeps its labels. Clone
+// maps block references by ID, so every block needs its own.
+func (f *Func) AllocBlockID() int {
+	id := f.nextBlockID
+	f.nextBlockID++
+	return id
+}
+
 // NextInstrID and NextBlockID are the IDs the next AllocID / NewBlock
 // will hand out.
 func (f *Func) NextInstrID() int { return f.nextInstrID }

@@ -61,9 +61,12 @@ const (
 type okind uint8
 
 const (
-	oSlot  okind = iota // a frame slot, defined once its instruction ran
-	oConst              // code.consts: constants and global addresses
-	oArg                // the frame's argument idx
+	// oVal reads frame.vals[idx]: a slot the decoder proved defined on
+	// every path to the read, or, past the slots, a constant or global
+	// address.
+	oVal     okind = iota
+	oChecked       // a slot the decoder could not prove defined: tested against frame.def
+	oArg           // the frame's argument idx
 	// The remaining kinds trap when evaluated; idx indexes code.refs.
 	oUndef         // an instruction that never runs in this function
 	oUnknownGlobal // a global the machine did not lay out
@@ -76,29 +79,52 @@ type opnd struct {
 	idx  int32
 }
 
-// dinstr is a decoded instruction.
+// charge is what a straight-line segment adds to the step and cycle
+// counters: n instructions (phis included) costing cycles.
+type charge struct{ n, cycles int32 }
+
+// dinstr is a decoded instruction. The execution loop walks arrays of
+// them, so fields are narrowed and ordered to keep it small, and what
+// only branches need lives in code.branches.
 type dinstr struct {
 	op    xop
-	sub   ir.Opcode // opcode of xIntV / xFloatV
-	pred  ir.Pred
-	flt   bool // vector lanes hold f64 (xStoreV, xVExtract, xVReduce)
-	vret  bool // xRet: the returned value carries lanes
-	lanes int  // vector lane count
+	sub   xop   // scalar op of xIntV / xFloatV
+	pred  uint8 // ir.Pred of xICmp / xFCmp
 	intr  intrinsic
-	cost  int64
+	flt   bool  // vector lanes hold f64 (xStoreV, xVExtract, xVReduce)
+	vret  bool  // xRet: the returned value carries lanes
+	cost  int32 // cycles
 	dst   int32
 	vdst  int32 // lane index of dst in frame.lanes, -1 for a scalar
+	lanes int32 // vector lane count
+	// call numbers a user call site within its function; a machine
+	// memoizes the site's resolved callee under it (dfunc.callees).
+	call  int32
+	br    int32 // xBr: index into code.branches
+	a, b  opnd  // the first two operands
 	ops   []opnd
 	imm   int64 // alloca size rounded to 16, or GEP offset
 	scale int64 // GEP index scale
 	in    *ir.Instr
-	// succs are the branch targets; moves[k] lists the phi sources of
-	// succs[k] when entered from this block.
+	// next is, on a call or intrinsic, the charge of the segment after
+	// it (dblock.head).
+	next charge
+}
+
+// branch is a decoded br: its targets, and for each target the phi
+// moves to make when it is entered from the branch's block.
+type branch struct {
 	succs []int32
-	moves [][]opnd
-	// call numbers a user call site within its function; a machine
-	// memoizes the site's resolved callee under it (dfunc.callees).
-	call int32
+	moves []moves
+}
+
+// moves are the sources of a block's live phis, in block order, when
+// it is entered from one predecessor.
+type moves struct {
+	src []opnd
+	// temp says some source is a phi of the same block that an earlier
+	// move assigns, so every source must be read before any is set.
+	temp bool
 }
 
 type dblock struct {
@@ -106,18 +132,27 @@ type dblock struct {
 	phis  []int32  // slots of the live phis, in block order
 	vphis bool     // some phi carries lanes
 	body  []dinstr // up to and including the first terminator
+	// head charges the block's first segment: its phis and its body up
+	// to and including the first call or intrinsic. Each call and
+	// intrinsic carries the charge of the segment after it (next), so
+	// a callee, a kernel launch or __clock sees the counters exactly
+	// as instruction-by-instruction ticking would leave them.
+	head charge
 }
 
 // code is a function body decoded against one global layout. It is
 // immutable once decoded, so the machines of many runs share it
 // (CodeCache).
 type code struct {
-	fn     *ir.Func
-	blocks []dblock // blocks[0] is the entry
-	entry  []opnd   // phi sources of the entry block on function entry
-	consts []value
-	slots  []*ir.Instr // instruction of each slot, for messages
-	refs   []ir.Value  // operands of the trapping kinds, for messages
+	fn       *ir.Func
+	blocks   []dblock // blocks[0] is the entry
+	branches []branch
+	entry    moves       // phi moves of the entry block on function entry
+	consts   []value     // constants and global addresses: frame.vals past the slots
+	slots    []*ir.Instr // instruction of each slot, for messages
+	refs     []ir.Value  // operands of the trapping kinds, for messages
+	// checked says some read is oChecked, so frames keep defined bits.
+	checked bool
 	// Values that carry lanes get an index into frame.lanes: laneOf per
 	// slot, argLane per parameter position (nil when no parameter is a
 	// vector); -1 marks a scalar.
@@ -186,9 +221,11 @@ func (c *CodeCache) get(fn *ir.Func) *code {
 
 // frame is one function activation.
 type frame struct {
-	fn       *dfunc
+	fn *dfunc
+	// vals holds the slots, then the code's constants, which are copied
+	// in when the frame is allocated and kept while it is reused.
 	vals     []value
-	def      []uint64 // bit per slot: the slot's instruction has run
+	def      []uint64 // bit per slot: the slot's instruction has run; nil unless code.checked
 	args     []value
 	lanes    []lanes // lanes of the vector slots and parameters
 	stackTop int64   // saved stack pointer for alloca unwinding
@@ -196,7 +233,9 @@ type frame struct {
 
 func (fr *frame) set(s int32, v value) {
 	fr.vals[s] = v
-	fr.def[s>>6] |= 1 << (s & 63)
+	if fr.def != nil {
+		fr.def[s>>6] |= 1 << (s & 63)
+	}
 }
 
 func (fr *frame) defined(s int32) bool { return fr.def[s>>6]&(1<<(s&63)) != 0 }
@@ -215,12 +254,16 @@ func (df *dfunc) acquire() *frame {
 		clear(fr.def)
 		return fr
 	}
-	return &frame{
+	fr := &frame{
 		fn:    df,
-		vals:  make([]value, len(df.slots)),
-		def:   make([]uint64, (len(df.slots)+63)/64),
+		vals:  make([]value, len(df.slots)+len(df.consts)),
 		lanes: make([]lanes, df.nlanes),
 	}
+	copy(fr.vals[len(df.slots):], df.consts)
+	if df.checked {
+		fr.def = make([]uint64, (len(df.slots)+63)/64)
+	}
+	return fr
 }
 
 func (df *dfunc) release(fr *frame) { df.free = append(df.free, fr) }
@@ -244,6 +287,7 @@ type decoder struct {
 	df      *code
 	blocks  map[*ir.Block]int32
 	slots   map[*ir.Instr]int32
+	missing opnd // what an absent first or second operand reads
 }
 
 // decode decodes fn against the global layout globals.
@@ -288,6 +332,7 @@ func decode(fn *ir.Func, globals map[*ir.Global]int64) *code {
 		}
 	}
 	df.blocks = make([]dblock, len(order))
+	df.branches = make([]branch, 0, len(order))
 	for i, b := range order {
 		db := &df.blocks[i]
 		db.name = b.Name
@@ -307,29 +352,165 @@ func decode(fn *ir.Func, globals map[*ir.Global]int64) *code {
 				break
 			}
 		}
+		c := &db.head
+		c.n = int32(len(db.phis))
+		for k := range db.body {
+			x := &db.body[k]
+			c.n++
+			c.cycles += x.cost
+			if x.op == xCall || x.op == xIntrinsic {
+				c = &x.next
+			}
+		}
 	}
-	d.df.entry = d.moves(nil, order[0])
-	return d.df
+	df.entry = d.moves(nil, order[0])
+	df.prove()
+	for i := range df.blocks {
+		for k := range df.blocks[i].body {
+			x := &df.blocks[i].body[k]
+			x.a, x.b = d.nth(x.ops, 0), d.nth(x.ops, 1)
+		}
+	}
+	return df
+}
+
+// nth returns operand k, or one that traps when there are fewer.
+func (d *decoder) nth(ops []opnd, k int) opnd {
+	if k < len(ops) {
+		return ops[k]
+	}
+	if d.missing == (opnd{}) {
+		d.missing = d.ref(oBadKind, nil)
+	}
+	return d.missing
+}
+
+// defines reports whether executing an instruction of op sets its slot.
+func defines(op xop) bool {
+	switch op {
+	case xUnhandled, xStore, xStoreF, xStoreV, xMemCpy, xMemSet, xBr, xRet:
+		return false
+	}
+	return true
+}
+
+// proveScratch recycles the dataflow's bit sets between decodes.
+var proveScratch = sync.Pool{New: func() any { return new([]uint64) }}
+
+// prove turns every slot read that the decoded blocks run only after
+// the slot's instruction, on every path from the entry, from oChecked
+// into oVal, by a must-defined dataflow: a block's entry set is the
+// intersection of its predecessors' exit sets (the entry block starts
+// with nothing), and its exit set adds its phis and every instruction
+// that defines a slot. Phi sources are read at the predecessor's exit.
+// ir.Verify's dominance check makes every read of verified IR
+// provable; a read left checked keeps the defined-bit test and its
+// trap, and a body with none keeps no defined bits.
+func (df *code) prove() {
+	words := (len(df.slots) + 63) / 64
+	if words == 0 {
+		return
+	}
+	nb := len(df.blocks)
+	sp := proveScratch.Get().(*[]uint64)
+	defer proveScratch.Put(sp)
+	if cap(*sp) < (2*nb+1)*words {
+		*sp = make([]uint64, (2*nb+1)*words)
+	}
+	buf := (*sp)[:(2*nb+1)*words]
+	in, gen, cur := buf[:nb*words], buf[nb*words:2*nb*words], buf[2*nb*words:]
+	row := func(sets []uint64, b int) []uint64 { return sets[b*words : (b+1)*words] }
+	set := func(bits []uint64, s int32) { bits[s>>6] |= 1 << (s & 63) }
+	clear(gen)
+	for b := range df.blocks {
+		blk, g := &df.blocks[b], row(gen, b)
+		for _, s := range blk.phis {
+			set(g, s)
+		}
+		for k := range blk.body {
+			if x := &blk.body[k]; defines(x.op) {
+				set(g, x.dst)
+			}
+		}
+	}
+	// Blocks not reached yet start full; the sets only shrink.
+	clear(row(in, 0))
+	for i := words; i < len(in); i++ {
+		in[i] = ^uint64(0)
+	}
+	for changed := true; changed; {
+		changed = false
+		for b := range df.blocks {
+			blk := &df.blocks[b]
+			if len(blk.body) == 0 || blk.body[len(blk.body)-1].op != xBr {
+				continue
+			}
+			ib, g := row(in, b), row(gen, b)
+			for _, s := range df.branches[blk.body[len(blk.body)-1].br].succs {
+				is := row(in, int(s))
+				for w := range is {
+					if v := is[w] & (ib[w] | g[w]); v != is[w] {
+						is[w], changed = v, true
+					}
+				}
+			}
+		}
+	}
+	proveAll := func(ops []opnd) {
+		for k, o := range ops {
+			if o.kind == oChecked {
+				if cur[o.idx>>6]&(1<<(o.idx&63)) != 0 {
+					ops[k].kind = oVal
+				} else {
+					df.checked = true
+				}
+			}
+		}
+	}
+	proveAll(df.entry.src) // nothing is defined on function entry
+	for b := range df.blocks {
+		blk := &df.blocks[b]
+		copy(cur, row(in, b))
+		for _, s := range blk.phis {
+			set(cur, s)
+		}
+		for k := range blk.body {
+			x := &blk.body[k]
+			proveAll(x.ops)
+			if defines(x.op) {
+				set(cur, x.dst)
+			}
+			if x.op == xBr {
+				for _, mv := range df.branches[x.br].moves {
+					proveAll(mv.src)
+				}
+			}
+		}
+	}
 }
 
 // moves resolves, for each live phi of to, its incoming value from
 // the predecessor from (nil on function entry).
-func (d *decoder) moves(from, to *ir.Block) []opnd {
-	var out []opnd
-	for _, in := range to.Instrs {
+func (d *decoder) moves(from, to *ir.Block) moves {
+	var mv moves
+	for j, in := range to.Instrs {
 		if in.Dead() || in.Op != ir.OpPhi {
 			continue
 		}
 		src := opnd{kind: oNoPhi}
 		for i, b := range in.Incoming {
 			if b == from {
-				src = d.operand(in.Operands[i])
+				v := in.Operands[i]
+				src = d.operand(v)
+				for _, prev := range to.Instrs[:j] {
+					mv.temp = mv.temp || v == ir.Value(prev) && !prev.Dead() && prev.Op == ir.OpPhi
+				}
 				break
 			}
 		}
-		out = append(out, src)
+		mv.src = append(mv.src, src)
 	}
-	return out
+	return mv
 }
 
 // carriesLanes reports whether in's value is a vector with lanes of its
@@ -362,8 +543,8 @@ func (df *code) newLane(vec bool) int32 {
 // operandLanes reports whether operand o carries lanes.
 func (df *code) operandLanes(o opnd) bool {
 	switch o.kind {
-	case oSlot:
-		return df.laneOf[o.idx] >= 0
+	case oVal, oChecked:
+		return int(o.idx) < len(df.laneOf) && df.laneOf[o.idx] >= 0
 	case oArg:
 		return int(o.idx) < len(df.argLane) && df.argLane[o.idx] >= 0
 	}
@@ -377,7 +558,7 @@ func (d *decoder) ref(kind okind, v ir.Value) opnd {
 
 func (d *decoder) constant(v value) opnd {
 	d.df.consts = append(d.df.consts, v)
-	return opnd{kind: oConst, idx: int32(len(d.df.consts) - 1)}
+	return opnd{kind: oVal, idx: int32(len(d.df.slots) + len(d.df.consts) - 1)}
 }
 
 func (d *decoder) operand(v ir.Value) opnd {
@@ -396,7 +577,7 @@ func (d *decoder) operand(v ir.Value) opnd {
 		return opnd{kind: oArg, idx: int32(x.ID)}
 	case *ir.Instr:
 		if s, ok := d.slots[x]; ok {
-			return opnd{kind: oSlot, idx: s}
+			return opnd{kind: oChecked, idx: s} // until prove
 		}
 		return d.ref(oUndef, x)
 	}
@@ -413,15 +594,15 @@ var floatOps = map[ir.Opcode]xop{
 }
 
 // vecOp picks the scalar or vector form by the result type.
-func vecOp(ty *ir.Type, scalar, vector xop) (xop, int) {
+func vecOp(ty *ir.Type, scalar, vector xop) (xop, int32) {
 	if ty.Kind == ir.KVec {
-		return vector, ty.Lanes
+		return vector, int32(ty.Lanes)
 	}
 	return scalar, 0
 }
 
 func (d *decoder) instr(b *ir.Block, in *ir.Instr) dinstr {
-	x := dinstr{in: in, cost: cost(in), dst: d.slots[in], vdst: d.df.laneOf[d.slots[in]], pred: in.Pred}
+	x := dinstr{in: in, cost: int32(cost(in)), dst: d.slots[in], vdst: d.df.laneOf[d.slots[in]], pred: uint8(in.Pred)}
 	x.ops = make([]opnd, len(in.Operands))
 	for i, v := range in.Operands {
 		x.ops[i] = d.operand(v)
@@ -432,7 +613,7 @@ func (d *decoder) instr(b *ir.Block, in *ir.Instr) dinstr {
 	case ir.OpLoad:
 		switch in.Ty.Kind {
 		case ir.KVec:
-			x.op, x.lanes = xLoadV, in.Ty.Lanes
+			x.op, x.lanes = xLoadV, int32(in.Ty.Lanes)
 		case ir.KF64:
 			x.op = xLoadF
 		default:
@@ -441,7 +622,7 @@ func (d *decoder) instr(b *ir.Block, in *ir.Instr) dinstr {
 	case ir.OpStore:
 		switch ty := in.Operands[0].Type(); ty.Kind {
 		case ir.KVec:
-			x.op, x.lanes, x.flt = xStoreV, ty.Lanes, ty.Elem.Kind == ir.KF64
+			x.op, x.lanes, x.flt = xStoreV, int32(ty.Lanes), ty.Elem.Kind == ir.KF64
 		case ir.KF64:
 			x.op = xStoreF
 		default:
@@ -455,11 +636,11 @@ func (d *decoder) instr(b *ir.Block, in *ir.Instr) dinstr {
 		x.op = xMemSet
 	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpSDiv, ir.OpSRem,
 		ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpAShr:
-		x.op, x.lanes = vecOp(in.Ty, intOps[op], xIntV)
-		x.sub = op
+		x.sub = intOps[op]
+		x.op, x.lanes = vecOp(in.Ty, x.sub, xIntV)
 	case ir.OpFAdd, ir.OpFSub, ir.OpFMul, ir.OpFDiv:
-		x.op, x.lanes = vecOp(in.Ty, floatOps[op], xFloatV)
-		x.sub = op
+		x.sub = floatOps[op]
+		x.op, x.lanes = vecOp(in.Ty, x.sub, xFloatV)
 	case ir.OpSIToFP:
 		x.op, x.lanes = vecOp(in.Ty, xSIToFP, xSIToFPV)
 	case ir.OpFPToSI:
@@ -471,15 +652,15 @@ func (d *decoder) instr(b *ir.Block, in *ir.Instr) dinstr {
 	case ir.OpSelect:
 		x.op = xSelect
 	case ir.OpVSplat:
-		x.op, x.lanes = xVSplat, in.Ty.Lanes
+		x.op, x.lanes = xVSplat, int32(in.Ty.Lanes)
 	case ir.OpVExtract:
 		vt := in.Operands[0].Type()
-		x.op, x.lanes, x.flt = xVExtract, vt.Lanes, vt.Elem.Kind == ir.KF64
+		x.op, x.lanes, x.flt = xVExtract, int32(vt.Lanes), vt.Elem.Kind == ir.KF64
 	case ir.OpVInsert:
-		x.op, x.lanes = xVInsert, in.Ty.Lanes
+		x.op, x.lanes = xVInsert, int32(in.Ty.Lanes)
 	case ir.OpVReduce:
 		vt := in.Operands[0].Type()
-		x.op, x.lanes, x.flt = xVReduce, vt.Lanes, vt.Elem.Kind == ir.KF64
+		x.op, x.lanes, x.flt = xVReduce, int32(vt.Lanes), vt.Elem.Kind == ir.KF64
 	case ir.OpCall:
 		x.op = xCall
 		if ir.IsIntrinsic(in.Callee) {
@@ -489,11 +670,13 @@ func (d *decoder) instr(b *ir.Block, in *ir.Instr) dinstr {
 			d.df.ncalls++
 		}
 	case ir.OpBr:
-		x.op = xBr
+		x.op, x.br = xBr, int32(len(d.df.branches))
+		var br branch
 		for _, s := range in.Succs {
-			x.succs = append(x.succs, d.blocks[s])
-			x.moves = append(x.moves, d.moves(b, s))
+			br.succs = append(br.succs, d.blocks[s])
+			br.moves = append(br.moves, d.moves(b, s))
 		}
+		d.df.branches = append(d.df.branches, br)
 	case ir.OpRet:
 		x.op = xRet
 		x.vret = len(x.ops) > 0 && d.df.operandLanes(x.ops[0])

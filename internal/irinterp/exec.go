@@ -28,32 +28,38 @@ func (m *machine) invoke(fr *frame) value {
 	return out
 }
 
-// exec runs the function body from its entry block.
+// exec runs the function body from its entry block. Counters are
+// charged per segment (dblock.head, dinstr.next); a segment that would
+// cross the step limit is ticked instruction by instruction instead,
+// and always ends in a trap.
 func (m *machine) exec(fr *frame) value {
 	df := fr.fn
-	blk, moves := &df.blocks[0], df.entry
+	blk, moves := &df.blocks[0], &df.entry
 outer:
 	for {
+		slow := !m.charge(blk.head)
 		if len(blk.phis) > 0 {
-			m.phis(fr, blk, moves)
+			m.phis(fr, blk, moves, slow)
 		}
 		for i := range blk.body {
 			in := &blk.body[i]
-			m.tick(in.cost)
+			if slow {
+				m.tick(in.cost)
+			}
 			switch in.op {
 			case xBr:
-				k := 0
-				if len(in.succs) == 2 && m.evalI(fr, in.ops[0]) == 0 {
+				br, k := &df.branches[in.br], 0
+				if len(br.succs) == 2 && m.evalI(fr, in.a) == 0 {
 					k = 1
 				}
-				blk, moves = &df.blocks[in.succs[k]], in.moves[k]
+				blk, moves = &df.blocks[br.succs[k]], &br.moves[k]
 				continue outer
 			case xRet:
 				m.retVec = in.vret
 				if len(in.ops) > 0 {
-					v := *m.ref(fr, in.ops[0])
+					v := m.val(fr, in.a)
 					if in.vret {
-						m.retLanes = *m.vec(fr, in.ops[0])
+						m.retLanes = *m.vec(fr, in.a)
 					}
 					return v
 				}
@@ -69,28 +75,28 @@ outer:
 				m.stackPtr += in.imm
 				fr.set(in.dst, iv(addr))
 			case xLoad:
-				fr.set(in.dst, iv(int64(m.load64(m.evalI(fr, in.ops[0])))))
+				fr.set(in.dst, iv(int64(m.load64(m.evalI(fr, in.a)))))
 			case xLoadF:
-				fr.set(in.dst, fv(math.Float64frombits(m.load64(m.evalI(fr, in.ops[0])))))
+				fr.set(in.dst, fv(math.Float64frombits(m.load64(m.evalI(fr, in.a)))))
 			case xLoadV:
-				addr := m.evalI(fr, in.ops[0])
+				addr := m.evalI(fr, in.a)
 				var out lanes
-				for l := 0; l < in.lanes; l++ {
+				for l := 0; l < int(in.lanes); l++ {
 					bits := m.load64(addr + int64(8*l))
 					out.vi[l] = int64(bits)
 					out.vf[l] = math.Float64frombits(bits)
 				}
 				fr.setVec(in, &out)
 			case xStore:
-				val := m.evalI(fr, in.ops[0])
-				m.store64(m.evalI(fr, in.ops[1]), uint64(val))
+				val := m.evalI(fr, in.a)
+				m.store64(m.evalI(fr, in.b), uint64(val))
 			case xStoreF:
-				val := m.evalF(fr, in.ops[0])
-				m.store64(m.evalI(fr, in.ops[1]), math.Float64bits(val))
+				val := m.evalF(fr, in.a)
+				m.store64(m.evalI(fr, in.b), math.Float64bits(val))
 			case xStoreV:
-				val := *m.vec(fr, in.ops[0])
-				addr := m.evalI(fr, in.ops[1])
-				for l := 0; l < in.lanes; l++ {
+				val := *m.vec(fr, in.a)
+				addr := m.evalI(fr, in.b)
+				for l := 0; l < int(in.lanes); l++ {
 					if in.flt {
 						m.store64(addr+int64(8*l), math.Float64bits(val.vf[l]))
 					} else {
@@ -98,14 +104,14 @@ outer:
 					}
 				}
 			case xGEP:
-				addr := m.evalI(fr, in.ops[0]) + in.imm
+				addr := m.evalI(fr, in.a) + in.imm
 				if len(in.ops) > 1 {
-					addr += m.evalI(fr, in.ops[1]) * in.scale
+					addr += m.evalI(fr, in.b) * in.scale
 				}
 				fr.set(in.dst, iv(addr))
 			case xMemCpy:
-				dst := m.evalI(fr, in.ops[0])
-				src := m.evalI(fr, in.ops[1])
+				dst := m.evalI(fr, in.a)
+				src := m.evalI(fr, in.b)
 				n := m.evalI(fr, in.ops[2])
 				if n < 0 {
 					m.trap("memcpy with negative length %d", n)
@@ -114,8 +120,8 @@ outer:
 				m.checkAddr(src, n)
 				m.memmove(dst, src, n)
 			case xMemSet:
-				dst := m.evalI(fr, in.ops[0])
-				b := byte(m.evalI(fr, in.ops[1]))
+				dst := m.evalI(fr, in.a)
+				b := byte(m.evalI(fr, in.b))
 				n := m.evalI(fr, in.ops[2])
 				if n < 0 {
 					m.trap("memset with negative length %d", n)
@@ -124,84 +130,84 @@ outer:
 				m.memset(dst, n, b)
 
 			case xAdd:
-				fr.set(in.dst, iv(m.evalI(fr, in.ops[0])+m.evalI(fr, in.ops[1])))
+				fr.set(in.dst, iv(m.evalI(fr, in.a)+m.evalI(fr, in.b)))
 			case xSub:
-				fr.set(in.dst, iv(m.evalI(fr, in.ops[0])-m.evalI(fr, in.ops[1])))
+				fr.set(in.dst, iv(m.evalI(fr, in.a)-m.evalI(fr, in.b)))
 			case xMul:
-				fr.set(in.dst, iv(m.evalI(fr, in.ops[0])*m.evalI(fr, in.ops[1])))
+				fr.set(in.dst, iv(m.evalI(fr, in.a)*m.evalI(fr, in.b)))
 			case xSDiv, xSRem, xAnd, xOr, xXor, xShl, xAShr:
-				x, y := m.evalI(fr, in.ops[0]), m.evalI(fr, in.ops[1])
-				fr.set(in.dst, iv(m.intOp(in.sub, x, y)))
+				x, y := m.evalI(fr, in.a), m.evalI(fr, in.b)
+				fr.set(in.dst, iv(m.intOp(in.op, x, y)))
 			case xIntV:
-				x, y := m.vec(fr, in.ops[0]).vi, m.vec(fr, in.ops[1]).vi
+				x, y := m.vec(fr, in.a).vi, m.vec(fr, in.b).vi
 				var out lanes
-				for l := 0; l < in.lanes; l++ {
+				for l := 0; l < int(in.lanes); l++ {
 					out.vi[l] = m.intOp(in.sub, x[l], y[l])
 				}
 				fr.setVec(in, &out)
 			case xFAdd:
-				fr.set(in.dst, fv(m.evalF(fr, in.ops[0])+m.evalF(fr, in.ops[1])))
+				fr.set(in.dst, fv(m.evalF(fr, in.a)+m.evalF(fr, in.b)))
 			case xFSub:
-				fr.set(in.dst, fv(m.evalF(fr, in.ops[0])-m.evalF(fr, in.ops[1])))
+				fr.set(in.dst, fv(m.evalF(fr, in.a)-m.evalF(fr, in.b)))
 			case xFMul:
-				fr.set(in.dst, fv(m.evalF(fr, in.ops[0])*m.evalF(fr, in.ops[1])))
+				fr.set(in.dst, fv(m.evalF(fr, in.a)*m.evalF(fr, in.b)))
 			case xFDiv:
-				fr.set(in.dst, fv(m.evalF(fr, in.ops[0])/m.evalF(fr, in.ops[1])))
+				fr.set(in.dst, fv(m.evalF(fr, in.a)/m.evalF(fr, in.b)))
 			case xFloatV:
-				x, y := m.vec(fr, in.ops[0]).vf, m.vec(fr, in.ops[1]).vf
+				x, y := m.vec(fr, in.a).vf, m.vec(fr, in.b).vf
 				var out lanes
-				for l := 0; l < in.lanes; l++ {
+				for l := 0; l < int(in.lanes); l++ {
 					out.vf[l] = floatOp(in.sub, x[l], y[l])
 				}
 				fr.setVec(in, &out)
 
 			case xSIToFP:
-				fr.set(in.dst, fv(float64(m.evalI(fr, in.ops[0]))))
+				fr.set(in.dst, fv(float64(m.evalI(fr, in.a))))
 			case xSIToFPV:
-				x := m.vec(fr, in.ops[0]).vi
+				x := m.vec(fr, in.a).vi
 				var out lanes
-				for l := 0; l < in.lanes; l++ {
+				for l := 0; l < int(in.lanes); l++ {
 					out.vf[l] = float64(x[l])
 				}
 				fr.setVec(in, &out)
 			case xFPToSI:
-				fr.set(in.dst, iv(int64(m.evalF(fr, in.ops[0]))))
+				fr.set(in.dst, iv(int64(m.evalF(fr, in.a))))
 			case xFPToSIV:
-				x := m.vec(fr, in.ops[0]).vf
+				x := m.vec(fr, in.a).vf
 				var out lanes
-				for l := 0; l < in.lanes; l++ {
+				for l := 0; l < int(in.lanes); l++ {
 					out.vi[l] = int64(x[l])
 				}
 				fr.setVec(in, &out)
 
 			case xICmp:
-				x, y := m.evalI(fr, in.ops[0]), m.evalI(fr, in.ops[1])
-				fr.set(in.dst, iv(b2i(cmpInt(in.pred, x, y))))
+				x, y := m.evalI(fr, in.a), m.evalI(fr, in.b)
+				fr.set(in.dst, iv(b2i(cmpInt(ir.Pred(in.pred), x, y))))
 			case xFCmp:
-				x, y := m.evalF(fr, in.ops[0]), m.evalF(fr, in.ops[1])
-				fr.set(in.dst, iv(b2i(cmpFloat(in.pred, x, y))))
+				x, y := m.evalF(fr, in.a), m.evalF(fr, in.b)
+				fr.set(in.dst, iv(b2i(cmpFloat(ir.Pred(in.pred), x, y))))
 			case xSelect:
-				pick := 2
-				if m.evalI(fr, in.ops[0]) != 0 {
-					pick = 1
+				pick := in.ops[2]
+				if m.evalI(fr, in.a) != 0 {
+					pick = in.b
 				}
-				fr.set(in.dst, *m.ref(fr, in.ops[pick]))
+				fr.set(in.dst, m.val(fr, pick))
 				if in.vdst >= 0 {
-					fr.lanes[in.vdst] = *m.vec(fr, in.ops[pick])
+					fr.lanes[in.vdst] = *m.vec(fr, pick)
 				}
 
 			case xVSplat:
-				x := m.ref(fr, in.ops[0])
+				x := m.val(fr, in.a)
 				var out lanes
-				for l := 0; l < in.lanes; l++ {
+				for l := 0; l < int(in.lanes); l++ {
 					out.vi[l] = x.i
 					out.vf[l] = x.f
 				}
 				fr.setVec(in, &out)
 			case xVExtract:
-				x := m.vec(fr, in.ops[0])
-				lane := m.evalI(fr, in.ops[1])
-				if lane < 0 || int(lane) >= in.lanes {
+				x := m.vec(fr, in.a)
+				lane := m.evalI(fr, in.b)
+				if lane < 0 || lane >= int64(in.lanes) {
 					m.trap("vector lane %d out of range", lane)
 				}
 				if in.flt {
@@ -210,11 +216,11 @@ outer:
 					fr.set(in.dst, iv(x.vi[lane]))
 				}
 			case xVInsert:
-				x := *m.ref(fr, in.ops[0])
-				out := *m.vec(fr, in.ops[0])
-				s := m.ref(fr, in.ops[1])
+				x := m.val(fr, in.a)
+				out := *m.vec(fr, in.a)
+				s := m.val(fr, in.b)
 				lane := m.evalI(fr, in.ops[2])
-				if lane < 0 || int(lane) >= in.lanes {
+				if lane < 0 || lane >= int64(in.lanes) {
 					m.trap("vector lane %d out of range", lane)
 				}
 				out.vi[lane] = s.i
@@ -222,16 +228,16 @@ outer:
 				fr.set(in.dst, x)
 				fr.lanes[in.vdst] = out
 			case xVReduce:
-				x := m.vec(fr, in.ops[0])
+				x := m.vec(fr, in.a)
 				if in.flt {
 					var sum float64
-					for l := 0; l < in.lanes; l++ {
+					for l := 0; l < int(in.lanes); l++ {
 						sum += x.vf[l]
 					}
 					fr.set(in.dst, fv(sum))
 				} else {
 					var sum int64
-					for l := 0; l < in.lanes; l++ {
+					for l := 0; l < int(in.lanes); l++ {
 						sum += x.vi[l]
 					}
 					fr.set(in.dst, iv(sum))
@@ -241,7 +247,7 @@ outer:
 				cf := m.callee(df, in).acquire()
 				cf.args = cf.args[:0]
 				for _, o := range in.ops {
-					cf.args = append(cf.args, *m.ref(fr, o))
+					cf.args = append(cf.args, m.val(fr, o))
 				}
 				for k, l := range cf.fn.argLane {
 					if l >= 0 && k < len(in.ops) {
@@ -256,8 +262,10 @@ outer:
 					}
 					fr.lanes[in.vdst] = *ret
 				}
+				slow = !m.charge(in.next)
 			case xIntrinsic:
 				fr.set(in.dst, m.intrinsic(fr, in))
+				slow = !m.charge(in.next)
 
 			default:
 				m.trap("unhandled opcode %s", in.in.Op)
@@ -268,29 +276,46 @@ outer:
 	}
 }
 
-// phis assigns the block's phis in parallel from the incoming edge.
-func (m *machine) phis(fr *frame, blk *dblock, moves []opnd) {
-	tmp := m.phiTmp[:0]
-	for _, src := range moves {
-		if src.kind == oNoPhi {
-			m.trap("phi in %s/%s has no incoming for predecessor", fr.fn.fn.Name, blk.name)
+// phis assigns the block's phis in parallel from the incoming edge,
+// ticking each phi when slow. Where no source is a phi that an earlier
+// move assigns, the moves are made one by one.
+func (m *machine) phis(fr *frame, blk *dblock, mv *moves, slow bool) {
+	if !mv.temp && !blk.vphis && !slow {
+		for j, src := range mv.src {
+			if src.kind == oNoPhi {
+				m.noIncoming(fr, blk)
+			}
+			fr.set(blk.phis[j], m.val(fr, src))
 		}
-		tmp = append(tmp, *m.ref(fr, src))
+		return
+	}
+	tmp := m.phiTmp[:0]
+	for _, src := range mv.src {
+		if src.kind == oNoPhi {
+			m.noIncoming(fr, blk)
+		}
+		tmp = append(tmp, m.val(fr, src))
 	}
 	m.phiTmp = tmp
 	if blk.vphis {
-		m.vecPhis(fr, blk, moves)
+		m.vecPhis(fr, blk, mv.src, slow)
 		return
 	}
 	for j, s := range blk.phis {
 		fr.set(s, tmp[j])
-		m.tick(0)
+		if slow {
+			m.tick(0)
+		}
 	}
+}
+
+func (m *machine) noIncoming(fr *frame, blk *dblock) {
+	m.trap("phi in %s/%s has no incoming for predecessor", fr.fn.fn.Name, blk.name)
 }
 
 // vecPhis is the rest of phis for a block where some phi carries
 // lanes: those lanes are read, like the words, before any phi is set.
-func (m *machine) vecPhis(fr *frame, blk *dblock, moves []opnd) {
+func (m *machine) vecPhis(fr *frame, blk *dblock, moves []opnd, slow bool) {
 	laneOf := fr.fn.laneOf
 	vtmp := m.phiLanes[:0]
 	for j, s := range blk.phis {
@@ -305,7 +330,9 @@ func (m *machine) vecPhis(fr *frame, blk *dblock, moves []opnd) {
 			fr.lanes[l] = vtmp[0]
 			vtmp = vtmp[1:]
 		}
-		m.tick(0)
+		if slow {
+			m.tick(0)
+		}
 	}
 }
 
@@ -314,13 +341,13 @@ func (m *machine) vecPhis(fr *frame, blk *dblock, moves []opnd) {
 func (m *machine) ref(fr *frame, o opnd) *value {
 	df := fr.fn
 	switch o.kind {
-	case oSlot:
+	case oVal:
+		return &fr.vals[o.idx]
+	case oChecked:
 		if !fr.defined(o.idx) {
 			m.trap("use of undefined value %s in %s", df.slots[o.idx].Ident(), df.fn.Name)
 		}
 		return &fr.vals[o.idx]
-	case oConst:
-		return &df.consts[o.idx]
 	case oArg:
 		if int(o.idx) >= len(fr.args) {
 			m.trap("missing argument %d of %s", o.idx, df.fn.Name)
@@ -341,9 +368,11 @@ func (m *machine) ref(fr *frame, o opnd) *value {
 func (m *machine) vec(fr *frame, o opnd) *lanes {
 	df := fr.fn
 	switch o.kind {
-	case oSlot:
-		if l := df.laneOf[o.idx]; l >= 0 && fr.defined(o.idx) {
-			return &fr.lanes[l]
+	case oVal, oChecked:
+		if int(o.idx) < len(df.laneOf) {
+			if l := df.laneOf[o.idx]; l >= 0 && (o.kind == oVal || fr.defined(o.idx)) {
+				return &fr.lanes[l]
+			}
 		}
 	case oArg:
 		if int(o.idx) < len(df.argLane) && int(o.idx) < len(fr.args) {
@@ -356,68 +385,69 @@ func (m *machine) vec(fr *frame, o opnd) *lanes {
 	return &noLanes
 }
 
-// evalI is ref(...).i with the common cases inline.
+// val, evalI and evalF are ref(...) with a slot-or-constant read
+// inline: one compare and one index.
+func (m *machine) val(fr *frame, o opnd) value {
+	if o.kind == oVal {
+		return fr.vals[o.idx]
+	}
+	return *m.ref(fr, o)
+}
+
 func (m *machine) evalI(fr *frame, o opnd) int64 {
-	switch {
-	case o.kind == oSlot && fr.defined(o.idx):
+	if o.kind == oVal {
 		return fr.vals[o.idx].i
-	case o.kind == oConst:
-		return fr.fn.consts[o.idx].i
 	}
 	return m.ref(fr, o).i
 }
 
-// evalF is ref(...).f with the common cases inline.
 func (m *machine) evalF(fr *frame, o opnd) float64 {
-	switch {
-	case o.kind == oSlot && fr.defined(o.idx):
+	if o.kind == oVal {
 		return fr.vals[o.idx].f
-	case o.kind == oConst:
-		return fr.fn.consts[o.idx].f
 	}
 	return m.ref(fr, o).f
 }
 
-func (m *machine) intOp(op ir.Opcode, a, b int64) int64 {
+func (m *machine) intOp(op xop, a, b int64) int64 {
 	switch op {
-	case ir.OpAdd:
+	case xAdd:
 		return a + b
-	case ir.OpSub:
+	case xSub:
 		return a - b
-	case ir.OpMul:
+	case xMul:
 		return a * b
-	case ir.OpSDiv:
+	case xSDiv:
 		if b == 0 {
 			m.trap("integer division by zero")
 		}
 		return a / b
-	case ir.OpSRem:
+	case xSRem:
 		if b == 0 {
 			m.trap("integer remainder by zero")
 		}
 		return a % b
-	case ir.OpAnd:
+	case xAnd:
 		return a & b
-	case ir.OpOr:
+	case xOr:
 		return a | b
-	case ir.OpXor:
+	case xXor:
 		return a ^ b
-	case ir.OpShl:
+	case xShl:
 		return a << uint(b&63)
-	case ir.OpAShr:
+	case xAShr:
 		return a >> uint(b&63)
 	}
 	m.trap("bad int op")
 	return 0
 }
 
-func floatOp(op ir.Opcode, a, b float64) float64 {
+func floatOp(op xop, a, b float64) float64 {
 	switch op {
-	case ir.OpFAdd:
+	case xFAdd:
 		return a + b
-	case ir.OpFSub:
+	case xFSub:
 		return a - b
-	case ir.OpFMul:
+	case xFMul:
 		return a * b
 	}
 	return a / b

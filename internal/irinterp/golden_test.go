@@ -18,7 +18,7 @@ import (
 	"github.com/oraql/go-oraql/internal/progen"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/runs.golden from the current interpreter")
+var update = flag.Bool("update", false, "rewrite the golden files under testdata from the current interpreter")
 
 const goldenPath = "testdata/runs.golden"
 
@@ -118,27 +118,34 @@ func goldenLine(r goldenRun) string {
 // app and progen matrix. Regenerate with -update only for an intended
 // change of semantics or cost model.
 func TestGoldenRuns(t *testing.T) {
+	checkGolden(t, goldenPath, goldenRuns(t))
+}
+
+// checkGolden renders every run and compares the lines with the golden
+// file at path, or rewrites the file under -update.
+func checkGolden(t *testing.T, path string, runs []goldenRun) {
+	t.Helper()
 	var lines []string
-	for _, r := range goldenRuns(t) {
+	for _, r := range runs {
 		lines = append(lines, goldenLine(r))
 	}
 	got := strings.Join(lines, "\n") + "\n"
 	if *update {
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	data, err := os.ReadFile(goldenPath)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("%v (run with -update to create it)", err)
 	}
 	want := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
 	if len(want) != len(lines) {
-		t.Errorf("golden has %d runs, matrix has %d", len(want), len(lines))
+		t.Errorf("%s has %d runs, matrix has %d", path, len(want), len(lines))
 	}
 	bad := 0
 	for i := 0; i < len(want) && i < len(lines); i++ {

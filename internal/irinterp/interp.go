@@ -7,8 +7,11 @@
 // exchanges), and GPU kernel launches for offload modules.
 //
 // A function is decoded the first time a run calls it (decode.go):
-// operands become dense frame slots, constants, argument indices or
-// global addresses, and cycle costs are precomputed. The decoded code
+// operands become argument indices or indices into the frame's value
+// array, which holds the instructions' slots and then the constants and
+// global addresses; a dataflow proves which slot reads need no
+// defined-value check, and each straight-line segment's counter charge
+// is precomputed. The decoded code
 // is shared through a code cache by the ranks of a run, and by the
 // runs of programs that share a Program.Code cache. Simulated memory
 // is a lazily allocated page table (memory.go).
@@ -375,23 +378,43 @@ func cost(in *ir.Instr) int64 {
 	}
 }
 
+// charge charges a straight-line segment up front. It charges nothing
+// and reports false when the segment would cross the step limit; the
+// caller then ticks each of its instructions, so the limit traps where
+// it would one instruction at a time. Charging ahead is otherwise
+// invisible: a segment ends at every call and intrinsic, the only
+// places that read the counters or run other code, and a trap inside
+// it discards them.
+func (m *machine) charge(c charge) bool {
+	if m.instrs+m.devInstrs+int64(c.n) > m.opts.StepLimit {
+		return false
+	}
+	if m.inKernel == "" {
+		m.instrs += int64(c.n)
+		m.cycles += int64(c.cycles)
+	} else {
+		m.devCharge(c)
+	}
+	return true
+}
+
 // tick charges one executed instruction of cost c and enforces the
 // step limit.
-func (m *machine) tick(c int64) {
+func (m *machine) tick(c int32) {
 	if m.inKernel == "" {
 		m.instrs++
-		m.cycles += c
+		m.cycles += int64(c)
 	} else {
-		m.devTick(c)
+		m.devCharge(charge{1, c})
 	}
 	if m.instrs+m.devInstrs > m.opts.StepLimit {
 		m.trap("step limit exceeded (%d instructions): possible non-termination", m.opts.StepLimit)
 	}
 }
 
-func (m *machine) devTick(c int64) {
-	m.devInstrs++
-	m.devCycles += c
+func (m *machine) devCharge(c charge) {
+	m.devInstrs += int64(c.n)
+	m.devCycles += int64(c.cycles)
 	if m.kernelCycles == nil {
 		m.kernelCycles = m.kernels[m.inKernel]
 		if m.kernelCycles == nil {
@@ -399,5 +422,5 @@ func (m *machine) devTick(c int64) {
 			m.kernels[m.inKernel] = m.kernelCycles
 		}
 	}
-	*m.kernelCycles += c
+	*m.kernelCycles += int64(c.cycles)
 }

@@ -58,10 +58,19 @@ func (m *machine) writablePage(addr int64) *page {
 	return p
 }
 
+// checkAddr traps unless [addr, addr+size) lies in simulated memory.
 func (m *machine) checkAddr(addr, size int64) {
 	if addr < globalBase || addr+size > m.opts.MemLimit {
-		m.trap("out-of-bounds access at %#x (size %d)", addr, size)
+		m.outOfBounds(addr, size)
 	}
+}
+
+// outOfBounds is the trap of checkAddr, kept out of line so that
+// checkAddr inlines into every access.
+//
+//go:noinline
+func (m *machine) outOfBounds(addr, size int64) {
+	m.trap("out-of-bounds access at %#x (size %d)", addr, size)
 }
 
 func (m *machine) load64(addr int64) uint64 {

@@ -182,17 +182,85 @@ func TestParserErrors(t *testing.T) {
 	cases := []string{
 		"",                              // no header
 		"; module x target=t\n@g = bad", // malformed global
-		"; module x target=t\ndefine void @f() {\nentry:\n  bogus 1\n}\n",                                      // unknown op
-		"; module x target=t\ndefine void @f() {\nentry:\n  ret void\n",                                        // unterminated
-		"; module x target=t\ndefine void @f() {\nentry:\n  %x = load i64, %missing\n  ret void\n}\n",          // undefined value
-		"; module x target=t\ndefine void @f() {\nentry:\n  %a = vsplat %b\n  %b = vsplat %a\n  ret void\n}\n", // no SSA order
-		"; module x target=t\ndefine double @f(double %x) {\nentry:\n  %a = vextract %x, 0\n  ret %a\n}\n",     // vextract of a scalar
-		"; module x target=t\ndefine double @f(double %x) {\nentry:\n  %a = vinsert %x, %x, 0\n  ret %x\n}\n",  // vinsert into a scalar
-		"; module x target=t\ndefine double @f(double %x) {\nentry:\n  %a = vreduce %x\n  ret %a\n}\n",         // vreduce of a scalar
+		"; module x target=t\ndefine void @f() {\nentry:\n  bogus 1\n}\n",                                                   // unknown op
+		"; module x target=t\ndefine void @f() {\nentry:\n  ret void\n",                                                     // unterminated
+		"; module x target=t\ndefine void @f() {\nentry:\n  %x = load i64, %missing\n  ret void\n}\n",                       // undefined value
+		"; module x target=t\ndefine void @f() {\nentry:\n  %a = vsplat %b\n  %b = vsplat %a\n  ret void\n}\n",              // no SSA order
+		"; module x target=t\ndefine double @f(double %x) {\nentry:\n  %a = vextract %x, 0\n  ret %a\n}\n",                  // vextract of a scalar
+		"; module x target=t\ndefine double @f(double %x) {\nentry:\n  %a = vinsert %x, %x, 0\n  ret %x\n}\n",               // vinsert into a scalar
+		"; module x target=t\ndefine double @f(double %x) {\nentry:\n  %a = vreduce %x\n  ret %a\n}\n",                      // vreduce of a scalar
+		"; module x target=t\n@g = global [8 bytes]\ndefine void @f() {\nentry:\n  memset @g, 0, 8 !bogus\n  ret void\n}\n", // unknown metadata on a memset
 	}
 	for _, src := range cases {
 		if _, err := irtext.Parse(src); err == nil {
 			t.Errorf("expected error for %q", src)
+		}
+	}
+}
+
+// TestMemSetMetadataRoundTrips: a memset carries its metadata through
+// print and parse like every other instruction.
+func TestMemSetMetadataRoundTrips(t *testing.T) {
+	src := "; module x target=t\n" +
+		"@g = global [8 bytes]\n" +
+		"define void @f() {\n" +
+		"entry:\n" +
+		"  memset @g, 0, 8 !dbg f.c:3:4\n" +
+		"  ret void\n" +
+		"}\n"
+	m, err := irtext.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loc := m.Funcs[0].Blocks[0].Instrs[0].Loc; loc != (ir.SrcLoc{File: "f.c", Line: 3, Col: 4}) {
+		t.Errorf("memset location = %+v, want f.c:3:4", loc)
+	}
+	if text := m.String(); !strings.Contains(text, "  memset @g, 0, 8 !dbg f.c:3:4\n") {
+		t.Errorf("the memset prints without its location:\n%s", text)
+	}
+}
+
+// TestParsedModuleClones: a parsed module clones to the same text.
+// Clone maps block references by block ID, so the parser must number
+// its blocks as the builder does; with every ID 0, every branch and
+// phi of the clone pointed at the last block.
+func TestParsedModuleClones(t *testing.T) {
+	check := func(name, text string) {
+		t.Helper()
+		m, err := irtext.Parse(text)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := m.Clone().String(); got != text {
+			t.Fatalf("%s: the clone of the parsed module prints differently:\nfirst diff at %s", name, firstDiff(text, got))
+		}
+	}
+	three, err := irtext.Parse("; module x target=t\n" +
+		"define void @f() {\n" +
+		"entry:\n" +
+		"  br %b\n" +
+		"b:\n" +
+		"  br %c\n" +
+		"c:\n" +
+		"  ret void\n" +
+		"}\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("three blocks", three.String())
+	for _, cfg := range apps.All() {
+		for _, opts := range []*oraql.Options{nil, {Target: cfg.ORAQLTarget}} {
+			cr, err := pipeline.Compile(pipeline.Config{
+				Name: cfg.ID, Source: cfg.Source, SourceFile: cfg.SourceName, Frontend: cfg.Frontend, ORAQL: opts,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range []*ir.Module{cr.Program.Host, cr.Program.Device} {
+				if m != nil {
+					check(cfg.ID+"/"+m.Name, m.String())
+				}
+			}
 		}
 	}
 }

@@ -129,7 +129,7 @@ func (fp *funcParser) operands(r rawInstr) error {
 		in.Operands = fp.operandList(dst, src, n)
 
 	case ir.OpMemSet:
-		// memset DST, VAL, N — its metadata tail is not read.
+		// memset DST, VAL, N
 		if splitArgs(rest, args[:]) != 3 {
 			return fmt.Errorf("memset wants 'DST, VAL, N'")
 		}
@@ -144,7 +144,6 @@ func (fp *funcParser) operands(r rawInstr) error {
 		fp.ops = ops
 		in.Operands = fp.operandList(ops...)
 		in.Ty = ir.Void
-		return nil
 
 	case ir.OpICmp, ir.OpFCmp:
 		// icmp PRED a, b

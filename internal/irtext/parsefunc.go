@@ -219,7 +219,7 @@ func (fp *funcParser) getBlock(label string) *ir.Block {
 	} else {
 		b = new(ir.Block)
 	}
-	b.Name, b.Parent = label, fp.fn
+	b.Name, b.ID, b.Parent = label, fp.fn.AllocBlockID(), fp.fn
 	fp.blocks[label] = b
 	fp.fn.Blocks = append(fp.fn.Blocks, b)
 	return b
