@@ -123,8 +123,8 @@ campaign-smoke:
 # so the window goes to exploring; a failing input is still reported,
 # less minimized.
 fuzz-smoke:
-	$(GO) run ./cmd/oraql-fuzz -n 200 -seed 1 -v
-	$(GO) run ./cmd/oraql-fuzz -inject -n 10 -seed 1 -v
+	$(GO) run ./cmd/oraql fuzz -n 200 -seed 1 -v
+	$(GO) run ./cmd/oraql fuzz -inject -n 10 -seed 1 -v
 	$(GO) test ./internal/irtext -fuzz FuzzIRTextRoundtrip -fuzztime 30s -fuzzminimizetime 10x -run '^$$'
 	$(GO) test ./internal/irtext -fuzz FuzzParseNoPanic -fuzztime 30s -fuzzminimizetime 10x -run '^$$'
 	$(GO) test ./internal/difftest -fuzz FuzzDifferential -fuzztime 30s -fuzzminimizetime 10x -run '^$$'
@@ -139,6 +139,6 @@ fuzz-smoke:
 N ?= 1000
 SEED ?= 1
 fuzz:
-	$(GO) run ./cmd/oraql-fuzz -n $(N) -seed $(SEED) -v $(ARGS)
+	$(GO) run ./cmd/oraql fuzz -n $(N) -seed $(SEED) -v $(ARGS)
 
 check: vet tier1 race bench bench-compile bench-serve bench-diskcache warehouse-smoke bench-warehouse serve-smoke campaign-smoke

@@ -21,7 +21,7 @@
 //
 // With -cache-dir, compile results and probe campaign state persist in
 // a content-addressed store shared safely by any number of serve
-// instances (and the oraql/oraql-opt CLIs) pointing at the same
+// instances (and the oraql CLI) pointing at the same
 // directory: restarts and sibling instances start warm. A fleet of
 // instances is one cache exactly when they share a -cache-dir; the
 // instances never talk to each other.
@@ -55,22 +55,21 @@ func main() {
 }
 
 func run(argv []string, stdout, stderr io.Writer) error {
+	var store cliutil.Store
 	fs := flag.NewFlagSet("oraql-serve", flag.ContinueOnError)
-	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":8347", "listen address")
 	workers := fs.Int("workers", 0, "job worker pool size (0 = NumCPU)")
 	queue := fs.Int("queue", 64, "bounded job queue size")
 	cacheEntries := fs.Int("cache-entries", 128, "compile result cache capacity")
 	reqTimeout := fs.Duration("request-timeout", 60*time.Second, "synchronous request deadline")
-	cacheDir := fs.String("cache-dir", "", "persistent cache directory shared across instances and restarts (empty = memory-only)")
-	cacheMaxMB := fs.Int("cache-max-mb", 0, "size cap for -cache-dir in MiB before GC evicts cold entries (0 = 512)")
+	store.Flags(fs)
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
 	campaignSteps := fs.Int64("campaign-max-steps", 0, "instruction budget per campaign script (0 = package default; requests can lower it, never raise it)")
 	campaignTimeout := fs.Duration("campaign-timeout", 0, "wall-clock limit per campaign script (0 = 10m)")
 	quiet := fs.Bool("quiet", false, "suppress the structured request log")
 	fs.Bool("json", false, "emit failures as the shared JSON error envelope")
-	if err := fs.Parse(argv); err != nil {
-		return cliutil.WrapUsage(err)
+	if err := cliutil.Parse(fs, argv, stderr); err != nil {
+		return err
 	}
 	if fs.NArg() > 0 {
 		return cliutil.Usagef("unexpected arguments: %v", fs.Args())
@@ -80,7 +79,7 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	if *quiet {
 		logW = nil
 	}
-	cache, err := cliutil.OpenCache(*cacheDir, *cacheMaxMB)
+	cache, err := store.Open()
 	if err != nil {
 		return err
 	}

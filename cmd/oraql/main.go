@@ -1,21 +1,28 @@
-// Command oraql is the ORAQL probing driver CLI: it runs the full
+// Command oraql is the ORAQL CLI. Its probing driver runs the full
 // workflow (baseline, fully-optimistic attempt, bisection) on a
 // benchmark configuration or a standalone minic source file and
 // reports the locally maximal optimistic sequence — either locally or
-// against an oraql-serve instance (-server).
+// against an oraql-serve instance (-server). Beside it sit the
+// single-compilation tool (opt), the differential fuzzer (fuzz), the
+// paper-table regenerator (tables), compile sweeps, campaign scripts
+// and the forensics warehouse.
 //
 // Usage:
 //
-//	oraql list
+//	oraql list [-all]
 //	oraql probe <config-id> [-strategy chunked|freq|linear] [-j N] [-v] [-json]
 //	oraql probe -file prog.mc [-model seq|openmp|tasks|mpi|offload] [-fortran] [-views]
 //	oraql probe <config-id> -server http://localhost:8347   # same probe, remotely
 //	oraql report <config-id>        # Fig. 3-style pessimistic dump
 //	oraql run <config-id>           # baseline compile+run only
 //	oraql run <script.oraql>        # scripted campaign (see internal/campaign)
+//	oraql opt prog.mc [-opt-aa-seq "1 0 1"|@file] [-stats] [-run] ...
+//	oraql fuzz [-n N] [-seed S] [-inject] ...
+//	oraql tables [-table fig4] [-configs a,b]
 //
-// Exit codes: 0 success, 1 operational failure, 2 usage error. With
-// -json, failures are printed as the shared JSON error envelope.
+// Every subcommand prints its flags with -h. Exit codes: 0 success,
+// 1 operational failure, 2 usage error (-h included). With -json,
+// failures are printed as the shared JSON error envelope.
 package main
 
 import (
@@ -39,9 +46,6 @@ import (
 	"github.com/oraql/go-oraql/internal/request"
 	"github.com/oraql/go-oraql/internal/service"
 	"github.com/oraql/go-oraql/internal/service/client"
-
-	// Registered for `list -grammars`; probing does not consume it.
-	_ "github.com/oraql/go-oraql/internal/progen"
 )
 
 func main() {
@@ -50,34 +54,35 @@ func main() {
 	os.Exit(cliutil.Report(os.Stderr, "oraql", cliutil.WantsJSON(argv), err))
 }
 
+// commands maps each subcommand to its implementation.
+var commands = map[string]func(args []string, stdout, stderr io.Writer) error{
+	"list":      cmdList,
+	"probe":     cmdProbe,
+	"report":    cmdReport,
+	"run":       cmdRun,
+	"sweep":     cmdSweep,
+	"opt":       cmdOpt,
+	"fuzz":      cmdFuzz,
+	"tables":    cmdTables,
+	"warehouse": cmdWarehouse,
+}
+
 func run(argv []string, stdout, stderr io.Writer) error {
 	if len(argv) < 1 {
 		usage(stderr)
 		return cliutil.Usagef("missing subcommand")
 	}
-	cmd, args := argv[0], argv[1:]
-	switch cmd {
-	case "list":
-		return cmdList(args, stdout)
-	case "probe":
-		return cmdProbe(args, stdout, stderr)
-	case "report":
-		return cmdReport(args, stdout)
-	case "run":
-		return cmdRun(args, stdout, stderr)
-	case "sweep":
-		return cmdSweep(args, stdout, stderr)
-	case "warehouse":
-		return cmdWarehouse(args, stdout, stderr)
-	default:
+	cmd, ok := commands[argv[0]]
+	if !ok {
 		usage(stderr)
-		return cliutil.Usagef("unknown subcommand %q", cmd)
+		return cliutil.Usagef("unknown subcommand %q", argv[0])
 	}
+	return cmd(argv[1:], stdout, stderr)
 }
 
 func usage(w io.Writer) {
-	fmt.Fprintln(w, `usage:
-  oraql list
+	fmt.Fprintln(w, `usage (every subcommand lists its flags with -h):
+  oraql list [-all|-strategies|-chains|-grammars]
   oraql probe <config-id> [-strategy chunked|freq|linear] [-j N] [-no-exe-cache] [-v] [-json]
   oraql probe -file prog.mc [-model seq|openmp|tasks|mpi|offload] [-fortran] [-views] [-target sub]
   oraql probe ... -server http://host:8347 [-poll 250ms]
@@ -86,21 +91,23 @@ func usage(w io.Writer) {
   oraql run <script.oraql> [-j N] [-cache-dir DIR] [-max-steps N] [-timeout D] [-v] [-json]
   oraql run <script.oraql> -server http://host:8347   # sandboxed POST /v1/campaign
   oraql sweep [config-id ...] [-cache-dir DIR] [-json]
+  oraql opt prog.mc|prog.ir [-opt-aa] [-opt-aa-seq "1 0 ..."|@file] [-stats] [-print-ir] [-run] [-O1]
+  oraql fuzz [-n N] [-seed S] [-j N] [-inject] [-corpus DIR] [-json FILE] [-cache-dir DIR]
+  oraql tables [-table fig3|fig4|fig5|fig6|fig7|runtime|effort|timing|warehouse] [-configs a,b]
   oraql warehouse stats|query|export|ingest -cache-dir DIR [...]
   oraql warehouse query -cache-dir DIR [-by pass|shape|func|grammar] [-kind K] [-app A]
   oraql warehouse export <config-id>|-file prog.mc [-cache-dir DIR]
   oraql warehouse ingest -cache-dir DIR [-grammar G] report.json...`)
 }
 
-func cmdList(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("list", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
+func cmdList(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("oraql list", flag.ContinueOnError)
 	all := fs.Bool("all", false, "print every registry: strategies, AA analyses/chains, app configs, grammar profiles")
 	strategies := fs.Bool("strategies", false, "print registered probing strategies")
 	chains := fs.Bool("chains", false, "print registered AA analyses and chain orders")
 	grammars := fs.Bool("grammars", false, "print registered fuzz-grammar profiles")
-	if err := fs.Parse(args); err != nil {
-		return cliutil.WrapUsage(err)
+	if err := cliutil.Parse(fs, args, stderr); err != nil {
+		return err
 	}
 	var kinds []string
 	if *strategies {
@@ -126,106 +133,75 @@ func cmdList(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// probeArgs is the parsed `oraql probe` invocation, kept in wire-able
-// form so the same invocation can run locally or against a server.
+// probeArgs is the parsed `oraql probe` invocation. Its request is the
+// wire form, so the same invocation runs locally or against a server.
 type probeArgs struct {
-	id      string
-	file    string
-	source  string
-	model   string
-	fortran bool
-	views   bool
-	target  string
-
-	strategy string
-	workers  int
-	noCache  bool
-	cacheDir string
-	ranks    int
-	verbose  bool
-	jsonOut  bool
-
-	server string
-	poll   time.Duration
+	req     request.ProbeRequest
+	store   cliutil.Store
+	verbose bool
+	jsonOut bool
+	server  string
+	poll    time.Duration
 }
 
-func parseProbeArgs(args []string) (*probeArgs, error) {
+func parseProbeArgs(args []string, stderr io.Writer) (*probeArgs, error) {
 	pa := &probeArgs{}
-	fs := flag.NewFlagSet("probe", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	fs.StringVar(&pa.file, "file", "", "standalone minic source file instead of a config id")
-	fs.StringVar(&pa.model, "model", "seq", "parallel model for -file (seq|openmp|tasks|mpi|offload)")
-	fs.BoolVar(&pa.fortran, "fortran", false, "Fortran dialect (descriptor arrays, no TBAA) for -file")
-	fs.BoolVar(&pa.views, "views", false, "Kokkos/Thrust-style boxed heap arrays for -file")
-	fs.StringVar(&pa.target, "target", "", "-opt-aa-target substring (restrict ORAQL to a target)")
-	fs.StringVar(&pa.strategy, "strategy", "chunked", "bisection strategy by registered name (`oraql list -strategies`)")
-	fs.IntVar(&pa.workers, "j", 0, "probing workers: above 1, one speculative test beside the consumed one (0 = NumCPU, 1 = sequential)")
-	fs.BoolVar(&pa.noCache, "no-exe-cache", false, "disable the executable-hash test cache")
-	fs.StringVar(&pa.cacheDir, "cache-dir", "", "persistent cache directory: compile artifacts and campaign state survive across processes (local mode only)")
-	fs.IntVar(&pa.ranks, "ranks", 1, "simulated MPI ranks")
+	prog := &pa.req.Program
+	fs := flag.NewFlagSet("oraql probe", flag.ContinueOnError)
+	file := fs.String("file", "", "standalone minic source file instead of a config id")
+	cliutil.ProgramFlags(fs, prog)
+	fs.IntVar(&prog.Ranks, "ranks", 1, "simulated MPI ranks for -file")
+	fs.StringVar(&pa.req.Target, "target", "", "-opt-aa-target substring (restrict ORAQL to a target)")
+	fs.StringVar(&pa.req.Strategy, "strategy", "chunked", "bisection strategy by registered name (`oraql list -strategies`)")
+	fs.IntVar(&pa.req.Workers, "j", 0, "probing workers: above 1, one speculative test beside the consumed one (0 = NumCPU, 1 = sequential)")
+	fs.BoolVar(&pa.req.DisableExeCache, "no-exe-cache", false, "disable the executable-hash test cache")
+	pa.store.DirFlag(fs)
 	fs.BoolVar(&pa.verbose, "v", false, "verbose driver log")
 	fs.BoolVar(&pa.jsonOut, "json", false, "print the probe result as JSON (and failures as the JSON envelope)")
 	fs.StringVar(&pa.server, "server", "", "probe against this oraql-serve address instead of locally")
 	fs.DurationVar(&pa.poll, "poll", 250*time.Millisecond, "job poll interval in -server mode")
 
+	var id string
 	if len(args) > 0 && args[0][0] != '-' {
-		pa.id, args = args[0], args[1:]
+		id, args = args[0], args[1:]
 	}
-	if err := fs.Parse(args); err != nil {
-		return nil, cliutil.WrapUsage(err)
+	if err := cliutil.Parse(fs, args, stderr); err != nil {
+		return nil, err
 	}
-	if _, err := driver.StrategyByName(pa.strategy); err != nil {
+	if _, err := driver.StrategyByName(pa.req.Strategy); err != nil {
 		return nil, cliutil.WrapUsage(err)
 	}
 	switch {
-	case pa.file != "":
-		src, err := os.ReadFile(pa.file)
+	case *file != "":
+		src, err := os.ReadFile(*file)
 		if err != nil {
 			return nil, err
 		}
-		pa.source = string(src)
-	case pa.id == "":
+		prog.Source, prog.SourceFile = string(src), *file
+	case id == "":
 		return nil, cliutil.Usagef("need a config id or -file")
+	default:
+		pa.req.Program = request.ProgramSpec{ConfigID: id}
 	}
 	return pa, nil
 }
 
-// request builds the wire form of the invocation: sent as is with
-// -server, translated in-process without.
-func (pa *probeArgs) request() *request.ProbeRequest {
-	req := &request.ProbeRequest{
-		Strategy:        pa.strategy,
-		Workers:         pa.workers,
-		Target:          pa.target,
-		DisableExeCache: pa.noCache,
-	}
-	if pa.file != "" {
-		req.Program = request.ProgramSpec{
-			Source: pa.source, SourceFile: pa.file,
-			Model: pa.model, Fortran: pa.fortran, Views: pa.views, Ranks: pa.ranks,
-		}
-	} else {
-		req.Program = request.ProgramSpec{ConfigID: pa.id}
-	}
-	return req
-}
-
 func cmdProbe(args []string, stdout, stderr io.Writer) error {
-	pa, err := parseProbeArgs(args)
+	pa, err := parseProbeArgs(args, stderr)
 	if err != nil {
 		return err
 	}
 	if pa.server != "" {
 		return probeViaServer(pa, stdout, stderr)
 	}
-	spec, err := pa.request().Spec(driver.StrategyByName)
+	spec, err := pa.req.Spec(driver.StrategyByName)
 	if errors.Is(err, request.ErrUnknownModel) {
 		return cliutil.WrapUsage(err)
 	}
 	if err != nil {
 		return err
 	}
-	if spec.Cache, err = cliutil.OpenCache(pa.cacheDir, 0); err != nil {
+	if spec.Cache, err = pa.store.Open(); err != nil {
 		return err
 	}
 	spec.Log = stderr
@@ -241,7 +217,7 @@ func cmdProbe(args []string, stdout, stderr io.Writer) error {
 func probeViaServer(pa *probeArgs, stdout, stderr io.Writer) error {
 	ctx := context.Background()
 	cl := client.New(pa.server)
-	info, err := cl.Probe(ctx, pa.request())
+	info, err := cl.Probe(ctx, &pa.req)
 	if err != nil {
 		return err
 	}
@@ -295,12 +271,11 @@ func emitProbe(p *report.ProbeJSON, jsonOut bool, stdout io.Writer) error {
 	return nil
 }
 
-func cmdReport(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("report", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
+func cmdReport(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("oraql report", flag.ContinueOnError)
 	fs.Bool("json", false, "emit failures as the shared JSON error envelope")
-	if err := fs.Parse(args); err != nil {
-		return cliutil.WrapUsage(err)
+	if err := cliutil.Parse(fs, args, stderr); err != nil {
+		return err
 	}
 	if fs.NArg() < 1 {
 		return cliutil.Usagef("report needs a config id")
@@ -317,67 +292,58 @@ func cmdReport(args []string, stdout io.Writer) error {
 	return nil
 }
 
+// campaignArgs is one `oraql run` invocation: path is a .oraql script
+// or, for a plain compile and run, a config id.
+type campaignArgs struct {
+	path     string
+	workers  int
+	store    cliutil.Store
+	maxSteps int64
+	timeout  time.Duration
+	server   string
+	poll     time.Duration
+	verbose  bool
+	jsonOut  bool
+}
+
 func cmdRun(args []string, stdout, stderr io.Writer) error {
-	var target string
+	ca := &campaignArgs{}
 	if len(args) > 0 && args[0][0] != '-' {
-		target, args = args[0], args[1:]
+		ca.path, args = args[0], args[1:]
 	}
-	fs := flag.NewFlagSet("run", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	workers := fs.Int("j", 0, "default worker budget for probe/sweep/fuzz calls in the script (0 = package defaults)")
-	cacheDir := fs.String("cache-dir", "", "persistent compile cache directory backing every scripted compilation and probe")
-	cacheMaxMB := fs.Int("cache-max-mb", 0, "size cap for -cache-dir in MiB (0 = 512)")
-	maxSteps := fs.Int64("max-steps", 0, "interpreter instruction budget (0 = default)")
-	timeout := fs.Duration("timeout", 0, "campaign wall-clock limit (0 = none locally, server cap in -server mode)")
-	server := fs.String("server", "", "run the campaign on this oraql-serve instance instead of locally")
-	poll := fs.Duration("poll", 250*time.Millisecond, "job poll interval in -server mode")
-	verbose := fs.Bool("v", false, "stream probe/fuzz progress to stderr")
-	jsonOut := fs.Bool("json", false, "print the campaign's return value as JSON (and failures as the JSON envelope)")
-	if err := fs.Parse(args); err != nil {
-		return cliutil.WrapUsage(err)
+	fs := flag.NewFlagSet("oraql run", flag.ContinueOnError)
+	fs.IntVar(&ca.workers, "j", 0, "default worker budget for probe/sweep/fuzz calls in the script (0 = package defaults)")
+	ca.store.Flags(fs)
+	fs.Int64Var(&ca.maxSteps, "max-steps", 0, "interpreter instruction budget (0 = default)")
+	fs.DurationVar(&ca.timeout, "timeout", 0, "campaign wall-clock limit (0 = none locally, server cap in -server mode)")
+	fs.StringVar(&ca.server, "server", "", "run the campaign on this oraql-serve instance instead of locally")
+	fs.DurationVar(&ca.poll, "poll", 250*time.Millisecond, "job poll interval in -server mode")
+	fs.BoolVar(&ca.verbose, "v", false, "stream probe/fuzz progress to stderr")
+	fs.BoolVar(&ca.jsonOut, "json", false, "print the campaign's return value as JSON (and failures as the JSON envelope)")
+	if err := cliutil.Parse(fs, args, stderr); err != nil {
+		return err
 	}
-	if target == "" {
+	if ca.path == "" {
 		return cliutil.Usagef("run needs a config id or a .oraql script path")
 	}
-	if strings.HasSuffix(target, ".oraql") {
-		ca := &campaignArgs{
-			path: target, workers: *workers, cacheDir: *cacheDir, cacheMaxMB: *cacheMaxMB,
-			maxSteps: *maxSteps, timeout: *timeout, server: *server, poll: *poll,
-			verbose: *verbose, jsonOut: *jsonOut,
-		}
+	if strings.HasSuffix(ca.path, ".oraql") {
 		return cmdCampaign(ca, stdout, stderr)
 	}
-	cfg := apps.ByID(target)
-	if cfg == nil {
-		return fmt.Errorf("unknown configuration %q", target)
-	}
-	cr, err := pipeline.Compile(pipeline.Config{
-		Name: cfg.ID, Source: cfg.Source, SourceFile: cfg.SourceName, Frontend: cfg.Frontend,
-	})
+	cfg, err := (&request.CompileRequest{Program: request.ProgramSpec{ConfigID: ca.path}}).Config()
 	if err != nil {
 		return err
 	}
-	rr, err := irinterp.Run(cr.Program, cfg.Run)
+	cr, err := pipeline.Compile(cfg)
+	if err != nil {
+		return err
+	}
+	rr, err := irinterp.Run(cr.Program, apps.ByID(ca.path).Run)
 	if err != nil {
 		return err
 	}
 	fmt.Fprint(stdout, rr.Stdout)
 	fmt.Fprintf(stderr, "[%d instructions, %d cycles]\n", rr.Instrs, rr.Cycles)
 	return nil
-}
-
-// campaignArgs is one `oraql run <script.oraql>` invocation.
-type campaignArgs struct {
-	path       string
-	workers    int
-	cacheDir   string
-	cacheMaxMB int
-	maxSteps   int64
-	timeout    time.Duration
-	server     string
-	poll       time.Duration
-	verbose    bool
-	jsonOut    bool
 }
 
 // cmdCampaign executes a .oraql campaign script, locally or against
@@ -392,7 +358,7 @@ func cmdCampaign(ca *campaignArgs, stdout, stderr io.Writer) error {
 	if ca.server != "" {
 		return campaignViaServer(ca, string(src), stdout, stderr)
 	}
-	cache, err := cliutil.OpenCache(ca.cacheDir, ca.cacheMaxMB)
+	cache, err := ca.store.Open()
 	if err != nil {
 		return err
 	}

@@ -54,6 +54,45 @@ func TestFailurePaths(t *testing.T) {
 	}
 }
 
+// TestHelpPrintsFlags: -h on every subcommand prints that command's
+// flags to stderr and exits 2, as a bad flag does.
+func TestHelpPrintsFlags(t *testing.T) {
+	cases := []struct {
+		argv []string
+		flag string // one flag the listing must name
+	}{
+		{[]string{"list"}, "-all"},
+		{[]string{"probe"}, "-strategy"},
+		{[]string{"report"}, "-json"},
+		{[]string{"run"}, "-max-steps"},
+		{[]string{"sweep"}, "-cache-max-mb"},
+		{[]string{"opt"}, "-opt-aa-seq"},
+		{[]string{"fuzz"}, "-inject"},
+		{[]string{"tables"}, "-table"},
+		{[]string{"warehouse", "ingest"}, "-grammar"},
+		{[]string{"warehouse", "query"}, "-by"},
+		{[]string{"warehouse", "export"}, "-alias-pairs"},
+		{[]string{"warehouse", "stats"}, "-cache-dir"},
+	}
+	covered := map[string]bool{}
+	for _, c := range cases {
+		covered[c.argv[0]] = true
+		var stderr strings.Builder
+		err := run(append(c.argv, "-h"), io.Discard, &stderr)
+		if got := cliutil.ExitCode(err); got != cliutil.ExitUsage {
+			t.Errorf("%v -h: exit code %d, want %d (err: %v)", c.argv, got, cliutil.ExitUsage, err)
+		}
+		if !strings.Contains(stderr.String(), "\n  "+c.flag) {
+			t.Errorf("%v -h does not list %s:\n%s", c.argv, c.flag, stderr.String())
+		}
+	}
+	for name := range commands {
+		if !covered[name] {
+			t.Errorf("subcommand %q has no -h case", name)
+		}
+	}
+}
+
 func TestListSucceeds(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"list"}, &out, io.Discard); err != nil {
@@ -130,11 +169,11 @@ func TestProbeTargetAppliesToConfigIDs(t *testing.T) {
 		{[]string{"gridmini-offload", "-target", "x"}, "x"},
 		{[]string{"gridmini-offload"}, "gpu"},
 	} {
-		pa, err := parseProbeArgs(c.args)
+		pa, err := parseProbeArgs(c.args, io.Discard)
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec, err := pa.request().Spec(driver.StrategyByName)
+		spec, err := pa.req.Spec(driver.StrategyByName)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,17 +10,17 @@ import (
 	"github.com/oraql/go-oraql/internal/cliutil"
 )
 
-func TestFailurePaths(t *testing.T) {
+func TestOptFailurePaths(t *testing.T) {
 	cases := []struct {
 		name string
 		argv []string
 		want int
 	}{
-		{"no input file", nil, cliutil.ExitUsage},
-		{"bad flag", []string{"prog.mc", "-definitely-not-a-flag"}, cliutil.ExitUsage},
-		{"missing file", []string{"/nonexistent/prog.mc"}, cliutil.ExitFailure},
-		{"unknown model", []string{"main_test.go", "-model", "warp"}, cliutil.ExitUsage},
-		{"bad seq", []string{"main_test.go", "-opt-aa-seq", "maybe"}, cliutil.ExitUsage},
+		{"no input file", []string{"opt"}, cliutil.ExitUsage},
+		{"bad flag", []string{"opt", "prog.mc", "-definitely-not-a-flag"}, cliutil.ExitUsage},
+		{"missing file", []string{"opt", "/nonexistent/prog.mc"}, cliutil.ExitFailure},
+		{"unknown model", []string{"opt", "main_test.go", "-model", "warp"}, cliutil.ExitUsage},
+		{"bad seq", []string{"opt", "main_test.go", "-opt-aa-seq", "maybe"}, cliutil.ExitUsage},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -37,7 +37,7 @@ func TestFailurePaths(t *testing.T) {
 
 // -opt-aa-seq @file loads the sequence from a file; a missing file is
 // a usage error.
-func TestSeqResponseFile(t *testing.T) {
+func TestOptSeqResponseFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "seq.txt")
 	if err := os.WriteFile(path, []byte("0 1 0"), 0o644); err != nil {
@@ -53,16 +53,16 @@ func TestSeqResponseFile(t *testing.T) {
 	if _, err := parseSeqArg("@" + filepath.Join(dir, "missing")); err == nil {
 		t.Error("missing file must error")
 	}
-	err = run([]string{"../../examples/serve/sum.mc", "-opt-aa-seq", "@" + filepath.Join(dir, "missing")}, io.Discard, io.Discard)
+	err = run([]string{"opt", "../../examples/serve/sum.mc", "-opt-aa-seq", "@" + filepath.Join(dir, "missing")}, io.Discard, io.Discard)
 	if got := cliutil.ExitCode(err); got != cliutil.ExitUsage {
 		t.Errorf("missing sequence file: exit code %d, want %d (err: %v)", got, cliutil.ExitUsage, err)
 	}
-	if err := run([]string{"../../examples/serve/sum.mc", "-opt-aa-seq", "@" + path}, io.Discard, io.Discard); err != nil {
+	if err := run([]string{"opt", "../../examples/serve/sum.mc", "-opt-aa-seq", "@" + path}, io.Discard, io.Discard); err != nil {
 		t.Errorf("sequence file: %v", err)
 	}
 }
 
-func TestCompileAndRun(t *testing.T) {
+func TestOptCompileAndRun(t *testing.T) {
 	dir := t.TempDir()
 	file := filepath.Join(dir, "prog.mc")
 	src := `int main() {
@@ -76,7 +76,7 @@ func TestCompileAndRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out, errW strings.Builder
-	if err := run([]string{file, "-run"}, &out, &errW); err != nil {
+	if err := run([]string{"opt", file, "-run"}, &out, &errW); err != nil {
 		t.Fatalf("run: %v\nstderr: %s", err, errW.String())
 	}
 	if !strings.Contains(out.String(), "42") {
@@ -95,7 +95,7 @@ func TestDebugPassPrintsExecutions(t *testing.T) {
 	const file = "../../examples/serve/sum.mc"
 	dir := t.TempDir()
 	for _, oraqlArgs := range [][]string{nil, {"-opt-aa"}} {
-		cold := append([]string{file}, oraqlArgs...)
+		cold := append([]string{"opt", file}, oraqlArgs...)
 		warm := append(append([]string{}, cold...), "-cache-dir", dir)
 		if err := run(warm, io.Discard, io.Discard); err != nil {
 			t.Fatal(err)
@@ -112,5 +112,21 @@ func TestDebugPassPrintsExecutions(t *testing.T) {
 				t.Errorf("%v -debug-pass was served from disk:\n%s", argv, errW.String())
 			}
 		}
+	}
+}
+
+// An -opt-aa-seq @file that holds no response still turns the pass on,
+// fully optimistic, as a non-empty one does.
+func TestOptEmptySeqFileEnablesORAQL(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "empty.txt")
+	if err := os.WriteFile(path, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := run([]string{"opt", "../../examples/serve/sum.mc", "-opt-aa-seq", "@" + path, "-stats"}, &out, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "oraql - Number of unique optimistic responses") {
+		t.Errorf("-opt-aa-seq @<empty file> left ORAQL off:\n%s", out.String())
 	}
 }

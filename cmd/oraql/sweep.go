@@ -13,6 +13,7 @@ import (
 	"github.com/oraql/go-oraql/internal/diskcache"
 	"github.com/oraql/go-oraql/internal/pipeline"
 	"github.com/oraql/go-oraql/internal/report"
+	"github.com/oraql/go-oraql/internal/request"
 	"github.com/oraql/go-oraql/internal/service"
 	"github.com/oraql/go-oraql/internal/service/client"
 )
@@ -47,16 +48,15 @@ type sweepResult struct {
 // as arguments) in-process and reports per-config exe hashes and
 // timings.
 func cmdSweep(args []string, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	cacheDir := fs.String("cache-dir", "", "persistent compile cache directory (empty = cold every time)")
-	cacheMaxMB := fs.Int("cache-max-mb", 0, "size cap for -cache-dir in MiB (0 = 512)")
+	fs := flag.NewFlagSet("oraql sweep", flag.ContinueOnError)
+	var store cliutil.Store
+	store.Flags(fs)
 	server := fs.String("server", "", "sweep against this oraql-serve instance in one POST /v1/compile/batch instead of compiling locally")
 	jsonOut := fs.Bool("json", false, "print the sweep result as JSON")
-	if err := fs.Parse(args); err != nil {
-		return cliutil.WrapUsage(err)
+	if err := cliutil.Parse(fs, args, stderr); err != nil {
+		return err
 	}
-	if *server != "" && *cacheDir != "" {
+	if *server != "" && store.Dir != "" {
 		return cliutil.Usagef("-server and -cache-dir are mutually exclusive: the server owns its own cache")
 	}
 
@@ -80,18 +80,19 @@ func cmdSweep(args []string, stdout, stderr io.Writer) error {
 		return printSweep(res, *jsonOut, stdout, stderr)
 	}
 
-	cache, err := cliutil.OpenCache(*cacheDir, *cacheMaxMB)
+	cache, err := store.Open()
 	if err != nil {
 		return err
 	}
 
-	res := sweepResult{CacheDir: *cacheDir}
+	res := sweepResult{CacheDir: store.Dir}
 	start := time.Now()
 	for _, app := range configs {
-		cfg := pipeline.Config{
-			Name: app.ID, Source: app.Source, SourceFile: app.SourceName,
-			Frontend: app.Frontend, DiskCache: cache,
+		cfg, err := (&request.CompileRequest{Program: request.ProgramSpec{ConfigID: app.ID}}).Config()
+		if err != nil {
+			return err
 		}
+		cfg.DiskCache = cache
 		t0 := time.Now()
 		cr, err := pipeline.Compile(cfg)
 		if err != nil {

@@ -1,20 +1,9 @@
-// Command oraql-tables regenerates the paper's tables and figures from
-// live runs of the evaluation:
-//
-//	oraql-tables               # everything
-//	oraql-tables -table fig4   # one table: fig3|fig4|fig5|fig6|fig7|runtime|effort|timing
-//	oraql-tables -configs a,b  # restrict to a config subset
-//	oraql-tables -table warehouse -cache-dir D   # forensics corpus recurrences
-//
-// Exit codes: 0 success, 1 operational failure, 2 usage error. With
-// -json, failures are printed as the shared JSON error envelope.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 
 	"github.com/oraql/go-oraql/internal/cliutil"
@@ -26,23 +15,20 @@ var tables = map[string]bool{"all": true, "fig3": true, "fig4": true, "fig5": tr
 	"fig6": true, "fig7": true, "runtime": true, "effort": true, "timing": true,
 	"warehouse": true}
 
-func main() {
-	argv := os.Args[1:]
-	err := run(argv, os.Stdout, os.Stderr)
-	os.Exit(cliutil.Report(os.Stderr, "oraql-tables", cliutil.WantsJSON(argv), err))
-}
-
-func run(argv []string, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("oraql-tables", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+// cmdTables regenerates the paper's tables and figures from live runs
+// of the evaluation, all of them or one (-table), over every config or
+// a subset (-configs); -table warehouse renders the forensics corpus's
+// recurrences instead.
+func cmdTables(args []string, stdout, stderr io.Writer) error {
+	var store cliutil.Store
+	fs := flag.NewFlagSet("oraql tables", flag.ContinueOnError)
 	table := fs.String("table", "all", "which table to print (fig3|fig4|fig5|fig6|fig7|runtime|effort|timing|warehouse|all)")
 	configs := fs.String("configs", "", "comma-separated config ids (default: all)")
-	cacheDir := fs.String("cache-dir", "", "persistent store holding the forensics warehouse (for -table warehouse)")
-	cacheMaxMB := fs.Int("cache-max-mb", 0, "size cap for -cache-dir in MiB (0 = 512)")
+	store.Flags(fs)
 	verbose := fs.Bool("v", false, "verbose driver log")
 	fs.Bool("json", false, "emit failures as the shared JSON error envelope")
-	if err := fs.Parse(argv); err != nil {
-		return cliutil.WrapUsage(err)
+	if err := cliutil.Parse(fs, args, stderr); err != nil {
+		return err
 	}
 	if fs.NArg() > 0 {
 		return cliutil.Usagef("unexpected arguments: %v", fs.Args())
@@ -54,7 +40,7 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	// The warehouse table reads the persisted corpus instead of running
 	// experiments, so it never joins "all".
 	if *table == "warehouse" {
-		cache, err := cliutil.OpenCache(*cacheDir, *cacheMaxMB)
+		cache, err := store.Open()
 		if err != nil {
 			return err
 		}

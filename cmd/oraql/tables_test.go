@@ -8,16 +8,16 @@ import (
 	"github.com/oraql/go-oraql/internal/cliutil"
 )
 
-func TestFailurePaths(t *testing.T) {
+func TestTablesFailurePaths(t *testing.T) {
 	cases := []struct {
 		name string
 		argv []string
 		want int
 	}{
-		{"bad flag", []string{"-definitely-not-a-flag"}, cliutil.ExitUsage},
-		{"unexpected positional", []string{"fig4"}, cliutil.ExitUsage},
-		{"unknown table", []string{"-table", "fig99"}, cliutil.ExitUsage},
-		{"unknown config", []string{"-table", "fig4", "-configs", "no-such-config"}, cliutil.ExitFailure},
+		{"bad flag", []string{"tables", "-definitely-not-a-flag"}, cliutil.ExitUsage},
+		{"unexpected positional", []string{"tables", "fig4"}, cliutil.ExitUsage},
+		{"unknown table", []string{"tables", "-table", "fig99"}, cliutil.ExitUsage},
+		{"unknown config", []string{"tables", "-table", "fig4", "-configs", "no-such-config"}, cliutil.ExitFailure},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -35,7 +35,7 @@ func TestFailurePaths(t *testing.T) {
 func TestFig5IsStatic(t *testing.T) {
 	// fig5 renders without probing anything, so it must stay cheap.
 	var out strings.Builder
-	if err := run([]string{"-table", "fig5"}, &out, io.Discard); err != nil {
+	if err := run([]string{"tables", "-table", "fig5"}, &out, io.Discard); err != nil {
 		t.Fatalf("fig5: %v", err)
 	}
 	if out.Len() == 0 {

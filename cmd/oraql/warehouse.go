@@ -25,25 +25,25 @@ func cmdWarehouse(args []string, stdout, stderr io.Writer) error {
 	sub, rest := args[0], args[1:]
 	switch sub {
 	case "ingest":
-		return cmdWarehouseIngest(rest, stdout)
+		return cmdWarehouseIngest(rest, stdout, stderr)
 	case "query":
-		return cmdWarehouseQuery(rest, stdout)
+		return cmdWarehouseQuery(rest, stdout, stderr)
 	case "export":
 		return cmdWarehouseExport(rest, stdout, stderr)
 	case "stats":
-		return cmdWarehouseStats(rest, stdout)
+		return cmdWarehouseStats(rest, stdout, stderr)
 	default:
 		return cliutil.Usagef("unknown warehouse subcommand %q (ingest | query | export | stats)", sub)
 	}
 }
 
-// openWarehouse opens the store under dir; an empty dir is a usage
-// error because every warehouse operation needs a corpus.
-func openWarehouse(dir string, maxMB int) (*warehouse.Store, error) {
-	if dir == "" {
+// openWarehouse opens the warehouse in the store; no -cache-dir is a
+// usage error because every warehouse operation needs a corpus.
+func openWarehouse(store cliutil.Store) (*warehouse.Store, error) {
+	if store.Dir == "" {
 		return nil, cliutil.Usagef("warehouse needs -cache-dir")
 	}
-	cache, err := cliutil.OpenCache(dir, maxMB)
+	cache, err := store.Open()
 	if err != nil {
 		return nil, err
 	}
@@ -53,15 +53,14 @@ func openWarehouse(dir string, maxMB int) (*warehouse.Store, error) {
 // cmdWarehouseIngest replays archived fuzz-report JSON (a difftest
 // FuzzResult or a single Report, as written by -corpus-dir) into the
 // corpus. Re-ingesting a file is a no-op by content addressing.
-func cmdWarehouseIngest(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("warehouse ingest", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	cacheDir := fs.String("cache-dir", "", "warehouse directory (shared with probes and fuzz campaigns)")
-	cacheMaxMB := fs.Int("cache-max-mb", 0, "size cap in MiB (0 = 512)")
+func cmdWarehouseIngest(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("oraql warehouse ingest", flag.ContinueOnError)
+	var store cliutil.Store
+	store.Flags(fs)
 	grammar := fs.String("grammar", "", "grammar profile label to record on the findings (empty: "+progen.DefaultGrammar+")")
 	fs.Bool("json", false, "emit failures as the shared JSON error envelope")
-	if err := fs.Parse(args); err != nil {
-		return cliutil.WrapUsage(err)
+	if err := cliutil.Parse(fs, args, stderr); err != nil {
+		return err
 	}
 	if fs.NArg() < 1 {
 		return cliutil.Usagef("warehouse ingest needs report JSON files")
@@ -73,7 +72,7 @@ func cmdWarehouseIngest(args []string, stdout io.Writer) error {
 	if _, err := progen.GrammarByName(*grammar, 0); err != nil {
 		return cliutil.WrapUsage(err)
 	}
-	w, err := openWarehouse(*cacheDir, *cacheMaxMB)
+	w, err := openWarehouse(store)
 	if err != nil {
 		return err
 	}
@@ -118,20 +117,19 @@ func decodeReports(data []byte) ([]*difftest.Report, error) {
 // cmdWarehouseQuery answers the cross-campaign recurrence question:
 // which pass/shape/function/grammar recurs, over which apps. Output is
 // deterministic JSON — byte-identical across runs and processes.
-func cmdWarehouseQuery(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("warehouse query", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	cacheDir := fs.String("cache-dir", "", "warehouse directory")
-	cacheMaxMB := fs.Int("cache-max-mb", 0, "size cap in MiB (0 = 512)")
+func cmdWarehouseQuery(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("oraql warehouse query", flag.ContinueOnError)
+	var store cliutil.Store
+	store.Flags(fs)
 	by := fs.String("by", "pass", "grouping dimension: pass | shape | func | grammar")
 	kind := fs.String("kind", "", "restrict to one record kind: probe | fuzz | triage")
 	app := fs.String("app", "", "restrict to one app config")
 	grammar := fs.String("grammar", "", "restrict to one grammar profile")
 	fs.Bool("json", false, "emit failures as the shared JSON error envelope (output is always JSON)")
-	if err := fs.Parse(args); err != nil {
-		return cliutil.WrapUsage(err)
+	if err := cliutil.Parse(fs, args, stderr); err != nil {
+		return err
 	}
-	w, err := openWarehouse(*cacheDir, *cacheMaxMB)
+	w, err := openWarehouse(store)
 	if err != nil {
 		return err
 	}
@@ -151,15 +149,14 @@ func cmdWarehouseQuery(args []string, stdout io.Writer) error {
 // per-shape verdict history. The export is byte-identical across runs
 // and processes.
 func cmdWarehouseExport(args []string, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("warehouse export", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	cacheDir := fs.String("cache-dir", "", "warehouse directory supplying verdict history (optional)")
-	cacheMaxMB := fs.Int("cache-max-mb", 0, "size cap in MiB (0 = 512)")
+	fs := flag.NewFlagSet("oraql warehouse export", flag.ContinueOnError)
+	var store cliutil.Store
+	store.Flags(fs)
 	file := fs.String("file", "", "standalone minic source file instead of a config id")
 	aliasPairs := fs.Int("alias-pairs", 0, "per-function access cap for ALIAS edges (0 = default, -1 = none)")
 	fs.Bool("json", false, "emit failures as the shared JSON error envelope (output is always JSON)")
-	if err := fs.Parse(args); err != nil {
-		return cliutil.WrapUsage(err)
+	if err := cliutil.Parse(fs, args, stderr); err != nil {
+		return err
 	}
 	if *file == "" && fs.NArg() == 0 {
 		return cliutil.Usagef("warehouse export needs a config id or -file")
@@ -184,14 +181,12 @@ func cmdWarehouseExport(args []string, stdout, stderr io.Writer) error {
 		Records:       cr.Records(),
 		MaxAliasPairs: *aliasPairs,
 	}
-	if *cacheDir != "" {
-		cache, err := cliutil.OpenCache(*cacheDir, *cacheMaxMB)
-		if err != nil {
-			return err
-		}
-		if w := warehouse.Open(cache); w != nil {
-			opts.History = w.Load().ShapePriors()
-		}
+	cache, err := store.Open()
+	if err != nil {
+		return err
+	}
+	if w := warehouse.Open(cache); w != nil {
+		opts.History = w.Load().ShapePriors()
 	}
 	g := warehouse.ExportCPG(cr.Host.Module, opts)
 	data, err := warehouse.MarshalGraph(g)
@@ -212,16 +207,15 @@ func cmdWarehouseExport(args []string, stdout, stderr io.Writer) error {
 }
 
 // cmdWarehouseStats prints the corpus overview.
-func cmdWarehouseStats(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("warehouse stats", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	cacheDir := fs.String("cache-dir", "", "warehouse directory")
-	cacheMaxMB := fs.Int("cache-max-mb", 0, "size cap in MiB (0 = 512)")
+func cmdWarehouseStats(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("oraql warehouse stats", flag.ContinueOnError)
+	var store cliutil.Store
+	store.Flags(fs)
 	jsonOut := fs.Bool("json", false, "print stats as JSON")
-	if err := fs.Parse(args); err != nil {
-		return cliutil.WrapUsage(err)
+	if err := cliutil.Parse(fs, args, stderr); err != nil {
+		return err
 	}
-	w, err := openWarehouse(*cacheDir, *cacheMaxMB)
+	w, err := openWarehouse(store)
 	if err != nil {
 		return err
 	}

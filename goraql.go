@@ -122,7 +122,7 @@ type (
 )
 
 // ParseSeq parses "-opt-aa-seq" sequence text ("1 0 1 ..."). It reads
-// no file: the "@file" response-file form is oraql-opt's to expand.
+// no file: the "@file" response-file form is `oraql opt`'s to expand.
 func ParseSeq(s string) (Seq, error) { return oraql.ParseSeq(s) }
 
 // Probing driver types.

@@ -1,4 +1,4 @@
-// Package cliutil gives every oraql CLI one exit-code and error
+// Package cliutil gives every oraql command one exit-code and error
 // contract:
 //
 //	0  success
@@ -8,8 +8,9 @@
 // and one shared `-json` error envelope: when a tool runs in JSON
 // mode, failures are emitted to stderr as a single JSON object
 // ({"tool": ..., "error": ..., "code": ...}) instead of a prose line,
-// so scripted callers parse one shape across all four CLIs and the
-// serve API alike.
+// so scripted callers parse one shape across the oraql subcommands,
+// oraql-serve and the serve API alike. It also declares the flags
+// several commands share (flags.go).
 package cliutil
 
 import (

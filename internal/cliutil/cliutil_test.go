@@ -53,7 +53,7 @@ func TestReportProse(t *testing.T) {
 
 func TestReportJSONEnvelope(t *testing.T) {
 	var buf strings.Builder
-	code := Report(&buf, "oraql-opt", true, Usagef("unknown model %q", "gpu2"))
+	code := Report(&buf, "oraql-serve", true, Usagef("unknown model %q", "gpu2"))
 	if code != ExitUsage {
 		t.Fatalf("code = %d, want %d", code, ExitUsage)
 	}
@@ -61,7 +61,7 @@ func TestReportJSONEnvelope(t *testing.T) {
 	if err := json.Unmarshal([]byte(buf.String()), &env); err != nil {
 		t.Fatalf("envelope is not one JSON object: %v (%q)", err, buf.String())
 	}
-	if env.Tool != "oraql-opt" || env.Code != ExitUsage || !strings.Contains(env.Error, "gpu2") {
+	if env.Tool != "oraql-serve" || env.Code != ExitUsage || !strings.Contains(env.Error, "gpu2") {
 		t.Fatalf("envelope = %+v", env)
 	}
 }

@@ -9,9 +9,9 @@ import (
 
 // PrintRegistries renders every extension point the process has
 // registered — strategies, AA analyses and chains, app configs,
-// grammar profiles — as the shared `-list` output of the CLIs. The
-// kinds argument filters to specific registry kinds; empty prints all,
-// in registration order.
+// grammar profiles — as `oraql list` prints them. The kinds argument
+// filters to specific registry kinds; empty prints all, in
+// registration order.
 func PrintRegistries(w io.Writer, kinds ...string) {
 	want := map[string]bool{}
 	for _, k := range kinds {

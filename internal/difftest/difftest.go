@@ -16,7 +16,7 @@
 //     program (the automated version of the paper's Section IV
 //     probe-and-verify workflow, pointed inward at our own pipeline).
 //
-// The cmd/oraql-fuzz CLI and the go test fuzz targets are thin
+// The `oraql fuzz` CLI and the go test fuzz targets are thin
 // wrappers over this package.
 package difftest
 

@@ -100,7 +100,7 @@ func TestInjectedFaultIsTriaged(t *testing.T) {
 
 // TestCleanFuzzRun is the head-soundness smoke: a window of generated
 // programs over the full sound variant matrix must be divergence-free.
-// (CI runs 200+ programs through cmd/oraql-fuzz on top of this.)
+// (CI runs 200+ programs through `oraql fuzz` on top of this.)
 func TestCleanFuzzRun(t *testing.T) {
 	n := 15
 	if testing.Short() {

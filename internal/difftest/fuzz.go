@@ -106,7 +106,7 @@ func Fuzz(opts FuzzOptions) (*FuzzResult, error) {
 
 	logf := func(format string, args ...any) {
 		if opts.Log != nil {
-			fmt.Fprintf(opts.Log, "[oraql-fuzz] "+format+"\n", args...)
+			fmt.Fprintf(opts.Log, "[fuzz] "+format+"\n", args...)
 		}
 	}
 

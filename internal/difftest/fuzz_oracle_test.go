@@ -10,7 +10,7 @@ import (
 // oracle: the fuzzer explores generator seeds and statement budgets,
 // and every generated program must agree between the unoptimized
 // reference and the full sound variant matrix. Any reported failure is
-// a real miscompile at head (run oraql-fuzz on the seed to triage it).
+// a real miscompile at head (run `oraql fuzz` on the seed to triage it).
 func FuzzDifferential(f *testing.F) {
 	f.Add(int64(1), uint8(0))
 	f.Add(int64(14), uint8(12))

@@ -80,6 +80,21 @@ const maxUnique = 1 << 16
 // candidateHash names a candidate sequence in the campaign set.
 func candidateHash(seq oraql.Seq) string { return diskcache.HashText(seq.String()) }
 
+// checkID names the check a campaign's verdicts hold for: the compile,
+// ORAQL and run options that shape a test's outcome, and the verify
+// settings. It excludes the module hashes on purpose: per-function
+// verdicts must survive edits to *other* functions.
+// TestCheckIDCoversOptions fails when an option joins the specs but not
+// this identity.
+func checkID(spec *BenchSpec) string {
+	c, o, r := spec.Compile, spec.ORAQL, spec.Run
+	cfg := fmt.Sprintf("opt=%d|stop=%d|chain=%s|mode=%d|target=%s|funcs=%v|files=%v|threads=%d|ranks=%d|steps=%d|mem=%d",
+		c.OptLevel, c.StopAfter, c.AAChainCanonical(), o.Mode, o.Target, o.Funcs, o.Files,
+		r.NumThreads, r.NumRanks, r.StepLimit, r.MemLimit)
+	return diskcache.Key("check", spec.Name, cfg,
+		fmt.Sprintf("masks=%q|refs=%q", spec.Verify.MaskPatterns, spec.Verify.References))
+}
+
 // openCampaign derives the two persistence identities from the baseline
 // compile, which carries the content hashes, and loads the campaign
 // set. It runs before the baseline run, so the verify references are
@@ -88,17 +103,7 @@ func (st *state) openCampaign(b *pipeline.CompileResult) {
 	if st.spec.Cache == nil || b.Host.ModuleHash == "" {
 		return
 	}
-	c := st.spec.Compile
-	r := st.spec.Run
-	cfg := fmt.Sprintf("opt=%d|stop=%d|chain=%s|mode=%d|target=%s|funcs=%v|files=%v|threads=%d|ranks=%d|steps=%d|mem=%d",
-		c.OptLevel, c.StopAfter, c.AAChainCanonical(),
-		st.spec.ORAQL.Mode, st.spec.ORAQL.Target, st.spec.ORAQL.Funcs, st.spec.ORAQL.Files,
-		r.NumThreads, r.NumRanks, r.StepLimit, r.MemLimit)
-	// checkID excludes the module hashes on purpose: per-function
-	// verdicts must survive edits to *other* functions. It includes the
-	// verify settings, because a verdict holds only for its check.
-	st.checkID = diskcache.Key("check", st.spec.Name, cfg,
-		fmt.Sprintf("masks=%q|refs=%q", st.spec.Verify.MaskPatterns, st.spec.Verify.References))
+	st.checkID = checkID(st.spec)
 	dev := ""
 	if b.Device != nil {
 		dev = b.Device.ModuleHash

@@ -9,7 +9,7 @@ import (
 
 // String renders the module in an LLVM-like textual form. The output is
 // deterministic, parseable by package irtext (print→parse round-trips),
-// and used by tests and the -print-ir flag of oraql-opt. It is Header
+// and used by tests and the -print-ir flag of `oraql opt`. It is Header
 // followed by each function's String.
 func (m *Module) String() string {
 	p := getPrinter()

@@ -2,6 +2,8 @@ package irinterp
 
 import (
 	"maps"
+	"math"
+	"slices"
 	"testing"
 
 	"github.com/oraql/go-oraql/internal/ir"
@@ -54,5 +56,30 @@ func TestCodeCacheServesOnlyItsLayout(t *testing.T) {
 	}
 	if cache.layout[ga] >= cache.layout[gb] {
 		t.Fatal("the cache no longer keeps the layout of its first program")
+	}
+}
+
+// A body keeps each distinct constant once, keyed by its bit pattern:
+// a repeated integer or float is one value, while -0.0 and 0.0, and
+// two NaN payloads, stay apart.
+func TestDecodeKeepsConstantsOnce(t *testing.T) {
+	m, b := buildMain(t)
+	nan1, nan2 := math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x7ff8000000000002)
+	x := b.Bin(ir.OpAdd, ir.ConstInt(7), ir.ConstInt(7), "x")
+	for _, f := range []float64{2.5, 2.5, math.Copysign(0, -1), 0, nan1, nan2, nan1} {
+		b.Call(ir.Void, "__print_f64", b.Bin(ir.OpFAdd, ir.ConstFloat(f), ir.ConstFloat(f), ""))
+	}
+	b.Ret(b.Bin(ir.OpAdd, x, ir.ConstInt(7), "y"))
+	var got []uint64
+	for _, v := range decode(m.Funcs[0], nil).consts {
+		got = append(got, uint64(v.i)^math.Float64bits(v.f))
+	}
+	want := []uint64{7, math.Float64bits(2.5), math.Float64bits(math.Copysign(0, -1)), 0,
+		math.Float64bits(nan1), math.Float64bits(nan2)}
+	if !slices.Equal(got, want) {
+		t.Errorf("constants %x, want %x", got, want)
+	}
+	if res := runModule(t, m, Options{}); res.Stdout != "55-00NaNNaNNaN" {
+		t.Errorf("stdout = %q", res.Stdout)
 	}
 }

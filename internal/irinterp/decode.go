@@ -2,6 +2,7 @@ package irinterp
 
 import (
 	"maps"
+	"math"
 	"slices"
 	"sync"
 
@@ -556,9 +557,18 @@ func (d *decoder) ref(kind okind, v ir.Value) opnd {
 	return opnd{kind: kind, idx: int32(len(d.df.refs) - 1)}
 }
 
+// constant returns the operand that reads v. A body keeps each
+// distinct constant and global address once, matched by bit pattern,
+// so -0.0, 0.0 and NaN payloads stay distinct.
 func (d *decoder) constant(v value) opnd {
+	base := len(d.df.slots)
+	for i, c := range d.df.consts {
+		if c.i == v.i && math.Float64bits(c.f) == math.Float64bits(v.f) {
+			return opnd{kind: oVal, idx: int32(base + i)}
+		}
+	}
 	d.df.consts = append(d.df.consts, v)
-	return opnd{kind: oVal, idx: int32(len(d.df.slots) + len(d.df.consts) - 1)}
+	return opnd{kind: oVal, idx: int32(base + len(d.df.consts) - 1)}
 }
 
 func (d *decoder) operand(v ir.Value) opnd {

@@ -42,7 +42,7 @@ func raw(b *ir.Builder, op ir.Opcode, ty *ir.Type, ops ...ir.Value) *ir.Instr {
 // a vector gets its scalar words (zero, or a vector-typed constant's
 // integer payload), a vector read of a scalar gets zero lanes, and a
 // vector-typed constant has zero lanes. The frontend emits none of
-// these, but hand-written IR run by `oraql-opt -run` can.
+// these, but hand-written IR run by `oraql opt -run` can.
 func TestVectorValuesAcrossCallsPhisAndSelects(t *testing.T) {
 	m := ir.NewModule("t")
 

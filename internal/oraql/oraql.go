@@ -31,7 +31,7 @@ type Seq []bool
 // ParseSeq parses the -opt-aa-seq sequence syntax: space-separated
 // "1"/"0" characters. The empty string is the empty (fully optimistic)
 // sequence. It parses text only: the @<filename> response-file form is
-// the oraql-opt command line's to expand, so a sequence that arrives
+// the `oraql opt` command line's to expand, so a sequence that arrives
 // in a request or a script never reads a file.
 func ParseSeq(s string) (Seq, error) {
 	var seq Seq

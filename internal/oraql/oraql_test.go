@@ -34,7 +34,7 @@ func TestParseSeq(t *testing.T) {
 		t.Error("empty sequence must parse to nil")
 	}
 	// A response-file argument is text like any other: ParseSeq reads
-	// no file (oraql-opt expands @file itself).
+	// no file (`oraql opt` expands @file itself).
 	path := filepath.Join(t.TempDir(), "seq.txt")
 	if err := os.WriteFile(path, []byte("0 1 0"), 0o644); err != nil {
 		t.Fatal(err)

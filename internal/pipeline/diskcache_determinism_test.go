@@ -162,7 +162,7 @@ func TestWarmFromDiskIsByteIdentical(t *testing.T) {
 				t.Errorf("warm program instruction count differs: %d vs %d", coldRun.Instrs, warmRun.Instrs)
 			}
 
-			// A pre-built module (oraql-opt prog.ir) takes the same
+			// A pre-built module (`oraql opt prog.ir`) takes the same
 			// layer, keyed by its printed text.
 			host, _, err := minic.Compile(app.SourceName, app.Source, app.Frontend)
 			if err != nil {

@@ -1,7 +1,7 @@
 package progen
 
 // Grammar profiles are registered Options presets: named subsets of
-// the generator's grammar that the fuzzing layers (oraql-fuzz,
+// the generator's grammar that the fuzzing layers (`oraql fuzz`,
 // /v1/fuzz, campaign scripts) select by name. A new profile is a
 // registration, not a difftest change.
 

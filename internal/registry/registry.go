@@ -12,9 +12,9 @@
 // of the repository, and entries carry their implementation as an
 // opaque value the owning package type-asserts back. What the registry
 // itself understands is the introspectable surface: the name and
-// one-line description, which `-list`, `GET /v1/registry` and the
+// one-line description, which `oraql list`, `GET /v1/registry` and the
 // script introspection bindings show, and the option documentation
-// that `-list` prints.
+// that `oraql list` prints.
 package registry
 
 import (
@@ -37,7 +37,7 @@ type Option struct {
 type Entry struct {
 	// Name is the stable lookup key, unique within its registry.
 	Name string
-	// Description is the one-line summary shown by -list.
+	// Description is the one-line summary shown by `oraql list`.
 	Description string
 	// Options documents the entry's tunables (may be nil).
 	Options []Option
@@ -65,7 +65,7 @@ type Registry struct {
 }
 
 // global is the creation-ordered list of registries, so generic
-// tooling (the shared -list printer, the registry endpoint) can walk
+// tooling (`oraql list`, the registry endpoint) can walk
 // every extension point without naming them.
 var (
 	globalMu sync.Mutex
