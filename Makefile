@@ -129,6 +129,7 @@ fuzz-smoke:
 	$(GO) test ./internal/irtext -fuzz FuzzParseNoPanic -fuzztime 30s -fuzzminimizetime 10x -run '^$$'
 	$(GO) test ./internal/difftest -fuzz FuzzDifferential -fuzztime 30s -fuzzminimizetime 10x -run '^$$'
 	$(GO) test ./internal/pipeline -fuzz FuzzSessionMatchesCold -fuzztime 30s -fuzzminimizetime 10x -run '^$$'
+	$(GO) test ./internal/aa -fuzz FuzzIsNonCapturedMatchesReference -fuzztime 30s -fuzzminimizetime 10x -run '^$$'
 	$(GO) test ./internal/diskcache -fuzz FuzzDecodeEntry -fuzztime 30s -fuzzminimizetime 10x -run '^$$'
 	$(GO) test ./internal/warehouse -fuzz FuzzSetMemberPayloads -fuzztime 30s -fuzzminimizetime 10x -run '^$$'
 	$(GO) test ./internal/driver -fuzz FuzzCampaignSetMembers -fuzztime 30s -fuzzminimizetime 10x -run '^$$'

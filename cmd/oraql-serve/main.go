@@ -71,8 +71,8 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	if err := cliutil.Parse(fs, argv, stderr); err != nil {
 		return err
 	}
-	if fs.NArg() > 0 {
-		return cliutil.Usagef("unexpected arguments: %v", fs.Args())
+	if err := cliutil.MaxArgs(fs, 0); err != nil {
+		return err
 	}
 
 	var logW io.Writer = stderr

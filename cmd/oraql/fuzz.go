@@ -54,8 +54,8 @@ func cmdFuzz(args []string, stdout, stderr io.Writer) error {
 	if err := cliutil.Parse(fs, args, stderr); err != nil {
 		return err
 	}
-	if fs.NArg() > 0 {
-		return cliutil.Usagef("unexpected arguments: %v", fs.Args())
+	if err := cliutil.MaxArgs(fs, 0); err != nil {
+		return err
 	}
 	req.NoTriage = !*triage
 	opts, err := req.Options()

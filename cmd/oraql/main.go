@@ -109,6 +109,9 @@ func cmdList(args []string, stdout, stderr io.Writer) error {
 	if err := cliutil.Parse(fs, args, stderr); err != nil {
 		return err
 	}
+	if err := cliutil.MaxArgs(fs, 0); err != nil {
+		return err
+	}
 	var kinds []string
 	if *strategies {
 		kinds = append(kinds, "strategy")
@@ -161,13 +164,13 @@ func parseProbeArgs(args []string, stderr io.Writer) (*probeArgs, error) {
 	fs.StringVar(&pa.server, "server", "", "probe against this oraql-serve address instead of locally")
 	fs.DurationVar(&pa.poll, "poll", 250*time.Millisecond, "job poll interval in -server mode")
 
-	var id string
-	if len(args) > 0 && args[0][0] != '-' {
-		id, args = args[0], args[1:]
-	}
 	if err := cliutil.Parse(fs, args, stderr); err != nil {
 		return nil, err
 	}
+	if err := cliutil.MaxArgs(fs, 1); err != nil {
+		return nil, err
+	}
+	id := fs.Arg(0)
 	if _, err := driver.StrategyByName(pa.req.Strategy); err != nil {
 		return nil, cliutil.WrapUsage(err)
 	}
@@ -277,6 +280,9 @@ func cmdReport(args []string, stdout, stderr io.Writer) error {
 	if err := cliutil.Parse(fs, args, stderr); err != nil {
 		return err
 	}
+	if err := cliutil.MaxArgs(fs, 1); err != nil {
+		return err
+	}
 	if fs.NArg() < 1 {
 		return cliutil.Usagef("report needs a config id")
 	}
@@ -308,9 +314,6 @@ type campaignArgs struct {
 
 func cmdRun(args []string, stdout, stderr io.Writer) error {
 	ca := &campaignArgs{}
-	if len(args) > 0 && args[0][0] != '-' {
-		ca.path, args = args[0], args[1:]
-	}
 	fs := flag.NewFlagSet("oraql run", flag.ContinueOnError)
 	fs.IntVar(&ca.workers, "j", 0, "default worker budget for probe/sweep/fuzz calls in the script (0 = package defaults)")
 	ca.store.Flags(fs)
@@ -323,6 +326,10 @@ func cmdRun(args []string, stdout, stderr io.Writer) error {
 	if err := cliutil.Parse(fs, args, stderr); err != nil {
 		return err
 	}
+	if err := cliutil.MaxArgs(fs, 1); err != nil {
+		return err
+	}
+	ca.path = fs.Arg(0)
 	if ca.path == "" {
 		return cliutil.Usagef("run needs a config id or a .oraql script path")
 	}

@@ -257,3 +257,45 @@ func TestWarehouseIngestLabelsDefaultGrammar(t *testing.T) {
 		t.Fatalf("query -by grammar = %s, want one %q group of 1 record", out.String(), progen.DefaultGrammar)
 	}
 }
+
+// TestFlagsAfterArguments pins the one argument rule of every
+// subcommand: flags may come before or after the positional arguments,
+// "--" ends flag parsing, and a command that takes one argument rejects
+// extras as a usage error.
+func TestFlagsAfterArguments(t *testing.T) {
+	var out strings.Builder
+	if err := run([]string{"sweep", "lulesh-seq", "-json"}, &out, io.Discard); err != nil {
+		t.Fatalf("sweep lulesh-seq -json: %v", err)
+	}
+	var res sweepResult
+	if err := json.Unmarshal([]byte(out.String()), &res); err != nil {
+		t.Fatalf("sweep output is not JSON: %v\n%s", err, out.String())
+	}
+	if len(res.Configs) != 1 || res.Configs[0].ID != "lulesh-seq" {
+		t.Fatalf("sweep lulesh-seq -json swept %+v, want lulesh-seq alone", res.Configs)
+	}
+
+	const sum = "../../examples/serve/sum.mc"
+	out.Reset()
+	if err := run([]string{"opt", "-stats", sum}, &out, io.Discard); err != nil {
+		t.Fatalf("opt -stats %s: %v", sum, err)
+	}
+	if !strings.Contains(out.String(), "Statistics") {
+		t.Errorf("opt -stats before the file printed no statistics:\n%s", out.String())
+	}
+
+	for _, argv := range [][]string{
+		{"opt", sum, "-stats", "extra"},
+		{"opt", "-stats", "--", sum, "-print-ir"},
+		{"run", "lulesh-seq", "extra"},
+		{"report", "lulesh-seq", "extra"},
+		{"probe", "lulesh-seq", "-j", "1", "extra"},
+		{"warehouse", "export", "lulesh-seq", "extra"},
+		{"list", "extra"},
+	} {
+		err := run(argv, io.Discard, io.Discard)
+		if got := cliutil.ExitCode(err); got != cliutil.ExitUsage {
+			t.Errorf("%v: exit code %d, want %d (err: %v)", argv, got, cliutil.ExitUsage, err)
+		}
+	}
+}

@@ -48,13 +48,13 @@ func cmdOpt(args []string, stdout, stderr io.Writer) error {
 	ranks := fs.Int("ranks", 1, "simulated MPI ranks for -run")
 	fs.Bool("json", false, "emit failures as the shared JSON error envelope")
 
-	var file string
-	if len(args) > 0 && args[0][0] != '-' {
-		file, args = args[0], args[1:]
-	}
 	if err := cliutil.Parse(fs, args, stderr); err != nil {
 		return err
 	}
+	if err := cliutil.MaxArgs(fs, 1); err != nil {
+		return err
+	}
+	file := fs.Arg(0)
 	if file == "" {
 		return cliutil.Usagef("missing input file")
 	}

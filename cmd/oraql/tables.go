@@ -30,8 +30,8 @@ func cmdTables(args []string, stdout, stderr io.Writer) error {
 	if err := cliutil.Parse(fs, args, stderr); err != nil {
 		return err
 	}
-	if fs.NArg() > 0 {
-		return cliutil.Usagef("unexpected arguments: %v", fs.Args())
+	if err := cliutil.MaxArgs(fs, 0); err != nil {
+		return err
 	}
 	if !tables[*table] {
 		return cliutil.Usagef("unknown table %q (fig3|fig4|fig5|fig6|fig7|runtime|effort|timing|warehouse|all)", *table)

@@ -129,6 +129,9 @@ func cmdWarehouseQuery(args []string, stdout, stderr io.Writer) error {
 	if err := cliutil.Parse(fs, args, stderr); err != nil {
 		return err
 	}
+	if err := cliutil.MaxArgs(fs, 0); err != nil {
+		return err
+	}
 	w, err := openWarehouse(store)
 	if err != nil {
 		return err
@@ -156,6 +159,9 @@ func cmdWarehouseExport(args []string, stdout, stderr io.Writer) error {
 	aliasPairs := fs.Int("alias-pairs", 0, "per-function access cap for ALIAS edges (0 = default, -1 = none)")
 	fs.Bool("json", false, "emit failures as the shared JSON error envelope (output is always JSON)")
 	if err := cliutil.Parse(fs, args, stderr); err != nil {
+		return err
+	}
+	if err := cliutil.MaxArgs(fs, 1); err != nil {
 		return err
 	}
 	if *file == "" && fs.NArg() == 0 {
@@ -213,6 +219,9 @@ func cmdWarehouseStats(args []string, stdout, stderr io.Writer) error {
 	store.Flags(fs)
 	jsonOut := fs.Bool("json", false, "print stats as JSON")
 	if err := cliutil.Parse(fs, args, stderr); err != nil {
+		return err
+	}
+	if err := cliutil.MaxArgs(fs, 0); err != nil {
 		return err
 	}
 	w, err := openWarehouse(store)

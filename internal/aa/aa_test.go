@@ -439,19 +439,137 @@ func TestUnderlyingObject(t *testing.T) {
 }
 
 func TestIsNonCapturedCases(t *testing.T) {
-	f := newFixture(t)
-	// a1 used by load/store/GEP only: non-captured.
-	g := f.b.GEP(f.a1, nil, 0, 8, "g")
-	f.b.Store(ir.ConstInt(1), g, "")
-	f.b.Load(ir.I64, f.a1, "")
-	// a2 passed to a fork: captured.
-	f.b.Call(ir.Void, "__omp_fork", ir.ConstStr("out"), f.a2, ir.ConstInt(4))
-	f.b.Ret(nil)
-	if !IsNonCaptured(f.a1) {
-		t.Error("a1 must be non-captured")
+	// Each case builds f(p ptr, c i1) around the local a and says
+	// whether a stays non-captured.
+	type build func(m *ir.Module, fn *ir.Func, b *ir.Builder, a *ir.Instr)
+	// twoBlocks lays out entry -> early -> late -> exit with late listed
+	// before early in fn.Blocks, as loop rotation leaves a latch above
+	// its body. early defines g1 = GEP a, so a value late derives from g1
+	// turns derived only in the sweep after the one that passed its use.
+	twoBlocks := func(late func(b *ir.Builder, g1 *ir.Instr)) build {
+		return func(_ *ir.Module, _ *ir.Func, b *ir.Builder, a *ir.Instr) {
+			lateB := b.NewBlock("late")
+			earlyB := b.NewBlock("early")
+			b.Br(earlyB)
+			b.SetBlock(earlyB)
+			g1 := b.GEP(a, nil, 0, 8, "g1")
+			b.Br(lateB)
+			b.SetBlock(lateB)
+			late(b, g1)
+			b.Ret(nil)
+		}
 	}
-	if IsNonCaptured(f.a2) {
-		t.Error("a2 passed to __omp_fork must be captured")
+	cases := []struct {
+		name        string
+		build       build
+		nonCaptured bool
+	}{
+		{"loads stores and GEPs only", func(_ *ir.Module, _ *ir.Func, b *ir.Builder, a *ir.Instr) {
+			g := b.GEP(a, nil, 0, 8, "g")
+			b.Store(ir.ConstInt(1), g, "")
+			b.Load(ir.I64, a, "")
+			b.Ret(nil)
+		}, true},
+		{"passed to a fork", func(_ *ir.Module, _ *ir.Func, b *ir.Builder, a *ir.Instr) {
+			b.Call(ir.Void, "__omp_fork", ir.ConstStr("out"), a, ir.ConstInt(4))
+			b.Ret(nil)
+		}, false},
+		{"GEP of a later block's GEP escapes", twoBlocks(func(b *ir.Builder, g1 *ir.Instr) {
+			g2 := b.GEP(g1, nil, 0, 8, "g2")
+			b.Store(g2, b.Func().Params[0], "")
+		}), false},
+		{"select of a later block's GEP escapes", twoBlocks(func(b *ir.Builder, g1 *ir.Instr) {
+			s := b.Select(b.Func().Params[1], g1, b.Func().Params[0], "s")
+			b.Call(ir.Void, "sink", s)
+		}), false},
+		{"GEP chain listed against its order escapes in the third sweep", func(_ *ir.Module, fn *ir.Func, b *ir.Builder, a *ir.Instr) {
+			late, mid, early := b.NewBlock("late"), b.NewBlock("mid"), b.NewBlock("early")
+			b.Br(early)
+			b.SetBlock(early)
+			g1 := b.GEP(a, nil, 0, 8, "g1")
+			b.Br(mid)
+			b.SetBlock(mid)
+			g2 := b.GEP(g1, nil, 0, 8, "g2")
+			b.Br(late)
+			b.SetBlock(late)
+			b.Store(b.GEP(g2, nil, 0, 8, "g3"), fn.Params[0], "")
+			b.Ret(nil)
+		}, false},
+		{"store passed before its value turns derived", twoBlocks(func(b *ir.Builder, g1 *ir.Instr) {
+			b.Store(g1, b.Func().Params[0], "")
+		}), false},
+		{"later block's GEP only loaded through", twoBlocks(func(b *ir.Builder, g1 *ir.Instr) {
+			g2 := b.GEP(g1, nil, 0, 8, "g2")
+			b.Store(ir.ConstInt(1), g2, "")
+			b.Load(ir.I64, g2, "")
+		}), true},
+		{"memcpy", func(_ *ir.Module, fn *ir.Func, b *ir.Builder, a *ir.Instr) {
+			b.MemCpy(a, fn.Params[0], ir.ConstInt(8))
+			b.MemCpy(fn.Params[0], a, ir.ConstInt(8))
+			b.Call(ir.Void, "__memcpy", b.GEP(a, nil, 0, 8, "g"), fn.Params[0], ir.ConstInt(8))
+			b.Ret(nil)
+		}, true},
+		{"non-capturing intrinsic", func(_ *ir.Module, _ *ir.Func, b *ir.Builder, a *ir.Instr) {
+			b.Call(ir.F64, "__checksum_f64", a, ir.ConstInt(8))
+			b.Call(ir.Void, "__free", a)
+			b.Ret(nil)
+		}, true},
+		{"readnone intrinsic", func(_ *ir.Module, _ *ir.Func, b *ir.Builder, a *ir.Instr) {
+			b.Call(ir.I64, "__omp_thread_id", a)
+			b.Ret(nil)
+		}, true},
+		{"user call", func(_ *ir.Module, _ *ir.Func, b *ir.Builder, a *ir.Instr) {
+			b.Call(ir.Void, "sink", b.GEP(a, nil, 0, 8, "g"))
+			b.Ret(nil)
+		}, false},
+		{"phi", func(_ *ir.Module, fn *ir.Func, b *ir.Builder, a *ir.Instr) {
+			entry, join := b.Block(), b.NewBlock("join")
+			b.Br(join)
+			b.SetBlock(join)
+			phi := b.Phi(ir.Ptr, "phi")
+			ir.AddIncoming(phi, a, entry)
+			b.Ret(nil)
+		}, false},
+		{"ret", func(_ *ir.Module, _ *ir.Func, b *ir.Builder, a *ir.Instr) {
+			b.Ret(b.GEP(a, nil, 0, 8, "g"))
+		}, false},
+		{"another function's instruction with the same ID", func(m *ir.Module, fn *ir.Func, b *ir.Builder, a *ir.Instr) {
+			other, ob := ir.NewFunc(m, "other", ir.Void)
+			for other.NextInstrID() < a.ID {
+				other.AllocID()
+			}
+			twin := ob.Alloca(64, "twin")
+			ob.Ret(nil)
+			if twin.ID != a.ID {
+				t.Fatalf("twin ID %d, a ID %d", twin.ID, a.ID)
+			}
+			b.Store(twin, fn.Params[0], "")
+			b.Ret(nil)
+		}, true},
+	}
+	run := func(t *testing.T, skipIDs int, bld build, want bool) {
+		m := ir.NewModule("t")
+		_, sb := ir.NewFunc(m, "sink", ir.Void, &ir.Arg{Name: "x", Ty: ir.Ptr})
+		sb.Ret(nil)
+		fn, b := ir.NewFunc(m, "f", ir.Void, &ir.Arg{Name: "p", Ty: ir.Ptr}, &ir.Arg{Name: "c", Ty: ir.I1})
+		for range skipIDs {
+			fn.AllocID()
+		}
+		a := b.Alloca(64, "a")
+		bld(m, fn, b, a)
+		if got := IsNonCaptured(a); got != want {
+			t.Errorf("IsNonCaptured = %t, want %t", got, want)
+		}
+		if got := isNonCapturedRef(a); got != want {
+			t.Errorf("reference = %t, want %t", got, want)
+		}
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) { run(t, 0, tc.build, tc.nonCaptured) })
+		// Past the on-stack bitset, the set lives on the heap.
+		t.Run(tc.name+" past the stack bitset", func(t *testing.T) {
+			run(t, 64*captureStackWords, tc.build, tc.nonCaptured)
+		})
 	}
 }
 

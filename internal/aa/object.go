@@ -61,7 +61,7 @@ func IsLocalObject(v ir.Value) bool {
 	return x.Op == ir.OpAlloca || (x.Op == ir.OpCall && x.Callee == "__malloc")
 }
 
-// callCaptures lists intrinsics that receive pointer arguments without
+// nonCapturingIntrinsics lists intrinsics that receive pointer arguments without
 // retaining them beyond the call: passing a pointer to these does not
 // make the pointee reachable through other names afterwards.
 var nonCapturingIntrinsics = map[string]bool{
@@ -73,71 +73,91 @@ var nonCapturingIntrinsics = map[string]bool{
 	"__mpi_allreduce_f64": true,
 }
 
+// captureStackWords is the size, in 64-bit words, of the derived-pointer
+// bitset IsNonCaptured keeps on the stack; a function whose NextInstrID
+// exceeds 64*captureStackWords gets one on the heap.
+const captureStackWords = 16
+
 // IsNonCaptured reports whether the address of the local object obj
 // never escapes its function: it is not stored as a value, not passed
 // to a capturing call, and every derived pointer (via GEP/select) obeys
 // the same. A non-captured local cannot be reached through arguments,
 // globals, or loaded pointers.
+//
+// Derived pointers live in a bitset indexed by instruction ID, which
+// ir.Verify keeps unique and below NextInstrID. Each sweep over the
+// function both grows the set and checks capturing uses against it.
+// The set only grows, so a use found capturing stays capturing; the
+// last sweep adds nothing and so checks every use against the final
+// set.
 func IsNonCaptured(obj *ir.Instr) bool {
 	fn := obj.Parent.Parent
-	derived := map[ir.Value]bool{obj: true}
-	// Fixed point over derived pointers; functions are small.
-	for changed := true; changed; {
-		changed = false
+	var small [captureStackWords]uint64
+	derived := small[:]
+	if n := fn.NextInstrID(); n > 64*captureStackWords {
+		derived = make([]uint64, (n+63)/64)
+	}
+	derived[obj.ID>>6] |= 1 << (obj.ID & 63)
+	// has reports whether v is a derived pointer: an instruction of fn
+	// whose bit is set. An instruction of another function never is.
+	has := func(v ir.Value) bool {
+		in, ok := v.(*ir.Instr)
+		if !ok || in.Parent == nil || in.Parent.Parent != fn {
+			return false
+		}
+		w := in.ID >> 6
+		return w < len(derived) && derived[w]&(1<<(in.ID&63)) != 0
+	}
+	anyDerived := func(ops []ir.Value) bool {
+		for _, op := range ops {
+			if has(op) {
+				return true
+			}
+		}
+		return false
+	}
+	for {
+		grew := false
 		for _, b := range fn.Blocks {
 			for _, in := range b.Instrs {
 				if in.Dead() {
 					continue
 				}
-				if (in.Op == ir.OpGEP || in.Op == ir.OpSelect) && !derived[in] {
-					for _, op := range in.Operands {
-						if derived[op] {
-							derived[in] = true
-							changed = true
-							break
-						}
+				switch in.Op {
+				case ir.OpGEP, ir.OpSelect:
+					if !has(in) && anyDerived(in.Operands) {
+						derived[in.ID>>6] |= 1 << (in.ID & 63)
+						grew = true
 					}
-				}
-			}
-		}
-	}
-	for _, b := range fn.Blocks {
-		for _, in := range b.Instrs {
-			if in.Dead() {
-				continue
-			}
-			switch in.Op {
-			case ir.OpStore:
-				if derived[in.Operands[0]] {
-					return false // address stored to memory
-				}
-			case ir.OpCall:
-				if ir.IsIntrinsic(in.Callee) && (nonCapturingIntrinsics[in.Callee] ||
-					!ir.CalleeEffects(in.Callee).Reads && !ir.CalleeEffects(in.Callee).Writes) {
-					continue
-				}
-				if in.Callee == "__memcpy" {
-					continue
-				}
-				for _, op := range in.Operands {
-					if derived[op] {
+				case ir.OpStore:
+					if has(in.Operands[0]) {
+						return false // address stored to memory
+					}
+				case ir.OpCall:
+					if anyDerived(in.Operands) && capturingCall(in.Callee) {
 						return false // passed to a capturing call
 					}
-				}
-			case ir.OpPhi:
-				for _, op := range in.Operands {
-					if derived[op] {
-						return false // flows into a phi: give up tracking
-					}
-				}
-			case ir.OpRet:
-				for _, op := range in.Operands {
-					if derived[op] {
+				case ir.OpPhi, ir.OpRet:
+					// A phi gives up tracking; a return escapes.
+					if anyDerived(in.Operands) {
 						return false
 					}
 				}
 			}
 		}
+		if !grew {
+			return true
+		}
 	}
-	return true
+}
+
+// capturingCall reports whether a call to callee may retain a pointer
+// argument: every call except to __memcpy and to the non-capturing and
+// readnone intrinsics (any other callee reads and writes memory).
+func capturingCall(callee string) bool {
+	if callee == "__memcpy" || nonCapturingIntrinsics[callee] {
+		return false
+	}
+	e := ir.CalleeEffects(callee)
+	return e.Reads || e.Writes
 }

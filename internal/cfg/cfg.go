@@ -1,8 +1,13 @@
 // Package cfg provides control-flow-graph analyses over the IR:
-// predecessor maps, reverse postorder, dominator trees
+// predecessor lists, reverse postorder, dominator trees
 // (Cooper–Harvey–Kennedy), and natural-loop detection. These back the
 // loop passes (LICM, loop deletion, vectorization) and the MemorySSA
 // walker.
+//
+// Every per-block fact lives in a slice indexed by block ID, which
+// ir.Verify keeps unique and below the function's NextBlockID. A block
+// made after New has an ID past the tables and reads as unreachable,
+// with no predecessors and no immediate dominator.
 package cfg
 
 import "github.com/oraql/go-oraql/internal/ir"
@@ -12,19 +17,20 @@ import "github.com/oraql/go-oraql/internal/ir"
 type Info struct {
 	Fn *ir.Func
 
-	// Preds maps a block to its predecessors in deterministic
-	// (reverse-postorder discovery) order.
-	Preds map[*ir.Block][]*ir.Block
-
 	// RPO is the reverse postorder over reachable blocks.
 	RPO []*ir.Block
 
-	// rpoIndex maps a block to its position in RPO.
-	rpoIndex map[*ir.Block]int
+	// preds holds every block's predecessors, back to back; the
+	// predecessors of the block with ID i are preds[predStart[i]:predStart[i+1]].
+	preds     []*ir.Block
+	predStart []int32
 
-	// idom maps each reachable block (except entry) to its immediate
-	// dominator.
-	idom map[*ir.Block]*ir.Block
+	// rpoIndex is each block's position in RPO, -1 when unreachable.
+	rpoIndex []int32
+
+	// idom is each reachable block's immediate dominator (the entry
+	// block's is itself), nil for an unreachable block.
+	idom []*ir.Block
 
 	// loops memoizes the natural-loop forest: an Info is immutable once
 	// built (any CFG edit invalidates it wholesale), so the forest is
@@ -35,35 +41,73 @@ type Info struct {
 
 // New computes CFG analyses for f.
 func New(f *ir.Func) *Info {
-	info := &Info{
-		Fn:       f,
-		Preds:    map[*ir.Block][]*ir.Block{},
-		rpoIndex: map[*ir.Block]int{},
-		idom:     map[*ir.Block]*ir.Block{},
-	}
+	info := &Info{Fn: f}
 	info.buildOrder()
 	info.buildDom()
 	return info
 }
 
+// has reports whether b has a row in the tables.
+func (in *Info) has(b *ir.Block) bool { return b.ID < len(in.rpoIndex) }
+
+// buildOrder walks the CFG depth first from the entry block, recording
+// each edge's source as a predecessor of its target in discovery order,
+// and numbers the reachable blocks in reverse postorder.
 func (in *Info) buildOrder() {
-	visited := map[*ir.Block]bool{}
-	var post []*ir.Block
-	var dfs func(b *ir.Block)
-	dfs = func(b *ir.Block) {
-		visited[b] = true
-		for _, s := range b.Succs() {
-			in.Preds[s] = append(in.Preds[s], b)
-			if !visited[s] {
-				dfs(s)
-			}
-		}
-		post = append(post, b)
+	f := in.Fn
+	n := f.NextBlockID()
+	// rpoIndex doubles as the visited mark: -1 until the walk reaches
+	// a block, its RPO position afterwards.
+	in.rpoIndex = make([]int32, n)
+	for i := range in.rpoIndex {
+		in.rpoIndex[i] = -1
 	}
-	dfs(in.Fn.Entry())
-	for i := len(post) - 1; i >= 0; i-- {
-		in.rpoIndex[post[i]] = len(in.RPO)
-		in.RPO = append(in.RPO, post[i])
+	type edge struct{ from, to *ir.Block }
+	type frame struct {
+		b     *ir.Block
+		succs []*ir.Block
+	}
+	edges := make([]edge, 0, 2*len(f.Blocks))
+	post := make([]*ir.Block, 0, len(f.Blocks))
+	entry := f.Entry()
+	in.rpoIndex[entry.ID] = 0
+	stack := []frame{{entry, entry.Succs()}}
+	for len(stack) > 0 {
+		top := &stack[len(stack)-1]
+		if len(top.succs) == 0 {
+			post = append(post, top.b)
+			stack = stack[:len(stack)-1]
+			continue
+		}
+		b, s := top.b, top.succs[0]
+		top.succs = top.succs[1:]
+		edges = append(edges, edge{b, s})
+		if in.rpoIndex[s.ID] < 0 {
+			in.rpoIndex[s.ID] = 0
+			stack = append(stack, frame{s, s.Succs()})
+		}
+	}
+	in.RPO = make([]*ir.Block, len(post))
+	for i, b := range post {
+		k := len(post) - 1 - i
+		in.RPO[k] = b
+		in.rpoIndex[b.ID] = int32(k)
+	}
+
+	// Bucket the edges by target; filling each bucket from its end
+	// while walking the edges backwards keeps discovery order.
+	in.predStart = make([]int32, n+1)
+	for _, e := range edges {
+		in.predStart[e.to.ID]++
+	}
+	for i := 1; i <= n; i++ {
+		in.predStart[i] += in.predStart[i-1]
+	}
+	in.preds = make([]*ir.Block, len(edges))
+	for i := len(edges) - 1; i >= 0; i-- {
+		e := edges[i]
+		in.predStart[e.to.ID]--
+		in.preds[in.predStart[e.to.ID]] = e.from
 	}
 }
 
@@ -71,7 +115,8 @@ func (in *Info) buildOrder() {
 // algorithm over the reverse postorder.
 func (in *Info) buildDom() {
 	entry := in.Fn.Entry()
-	in.idom[entry] = entry
+	in.idom = make([]*ir.Block, len(in.rpoIndex))
+	in.idom[entry.ID] = entry
 	changed := true
 	for changed {
 		changed = false
@@ -80,8 +125,8 @@ func (in *Info) buildDom() {
 				continue
 			}
 			var newIdom *ir.Block
-			for _, p := range in.Preds[b] {
-				if _, ok := in.idom[p]; !ok {
+			for _, p := range in.Preds(b) {
+				if in.idom[p.ID] == nil {
 					continue // not yet processed / unreachable
 				}
 				if newIdom == nil {
@@ -90,8 +135,8 @@ func (in *Info) buildDom() {
 					newIdom = in.intersect(p, newIdom)
 				}
 			}
-			if newIdom != nil && in.idom[b] != newIdom {
-				in.idom[b] = newIdom
+			if newIdom != nil && in.idom[b.ID] != newIdom {
+				in.idom[b.ID] = newIdom
 				changed = true
 			}
 		}
@@ -100,18 +145,33 @@ func (in *Info) buildDom() {
 
 func (in *Info) intersect(a, b *ir.Block) *ir.Block {
 	for a != b {
-		for in.rpoIndex[a] > in.rpoIndex[b] {
-			a = in.idom[a]
+		for in.rpoIndex[a.ID] > in.rpoIndex[b.ID] {
+			a = in.idom[a.ID]
 		}
-		for in.rpoIndex[b] > in.rpoIndex[a] {
-			b = in.idom[b]
+		for in.rpoIndex[b.ID] > in.rpoIndex[a.ID] {
+			b = in.idom[b.ID]
 		}
 	}
 	return a
 }
 
+// Preds returns b's predecessors in deterministic (depth-first
+// discovery) order. The slice is shared; callers must not modify it.
+func (in *Info) Preds(b *ir.Block) []*ir.Block {
+	if !in.has(b) {
+		return nil
+	}
+	lo, hi := in.predStart[b.ID], in.predStart[b.ID+1]
+	return in.preds[lo:hi:hi]
+}
+
 // IDom returns the immediate dominator of b (entry returns itself).
-func (in *Info) IDom(b *ir.Block) *ir.Block { return in.idom[b] }
+func (in *Info) IDom(b *ir.Block) *ir.Block {
+	if !in.has(b) {
+		return nil
+	}
+	return in.idom[b.ID]
+}
 
 // Dominates reports whether a dominates b (reflexively).
 func (in *Info) Dominates(a, b *ir.Block) bool {
@@ -119,8 +179,8 @@ func (in *Info) Dominates(a, b *ir.Block) bool {
 		if a == b {
 			return true
 		}
-		id, ok := in.idom[b]
-		if !ok || id == b {
+		id := in.IDom(b)
+		if id == nil || id == b {
 			return false
 		}
 		b = id
@@ -129,8 +189,7 @@ func (in *Info) Dominates(a, b *ir.Block) bool {
 
 // Reachable reports whether b is reachable from the entry block.
 func (in *Info) Reachable(b *ir.Block) bool {
-	_, ok := in.rpoIndex[b]
-	return ok
+	return in.has(b) && in.rpoIndex[b.ID] >= 0
 }
 
 // DominatesInstr reports whether the definition a dominates the use

@@ -59,7 +59,7 @@ func TestRPOStartsAtEntry(t *testing.T) {
 func TestPredsDeterministic(t *testing.T) {
 	fn, bs := diamond(t)
 	info := New(fn)
-	preds := info.Preds[bs[3]]
+	preds := info.Preds(bs[3])
 	if len(preds) != 2 || preds[0] != bs[1] || preds[1] != bs[2] {
 		t.Errorf("join preds = %v, want [then els]", preds)
 	}

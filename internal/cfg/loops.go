@@ -1,13 +1,18 @@
 package cfg
 
-import "github.com/oraql/go-oraql/internal/ir"
+import (
+	"slices"
+
+	"github.com/oraql/go-oraql/internal/ir"
+)
 
 // Loop is a natural loop: a header block plus the set of blocks that
 // can reach a back edge to the header without leaving the loop.
 type Loop struct {
 	Header *ir.Block
 	Blocks []*ir.Block // includes Header, in RPO
-	blocks map[*ir.Block]bool
+	// member holds one bit per block ID of the function at New.
+	member []uint64
 	// Latches are the in-loop predecessors of the header.
 	Latches []*ir.Block
 	// Preheader is the unique out-of-loop predecessor of the header,
@@ -21,8 +26,14 @@ type Loop struct {
 	Depth int
 }
 
-// Contains reports whether b belongs to the loop.
-func (l *Loop) Contains(b *ir.Block) bool { return l.blocks[b] }
+// Contains reports whether b belongs to the loop. A block made after
+// the loop was found does not.
+func (l *Loop) Contains(b *ir.Block) bool {
+	w := b.ID >> 6
+	return w < len(l.member) && l.member[w]&(1<<(b.ID&63)) != 0
+}
+
+func (l *Loop) add(b *ir.Block) { l.member[b.ID>>6] |= 1 << (b.ID & 63) }
 
 // Loops returns all natural loops of the function, innermost first for
 // equal headers and otherwise in header RPO order. The forest is
@@ -37,17 +48,25 @@ func (in *Info) Loops() []*Loop {
 }
 
 func (in *Info) findLoops() []*Loop {
-	byHeader := map[*ir.Block]*Loop{}
+	words := (len(in.rpoIndex) + 63) / 64
 	var order []*Loop
+	byHeader := func(h *ir.Block) *Loop {
+		for _, l := range order {
+			if l.Header == h {
+				return l
+			}
+		}
+		return nil
+	}
 	for _, b := range in.RPO {
 		for _, s := range b.Succs() {
 			if !in.Dominates(s, b) {
 				continue // not a back edge
 			}
-			l := byHeader[s]
+			l := byHeader(s)
 			if l == nil {
-				l = &Loop{Header: s, blocks: map[*ir.Block]bool{s: true}}
-				byHeader[s] = l
+				l = &Loop{Header: s, member: make([]uint64, words)}
+				l.add(s)
 				order = append(order, l)
 			}
 			l.Latches = append(l.Latches, b)
@@ -56,24 +75,24 @@ func (in *Info) findLoops() []*Loop {
 			for len(stack) > 0 {
 				x := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
-				if l.blocks[x] {
+				if l.Contains(x) {
 					continue
 				}
-				l.blocks[x] = true
-				stack = append(stack, in.Preds[x]...)
+				l.add(x)
+				stack = append(stack, in.Preds(x)...)
 			}
 		}
 	}
 	for _, l := range order {
 		for _, b := range in.RPO {
-			if l.blocks[b] {
+			if l.Contains(b) {
 				l.Blocks = append(l.Blocks, b)
 			}
 		}
 		// Preheader: unique outside predecessor of the header.
 		var outside []*ir.Block
-		for _, p := range in.Preds[l.Header] {
-			if !l.blocks[p] {
+		for _, p := range in.Preds(l.Header) {
+			if !l.Contains(p) {
 				outside = append(outside, p)
 			}
 		}
@@ -81,11 +100,9 @@ func (in *Info) findLoops() []*Loop {
 			l.Preheader = outside[0]
 		}
 		// Exits.
-		seen := map[*ir.Block]bool{}
 		for _, b := range l.Blocks {
 			for _, s := range b.Succs() {
-				if !l.blocks[s] && !seen[s] {
-					seen[s] = true
+				if !l.Contains(s) && !slices.Contains(l.Exits, s) {
 					l.Exits = append(l.Exits, s)
 				}
 			}

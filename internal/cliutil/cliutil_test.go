@@ -3,7 +3,10 @@ package cliutil
 import (
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
+	"io"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -95,5 +98,43 @@ func TestWantsJSON(t *testing.T) {
 		if got := WantsJSON(tc.argv); got != tc.want {
 			t.Errorf("WantsJSON(%v) = %v, want %v", tc.argv, got, tc.want)
 		}
+	}
+}
+
+func TestParseFlagsAnywhere(t *testing.T) {
+	cases := []struct {
+		args []string
+		v    bool
+		n    int
+		pos  []string
+	}{
+		{[]string{"a", "-v", "b", "-n", "3"}, true, 3, []string{"a", "b"}},
+		{[]string{"-n", "2", "a"}, false, 2, []string{"a"}},
+		{[]string{"a", "--", "-v", "b"}, false, 0, []string{"a", "-v", "b"}},
+		{[]string{"-", "-v"}, true, 0, []string{"-"}},
+		{[]string{"--", "--"}, false, 0, []string{"--"}},
+		{nil, false, 0, nil},
+	}
+	for _, tc := range cases {
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		v := fs.Bool("v", false, "")
+		n := fs.Int("n", 0, "")
+		if err := Parse(fs, tc.args, io.Discard); err != nil {
+			t.Fatalf("%q: %v", tc.args, err)
+		}
+		if *v != tc.v || *n != tc.n || !slices.Equal(fs.Args(), tc.pos) {
+			t.Errorf("%q: -v %t -n %d args %q, want %t %d %q", tc.args, *v, *n, fs.Args(), tc.v, tc.n, tc.pos)
+		}
+	}
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	if err := Parse(fs, []string{"a", "-bogus"}, io.Discard); ExitCode(err) != ExitUsage {
+		t.Errorf("a bad flag after an argument: %v, want a usage error", err)
+	}
+	fs = flag.NewFlagSet("t", flag.ContinueOnError)
+	if err := Parse(fs, []string{"a"}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if err := MaxArgs(fs, 0); ExitCode(err) != ExitUsage {
+		t.Errorf("MaxArgs(0) with one argument: %v, want a usage error", err)
 	}
 }

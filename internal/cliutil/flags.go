@@ -10,18 +10,45 @@ import (
 	"github.com/oraql/go-oraql/internal/request"
 )
 
-// Parse parses args into fs under the shared contract: a bad flag is a
-// usage error, and -h prints the command's flags to stderr and is a
-// usage error too, so both exit 2.
+// Parse parses args into fs under the shared contract: flags may come
+// before or after the positional arguments, which fs.Args returns in
+// order, and a "--" ends flag parsing; a bad flag is a usage error, and
+// -h prints the command's flags to stderr and is a usage error too, so
+// both exit 2.
 func Parse(fs *flag.FlagSet, args []string, stderr io.Writer) error {
 	fs.SetOutput(io.Discard)
-	err := fs.Parse(args)
-	if errors.Is(err, flag.ErrHelp) {
-		fs.SetOutput(stderr)
-		fmt.Fprintf(stderr, "Usage of %s:\n", fs.Name())
-		fs.PrintDefaults()
+	var positional []string
+	for {
+		err := fs.Parse(args)
+		if errors.Is(err, flag.ErrHelp) {
+			fs.SetOutput(stderr)
+			fmt.Fprintf(stderr, "Usage of %s:\n", fs.Name())
+			fs.PrintDefaults()
+		}
+		if err != nil {
+			return WrapUsage(err)
+		}
+		// fs.Parse stops at the first non-flag argument, or consumes a
+		// "--" and stops after it.
+		rest := fs.Args()
+		if used := len(args) - len(rest); len(rest) == 0 || used > 0 && args[used-1] == "--" {
+			positional = append(positional, rest...)
+			break
+		}
+		positional = append(positional, rest[0])
+		args = rest[1:]
 	}
-	return WrapUsage(err)
+	// Leave the positional arguments where fs.Args reads them.
+	return fs.Parse(append([]string{"--"}, positional...))
+}
+
+// MaxArgs is a usage error when fs holds more than max positional
+// arguments.
+func MaxArgs(fs *flag.FlagSet, max int) error {
+	if fs.NArg() > max {
+		return Usagef("unexpected arguments: %v", fs.Args()[max:])
+	}
+	return nil
 }
 
 // Store is the persistent store a command names with -cache-dir.

@@ -176,6 +176,45 @@ func TestVerifyCatchesCallToUndefined(t *testing.T) {
 	}
 }
 
+// TestVerifyCatchesBadIDs covers the ID invariant that ID-indexed
+// analysis tables rest on: block and instruction IDs, dead instructions'
+// included, are unique and below the function's next-ID counters.
+func TestVerifyCatchesBadIDs(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(fn *Func, x, y *Instr)
+		want   string
+	}{
+		{"valid", func(*Func, *Instr, *Instr) {}, ""},
+		{"repeated block ID", func(fn *Func, _, _ *Instr) { fn.Blocks[1].ID = fn.Blocks[0].ID }, "repeats block"},
+		{"block ID at NextBlockID", func(fn *Func, _, _ *Instr) { fn.Blocks[1].ID = fn.NextBlockID() }, "NextBlockID"},
+		{"foreign block", func(fn *Func, _, _ *Instr) { fn.Blocks[1].Parent = nil }, "wrong parent"},
+		{"repeated instruction ID", func(_ *Func, x, y *Instr) { y.ID = x.ID }, "ID repeats"},
+		{"dead instruction repeats an ID", func(_ *Func, x, y *Instr) { y.MarkDead(); y.ID = x.ID }, "ID repeats"},
+		{"instruction ID at NextInstrID", func(fn *Func, _, y *Instr) { y.ID = fn.NextInstrID() }, "NextInstrID"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewModule("t")
+			fn, b := NewFunc(m, "f", Void)
+			next := b.NewBlock("next")
+			x := b.Alloca(8, "x")
+			y := b.Bin(OpAdd, ConstInt(1), ConstInt(2), "y")
+			b.Br(next)
+			b.SetBlock(next)
+			b.Ret(nil)
+			tc.mutate(fn, x, y)
+			err := Verify(m)
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("valid function rejected: %v", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("got %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
 func TestVerifyAllowsIntrinsics(t *testing.T) {
 	m := NewModule("t")
 	_, b := NewFunc(m, "f", Void)

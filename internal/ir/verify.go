@@ -38,26 +38,33 @@ func verifyFunc(m *Module, f *Func) error {
 	if len(f.Blocks) == 0 {
 		return errors.New("no blocks")
 	}
-	dom := newDomChecker(f)
-	blockSet := make(map[*Block]bool, len(f.Blocks))
-	nValues := len(f.Params)
+	// Block and instruction IDs, dead instructions' included, are
+	// unique and below the next-ID counters: analyses keep per-function
+	// facts in tables indexed by them, and VIDs are built from them.
+	blockByID := make([]*Block, f.nextBlockID)
+	instrByID := make([]*Instr, f.nextInstrID)
 	for _, b := range f.Blocks {
-		blockSet[b] = true
-		nValues += len(b.Instrs)
-	}
-	// Collect values defined in this function.
-	defined := make(map[Value]bool, nValues)
-	for _, p := range f.Params {
-		defined[p] = true
-	}
-	for _, b := range f.Blocks {
+		if b.Parent != f {
+			return fmt.Errorf("block %s has wrong parent", b.Name)
+		}
+		if uint(b.ID) >= uint(len(blockByID)) {
+			return fmt.Errorf("block %s: ID %d not below NextBlockID %d", b.Name, b.ID, len(blockByID))
+		}
+		if blockByID[b.ID] != nil {
+			return fmt.Errorf("block %s: ID %d repeats block %s's", b.Name, b.ID, blockByID[b.ID].Name)
+		}
+		blockByID[b.ID] = b
 		for _, in := range b.Instrs {
-			if in.dead {
-				continue
+			if uint(in.ID) >= uint(len(instrByID)) {
+				return fmt.Errorf("block %s: instr %s: ID not below NextInstrID %d", b.Name, in.Ident(), len(instrByID))
 			}
-			defined[in] = true
+			if instrByID[in.ID] != nil {
+				return fmt.Errorf("block %s: instr %s: ID repeats", b.Name, in.Ident())
+			}
+			instrByID[in.ID] = in
 		}
 	}
+	dom := newDomChecker(f)
 	for _, b := range f.Blocks {
 		term := b.Term()
 		if term == nil {
@@ -78,7 +85,7 @@ func verifyFunc(m *Module, f *Func) error {
 				return fmt.Errorf("block %s: instr %s has wrong parent", b.Name, in.Ident())
 			}
 			for _, s := range in.Succs {
-				if !blockSet[s] {
+				if uint(s.ID) >= uint(len(blockByID)) || blockByID[s.ID] != s {
 					return fmt.Errorf("block %s: branch to foreign block %s", b.Name, s.Name)
 				}
 			}
@@ -106,7 +113,7 @@ func verifyFunc(m *Module, f *Func) error {
 					if v.dead {
 						return fmt.Errorf("instr %s: uses dead value %s", in.Ident(), v.Ident())
 					}
-					if !defined[v] {
+					if uint(v.ID) >= uint(len(instrByID)) || instrByID[v.ID] != v {
 						return fmt.Errorf("instr %s: uses undefined value %s", in.Ident(), v.Ident())
 					}
 					if !dom.defDominatesUse(v, in) {

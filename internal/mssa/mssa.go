@@ -79,7 +79,7 @@ func (s *walkState) addClobber(c *ir.Instr) {
 
 // walkPreds continues the walk above the head of b.
 func (s *walkState) walkPreds(b *ir.Block) {
-	preds := s.w.CFG.Preds[b]
+	preds := s.w.CFG.Preds(b)
 	if len(preds) == 0 {
 		s.entry = true
 		return

@@ -141,7 +141,7 @@ func (p *LICM) runOnLoop(fn *ir.Func, ctx *Context, info *cfg.Info, l *cfg.Loop)
 					}
 					// The exit block must be dominated by the loop
 					// (single exit of this loop only).
-					if len(info.Preds[l.Exits[0]]) != 1 {
+					if len(info.Preds(l.Exits[0])) != 1 {
 						continue
 					}
 					moveToBlockFront(in, l.Exits[0])

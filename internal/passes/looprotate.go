@@ -70,7 +70,7 @@ func (p *LoopRotate) rotate(fn *ir.Func, ctx *Context, info *cfg.Info, l *cfg.Lo
 	} else {
 		return false
 	}
-	if body == h || len(info.Preds[body]) != 1 || len(info.Preds[exit]) != 1 {
+	if body == h || len(info.Preds(body)) != 1 || len(info.Preds(exit)) != 1 {
 		return false
 	}
 	// A pre-existing phi in the exit block would need a three-way

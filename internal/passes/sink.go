@@ -23,6 +23,7 @@ func (*Sink) Name() string { return "Machine Code Sinking" }
 func (p *Sink) Run(fn *ir.Func, ctx *Context) analysis.PreservedAnalyses {
 	info := ctx.CFG(fn)
 	walker := ctx.MemSSA(fn)
+	var users *userLists // built at the first candidate
 	changed := false
 	for _, b := range info.RPO {
 		succs := b.Succs()
@@ -38,11 +39,15 @@ func (p *Sink) Run(fn *ir.Func, ctx *Context) analysis.PreservedAnalyses {
 			if !isPureOp(in) && in.Op != ir.OpLoad {
 				continue
 			}
-			target := soleUserBlock(fn, info, in, succs)
-			if target == nil || len(info.Preds[target]) != 1 {
+			if users == nil {
+				users = newUserLists(fn)
+			}
+			us := users.of(in)
+			target := soleUserBlock(info, us, succs)
+			if target == nil || len(info.Preds(target)) != 1 {
 				continue
 			}
-			if hasPhiUse(fn, in) {
+			if hasPhiUse(us) {
 				continue
 			}
 			if in.Op == ir.OpLoad {
@@ -66,51 +71,80 @@ func (p *Sink) Run(fn *ir.Func, ctx *Context) analysis.PreservedAnalyses {
 	return analysis.CFGOnly // moves instructions between existing blocks
 }
 
-// soleUserBlock returns the single successor (from succs) that
-// dominates every use of in, or nil.
-func soleUserBlock(fn *ir.Func, info *cfg.Info, def *ir.Instr, succs []*ir.Block) *ir.Block {
-	var target *ir.Block
-	for _, b := range fn.Blocks {
-		for _, in := range b.Instrs {
-			if in.Dead() {
-				continue
-			}
-			for _, op := range in.Operands {
-				if op != ir.Value(def) {
+// userLists holds the live users of every instruction of a function,
+// one entry per operand occurrence, indexed by instruction ID: the users of the
+// instruction with ID i are users[start[i]:start[i+1]]. Sink only moves
+// instructions, so the lists stay exact for its whole run; a user's
+// block is read from the user when it is needed.
+type userLists struct {
+	start []int32
+	users []*ir.Instr
+}
+
+func newUserLists(fn *ir.Func) *userLists {
+	n := fn.NextInstrID()
+	// each calls visit(def, user) for every occurrence of an instruction
+	// def of fn among the operands of a live user.
+	each := func(visit func(def, user *ir.Instr)) {
+		for _, b := range fn.Blocks {
+			for _, in := range b.Instrs {
+				if in.Dead() {
 					continue
 				}
-				var cand *ir.Block
-				for _, s := range succs {
-					if info.Reachable(s) && info.Dominates(s, in.Parent) {
-						cand = s
-						break
+				for _, op := range in.Operands {
+					if d, ok := op.(*ir.Instr); ok && d.Parent != nil && d.Parent.Parent == fn {
+						visit(d, in)
 					}
 				}
-				if cand == nil {
-					return nil // used outside both subtrees (or in b itself)
-				}
-				if target == nil {
-					target = cand
-				} else if target != cand {
-					return nil
-				}
 			}
+		}
+	}
+	t := &userLists{start: make([]int32, n+1)}
+	each(func(def, _ *ir.Instr) { t.start[def.ID]++ })
+	for i := 1; i <= n; i++ {
+		t.start[i] += t.start[i-1]
+	}
+	t.users = make([]*ir.Instr, t.start[n])
+	each(func(def, user *ir.Instr) {
+		t.start[def.ID]--
+		t.users[t.start[def.ID]] = user
+	})
+	return t
+}
+
+// of returns the users of def, an instruction of fn's blocks.
+func (t *userLists) of(def *ir.Instr) []*ir.Instr {
+	return t.users[t.start[def.ID]:t.start[def.ID+1]]
+}
+
+// soleUserBlock returns the single successor (from succs) that
+// dominates every one of users, or nil.
+func soleUserBlock(info *cfg.Info, users []*ir.Instr, succs []*ir.Block) *ir.Block {
+	var target *ir.Block
+	for _, u := range users {
+		var cand *ir.Block
+		for _, s := range succs {
+			if info.Reachable(s) && info.Dominates(s, u.Parent) {
+				cand = s
+				break
+			}
+		}
+		if cand == nil {
+			return nil // used outside both subtrees (or in b itself)
+		}
+		if target == nil {
+			target = cand
+		} else if target != cand {
+			return nil
 		}
 	}
 	return target
 }
 
-func hasPhiUse(fn *ir.Func, def *ir.Instr) bool {
-	for _, b := range fn.Blocks {
-		for _, in := range b.Instrs {
-			if in.Dead() || in.Op != ir.OpPhi {
-				continue
-			}
-			for _, op := range in.Operands {
-				if op == ir.Value(def) {
-					return true
-				}
-			}
+func hasPhiUse(users []*ir.Instr) bool {
+	for _, u := range users {
+		if u.Op == ir.OpPhi {
+			return true
 		}
 	}
 	return false

@@ -24,9 +24,12 @@ type Experiment struct {
 	Probe  *driver.Result
 }
 
-// Run probes the given configuration.
+// Run probes the given configuration with one worker, so the effort
+// counters (compiles, tests run and cached, speculation) do not depend
+// on scheduling and match the effort golden.
 func Run(cfg *apps.Config, log io.Writer) (*Experiment, error) {
 	spec := cfg.Spec()
+	spec.Workers = 1
 	spec.Log = log
 	res, err := driver.Probe(spec)
 	if err != nil {

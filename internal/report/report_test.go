@@ -3,14 +3,12 @@ package report
 import (
 	"bytes"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
-
-	"github.com/oraql/go-oraql/internal/apps"
-	"github.com/oraql/go-oraql/internal/driver"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/golden and the EXPERIMENTS.md blocks from the current evaluation")
@@ -44,8 +42,9 @@ func paperTables(exps []*Experiment) map[string]string {
 // golden's name, then its content verbatim in a text fence.
 var goldenBlock = regexp.MustCompile("(?s)<!-- golden:([a-z0-9]+) -->\n```text\n(.*?)```\n<!-- /golden -->")
 
-// TestFullEvaluation runs the entire evaluation, sequentially so the
-// effort counters do not depend on speculation timing, and compares
+// TestFullEvaluation runs the entire evaluation through RunAll, the
+// path `oraql tables` takes (sequential, so the effort counters do not
+// depend on speculation timing), and compares
 // every paper table byte for byte with testdata/golden/<table>.golden
 // and with the same table embedded in EXPERIMENTS.md. -update rewrites
 // both from the current evaluation; -v shows the tables, including the
@@ -54,15 +53,9 @@ func TestFullEvaluation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full evaluation in short mode")
 	}
-	var exps []*Experiment
-	for _, c := range apps.All() {
-		spec := c.Spec()
-		spec.Workers = 1
-		res, err := driver.Probe(spec)
-		if err != nil {
-			t.Fatalf("%s: %v", c.ID, err)
-		}
-		exps = append(exps, &Experiment{Config: c, Probe: res})
+	exps, err := RunAll(nil, io.Discard)
+	if err != nil {
+		t.Fatal(err)
 	}
 	SortByFig4Order(exps)
 	tables := paperTables(exps)
